@@ -49,87 +49,104 @@ let max_entries = 65_536
 
 type stats = { components : int; cache_hits : int; cache_misses : int }
 
+(* Stable counting sort of [0 .. n - 1] by [key] into [buckets]
+   buckets: bucket [b] is [order.(start.(b)) .. order.(start.(b + 1) -
+   1)], ascending. *)
+let bucket_sort ~buckets n key =
+  let start = Array.make (buckets + 1) 0 in
+  for i = 0 to n - 1 do
+    let b = key i in
+    start.(b + 1) <- start.(b + 1) + 1
+  done;
+  for b = 0 to buckets - 1 do
+    start.(b + 1) <- start.(b + 1) + start.(b)
+  done;
+  let fill = Array.sub start 0 buckets in
+  let order = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let b = key i in
+    order.(fill.(b)) <- i;
+    fill.(b) <- fill.(b) + 1
+  done;
+  (start, order)
+
 let split (network : Network.t) =
   let n = network.Network.num_atoms in
-  let parent = Array.init n Fun.id in
-  let rec find i =
-    if parent.(i) = i then i
-    else begin
-      let r = find parent.(i) in
-      parent.(i) <- r;
-      r
-    end
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
-  in
-  Array.iter
-    (fun (c : Network.clause) ->
-      let lits = c.Network.literals in
-      if Array.length lits > 1 then begin
-        let a0 = lits.(0).Network.atom in
-        Array.iter (fun (l : Network.literal) -> union a0 l.Network.atom) lits
-      end)
-    network.Network.clauses;
-  (* Union by smallest root, so each component's root is its smallest
-     atom and first-seen order of roots is ascending — components come
-     out in a canonical, job-count-independent order. *)
-  let members = Hashtbl.create 64 in
-  let roots = ref [] in
-  for i = 0 to n - 1 do
-    let r = find i in
-    (match Hashtbl.find_opt members r with
-    | None ->
-        roots := r :: !roots;
-        Hashtbl.add members r (ref [ i ])
-    | Some l -> l := i :: !l)
-  done;
-  let roots = List.rev !roots in
-  let local = Array.make n 0 in
-  let atoms_of_root =
-    List.map
-      (fun r ->
-        let atoms = Array.of_list (List.rev !(Hashtbl.find members r)) in
-        Array.iteri (fun li a -> local.(a) <- li) atoms;
-        (r, atoms))
-      roots
-  in
-  let clauses_of_root = Hashtbl.create 64 in
-  List.iter (fun (r, _) -> Hashtbl.add clauses_of_root r (ref [])) atoms_of_root;
-  let orphan = ref false in
-  Array.iter
-    (fun (c : Network.clause) ->
-      if Array.length c.Network.literals = 0 then orphan := true
-      else begin
-        let r = find c.Network.literals.(0).Network.atom in
-        let cell = Hashtbl.find clauses_of_root r in
-        cell :=
-          {
-            c with
-            Network.literals =
-              Array.map
-                (fun (l : Network.literal) ->
-                  { l with Network.atom = local.(l.Network.atom) })
-                c.Network.literals;
-          }
-          :: !cell
-      end)
-    network.Network.clauses;
-  if !orphan then
+  let clauses = network.Network.clauses in
+  if
+    Array.exists
+      (fun (c : Network.clause) -> Array.length c.Network.literals = 0)
+      clauses
+  then
     (* A zero-literal clause has no component to live in; solving such a
        network piecewise could silently drop it. Degenerate and (with
        the current builder) unreachable — fall back to one component. *)
     [ { atoms = Array.init n Fun.id; network } ]
-  else
-    List.map
-      (fun (r, atoms) ->
-        let clauses = Array.of_list (List.rev !(Hashtbl.find clauses_of_root r)) in
-        {
-          atoms;
-          network = { Network.num_atoms = Array.length atoms; clauses };
-        })
-      atoms_of_root
+  else begin
+    let parent = Array.init n Fun.id in
+    let rec find i =
+      if parent.(i) = i then i
+      else begin
+        let r = find parent.(i) in
+        parent.(i) <- r;
+        r
+      end
+    in
+    let union a b =
+      let ra = find a and rb = find b in
+      if ra <> rb then if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
+    in
+    Array.iter
+      (fun (c : Network.clause) ->
+        let lits = c.Network.literals in
+        let a0 = lits.(0).Network.atom in
+        for j = 1 to Array.length lits - 1 do
+          union a0 lits.(j).Network.atom
+        done)
+      clauses;
+    (* Union by smallest root, so each component's root is its smallest
+       atom: numbering roots in ascending atom order yields components in
+       a canonical, job-count-independent order. *)
+    let comp = Array.make n 0 in
+    let components = ref 0 in
+    for a = 0 to n - 1 do
+      let r = find a in
+      if r = a then begin
+        comp.(a) <- !components;
+        incr components
+      end
+      else comp.(a) <- comp.(r)
+    done;
+    let buckets = !components in
+    (* Both sorts are stable: atoms stay ascending and clauses keep their
+       relative order within a component. *)
+    let atom_start, atoms = bucket_sort ~buckets n (fun a -> comp.(a)) in
+    let local = Array.make n 0 in
+    Array.iteri (fun j a -> local.(a) <- j - atom_start.(comp.(a))) atoms;
+    let clause_start, order =
+      bucket_sort ~buckets (Array.length clauses) (fun ci ->
+          comp.(clauses.(ci).Network.literals.(0).Network.atom))
+    in
+    List.init buckets (fun b ->
+        let atoms =
+          Array.sub atoms atom_start.(b) (atom_start.(b + 1) - atom_start.(b))
+        in
+        let clauses =
+          Array.init
+            (clause_start.(b + 1) - clause_start.(b))
+            (fun j ->
+              let c = clauses.(order.(clause_start.(b) + j)) in
+              {
+                c with
+                Network.literals =
+                  Array.map
+                    (fun (l : Network.literal) ->
+                      { l with Network.atom = local.(l.Network.atom) })
+                    c.Network.literals;
+              })
+        in
+        { atoms; network = { Network.num_atoms = Array.length atoms; clauses } })
+  end
 
 let key_of component ~init =
   {

@@ -10,6 +10,73 @@ type stats = {
   status : Deadline.status;
 }
 
+(* Packed clause view of a network, built once per solve and shared
+   read-only by every descent (and every domain):
+
+   - clause [ci]'s literals are [lits.(offsets.(ci)) .. lits.(offsets.(ci
+     + 1) - 1)], each coded [atom * 2 + 1] when positive and [atom * 2]
+     when negative;
+   - [weights] is an unboxed float array (0.0 for hard clauses), [hard]
+     the hard mask;
+   - atom [a]'s occurrences are [occ.(occ_start.(a)) .. occ.(occ_start.(a
+     + 1) - 1)]: one entry per literal, in descending clause order. That
+     is exactly the order the list-based kernel prepended its occurrence
+     lists in, and [flip] and [delta] visit clauses in this order — the
+     soft-cost float sums, and hence every tie-break downstream, depend
+     on it. *)
+type packed = {
+  num_atoms : int;
+  num_clauses : int;
+  lits : int array;
+  offsets : int array;
+  weights : float array;
+  hard : bool array;
+  occ_start : int array;
+  occ : int array;
+}
+
+let pack (network : Network.t) =
+  let clauses = network.Network.clauses in
+  let num_atoms = network.Network.num_atoms in
+  let num_clauses = Array.length clauses in
+  let offsets = Array.make (num_clauses + 1) 0 in
+  Array.iteri
+    (fun ci (c : Network.clause) ->
+      offsets.(ci + 1) <- offsets.(ci) + Array.length c.literals)
+    clauses;
+  let lits = Array.make offsets.(num_clauses) 0 in
+  let weights = Array.make num_clauses 0.0 in
+  let hard = Array.make num_clauses false in
+  let occ_start = Array.make (num_atoms + 1) 0 in
+  Array.iteri
+    (fun ci (c : Network.clause) ->
+      (match c.weight with
+      | None -> hard.(ci) <- true
+      | Some w -> weights.(ci) <- w);
+      Array.iteri
+        (fun j (l : Network.literal) ->
+          lits.(offsets.(ci) + j) <- (l.atom * 2) + Bool.to_int l.positive;
+          occ_start.(l.atom + 1) <- occ_start.(l.atom + 1) + 1)
+        c.literals)
+    clauses;
+  for a = 0 to num_atoms - 1 do
+    occ_start.(a + 1) <- occ_start.(a + 1) + occ_start.(a)
+  done;
+  let occ = Array.make occ_start.(num_atoms) 0 in
+  let fill = Array.sub occ_start 0 num_atoms in
+  for ci = num_clauses - 1 downto 0 do
+    for j = offsets.(ci) to offsets.(ci + 1) - 1 do
+      let a = lits.(j) lsr 1 in
+      occ.(fill.(a)) <- ci;
+      fill.(a) <- fill.(a) + 1
+    done
+  done;
+  { num_atoms; num_clauses; lits; offsets; weights; hard; occ_start; occ }
+
+let[@inline] literal_true assignment code =
+  let v = assignment.(code lsr 1) in
+  if code land 1 = 1 then v else not v
+
 (* One dense set of clause indices with O(1) insert/remove. *)
 type clause_set = {
   items : int array;
@@ -44,139 +111,134 @@ let set_clear s =
   done;
   s.len <- 0
 
-(* Mutable solver state: per-clause count of true literals, violated hard
-   and soft clauses tracked separately (hard violations are repaired with
-   priority), and the running (hard, soft) cost. The occurrence lists are
-   a function of the network alone, so one array is built per solve and
-   shared read-only by every restart (and every domain). *)
-type state = {
-  network : Network.t;
-  assignment : bool array;
-  true_counts : int array;
-  occurrences : int list array;
-  unsat_hard : clause_set;
-  unsat_soft : clause_set;
-  mutable soft_cost : float;
+(* The float side of a descent. An all-float record stores its fields
+   unboxed, so updating them never allocates (a mutable float in a
+   mixed record would box on every write). *)
+type floats = {
+  mutable soft_cost : float; (* running violated soft weight *)
+  mutable dsoft : float; (* soft part of the last [delta] *)
 }
 
-let clause_weight (c : Network.clause) =
-  match c.weight with None -> `Hard | Some w -> `Soft w
+(* Mutable solver state: per-clause count of true literals, violated hard
+   and soft clauses tracked separately (hard violations are repaired with
+   priority), and the running (hard, soft) cost. *)
+type state = {
+  p : packed;
+  assignment : bool array;
+  true_counts : int array;
+  unsat_hard : clause_set;
+  unsat_soft : clause_set;
+  f : floats;
+}
 
 let mark_unsat st ci =
-  match clause_weight st.network.clauses.(ci) with
-  | `Hard -> set_add st.unsat_hard ci
-  | `Soft w ->
-      if st.unsat_soft.pos.(ci) = -1 then st.soft_cost <- st.soft_cost +. w;
-      set_add st.unsat_soft ci
+  if st.p.hard.(ci) then set_add st.unsat_hard ci
+  else begin
+    if st.unsat_soft.pos.(ci) = -1 then
+      st.f.soft_cost <- st.f.soft_cost +. st.p.weights.(ci);
+    set_add st.unsat_soft ci
+  end
 
 let mark_sat st ci =
-  match clause_weight st.network.clauses.(ci) with
-  | `Hard -> set_remove st.unsat_hard ci
-  | `Soft w ->
-      if st.unsat_soft.pos.(ci) <> -1 then st.soft_cost <- st.soft_cost -. w;
-      set_remove st.unsat_soft ci
+  if st.p.hard.(ci) then set_remove st.unsat_hard ci
+  else begin
+    if st.unsat_soft.pos.(ci) <> -1 then
+      st.f.soft_cost <- st.f.soft_cost -. st.p.weights.(ci);
+    set_remove st.unsat_soft ci
+  end
 
-let literal_true assignment (l : Network.literal) =
-  assignment.(l.atom) = l.positive
-
-let build_occurrences (network : Network.t) =
-  let occurrences = Array.make network.Network.num_atoms [] in
-  Array.iteri
-    (fun ci (c : Network.clause) ->
-      Array.iter
-        (fun (l : Network.literal) ->
-          occurrences.(l.atom) <- ci :: occurrences.(l.atom))
-        c.literals)
-    network.Network.clauses;
-  occurrences
-
-let make_state network occurrences =
-  let num_clauses = Array.length network.Network.clauses in
+let make_state p =
   {
-    network;
-    assignment = Array.make (max 1 network.Network.num_atoms) false;
-    true_counts = Array.make (max 1 num_clauses) 0;
-    occurrences;
-    unsat_hard = set_create num_clauses;
-    unsat_soft = set_create num_clauses;
-    soft_cost = 0.0;
+    p;
+    assignment = Array.make (max 1 p.num_atoms) false;
+    true_counts = Array.make (max 1 p.num_clauses) 0;
+    unsat_hard = set_create p.num_clauses;
+    unsat_soft = set_create p.num_clauses;
+    f = { soft_cost = 0.0; dsoft = 0.0 };
   }
 
+let count_true p assignment ci =
+  let count = ref 0 in
+  for j = p.offsets.(ci) to p.offsets.(ci + 1) - 1 do
+    if literal_true assignment p.lits.(j) then incr count
+  done;
+  !count
+
 (* (Re)initialise the state at [start] without reallocating: restarts
-   reuse the arrays and, crucially, the shared occurrence lists. *)
+   reuse the arrays and the shared packed view. *)
 let reset_state st start =
   Array.blit start 0 st.assignment 0 (Array.length start);
   set_clear st.unsat_hard;
   set_clear st.unsat_soft;
-  st.soft_cost <- 0.0;
-  Array.iteri
-    (fun ci (c : Network.clause) ->
-      let count =
-        Array.fold_left
-          (fun acc l -> if literal_true st.assignment l then acc + 1 else acc)
-          0 c.literals
-      in
-      st.true_counts.(ci) <- count;
-      if count = 0 then mark_unsat st ci)
-    st.network.Network.clauses
+  st.f.soft_cost <- 0.0;
+  for ci = 0 to st.p.num_clauses - 1 do
+    let count = count_true st.p st.assignment ci in
+    st.true_counts.(ci) <- count;
+    if count = 0 then mark_unsat st ci
+  done
 
+(* Every literal of every occurrence is matched against [v], so a clause
+   repeating [v] is adjusted once per (occurrence, literal) pair — the
+   list-based kernel's exact update sequence. *)
 let flip st v =
+  let p = st.p in
   let old_value = st.assignment.(v) in
   st.assignment.(v) <- not old_value;
-  List.iter
-    (fun ci ->
-      let c = st.network.Network.clauses.(ci) in
-      Array.iter
-        (fun (l : Network.literal) ->
-          if l.atom = v then
-            if l.positive = old_value then begin
-              st.true_counts.(ci) <- st.true_counts.(ci) - 1;
-              if st.true_counts.(ci) = 0 then mark_unsat st ci
-            end
-            else begin
-              st.true_counts.(ci) <- st.true_counts.(ci) + 1;
-              if st.true_counts.(ci) = 1 then mark_sat st ci
-            end)
-        c.literals)
-    st.occurrences.(v)
-
-(* Cost change (hard, soft) of flipping [v], by break/make counting. *)
-let delta st v =
-  let dhard = ref 0 and dsoft = ref 0.0 in
-  List.iter
-    (fun ci ->
-      let c = st.network.Network.clauses.(ci) in
-      let sign =
-        if st.true_counts.(ci) = 1 then begin
-          (* Breaks iff the single true literal is carried by [v]. *)
-          if
-            Array.exists
-              (fun (l : Network.literal) ->
-                l.atom = v && literal_true st.assignment l)
-              c.literals
-          then 1
-          else 0
+  for o = p.occ_start.(v) to p.occ_start.(v + 1) - 1 do
+    let ci = p.occ.(o) in
+    for j = p.offsets.(ci) to p.offsets.(ci + 1) - 1 do
+      let code = p.lits.(j) in
+      if code lsr 1 = v then
+        if (code land 1 = 1) = old_value then begin
+          let count = st.true_counts.(ci) - 1 in
+          st.true_counts.(ci) <- count;
+          if count = 0 then mark_unsat st ci
         end
-        else if st.true_counts.(ci) = 0 then
-          (* Makes iff [v] carries a literal that becomes true. *)
-          if
-            Array.exists
-              (fun (l : Network.literal) ->
-                l.atom = v && not (literal_true st.assignment l))
-              c.literals
-          then -1
-          else 0
-        else 0
-      in
-      if sign <> 0 then
-        match clause_weight c with
-        | `Hard -> dhard := !dhard + sign
-        | `Soft w -> dsoft := !dsoft +. (w *. float_of_int sign))
-    st.occurrences.(v);
-  (!dhard, !dsoft)
+        else begin
+          let count = st.true_counts.(ci) + 1 in
+          st.true_counts.(ci) <- count;
+          if count = 1 then mark_sat st ci
+        end
+    done
+  done
 
-let better (h1, s1) (h2, s2) =
-  h1 < h2 || (h1 = h2 && s1 < s2 -. 1e-12)
+(* Does clause literal [j .. stop - 1] carry [v] with truth value
+   [value]? *)
+let rec carries p assignment v value j stop =
+  j < stop
+  && ((p.lits.(j) lsr 1 = v && literal_true assignment p.lits.(j) = value)
+     || carries p assignment v value (j + 1) stop)
+
+(* Cost change of flipping [v], by break/make counting: returns the hard
+   change and leaves the soft change in [st.f.dsoft]. *)
+let delta st v =
+  let p = st.p in
+  let dhard = ref 0 and dsoft = ref 0.0 in
+  for o = p.occ_start.(v) to p.occ_start.(v + 1) - 1 do
+    let ci = p.occ.(o) in
+    let lo = p.offsets.(ci) and hi = p.offsets.(ci + 1) in
+    let sign =
+      match st.true_counts.(ci) with
+      | 1 ->
+          (* Breaks iff the single true literal is carried by [v]. *)
+          if carries p st.assignment v true lo hi then 1 else 0
+      | 0 ->
+          (* Makes iff [v] carries a literal that becomes true. *)
+          if carries p st.assignment v false lo hi then -1 else 0
+      | _ -> 0
+    in
+    if sign <> 0 then
+      if p.hard.(ci) then dhard := !dhard + sign
+      else dsoft := !dsoft +. (p.weights.(ci) *. float_of_int sign)
+  done;
+  st.f.dsoft <- !dsoft;
+  !dhard
+
+(* Lexicographic (hard, soft) order, soft within a 1e-12 tolerance.
+   Inlined, so the flip loop compares unboxed floats. *)
+let[@inline] lower h1 s1 h2 s2 = h1 < h2 || (h1 = h2 && s1 < s2 -. 1e-12)
+
+let better (h1, s1) (h2, s2) = lower h1 s1 h2 s2
 
 let perfect (h, s) = h = 0 && s = 0.0
 
@@ -186,15 +248,12 @@ let perfect (h, s) = h = 0 && s = 0.0
    on this recomputation: the reported cost — and hence the portfolio
    winner — is a pure function of the assignment, not of the add/remove
    history, which keeps the winner identical at every job count. *)
-let evaluate (network : Network.t) assignment =
+let evaluate p assignment =
   let hard = ref 0 and soft = ref 0.0 in
-  Array.iter
-    (fun (c : Network.clause) ->
-      if not (Array.exists (literal_true assignment) c.literals) then
-        match clause_weight c with
-        | `Hard -> incr hard
-        | `Soft w -> soft := !soft +. w)
-    network.Network.clauses;
+  for ci = 0 to p.num_clauses - 1 do
+    if count_true p assignment ci = 0 then
+      if p.hard.(ci) then incr hard else soft := !soft +. p.weights.(ci)
+  done;
   (!hard, !soft)
 
 (* One full WalkSAT descent from [start], task-local. [stop] holds the
@@ -234,28 +293,41 @@ let rec note_perfect stop k =
    complete assignment. *)
 let poll_mask = 0xff
 
+(* The variable to flip in clause [ci]: a random one of its literals
+   with probability [noise], else the greedy choice — the literal whose
+   flip lowers cost the most, compared against the current best by
+   [lower]. *)
+let pick_var st rng ~noise ci =
+  let p = st.p in
+  let lo = p.offsets.(ci) and hi = p.offsets.(ci + 1) in
+  if Prng.bernoulli rng noise then p.lits.(lo + Prng.int rng (hi - lo)) lsr 1
+  else begin
+    let best_var = ref (p.lits.(lo) lsr 1) in
+    let best_hard = ref (delta st !best_var) in
+    let best_soft = ref st.f.dsoft in
+    for j = lo to hi - 1 do
+      let a = p.lits.(j) lsr 1 in
+      if a <> !best_var then begin
+        let h = delta st a in
+        let s = st.f.dsoft in
+        if lower h s !best_hard !best_soft then begin
+          best_hard := h;
+          best_soft := s;
+          best_var := a
+        end
+      end
+    done;
+    !best_var
+  end
+
 let descend st rng ~max_flips ~stall ~noise ~deadline ~stop ~k ~observing
     start =
   reset_state st start;
-  let current_cost st = (st.unsat_hard.len, st.soft_cost) in
-  let best = ref (Array.copy st.assignment) in
-  let best_cost = ref (current_cost st) in
+  let best = Array.copy st.assignment in
+  let best_hard = ref st.unsat_hard.len and best_soft = ref st.f.soft_cost in
   let trail = ref [] in
-  let note cost =
-    if observing then
-      trail := (Prelude.Timing.now_ms (), scalar_cost cost) :: !trail
-  in
-  note !best_cost;
-  let update_best () =
-    let cost = current_cost st in
-    if better cost !best_cost then begin
-      best_cost := cost;
-      Array.blit st.assignment 0 !best 0 (Array.length st.assignment);
-      note cost;
-      true
-    end
-    else false
-  in
+  if observing then
+    trail := [ (Prelude.Timing.now_ms (), scalar_cost (!best_hard, !best_soft)) ];
   let since_improvement = ref 0 in
   let flips = ref 0 in
   let halted = ref false in
@@ -268,44 +340,33 @@ let descend st rng ~max_flips ~stall ~noise ~deadline ~stop ~k ~observing
     if !flips land poll_mask = 0 && Deadline.expired deadline then
       halted := true
     else begin
-    incr flips;
-    (* Repair hard violations with priority: a solution violating a
-       hard constraint is worthless whatever its soft cost. *)
-    let ci =
-      if st.unsat_hard.len > 0
-         && (st.unsat_soft.len = 0 || not (Prng.bernoulli rng 0.1))
-      then st.unsat_hard.items.(Prng.int rng st.unsat_hard.len)
-      else st.unsat_soft.items.(Prng.int rng st.unsat_soft.len)
-    in
-    let c = st.network.Network.clauses.(ci) in
-    let v =
-      if Prng.bernoulli rng noise then
-        (Array.get c.literals (Prng.int rng (Array.length c.literals))).atom
-      else begin
-        (* Greedy: the literal whose flip lowers cost the most. *)
-        let best_var = ref (Array.get c.literals 0).atom in
-        let best_delta = ref (delta st !best_var) in
-        Array.iter
-          (fun (l : Network.literal) ->
-            if l.atom <> !best_var then begin
-              let d = delta st l.atom in
-              if better d !best_delta then begin
-                best_delta := d;
-                best_var := l.atom
-              end
-            end)
-          c.literals;
-        !best_var
+      incr flips;
+      (* Repair hard violations with priority: a solution violating a
+         hard constraint is worthless whatever its soft cost. *)
+      let ci =
+        if st.unsat_hard.len > 0
+           && (st.unsat_soft.len = 0 || not (Prng.bernoulli rng 0.1))
+        then st.unsat_hard.items.(Prng.int rng st.unsat_hard.len)
+        else st.unsat_soft.items.(Prng.int rng st.unsat_soft.len)
+      in
+      flip st (pick_var st rng ~noise ci);
+      let h = st.unsat_hard.len and s = st.f.soft_cost in
+      if lower h s !best_hard !best_soft then begin
+        best_hard := h;
+        best_soft := s;
+        Array.blit st.assignment 0 best 0 (Array.length st.assignment);
+        if observing then
+          trail := (Prelude.Timing.now_ms (), scalar_cost (h, s)) :: !trail;
+        since_improvement := 0
       end
-    in
-      flip st v;
-      if update_best () then since_improvement := 0 else incr since_improvement
+      else incr since_improvement
     end
   done;
-  let cost = evaluate st.network !best in
+  let cost = evaluate st.p best in
   if perfect cost then note_perfect stop k;
-  note cost;
-  { a_cost = cost; a_assignment = !best; a_flips = !flips; a_trail = !trail }
+  if observing then
+    trail := (Prelude.Timing.now_ms (), scalar_cost cost) :: !trail;
+  { a_cost = cost; a_assignment = best; a_flips = !flips; a_trail = !trail }
 
 let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
     ?(stall = 20_000) ?init ?(portfolio = []) ?(pool = Pool.sequential)
@@ -324,7 +385,7 @@ let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
     Array.of_list
       (List.init (max 1 restarts) (fun i -> Prng.subseed seed i) @ portfolio)
   in
-  let occurrences = build_occurrences network in
+  let packed = pack network in
   let observing = Obs.enabled () in
   let stop = Atomic.make max_int in
   let start_of_task rng k =
@@ -367,7 +428,7 @@ let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
     if Pool.jobs pool = 1 then begin
       (* Sequential path: one state reused across restarts (reset in
          place), early exit once an optimum has been found. *)
-      let st = make_state network occurrences in
+      let st = make_state packed in
       List.filter_map
         (fun k ->
           if Deadline.expired deadline then Some (Error Deadline.Expired)
@@ -380,11 +441,11 @@ let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
     end
     else
       (* Parallel portfolio: every task gets its own state over the
-         shared occurrence lists; once some domain reaches cost (0, 0)
+         shared packed view; once some domain reaches cost (0, 0)
          descents with a larger index stop being started (running ones
          complete). *)
       Pool.map_results ~deadline pool
-        (fun k -> run_task (make_state network occurrences) k)
+        (fun k -> run_task (make_state packed) k)
         (List.init (Array.length seeds) Fun.id)
   in
   let attempts = List.filter_map Result.to_option results in
@@ -412,7 +473,7 @@ let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
            score the base assignment directly — the one answer that is
            always available immediately. *)
         {
-          a_cost = evaluate network base;
+          a_cost = evaluate packed base;
           a_assignment = Array.copy base;
           a_flips = 0;
           a_trail = [];

@@ -12,7 +12,15 @@
     is picked by lexicographic [(hard, soft)] cost with the earliest
     task breaking ties, so the result cost does not depend on how the
     tasks are scheduled: passing a {!Prelude.Pool} runs them on worker
-    domains without changing the reported objective. *)
+    domains without changing the reported objective.
+
+    Each solve packs the network once into flat arrays — literal codes
+    with per-clause offsets, unboxed weights, a hard mask and a CSR
+    occurrence index — shared read-only by every descent. The flip loop
+    (clause pick, greedy or random variable choice, flip, best-so-far
+    tracking) does not allocate: costs live in unboxed float cells and
+    the PRNG state is unboxed. Only observability samples and a finite
+    deadline's clock read, every 256 flips, allocate. *)
 
 type stats = {
   flips : int;              (** total across all descents *)

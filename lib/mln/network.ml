@@ -28,6 +28,19 @@ let logit confidence =
   let w = log (confidence /. (1.0 -. confidence)) in
   Float.min Kg.Quad.max_weight (Float.max (-.Kg.Quad.max_weight) w)
 
+(* One literal per (atom, sign), first occurrence first. A constraint
+   whose body atoms bind the same fact twice grounds e.g. (-a v -a);
+   solvers count a clause's true literals, so a repeated literal would
+   be counted once per copy. *)
+let rec distinct = function
+  | [] -> []
+  | l :: rest ->
+      l
+      :: distinct
+           (List.filter
+              (fun l' -> l'.atom <> l.atom || l'.positive <> l.positive)
+              rest)
+
 let build ?(config = default_config) store instances =
   let clauses = Vec.create () in
   let push literals weight source =
@@ -68,10 +81,11 @@ let build ?(config = default_config) store instances =
         List.map (fun id -> { atom = id; positive = false }) body_atoms
       in
       let literals =
-        match head with
-        | Instance.Satisfied -> []
-        | Instance.Violated -> body_literals
-        | Instance.Derives h -> body_literals @ [ { atom = h; positive = true } ]
+        distinct
+          (match head with
+          | Instance.Satisfied -> []
+          | Instance.Violated -> body_literals
+          | Instance.Derives h -> body_literals @ [ { atom = h; positive = true } ])
       in
       match literals with
       | [] -> ()

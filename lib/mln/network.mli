@@ -14,7 +14,10 @@
       prior;
     - inference instance [b1 ∧ ... ∧ bn -> h] with weight [w]: clause
       [(-b1 ∨ ... ∨ -bn ∨ h)] with weight [w];
-    - violated-constraint instance: clause [(-b1 ∨ ... ∨ -bn)]. *)
+    - violated-constraint instance: clause [(-b1 ∨ ... ∨ -bn)].
+
+    A rule clause holds each (atom, sign) once: when two body atoms bind
+    the same fact, [(-a ∨ -a)] becomes [(-a)]. *)
 
 type literal = { atom : int; positive : bool }
 

@@ -1,23 +1,32 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state, unboxed in an 8-byte buffer: a mutable [int64]
+   record field would box a fresh Int64 on every draw. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  set_state t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let mix z =
+let copy = Bytes.copy
+
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let state = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 state;
+  mix state
 
-let split t =
-  let seed = int64 t in
-  { state = seed }
+let split t = of_state (int64 t)
 
 let subseed seed i =
   if i < 0 then invalid_arg "Prng.subseed: negative index";
@@ -35,7 +44,7 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   r mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits scaled to [0, 1) then to [0, bound). *)
   let bits = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   float_of_int bits /. 9007199254740992.0 *. bound

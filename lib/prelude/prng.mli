@@ -2,7 +2,9 @@
 
     All stochastic components of the reproduction (data generators,
     MaxWalkSAT, sampling in benches) draw from this generator so that every
-    run of every experiment is bit-for-bit reproducible from a seed. *)
+    run of every experiment is bit-for-bit reproducible from a seed.
+    The state is kept unboxed, so [int] and [bernoulli] draws allocate
+    nothing. *)
 
 type t
 

@@ -295,6 +295,26 @@ expect_exit 0 "crash smoke: shutdown" \
 wait "$CRASH_PID" || { echo "restarted serve exited non-zero" >&2; exit 1; }
 rm -rf "$CRASH_DIR"; rm -f "$CRASH_SOCK" "$RETRY_OUT"
 
+echo "== solve-layer work counters (fb-mln, seed 1, quick, traced) =="
+# One job, fixed seeds: the MLN solve layer's work counters are
+# machine-independent, so they are gated exactly, and its allocation
+# against a ceiling (the list-based MaxWalkSAT kernel allocated 14.59
+# Mwords here, the packed one about 0.55).
+SUITE_DIR=$(mktemp -d) SUITE_OUT=$(mktemp)
+bash bench/suite/run.sh --workload fb-mln --seed 1 --quick true --trace 1 \
+  --seconds 0.1 --workdir "$SUITE_DIR" > "$SUITE_OUT" \
+  || { echo "work-counter gate: traced fb-mln run failed" >&2; cat "$SUITE_OUT" >&2; exit 1; }
+metric() { awk -v m="$1" '$1 == m { print $2 }' "$SUITE_OUT"; }
+for expected in mln.clauses=1047 mln.components=388 mln.flips=120558 \
+                mln.cpi_iterations=546; do
+  name=${expected%=*} want=${expected#*=}
+  [ "$(metric "$name")" = "$want.0000" ] \
+    || { echo "work-counter gate: $name = $(metric "$name"), expected exactly $want" >&2; exit 1; }
+done
+awk -v v="$(metric mln.alloc_mwords)" 'BEGIN { exit !(v != "" && v + 0 <= 2) }' \
+  || { echo "work-counter gate: mln.alloc_mwords = $(metric mln.alloc_mwords) exceeds 2" >&2; exit 1; }
+rm -rf "$SUITE_DIR" "$SUITE_OUT"
+
 echo "== bench serve --check (committed BENCH_serve.json) =="
 # Re-measures wire latency/throughput at 1..N concurrent sessions and
 # compares against the committed baseline (generous tolerance), plus

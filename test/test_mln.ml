@@ -61,6 +61,42 @@ let test_clause_satisfaction_and_score () =
     (Float.abs (Network.score network init +. Network.cost network init -. total)
     < 1e-9)
 
+(* Binding both body atoms of a constraint to the one fact grounds
+   (-a v -a) here — before(t, t) never holds. The clause must hold -a
+   once: solvers count a clause's true literals, and the duplicate made
+   the walk's counts run negative and hide the repairing flip. *)
+let test_repeated_literals_collapse () =
+  let graph =
+    Kg.Graph.of_list [ Kg.Quad.v "x" "coach" (Kg.Term.iri "A") (2000, 2005) 0.9 ]
+  in
+  let rules =
+    parse_rules
+      "constraint c: coach(x, y)@t ^ coach(x, z)@t2 => before(t, t2) ."
+  in
+  let store = Store.of_graph graph in
+  let result = Grounder.Ground.run ~lazy_constraints:true store rules in
+  Alcotest.(check bool) "grounding binds one fact twice" true
+    (List.exists
+       (fun (i : Grounder.Ground.Instance.t) -> i.body_atoms = [ 0; 0 ])
+       result.Grounder.Ground.instances);
+  let network = Network.build store result.Grounder.Ground.instances in
+  Alcotest.(check bool) "hard clause (-a)" true
+    (Array.exists
+       (fun (c : Network.clause) ->
+         c.weight = None
+         && c.literals = [| { Network.atom = 0; positive = false } |])
+       network.Network.clauses);
+  Array.iter
+    (fun (c : Network.clause) ->
+      Alcotest.(check int) "no repeated literal"
+        (Array.length c.literals)
+        (List.length (List.sort_uniq compare (Array.to_list c.literals))))
+    network.Network.clauses;
+  let out = Mln.Map_inference.run graph rules in
+  Alcotest.(check bool) "fact dropped" false out.Mln.Map_inference.assignment.(0);
+  Alcotest.(check int) "resolved" 0
+    out.Mln.Map_inference.stats.Mln.Map_inference.hard_violations
+
 let solve_walk network store =
   fst
     (Mln.Maxwalksat.solve ~seed:5
@@ -237,6 +273,656 @@ let test_solvers_agree_on_random_networks () =
       (walk_score >= (0.95 *. exact_score) -. 1e-6)
   done
 
+(* The list-and-record MaxWalkSAT kernel that the packed one replaced,
+   kept verbatim (minus its Obs reporting), and the component split
+   that went with it: references for the differential oracles below. *)
+module Reference = struct
+  module Prng = Prelude.Prng
+  module Pool = Prelude.Pool
+  module Deadline = Prelude.Deadline
+
+  type stats = {
+    flips : int;
+    restarts_used : int;
+    hard_violated : int;
+    soft_cost : float;
+    status : Deadline.status;
+  }
+
+  (* One dense set of clause indices with O(1) insert/remove. *)
+  type clause_set = {
+    items : int array;
+    pos : int array; (* clause -> position or -1 *)
+    mutable len : int;
+  }
+
+  let set_create n =
+    { items = Array.make (max 1 n) 0; pos = Array.make (max 1 n) (-1); len = 0 }
+
+  let set_add s ci =
+    if s.pos.(ci) = -1 then begin
+      s.items.(s.len) <- ci;
+      s.pos.(ci) <- s.len;
+      s.len <- s.len + 1
+    end
+
+  let set_remove s ci =
+    let p = s.pos.(ci) in
+    if p <> -1 then begin
+      let last = s.len - 1 in
+      let moved = s.items.(last) in
+      s.items.(p) <- moved;
+      s.pos.(moved) <- p;
+      s.len <- last;
+      s.pos.(ci) <- -1
+    end
+
+  let set_clear s =
+    for p = 0 to s.len - 1 do
+      s.pos.(s.items.(p)) <- -1
+    done;
+    s.len <- 0
+
+  (* Mutable solver state: per-clause count of true literals, violated hard
+     and soft clauses tracked separately (hard violations are repaired with
+     priority), and the running (hard, soft) cost. The occurrence lists are
+     a function of the network alone, so one array is built per solve and
+     shared read-only by every restart (and every domain). *)
+  type state = {
+    network : Network.t;
+    assignment : bool array;
+    true_counts : int array;
+    occurrences : int list array;
+    unsat_hard : clause_set;
+    unsat_soft : clause_set;
+    mutable soft_cost : float;
+  }
+
+  let clause_weight (c : Network.clause) =
+    match c.weight with None -> `Hard | Some w -> `Soft w
+
+  let mark_unsat st ci =
+    match clause_weight st.network.clauses.(ci) with
+    | `Hard -> set_add st.unsat_hard ci
+    | `Soft w ->
+        if st.unsat_soft.pos.(ci) = -1 then st.soft_cost <- st.soft_cost +. w;
+        set_add st.unsat_soft ci
+
+  let mark_sat st ci =
+    match clause_weight st.network.clauses.(ci) with
+    | `Hard -> set_remove st.unsat_hard ci
+    | `Soft w ->
+        if st.unsat_soft.pos.(ci) <> -1 then st.soft_cost <- st.soft_cost -. w;
+        set_remove st.unsat_soft ci
+
+  let literal_true assignment (l : Network.literal) =
+    assignment.(l.atom) = l.positive
+
+  let build_occurrences (network : Network.t) =
+    let occurrences = Array.make network.Network.num_atoms [] in
+    Array.iteri
+      (fun ci (c : Network.clause) ->
+        Array.iter
+          (fun (l : Network.literal) ->
+            occurrences.(l.atom) <- ci :: occurrences.(l.atom))
+          c.literals)
+      network.Network.clauses;
+    occurrences
+
+  let make_state network occurrences =
+    let num_clauses = Array.length network.Network.clauses in
+    {
+      network;
+      assignment = Array.make (max 1 network.Network.num_atoms) false;
+      true_counts = Array.make (max 1 num_clauses) 0;
+      occurrences;
+      unsat_hard = set_create num_clauses;
+      unsat_soft = set_create num_clauses;
+      soft_cost = 0.0;
+    }
+
+  (* (Re)initialise the state at [start] without reallocating: restarts
+     reuse the arrays and, crucially, the shared occurrence lists. *)
+  let reset_state st start =
+    Array.blit start 0 st.assignment 0 (Array.length start);
+    set_clear st.unsat_hard;
+    set_clear st.unsat_soft;
+    st.soft_cost <- 0.0;
+    Array.iteri
+      (fun ci (c : Network.clause) ->
+        let count =
+          Array.fold_left
+            (fun acc l -> if literal_true st.assignment l then acc + 1 else acc)
+            0 c.literals
+        in
+        st.true_counts.(ci) <- count;
+        if count = 0 then mark_unsat st ci)
+      st.network.Network.clauses
+
+  let flip st v =
+    let old_value = st.assignment.(v) in
+    st.assignment.(v) <- not old_value;
+    List.iter
+      (fun ci ->
+        let c = st.network.Network.clauses.(ci) in
+        Array.iter
+          (fun (l : Network.literal) ->
+            if l.atom = v then
+              if l.positive = old_value then begin
+                st.true_counts.(ci) <- st.true_counts.(ci) - 1;
+                if st.true_counts.(ci) = 0 then mark_unsat st ci
+              end
+              else begin
+                st.true_counts.(ci) <- st.true_counts.(ci) + 1;
+                if st.true_counts.(ci) = 1 then mark_sat st ci
+              end)
+          c.literals)
+      st.occurrences.(v)
+
+  (* Cost change (hard, soft) of flipping [v], by break/make counting. *)
+  let delta st v =
+    let dhard = ref 0 and dsoft = ref 0.0 in
+    List.iter
+      (fun ci ->
+        let c = st.network.Network.clauses.(ci) in
+        let sign =
+          if st.true_counts.(ci) = 1 then begin
+            (* Breaks iff the single true literal is carried by [v]. *)
+            if
+              Array.exists
+                (fun (l : Network.literal) ->
+                  l.atom = v && literal_true st.assignment l)
+                c.literals
+            then 1
+            else 0
+          end
+          else if st.true_counts.(ci) = 0 then
+            (* Makes iff [v] carries a literal that becomes true. *)
+            if
+              Array.exists
+                (fun (l : Network.literal) ->
+                  l.atom = v && not (literal_true st.assignment l))
+                c.literals
+            then -1
+            else 0
+          else 0
+        in
+        if sign <> 0 then
+          match clause_weight c with
+          | `Hard -> dhard := !dhard + sign
+          | `Soft w -> dsoft := !dsoft +. (w *. float_of_int sign))
+      st.occurrences.(v);
+    (!dhard, !dsoft)
+
+  let better (h1, s1) (h2, s2) =
+    h1 < h2 || (h1 = h2 && s1 < s2 -. 1e-12)
+
+  let perfect (h, s) = h = 0 && s = 0.0
+
+  (* Exact cost of [assignment], summing violated soft weight in clause
+     order. The in-descent soft cost is incremental and drifts by float
+     rounding ((s +. w) -. w need not equal s), so attempts are compared
+     on this recomputation: the reported cost — and hence the portfolio
+     winner — is a pure function of the assignment, not of the add/remove
+     history, which keeps the winner identical at every job count. *)
+  let evaluate (network : Network.t) assignment =
+    let hard = ref 0 and soft = ref 0.0 in
+    Array.iter
+      (fun (c : Network.clause) ->
+        if not (Array.exists (literal_true assignment) c.literals) then
+          match clause_weight c with
+          | `Hard -> incr hard
+          | `Soft w -> soft := !soft +. w)
+      network.Network.clauses;
+    (!hard, !soft)
+
+  (* One full WalkSAT descent from [start], task-local. [stop] holds the
+     smallest task index that has reached cost (0, 0) ([max_int] while
+     none has). It is only consulted *between* tasks, never inside a
+     running descent, and task [k] skips only when [stop < k] — a plain
+     boolean would let a later, faster-scheduled optimum skip an
+     earlier-indexed task it loses the tie-break to. With the index
+     check, every task below the first perfect one completes identically
+     to a sequential run, and a skipped later task could at best have
+     tied — which loses the earliest-task tie-break. The winning
+     assignment, not just its cost, is thus the same at every job
+     count. *)
+  type attempt = {
+    a_cost : int * float;
+    a_assignment : bool array;
+    a_flips : int;
+    a_trail : (float * float) list;
+        (* (absolute ms, scalarised best cost) at each improvement,
+           newest first; [] unless observability is enabled *)
+  }
+
+  let skipped_attempt =
+    { a_cost = (max_int, infinity); a_assignment = [||]; a_flips = 0; a_trail = [] }
+
+  (* Hard violations dominate soft cost lexicographically; one scalar for
+     the convergence timeline. Soft weights are nowhere near 1e9. *)
+  let scalar_cost (h, s) = (float_of_int h *. 1e9) +. s
+
+  (* Lower [stop] to [k] if no smaller index is recorded yet. *)
+  let rec note_perfect stop k =
+    let cur = Atomic.get stop in
+    if k < cur && not (Atomic.compare_and_set stop cur k) then note_perfect stop k
+
+  (* Poll the deadline every 256 flips: a flip is cheap, a clock read is
+     not, and a safe point is any flip boundary — [best] always holds a
+     complete assignment. *)
+  let poll_mask = 0xff
+
+  let descend st rng ~max_flips ~stall ~noise ~deadline ~stop ~k ~observing
+      start =
+    reset_state st start;
+    let current_cost st = (st.unsat_hard.len, st.soft_cost) in
+    let best = ref (Array.copy st.assignment) in
+    let best_cost = ref (current_cost st) in
+    let trail = ref [] in
+    let note cost =
+      if observing then
+        trail := (Prelude.Timing.now_ms (), scalar_cost cost) :: !trail
+    in
+    note !best_cost;
+    let update_best () =
+      let cost = current_cost st in
+      if better cost !best_cost then begin
+        best_cost := cost;
+        Array.blit st.assignment 0 !best 0 (Array.length st.assignment);
+        note cost;
+        true
+      end
+      else false
+    in
+    let since_improvement = ref 0 in
+    let flips = ref 0 in
+    let halted = ref false in
+    while
+      (not !halted)
+      && !flips < max_flips
+      && st.unsat_hard.len + st.unsat_soft.len > 0
+      && !since_improvement < stall
+    do
+      if !flips land poll_mask = 0 && Deadline.expired deadline then
+        halted := true
+      else begin
+      incr flips;
+      (* Repair hard violations with priority: a solution violating a
+         hard constraint is worthless whatever its soft cost. *)
+      let ci =
+        if st.unsat_hard.len > 0
+           && (st.unsat_soft.len = 0 || not (Prng.bernoulli rng 0.1))
+        then st.unsat_hard.items.(Prng.int rng st.unsat_hard.len)
+        else st.unsat_soft.items.(Prng.int rng st.unsat_soft.len)
+      in
+      let c = st.network.Network.clauses.(ci) in
+      let v =
+        if Prng.bernoulli rng noise then
+          (Array.get c.literals (Prng.int rng (Array.length c.literals))).atom
+        else begin
+          (* Greedy: the literal whose flip lowers cost the most. *)
+          let best_var = ref (Array.get c.literals 0).atom in
+          let best_delta = ref (delta st !best_var) in
+          Array.iter
+            (fun (l : Network.literal) ->
+              if l.atom <> !best_var then begin
+                let d = delta st l.atom in
+                if better d !best_delta then begin
+                  best_delta := d;
+                  best_var := l.atom
+                end
+              end)
+            c.literals;
+          !best_var
+        end
+      in
+        flip st v;
+        if update_best () then since_improvement := 0 else incr since_improvement
+      end
+    done;
+    let cost = evaluate st.network !best in
+    if perfect cost then note_perfect stop k;
+    note cost;
+    { a_cost = cost; a_assignment = !best; a_flips = !flips; a_trail = !trail }
+
+  let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
+      ?(stall = 20_000) ?init ?(portfolio = []) ?(pool = Pool.sequential)
+      ?(deadline = Deadline.none) network =
+    let base =
+      match init with
+      | Some a -> Array.copy a
+      | None -> Array.make network.Network.num_atoms false
+    in
+    (* Task seeds: the configured restarts draw derived seeds; portfolio
+       seeds are appended verbatim as extra independent descents. Task 0
+       starts at [base]; every other task starts at a perturbation of
+       [base] drawn from its own stream, so tasks are independent of each
+       other and of the schedule. *)
+    let seeds =
+      Array.of_list
+        (List.init (max 1 restarts) (fun i -> Prng.subseed seed i) @ portfolio)
+    in
+    let occurrences = build_occurrences network in
+    let observing = Obs.enabled () in
+    let stop = Atomic.make max_int in
+    let start_of_task rng k =
+      if k = 0 then Array.copy base
+      else begin
+        (* Perturb the base assignment to escape its basin. WalkSAT moves
+           only touch variables of violated clauses, so the perturbation
+           must be able to reach the others: flip a guaranteed handful. *)
+        let start = Array.copy base in
+        let n = Array.length start in
+        if n > 0 then begin
+          let forced = max 1 (n / 10) in
+          for _ = 1 to forced do
+            let v = Prng.int rng n in
+            start.(v) <- not start.(v)
+          done;
+          Array.iteri
+            (fun v _ ->
+              if Prng.bernoulli rng 0.05 then start.(v) <- not start.(v))
+            start
+        end;
+        start
+      end
+    in
+    (* Every task — sequential or pooled — is crash-contained: a raised
+       exception (in particular an injected "worker_crash" fault) loses
+       that one attempt and nothing else. Expired deadlines skip tasks
+       that have not started; running descents stop at their next poll. *)
+    let run_task st k =
+      if Atomic.get stop < k then skipped_attempt
+      else begin
+        if k > 0 then Deadline.Faults.inject "worker_crash" ~index:k;
+        let rng = Prng.create seeds.(k) in
+        let start = start_of_task rng k in
+        descend st rng ~max_flips ~stall ~noise ~deadline ~stop ~k ~observing
+          start
+      end
+    in
+    let results =
+      if Pool.jobs pool = 1 then begin
+        (* Sequential path: one state reused across restarts (reset in
+           place), early exit once an optimum has been found. *)
+        let st = make_state network occurrences in
+        List.filter_map
+          (fun k ->
+            if Deadline.expired deadline then Some (Error Deadline.Expired)
+            else if Atomic.get stop < k then None
+            else
+              match run_task st k with
+              | a -> Some (Ok a)
+              | exception e -> Some (Error e))
+          (List.init (Array.length seeds) Fun.id)
+      end
+      else
+        (* Parallel portfolio: every task gets its own state over the
+           shared occurrence lists; once some domain reaches cost (0, 0)
+           descents with a larger index stop being started (running ones
+           complete). *)
+        Pool.map_results ~deadline pool
+          (fun k -> run_task (make_state network occurrences) k)
+          (List.init (Array.length seeds) Fun.id)
+    in
+    let attempts = List.filter_map Result.to_option results in
+    let crashed =
+      List.exists
+        (function Error Deadline.Expired | Ok _ -> false | Error _ -> true)
+        results
+    in
+    (* Deterministic pick: lexicographic (hard, soft), earliest task wins
+       ties. The (0, 0) short-circuit can only drop attempts that would
+       have lost anyway, so the winning cost is schedule-independent. *)
+    let best =
+      List.fold_left
+        (fun acc a ->
+          match acc with
+          | Some b when not (better a.a_cost b.a_cost) -> acc
+          | _ -> Some a)
+        None attempts
+    in
+    let best =
+      match best with
+      | Some a -> a
+      | None ->
+          (* All tasks skipped (already-expired deadline) or crashed:
+             score the base assignment directly — the one answer that is
+             always available immediately. *)
+          {
+            a_cost = evaluate network base;
+            a_assignment = Array.copy base;
+            a_flips = 0;
+            a_trail = [];
+          }
+    in
+    let total_flips = List.fold_left (fun acc a -> acc + a.a_flips) 0 attempts in
+    let restarts_used =
+      max 0 (List.length (List.filter (fun a -> a.a_flips > 0) attempts) - 1)
+    in
+    let hard_violated, soft_cost = best.a_cost in
+    let status =
+      if crashed then Deadline.Degraded
+      else if Deadline.expired deadline then
+        if hard_violated > 0 then Deadline.Degraded else Deadline.Timed_out
+      else Deadline.Completed
+    in
+    ( best.a_assignment,
+      { flips = total_flips; restarts_used; hard_violated; soft_cost; status } )
+
+  (* The Hashtbl-and-list component split that the counting-sort one
+     replaced, verbatim. *)
+  type component = Mln.Decompose.component = {
+    atoms : int array;
+    network : Network.t;
+  }
+
+  let split (network : Network.t) =
+    let n = network.Network.num_atoms in
+    let parent = Array.init n Fun.id in
+    let rec find i =
+      if parent.(i) = i then i
+      else begin
+        let r = find parent.(i) in
+        parent.(i) <- r;
+        r
+      end
+    in
+    let union a b =
+      let ra = find a and rb = find b in
+      if ra <> rb then if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
+    in
+    Array.iter
+      (fun (c : Network.clause) ->
+        let lits = c.Network.literals in
+        if Array.length lits > 1 then begin
+          let a0 = lits.(0).Network.atom in
+          Array.iter (fun (l : Network.literal) -> union a0 l.Network.atom) lits
+        end)
+      network.Network.clauses;
+    (* Union by smallest root, so each component's root is its smallest
+       atom and first-seen order of roots is ascending — components come
+       out in a canonical, job-count-independent order. *)
+    let members = Hashtbl.create 64 in
+    let roots = ref [] in
+    for i = 0 to n - 1 do
+      let r = find i in
+      (match Hashtbl.find_opt members r with
+      | None ->
+          roots := r :: !roots;
+          Hashtbl.add members r (ref [ i ])
+      | Some l -> l := i :: !l)
+    done;
+    let roots = List.rev !roots in
+    let local = Array.make n 0 in
+    let atoms_of_root =
+      List.map
+        (fun r ->
+          let atoms = Array.of_list (List.rev !(Hashtbl.find members r)) in
+          Array.iteri (fun li a -> local.(a) <- li) atoms;
+          (r, atoms))
+        roots
+    in
+    let clauses_of_root = Hashtbl.create 64 in
+    List.iter (fun (r, _) -> Hashtbl.add clauses_of_root r (ref [])) atoms_of_root;
+    let orphan = ref false in
+    Array.iter
+      (fun (c : Network.clause) ->
+        if Array.length c.Network.literals = 0 then orphan := true
+        else begin
+          let r = find c.Network.literals.(0).Network.atom in
+          let cell = Hashtbl.find clauses_of_root r in
+          cell :=
+            {
+              c with
+              Network.literals =
+                Array.map
+                  (fun (l : Network.literal) ->
+                    { l with Network.atom = local.(l.Network.atom) })
+                  c.Network.literals;
+            }
+            :: !cell
+        end)
+      network.Network.clauses;
+    if !orphan then
+      (* A zero-literal clause has no component to live in; solving such a
+         network piecewise could silently drop it. Degenerate and (with
+         the current builder) unreachable — fall back to one component. *)
+      [ { atoms = Array.init n Fun.id; network } ]
+    else
+      List.map
+        (fun (r, atoms) ->
+          let clauses = Array.of_list (List.rev !(Hashtbl.find clauses_of_root r)) in
+          {
+            atoms;
+            network = { Network.num_atoms = Array.length atoms; clauses };
+          })
+        atoms_of_root
+end
+
+(* Random small weighted partial MaxSAT instances: hard, soft and unit
+   clauses over up to 20 atoms. Repeated and complementary literals are
+   left in — the packed kernel must reproduce the reference's update
+   sequence even there. Weights are tenths, so different sums land within
+   float rounding of each other (0.1 + 0.2 <> 0.3): near-ties inside
+   the 1e-12 tolerance occur. *)
+let oracle_case case_seed =
+  let rng = Prelude.Prng.create case_seed in
+  let num_atoms = 1 + Prelude.Prng.int rng 20 in
+  let clauses =
+    Array.init
+      (1 + Prelude.Prng.int rng 30)
+      (fun i ->
+        let len =
+          if Prelude.Prng.bernoulli rng 0.3 then 1 else 1 + Prelude.Prng.int rng 4
+        in
+        {
+          Network.literals =
+            Array.init len (fun _ ->
+                {
+                  Network.atom = Prelude.Prng.int rng num_atoms;
+                  positive = Prelude.Prng.bool rng;
+                });
+          weight =
+            (if Prelude.Prng.bernoulli rng 0.3 then None
+             else Some (float_of_int (1 + Prelude.Prng.int rng 30) /. 10.));
+          source = Printf.sprintf "c%d" i;
+        })
+  in
+  let init =
+    if Prelude.Prng.bool rng then
+      Some (Array.init num_atoms (fun _ -> Prelude.Prng.bool rng))
+    else None
+  in
+  ( { Network.num_atoms; clauses },
+    init,
+    Prelude.Prng.int rng 1_000,
+    1 + Prelude.Prng.int rng 4,
+    List.init (Prelude.Prng.int rng 3) (fun _ -> Prelude.Prng.int rng 1_000),
+    [| 50; 500; 2_000 |].(Prelude.Prng.int rng 3),
+    if Prelude.Prng.bool rng then 1 else 4 )
+
+let arbitrary_case =
+  QCheck.make
+    ~print:(fun case_seed ->
+      let network, _, seed, restarts, portfolio, max_flips, jobs =
+        oracle_case case_seed
+      in
+      Format.asprintf
+        "case %d: seed %d restarts %d portfolio [%s] max_flips %d jobs %d@.%a"
+        case_seed seed restarts
+        (String.concat ";" (List.map string_of_int portfolio))
+        max_flips jobs Network.pp network)
+    QCheck.Gen.(int_bound 1_000_000)
+
+(* Component order and within-component clause order are the solve
+   cache's key contract. *)
+let qcheck_split_matches_reference =
+  QCheck.Test.make ~name:"counting-sort split = Hashtbl reference" ~count:300
+    arbitrary_case (fun case_seed ->
+      let network, _, _, _, _, _, _ = oracle_case case_seed in
+      Mln.Decompose.split network = Reference.split network)
+
+let qcheck_packed_matches_reference =
+  QCheck.Test.make ~name:"packed kernel = list-based reference, bit for bit"
+    ~count:300
+    arbitrary_case
+    (fun case_seed ->
+      let network, init, seed, restarts, portfolio, max_flips, jobs =
+        oracle_case case_seed
+      in
+      let pool = Prelude.Pool.create ~jobs in
+      let x, s =
+        Mln.Maxwalksat.solve ~seed ~restarts ~portfolio ~max_flips ?init ~pool
+          network
+      in
+      let rx, rs =
+        Reference.solve ~seed ~restarts ~portfolio ~max_flips ?init ~pool
+          network
+      in
+      (* With several jobs, how many later descents a (0, 0) optimum
+         keeps from starting depends on the schedule, and with it the
+         work counters and, under an injected crash, the status. Those
+         are compared sequentially only; the answer never depends on
+         the schedule. *)
+      x = rx
+      && s.Mln.Maxwalksat.hard_violated = rs.Reference.hard_violated
+      && Int64.equal
+           (Int64.bits_of_float s.Mln.Maxwalksat.soft_cost)
+           (Int64.bits_of_float rs.Reference.soft_cost)
+      && (jobs > 1
+         || s.Mln.Maxwalksat.flips = rs.Reference.flips
+            && s.Mln.Maxwalksat.restarts_used = rs.Reference.restarts_used
+            && s.Mln.Maxwalksat.status = rs.Reference.status))
+
+(* Two contradicting soft unit clauses keep one clause violated without
+   ever improving, so every descent runs to its flip budget: a solve's
+   allocation must not grow with that budget. *)
+let test_flip_loop_allocation_free () =
+  let unit positive =
+    {
+      Network.literals = [| { Network.atom = 0; positive } |];
+      weight = Some 1.0;
+      source = "u";
+    }
+  in
+  let network = { Network.num_atoms = 1; clauses = [| unit true; unit false |] } in
+  let words max_flips =
+    let before = Gc.minor_words () in
+    let _, stats =
+      Mln.Maxwalksat.solve ~restarts:1 ~max_flips ~stall:max_int network
+    in
+    Alcotest.(check int) "ran to budget" max_flips stats.Mln.Maxwalksat.flips;
+    Gc.minor_words () -. before
+  in
+  ignore (words 100);
+  let short = words 100 and long = words 100_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for 100 flips, %.0f for 100000" short long)
+    true
+    (long -. short < 64.)
+
 let test_negative_confidence_evidence () =
   (* Confidence < 0.5 evidence becomes a negated unit clause; MAP should
      drop the fact even without constraints. *)
@@ -275,6 +961,8 @@ let () =
           Alcotest.test_case "shape" `Quick test_network_shape;
           Alcotest.test_case "satisfaction/score" `Quick
             test_clause_satisfaction_and_score;
+          Alcotest.test_case "repeated literals collapse" `Quick
+            test_repeated_literals_collapse;
         ] );
       ( "solvers",
         [
@@ -287,6 +975,10 @@ let () =
           Alcotest.test_case "unsat hard detected" `Quick test_exact_unsat_hard;
           Alcotest.test_case "solvers agree on random nets" `Slow
             test_solvers_agree_on_random_networks;
+          QCheck_alcotest.to_alcotest qcheck_packed_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_split_matches_reference;
+          Alcotest.test_case "flip loop allocation-free" `Quick
+            test_flip_loop_allocation_free;
         ] );
       ( "cpi",
         [ Alcotest.test_case "agrees with direct" `Quick test_cpi_agrees_with_direct ] );
