@@ -1,21 +1,7 @@
-(** Connected-component decomposition of a ground Markov network.
-
-    The clause graph of a TeCoRe grounding is highly disconnected: the
-    constraints couple the facts of one entity (one player's stints and
-    birth dates) and nothing else, so the network of an N-player UTKG
-    splits into ~N independent weighted-MaxSAT problems. Solving each
-    component on its own is both faster (local search never wastes flips
-    crossing component boundaries) and the substrate of the incremental
-    engine: a component's MAP state is a pure function of its canonical
-    structural form, so solutions can be memoised across resolves and a
-    one-fact edit only re-solves the one component it touches.
-
-    Purity contract: [solve_component] must be a deterministic function
-    of the sub-network and [init] alone (fixed seeds, budgets derived
-    from the sub-network's size — never from global context such as the
-    component count). Under that contract a cached solution is
-    byte-identical to re-solving, which is what the differential oracle
-    in [test/test_incremental.ml] checks end to end. *)
+(** Connected-component decomposition of a ground Markov network: the
+    MLN side of {!Components}, which holds the split, the solution
+    cache and the purity contract. A component here is a weighted
+    MaxSAT problem over the clauses of one connected group of atoms. *)
 
 type component = {
   atoms : int array;    (** global atom ids, ascending *)
@@ -28,36 +14,24 @@ type solved = {
   cpi : Cpi.stats option;
 }
 
-type cache
-(** Memoised component solutions keyed by canonical structural form
-    (clauses, weights, sources, local init). Lookups compare keys
-    structurally, so a hit is possible only for a byte-identical
-    sub-problem; only [Completed] solves are stored. *)
+type key
 
-type cache_stats = { entries : int; hits : int; misses : int }
-
-val create_cache : unit -> cache
-val clear_cache : cache -> unit
-val cache_stats : cache -> cache_stats
-(** Cumulative hit/miss counts since creation (or the last clear). *)
-
-type stats = { components : int; cache_hits : int; cache_misses : int }
+type cache = (key, solved) Components.cache
+(** Keyed by canonical structural form: clauses as signed local
+    literals with weights and sources, plus the local init. *)
 
 val split : Network.t -> component list
-(** Partition by connected components of the clause graph, in ascending
-    order of each component's smallest atom; clauses keep their relative
-    order. Singleton atoms form their own components. A (degenerate)
-    zero-literal clause collapses the split into one whole-network
-    component rather than dropping the clause. *)
+(** {!Components.split} over the clause graph; clauses keep their
+    relative order. A (degenerate) zero-literal clause collapses the
+    split into one whole-network component rather than dropping the
+    clause. *)
 
 val solve :
   ?cache:cache ->
   solve_component:(Network.t -> init:bool array -> solved) ->
   init:bool array ->
   Network.t ->
-  bool array * Prelude.Deadline.status * Cpi.stats option * stats
-(** Solve every component (sequentially, in canonical order) and merge:
-    assignments are scattered back to global ids, the status is the
-    worst over components, CPI stats are summed. Emits
-    [solve.components], [solve.cache_hits] and [solve.cache_misses]
-    counters. *)
+  bool array * Prelude.Deadline.status * Cpi.stats option
+(** {!Components.solve} over {!split}; clause-free components keep
+    their init without calling [solve_component]. Returns the merged
+    assignment, the worst status and the summed CPI stats. *)

@@ -17,7 +17,6 @@ type options = {
   pool : Prelude.Pool.t;
   deadline : Deadline.t;
   ground_deadline : Deadline.t;
-  decompose : bool;
   solve_cache : Decompose.cache option;
 }
 
@@ -33,7 +32,6 @@ let default_options =
     pool = Prelude.Pool.sequential;
     deadline = Deadline.none;
     ground_deadline = Deadline.none;
-    decompose = true;
     solve_cache = None;
   }
 
@@ -117,7 +115,7 @@ let base_solver ?stall options network ~init =
    stall budget alone would make an N-component network N times more
    expensive than the global solve. Everything here is a deterministic
    function of the sub-network and the (fixed) options, never of the
-   surrounding network — the purity contract of {!Decompose.solve}. *)
+   surrounding network — the purity contract of {!Components}. *)
 let component_solver options sub ~init =
   let a = max 1 sub.Network.num_atoms in
   let scaled =
@@ -163,8 +161,8 @@ let run_ground ?(options = default_options) store
      anytime behaviour, and the incremental cache is bypassed for
      budgeted runs anyway. *)
   let solve () =
-    if options.decompose && not (Deadline.is_finite options.deadline) then
-      let assignment, status, cpi, _ =
+    if not (Deadline.is_finite options.deadline) then
+      let assignment, status, cpi =
         Decompose.solve ?cache:options.solve_cache
           ~solve_component:(component_solver options) ~init network
       in

@@ -24,32 +24,31 @@ type options = {
       (** runs grounding joins and MaxWalkSAT descents in parallel;
           results are objective-identical at every job count *)
   deadline : Prelude.Deadline.t;
-      (** solve budget. [Walk] polls it inside the descents; the exact
-          backends run a degradation ladder: exact search on half the
-          remaining budget, then — if optimality was not proved in the
-          slice — MaxWalkSAT on the rest, seeded from the exact
-          incumbent, with [status = Degraded] *)
+      (** solve budget. The network is solved per connected component
+          (see {!Decompose}), with per-component budgets scaled to
+          component size, exactly when the deadline is infinite;
+          budgeted runs keep the global anytime solve. [Walk] polls it
+          inside the descents; the exact backends run a degradation
+          ladder: exact search on half the remaining budget, then — if
+          optimality was not proved in the slice — MaxWalkSAT on the
+          rest, seeded from the exact incumbent, with
+          [status = Degraded] *)
   ground_deadline : Prelude.Deadline.t;
       (** grounding budget, polled between closure rounds; expiry
           raises {!Grounder.Ground.Timed_out} (there is no sound
           partial grounding). Kept separate from [deadline] so
           best-effort callers can budget only the solver *)
-  decompose : bool;
-      (** solve the network per connected component (see {!Decompose}),
-          with per-component budgets scaled to component size. Only
-          active under an infinite [deadline]; budgeted runs keep the
-          global anytime solve path. Default [true] *)
   solve_cache : Decompose.cache option;
       (** memoises component solutions across runs (the incremental
-          engine's warm start). Only consulted on the decomposed path;
+          engine's warm start). Only consulted under an infinite [deadline];
           sound because component solves are pure in their canonical
           form. Default [None] *)
 }
 
 val default_options : options
 (** [Walk] with CPI on, default network config, seed 7, no extra
-    portfolio seeds, {!Prelude.Pool.sequential}, infinite deadlines,
-    component decomposition on, no solve cache. *)
+    portfolio seeds, {!Prelude.Pool.sequential}, infinite deadlines
+    (so the solve is decomposed), no solve cache. *)
 
 type stats = {
   atoms : int;

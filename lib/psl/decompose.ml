@@ -7,18 +7,13 @@ type component = {
 
 type solved = {
   values : float array;
-  iterations : int;
-  primal_residual : float;
-  dual_residual : float;
-  converged : bool;
-  status : Deadline.status;
+  admm : Admm.stats;
 }
 
 (* Canonical structural form of a component: potentials and constraints
    with variables remapped to local indices, plus the local slice of the
    ADMM initialisation (the consensus seed is part of the trajectory, so
-   two components are interchangeable only when their seeds match too).
-   Structural comparison — a hit requires a byte-identical sub-problem. *)
+   two components are interchangeable only when their seeds match too). *)
 type key = {
   k_vars : int;
   k_potentials : (float * (int * float) array * float) array;
@@ -26,128 +21,50 @@ type key = {
   k_init : float array;
 }
 
-type cache = {
-  table : (key, solved) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
-}
-
-type cache_stats = { entries : int; hits : int; misses : int }
-
-let create_cache () = { table = Hashtbl.create 256; hits = 0; misses = 0 }
-
-let clear_cache c =
-  Hashtbl.reset c.table;
-  c.hits <- 0;
-  c.misses <- 0
-
-let cache_stats c =
-  { entries = Hashtbl.length c.table; hits = c.hits; misses = c.misses }
-
-let max_entries = 65_536
-
-type stats = { components : int; cache_hits : int; cache_misses : int }
-
-let linexp_vars (e : Hlmrf.linexp) = List.map fst e.Hlmrf.coeffs
+type cache = (key, solved) Components.cache
 
 let lincon_exp = function Hlmrf.Le e -> e | Hlmrf.Eq e -> e
 
+(* Factors are the potentials, then the constraints. *)
 let split (model : Hlmrf.t) =
-  let n = model.Hlmrf.num_vars in
-  let parent = Array.init n Fun.id in
-  let rec find i =
-    if parent.(i) = i then i
-    else begin
-      let r = find parent.(i) in
-      parent.(i) <- r;
-      r
-    end
+  let potentials = model.Hlmrf.potentials in
+  let constraints = model.Hlmrf.constraints in
+  let np = Array.length potentials in
+  let coeffs f =
+    if f < np then potentials.(f).Hlmrf.expr.Hlmrf.coeffs
+    else (lincon_exp constraints.(f - np)).Hlmrf.coeffs
   in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
-  in
-  let union_exp e =
-    match linexp_vars e with
-    | [] -> ()
-    | v0 :: rest -> List.iter (fun v -> union v0 v) rest
-  in
-  Array.iter (fun (p : Hlmrf.potential) -> union_exp p.Hlmrf.expr)
-    model.Hlmrf.potentials;
-  Array.iter (fun c -> union_exp (lincon_exp c)) model.Hlmrf.constraints;
-  let members = Hashtbl.create 64 in
-  let roots = ref [] in
-  for i = 0 to n - 1 do
-    let r = find i in
-    match Hashtbl.find_opt members r with
-    | None ->
-        roots := r :: !roots;
-        Hashtbl.add members r (ref [ i ])
-    | Some l -> l := i :: !l
-  done;
-  let roots = List.rev !roots in
-  let local = Array.make n 0 in
-  let atoms_of_root =
-    List.map
-      (fun r ->
-        let vars = Array.of_list (List.rev !(Hashtbl.find members r)) in
-        Array.iteri (fun li v -> local.(v) <- li) vars;
-        (r, vars))
-      roots
-  in
-  let pots = Hashtbl.create 64 and cons = Hashtbl.create 64 in
-  List.iter
-    (fun (r, _) ->
-      Hashtbl.add pots r (ref []);
-      Hashtbl.add cons r (ref []))
-    atoms_of_root;
-  let remap (e : Hlmrf.linexp) =
-    {
-      e with
-      Hlmrf.coeffs = List.map (fun (v, c) -> (local.(v), c)) e.Hlmrf.coeffs;
-    }
-  in
-  let orphan = ref false in
-  Array.iter
-    (fun (p : Hlmrf.potential) ->
-      match linexp_vars p.Hlmrf.expr with
-      | [] -> orphan := true
-      | v0 :: _ ->
-          let cell = Hashtbl.find pots (find v0) in
-          cell := { p with Hlmrf.expr = remap p.Hlmrf.expr } :: !cell)
-    model.Hlmrf.potentials;
-  Array.iter
-    (fun c ->
-      match linexp_vars (lincon_exp c) with
-      | [] -> orphan := true
-      | v0 :: _ ->
-          let cell = Hashtbl.find cons (find v0) in
-          let c' =
-            match c with
-            | Hlmrf.Le e -> Hlmrf.Le (remap e)
-            | Hlmrf.Eq e -> Hlmrf.Eq (remap e)
-          in
-          cell := c' :: !cell)
-    model.Hlmrf.constraints;
-  if !orphan then
-    (* A variable-free factor (a constant) belongs to no component;
-       splitting would silently drop it from every sub-solve. Degenerate
-       and unreachable with the current builder — fall back to one
-       component covering the whole model. *)
-    [ { vars = Array.init n Fun.id; model } ]
-  else
-    List.map
-      (fun (r, vars) ->
+  Components.split ~num_vars:model.Hlmrf.num_vars
+    ~num_factors:(np + Array.length constraints)
+    ~arity:(fun f -> List.length (coeffs f))
+    ~var:(fun f j -> fst (List.nth (coeffs f) j))
+    (fun ~vars ~factors ~local ->
+      let remap (e : Hlmrf.linexp) =
         {
-          vars;
-          model =
-            {
-              Hlmrf.num_vars = Array.length vars;
-              potentials = Array.of_list (List.rev !(Hashtbl.find pots r));
-              constraints = Array.of_list (List.rev !(Hashtbl.find cons r));
-            };
-        })
-      atoms_of_root
+          e with
+          Hlmrf.coeffs = List.map (fun (v, c) -> (local.(v), c)) e.Hlmrf.coeffs;
+        }
+      in
+      let k =
+        Array.fold_left (fun k f -> if f < np then k + 1 else k) 0 factors
+      in
+      let potentials =
+        Array.init k (fun j ->
+            let p = potentials.(factors.(j)) in
+            { p with Hlmrf.expr = remap p.Hlmrf.expr })
+      in
+      let constraints =
+        Array.init
+          (Array.length factors - k)
+          (fun j ->
+            match constraints.(factors.(k + j) - np) with
+            | Hlmrf.Le e -> Hlmrf.Le (remap e)
+            | Hlmrf.Eq e -> Hlmrf.Eq (remap e))
+      in
+      {
+        vars;
+        model = { Hlmrf.num_vars = Array.length vars; potentials; constraints };
+      })
 
 let key_of component ~init =
   let canon_exp (e : Hlmrf.linexp) =
@@ -172,90 +89,45 @@ let key_of component ~init =
 
 let clip01 v = if v < 0.0 then 0.0 else if v > 1.0 then 1.0 else v
 
+(* The stats of a run that did no work: the solution of a factor-free
+   component, and the identity of [merge]. *)
+let idle =
+  {
+    Admm.iterations = 0;
+    primal_residual = 0.0;
+    dual_residual = 0.0;
+    converged = true;
+    objective = 0.0;
+    status = Deadline.Completed;
+  }
+
+let merge (acc : Admm.stats) { admm = a; _ } =
+  {
+    acc with
+    Admm.iterations = max acc.Admm.iterations a.Admm.iterations;
+    primal_residual = Float.max acc.Admm.primal_residual a.Admm.primal_residual;
+    dual_residual = Float.max acc.Admm.dual_residual a.Admm.dual_residual;
+    converged = acc.Admm.converged && a.Admm.converged;
+  }
+
 let solve ?cache ?(pool = Prelude.Pool.sequential) ~rho ~max_iters ~tol ~init
     (model : Hlmrf.t) =
-  let components = split model in
-  let truth = Array.make model.Hlmrf.num_vars 0.0 in
-  let iterations = ref 0 in
-  let primal = ref 0.0 and dual = ref 0.0 in
-  let converged = ref true in
-  let status = ref Deadline.Completed in
-  let hits = ref 0 and misses = ref 0 in
-  List.iter
-    (fun component ->
-      let k = Array.length component.vars in
-      let local_init = Array.init k (fun i -> init.(component.vars.(i))) in
-      let run () =
+  let truth, status, stats =
+    Components.solve ?cache
+      ~vars:(fun c -> c.vars)
+      ~key:key_of
+      ~solve_component:(fun c ~init ->
         if
-          Array.length component.model.Hlmrf.potentials = 0
-          && Array.length component.model.Hlmrf.constraints = 0
-        then
-          {
-            values = Array.map clip01 local_init;
-            iterations = 0;
-            primal_residual = 0.0;
-            dual_residual = 0.0;
-            converged = true;
-            status = Deadline.Completed;
-          }
+          Array.length c.model.Hlmrf.potentials = 0
+          && Array.length c.model.Hlmrf.constraints = 0
+        then { values = Array.map clip01 init; admm = idle }
         else
-          let values, (s : Admm.stats) =
-            Admm.solve ~rho ~max_iters ~tol ~init:local_init ~pool
-              component.model
+          let values, admm =
+            Admm.solve ~rho ~max_iters ~tol ~init ~pool c.model
           in
-          {
-            values;
-            iterations = s.Admm.iterations;
-            primal_residual = s.Admm.primal_residual;
-            dual_residual = s.Admm.dual_residual;
-            converged = s.Admm.converged;
-            status = s.Admm.status;
-          }
-      in
-      let solved =
-        match cache with
-        | None ->
-            incr misses;
-            run ()
-        | Some c -> (
-            let key = key_of component ~init:local_init in
-            match Hashtbl.find_opt c.table key with
-            | Some s ->
-                incr hits;
-                c.hits <- c.hits + 1;
-                s
-            | None ->
-                incr misses;
-                c.misses <- c.misses + 1;
-                let s = run () in
-                if s.status = Deadline.Completed then begin
-                  if Hashtbl.length c.table >= max_entries then
-                    Hashtbl.reset c.table;
-                  Hashtbl.add c.table key s
-                end;
-                s)
-      in
-      Array.iteri (fun i v -> truth.(component.vars.(i)) <- v) solved.values;
-      iterations := max !iterations solved.iterations;
-      primal := Float.max !primal solved.primal_residual;
-      dual := Float.max !dual solved.dual_residual;
-      converged := !converged && solved.converged;
-      status := Deadline.worst !status solved.status)
-    components;
-  Obs.count ~n:(List.length components) "solve.components";
-  Obs.count ~n:!hits "solve.cache_hits";
-  Obs.count ~n:!misses "solve.cache_misses";
-  let stats =
-    {
-      Admm.iterations = !iterations;
-      primal_residual = !primal;
-      dual_residual = !dual;
-      converged = !converged;
-      objective = Hlmrf.objective model truth;
-      status = !status;
-    }
+          { values; admm })
+      ~status:(fun s -> s.admm.Admm.status)
+      ~values:(fun s -> s.values)
+      ~merge ~acc:idle ~init (split model)
   in
-  ( truth,
-    stats,
-    { components = List.length components; cache_hits = !hits; cache_misses = !misses }
-  )
+  (truth, { stats with Admm.objective = Hlmrf.objective model truth; status })

@@ -1,13 +1,11 @@
-(** Connected-component decomposition of a hinge-loss MRF.
-
-    The PSL twin of {!Mln.Decompose}: the factor graph of a TeCoRe
-    grounding splits into per-entity islands, each a small convex
-    problem ADMM solves in a handful of iterations. A component's
-    solution is a deterministic function of its canonical structural
-    form and its slice of the consensus initialisation (ADMM is
-    deterministic, see {!Admm.solve}), so solutions are memoisable
-    across resolves — the incremental engine's warm start, sound by
-    construction rather than by approximate dual reuse. *)
+(** Connected-component decomposition of a hinge-loss MRF: the PSL side
+    of {!Components}, which holds the split, the solution cache and the
+    purity contract. A component here is a small convex problem ADMM
+    solves in a handful of iterations; ADMM is deterministic (see
+    {!Admm.solve}), so its solution is a pure function of the
+    component's structural form and its slice of the consensus
+    initialisation — sound by construction rather than by approximate
+    dual reuse. *)
 
 type component = {
   vars : int array;   (** global variable ids, ascending *)
@@ -15,31 +13,21 @@ type component = {
 }
 
 type solved = {
-  values : float array;
-  iterations : int;
-  primal_residual : float;
-  dual_residual : float;
-  converged : bool;
-  status : Prelude.Deadline.status;
+  values : float array;  (** local solution, indexed like [vars] *)
+  admm : Admm.stats;     (** the component's own ADMM run *)
 }
 
-type cache
-(** Memoised component solutions, keyed structurally by (potentials,
-    constraints, local init); only [Completed] solves are stored. *)
+type key
 
-type cache_stats = { entries : int; hits : int; misses : int }
-
-val create_cache : unit -> cache
-val clear_cache : cache -> unit
-val cache_stats : cache -> cache_stats
-
-type stats = { components : int; cache_hits : int; cache_misses : int }
+type cache = (key, solved) Components.cache
+(** Keyed by canonical structural form: potentials and constraints over
+    local indices, plus the local init. *)
 
 val split : Hlmrf.t -> component list
-(** Partition by connected components of the factor graph, ascending by
-    smallest member variable; factors keep their relative order. A
-    (degenerate) variable-free factor collapses the split into one
-    whole-model component. *)
+(** {!Components.split} over the factor graph (potentials, then
+    constraints); factors keep their relative order. A (degenerate)
+    variable-free factor collapses the split into one whole-model
+    component. *)
 
 val solve :
   ?cache:cache ->
@@ -49,10 +37,9 @@ val solve :
   tol:float ->
   init:float array ->
   Hlmrf.t ->
-  float array * Admm.stats * stats
-(** Run ADMM per component (sequentially, canonical order; [pool]
-    parallelises within each component) and merge: iterations is the
-    max, residuals the max, [converged] the conjunction, the objective
-    is recomputed globally on the merged truth, the status the worst.
-    Emits [solve.components] and [solve.cache_hits]/[solve.cache_misses]
-    counters. *)
+  float array * Admm.stats
+(** Run ADMM per component via {!Components.solve} ([pool] parallelises
+    within each component; factor-free components keep their clipped
+    init) and merge: iterations is the max, residuals the max,
+    [converged] the conjunction, the objective is recomputed globally on
+    the merged truth, the status the worst. *)

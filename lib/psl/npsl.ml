@@ -9,7 +9,6 @@ type options = {
   pool : Prelude.Pool.t;
   deadline : Prelude.Deadline.t;
   ground_deadline : Prelude.Deadline.t;
-  decompose : bool;
   solve_cache : Decompose.cache option;
 }
 
@@ -23,7 +22,6 @@ let default_options =
     pool = Prelude.Pool.sequential;
     deadline = Prelude.Deadline.none;
     ground_deadline = Prelude.Deadline.none;
-    decompose = true;
     solve_cache = None;
   }
 
@@ -81,16 +79,10 @@ let run_ground ?(options = default_options) store
   let (truth, admm_stats), solve_ms =
     Prelude.Timing.time (fun () ->
         Obs.span "solve" (fun () ->
-            if
-              options.decompose
-              && not (Prelude.Deadline.is_finite options.deadline)
-            then
-              let truth, stats, _ =
-                Decompose.solve ?cache:options.solve_cache ~pool:options.pool
-                  ~rho:options.rho ~max_iters:options.max_iters
-                  ~tol:options.tol ~init model
-              in
-              (truth, stats)
+            if not (Prelude.Deadline.is_finite options.deadline) then
+              Decompose.solve ?cache:options.solve_cache ~pool:options.pool
+                ~rho:options.rho ~max_iters:options.max_iters ~tol:options.tol
+                ~init model
             else
               Admm.solve ~rho:options.rho ~max_iters:options.max_iters
                 ~tol:options.tol ~init ~pool:options.pool

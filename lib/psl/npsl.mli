@@ -15,19 +15,18 @@ type options = {
       (** runs grounding joins and ADMM factor sweeps in parallel; the
           solution is bitwise identical at every job count *)
   deadline : Prelude.Deadline.t;
-      (** solve budget, polled between ADMM iterations; on expiry the
-          current (box-feasible) iterate is rounded and returned with
-          [status = Timed_out] *)
+      (** solve budget. ADMM runs per connected component of the factor
+          graph (see {!Decompose}) exactly when the deadline is
+          infinite; a finite one runs the global ADMM, polled between
+          iterations; on expiry the current (box-feasible) iterate is
+          rounded and returned with [status = Timed_out] *)
   ground_deadline : Prelude.Deadline.t;
       (** grounding budget; expiry raises {!Grounder.Ground.Timed_out}
           (there is no sound partial grounding) *)
-  decompose : bool;
-      (** run ADMM per connected component of the factor graph (see
-          {!Decompose}); only active under an infinite [deadline].
-          Default [true] *)
   solve_cache : Decompose.cache option;
       (** memoises component solutions across runs (the incremental
-          engine's warm start). Default [None] *)
+          engine's warm start). Only consulted under an infinite
+          [deadline]. Default [None] *)
 }
 
 val default_options : options

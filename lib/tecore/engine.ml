@@ -98,17 +98,20 @@ let create_state () =
     snapshot = None;
     fp = None;
     last = None;
-    mln_cache = Mln.Decompose.create_cache ();
-    psl_cache = Psl.Decompose.create_cache ();
+    mln_cache = Components.create_cache ();
+    psl_cache = Components.create_cache ();
     outcome = None;
   }
+
+let clear_solve_caches st =
+  Components.clear_cache st.mln_cache;
+  Components.clear_cache st.psl_cache
 
 let invalidate st =
   st.snapshot <- None;
   st.fp <- None;
   st.last <- None;
-  Mln.Decompose.clear_cache st.mln_cache;
-  Psl.Decompose.clear_cache st.psl_cache
+  clear_solve_caches st
 
 let last_outcome st = st.outcome
 
@@ -119,12 +122,12 @@ type cache_stats = {
 }
 
 let cache_stats st =
-  let m = Mln.Decompose.cache_stats st.mln_cache in
-  let p = Psl.Decompose.cache_stats st.psl_cache in
+  let m = Components.cache_stats st.mln_cache in
+  let p = Components.cache_stats st.psl_cache in
   {
-    solve_entries = m.Mln.Decompose.entries + p.Psl.Decompose.entries;
-    solve_hits = m.Mln.Decompose.hits + p.Psl.Decompose.hits;
-    solve_misses = m.Mln.Decompose.misses + p.Psl.Decompose.misses;
+    solve_entries = m.Components.entries + p.Components.entries;
+    solve_hits = m.Components.hits + p.Components.hits;
+    solve_misses = m.Components.misses + p.Components.misses;
   }
 
 let fingerprint_of engine threshold =
@@ -305,8 +308,7 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
       Obs.count "incr.fallback_events";
       st.snapshot <- None;
       st.last <- None;
-      Mln.Decompose.clear_cache st.mln_cache;
-      Psl.Decompose.clear_cache st.psl_cache;
+      clear_solve_caches st;
       (fresh_ground (), Fallback)
     in
     let grounding, outcome =

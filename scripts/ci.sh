@@ -315,6 +315,24 @@ awk -v v="$(metric mln.alloc_mwords)" 'BEGIN { exit !(v != "" && v + 0 <= 2) }' 
   || { echo "work-counter gate: mln.alloc_mwords = $(metric mln.alloc_mwords) exceeds 2" >&2; exit 1; }
 rm -rf "$SUITE_DIR" "$SUITE_OUT"
 
+echo "== solve-layer work counters (fb-psl, seed 1, quick, traced) =="
+# The same gate for ADMM: a moved component boundary or a changed ADMM
+# trajectory shows in these exact counts. Allocation was 3.11 Mwords
+# when the gate was set.
+SUITE_DIR=$(mktemp -d) SUITE_OUT=$(mktemp)
+bash bench/suite/run.sh --workload fb-psl --seed 1 --quick true --trace 1 \
+  --seconds 0.1 --workdir "$SUITE_DIR" > "$SUITE_OUT" \
+  || { echo "work-counter gate: traced fb-psl run failed" >&2; cat "$SUITE_OUT" >&2; exit 1; }
+for expected in psl.potentials=751 psl.components=388 \
+                psl.admm_iterations=7816; do
+  name=${expected%=*} want=${expected#*=}
+  [ "$(metric "$name")" = "$want.0000" ] \
+    || { echo "work-counter gate: $name = $(metric "$name"), expected exactly $want" >&2; exit 1; }
+done
+awk -v v="$(metric psl.alloc_mwords)" 'BEGIN { exit !(v != "" && v + 0 <= 3.2) }' \
+  || { echo "work-counter gate: psl.alloc_mwords = $(metric psl.alloc_mwords) exceeds 3.2" >&2; exit 1; }
+rm -rf "$SUITE_DIR" "$SUITE_OUT"
+
 echo "== bench serve --check (committed BENCH_serve.json) =="
 # Re-measures wire latency/throughput at 1..N concurrent sessions and
 # compares against the committed baseline (generous tolerance), plus

@@ -864,6 +864,45 @@ let qcheck_split_matches_reference =
       let network, _, _, _, _, _, _ = oracle_case case_seed in
       Mln.Decompose.split network = Reference.split network)
 
+(* A zero-literal clause belongs to no component, so the split must
+   fall back to one component holding the whole network. *)
+let test_zero_literal_fallback () =
+  let lit atom positive = { Network.atom; positive } in
+  let network =
+    {
+      Network.num_atoms = 3;
+      clauses =
+        [|
+          { Network.literals = [| lit 0 true |]; weight = Some 1.0; source = "a" };
+          { Network.literals = [||]; weight = Some 2.0; source = "empty" };
+          {
+            Network.literals = [| lit 1 false; lit 2 true |];
+            weight = None;
+            source = "b";
+          };
+        |];
+    }
+  in
+  (match Mln.Decompose.split network with
+  | [ c ] ->
+      Alcotest.(check (array int)) "every atom" [| 0; 1; 2 |]
+        c.Mln.Decompose.atoms;
+      Alcotest.(check bool) "the whole network" true
+        (c.Mln.Decompose.network = network)
+  | cs -> Alcotest.failf "%d components, expected one" (List.length cs));
+  let init = [| false; true; false |] in
+  let walk net ~init = Mln.Maxwalksat.solve ~seed:3 ~max_flips:500 ~init net in
+  let values, status, _ =
+    Mln.Decompose.solve ~init
+      ~solve_component:(fun net ~init ->
+        let values, s = walk net ~init in
+        { Mln.Decompose.values; status = s.Mln.Maxwalksat.status; cpi = None })
+      network
+  in
+  let global, s = walk network ~init in
+  Alcotest.(check (array bool)) "decomposed = global" global values;
+  Alcotest.(check bool) "same status" true (s.Mln.Maxwalksat.status = status)
+
 let qcheck_packed_matches_reference =
   QCheck.Test.make ~name:"packed kernel = list-based reference, bit for bit"
     ~count:300
@@ -977,6 +1016,8 @@ let () =
             test_solvers_agree_on_random_networks;
           QCheck_alcotest.to_alcotest qcheck_packed_matches_reference;
           QCheck_alcotest.to_alcotest qcheck_split_matches_reference;
+          Alcotest.test_case "zero-literal clause" `Quick
+            test_zero_literal_fallback;
           Alcotest.test_case "flip loop allocation-free" `Quick
             test_flip_loop_allocation_free;
         ] );

@@ -207,6 +207,217 @@ let test_npsl_agrees_with_mln_on_example () =
   Alcotest.(check (array bool)) "same MAP state"
     mln_out.Mln.Map_inference.assignment psl_out.Psl.Npsl.assignment
 
+(* ------------------------------------------------------------------ *)
+(* Component split.                                                   *)
+
+module Reference = struct
+  (* The Hashtbl-and-list component split that the shared counting-sort
+     one replaced, verbatim. *)
+  type component = Psl.Decompose.component = {
+    vars : int array;
+    model : Hlmrf.t;
+  }
+
+  let linexp_vars (e : Hlmrf.linexp) = List.map fst e.Hlmrf.coeffs
+
+  let lincon_exp = function Hlmrf.Le e -> e | Hlmrf.Eq e -> e
+
+  let split (model : Hlmrf.t) =
+    let n = model.Hlmrf.num_vars in
+    let parent = Array.init n Fun.id in
+    let rec find i =
+      if parent.(i) = i then i
+      else begin
+        let r = find parent.(i) in
+        parent.(i) <- r;
+        r
+      end
+    in
+    let union a b =
+      let ra = find a and rb = find b in
+      if ra <> rb then if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
+    in
+    let union_exp e =
+      match linexp_vars e with
+      | [] -> ()
+      | v0 :: rest -> List.iter (fun v -> union v0 v) rest
+    in
+    Array.iter (fun (p : Hlmrf.potential) -> union_exp p.Hlmrf.expr)
+      model.Hlmrf.potentials;
+    Array.iter (fun c -> union_exp (lincon_exp c)) model.Hlmrf.constraints;
+    let members = Hashtbl.create 64 in
+    let roots = ref [] in
+    for i = 0 to n - 1 do
+      let r = find i in
+      match Hashtbl.find_opt members r with
+      | None ->
+          roots := r :: !roots;
+          Hashtbl.add members r (ref [ i ])
+      | Some l -> l := i :: !l
+    done;
+    let roots = List.rev !roots in
+    let local = Array.make n 0 in
+    let atoms_of_root =
+      List.map
+        (fun r ->
+          let vars = Array.of_list (List.rev !(Hashtbl.find members r)) in
+          Array.iteri (fun li v -> local.(v) <- li) vars;
+          (r, vars))
+        roots
+    in
+    let pots = Hashtbl.create 64 and cons = Hashtbl.create 64 in
+    List.iter
+      (fun (r, _) ->
+        Hashtbl.add pots r (ref []);
+        Hashtbl.add cons r (ref []))
+      atoms_of_root;
+    let remap (e : Hlmrf.linexp) =
+      {
+        e with
+        Hlmrf.coeffs = List.map (fun (v, c) -> (local.(v), c)) e.Hlmrf.coeffs;
+      }
+    in
+    let orphan = ref false in
+    Array.iter
+      (fun (p : Hlmrf.potential) ->
+        match linexp_vars p.Hlmrf.expr with
+        | [] -> orphan := true
+        | v0 :: _ ->
+            let cell = Hashtbl.find pots (find v0) in
+            cell := { p with Hlmrf.expr = remap p.Hlmrf.expr } :: !cell)
+      model.Hlmrf.potentials;
+    Array.iter
+      (fun c ->
+        match linexp_vars (lincon_exp c) with
+        | [] -> orphan := true
+        | v0 :: _ ->
+            let cell = Hashtbl.find cons (find v0) in
+            let c' =
+              match c with
+              | Hlmrf.Le e -> Hlmrf.Le (remap e)
+              | Hlmrf.Eq e -> Hlmrf.Eq (remap e)
+            in
+            cell := c' :: !cell)
+      model.Hlmrf.constraints;
+    if !orphan then
+      (* A variable-free factor (a constant) belongs to no component;
+         splitting would silently drop it from every sub-solve. Degenerate
+         and unreachable with the current builder — fall back to one
+         component covering the whole model. *)
+      [ { vars = Array.init n Fun.id; model } ]
+    else
+      List.map
+        (fun (r, vars) ->
+          {
+            vars;
+            model =
+              {
+                Hlmrf.num_vars = Array.length vars;
+                potentials = Array.of_list (List.rev !(Hashtbl.find pots r));
+                constraints = Array.of_list (List.rev !(Hashtbl.find cons r));
+              };
+          })
+        atoms_of_root
+end
+
+(* Random small HL-MRFs: potentials and Le/Eq constraints over up to 12
+   variables, 1 to 3 terms each, with repeated variables inside one
+   linexp left in. Unreferenced variables become singleton components,
+   and zero variables gives the empty model. *)
+let random_model case_seed =
+  let rng = Prelude.Prng.create case_seed in
+  let num_vars = Prelude.Prng.int rng 13 in
+  let linexp () =
+    {
+      Hlmrf.coeffs =
+        List.init
+          (1 + Prelude.Prng.int rng 3)
+          (fun _ ->
+            ( Prelude.Prng.int rng num_vars,
+              float_of_int (Prelude.Prng.int rng 5 - 2) /. 2. ));
+      const = float_of_int (Prelude.Prng.int rng 5 - 2) /. 2.;
+    }
+  in
+  let count bound = if num_vars = 0 then 0 else Prelude.Prng.int rng bound in
+  let model =
+    {
+      Hlmrf.num_vars;
+      potentials =
+        Array.init (count 10) (fun _ ->
+            {
+              Hlmrf.weight = float_of_int (1 + Prelude.Prng.int rng 20) /. 10.;
+              expr = linexp ();
+            });
+      constraints =
+        Array.init (count 4) (fun _ ->
+            if Prelude.Prng.bool rng then Hlmrf.Le (linexp ())
+            else Hlmrf.Eq (linexp ()));
+    }
+  in
+  (model, Array.init num_vars (fun _ -> Prelude.Prng.float rng 1.0))
+
+let arbitrary_model =
+  QCheck.make
+    ~print:(fun case_seed ->
+      Format.asprintf "case %d:@.%a" case_seed Hlmrf.pp
+        (fst (random_model case_seed)))
+    QCheck.Gen.(int_bound 1_000_000)
+
+(* Component order and within-component factor order are the solve
+   cache's key contract. *)
+let qcheck_split_matches_reference =
+  QCheck.Test.make ~name:"counting-sort split = Hashtbl reference" ~count:300
+    arbitrary_model (fun case_seed ->
+      let model, _ = random_model case_seed in
+      Psl.Decompose.split model = Reference.split model)
+
+let bits = Array.map Int64.bits_of_float
+
+let qcheck_cache_is_transparent =
+  QCheck.Test.make ~name:"cached decomposed solve = uncached, bit for bit"
+    ~count:100 arbitrary_model (fun case_seed ->
+      let model, init = random_model case_seed in
+      let solve ?cache () =
+        fst
+          (Psl.Decompose.solve ?cache ~rho:1.0 ~max_iters:200 ~tol:1e-4 ~init
+             model)
+      in
+      let cache = Components.create_cache () in
+      let uncached = solve () in
+      let first = solve ~cache () in
+      let replayed = solve ~cache () in
+      bits first = bits uncached && bits replayed = bits uncached)
+
+(* A variable-free potential belongs to no component, so the split must
+   fall back to one component holding the whole model. *)
+let test_variable_free_fallback () =
+  let model =
+    {
+      Hlmrf.num_vars = 3;
+      potentials =
+        [|
+          { Hlmrf.weight = 1.0; expr = { coeffs = [ (0, -1.0) ]; const = 1.0 } };
+          { Hlmrf.weight = 2.0; expr = { coeffs = []; const = 0.5 } };
+          { Hlmrf.weight = 0.5; expr = { coeffs = [ (2, 1.0) ]; const = 0.0 } };
+        |];
+      constraints = [||];
+    }
+  in
+  (match Psl.Decompose.split model with
+  | [ c ] ->
+      Alcotest.(check (array int)) "every variable" [| 0; 1; 2 |]
+        c.Psl.Decompose.vars;
+      Alcotest.(check bool) "the whole model" true (c.Psl.Decompose.model = model)
+  | cs -> Alcotest.failf "%d components, expected one" (List.length cs));
+  let init = [| 0.2; 0.4; 0.6 |] in
+  let truth, stats =
+    Psl.Decompose.solve ~rho:1.0 ~max_iters:2_000 ~tol:1e-4 ~init model
+  in
+  let global, global_stats = Admm.solve ~init model in
+  Alcotest.(check (array int64)) "decomposed = global" (bits global) (bits truth);
+  Alcotest.(check int) "same iterations" global_stats.Admm.iterations
+    stats.Admm.iterations
+
 let () =
   Alcotest.run "psl"
     [
@@ -233,5 +444,12 @@ let () =
           Alcotest.test_case "running example" `Quick test_npsl_running_example;
           Alcotest.test_case "agrees with mln" `Quick
             test_npsl_agrees_with_mln_on_example;
+        ] );
+      ( "decompose",
+        [
+          QCheck_alcotest.to_alcotest qcheck_split_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_cache_is_transparent;
+          Alcotest.test_case "variable-free potential" `Quick
+            test_variable_free_fallback;
         ] );
     ]
