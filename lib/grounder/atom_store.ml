@@ -49,7 +49,8 @@ type t = {
   first_fact : Ivec.t;  (** first interned fact (ordering); -1 = none *)
   more_facts : (id, Kg.Graph.id list) Hashtbl.t;
       (** facts beyond the first, newest first; only multi-fact atoms *)
-  db : Reldb.Database.t;
+  tables : (string, Reldb.Table.t) Hashtbl.t;
+      (** extension tables by {!table_name}; the name fixes the columns *)
 }
 
 let create () =
@@ -65,7 +66,7 @@ let create () =
     origin_fact = Ivec.create ();
     first_fact = Ivec.create ();
     more_facts = Hashtbl.create 64;
-    db = Reldb.Database.create ();
+    tables = Hashtbl.create 16;
   }
 
 let size t = Ivec.length t.offsets - 1
@@ -196,15 +197,19 @@ let table_columns arity =
   List.init arity (fun i -> Printf.sprintf "a%d" i) @ [ "t"; "atom" ]
 
 let table_for t predicate ~arity ~temporal =
-  Reldb.Database.table t.db (table_name predicate ~arity ~temporal)
+  Hashtbl.find_opt t.tables (table_name predicate ~arity ~temporal)
 
 let insert_row t (atom : Ground.t) id =
   let arity = List.length atom.args in
   let temporal = Option.is_some atom.time in
+  let name = table_name atom.predicate ~arity ~temporal in
   let table =
-    Reldb.Database.get_or_create t.db
-      ~name:(table_name atom.predicate ~arity ~temporal)
-      ~columns:(table_columns arity)
+    match Hashtbl.find_opt t.tables name with
+    | Some table -> table
+    | None ->
+        let table = Reldb.Table.create ~name ~columns:(table_columns arity) in
+        Hashtbl.replace t.tables name table;
+        table
   in
   let row = Array.make (arity + 2) 0 in
   List.iteri
@@ -298,5 +303,3 @@ let iter f t =
   for id = 0 to size t - 1 do
     f id (atom t id) (origin t id)
   done
-
-let database t = t.db

@@ -43,8 +43,6 @@ val size : t -> int
 
 val iter : (id -> Logic.Atom.Ground.t -> origin -> unit) -> t -> unit
 
-val database : t -> Reldb.Database.t
-
 val table_name : string -> arity:int -> temporal:bool -> string
 (** Table naming scheme: one table per (predicate, arity, temporality). *)
 

@@ -16,25 +16,27 @@ let is_tvar_col c = String.length c > 0 && c.[0] = '!'
 
 let col_var c = String.sub c 1 (String.length c - 1)
 
-(* Rebuild a substitution from a bindings row. *)
+(* Rebuild a substitution from one row of a bindings table, decoding
+   only the variable columns. *)
 let subst_of_row table =
-  let cols = Table.columns table in
   let typed =
-    List.filteri (fun _ c -> is_var_col c || is_tvar_col c) cols
-    |> List.map (fun c -> (c, Table.column_index table c))
+    List.filter
+      (fun (c, _) -> is_var_col c || is_tvar_col c)
+      (List.mapi (fun i c -> (c, i)) (Table.columns table))
   in
   fun row ->
     List.fold_left
-      (fun subst (c, i) ->
+      (fun subst (c, col) ->
         match subst with
         | None -> None
         | Some s ->
+            let code = Table.code_at table ~row ~col in
             if is_var_col c then
-              match Value.as_term row.(i) with
+              match Value.decode_term code with
               | Some term -> Logic.Subst.bind s (col_var c) term
               | None -> None
             else
-              match Value.as_interval row.(i) with
+              match Value.decode_interval code with
               | Some iv -> Logic.Subst.bind_time s (col_var c) iv
               | None -> None)
       (Some Logic.Subst.empty) typed
@@ -330,21 +332,22 @@ let fold ?pool ?violation store (rule : Logic.Rule.t) ~init ~f =
       let atom_positions =
         List.mapi (fun i _ -> Table.column_index bindings (atom_col i)) rule.body
       in
-      Table.fold
-        (fun acc row ->
-          match to_subst row with
-          | None -> acc
-          | Some subst ->
-              let body_atoms =
-                List.map
-                  (fun i ->
-                    match Value.as_int row.(i) with
-                    | Some id -> id
-                    | None -> assert false)
-                  atom_positions
-              in
-              f acc { subst; body_atoms })
-        init bindings
+      let acc = ref init in
+      for row = 0 to Table.cardinal bindings - 1 do
+        match to_subst row with
+        | None -> ()
+        | Some subst ->
+            let body_atoms =
+              List.map
+                (fun col ->
+                  match Value.decode_int (Table.code_at bindings ~row ~col) with
+                  | Some id -> id
+                  | None -> assert false)
+                atom_positions
+            in
+            acc := f !acc { subst; body_atoms }
+      done;
+      !acc
 
 let all ?pool ?violation store rule =
   List.rev

@@ -80,7 +80,7 @@ let record t ~n ~busy ~wall =
 type batch = {
   f : int -> unit;
   n : int;
-  bound : int; (* concurrency bound of the submitting pool *)
+  owner : t; (* the submitting pool; [owner.jobs] bounds the concurrency *)
 }
 
 type crew = {
@@ -113,10 +113,11 @@ let crew =
 (* Leave headroom under the runtime's maximum domain count. *)
 let max_workers = 126
 
-(* True while the current domain executes a crew task. A nested parallel
-   operation from inside a task would wait on itself (same pool raises
-   {!Nested_use}; any other pool falls back to a sequential loop). *)
-let in_task = Domain.DLS.new_key (fun () -> false)
+(* The pool whose crew task the current domain is executing, if any. A
+   nested parallel operation from inside a task would wait on itself
+   (same pool raises {!Nested_use}; any other pool falls back to a
+   sequential loop). *)
+let in_task : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 (* Wrapper applied around every crew task. The observability layer
    installs one at load time to open a per-task span on the executing
@@ -134,7 +135,8 @@ let set_task_hook = function
    returns with [crew.m] held. *)
 let rec deal () =
   match crew.batch with
-  | Some b when crew.next < b.n && crew.running < b.bound && crew.failure = None
+  | Some b
+    when crew.next < b.n && crew.running < b.owner.jobs && crew.failure = None
     ->
       let i = crew.next in
       crew.next <- crew.next + 1;
@@ -142,9 +144,9 @@ let rec deal () =
       Mutex.unlock crew.m;
       let t0 = Timing.now_ms () in
       let outcome =
-        Domain.DLS.set in_task true;
+        Domain.DLS.set in_task (Some b.owner);
         Fun.protect
-          ~finally:(fun () -> Domain.DLS.set in_task false)
+          ~finally:(fun () -> Domain.DLS.set in_task None)
           (fun () ->
             try
               !task_hook (fun () -> b.f i);
@@ -195,17 +197,17 @@ let ensure_workers wanted =
 
 (* Run one batch on the crew: publish it, participate in the dealing,
    then wait for stragglers. Returns the batch's summed task time. *)
-let run_batch ~bound n f =
+let run_batch owner n f =
   Mutex.lock crew.m;
   while crew.batch <> None do
     Condition.wait crew.cond crew.m
   done;
-  crew.batch <- Some { f; n; bound };
+  crew.batch <- Some { f; n; owner };
   crew.next <- 0;
   crew.running <- 0;
   crew.busy <- 0.0;
   crew.failure <- None;
-  ensure_workers (min bound n - 1);
+  ensure_workers (min owner.jobs n - 1);
   Condition.broadcast crew.cond;
   let rec coordinate () =
     deal ();
@@ -230,41 +232,38 @@ let run_batch ~bound n f =
    exception aborts the dealing of further tasks and is re-raised (with
    its backtrace) after every running task has drained. *)
 let run_tasks t n f =
+  let sequentially () =
+    (* No domains, no crew, identical to a loop. *)
+    let start = Timing.now_ms () in
+    for i = 0 to n - 1 do
+      f i
+    done;
+    let elapsed = Timing.now_ms () -. start in
+    record t ~n ~busy:elapsed ~wall:elapsed
+  in
   if n > 0 then
-    if t.jobs = 1 || n = 1 then begin
-      (* Sequential path: no domains, no crew, identical to a loop. *)
-      let start = Timing.now_ms () in
-      for i = 0 to n - 1 do
-        f i
-      done;
-      let elapsed = Timing.now_ms () -. start in
-      record t ~n ~busy:elapsed ~wall:elapsed
-    end
-    else begin
-      if not (Atomic.compare_and_set t.active false true) then
-        raise Nested_use;
-      let finally () = Atomic.set t.active false in
-      Fun.protect ~finally @@ fun () ->
-      if Domain.DLS.get in_task then begin
-        (* Inside a crew task of another pool: submitting a batch would
-           wait on the batch this task belongs to. Degrade to the
-           sequential loop — results are identical by contract. *)
-        let start = Timing.now_ms () in
-        for i = 0 to n - 1 do
-          f i
-        done;
-        let elapsed = Timing.now_ms () -. start in
-        record t ~n ~busy:elapsed ~wall:elapsed
-      end
-      else begin
-        let start = Timing.now_ms () in
-        let busy, failure = run_batch ~bound:t.jobs n f in
-        record t ~n ~busy ~wall:(Timing.now_ms () -. start);
-        match failure with
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ()
-      end
-    end
+    if t.jobs = 1 || n = 1 then sequentially ()
+    else
+      match Domain.DLS.get in_task with
+      | Some owner when owner == t -> raise Nested_use
+      | Some _ ->
+          (* Inside a crew task of another pool: submitting a batch would
+             wait on the batch this task belongs to. Degrade to the
+             sequential loop — results are identical by contract. The
+             target's [active] flag is left alone: tasks of the running
+             batch may degrade into the same pool at once. *)
+          sequentially ()
+      | None ->
+          if not (Atomic.compare_and_set t.active false true) then
+            raise Nested_use;
+          Fun.protect ~finally:(fun () -> Atomic.set t.active false)
+          @@ fun () ->
+          let start = Timing.now_ms () in
+          let busy, failure = run_batch t n f in
+          record t ~n ~busy ~wall:(Timing.now_ms () -. start);
+          Option.iter
+            (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+            failure
 
 let map_array t f xs =
   let n = Array.length xs in

@@ -1,35 +1,15 @@
 module Ivec = Prelude.Ivec
 
-let fresh_name base = base ^ "'"
-
 (* All operators work on interned codes ({!Value.code}): rows are read
    column-major from the input's backing arrays and appended to the
    output without ever materialising boxed values; only user-supplied
-   predicates (and sort comparators) decode. *)
+   predicates decode. *)
 
 let raw_columns t = Array.init (Table.width t) (Table.column_data t)
 
-let select p t =
-  let out =
-    Table.create ~name:(fresh_name (Table.name t)) ~columns:(Table.columns t)
-  in
-  let w = Table.width t in
-  let cols = raw_columns t in
-  let scratch = Array.make w 0 in
-  for i = 0 to Table.cardinal t - 1 do
-    let row = Array.init w (fun j -> Value.decode cols.(j).(i)) in
-    if p row then begin
-      for j = 0 to w - 1 do
-        scratch.(j) <- cols.(j).(i)
-      done;
-      Table.insert_codes out scratch
-    end
-  done;
-  out
-
 let select_codes p t =
   let out =
-    Table.create ~name:(fresh_name (Table.name t)) ~columns:(Table.columns t)
+    Table.create ~name:(Table.name t ^ "'") ~columns:(Table.columns t)
   in
   let w = Table.width t in
   let cols = raw_columns t in
@@ -42,38 +22,6 @@ let select_codes p t =
     if p scratch then Table.insert_codes out scratch else incr dropped
   done;
   if !dropped > 0 then Obs.count ~n:!dropped "ground.filtered_rows";
-  out
-
-let project cols t =
-  let positions = Array.of_list (List.map (Table.column_index t) cols) in
-  let out = Table.create ~name:(fresh_name (Table.name t)) ~columns:cols in
-  let data = raw_columns t in
-  let w = Array.length positions in
-  let scratch = Array.make w 0 in
-  for i = 0 to Table.cardinal t - 1 do
-    for j = 0 to w - 1 do
-      scratch.(j) <- data.(positions.(j)).(i)
-    done;
-    Table.insert_codes out scratch
-  done;
-  out
-
-let rename mapping t =
-  let columns =
-    List.map
-      (fun c -> match List.assoc_opt c mapping with Some n -> n | None -> c)
-      (Table.columns t)
-  in
-  let out = Table.create ~name:(fresh_name (Table.name t)) ~columns in
-  let w = Table.width t in
-  let data = raw_columns t in
-  let scratch = Array.make w 0 in
-  for i = 0 to Table.cardinal t - 1 do
-    for j = 0 to w - 1 do
-      scratch.(j) <- data.(j).(i)
-    done;
-    Table.insert_codes out scratch
-  done;
   out
 
 (* Fused select+rename+project in one columnar pass: the grounder turns
@@ -150,12 +98,7 @@ let join_columns ~on left right =
 
    Small joins skip partitioning entirely: one partition, no pool. *)
 
-let default_partitions =
-  match
-    Option.bind (Sys.getenv_opt "TECORE_JOIN_PARTITIONS") int_of_string_opt
-  with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> 32
+let default_partitions = 32
 
 let partition_threshold = 16_384
 
@@ -362,80 +305,4 @@ let product ?filter left right =
     done
   done;
   if !dropped > 0 then Obs.count ~n:!dropped "ground.filtered_rows";
-  out
-
-let union a b =
-  if Table.columns a <> Table.columns b then
-    invalid_arg "Relalg.union: schema mismatch";
-  let out =
-    Table.create ~name:(fresh_name (Table.name a)) ~columns:(Table.columns a)
-  in
-  let copy t =
-    let w = Table.width t in
-    let cols = raw_columns t in
-    let scratch = Array.make w 0 in
-    for i = 0 to Table.cardinal t - 1 do
-      for j = 0 to w - 1 do
-        scratch.(j) <- cols.(j).(i)
-      done;
-      Table.insert_codes out scratch
-    done
-  in
-  copy a;
-  copy b;
-  out
-
-let distinct t =
-  let out =
-    Table.create ~name:(fresh_name (Table.name t)) ~columns:(Table.columns t)
-  in
-  let w = Table.width t in
-  let cols = raw_columns t in
-  let seen = Code_list_table.create 1024 in
-  let scratch = Array.make w 0 in
-  for i = 0 to Table.cardinal t - 1 do
-    let key = List.init w (fun j -> cols.(j).(i)) in
-    if not (Code_list_table.mem seen key) then begin
-      Code_list_table.replace seen key ();
-      for j = 0 to w - 1 do
-        scratch.(j) <- cols.(j).(i)
-      done;
-      Table.insert_codes out scratch
-    end
-  done;
-  out
-
-let sort_by cols t =
-  let positions = List.map (Table.column_index t) cols in
-  let n = Table.cardinal t in
-  (* Sort row ids by the decoded sort key ({!Value.compare} order is
-     not code order), then emit codes in sorted order. *)
-  let keys =
-    Array.init n (fun i ->
-        (List.map (fun p -> Value.decode (Table.code_at t ~row:i ~col:p)) positions, i))
-  in
-  let cmp (ka, ia) (kb, ib) =
-    let rec loop a b =
-      match (a, b) with
-      | [], [] -> Int.compare ia ib (* stability *)
-      | x :: a, y :: b -> (
-          match Value.compare x y with 0 -> loop a b | c -> c)
-      | _ -> assert false
-    in
-    loop ka kb
-  in
-  Array.sort cmp keys;
-  let out =
-    Table.create ~name:(fresh_name (Table.name t)) ~columns:(Table.columns t)
-  in
-  let w = Table.width t in
-  let data = raw_columns t in
-  let scratch = Array.make w 0 in
-  Array.iter
-    (fun (_, i) ->
-      for j = 0 to w - 1 do
-        scratch.(j) <- data.(j).(i)
-      done;
-      Table.insert_codes out scratch)
-    keys;
   out

@@ -1,23 +1,16 @@
 (** Relational-algebra operators, materialised over interned codes.
 
     The grounding engine evaluates rule bodies as conjunctive queries; the
-    operators here are the physical plan primitives: selection, projection,
-    renaming, hash equi-join, union and duplicate elimination. Operators
-    copy {!Value.code}s column-to-column and never box values; only the
+    operators here are its physical plan primitives: a fused
+    selection/projection/renaming scan, a code-level selection, a
+    partitioned hash equi-join and a cartesian product. Operators copy
+    {!Value.code}s column-to-column and never box values; only the
     user-supplied predicates decode. *)
 
-val select : (Table.row -> bool) -> Table.t -> Table.t
-
 val select_codes : (Value.code array -> bool) -> Table.t -> Table.t
-(** Like {!select} but the predicate sees the raw code row — no boxed
-    values are built for rejected rows. Rejections are counted under
-    the [ground.filtered_rows] observable. *)
-
-val project : string list -> Table.t -> Table.t
-(** Keep the named columns, in the given order. *)
-
-val rename : (string * string) list -> Table.t -> Table.t
-(** [(old, new)] pairs; unlisted columns keep their names. *)
+(** Rows for which the predicate holds; the predicate sees the raw code
+    row. Rejections are counted under the [ground.filtered_rows]
+    observable. *)
 
 val filter_project :
   Table.t ->
@@ -50,9 +43,7 @@ val hash_join :
     domains (default: sequential). The partition count depends only on
     the input sizes — never on the job count — and outputs concatenate
     in partition order, so the result table is bitwise identical at
-    every job count. Override the partition count with
-    [TECORE_JOIN_PARTITIONS] (same caveat: a process-wide constant, not
-    a per-job one).
+    every job count.
 
     [filter] vetoes assembled output rows before they are stored; rows
     it rejects never materialise. It runs on worker domains and must be
@@ -62,11 +53,3 @@ val hash_join :
 val product : ?filter:(Value.code array -> bool) -> Table.t -> Table.t -> Table.t
 (** Cartesian product (used for condition-only joins). [filter] as in
     {!hash_join}. *)
-
-val union : Table.t -> Table.t -> Table.t
-(** Schema-compatible bag union. *)
-
-val distinct : Table.t -> Table.t
-
-val sort_by : string list -> Table.t -> Table.t
-(** Stable sort on the named columns, ascending {!Value.compare}. *)

@@ -1,30 +1,8 @@
-module Vec = Prelude.Vec
 module Ivec = Prelude.Ivec
-
-type row = Value.t array
 
 (* Rows live column-major as interned {!Value.code}s: one unboxed int
    array per column. The GC never scans a column, a million-row table
-   is [width] flat allocations, and joins hash/compare plain ints. The
-   row-oriented [Value.t array] API is kept as a decode/encode veneer
-   for the SQL layer, the CLI and the tests. *)
-
-module Code_key = Hashtbl.Make (struct
-  type t = int list
-
-  let rec equal a b =
-    match (a, b) with
-    | [], [] -> true
-    | x :: a, y :: b -> x = y && equal a b
-    | _, _ -> false
-
-  let hash (k : t) = Hashtbl.hash k
-end)
-
-type index = {
-  on : int list; (* column positions *)
-  buckets : Ivec.t Code_key.t;
-}
+   is [width] flat allocations, and joins hash/compare plain ints. *)
 
 (* Per-column value counts ([code -> occurrences]), built lazily on
    first use and rebuilt when the table has grown since: the grounder's
@@ -40,7 +18,6 @@ type t = {
   positions : (string, int) Hashtbl.t;
   data : Ivec.t array;
   mutable nrows : int;
-  mutable indexes : index list;
   stats : col_stats option array;
 }
 
@@ -59,7 +36,6 @@ let create ~name ~columns =
     positions;
     data = Array.init width (fun _ -> Ivec.create ());
     nrows = 0;
-    indexes = [];
     stats = Array.make width None;
   }
 
@@ -79,45 +55,13 @@ let code_at t ~row ~col = Ivec.get t.data.(col) row
 
 let column_data t col = Ivec.raw t.data.(col)
 
-let key_codes_of_row t on rowid =
-  List.map (fun col -> Ivec.get t.data.(col) rowid) on
-
-let index_insert t idx rowid =
-  let key = key_codes_of_row t idx.on rowid in
-  match Code_key.find_opt idx.buckets key with
-  | Some vec -> Ivec.push vec rowid
-  | None ->
-      let vec = Ivec.create () in
-      Ivec.push vec rowid;
-      Code_key.replace idx.buckets key vec
-
 let insert_codes t codes =
   if Array.length codes <> width t then
     invalid_arg
       (Printf.sprintf "Table %s: row width %d, expected %d" t.table_name
          (Array.length codes) (width t));
-  let rowid = t.nrows in
   Array.iteri (fun j code -> Ivec.push t.data.(j) code) codes;
-  t.nrows <- rowid + 1;
-  List.iter (fun idx -> index_insert t idx rowid) t.indexes
-
-let insert t row = insert_codes t (Array.map Value.code row)
-
-let get t i =
-  if i < 0 || i >= t.nrows then invalid_arg "Table.get: row out of bounds";
-  Array.init (width t) (fun j -> Value.decode (Ivec.get t.data.(j) i))
-
-let iter f t =
-  for i = 0 to t.nrows - 1 do
-    f (Array.init (width t) (fun j -> Value.decode (Ivec.get t.data.(j) i)))
-  done
-
-let fold f acc t =
-  let acc = ref acc in
-  iter (fun row -> acc := f !acc row) t;
-  !acc
-
-let to_list t = List.rev (fold (fun acc row -> row :: acc) [] t)
+  t.nrows <- t.nrows + 1
 
 let count_for t ~col ~code =
   let stats =
@@ -136,59 +80,3 @@ let count_for t ~col ~code =
         s
   in
   Option.value (Hashtbl.find_opt stats.counts code) ~default:0
-
-let create_index t cols =
-  let on = List.map (column_index t) cols in
-  let idx = { on; buckets = Code_key.create 256 } in
-  for rowid = 0 to t.nrows - 1 do
-    index_insert t idx rowid
-  done;
-  (* Replace an existing index on the same columns. *)
-  t.indexes <- idx :: List.filter (fun i -> i.on <> on) t.indexes
-
-let lookup t cols key =
-  let on = List.map (column_index t) cols in
-  match List.map Value.code_opt key with
-  | exception Invalid_argument _ -> []
-  | key_codes ->
-      if List.exists Option.is_none key_codes then
-        (* An un-interned symbol occurs in no table. *)
-        []
-      else
-        let key_codes = List.map Option.get key_codes in
-        let matching =
-          match List.find_opt (fun idx -> idx.on = on) t.indexes with
-          | Some idx -> (
-              match Code_key.find_opt idx.buckets key_codes with
-              | None -> []
-              | Some vec ->
-                  let acc = ref [] in
-                  Ivec.iter (fun rid -> acc := rid :: !acc) vec;
-                  List.rev !acc)
-          | None ->
-              let acc = ref [] in
-              for rid = t.nrows - 1 downto 0 do
-                if key_codes_of_row t on rid = key_codes then acc := rid :: !acc
-              done;
-              !acc
-        in
-        List.map (get t) matching
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s(%s) [%d rows]" t.table_name
-    (String.concat ", " (columns t))
-    (cardinal t);
-  let shown = ref 0 in
-  iter
-    (fun row ->
-      if !shown < 20 then begin
-        Format.fprintf ppf "@ %a"
-          (Format.pp_print_list
-             ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " | ")
-             Value.pp)
-          (Array.to_list row);
-        incr shown
-      end)
-    t;
-  if cardinal t > 20 then Format.fprintf ppf "@ ...";
-  Format.fprintf ppf "@]"

@@ -2,12 +2,8 @@
 
     Rows live column-major: one unboxed [int] array of {!Value.code}s
     per column, so a million-row table is [width] flat allocations the
-    GC never scans and joins hash plain ints. The row-oriented
-    [Value.t array] API below is a decode/encode veneer kept for the
-    SQL layer, the CLI and the tests; the hot grounding paths go
-    through the code-level API. *)
-
-type row = Value.t array
+    GC never scans and joins hash plain ints. Rows go in and come out
+    as codes; callers decode single cells with the {!Value} decoders. *)
 
 type t
 
@@ -28,17 +24,9 @@ val cardinal : t -> int
 val column_index : t -> string -> int
 (** @raise Not_found for an unknown column. *)
 
-val insert : t -> row -> unit
-(** @raise Invalid_argument when the row width mismatches. *)
-
 val insert_codes : t -> Value.code array -> unit
-(** Insert a pre-encoded row without touching boxed values.
+(** Append a row of codes.
     @raise Invalid_argument when the row width mismatches. *)
-
-val get : t -> int -> row
-val iter : (row -> unit) -> t -> unit
-val fold : ('acc -> row -> 'acc) -> 'acc -> t -> 'acc
-val to_list : t -> row list
 
 val code_at : t -> row:int -> col:int -> Value.code
 (** One cell, as its interned code. *)
@@ -53,15 +41,3 @@ val count_for : t -> col:int -> code:Value.code -> int
     join-order heuristic uses as a selectivity estimate. Amortised
     O(1): a per-column count table is built on first use and rebuilt
     when the table has grown since. *)
-
-val create_index : t -> string list -> unit
-(** Build (or rebuild) a hash index on the column list; kept up to date by
-    subsequent inserts. *)
-
-val lookup : t -> string list -> Value.t list -> row list
-(** [lookup t cols key] — rows whose [cols] equal [key]. Uses the index on
-    [cols] when one exists, otherwise scans. A key mentioning a symbol
-    that was never interned matches nothing. *)
-
-val pp : Format.formatter -> t -> unit
-(** Small ASCII rendering for debugging and the CLI. *)

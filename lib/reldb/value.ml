@@ -8,39 +8,13 @@ let term t = Term t
 let int n = Int n
 let interval i = Interval i
 
-let equal a b =
-  match (a, b) with
-  | Term x, Term y -> Kg.Term.equal x y
-  | Int x, Int y -> Int.equal x y
-  | Interval x, Interval y -> Kg.Interval.equal x y
-  | Null, Null -> true
-  | (Term _ | Int _ | Interval _ | Null), _ -> false
-
-let tag = function Term _ -> 0 | Int _ -> 1 | Interval _ -> 2 | Null -> 3
-
-let compare a b =
-  match (a, b) with
-  | Term x, Term y -> Kg.Term.compare x y
-  | Int x, Int y -> Int.compare x y
-  | Interval x, Interval y -> Kg.Interval.compare x y
-  | Null, Null -> 0
-  | _ -> Int.compare (tag a) (tag b)
-
-let hash = function
-  | Term t -> Hashtbl.hash (0, Kg.Term.hash t)
-  | Int n -> Hashtbl.hash (1, n)
-  | Interval i -> Hashtbl.hash (2, Kg.Interval.lo i, Kg.Interval.hi i)
-  | Null -> Hashtbl.hash 3
-
 (* Injective encoding into a single int: two tag bits, payload above.
    Term/Interval payloads are intern-table ids (dense, small); Int
    payloads are the machine int itself, so the encoding is injective
    for |n| < 2^60 — far beyond the atom ids and interval endpoints the
-   grounder stores. Code equality coincides with {!equal}, which is
-   what lets the columnar tables hash and compare plain ints. *)
+   grounder stores. Code equality coincides with value equality, which
+   is what lets the columnar tables hash and compare plain ints. *)
 type code = int
-
-let null_code = 0
 
 let code = function
   | Null -> 0
@@ -56,13 +30,6 @@ let code_opt = function
   | Interval i ->
       Option.map (fun id -> (id lsl 2) lor 3) (Kg.Symbol.find_interval i)
 
-let decode c =
-  match c land 3 with
-  | 0 -> Null
-  | 1 -> Int (c asr 2)
-  | 2 -> Term (Kg.Symbol.term (c asr 2))
-  | _ -> Interval (Kg.Symbol.interval (c asr 2))
-
 let decode_term c =
   if c land 3 = 2 then Some (Kg.Symbol.term (c asr 2)) else None
 
@@ -70,16 +37,3 @@ let decode_int c = if c land 3 = 1 then Some (c asr 2) else None
 
 let decode_interval c =
   if c land 3 = 3 then Some (Kg.Symbol.interval (c asr 2)) else None
-
-let as_term = function Term t -> Some t | Int _ | Interval _ | Null -> None
-let as_int = function Int n -> Some n | Term _ | Interval _ | Null -> None
-
-let as_interval = function
-  | Interval i -> Some i
-  | Term _ | Int _ | Null -> None
-
-let pp ppf = function
-  | Term t -> Kg.Term.pp ppf t
-  | Int n -> Format.pp_print_int ppf n
-  | Interval i -> Kg.Interval.pp ppf i
-  | Null -> Format.pp_print_string ppf "NULL"

@@ -15,21 +15,14 @@ val term : Kg.Term.t -> t
 val int : int -> t
 val interval : Kg.Interval.t -> t
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
-
 (** {1 Interned codes}
 
     The columnar table backend stores values as single ints: two tag
     bits plus either the machine int itself or a {!Kg.Symbol} intern id.
     The encoding is injective (for [Int n] with [|n| < 2^60]), so code
-    equality coincides with {!equal} and joins hash plain ints. *)
+    equality coincides with value equality and joins hash plain ints. *)
 
 type code = int
-
-val null_code : code
-(** [code Null]. *)
 
 val code : t -> code
 (** Encode, interning terms/intervals into the global {!Kg.Symbol}
@@ -40,15 +33,8 @@ val code_opt : t -> code option
     been interned — useful for lookups, where an unseen symbol simply
     matches nothing. *)
 
-val decode : code -> t
-
 val decode_term : code -> Kg.Term.t option
 val decode_int : code -> int option
 val decode_interval : code -> Kg.Interval.t option
-(** Tag-checked decodes of a single code, avoiding the boxed {!t}. *)
-
-val as_term : t -> Kg.Term.t option
-val as_int : t -> int option
-val as_interval : t -> Kg.Interval.t option
-
-val pp : Format.formatter -> t -> unit
+(** Tag-checked decodes of a single code: [None] when the code carries
+    another kind of value. *)

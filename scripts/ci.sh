@@ -333,6 +333,28 @@ awk -v v="$(metric psl.alloc_mwords)" 'BEGIN { exit !(v != "" && v + 0 <= 3.2) }
   || { echo "work-counter gate: psl.alloc_mwords = $(metric psl.alloc_mwords) exceeds 3.2" >&2; exit 1; }
 rm -rf "$SUITE_DIR" "$SUITE_OUT"
 
+echo "== grounding work counters (wd-psl, seed 1, quick, traced) =="
+# The grounding-heavy workload: rows joined, atoms, rule instances and
+# closure rounds are exact, and so are the nPSL counts downstream of
+# them. Grounding allocation read 3.42 Mwords while binding rows were
+# decoded into boxed values and 2.90 once they were read as codes; the
+# ceiling fails if boxed rows come back.
+SUITE_DIR=$(mktemp -d) SUITE_OUT=$(mktemp)
+bash bench/suite/run.sh --workload wd-psl --seed 1 --quick true --trace 1 \
+  --seconds 0.1 --workdir "$SUITE_DIR" > "$SUITE_OUT" \
+  || { echo "work-counter gate: traced wd-psl run failed" >&2; cat "$SUITE_OUT" >&2; exit 1; }
+for expected in grounder.join_rows=3941 grounder.atoms=3280 \
+                grounder.instances=1371 grounder.rounds=2 \
+                psl.potentials=4605 psl.components=1937 \
+                psl.admm_iterations=15949; do
+  name=${expected%=*} want=${expected#*=}
+  [ "$(metric "$name")" = "$want.0000" ] \
+    || { echo "work-counter gate: $name = $(metric "$name"), expected exactly $want" >&2; exit 1; }
+done
+awk -v v="$(metric grounder.alloc_mwords)" 'BEGIN { exit !(v != "" && v + 0 <= 3.2) }' \
+  || { echo "work-counter gate: grounder.alloc_mwords = $(metric grounder.alloc_mwords) exceeds 3.2" >&2; exit 1; }
+rm -rf "$SUITE_DIR" "$SUITE_OUT"
+
 echo "== bench serve --check (committed BENCH_serve.json) =="
 # Re-measures wire latency/throughput at 1..N concurrent sessions and
 # compares against the committed baseline (generous tolerance), plus

@@ -61,26 +61,6 @@ let test_nquads_parser_total () =
           (Printf.sprintf "nquads raised %s on %S" (Printexc.to_string e) src)
   done
 
-let test_sql_parser_total () =
-  let rng = Prng.create 105 in
-  let db = Reldb.Database.create () in
-  Reldb.Database.add_table db
-    (Reldb.Table.create ~name:"t" ~columns:[ "a"; "b" ]);
-  let sql_ish =
-    [|
-      'S'; 'E'; 'L'; 'C'; 'T'; 'F'; 'R'; 'O'; 'M'; 'W'; 'H'; ' '; '*'; ',';
-      '='; '<'; '>'; '\''; 'a'; 'b'; 't'; '1'; '2'; 'J'; 'I'; 'N'; 'D';
-    |]
-  in
-  for _ = 1 to 3_000 do
-    let src = random_string rng 60 sql_ish in
-    match Reldb.Sql.query db src with
-    | Ok _ | Error _ -> ()
-    | exception e ->
-        Alcotest.fail
-          (Printf.sprintf "sql raised %s on %S" (Printexc.to_string e) src)
-  done
-
 let test_interval_of_string_total () =
   let rng = Prng.create 106 in
   for _ = 1 to 3_000 do
@@ -983,7 +963,6 @@ let () =
             test_rule_parser_printable_total;
           Alcotest.test_case "query parser" `Quick test_query_parser_total;
           Alcotest.test_case "nquads parser" `Quick test_nquads_parser_total;
-          Alcotest.test_case "sql parser" `Quick test_sql_parser_total;
           Alcotest.test_case "interval parser" `Quick
             test_interval_of_string_total;
           Alcotest.test_case "script parser (script-ish)" `Quick

@@ -80,6 +80,46 @@ let test_store_tables () =
   Alcotest.(check string) "table name scheme" "coach/2@"
     (Store.table_name "coach" ~arity:2 ~temporal:true)
 
+let test_grounding_tables_queryable () =
+  (* The extension tables are plain code columns: every row reads back
+     as the atom its [atom] cell names. *)
+  let graph =
+    Kg.Graph.of_list
+      [
+        Kg.Quad.v "CR" "coach" (Kg.Term.iri "Chelsea") (2000, 2004) 0.9;
+        Kg.Quad.v "CR" "coach" (Kg.Term.iri "Napoli") (2001, 2003) 0.6;
+        Kg.Quad.v "Kid" "coach" (Kg.Term.iri "Ajax") (2010, 2012) 0.8;
+      ]
+  in
+  let store = Store.of_graph graph in
+  let table =
+    match Store.table_for store "coach" ~arity:2 ~temporal:true with
+    | Some t -> t
+    | None -> Alcotest.fail "coach/2@ missing"
+  in
+  let module Tbl = Reldb.Table in
+  let module V = Reldb.Value in
+  let cell ~row name = Tbl.code_at table ~row ~col:(Tbl.column_index table name) in
+  let some = function Some v -> v | None -> Alcotest.fail "mistyped cell" in
+  let cr_rows = ref 0 in
+  for row = 0 to Tbl.cardinal table - 1 do
+    let subject = some (V.decode_term (cell ~row "a0")) in
+    let stored =
+      Atom.Ground.make
+        ~time:(some (V.decode_interval (cell ~row "t")))
+        "coach"
+        [ subject; some (V.decode_term (cell ~row "a1")) ]
+    in
+    let id = some (V.decode_int (cell ~row "atom")) in
+    Alcotest.(check string) "atom cell names the interned atom"
+      (Atom.Ground.to_string stored)
+      (Atom.Ground.to_string (Store.atom store id));
+    Alcotest.(check (option int)) "and the store agrees" (Some id)
+      (Store.find store stored);
+    if Kg.Term.equal subject (Kg.Term.iri "CR") then incr cr_rows
+  done;
+  Alcotest.(check int) "CR rows" 2 !cr_rows
+
 let test_body_single_atom () =
   let store = Store.of_graph (cr_graph ()) in
   let rule =
@@ -332,6 +372,153 @@ let qcheck_store_roundtrip =
              && Store.intern store Store.Hidden atom = id)
            atoms ids)
 
+(* Differential: [Body.all] against a nested-loop enumeration over
+   [Atom_store.iter] that never touches the relational tables. Small
+   random stores over three predicate shapes, and rules of one to three
+   body atoms mixing constants, repeated variables and an Allen or
+   numeric condition. Compared as multisets of (substitution, body
+   atoms). *)
+
+let body_consts = [| "a"; "b"; "c" |]
+let body_intervals = [| iv 1 3; iv 2 5; iv 4 6 |]
+
+(* Predicate shapes: p and q are binary temporal, r is unary atemporal;
+   q's objects are small integers so numeric conditions have values. *)
+let body_shape = function
+  | "p" | "q" -> (2, true)
+  | _ -> (1, false)
+
+let gen_body_case =
+  let open QCheck.Gen in
+  let pred = oneofl [ "p"; "q"; "r" ] in
+  let const pred j =
+    if pred = "q" && j = 1 then map Kg.Term.int (int_range 1 3)
+    else map (fun i -> Kg.Term.iri body_consts.(i)) (int_range 0 2)
+  in
+  let fact =
+    pred >>= fun p ->
+    let arity, temporal = body_shape p in
+    let* args = flatten_l (List.init arity (const p)) in
+    let* time = map (fun i -> body_intervals.(i)) (int_range 0 2) in
+    return (Atom.Ground.make ?time:(if temporal then Some time else None) p args)
+  in
+  let body_atom =
+    pred >>= fun p ->
+    let arity, temporal = body_shape p in
+    let arg j =
+      frequency
+        [
+          (3, map Lterm.var (oneofl [ "x"; "y"; "z" ]));
+          (1, map (fun c -> Lterm.Const c) (const p j));
+        ]
+    in
+    let* args = flatten_l (List.init arity arg) in
+    let* time =
+      frequency
+        [
+          (3, map (fun v -> Lterm.Tvar v) (oneofl [ "t"; "u" ]));
+          (1, map (fun i -> Lterm.Tconst body_intervals.(i)) (int_range 0 2));
+        ]
+    in
+    return (Atom.make ?time:(if temporal then Some time else None) p args)
+  in
+  let* facts = list_size (int_range 0 12) fact in
+  let* body = list_size (int_range 1 3) body_atom in
+  let* relation = oneofl Kg.Allen.all in
+  let* cmp = oneofl Cond.[ Lt; Le; Gt; Ge; Eq_cmp; Ne_cmp ] in
+  let* bound = int_range 0 4 in
+  let* kind = int_range 0 3 in
+  let* pick = int_range 0 8 in
+  let body_vars = List.sort_uniq compare (List.concat_map Atom.vars body) in
+  let body_tvars = List.sort_uniq compare (List.concat_map Atom.tvars body) in
+  let nth l = List.nth l (pick mod List.length l) in
+  let nth' l = List.nth l (pick / 3 mod List.length l) in
+  let conditions =
+    match kind with
+    | 0 when body_tvars <> [] ->
+        [ Cond.allen relation (Lterm.Tvar (nth body_tvars))
+            (Lterm.Tvar (nth' body_tvars)) ]
+    | 1 when body_tvars <> [] ->
+        [ Cond.Cmp (cmp, Cond.Start_of (Lterm.Tvar (nth body_tvars)), Cond.Num bound) ]
+    | 2 when body_vars <> [] ->
+        [ Cond.Cmp (cmp, Cond.Value_of (Lterm.var (nth body_vars)), Cond.Num bound) ]
+    | 3 when body_vars <> [] ->
+        [ Cond.Neq (Lterm.var (nth body_vars), Lterm.var (nth' body_vars)) ]
+    | _ -> []
+  in
+  return (facts, Rule.make ~name:"r" ~conditions ~body Rule.Bottom)
+
+let print_body_case (facts, rule) =
+  String.concat " . " (List.map Atom.Ground.to_string facts)
+  ^ " |- " ^ Rule.to_string rule
+
+(* A binding as comparable data: sorted variable and time bindings
+   plus the body atom ids. *)
+let canonical_binding subst body_atoms =
+  ( List.map
+      (fun v -> (v, Kg.Term.to_string (Option.get (Subst.find subst v))))
+      (List.sort compare (Subst.domain subst)),
+    List.map
+      (fun v ->
+        let i = Option.get (Subst.find_time subst v) in
+        (v, Kg.Interval.lo i, Kg.Interval.hi i))
+      (List.sort compare (Subst.time_domain subst)),
+    body_atoms )
+
+let brute_force_bindings store (rule : Rule.t) =
+  let atoms = ref [] in
+  Store.iter (fun id atom _ -> atoms := (id, atom) :: !atoms) store;
+  let atoms = List.rev !atoms in
+  let match_atom subst (pattern : Atom.t) (ground : Atom.Ground.t) =
+    let bind_arg subst term value =
+      Option.bind subst (fun s ->
+          match term with
+          | Lterm.Var v -> Subst.bind s v value
+          | Lterm.Const c -> if Kg.Term.equal c value then Some s else None)
+    in
+    if
+      pattern.predicate <> ground.predicate
+      || List.length pattern.args <> List.length ground.args
+      || Option.is_some pattern.time <> Option.is_some ground.time
+    then None
+    else
+      let subst =
+        List.fold_left2 bind_arg (Some subst) pattern.args ground.args
+      in
+      match (pattern.time, ground.time) with
+      | Some (Lterm.Tvar v), Some i -> Option.bind subst (fun s -> Subst.bind_time s v i)
+      | Some (Lterm.Tconst c), Some i ->
+          if Kg.Interval.equal c i then subst else None
+      | _ -> subst
+  in
+  let rec extend subst ids = function
+    | [] ->
+        if List.for_all (fun c -> Cond.eval subst c = Some true) rule.conditions
+        then [ canonical_binding subst (List.rev ids) ]
+        else []
+    | pattern :: rest ->
+        List.concat_map
+          (fun (id, ground) ->
+            match match_atom subst pattern ground with
+            | Some subst -> extend subst (id :: ids) rest
+            | None -> [])
+          atoms
+  in
+  extend Subst.empty [] rule.body
+
+let qcheck_body_matches_brute_force =
+  QCheck.Test.make ~name:"Body.all = nested-loop enumeration" ~count:500
+    (QCheck.make ~print:print_body_case gen_body_case)
+    (fun (facts, rule) ->
+      let store = Store.create () in
+      List.iter (fun atom -> ignore (Store.intern store Store.Hidden atom)) facts;
+      let fast =
+        List.map
+          (fun { Body.subst; body_atoms } -> canonical_binding subst body_atoms)
+          (Body.all store rule)
+      in
+      List.sort compare fast = List.sort compare (brute_force_bindings store rule))
+
 let () =
   Alcotest.run "grounder"
     [
@@ -341,6 +528,8 @@ let () =
           Alcotest.test_case "intern dedup" `Quick test_store_intern_dedup;
           Alcotest.test_case "evidence upgrade" `Quick test_store_evidence_upgrade;
           Alcotest.test_case "tables" `Quick test_store_tables;
+          Alcotest.test_case "grounder tables queryable" `Quick
+            test_grounding_tables_queryable;
           QCheck_alcotest.to_alcotest qcheck_symbol_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_store_roundtrip;
         ] );
@@ -354,6 +543,7 @@ let () =
           Alcotest.test_case "missing predicate" `Quick test_body_missing_predicate;
           Alcotest.test_case "rejects computed time" `Quick
             test_body_rejects_computed_time;
+          QCheck_alcotest.to_alcotest qcheck_body_matches_brute_force;
         ] );
       ( "closure",
         [

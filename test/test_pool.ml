@@ -75,6 +75,42 @@ let test_cross_pool_nesting_degrades () =
     (List.init 8 (fun x -> (3 * x) + 6))
     results
 
+let test_concurrent_cross_pool_nesting () =
+  (* Both tasks of an outer batch enter the same inner pool at once:
+     each must degrade to the sequential loop, neither may see
+     [Nested_use]. The outer tasks wait for each other before entering,
+     and the first inner task waits for the other outer task's, so the
+     two degraded loops overlap on every run. [failed] releases the
+     spinning task when the other one raised instead. *)
+  let outer = Pool.create ~jobs:2 in
+  let inner = Pool.create ~jobs:2 in
+  let arrived = Atomic.make 0 in
+  let entered = Atomic.make 0 in
+  let failed = Atomic.make false in
+  let results =
+    Pool.map outer
+      (fun x ->
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 do
+          Domain.cpu_relax ()
+        done;
+        try
+          Pool.map inner
+            (fun y ->
+              Atomic.incr entered;
+              while Atomic.get entered < 2 && not (Atomic.get failed) do
+                Domain.cpu_relax ()
+              done;
+              x + y)
+            [ 1; 2 ]
+        with e ->
+          Atomic.set failed true;
+          raise e)
+      [ 10; 20 ]
+  in
+  Alcotest.(check (list (list int))) "both degraded loops ran"
+    [ [ 11; 12 ]; [ 21; 22 ] ] results
+
 let test_run_all () =
   let pool = Pool.create ~jobs:4 in
   let hits = Array.make 32 false in
@@ -275,6 +311,8 @@ let () =
             test_sequential_nesting_allowed;
           Alcotest.test_case "cross-pool nesting degrades" `Quick
             test_cross_pool_nesting_degrades;
+          Alcotest.test_case "concurrent cross-pool nesting" `Quick
+            test_concurrent_cross_pool_nesting;
           Alcotest.test_case "run_all" `Quick test_run_all;
           Alcotest.test_case "chunked for_ sums bitwise" `Quick
             test_for_chunked_sum;
