@@ -241,8 +241,15 @@ let run_tasks t n f =
     let elapsed = Timing.now_ms () -. start in
     record t ~n ~busy:elapsed ~wall:elapsed
   in
-  if n > 0 then
-    if t.jobs = 1 || n = 1 then sequentially ()
+  (* A one-job pool is a plain loop: no clock reads, no lock, no stats.
+     Hot loops (ADMM sweeps) call it hundreds of thousands of times per
+     resolve, and nothing reports a one-job pool's stats. *)
+  if t.jobs = 1 then
+    for i = 0 to n - 1 do
+      f i
+    done
+  else if n > 0 then
+    if n = 1 then sequentially ()
     else
       match Domain.DLS.get in_task with
       | Some owner when owner == t -> raise Nested_use
@@ -294,7 +301,13 @@ let run_all t thunks =
 
 let for_ t ?(chunk = 1024) n f =
   if chunk <= 0 then invalid_arg "Pool.for_: chunk <= 0";
-  if n > 0 then begin
+  (* Chunks run in order on a one-job pool, so the chunked loop is the
+     plain one. *)
+  if t.jobs = 1 then
+    for i = 0 to n - 1 do
+      f i
+    done
+  else if n > 0 then begin
     let nchunks = (n + chunk - 1) / chunk in
     run_tasks t nchunks (fun c ->
         let hi = min n ((c + 1) * chunk) in

@@ -95,7 +95,8 @@ type stats = {
 val stats : t -> stats
 (** Cumulative scheduling statistics since [create]; callers surface
     them through [Obs]. ([busy_ms /. wall_ms] approximates achieved
-    parallelism.) *)
+    parallelism.) A [jobs = 1] pool runs every operation as a plain loop
+    and records nothing: its stats stay all-zero. *)
 
 val set_task_hook : ((unit -> unit) -> unit) option -> unit
 (** Install a wrapper invoked around every crew task, on the domain that

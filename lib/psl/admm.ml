@@ -7,86 +7,27 @@ type stats = {
   status : Prelude.Deadline.status;
 }
 
-type kind =
-  | Hinge of float  (* weight *)
-  | Con_le
-  | Con_eq
+(* ADMM over the packed model: one local copy [y] and one scaled dual [u]
+   per term, in flat float arrays parallel to [Hlmrf.var]/[Hlmrf.coef],
+   and one squared coefficient norm per factor. A sweep reads factor [f]'s
+   terms [offsets.(f) .. offsets.(f + 1) - 1] in place; nothing is
+   allocated per iteration.
 
-type factor = {
-  kind : kind;
-  vars : int array;
-  coeffs : float array;
-  const : float;
-  norm_sq : float;
-  y : float array;  (* local copy *)
-  u : float array;  (* scaled dual *)
-}
+   Every float is computed in the order of the original record-per-factor
+   kernel (kept as the reference in test/test_psl.ml), so the iterates are
+   identical bit for bit: a factor's value is its dot product with
+   [v = z - u] summed from 0.0 in term order, then [+ const]; the norm is a
+   left fold of squares; the consensus sums run over factors, then terms,
+   in order; and the residual partials are summed per block and reduced in
+   block order. [v] is recomputed wherever the old kernel read its
+   materialised copy, which gives the same bits. *)
 
-let factor_of_potential (p : Hlmrf.potential) =
-  let vars = Array.of_list (List.map fst p.expr.coeffs) in
-  let coeffs = Array.of_list (List.map snd p.expr.coeffs) in
-  {
-    kind = Hinge p.weight;
-    vars;
-    coeffs;
-    const = p.expr.const;
-    norm_sq = Array.fold_left (fun acc a -> acc +. (a *. a)) 0.0 coeffs;
-    y = Array.make (Array.length vars) 0.0;
-    u = Array.make (Array.length vars) 0.0;
-  }
-
-let factor_of_constraint (c : Hlmrf.lincon) =
-  let expr, kind =
-    match c with Hlmrf.Le e -> (e, Con_le) | Hlmrf.Eq e -> (e, Con_eq)
-  in
-  let vars = Array.of_list (List.map fst expr.coeffs) in
-  let coeffs = Array.of_list (List.map snd expr.coeffs) in
-  {
-    kind;
-    vars;
-    coeffs;
-    const = expr.const;
-    norm_sq = Array.fold_left (fun acc a -> acc +. (a *. a)) 0.0 coeffs;
-    y = Array.make (Array.length vars) 0.0;
-    u = Array.make (Array.length vars) 0.0;
-  }
-
-let dot coeffs v =
-  let acc = ref 0.0 in
-  Array.iteri (fun i a -> acc := !acc +. (a *. v.(i))) coeffs;
-  !acc
-
-(* argmin_y f(y) + rho/2 ||y - v||^2 for one factor, written into f.y. *)
-let prox rho f v =
-  let k = Array.length f.vars in
-  let value = dot f.coeffs v +. f.const in
-  let project () =
-    (* Euclidean projection of v onto the hyperplane a.y + c = 0. *)
-    let step = value /. f.norm_sq in
-    for i = 0 to k - 1 do
-      f.y.(i) <- v.(i) -. (step *. f.coeffs.(i))
-    done
-  in
-  match f.kind with
-  | Con_eq -> if f.norm_sq = 0.0 then Array.blit v 0 f.y 0 k else project ()
-  | Con_le ->
-      if value <= 0.0 || f.norm_sq = 0.0 then Array.blit v 0 f.y 0 k
-      else project ()
-  | Hinge w ->
-      if f.norm_sq = 0.0 then Array.blit v 0 f.y 0 k
-      else begin
-        (* Active-hinge candidate: gradient step of the linear part. *)
-        let shift = w /. rho in
-        let candidate_value = value -. (shift *. f.norm_sq) in
-        if candidate_value >= 0.0 then
-          for i = 0 to k - 1 do
-            f.y.(i) <- v.(i) -. (shift *. f.coeffs.(i))
-          done
-        else if value <= 0.0 then Array.blit v 0 f.y 0 k
-        else project ()
-      end
-
-let clip01 x = Float.min 1.0 (Float.max 0.0 x)
+(* [Float.min 1.0 (Float.max 0.0 x)], nan and -0.0 included, inlined:
+   the two [Float] calls would box [x] on every consensus update. *)
+let[@inline] clip01 x =
+  if x > 0.0 then if x < 1.0 then x else 1.0
+  else if Float.is_nan x then x
+  else 0.0
 
 (* Fixed block size for the parallel factor sweeps. The chunk boundaries
    depend on this constant alone — never on the job count — so per-chunk
@@ -94,34 +35,92 @@ let clip01 x = Float.min 1.0 (Float.max 0.0 x)
    parallelism and the iterates are bitwise identical. *)
 let block = 256
 
+(* Passed as [?chunk]: a literal [~chunk:block] would allocate its
+   [Some] on every sweep. *)
+let chunk = Some block
+
 let solve ?(rho = 1.0) ?(max_iters = 2_000) ?(tol = 1e-4) ?init
     ?(pool = Prelude.Pool.sequential) ?(deadline = Prelude.Deadline.none)
     (model : Hlmrf.t) =
   let n = model.num_vars in
-  let factors =
-    Array.append
-      (Array.map factor_of_potential model.potentials)
-      (Array.map factor_of_constraint model.constraints)
-  in
+  let { Hlmrf.kind; weight; const; offsets; var; coef; _ } = model in
+  let num_factors = Hlmrf.num_factors model in
+  let num_terms = offsets.(num_factors) in
   let z =
     match init with
+    | Some x when Array.length x <> n -> invalid_arg "Admm.solve: init length"
     | Some x -> Array.map clip01 x
     | None -> Array.make n 0.5
   in
+  let norm_sq = Array.make num_factors 0.0 in
+  for f = 0 to num_factors - 1 do
+    let s = ref 0.0 in
+    for j = offsets.(f) to offsets.(f + 1) - 1 do
+      s := !s +. (coef.(j) *. coef.(j))
+    done;
+    norm_sq.(f) <- !s
+  done;
   (* How many local copies each variable has (for averaging). *)
   let copies = Array.make n 0 in
-  Array.iter
-    (fun f -> Array.iter (fun v -> copies.(v) <- copies.(v) + 1) f.vars)
-    factors;
-  (* Initialise local copies at the consensus value. *)
-  Array.iter
-    (fun f -> Array.iteri (fun i v -> f.y.(i) <- z.(v)) f.vars)
-    factors;
-  let num_factors = Array.length factors in
+  for j = 0 to num_terms - 1 do
+    copies.(var.(j)) <- copies.(var.(j)) + 1
+  done;
+  (* Local copies start at the consensus value. *)
+  let y = Array.make num_terms 0.0 in
+  for j = 0 to num_terms - 1 do
+    y.(j) <- z.(var.(j))
+  done;
+  let u = Array.make num_terms 0.0 in
   let num_blocks = (num_factors + block - 1) / block in
   let pr_parts = Array.make (max 1 num_blocks) 0.0 in
   let sums = Array.make n 0.0 in
   let z_old = Array.make n 0.0 in
+  (* argmin_y f(y) + rho/2 ||y - v||^2 for factor [f], with [v = z - u],
+     written into [y]. *)
+  let prox f =
+    let lo = offsets.(f) and hi = offsets.(f + 1) - 1 in
+    let dot = ref 0.0 in
+    for j = lo to hi do
+      dot := !dot +. (coef.(j) *. (z.(var.(j)) -. u.(j)))
+    done;
+    let value = !dot +. const.(f) in
+    let ns = norm_sq.(f) in
+    (* [y = v - step · coef]: the gradient step of an active hinge
+       ([step = w / rho]) or the projection onto the hyperplane
+       [a.y + c = 0] ([step = value / ns]). A satisfied hinge or
+       halfspace, or a zero-norm factor, copies [v] ([step = 0]). Writing
+       [v] itself for a zero step has the bits of [v - 0 · coef], because
+       [z] is box-clipped and so never -0.0, and neither is [v]. *)
+    let step =
+      if ns = 0.0 then 0.0
+      else
+        match kind.(f) with
+        | Hlmrf.Eq -> value /. ns
+        | Hlmrf.Le -> if value <= 0.0 then 0.0 else value /. ns
+        | Hlmrf.Hinge ->
+            let shift = weight.(f) /. rho in
+            if value -. (shift *. ns) >= 0.0 then shift
+            else if value <= 0.0 then 0.0
+            else value /. ns
+    in
+    if step = 0.0 then
+      for j = lo to hi do
+        y.(j) <- z.(var.(j)) -. u.(j)
+      done
+    else
+      for j = lo to hi do
+        y.(j) <- z.(var.(j)) -. u.(j) -. (step *. coef.(j))
+      done
+  in
+  (* Dual update and the factor's share of its block's primal residual. *)
+  let dual_step f =
+    let b = f / block in
+    for j = offsets.(f) to offsets.(f + 1) - 1 do
+      let r = y.(j) -. z.(var.(j)) in
+      u.(j) <- u.(j) +. r;
+      pr_parts.(b) <- pr_parts.(b) +. (r *. r)
+    done
+  in
   let iterations = ref 0 in
   let primal = ref infinity in
   let dual = ref infinity in
@@ -142,21 +141,15 @@ let solve ?(rho = 1.0) ?(max_iters = 2_000) ?(tol = 1e-4) ?init
     (* Local proximal steps. Factors are independent given the consensus
        [z] (each writes only its own [y]), so the sweep fans out over
        fixed-size blocks. *)
-    Prelude.Pool.for_ pool ~chunk:block num_factors (fun fi ->
-        let f = factors.(fi) in
-        let k = Array.length f.vars in
-        let v = Array.init k (fun i -> z.(f.vars.(i)) -. f.u.(i)) in
-        prox rho f v);
+    Prelude.Pool.for_ pool ?chunk num_factors prox;
     (* Consensus update: average local copies plus duals, clipped.
        Sequential — the per-variable sums overlap across factors. *)
     Array.blit z 0 z_old 0 n;
     Array.fill sums 0 n 0.0;
-    Array.iter
-      (fun f ->
-        Array.iteri
-          (fun i v -> sums.(v) <- sums.(v) +. f.y.(i) +. f.u.(i))
-          f.vars)
-      factors;
+    for j = 0 to num_terms - 1 do
+      let v = var.(j) in
+      sums.(v) <- sums.(v) +. y.(j) +. u.(j)
+    done;
     for v = 0 to n - 1 do
       if copies.(v) > 0 then
         z.(v) <- clip01 (sums.(v) /. float_of_int copies.(v))
@@ -166,15 +159,7 @@ let solve ?(rho = 1.0) ?(max_iters = 2_000) ?(tol = 1e-4) ?init
        is processed by one worker), reduced sequentially in block order
        so the residual is bitwise identical at every job count. *)
     Array.fill pr_parts 0 (Array.length pr_parts) 0.0;
-    Prelude.Pool.for_ pool ~chunk:block num_factors (fun fi ->
-        let f = factors.(fi) in
-        let b = fi / block in
-        Array.iteri
-          (fun i v ->
-            let r = f.y.(i) -. z.(v) in
-            f.u.(i) <- f.u.(i) +. r;
-            pr_parts.(b) <- pr_parts.(b) +. (r *. r))
-          f.vars);
+    Prelude.Pool.for_ pool ?chunk num_factors dual_step;
     let pr = ref 0.0 in
     for b = 0 to num_blocks - 1 do
       pr := !pr +. pr_parts.(b)

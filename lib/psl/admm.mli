@@ -7,7 +7,14 @@
     linear hinge and the projection step for a halfspace/hyperplane have
     closed forms; the consensus variable averages the local copies and is
     clipped to the box. This is the algorithm behind the PSL solver the
-    paper runs, and the reason the nPSL path scales. *)
+    paper runs, and the reason the nPSL path scales.
+
+    The kernel runs over the packed {!Hlmrf.t}: the local copies and
+    scaled duals are flat float arrays parallel to its terms, and a
+    sweep reads each factor's slice in place, so an iteration allocates
+    nothing. Its floating-point operations are those of the earlier
+    record-per-factor kernel, in the same order, so the iterates are
+    the same bit for bit. *)
 
 type stats = {
   iterations : int;
@@ -32,7 +39,8 @@ val solve :
   float array * stats
 (** Defaults: [rho = 1.0], [max_iters = 2_000], [tol = 1e-4]. [init]
     seeds the consensus vector (clipped to the box); by default 0.5
-    everywhere.
+    everywhere. Raises [Invalid_argument "Admm.solve: init length"] when
+    [init] does not have [num_vars] entries.
 
     [pool] (default {!Prelude.Pool.sequential}) parallelises the
     per-factor proximal steps and the dual update over fixed-size factor

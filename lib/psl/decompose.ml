@@ -10,82 +10,67 @@ type solved = {
   admm : Admm.stats;
 }
 
-(* Canonical structural form of a component: potentials and constraints
-   with variables remapped to local indices, plus the local slice of the
-   ADMM initialisation (the consensus seed is part of the trajectory, so
-   two components are interchangeable only when their seeds match too). *)
+(* A component's key is its packed sub-model (factors and terms over
+   local indices, in split order) plus its slice of the ADMM
+   initialisation: the consensus seed is part of the trajectory, so two
+   components are interchangeable only when their seeds match too. *)
 type key = {
-  k_vars : int;
-  k_potentials : (float * (int * float) array * float) array;
-  k_constraints : ((int * float) array * float * bool) array;
+  k_model : Hlmrf.t;
   k_init : float array;
 }
 
 type cache = (key, solved) Components.cache
 
-let lincon_exp = function Hlmrf.Le e -> e | Hlmrf.Eq e -> e
+(* Factors [factors] (ascending) of [model], with variables renumbered
+   through [local], as a packed model of their own. *)
+let sub (model : Hlmrf.t) ~num_vars ~factors ~local =
+  let offsets = model.offsets in
+  let nf = Array.length factors in
+  let sub_offsets = Array.make (nf + 1) 0 in
+  Array.iteri
+    (fun i f ->
+      sub_offsets.(i + 1) <- sub_offsets.(i) + offsets.(f + 1) - offsets.(f))
+    factors;
+  let var = Array.make sub_offsets.(nf) 0 in
+  let coef = Array.make sub_offsets.(nf) 0.0 in
+  Array.iteri
+    (fun i f ->
+      let o = offsets.(f) in
+      for j = 0 to offsets.(f + 1) - o - 1 do
+        var.(sub_offsets.(i) + j) <- local.(model.var.(o + j));
+        coef.(sub_offsets.(i) + j) <- model.coef.(o + j)
+      done)
+    factors;
+  let floats (a : float array) =
+    let b = Array.make nf 0.0 in
+    Array.iteri (fun i f -> b.(i) <- a.(f)) factors;
+    b
+  in
+  {
+    Hlmrf.num_vars;
+    num_potentials =
+      Array.fold_left
+        (fun k f -> if f < model.num_potentials then k + 1 else k)
+        0 factors;
+    kind = Array.map (fun f -> model.kind.(f)) factors;
+    weight = floats model.weight;
+    const = floats model.const;
+    offsets = sub_offsets;
+    var;
+    coef;
+  }
 
 (* Factors are the potentials, then the constraints. *)
 let split (model : Hlmrf.t) =
-  let potentials = model.Hlmrf.potentials in
-  let constraints = model.Hlmrf.constraints in
-  let np = Array.length potentials in
-  let coeffs f =
-    if f < np then potentials.(f).Hlmrf.expr.Hlmrf.coeffs
-    else (lincon_exp constraints.(f - np)).Hlmrf.coeffs
-  in
-  Components.split ~num_vars:model.Hlmrf.num_vars
-    ~num_factors:(np + Array.length constraints)
-    ~arity:(fun f -> List.length (coeffs f))
-    ~var:(fun f j -> fst (List.nth (coeffs f) j))
+  let offsets = model.offsets in
+  Components.split ~num_vars:model.num_vars
+    ~num_factors:(Hlmrf.num_factors model)
+    ~arity:(fun f -> offsets.(f + 1) - offsets.(f))
+    ~var:(fun f j -> model.var.(offsets.(f) + j))
     (fun ~vars ~factors ~local ->
-      let remap (e : Hlmrf.linexp) =
-        {
-          e with
-          Hlmrf.coeffs = List.map (fun (v, c) -> (local.(v), c)) e.Hlmrf.coeffs;
-        }
-      in
-      let k =
-        Array.fold_left (fun k f -> if f < np then k + 1 else k) 0 factors
-      in
-      let potentials =
-        Array.init k (fun j ->
-            let p = potentials.(factors.(j)) in
-            { p with Hlmrf.expr = remap p.Hlmrf.expr })
-      in
-      let constraints =
-        Array.init
-          (Array.length factors - k)
-          (fun j ->
-            match constraints.(factors.(k + j) - np) with
-            | Hlmrf.Le e -> Hlmrf.Le (remap e)
-            | Hlmrf.Eq e -> Hlmrf.Eq (remap e))
-      in
-      {
-        vars;
-        model = { Hlmrf.num_vars = Array.length vars; potentials; constraints };
-      })
+      { vars; model = sub model ~num_vars:(Array.length vars) ~factors ~local })
 
-let key_of component ~init =
-  let canon_exp (e : Hlmrf.linexp) =
-    (Array.of_list e.Hlmrf.coeffs, e.Hlmrf.const)
-  in
-  {
-    k_vars = component.model.Hlmrf.num_vars;
-    k_potentials =
-      Array.map
-        (fun (p : Hlmrf.potential) ->
-          let coeffs, const = canon_exp p.Hlmrf.expr in
-          (p.Hlmrf.weight, coeffs, const))
-        component.model.Hlmrf.potentials;
-    k_constraints =
-      Array.map
-        (fun c ->
-          let coeffs, const = canon_exp (lincon_exp c) in
-          (coeffs, const, match c with Hlmrf.Eq _ -> true | Hlmrf.Le _ -> false))
-        component.model.Hlmrf.constraints;
-    k_init = init;
-  }
+let key_of component ~init = { k_model = component.model; k_init = init }
 
 let clip01 v = if v < 0.0 then 0.0 else if v > 1.0 then 1.0 else v
 
@@ -117,10 +102,8 @@ let solve ?cache ?(pool = Prelude.Pool.sequential) ~rho ~max_iters ~tol ~init
       ~vars:(fun c -> c.vars)
       ~key:key_of
       ~solve_component:(fun c ~init ->
-        if
-          Array.length c.model.Hlmrf.potentials = 0
-          && Array.length c.model.Hlmrf.constraints = 0
-        then { values = Array.map clip01 init; admm = idle }
+        if Hlmrf.num_factors c.model = 0 then
+          { values = Array.map clip01 init; admm = idle }
         else
           let values, admm =
             Admm.solve ~rho ~max_iters ~tol ~init ~pool c.model

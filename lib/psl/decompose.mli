@@ -9,7 +9,9 @@
 
 type component = {
   vars : int array;   (** global variable ids, ascending *)
-  model : Hlmrf.t;    (** factors remapped to local indices *)
+  model : Hlmrf.t;
+      (** the component's factors as a packed model of its own, with
+          variables renumbered to local indices *)
 }
 
 type solved = {
@@ -20,8 +22,8 @@ type solved = {
 type key
 
 type cache = (key, solved) Components.cache
-(** Keyed by canonical structural form: potentials and constraints over
-    local indices, plus the local init. *)
+(** Keyed by the component's packed sub-model plus its slice of the
+    init. *)
 
 val split : Hlmrf.t -> component list
 (** {!Components.split} over the factor graph (potentials, then

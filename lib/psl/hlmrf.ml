@@ -1,26 +1,24 @@
-module Vec = Prelude.Vec
 module Store = Grounder.Atom_store
 module Instance = Grounder.Ground.Instance
 
-type linexp = {
-  coeffs : (int * float) list;
-  const : float;
-}
-
-type potential = {
-  weight : float;
-  expr : linexp;
-}
-
-type lincon =
-  | Le of linexp
-  | Eq of linexp
+type kind =
+  | Hinge
+  | Le
+  | Eq
 
 type t = {
   num_vars : int;
-  potentials : potential array;
-  constraints : lincon array;
+  num_potentials : int;
+  kind : kind array;
+  weight : float array;
+  const : float array;
+  offsets : int array;
+  var : int array;
+  coef : float array;
 }
+
+let num_factors t = Array.length t.kind
+let num_constraints t = num_factors t - t.num_potentials
 
 type config = {
   hidden_prior : float;
@@ -31,108 +29,140 @@ type config = {
 let default_config =
   { hidden_prior = 0.005; evidence_bonus = 0.1; evidence_hard = true }
 
-let eval_linexp e x =
-  List.fold_left (fun acc (v, a) -> acc +. (a *. x.(v))) e.const e.coeffs
+(* Which hard instances add a constraint: the first per (sorted body,
+   head). *)
+let fresh_hard instances =
+  let seen = Hashtbl.create 1024 in
+  Array.of_list
+    (List.map
+       (fun { Instance.rule; body_atoms; head } ->
+         match (head, rule.Logic.Rule.weight) with
+         | (Instance.Violated | Instance.Derives _), None ->
+             let h = match head with Instance.Derives h -> h | _ -> -1 in
+             let key = (List.sort compare body_atoms, h) in
+             if Hashtbl.mem seen key then false
+             else begin
+               Hashtbl.replace seen key ();
+               true
+             end
+         | _ -> false)
+       instances)
 
-let build ?(config = default_config) store instances =
-  let potentials = Vec.create () in
-  let constraints = Vec.create () in
-  Store.iter
-    (fun id _atom origin ->
-      match origin with
-      | Store.Evidence { confidence; _ } ->
-          if confidence >= 1.0 && config.evidence_hard then
-            (* x = 1 *)
-            Vec.push constraints (Eq { coeffs = [ (id, 1.0) ]; const = -1.0 })
-          else
-            (* weight · (1 - x) = weight · max(0, 1 - x) since x <= 1 *)
-            Vec.push potentials
-              {
-                weight = confidence +. config.evidence_bonus;
-                expr = { coeffs = [ (id, -1.0) ]; const = 1.0 };
-              }
-      | Store.Hidden ->
-          if config.hidden_prior > 0.0 then
-            Vec.push potentials
-              {
-                weight = config.hidden_prior;
-                expr = { coeffs = [ (id, 1.0) ]; const = 0.0 };
-              })
-    store;
-  let seen_hard = Hashtbl.create 1024 in
-  List.iter
-    (fun { Instance.rule; body_atoms; head } ->
-      let n = List.length body_atoms in
-      let body_coeffs = List.map (fun id -> (id, 1.0)) body_atoms in
-      let body_const = -.float_of_int (n - 1) in
+(* Every factor of the model, in generation order, as
+   [emit kind weight const head body]: the factor over
+   [const - x_head + Σ x_body], with [head = -1] for none. *)
+let iter_factors config store instances ~fresh emit =
+  (* By origin alone: decoding every atom would cost more than the
+     whole build. *)
+  for id = 0 to Store.size store - 1 do
+    match Store.origin store id with
+    | Store.Evidence { confidence; _ } ->
+        if confidence >= 1.0 && config.evidence_hard then
+          (* x = 1 *)
+          emit Eq 0.0 (-1.0) (-1) [ id ]
+        else
+          (* weight · (1 - x) = weight · max(0, 1 - x) since x <= 1 *)
+          emit Hinge (confidence +. config.evidence_bonus) 1.0 id []
+    | Store.Hidden ->
+        if config.hidden_prior > 0.0 then
+          emit Hinge config.hidden_prior 0.0 (-1) [ id ]
+  done;
+  List.iteri
+    (fun i { Instance.rule; body_atoms; head } ->
+      let const = -.float_of_int (List.length body_atoms - 1) in
       match (head, rule.Logic.Rule.weight) with
       | Instance.Satisfied, _ -> ()
-      | Instance.Violated, Some w ->
-          Vec.push potentials
-            { weight = w; expr = { coeffs = body_coeffs; const = body_const } }
+      | Instance.Violated, Some w -> emit Hinge w const (-1) body_atoms
+      | Instance.Derives h, Some w -> emit Hinge w const h body_atoms
+      (* Σ body - (n-1) <= 0, and Σ body - (n-1) - head <= 0 *)
       | Instance.Violated, None ->
-          (* Σ body - (n-1) <= 0 *)
-          let key = List.sort compare body_atoms in
-          if not (Hashtbl.mem seen_hard (key, -1)) then begin
-            Hashtbl.replace seen_hard (key, -1) ();
-            Vec.push constraints
-              (Le { coeffs = body_coeffs; const = body_const })
-          end
-      | Instance.Derives h, Some w ->
-          Vec.push potentials
-            {
-              weight = w;
-              expr = { coeffs = (h, -1.0) :: body_coeffs; const = body_const };
-            }
+          if fresh.(i) then emit Le 0.0 const (-1) body_atoms
       | Instance.Derives h, None ->
-          let key = List.sort compare body_atoms in
-          if not (Hashtbl.mem seen_hard (key, h)) then begin
-            Hashtbl.replace seen_hard (key, h) ();
-            Vec.push constraints
-              (Le { coeffs = (h, -1.0) :: body_coeffs; const = body_const })
-          end)
-    instances;
-  {
-    num_vars = Store.size store;
-    potentials = Vec.to_array potentials;
-    constraints = Vec.to_array constraints;
-  }
+          if fresh.(i) then emit Le 0.0 const h body_atoms)
+    instances
+
+(* Two passes over the factors: count them, then write each into its
+   final slot, potentials from the front and constraints after them. No
+   buffer is grown or copied. *)
+let build ?(config = default_config) store instances =
+  let fresh = fresh_hard instances in
+  let each = iter_factors config store instances ~fresh in
+  let factors = [| 0; 0 |] and terms = [| 0; 0 |] in
+  let region kind = if kind = Hinge then 0 else 1 in
+  each (fun kind _ _ head body ->
+      let r = region kind in
+      factors.(r) <- factors.(r) + 1;
+      terms.(r) <- terms.(r) + Bool.to_int (head >= 0) + List.length body);
+  let nf = factors.(0) + factors.(1) and nt = terms.(0) + terms.(1) in
+  let t =
+    {
+      num_vars = Store.size store;
+      num_potentials = factors.(0);
+      kind = Array.make nf Hinge;
+      weight = Array.make nf 0.0;
+      const = Array.make nf 0.0;
+      offsets = Array.make (nf + 1) nt;
+      var = Array.make nt 0;
+      coef = Array.make nt 0.0;
+    }
+  in
+  (* Cursors: the next factor and term slot of each region. *)
+  let next = [| 0; factors.(0) |] and slot = [| 0; terms.(0) |] in
+  each (fun kind weight const head body ->
+      let r = region kind in
+      let f = next.(r) in
+      t.kind.(f) <- kind;
+      t.weight.(f) <- weight;
+      t.const.(f) <- const;
+      t.offsets.(f) <- slot.(r);
+      let add v a =
+        t.var.(slot.(r)) <- v;
+        t.coef.(slot.(r)) <- a;
+        slot.(r) <- slot.(r) + 1
+      in
+      if head >= 0 then add head (-1.0);
+      List.iter (fun v -> add v 1.0) body;
+      next.(r) <- f + 1);
+  t
+
+(* [const + Σ coef · x], summed from the constant in term order. *)
+let[@inline] eval t f x =
+  let acc = ref t.const.(f) in
+  for j = t.offsets.(f) to t.offsets.(f + 1) - 1 do
+    acc := !acc +. (t.coef.(j) *. x.(t.var.(j)))
+  done;
+  !acc
 
 let objective t x =
-  Array.fold_left
-    (fun acc p -> acc +. (p.weight *. Float.max 0.0 (eval_linexp p.expr x)))
-    0.0 t.potentials
+  let acc = ref 0.0 in
+  for f = 0 to t.num_potentials - 1 do
+    acc := !acc +. (t.weight.(f) *. Float.max 0.0 (eval t f x))
+  done;
+  !acc
 
 let constraint_violation t x =
-  Array.fold_left
-    (fun acc c ->
-      let v =
-        match c with
-        | Le e -> Float.max 0.0 (eval_linexp e x)
-        | Eq e -> Float.abs (eval_linexp e x)
-      in
-      Float.max acc v)
-    0.0 t.constraints
+  let acc = ref 0.0 in
+  for f = t.num_potentials to num_factors t - 1 do
+    let e = eval t f x in
+    let v = if t.kind.(f) = Eq then Float.abs e else Float.max 0.0 e in
+    acc := Float.max !acc v
+  done;
+  !acc
 
-let pp_linexp ppf e =
-  List.iter (fun (v, a) -> Format.fprintf ppf "%+gx%d " a v) e.coeffs;
-  if e.const <> 0.0 then Format.fprintf ppf "%+g" e.const
+let pp_linexp t ppf f =
+  for j = t.offsets.(f) to t.offsets.(f + 1) - 1 do
+    Format.fprintf ppf "%+gx%d " t.coef.(j) t.var.(j)
+  done;
+  if t.const.(f) <> 0.0 then Format.fprintf ppf "%+g" t.const.(f)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>hl-mrf: %d vars, %d potentials, %d constraints"
-    t.num_vars
-    (Array.length t.potentials)
-    (Array.length t.constraints);
-  Array.iteri
-    (fun i p ->
-      if i < 8 then
-        Format.fprintf ppf "@ %g * max(0, %a)" p.weight pp_linexp p.expr)
-    t.potentials;
-  Array.iteri
-    (fun i c ->
-      if i < 8 then
-        match c with
-        | Le e -> Format.fprintf ppf "@ %a <= 0" pp_linexp e
-        | Eq e -> Format.fprintf ppf "@ %a = 0" pp_linexp e)
-    t.constraints;
+    t.num_vars t.num_potentials (num_constraints t);
+  for f = 0 to min t.num_potentials 8 - 1 do
+    Format.fprintf ppf "@ %g * max(0, %a)" t.weight.(f) (pp_linexp t) f
+  done;
+  for f = t.num_potentials to min (num_factors t) (t.num_potentials + 8) - 1 do
+    Format.fprintf ppf "@ %a %s 0" (pp_linexp t) f
+      (if t.kind.(f) = Eq then "=" else "<=")
+  done;
   Format.fprintf ppf "@]"

@@ -15,27 +15,37 @@
       with [w_c = c + bonus], pulling the atom toward 1 with strength
       proportional to its confidence;
     - deterministic evidence: constraint [x = 1];
-    - hidden atom: prior potential [w_p · x]. *)
+    - hidden atom: prior potential [w_p · x].
 
-type linexp = {
-  coeffs : (int * float) list;  (** (variable, coefficient) *)
-  const : float;
-}
+    The model is packed into one flat factor buffer, potentials first,
+    then constraints. Factor [f] is [weight.(f) · max(0, e)] (a hinge)
+    or the constraint [e <= 0] / [e = 0], where
+    [e = const.(f) + Σ coef.(j) · x_var.(j)] over the terms
+    [j = offsets.(f) .. offsets.(f + 1) - 1], in that order. Every
+    per-factor and per-term field is a flat array of immediates or
+    unboxed floats, so the ADMM kernel, rounding and the component split
+    read it without chasing pointers. *)
 
-type potential = {
-  weight : float;
-  expr : linexp;   (** the potential is [weight · max(0, expr)] *)
-}
-
-type lincon =
-  | Le of linexp   (** expr <= 0 *)
-  | Eq of linexp   (** expr = 0 *)
+type kind =
+  | Hinge  (** potential [weight · max(0, e)] *)
+  | Le     (** constraint [e <= 0] *)
+  | Eq     (** constraint [e = 0] *)
 
 type t = {
   num_vars : int;
-  potentials : potential array;
-  constraints : lincon array;
+  num_potentials : int;
+      (** factors [0 .. num_potentials - 1] are the [Hinge]s, the rest
+          the constraints *)
+  kind : kind array;     (** per factor *)
+  weight : float array;  (** per factor; 0.0 for constraints *)
+  const : float array;   (** per factor *)
+  offsets : int array;   (** per factor, plus one end sentinel *)
+  var : int array;       (** per term *)
+  coef : float array;    (** per term *)
 }
+
+val num_factors : t -> int
+val num_constraints : t -> int
 
 type config = {
   hidden_prior : float;      (** default 0.05 *)

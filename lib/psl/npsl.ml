@@ -57,22 +57,17 @@ let run_ground ?(options = default_options) store
             ground_result.Grounder.Ground.instances
         in
         Obs.count ~n:model.Hlmrf.num_vars "hlmrf.vars";
-        Obs.count
-          ~n:(Array.length model.Hlmrf.potentials)
-          "hlmrf.potentials";
-        Obs.count
-          ~n:(Array.length model.Hlmrf.constraints)
-          "hlmrf.constraints";
+        Obs.count ~n:model.Hlmrf.num_potentials "hlmrf.potentials";
+        Obs.count ~n:(Hlmrf.num_constraints model) "hlmrf.constraints";
         model)
   in
   (* Seed the consensus at the evidence state. *)
   let init = Array.make model.Hlmrf.num_vars 0.0 in
-  Store.iter
-    (fun id _ origin ->
-      match origin with
-      | Store.Evidence { confidence; _ } -> init.(id) <- confidence
-      | Store.Hidden -> init.(id) <- 0.0)
-    store;
+  for id = 0 to Store.size store - 1 do
+    match Store.origin store id with
+    | Store.Evidence { confidence; _ } -> init.(id) <- confidence
+    | Store.Hidden -> init.(id) <- 0.0
+  done;
   (* Decompose only under an infinite deadline (mirroring the MLN path):
      budgeted runs keep the global anytime ADMM, and the incremental
      cache is bypassed for them anyway. *)
@@ -107,12 +102,9 @@ let run_ground ?(options = default_options) store
         ("unrepaired", Obs.Events.Int rounding_stats.Rounding.unrepaired);
       ];
   let evidence_atoms = ref 0 in
-  Store.iter
-    (fun _ _ origin ->
-      match origin with
-      | Store.Evidence _ -> incr evidence_atoms
-      | Store.Hidden -> ())
-    store;
+  for id = 0 to Store.size store - 1 do
+    if Store.is_evidence store id then incr evidence_atoms
+  done;
   {
     assignment;
     truth;
@@ -124,8 +116,8 @@ let run_ground ?(options = default_options) store
         atoms = Store.size store;
         evidence_atoms = !evidence_atoms;
         hidden_atoms = Store.size store - !evidence_atoms;
-        potentials = Array.length model.Hlmrf.potentials;
-        hard_constraints = Array.length model.Hlmrf.constraints;
+        potentials = model.Hlmrf.num_potentials;
+        hard_constraints = Hlmrf.num_constraints model;
         closure_rounds = ground_result.Grounder.Ground.rounds;
         ground_ms;
         solve_ms;

@@ -707,14 +707,13 @@ let test_admm_convergence () =
       let model =
         {
           Psl.Hlmrf.num_vars = 1;
-          potentials =
-            [|
-              {
-                Psl.Hlmrf.weight = 1.0;
-                expr = { coeffs = [ (0, -1.0) ]; const = 1.0 };
-              };
-            |];
-          constraints = [||];
+          num_potentials = 1;
+          kind = [| Psl.Hlmrf.Hinge |];
+          weight = [| 1.0 |];
+          const = [| 1.0 |];
+          offsets = [| 0; 1 |];
+          var = [| 0 |];
+          coef = [| -1.0 |];
         }
       in
       ignore (Psl.Admm.solve ~max_iters:200 model);

@@ -144,6 +144,21 @@ let test_stats () =
   Alcotest.(check int) "tasks" 12 s.Pool.tasks;
   Alcotest.(check bool) "wall measured" true (s.Pool.wall_ms >= 0.0)
 
+(* A one-job pool is a plain loop: indices in order, across chunk
+   boundaries, and nothing recorded. *)
+let test_one_job_plain_loop () =
+  let pool = Pool.create ~jobs:1 in
+  let seen = ref [] in
+  Pool.for_ pool ~chunk:3 10 (fun i -> seen := i :: !seen);
+  Alcotest.(check (list int)) "in order" (List.init 10 Fun.id) (List.rev !seen);
+  ignore (Pool.map pool Fun.id [ 1; 2; 3 ]);
+  Pool.run_all pool [ (fun () -> ()) ];
+  let s = Pool.stats pool in
+  Alcotest.(check int) "calls" 0 s.Pool.calls;
+  Alcotest.(check int) "tasks" 0 s.Pool.tasks;
+  Alcotest.(check bool) "no time" true
+    (s.Pool.busy_ms = 0.0 && s.Pool.wall_ms = 0.0)
+
 let test_create_and_parse () =
   Alcotest.(check int) "jobs resolved" 3 (Pool.jobs (Pool.create ~jobs:3));
   Alcotest.(check int) "jobs 0 = recommended"
@@ -317,6 +332,8 @@ let () =
           Alcotest.test_case "chunked for_ sums bitwise" `Quick
             test_for_chunked_sum;
           Alcotest.test_case "stats" `Quick test_stats;
+          Alcotest.test_case "one job: plain loop" `Quick
+            test_one_job_plain_loop;
           Alcotest.test_case "create and parse_jobs" `Quick
             test_create_and_parse;
         ] );
