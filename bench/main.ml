@@ -5,12 +5,13 @@
    Usage:
      dune exec bench/main.exe              # all experiments
      dune exec bench/main.exe -- e3 a1     # a selection
-     BENCH_FAST=1 dune exec bench/main.exe # skip the full-size E2 row
+     dune exec bench/main.exe -- --smoke   # fast mode: skip the full-size E2 row
+     dune exec bench/main.exe -- obs --check  # gate a committed baseline
 
    Absolute times will not match the paper (different machine, different
    substrate); the shapes are what is being reproduced. *)
 
-let fast_mode = ref (Sys.getenv_opt "BENCH_FAST" <> None)
+let fast_mode = ref false
 
 let section id title =
   Printf.printf "\n==============================================================\n";
@@ -75,7 +76,11 @@ let e1 () =
       List.iter (fun q -> row "  removed: %s\n" q) removed;
       let expected = "(CR, coach, Napoli, [2001,2003]) 0.6" in
       row "  paper expects exactly: %s -> %s\n" expected
-        (if removed = [ expected ] then "REPRODUCED" else "MISMATCH"))
+        (if removed = [ expected ] then "REPRODUCED" else "MISMATCH");
+      if removed <> [ expected ] then
+        failwith
+          (Printf.sprintf "E1: %s does not remove exactly %s"
+             (engine_name engine) expected))
     [ mln_engine; psl_engine ]
 
 (* ------------------------------------------------------------------ *)
@@ -577,84 +582,116 @@ let a7 () =
   row "MAP should win the logit column, the hitting set the conf column.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks of the solver kernels with Bechamel.              *)
+(* Committed baselines. obs, par, incr, serve and durability each      *)
+(* measure one JSON document. Write mode gates it with the             *)
+(* experiment's headline and writes it; --check gates the committed    *)
+(* file and the live document with that same headline, then compares   *)
+(* their cells (see bench/baseline.ml for the tolerance rule).         *)
 
-let micro () =
-  section "MICRO" "bechamel micro-benchmarks of the solver kernels";
-  let d = Datagen.Footballdb.generate ~seed:9 ~players:400 ~noise_ratio:0.5 () in
-  let rules = Datagen.Footballdb.constraints () in
-  (* Pre-ground once so the kernels are isolated. *)
-  let store = Grounder.Atom_store.of_graph d.Datagen.Footballdb.graph in
-  let ground = Grounder.Ground.run store rules in
-  let network = Mln.Network.build store ground.Grounder.Ground.instances in
-  let model = Psl.Hlmrf.build store ground.Grounder.Ground.instances in
-  let init = Mln.Network.initial_assignment network store in
-  let open Bechamel in
-  let tests =
-    Test.make_grouped ~name:"kernels"
-      [
-        Test.make ~name:"grounding/footballdb-400"
-          (Staged.stage (fun () ->
-               let store =
-                 Grounder.Atom_store.of_graph d.Datagen.Footballdb.graph
-               in
-               ignore (Grounder.Ground.run store rules)));
-        Test.make ~name:"maxwalksat/footballdb-400"
-          (Staged.stage (fun () ->
-               ignore
-                 (Mln.Maxwalksat.solve ~seed:1 ~max_flips:20_000 ~init network)));
-        Test.make ~name:"admm/footballdb-400"
-          (Staged.stage (fun () -> ignore (Psl.Admm.solve ~max_iters:200 model)));
-      ]
+let check = ref false
+
+type baseline = {
+  name : string;  (** the experiment, as the regenerate hint names it *)
+  path : string;
+  schema : string;
+  fields : string list;  (** finite numbers every run must carry *)
+  full : bool;  (** the committed file must not come from a --smoke run *)
+  tolerance : Baseline.tolerance;
+  cells : Obs.Json.t -> (string * float) list;  (** compared values, by label *)
+  headline : Obs.Json.t -> unit;
+  measure : unit -> (string * Obs.Json.t) list;
+      (** the document's fields after schema and fast *)
+}
+
+let run_baseline b =
+  let document () =
+    Obs.Json.Obj
+      (("schema", Obs.Json.Str b.schema)
+      :: ("fast", Obs.Json.Bool !fast_mode)
+      :: b.measure ())
   in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 1.0) () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      instance raw
+  let headline what doc =
+    try b.headline doc
+    with Failure msg -> failwith (Printf.sprintf "%s%s: %s" b.name what msg)
   in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> row "%-40s %14.0f ns/run\n" name est
-      | Some _ | None -> row "%-40s (no estimate)\n" name)
-    results
+  if not !check then begin
+    let doc = document () in
+    headline "" doc;
+    Baseline.write ~path:b.path ~fields:b.fields doc;
+    row "wrote %s -- JSON validated\n" b.path
+  end
+  else begin
+    let committed =
+      Baseline.read ~experiment:b.name ~path:b.path ~schema:b.schema
+    in
+    if b.full && Obs.Json.member "fast" committed <> Some (Obs.Json.Bool false)
+    then
+      failwith
+        (Printf.sprintf
+           "%s was written by a --smoke run; regenerate it with a full \
+            `bench %s`"
+           b.path b.name);
+    headline (" --check (committed " ^ b.path ^ ")") committed;
+    let doc = document () in
+    headline " --check (live)" doc;
+    match
+      Baseline.compare b.tolerance
+        ~committed:(Baseline.in_file b.path b.cells committed)
+        ~fresh:(b.cells doc)
+    with
+    | [] ->
+        row "%s --check: every cell within %gx of %s\n" b.name
+          b.tolerance.Baseline.factor b.path
+    | fails ->
+        failwith
+          (Printf.sprintf "%s --check: %d cell(s) out of tolerance:\n  %s"
+             b.name (List.length fails) (String.concat "\n  " fails))
+  end
+
+let percentile p xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(int_of_float (p *. float_of_int (Array.length a - 1)))
+
+let median = percentile 0.5
+
+(* The obs and par datasets. *)
+let fb_dataset players =
+  let d = Datagen.Footballdb.generate ~seed:13 ~players ~noise_ratio:0.5 () in
+  ( Printf.sprintf "footballdb-%d" players,
+    d.Datagen.Footballdb.graph,
+    Datagen.Footballdb.constraints () )
+
+let wd_dataset total =
+  let d =
+    Datagen.Wikidata.generate ~seed:13 ~total_facts:total ~conflict_rate:0.08 ()
+  in
+  ( Printf.sprintf "wikidata-%d" total,
+    d.Datagen.Wikidata.graph,
+    Datagen.Wikidata.constraints () )
+
+let require_stages names json =
+  match Obs.Json.member "stages" json with
+  | Some (Obs.Json.Obj stages) ->
+      List.iter
+        (fun stage ->
+          if not (List.mem_assoc stage stages) then
+            failwith (Printf.sprintf "misses stage %S" stage))
+        names
+  | _ -> failwith "no stages"
 
 (* ------------------------------------------------------------------ *)
 (* OBS: per-stage medians over repeated end-to-end runs, exported as   *)
 (* machine-readable BENCH_obs.json (validated by re-parsing it).       *)
 
-let obs_json_path = "BENCH_obs.json"
-let obs_check = ref false
-
-(* Measure the obs experiment's runs in memory: for every
-   dataset x engine, [reps] observed end-to-end resolves, reduced to
-   per-stage duration medians. Shared by the write mode (serialises to
-   BENCH_obs.json) and the --check mode (compares against the committed
-   file). *)
+(* Measure the obs experiment's runs: for every dataset x engine,
+   [reps] observed end-to-end resolves, reduced to per-stage duration
+   medians. *)
 let obs_measure () =
   let reps = if !fast_mode then 3 else 5 in
   let datasets =
-    let fb players =
-      let d =
-        Datagen.Footballdb.generate ~seed:13 ~players ~noise_ratio:0.5 ()
-      in
-      ( Printf.sprintf "footballdb-%d" players,
-        d.Datagen.Footballdb.graph,
-        Datagen.Footballdb.constraints () )
-    in
-    let wd total =
-      let d =
-        Datagen.Wikidata.generate ~seed:13 ~total_facts:total
-          ~conflict_rate:0.08 ()
-      in
-      ( Printf.sprintf "wikidata-%d" total,
-        d.Datagen.Wikidata.graph,
-        Datagen.Wikidata.constraints () )
-    in
-    if !fast_mode then [ fb 150; wd 1_000 ] else [ fb 400; wd 4_000 ]
+    if !fast_mode then [ fb_dataset 150; wd_dataset 1_000 ]
+    else [ fb_dataset 400; wd_dataset 4_000 ]
   in
   let engines = [ ("mln", mln_engine); ("psl", psl_engine) ] in
   let stage_paths =
@@ -666,12 +703,7 @@ let obs_measure () =
       ("interpret", [ "resolve"; "interpret" ]);
     ]
   in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  ( reps,
+  let runs =
     List.concat_map
       (fun (dataset, graph, rules) ->
         List.map
@@ -705,183 +737,69 @@ let obs_measure () =
                 row "%-16s %-5s %-10s median %10.2f ms\n" dataset engine_id
                   stage ms)
               stages;
-            (dataset, engine_id, Kg.Graph.size graph, stages))
+            Obs.Json.Obj
+              [
+                ("dataset", Obs.Json.Str dataset);
+                ("engine", Obs.Json.Str engine_id);
+                ("facts", Obs.Json.Num (float_of_int (Kg.Graph.size graph)));
+                ("reps", Obs.Json.Num (float_of_int reps));
+                ( "stages",
+                  Obs.Json.Obj
+                    (List.map
+                       (fun (stage, median_ms, samples) ->
+                         ( stage,
+                           Obs.Json.Obj
+                             [
+                               ("median_ms", Obs.Json.Num median_ms);
+                               ( "runs_ms",
+                                 Obs.Json.Arr
+                                   (List.map (fun s -> Obs.Json.Num s) samples)
+                               );
+                             ] ))
+                       stages) );
+              ])
           engines)
-      datasets )
-
-(* Compare freshly measured medians against the committed
-   BENCH_obs.json. The tolerance is a generous multiplicative factor
-   (machines and CI load differ far more than a regression does) with a
-   small absolute floor so sub-millisecond stages never trip it; both
-   are overridable via BENCH_OBS_TOL_FACTOR / BENCH_OBS_TOL_FLOOR_MS. *)
-let obs_check_run () =
-  section "OBS" "observability: measured medians vs committed BENCH_obs.json";
-  let env_float name default =
-    match Option.bind (Sys.getenv_opt name) float_of_string_opt with
-    | Some v when v > 0.0 -> v
-    | _ -> default
+      datasets
   in
-  let factor = env_float "BENCH_OBS_TOL_FACTOR" 25.0 in
-  let floor_ms = env_float "BENCH_OBS_TOL_FLOOR_MS" 5.0 in
-  let reference =
-    let text =
-      try
-        let ic = open_in obs_json_path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with Sys_error msg ->
-        failwith
-          (Printf.sprintf
-             "obs --check: cannot read %s (%s); run `bench obs` to \
-              regenerate it"
-             obs_json_path msg)
-    in
-    match Obs.Json.parse text with
-    | Error e -> failwith (Printf.sprintf "obs --check: %s: %s" obs_json_path e)
-    | Ok parsed -> (
-        match Obs.Json.member "runs" parsed with
-        | Some (Obs.Json.Arr runs) -> runs
-        | _ -> failwith (obs_json_path ^ ": no runs"))
-  in
-  let ref_median run_json stage =
-    match Obs.Json.member "stages" run_json with
-    | Some (Obs.Json.Obj stages) -> (
-        match
-          Option.bind (List.assoc_opt stage stages) (Obs.Json.member "median_ms")
-        with
-        | Some (Obs.Json.Num ms) -> Some ms
-        | _ -> None)
-    | _ -> None
-  in
-  let find_ref dataset engine =
-    List.find_opt
-      (fun r ->
-        Obs.Json.member "dataset" r = Some (Obs.Json.Str dataset)
-        && Obs.Json.member "engine" r = Some (Obs.Json.Str engine))
-      reference
-  in
-  let _, measured = obs_measure () in
-  let overlaps = ref 0 in
-  let failures = ref [] in
-  List.iter
-    (fun (dataset, engine_id, _, stages) ->
-      match find_ref dataset engine_id with
-      | None ->
-          row "%-16s %-5s not in %s -- skipped\n" dataset engine_id
-            obs_json_path
-      | Some ref_run ->
-          incr overlaps;
-          List.iter
-            (fun (stage, ours, _) ->
-              match ref_median ref_run stage with
-              | None -> ()
-              | Some reference ->
-                  let lo = Float.min ours reference
-                  and hi = Float.max ours reference in
-                  let ok = hi <= floor_ms || hi <= lo *. factor in
-                  row "%-16s %-5s %-10s ours %10.2f ms ref %10.2f ms %s\n"
-                    dataset engine_id stage ours reference
-                    (if ok then "ok" else "FAIL");
-                  if not ok then
-                    failures :=
-                      Printf.sprintf "%s/%s/%s: %.2f ms vs %.2f ms" dataset
-                        engine_id stage ours reference
-                      :: !failures)
-            stages)
-    measured;
-  if !overlaps = 0 then
-    failwith
-      (Printf.sprintf
-         "obs --check: no measured run matches %s (regenerate it with the \
-          same BENCH_FAST setting)"
-         obs_json_path);
-  match !failures with
-  | [] ->
-      row "obs --check: %d run(s) within %.0fx of %s\n" !overlaps factor
-        obs_json_path
-  | fs ->
-      failwith
-        (Printf.sprintf "obs --check: %d stage(s) out of tolerance:\n  %s"
-           (List.length fs)
-           (String.concat "\n  " (List.rev fs)))
+  [ ("runs", Obs.Json.Arr runs) ]
 
 let obs_bench () =
-  if !obs_check then obs_check_run ()
-  else begin
   section "OBS" "observability: per-stage medians -> BENCH_obs.json";
-  let reps, measured = obs_measure () in
-  let runs =
-    List.map
-      (fun (dataset, engine_id, facts, stages) ->
-        Obs.Json.Obj
-          [
-            ("dataset", Obs.Json.Str dataset);
-            ("engine", Obs.Json.Str engine_id);
-            ("facts", Obs.Json.Num (float_of_int facts));
-            ("reps", Obs.Json.Num (float_of_int reps));
-            ( "stages",
-              Obs.Json.Obj
-                (List.map
-                   (fun (stage, median_ms, samples) ->
-                     ( stage,
-                       Obs.Json.Obj
-                         [
-                           ("median_ms", Obs.Json.Num median_ms);
-                           ( "runs_ms",
-                             Obs.Json.Arr
-                               (List.map (fun s -> Obs.Json.Num s) samples) );
-                         ] ))
-                   stages) );
-          ])
-      measured
-  in
-  let doc =
-    Obs.Json.Obj
-      [
-        ("schema", Obs.Json.Str "tecore-bench-obs/1");
-        ("fast", Obs.Json.Bool !fast_mode);
-        ("runs", Obs.Json.Arr runs);
-      ]
-  in
-  let oc = open_out obs_json_path in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  (* Self-check: the file must round-trip through our own parser and
-     contain the stages the downstream tooling keys on. *)
-  let ic = open_in obs_json_path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  (match Obs.Json.parse text with
-  | Error e -> failwith (Printf.sprintf "%s: invalid JSON: %s" obs_json_path e)
-  | Ok parsed -> (
-      match Obs.Json.member "runs" parsed with
-      | Some (Obs.Json.Arr (_ :: _ as rs)) ->
-          List.iter
-            (fun r ->
-              match Obs.Json.member "stages" r with
+  run_baseline
+    {
+      name = "obs";
+      path = "BENCH_obs.json";
+      schema = "tecore-bench-obs/1";
+      fields = [ "facts"; "reps" ];
+      full = false;
+      tolerance = Baseline.timing;
+      cells =
+        (fun doc ->
+          List.concat_map
+            (fun run ->
+              let key =
+                Baseline.str "dataset" run ^ "/" ^ Baseline.str "engine" run
+              in
+              match Obs.Json.member "stages" run with
               | Some (Obs.Json.Obj stages) ->
-                  List.iter
-                    (fun stage ->
-                      if not (List.mem_assoc stage stages) then
-                        failwith
-                          (Printf.sprintf "%s: run misses stage %S"
-                             obs_json_path stage))
-                    [ "ground"; "encode"; "solve" ]
-              | _ -> failwith (obs_json_path ^ ": run without stages"))
-            rs
-      | _ -> failwith (obs_json_path ^ ": no runs")));
-  row "wrote %s (%d runs, %d reps each) -- JSON validated\n" obs_json_path
-    (List.length runs) reps
-  end
+                  List.map
+                    (fun (stage, s) ->
+                      (key ^ "/" ^ stage, Baseline.num "median_ms" s))
+                    stages
+              | _ -> [])
+            (Baseline.runs doc));
+      headline =
+        (fun doc ->
+          List.iter (require_stages [ "ground"; "encode"; "solve" ])
+            (Baseline.runs doc));
+      measure = obs_measure;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* PAR: the multicore execution layer — million-fact memory gate,      *)
 (* grounding speedup gate, and per-stage engine medians at --jobs 1 vs *)
 (* N, exported as BENCH_parallel.json (schema v2, validated).          *)
 
-let par_json_path = "BENCH_parallel.json"
 let compare_jobs = ref 4
 
 (* Row-oriented data-plane peaks (decimal MB, [Gc.top_heap_words]),
@@ -982,32 +900,17 @@ let par_measure_memory regime =
             (Printf.sprintf "par: memory worker output unparseable (%s)" e))
   | _ -> failwith (Printf.sprintf "par: memory worker failed for %s" regime)
 
-let par_mem_num json field =
-  match Obs.Json.member field json with
-  | Some (Obs.Json.Num v) -> v
-  | _ -> failwith (Printf.sprintf "par: memory record misses %s" field)
-
 let par_memory_section () =
   List.map
     (fun regime ->
       let json = par_measure_memory regime in
-      let peak = par_mem_num json "peak_mb" in
+      let peak = Baseline.num "peak_mb" json in
       let baseline = List.assoc regime row_baseline_mb in
       let ratio = baseline /. peak in
-      let gated = List.mem regime mem_gated_regimes in
       row
         "memory %-4s facts %8.0f peak %8.1f MB row-baseline %8.1f MB \
-         ratio %.2fx %s\n"
-        regime (par_mem_num json "facts") peak baseline ratio
-        (if not gated then "(info)"
-         else if ratio >= mem_gate_ratio then "ok"
-         else "FAIL");
-      if gated && ratio < mem_gate_ratio then
-        failwith
-          (Printf.sprintf
-             "par: memory gate failed for regime %s: peak %.1f MB is only \
-              %.2fx below the %.1f MB row-oriented baseline (gate: %.1fx)"
-             regime peak ratio baseline mem_gate_ratio);
+         ratio %.2fx\n"
+        regime (Baseline.num "facts" json) peak baseline ratio;
       match json with
       | Obs.Json.Obj fields ->
           Obs.Json.Obj
@@ -1031,11 +934,6 @@ let par_ground_speedup () =
   let jobs_hi = Prelude.Pool.jobs (Prelude.Pool.create ~jobs:!compare_jobs) in
   let data = Datagen.Wikidata.generate_regime regime in
   let rules = Datagen.Wikidata.constraints () @ Datagen.Wikidata.rules () in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
   (* Full structural fingerprint of a grounding result: the determinism
      contract is jobs=N == jobs=1, not merely "same counts". *)
   let fingerprint (r : Grounder.Ground.result) =
@@ -1106,15 +1004,8 @@ let par_ground_speedup () =
         (Printf.sprintf
            "par: grounding differs between jobs=1 and jobs=%d" jobs_hi);
     let speedup = ms1 /. ms_hi in
-    row "ground %-4s jobs=%-3d median %10.2f ms speedup %.2fx %s\n" regime
-      jobs_hi ms_hi speedup
-      (if speedup > 1.0 then "ok" else "FAIL");
-    if speedup <= 1.0 then
-      failwith
-        (Printf.sprintf
-           "par: grounding speedup gate failed: jobs=%d is %.2fx jobs=1 \
-            (gate: > 1.0x) on %d cores"
-           jobs_hi speedup cores);
+    row "ground %-4s jobs=%-3d median %10.2f ms speedup %.2fx\n" regime
+      jobs_hi ms_hi speedup;
     Obs.Json.Obj
       (base_fields
       @ [
@@ -1135,29 +1026,8 @@ let par_engine_runs () =
   in
   let reps = if !fast_mode then 3 else 5 in
   let datasets =
-    let wd total =
-      let d =
-        Datagen.Wikidata.generate ~seed:13 ~total_facts:total
-          ~conflict_rate:0.08 ()
-      in
-      ( Printf.sprintf "wikidata-%d" total,
-        d.Datagen.Wikidata.graph,
-        Datagen.Wikidata.constraints () )
-    in
-    let fb players =
-      let d =
-        Datagen.Footballdb.generate ~seed:13 ~players ~noise_ratio:0.5 ()
-      in
-      ( Printf.sprintf "footballdb-%d" players,
-        d.Datagen.Footballdb.graph,
-        Datagen.Footballdb.constraints () )
-    in
-    if !fast_mode then [ wd 1_000 ] else [ wd 4_000; fb 400 ]
-  in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
+    if !fast_mode then [ wd_dataset 1_000 ]
+    else [ wd_dataset 4_000; fb_dataset 400 ]
   in
   (* One measured run of an engine pipeline over a fresh store, without
      the resolve/interpret wrapper: the ground/encode/solve spans sit at
@@ -1240,20 +1110,6 @@ let par_engine_runs () =
                     ("total", total_median) :: stage_medians ))
                 (List.sort_uniq compare [ 1; jobs_hi ])
             in
-            (* Determinism gate: the MAP objective must be identical at
-               every job count. *)
-            (match per_jobs with
-            | (_, base_objective, _) :: rest ->
-                List.iter
-                  (fun (jobs, objective, _) ->
-                    if objective <> base_objective then
-                      failwith
-                        (Printf.sprintf
-                           "%s %s: objective differs at jobs=%d (%.6f vs \
-                            %.6f at jobs=1)"
-                           dataset engine_id jobs objective base_objective))
-                  rest
-            | [] -> assert false);
             let medians_of jobs =
               match
                 List.find_opt (fun (j, _, _) -> j = jobs) per_jobs
@@ -1319,378 +1175,127 @@ let par_engine_runs () =
           engines)
       datasets
   in
-  (jobs_hi, reps, runs)
+  (jobs_hi, runs)
 
-(* --check: gate the committed BENCH_parallel.json without rewriting it.
-   The committed gates (memory ratio, speedup-or-skip-reason) are
-   re-asserted on the committed numbers; the cheap 10^5 memory regime is
-   then re-measured fresh and compared within a tolerance factor — the
-   memory footprint is near machine-independent, so the factor is much
-   tighter than the timing tolerances. On multicore hardware the
-   grounding speedup gate is also re-run live. *)
-let par_check_run () =
-  section "PAR"
-    (Printf.sprintf "multicore: gates vs committed %s" par_json_path);
-  let text =
-    try
-      let ic = open_in par_json_path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error msg ->
-      failwith
-        (Printf.sprintf
-           "par --check: cannot read %s (%s); run `bench par` to regenerate \
-            it"
-           par_json_path msg)
-  in
-  let parsed =
-    match Obs.Json.parse text with
-    | Ok p -> p
-    | Error e -> failwith (Printf.sprintf "par --check: %s: %s" par_json_path e)
-  in
-  (match Obs.Json.member "schema" parsed with
-  | Some (Obs.Json.Str "tecore-bench-parallel/2") -> ()
-  | _ ->
-      failwith
-        (par_json_path
-       ^ ": schema is not tecore-bench-parallel/2; run `bench par` to \
-          regenerate it"));
-  (match Obs.Json.member "runs" parsed with
-  | Some (Obs.Json.Arr (_ :: _)) -> ()
-  | _ -> failwith (par_json_path ^ ": no engine runs"));
+(* The par gates, on a committed or a fresh document: the million-fact
+   memory ratio, a passing grounding speedup or a logged skip reason,
+   and one MAP objective per run at every job count. A --smoke run
+   measures only the 1e5 regime, so only a full document must carry the
+   gated regimes. *)
+let par_headline doc =
   let memory =
-    match Obs.Json.member "memory" parsed with
+    match Obs.Json.member "memory" doc with
     | Some (Obs.Json.Arr (_ :: _ as ms)) -> ms
-    | _ -> failwith (par_json_path ^ ": no memory section")
+    | _ -> failwith "no memory section"
   in
-  let committed_1e5_peak = ref None in
-  let seen_regimes = ref [] in
-  List.iter
-    (fun m ->
-      let regime =
-        match Obs.Json.member "regime" m with
-        | Some (Obs.Json.Str r) -> r
-        | _ -> failwith (par_json_path ^ ": memory record without regime")
-      in
-      let peak = par_mem_num m "peak_mb" in
-      let ratio = par_mem_num m "ratio" in
-      (match Obs.Json.member "stages" m with
-      | Some (Obs.Json.Obj stages) ->
-          List.iter
-            (fun stage ->
-              if not (List.mem_assoc stage stages) then
-                failwith
-                  (Printf.sprintf "%s: memory record misses stage %S"
-                     par_json_path stage))
-            [ "gen"; "intern"; "ground" ]
-      | _ -> failwith (par_json_path ^ ": memory record without stages"));
-      seen_regimes := regime :: !seen_regimes;
-      if regime = "1e5" then committed_1e5_peak := Some peak;
-      let gated = List.mem regime mem_gated_regimes in
-      row "committed memory %-4s peak %8.1f MB ratio %.2fx %s\n" regime peak
-        ratio
-        (if not gated then "(info)"
-         else if ratio >= mem_gate_ratio then "ok"
-         else "FAIL");
-      if gated && ratio < mem_gate_ratio then
-        failwith
-          (Printf.sprintf
-             "par --check: committed memory ratio for %s is %.2fx (gate: \
-              %.1fx)"
-             regime ratio mem_gate_ratio))
-    memory;
+  List.iter (require_stages [ "gen"; "intern"; "ground" ]) memory;
   List.iter
     (fun regime ->
-      if not (List.mem regime !seen_regimes) then
-        failwith
-          (Printf.sprintf
-             "par --check: %s lacks the gated regime %s — it was written by \
-              a --smoke run; regenerate with a full `bench par`"
-             par_json_path regime))
+      match
+        List.find_opt
+          (fun m -> Obs.Json.member "regime" m = Some (Obs.Json.Str regime))
+          memory
+      with
+      | Some m ->
+          let ratio = Baseline.num "ratio" m in
+          if ratio < mem_gate_ratio then
+            failwith
+              (Printf.sprintf
+                 "memory gate failed for regime %s: peak %.1f MB is only \
+                  %.2fx below the row-oriented baseline (gate: %.1fx)"
+                 regime (Baseline.num "peak_mb" m) ratio mem_gate_ratio)
+      | None when Obs.Json.member "fast" doc = Some (Obs.Json.Bool true) -> ()
+      | None -> failwith ("lacks the gated regime " ^ regime))
     mem_gated_regimes;
-  (match Obs.Json.member "ground_speedup" parsed with
+  (match Obs.Json.member "ground_speedup" doc with
+  | None -> failwith "no ground_speedup section"
   | Some gs -> (
       match
         (Obs.Json.member "speedup" gs, Obs.Json.member "skip_reason" gs)
       with
-      | Some (Obs.Json.Num s), _ when s > 1.0 ->
-          row "committed ground speedup %.2fx ok\n" s
-      | _, Some (Obs.Json.Str reason) ->
-          row "committed ground speedup gate skipped: %s\n" reason
+      | Some (Obs.Json.Num s), _ when s > 1.0 -> ()
+      | _, Some (Obs.Json.Str _) -> ()
+      | Some (Obs.Json.Num s), _ ->
+          failwith
+            (Printf.sprintf
+               "grounding speedup gate failed: jobs=%.0f is %.2fx jobs=1 \
+                (gate: > 1.0x) on %.0f cores"
+               (Baseline.num "jobs_hi" gs) s (Baseline.num "cores" gs))
       | _ ->
           failwith
-            (par_json_path
-           ^ ": ground_speedup has neither a passing speedup nor a \
-              skip_reason"))
-  | None -> failwith (par_json_path ^ ": no ground_speedup section"));
-  (* Fresh 10^5 memory measurement: cheap enough for CI, and its peak
-     must agree with the committed number within tolerance — that
-     catches a data-plane memory regression without paying for a fresh
-     million-fact run. (No 3x gate here: the 10^5 peak sits within one
-     heap-growth quantisation step of 3x, see [mem_gated_regimes].) *)
-  let fresh = par_measure_memory "1e5" in
-  let fresh_peak = par_mem_num fresh "peak_mb" in
-  let baseline = List.assoc "1e5" row_baseline_mb in
-  let fresh_ratio = baseline /. fresh_peak in
-  row "fresh memory 1e5  peak %8.1f MB ratio %.2fx (info)\n" fresh_peak
-    fresh_ratio;
-  (match !committed_1e5_peak with
-  | None -> failwith (par_json_path ^ ": no committed 1e5 memory record")
-  | Some reference ->
-      let factor =
-        match
-          Option.bind
-            (Sys.getenv_opt "BENCH_PAR_MEM_TOL_FACTOR")
-            float_of_string_opt
-        with
-        | Some v when v > 1.0 -> v
-        | _ -> 2.0
-      in
-      let lo = Float.min fresh_peak reference
-      and hi = Float.max fresh_peak reference in
-      if hi > lo *. factor then
-        failwith
-          (Printf.sprintf
-             "par --check: fresh 1e5 peak %.1f MB vs committed %.1f MB \
-              exceeds %.1fx tolerance"
-             fresh_peak reference factor));
-  (* Live speedup gate where the hardware can parallelise at all. *)
-  if Prelude.Pool.recommended_jobs () >= 2 then
-    ignore (par_ground_speedup ())
-  else
-    row
-      "live ground speedup gate skipped: 1 core available \
-       (recommended_jobs=1)\n";
-  row "par --check: %s gates hold\n" par_json_path
+            "ground_speedup has neither a passing speedup nor a skip_reason"));
+  (* Determinism gate: the MAP objective must be identical at every job
+     count. *)
+  List.iter
+    (fun run ->
+      match Obs.Json.member "jobs" run with
+      | Some (Obs.Json.Obj (_ :: _ as per_jobs)) -> (
+          List.iter
+            (fun (_, v) ->
+              require_stages [ "ground"; "encode"; "solve"; "total" ] v)
+            per_jobs;
+          match
+            List.sort_uniq compare
+              (List.map (fun (_, v) -> Baseline.num "objective" v) per_jobs)
+          with
+          | [ _ ] -> ()
+          | _ ->
+              failwith
+                (Printf.sprintf "%s %s: objectives differ across job counts"
+                   (Baseline.str "dataset" run) (Baseline.str "engine" run)))
+      | _ -> failwith "run without jobs")
+    (Baseline.runs doc)
 
 let par_bench () =
-  if !obs_check then par_check_run ()
-  else begin
-    section "PAR"
-      (Printf.sprintf
-         "multicore: memory + grounding gates, per-stage medians -> %s"
-         par_json_path);
-    let memory = par_memory_section () in
-    let ground_speedup = par_ground_speedup () in
-    let jobs_hi, reps, runs = par_engine_runs () in
-    let doc =
-      Obs.Json.Obj
-        [
-          ("schema", Obs.Json.Str "tecore-bench-parallel/2");
-          ("fast", Obs.Json.Bool !fast_mode);
-          ( "cores",
-            Obs.Json.Num (float_of_int (Prelude.Pool.recommended_jobs ())) );
-          ( "jobs_compared",
-            Obs.Json.Arr
-              (List.map
-                 (fun j -> Obs.Json.Num (float_of_int j))
-                 (List.sort_uniq compare [ 1; jobs_hi ])) );
-          ("memory", Obs.Json.Arr memory);
-          ("ground_speedup", ground_speedup);
-          ("runs", Obs.Json.Arr runs);
-        ]
-    in
-    let oc = open_out par_json_path in
-    output_string oc (Obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    (* Self-check: round-trip through our own parser and verify the
-       gates and objective agreement the schema promises. *)
-    let ic = open_in par_json_path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    (match Obs.Json.parse text with
-    | Error e ->
-        failwith (Printf.sprintf "%s: invalid JSON: %s" par_json_path e)
-    | Ok parsed -> (
-        (match Obs.Json.member "memory" parsed with
-        | Some (Obs.Json.Arr (_ :: _ as ms)) ->
-            List.iter
-              (fun m ->
-                let gated =
-                  match Obs.Json.member "regime" m with
-                  | Some (Obs.Json.Str r) -> List.mem r mem_gated_regimes
-                  | _ -> failwith (par_json_path ^ ": memory record without regime")
-                in
-                if gated && par_mem_num m "ratio" < mem_gate_ratio then
-                  failwith (par_json_path ^ ": memory ratio below gate"))
-              ms
-        | _ -> failwith (par_json_path ^ ": no memory section"));
-        (match Obs.Json.member "ground_speedup" parsed with
-        | Some gs -> (
-            match
-              (Obs.Json.member "speedup" gs, Obs.Json.member "skip_reason" gs)
-            with
-            | Some (Obs.Json.Num s), _ when s > 1.0 -> ()
-            | _, Some (Obs.Json.Str _) -> ()
-            | _ ->
-                failwith
-                  (par_json_path
-                 ^ ": ground_speedup lacks a passing speedup or skip_reason"))
-        | None -> failwith (par_json_path ^ ": no ground_speedup section"));
-        match Obs.Json.member "runs" parsed with
-        | Some (Obs.Json.Arr (_ :: _ as rs)) ->
-            List.iter
-              (fun r ->
-                match Obs.Json.member "jobs" r with
-                | Some (Obs.Json.Obj ((_ :: _) as per_jobs)) ->
-                    let objectives =
-                      List.filter_map
-                        (fun (_, v) -> Obs.Json.member "objective" v)
-                        per_jobs
-                    in
-                    (match objectives with
-                    | Obs.Json.Num o :: rest ->
-                        List.iter
-                          (function
-                            | Obs.Json.Num o' when o = o' -> ()
-                            | _ ->
-                                failwith
-                                  (par_json_path
-                                  ^ ": objectives differ across job counts"))
-                          rest
-                    | _ ->
-                        failwith (par_json_path ^ ": run without objective"));
-                    List.iter
-                      (fun (_, v) ->
-                        match Obs.Json.member "stages" v with
-                        | Some (Obs.Json.Obj stages) ->
-                            List.iter
-                              (fun stage ->
-                                if not (List.mem_assoc stage stages) then
-                                  failwith
-                                    (Printf.sprintf "%s: run misses stage %S"
-                                       par_json_path stage))
-                              [ "ground"; "encode"; "solve"; "total" ]
-                        | _ ->
-                            failwith
-                              (par_json_path ^ ": job entry without stages"))
-                      per_jobs
-                | _ -> failwith (par_json_path ^ ": run without jobs"))
-              rs
-        | _ -> failwith (par_json_path ^ ": no runs")));
-    row "wrote %s (%d runs, %d reps each, jobs 1 vs %d) -- JSON validated\n"
-      par_json_path (List.length runs) reps jobs_hi
-  end
-
-(* ------------------------------------------------------------------ *)
-(* DEADLINE: the anytime contract — best-so-far cost vs time budget on *)
-(* a pre-ground network, exported as BENCH_deadline.json (validated by *)
-(* re-parsing).                                                        *)
-
-let deadline_json_path = "BENCH_deadline.json"
-
-let deadline_bench () =
-  section "DEADLINE"
-    "anytime inference: best-so-far cost vs budget -> BENCH_deadline.json";
-  let players = if !fast_mode then 150 else 400 in
-  let d = Datagen.Footballdb.generate ~seed:13 ~players ~noise_ratio:0.5 () in
-  let store = Grounder.Atom_store.of_graph d.Datagen.Footballdb.graph in
-  let ground = Grounder.Ground.run store (Datagen.Footballdb.constraints ()) in
-  let network = Mln.Network.build store ground.Grounder.Ground.instances in
-  let init = Mln.Network.expanded_assignment network in
-  let budgets =
-    if !fast_mode then [ 2.; 10.; 50. ] else [ 2.; 10.; 50.; 250. ]
-  in
-  let point label deadline extra =
-    let (_, stats), wall_ms =
-      Prelude.Timing.time (fun () ->
-          Mln.Maxwalksat.solve ~seed:17 ~init ?deadline network)
-    in
-    let status =
-      Prelude.Deadline.status_name stats.Mln.Maxwalksat.status
-    in
-    row "%-12s status %-10s hard %5d soft %10.2f flips %9d (%.1f ms)\n"
-      label status stats.Mln.Maxwalksat.hard_violated
-      stats.Mln.Maxwalksat.soft_cost stats.Mln.Maxwalksat.flips wall_ms;
-    Obs.Json.Obj
-      (extra
-      @ [
-          ("status", Obs.Json.Str status);
-          ( "hard_violated",
-            Obs.Json.Num (float_of_int stats.Mln.Maxwalksat.hard_violated) );
-          ("soft_cost", Obs.Json.Num stats.Mln.Maxwalksat.soft_cost);
-          ("flips", Obs.Json.Num (float_of_int stats.Mln.Maxwalksat.flips));
-          ("wall_ms", Obs.Json.Num wall_ms);
-        ])
-  in
-  let budget_points =
-    List.map
-      (fun budget ->
-        point
-          (Printf.sprintf "%gms" budget)
-          (Some (Prelude.Deadline.after ~ms:budget))
-          [ ("budget_ms", Obs.Json.Num budget) ])
-      budgets
-  in
-  let unbounded = point "unbounded" None [ ("budget_ms", Obs.Json.Null) ] in
-  let runs = budget_points @ [ unbounded ] in
-  let doc =
-    Obs.Json.Obj
-      [
-        ("schema", Obs.Json.Str "tecore-bench-deadline/1");
-        ("fast", Obs.Json.Bool !fast_mode);
-        ("dataset", Obs.Json.Str (Printf.sprintf "footballdb-%d" players));
-        ("atoms", Obs.Json.Num (float_of_int network.Mln.Network.num_atoms));
-        ( "clauses",
-          Obs.Json.Num
-            (float_of_int (Array.length network.Mln.Network.clauses)) );
-        ("runs", Obs.Json.Arr runs);
-      ]
-  in
-  let oc = open_out deadline_json_path in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  (* Self-check: round-trip through our own parser, every point tagged
-     with a known status and finite non-negative costs, and the
-     unbounded run completed. Deliberately NOT asserted: monotonicity
-     of cost in the budget — wall-clock budgets make that flaky. *)
-  let ic = open_in deadline_json_path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  (match Obs.Json.parse text with
-  | Error e ->
-      failwith (Printf.sprintf "%s: invalid JSON: %s" deadline_json_path e)
-  | Ok parsed -> (
-      match Obs.Json.member "runs" parsed with
-      | Some (Obs.Json.Arr (_ :: _ as points)) ->
-          let finite_num field p =
-            match Obs.Json.member field p with
-            | Some (Obs.Json.Num v) when Float.is_finite v && v >= 0.0 -> v
-            | _ ->
-                failwith
-                  (Printf.sprintf "%s: bad %s" deadline_json_path field)
-          in
-          List.iter
-            (fun p ->
-              ignore (finite_num "hard_violated" p);
-              ignore (finite_num "soft_cost" p);
-              ignore (finite_num "wall_ms" p);
-              match Obs.Json.member "status" p with
-              | Some (Obs.Json.Str ("completed" | "timed_out" | "degraded"))
-                ->
-                  ()
-              | _ -> failwith (deadline_json_path ^ ": bad status"))
-            points;
-          (match List.rev points with
-          | last :: _ -> (
-              match Obs.Json.member "status" last with
-              | Some (Obs.Json.Str "completed") -> ()
-              | _ ->
-                  failwith
-                    (deadline_json_path ^ ": unbounded run did not complete"))
-          | [] -> assert false)
-      | _ -> failwith (deadline_json_path ^ ": no runs")));
-  row "wrote %s (%d budgets + unbounded) -- JSON validated\n"
-    deadline_json_path (List.length budgets)
+  section "PAR"
+    "multicore: memory + grounding gates, per-stage medians -> \
+     BENCH_parallel.json";
+  run_baseline
+    {
+      name = "par";
+      path = "BENCH_parallel.json";
+      schema = "tecore-bench-parallel/2";
+      fields = [ "facts"; "reps"; "objective" ];
+      full = true;
+      (* Only the memory peaks are compared: the footprint is near
+         machine-independent, so a data-plane memory regression shows
+         without paying for a fresh million-fact run. (The 10^5 peak
+         gets no 3x gate: it sits within one heap-growth quantisation
+         step of 3x, see [mem_gated_regimes].) *)
+      tolerance = Baseline.memory;
+      cells =
+        (fun doc ->
+          match Obs.Json.member "memory" doc with
+          | Some (Obs.Json.Arr ms) ->
+              List.map
+                (fun m ->
+                  ( "memory " ^ Baseline.str "regime" m ^ " peak_mb",
+                    Baseline.num "peak_mb" m ))
+                ms
+          | _ -> []);
+      headline = par_headline;
+      measure =
+        (fun () ->
+          let memory = par_memory_section () in
+          let ground_speedup = par_ground_speedup () in
+          let jobs_hi, runs = par_engine_runs () in
+          [
+            ( "cores",
+              Obs.Json.Num (float_of_int (Prelude.Pool.recommended_jobs ())) );
+            ( "jobs_compared",
+              Obs.Json.Arr
+                (List.map
+                   (fun j -> Obs.Json.Num (float_of_int j))
+                   (List.sort_uniq compare [ 1; jobs_hi ])) );
+            ("memory", Obs.Json.Arr memory);
+            ("ground_speedup", ground_speedup);
+            ("runs", Obs.Json.Arr runs);
+          ]);
+    }
 
 (* ------------------------------------------------------------------ *)
 (* INCR: incremental re-resolve latency vs from-scratch, per delta     *)
 (* size, exported as BENCH_incremental.json (validated by re-parsing). *)
-
-let incr_json_path = "BENCH_incremental.json"
 
 (* One measured cell: [engine] re-resolving after [delta_size]
    single-fact edits (each a retract of one playsFor stint plus an
@@ -1705,11 +1310,6 @@ let incr_measure () =
   let rules = Datagen.Footballdb.constraints () in
   let engines = [ ("mln", mln_engine); ("psl", psl_engine) ] in
   let deltas = [ 1; 10; 100 ] in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
   let signature (r : Tecore.Engine.result) =
     let res = r.Tecore.Engine.resolution in
     ( List.map fst res.Tecore.Conflict.removed,
@@ -1717,8 +1317,7 @@ let incr_measure () =
       List.length res.Tecore.Conflict.derived,
       r.Tecore.Engine.stats.Tecore.Engine.objective )
   in
-  ( reps,
-    players,
+  let runs =
     List.concat_map
       (fun (engine_id, engine) ->
         List.map
@@ -1790,200 +1389,88 @@ let incr_measure () =
                speedup %5.2fx\n"
               engine_id delta_size fresh_ms incr_ms
               (fresh_ms /. incr_ms);
-            (engine_id, delta_size, fresh_ms, incr_ms, cache))
+            Obs.Json.Obj
+              [
+                ("engine", Obs.Json.Str engine_id);
+                ("delta", Obs.Json.Num (float_of_int delta_size));
+                ("fresh_ms", Obs.Json.Num fresh_ms);
+                ("incremental_ms", Obs.Json.Num incr_ms);
+                ("speedup", Obs.Json.Num (fresh_ms /. incr_ms));
+                ( "cache",
+                  Obs.Json.Obj
+                    [
+                      ( "entries",
+                        Obs.Json.Num
+                          (float_of_int cache.Tecore.Engine.solve_entries) );
+                      ( "hits",
+                        Obs.Json.Num
+                          (float_of_int cache.Tecore.Engine.solve_hits) );
+                      ( "misses",
+                        Obs.Json.Num
+                          (float_of_int cache.Tecore.Engine.solve_misses) );
+                    ] );
+              ])
           deltas)
-      engines )
-
-let incr_check_run () =
-  section "INCR"
-    "incremental: measured latencies vs committed BENCH_incremental.json";
-  let env_float name default =
-    match Option.bind (Sys.getenv_opt name) float_of_string_opt with
-    | Some v when v > 0.0 -> v
-    | Some _ | None -> default
+      engines
   in
-  let factor = env_float "BENCH_INCR_TOL_FACTOR" 25.0 in
-  let floor_ms = env_float "BENCH_INCR_TOL_FLOOR_MS" 5.0 in
-  let committed =
-    let ic =
-      try open_in incr_json_path
-      with Sys_error msg ->
-        failwith
-          (Printf.sprintf
-             "incr --check: cannot read %s (%s); run `bench incr` to \
-              regenerate it"
-             incr_json_path msg)
-    in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Obs.Json.parse text with
-    | Error e -> failwith (Printf.sprintf "incr --check: %s: %s" incr_json_path e)
-    | Ok doc -> doc
-  in
-  let committed_runs =
-    match Obs.Json.member "runs" committed with
-    | Some (Obs.Json.Arr runs) -> runs
-    | _ -> failwith (incr_json_path ^ ": no runs")
-  in
-  let lookup engine_id delta =
-    List.find_opt
-      (fun r ->
-        Obs.Json.member "engine" r = Some (Obs.Json.Str engine_id)
-        && Obs.Json.member "delta" r
-           = Some (Obs.Json.Num (float_of_int delta)))
-      committed_runs
-  in
-  let num field r =
-    match Obs.Json.member field r with
-    | Some (Obs.Json.Num v) when Float.is_finite v -> v
-    | _ -> failwith (Printf.sprintf "%s: bad %s" incr_json_path field)
-  in
-  (* The committed headline: a 1-fact edit re-resolves faster than from
-     scratch, on the machine that produced the file. *)
-  List.iter
-    (fun engine_id ->
-      match lookup engine_id 1 with
-      | None ->
-          failwith
-            (Printf.sprintf "%s: no delta=1 run for %s" incr_json_path
-               engine_id)
-      | Some r ->
-          if num "speedup" r <= 1.0 then
-            failwith
-              (Printf.sprintf
-                 "%s: committed delta=1 speedup for %s is not > 1"
-                 incr_json_path engine_id))
-    [ "mln"; "psl" ];
-  let _, _, measured = incr_measure () in
-  let failures = ref [] in
-  List.iter
-    (fun (engine_id, delta, fresh_ms, incr_ms, _cache) ->
-      match lookup engine_id delta with
-      | None ->
-          failures :=
-            Printf.sprintf "%s delta=%d: missing from %s" engine_id delta
-              incr_json_path
-            :: !failures
-      | Some r ->
-          let within ref_ms ms =
-            ms <= (ref_ms *. factor) +. floor_ms
-            && ref_ms <= (ms *. factor) +. floor_ms
-          in
-          if not (within (num "fresh_ms" r) fresh_ms) then
-            failures :=
-              Printf.sprintf "%s delta=%d: fresh %.2f ms vs committed %.2f ms"
-                engine_id delta fresh_ms (num "fresh_ms" r)
-              :: !failures;
-          if not (within (num "incremental_ms" r) incr_ms) then
-            failures :=
-              Printf.sprintf
-                "%s delta=%d: incremental %.2f ms vs committed %.2f ms"
-                engine_id delta incr_ms
-                (num "incremental_ms" r)
-              :: !failures)
-    measured;
-  match !failures with
-  | [] ->
-      row "incr --check: all cells within %.0fx of %s\n" factor incr_json_path
-  | fs ->
-      failwith
-        (Printf.sprintf "incr --check: %d cell(s) out of tolerance:\n  %s"
-           (List.length fs)
-           (String.concat "\n  " (List.rev fs)))
+  [
+    ("players", Obs.Json.Num (float_of_int players));
+    ("reps", Obs.Json.Num (float_of_int reps));
+    ("runs", Obs.Json.Arr runs);
+  ]
 
 let incr_bench () =
-  if !obs_check then incr_check_run ()
-  else begin
-    section "INCR"
-      "incremental sessions: delta re-resolve -> BENCH_incremental.json";
-    let reps, players, measured = incr_measure () in
-    (* The headline claim of the incremental engine, enforced at write
-       time: re-resolving after a single-fact edit beats a from-scratch
-       resolve on wall-clock median. *)
-    List.iter
-      (fun (engine_id, delta, fresh_ms, incr_ms, _) ->
-        if delta = 1 && incr_ms >= fresh_ms then
-          failwith
-            (Printf.sprintf
-               "incr: delta=1 incremental (%.2f ms) did not beat fresh \
-                (%.2f ms) for %s"
-               incr_ms fresh_ms engine_id))
-      measured;
-    let runs =
-      List.map
-        (fun (engine_id, delta, fresh_ms, incr_ms, cache) ->
-          Obs.Json.Obj
-            [
-              ("engine", Obs.Json.Str engine_id);
-              ("delta", Obs.Json.Num (float_of_int delta));
-              ("fresh_ms", Obs.Json.Num fresh_ms);
-              ("incremental_ms", Obs.Json.Num incr_ms);
-              ("speedup", Obs.Json.Num (fresh_ms /. incr_ms));
-              ( "cache",
-                Obs.Json.Obj
+  section "INCR"
+    "incremental sessions: delta re-resolve -> BENCH_incremental.json";
+  run_baseline
+    {
+      name = "incr";
+      path = "BENCH_incremental.json";
+      schema = "tecore-bench-incremental/1";
+      fields = [ "delta"; "fresh_ms"; "incremental_ms"; "speedup" ];
+      full = false;
+      tolerance = Baseline.timing;
+      cells =
+        (fun doc ->
+          List.concat_map
+            (fun run ->
+              let key =
+                Printf.sprintf "%s delta=%.0f " (Baseline.str "engine" run)
+                  (Baseline.num "delta" run)
+              in
+              List.map
+                (fun field -> (key ^ field, Baseline.num field run))
+                [ "fresh_ms"; "incremental_ms" ])
+            (Baseline.runs doc));
+      (* The headline claim of the incremental engine: re-resolving
+         after a single-fact edit beats a from-scratch resolve on
+         wall-clock median. *)
+      headline =
+        (fun doc ->
+          List.iter
+            (fun engine ->
+              let run =
+                Baseline.run_where
                   [
-                    ( "entries",
-                      Obs.Json.Num
-                        (float_of_int cache.Tecore.Engine.solve_entries) );
-                    ( "hits",
-                      Obs.Json.Num
-                        (float_of_int cache.Tecore.Engine.solve_hits) );
-                    ( "misses",
-                      Obs.Json.Num
-                        (float_of_int cache.Tecore.Engine.solve_misses) );
-                  ] );
-            ])
-        measured
-    in
-    let doc =
-      Obs.Json.Obj
-        [
-          ("schema", Obs.Json.Str "tecore-bench-incremental/1");
-          ("fast", Obs.Json.Bool !fast_mode);
-          ("players", Obs.Json.Num (float_of_int players));
-          ("reps", Obs.Json.Num (float_of_int reps));
-          ("runs", Obs.Json.Arr runs);
-        ]
-    in
-    let oc = open_out incr_json_path in
-    output_string oc (Obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    (* Self-check: round-trip through our own parser, and make sure the
-       numbers downstream tooling keys on are present and finite. *)
-    let ic = open_in incr_json_path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    (match Obs.Json.parse text with
-    | Error e ->
-        failwith (Printf.sprintf "%s: invalid JSON: %s" incr_json_path e)
-    | Ok parsed -> (
-        match Obs.Json.member "runs" parsed with
-        | Some (Obs.Json.Arr (_ :: _ as rs)) ->
-            List.iter
-              (fun r ->
-                List.iter
-                  (fun field ->
-                    match Obs.Json.member field r with
-                    | Some (Obs.Json.Num v) when Float.is_finite v -> ()
-                    | _ ->
-                        failwith
-                          (Printf.sprintf "%s: run misses %s" incr_json_path
-                             field))
-                  [ "delta"; "fresh_ms"; "incremental_ms"; "speedup" ])
-              rs
-        | _ -> failwith (incr_json_path ^ ": no runs")));
-    row "wrote %s (%d cells, %d reps each) -- JSON validated\n"
-      incr_json_path (List.length measured) reps
-  end
+                    ("engine", Obs.Json.Str engine); ("delta", Obs.Json.Num 1.0);
+                  ]
+                  doc
+              in
+              let speedup = Baseline.num "speedup" run in
+              if speedup <= 1.0 then
+                failwith
+                  (Printf.sprintf
+                     "delta=1 speedup for %s is %.2fx, not > 1" engine
+                     speedup))
+            [ "mln"; "psl" ]);
+      measure = incr_measure;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* serve: request latency and throughput through the wire protocol at  *)
 (* 1/8/64 concurrent sessions, warm vs cold, exported as               *)
 (* BENCH_serve.json (validated by re-parsing).                         *)
 (* ------------------------------------------------------------------ *)
-
-let serve_json_path = "BENCH_serve.json"
 
 (* One benchmark client: its own session, graph and edit stream over a
    real loopback socket. *)
@@ -1998,15 +1485,26 @@ let serve_client_request fd ic line =
   if String.length resp < 2 || String.sub resp 0 2 <> "ok" then
     failwith (Printf.sprintf "bench serve: request %S failed: %s" line resp)
 
+(* Open a session over [req] and seed it with a graph big enough that
+   from-scratch grounding dominates the cold resolve: 60 facts over 12
+   players, with overlapping spells inside each player's career feeding
+   the constraint. *)
+let serve_seed req =
+  req "open";
+  req
+    "constraint one_team: ex:playsFor(x, y)@t ^ \
+     ex:playsFor(x, z)@t2 ^ y != z => disjoint(t, t2) .";
+  for f = 1 to 60 do
+    req
+      (Printf.sprintf
+         "assert ex:P%d ex:playsFor ex:T%d [%d,%d] 0.8 ."
+         (f mod 12) (f mod 6) (1900 + (3 * (f / 12)))
+         (1904 + (3 * (f / 12))))
+  done
+
 let serve_measure ?(lanes = 1) () =
   let reps = if !fast_mode then 4 else 12 in
   let session_counts = if !fast_mode then [ 1; 8 ] else [ 1; 8; 64 ] in
-  let percentile p xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(int_of_float (p *. float_of_int (Array.length a - 1)))
-  in
-  let median = percentile 0.5 in
   let cells =
     List.map
       (fun sessions ->
@@ -2027,21 +1525,7 @@ let serve_measure ?(lanes = 1) () =
                 (fun () ->
                   let req = serve_client_request fd ic in
                   req (Printf.sprintf "hello bench-%d-%d" sessions i);
-                  req "open";
-                  req
-                    "constraint one_team: ex:playsFor(x, y)@t ^ \
-                     ex:playsFor(x, z)@t2 ^ y != z => disjoint(t, t2) .";
-                  (* A seed graph big enough that from-scratch grounding
-                     dominates the cold resolve: 60 facts over 12
-                     players, with overlapping spells inside each
-                     player's career feeding the constraint. *)
-                  for f = 1 to 60 do
-                    req
-                      (Printf.sprintf
-                         "assert ex:P%d ex:playsFor ex:T%d [%d,%d] 0.8 ."
-                         (f mod 12) (f mod 6) (1900 + (3 * (f / 12)))
-                         (1904 + (3 * (f / 12))))
-                  done;
+                  serve_seed req;
                   (* Cold: the first resolve grounds from scratch. *)
                   let t0 = Unix.gettimeofday () in
                   req "resolve";
@@ -2079,109 +1563,6 @@ let serve_measure ?(lanes = 1) () =
       session_counts
   in
   (reps, cells)
-
-let serve_check_run () =
-  section "SERVE"
-    "serve: measured latencies vs committed BENCH_serve.json";
-  let env_float name default =
-    match Option.bind (Sys.getenv_opt name) float_of_string_opt with
-    | Some v when v > 0.0 -> v
-    | Some _ | None -> default
-  in
-  let factor = env_float "BENCH_SERVE_TOL_FACTOR" 25.0 in
-  let floor_ms = env_float "BENCH_SERVE_TOL_FLOOR_MS" 5.0 in
-  let committed =
-    let ic =
-      try open_in serve_json_path
-      with Sys_error msg ->
-        failwith
-          (Printf.sprintf
-             "serve --check: cannot read %s (%s); run `bench serve` to \
-              regenerate it"
-             serve_json_path msg)
-    in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Obs.Json.parse text with
-    | Error e ->
-        failwith (Printf.sprintf "serve --check: %s: %s" serve_json_path e)
-    | Ok doc -> doc
-  in
-  (match Obs.Json.member "schema" committed with
-  | Some (Obs.Json.Str "tecore-bench-serve/2") -> ()
-  | Some (Obs.Json.Str s) ->
-      failwith
-        (Printf.sprintf
-           "serve --check: %s has schema %s, expected tecore-bench-serve/2; \
-            run `bench serve` to regenerate it"
-           serve_json_path s)
-  | _ -> failwith (serve_json_path ^ ": missing schema"));
-  let committed_runs =
-    match Obs.Json.member "runs" committed with
-    | Some (Obs.Json.Arr runs) -> runs
-    | _ -> failwith (serve_json_path ^ ": no runs")
-  in
-  let num field r =
-    match Obs.Json.member field r with
-    | Some (Obs.Json.Num v) when Float.is_finite v -> v
-    | _ -> failwith (Printf.sprintf "%s: bad %s" serve_json_path field)
-  in
-  (* The single-lane cells are the latency baseline CI re-measures;
-     multi-lane rows (when the producing machine had the cores for
-     them) are covered by the write-time throughput gate instead. *)
-  let lookup sessions =
-    List.find_opt
-      (fun r ->
-        Obs.Json.member "sessions" r
-          = Some (Obs.Json.Num (float_of_int sessions))
-        && Obs.Json.member "lanes" r = Some (Obs.Json.Num 1.0))
-      committed_runs
-  in
-  (* The committed headline: warm-path service beats cold resolution on
-     the machine that produced the file. *)
-  (match lookup 1 with
-  | None -> failwith (serve_json_path ^ ": no sessions=1, lanes=1 run")
-  | Some r ->
-      if num "warm_ms" r >= num "cold_ms" r then
-        failwith
-          (Printf.sprintf "%s: committed warm_ms is not below cold_ms"
-             serve_json_path));
-  let _, cells = serve_measure () in
-  let failures = ref [] in
-  List.iter
-    (fun (sessions, cold_ms, warm_ms, warm_p95_ms, _, _) ->
-      match lookup sessions with
-      | None ->
-          failures :=
-            Printf.sprintf "sessions=%d: missing from %s" sessions
-              serve_json_path
-            :: !failures
-      | Some r ->
-          let within name ref_ms ms =
-            if
-              not
-                (ms <= (ref_ms *. factor) +. floor_ms
-                && ref_ms <= (ms *. factor) +. floor_ms)
-            then
-              failures :=
-                Printf.sprintf
-                  "sessions=%d: %s %.2f ms vs committed %.2f ms" sessions
-                  name ms ref_ms
-                :: !failures
-          in
-          within "cold" (num "cold_ms" r) cold_ms;
-          within "warm" (num "warm_ms" r) warm_ms;
-          within "warm p95" (num "warm_p95_ms" r) warm_p95_ms)
-    cells;
-  match !failures with
-  | [] ->
-      row "serve --check: all cells within %.0fx of %s\n" factor
-        serve_json_path
-  | fs ->
-      failwith
-        (Printf.sprintf "serve --check: %d cell(s) out of tolerance:\n  %s"
-           (List.length fs)
-           (String.concat "\n  " (List.rev fs)))
 
 (* Tracing sanity gate: with every-request sampling on, each traced
    request's phase durations must sum to at most its wall time (phases
@@ -2268,161 +1649,151 @@ let serve_trace_gate () =
   row "serve trace gate: %d traced requests, phase sums within wall time\n"
     (List.length records)
 
-let serve_bench () =
-  if !obs_check then begin
-    serve_check_run ();
-    serve_trace_gate ()
-  end
-  else begin
-    section "SERVE"
-      "serve: wire latency and throughput -> BENCH_serve.json";
-    serve_trace_gate ();
-    let reps, cells = serve_measure () in
-    (* Write-time gate: at one session, warm resolves through the server
-       must beat the cold (from-scratch) resolve on median. *)
-    List.iter
-      (fun (sessions, cold_ms, warm_ms, _, _, _) ->
-        if sessions = 1 && warm_ms >= cold_ms then
-          failwith
-            (Printf.sprintf
-               "serve: warm resolve (%.2f ms) did not beat cold (%.2f ms) \
-                at 1 session"
-               warm_ms cold_ms))
-      cells;
-    let run_json lanes
-        (sessions, cold_ms, warm_ms, warm_p95_ms, resolve_rps, req_rps) =
+(* The lanes dimension: multi-lane throughput must reach this share of
+   single-lane, on hardware where lanes can overlap at all. *)
+let serve_lanes_floor = 0.75
+
+let serve_measure_all () =
+  serve_trace_gate ();
+  let reps, cells = serve_measure () in
+  let run_json lanes
+      (sessions, cold_ms, warm_ms, warm_p95_ms, resolve_rps, req_rps) =
+    row
+      "serve %2d sessions  lanes %d  cold %8.2f ms  warm %8.2f ms  p95 \
+       %8.2f ms  %7.1f resolve/s  %8.1f req/s\n"
+      sessions lanes cold_ms warm_ms warm_p95_ms resolve_rps req_rps;
+    Obs.Json.Obj
+      [
+        ("sessions", Obs.Json.Num (float_of_int sessions));
+        ("lanes", Obs.Json.Num (float_of_int lanes));
+        ("cold_ms", Obs.Json.Num cold_ms);
+        ("warm_ms", Obs.Json.Num warm_ms);
+        ("warm_p95_ms", Obs.Json.Num warm_p95_ms);
+        ("resolves_per_s", Obs.Json.Num resolve_rps);
+        ("requests_per_s", Obs.Json.Num req_rps);
+      ]
+  in
+  let runs = List.map (run_json 1) cells in
+  (* On a single core the multi-lane measurement is skipped entirely
+     (per the `bench par` pattern) and the reason is recorded in the
+     JSON instead of a gate result. *)
+  let lanes_hi = 4 in
+  let cores = Prelude.Pool.recommended_jobs () in
+  let lanes_gate, lane_runs =
+    if cores < 2 then begin
+      let reason =
+        Printf.sprintf
+          "%d core(s) available: resolver lanes cannot overlap here; \
+           lanes>1 throughput gate skipped"
+          cores
+      in
+      row "serve lanes=%d gate SKIPPED: %s\n" lanes_hi reason;
+      ( Obs.Json.Obj
+          [
+            ("lanes", Obs.Json.Num (float_of_int lanes_hi));
+            ("skip_reason", Obs.Json.Str reason);
+          ],
+        [] )
+    end
+    else begin
+      let _, mcells = serve_measure ~lanes:lanes_hi () in
+      let lane_runs = List.map (run_json lanes_hi) mcells in
+      let rps (_, _, _, _, resolve_rps, _) = resolve_rps in
+      let sessions_of (s, _, _, _, _, _) = s in
+      let base = List.nth cells (List.length cells - 1) in
+      let multi = List.nth mcells (List.length mcells - 1) in
+      let ratio = rps multi /. rps base in
       row
-        "serve %2d sessions  lanes %d  cold %8.2f ms  warm %8.2f ms  p95 \
-         %8.2f ms  %7.1f resolve/s  %8.1f req/s\n"
-        sessions lanes cold_ms warm_ms warm_p95_ms resolve_rps req_rps;
-      Obs.Json.Obj
+        "serve lanes: %d sessions, lanes=%d %.1f resolve/s vs lanes=1 %.1f \
+         resolve/s (%.2fx)\n"
+        (sessions_of multi) lanes_hi (rps multi) (rps base) ratio;
+      ( Obs.Json.Obj
+          [
+            ("lanes", Obs.Json.Num (float_of_int lanes_hi));
+            ("sessions", Obs.Json.Num (float_of_int (sessions_of multi)));
+            ("baseline_resolves_per_s", Obs.Json.Num (rps base));
+            ("multi_resolves_per_s", Obs.Json.Num (rps multi));
+            ("ratio", Obs.Json.Num ratio);
+            ("floor", Obs.Json.Num serve_lanes_floor);
+          ],
+        lane_runs )
+    end
+  in
+  [
+    ("reps", Obs.Json.Num (float_of_int reps));
+    ("lanes_gate", lanes_gate);
+    ("runs", Obs.Json.Arr (runs @ lane_runs));
+  ]
+
+let serve_bench () =
+  section "SERVE" "serve: wire latency and throughput -> BENCH_serve.json";
+  run_baseline
+    {
+      name = "serve";
+      path = "BENCH_serve.json";
+      schema = "tecore-bench-serve/2";
+      fields =
         [
-          ("sessions", Obs.Json.Num (float_of_int sessions));
-          ("lanes", Obs.Json.Num (float_of_int lanes));
-          ("cold_ms", Obs.Json.Num cold_ms);
-          ("warm_ms", Obs.Json.Num warm_ms);
-          ("warm_p95_ms", Obs.Json.Num warm_p95_ms);
-          ("resolves_per_s", Obs.Json.Num resolve_rps);
-          ("requests_per_s", Obs.Json.Num req_rps);
-        ]
-    in
-    let runs = List.map (run_json 1) cells in
-    (* The lanes dimension: re-measure multi-lane and gate its
-       throughput against single-lane — but only on hardware where
-       lanes can overlap at all. On a single core the measurement is
-       skipped entirely (per the `bench par` pattern) and the reason is
-       recorded in the JSON instead of a gate result. *)
-    let lanes_hi = 4 in
-    let cores = Prelude.Pool.recommended_jobs () in
-    let lanes_gate, lane_runs =
-      if cores < 2 then begin
-        let reason =
-          Printf.sprintf
-            "%d core(s) available: resolver lanes cannot overlap here; \
-             lanes>1 throughput gate skipped"
-            cores
-        in
-        row "serve lanes=%d gate SKIPPED: %s\n" lanes_hi reason;
-        ( Obs.Json.Obj
-            [
-              ("lanes", Obs.Json.Num (float_of_int lanes_hi));
-              ("skip_reason", Obs.Json.Str reason);
-            ],
-          [] )
-      end
-      else begin
-        let _, mcells = serve_measure ~lanes:lanes_hi () in
-        let lane_runs = List.map (run_json lanes_hi) mcells in
-        let rps (_, _, _, _, resolve_rps, _) = resolve_rps in
-        let sessions_of (s, _, _, _, _, _) = s in
-        let base = List.nth cells (List.length cells - 1) in
-        let multi = List.nth mcells (List.length mcells - 1) in
-        let ratio = rps multi /. rps base in
-        let floor =
-          match
-            Option.bind
-              (Sys.getenv_opt "BENCH_SERVE_LANES_FACTOR")
-              float_of_string_opt
-          with
-          | Some v when v > 0.0 -> v
-          | Some _ | None -> 0.75
-        in
-        row
-          "serve lanes gate: %d sessions, lanes=%d %.1f resolve/s vs \
-           lanes=1 %.1f resolve/s (%.2fx, floor %.2fx) %s\n"
-          (sessions_of multi) lanes_hi (rps multi) (rps base) ratio floor
-          (if ratio >= floor then "ok" else "FAIL");
-        if ratio < floor then
-          failwith
-            (Printf.sprintf
-               "serve: lanes=%d throughput is %.2fx of lanes=1 at %d \
-                sessions (floor %.2fx) on %d cores"
-               lanes_hi ratio (sessions_of multi) floor cores);
-        ( Obs.Json.Obj
-            [
-              ("lanes", Obs.Json.Num (float_of_int lanes_hi));
-              ("sessions", Obs.Json.Num (float_of_int (sessions_of multi)));
-              ("baseline_resolves_per_s", Obs.Json.Num (rps base));
-              ("multi_resolves_per_s", Obs.Json.Num (rps multi));
-              ("ratio", Obs.Json.Num ratio);
-              ("floor", Obs.Json.Num floor);
-            ],
-          lane_runs )
-      end
-    in
-    let runs = runs @ lane_runs in
-    let doc =
-      Obs.Json.Obj
-        [
-          ("schema", Obs.Json.Str "tecore-bench-serve/2");
-          ("fast", Obs.Json.Bool !fast_mode);
-          ("reps", Obs.Json.Num (float_of_int reps));
-          ("lanes_gate", lanes_gate);
-          ("runs", Obs.Json.Arr runs);
-        ]
-    in
-    let oc = open_out serve_json_path in
-    output_string oc (Obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    (* Self-check: round-trip through our own parser, and make sure the
-       numbers downstream tooling keys on are present and finite. *)
-    let ic = open_in serve_json_path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    (match Obs.Json.parse text with
-    | Error e ->
-        failwith (Printf.sprintf "%s: invalid JSON: %s" serve_json_path e)
-    | Ok parsed -> (
-        match Obs.Json.member "runs" parsed with
-        | Some (Obs.Json.Arr (_ :: _ as rs)) ->
-            List.iter
-              (fun r ->
-                List.iter
-                  (fun field ->
-                    match Obs.Json.member field r with
-                    | Some (Obs.Json.Num v) when Float.is_finite v -> ()
-                    | _ ->
-                        failwith
-                          (Printf.sprintf "%s: run misses %s" serve_json_path
-                             field))
-                  [
-                    "sessions"; "lanes"; "cold_ms"; "warm_ms"; "warm_p95_ms";
-                    "resolves_per_s"; "requests_per_s";
-                  ])
-              rs
-        | _ -> failwith (serve_json_path ^ ": no runs")));
-    row "wrote %s (%d cells, %d warm reps each) -- JSON validated\n"
-      serve_json_path (List.length cells) reps
-  end
+          "sessions"; "lanes"; "cold_ms"; "warm_ms"; "warm_p95_ms";
+          "resolves_per_s"; "requests_per_s";
+        ];
+      full = false;
+      tolerance = Baseline.timing;
+      (* The single-lane cells are the latency baseline; multi-lane rows
+         are covered by the lanes gate instead. *)
+      cells =
+        (fun doc ->
+          List.concat_map
+            (fun run ->
+              if Obs.Json.member "lanes" run <> Some (Obs.Json.Num 1.0) then []
+              else
+                let key =
+                  Printf.sprintf "sessions=%.0f " (Baseline.num "sessions" run)
+                in
+                List.map
+                  (fun field -> (key ^ field, Baseline.num field run))
+                  [ "cold_ms"; "warm_ms"; "warm_p95_ms" ])
+            (Baseline.runs doc));
+      (* At one session, warm resolves through the server must beat the
+         cold (from-scratch) resolve on median; with >= 2 cores, lanes
+         must keep their throughput floor. *)
+      headline =
+        (fun doc ->
+          let run =
+            Baseline.run_where
+              [ ("sessions", Obs.Json.Num 1.0); ("lanes", Obs.Json.Num 1.0) ]
+              doc
+          in
+          let warm = Baseline.num "warm_ms" run
+          and cold = Baseline.num "cold_ms" run in
+          if warm >= cold then
+            failwith
+              (Printf.sprintf
+                 "warm resolve (%.2f ms) did not beat cold (%.2f ms) at 1 \
+                  session"
+                 warm cold);
+          match Obs.Json.member "lanes_gate" doc with
+          | None -> failwith "no lanes_gate"
+          | Some gate -> (
+              match Obs.Json.member "skip_reason" gate with
+              | Some (Obs.Json.Str _) -> ()
+              | _ ->
+                  let ratio = Baseline.num "ratio" gate in
+                  if ratio < serve_lanes_floor then
+                    failwith
+                      (Printf.sprintf
+                         "lanes=%.0f throughput is %.2fx of lanes=1 at %.0f \
+                          sessions (floor %.2fx)"
+                         (Baseline.num "lanes" gate) ratio
+                         (Baseline.num "sessions" gate) serve_lanes_floor)));
+      measure = serve_measure_all;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* durability: write-ahead journal overhead on the warm edit path at   *)
 (* each fsync policy vs a purely in-memory session, exported as        *)
 (* BENCH_durability.json (validated by re-parsing).                    *)
 (* ------------------------------------------------------------------ *)
-
-let durability_json_path = "BENCH_durability.json"
 
 let rec durability_rm_rf path =
   match Unix.lstat path with
@@ -2444,12 +1815,6 @@ let durability_configs =
 let durability_measure () =
   let edit_reps = if !fast_mode then 60 else 240 in
   let resolve_reps = if !fast_mode then 3 else 8 in
-  let percentile p xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(int_of_float (p *. float_of_int (Array.length a - 1)))
-  in
-  let median = percentile 0.5 in
   let cells =
     List.map
       (fun (name, policy) ->
@@ -2487,17 +1852,7 @@ let durability_measure () =
               (fun () ->
                 let req = serve_client_request fd ic in
                 req (Printf.sprintf "hello bench-dur-%s" name);
-                req "open";
-                req
-                  "constraint one_team: ex:playsFor(x, y)@t ^ \
-                   ex:playsFor(x, z)@t2 ^ y != z => disjoint(t, t2) .";
-                for f = 1 to 60 do
-                  req
-                    (Printf.sprintf
-                       "assert ex:P%d ex:playsFor ex:T%d [%d,%d] 0.8 ."
-                       (f mod 12) (f mod 6) (1900 + (3 * (f / 12)))
-                       (1904 + (3 * (f / 12))))
-                done;
+                serve_seed req;
                 (* Warm the engine so the timed resolves below ride the
                    incremental caches, as a long-lived session would. *)
                 req "resolve";
@@ -2535,215 +1890,72 @@ let durability_measure () =
   in
   (edit_reps, cells)
 
-(* The headline durability claim, enforced at write time and re-checked
-   against the committed numbers: journaling without fsync stays within
+(* The headline durability claim: journaling without fsync stays within
    a small factor of the in-memory edit ack — the append itself is one
    buffered write, so the cost of crash safety lives in the fsync
    policy, not the journal. *)
-let durability_edit_gate ~what lookup_edit =
-  let factor =
-    match
-      Option.bind
-        (Sys.getenv_opt "BENCH_DURABILITY_EDIT_FACTOR")
-        float_of_string_opt
-    with
-    | Some v when v > 0.0 -> v
-    | Some _ | None -> 3.0
+let durability_headline doc =
+  let edit config =
+    Baseline.num "edit_ms"
+      (Baseline.run_where [ ("config", Obs.Json.Str config) ] doc)
   in
-  let floor_ms =
-    match
-      Option.bind
-        (Sys.getenv_opt "BENCH_DURABILITY_EDIT_FLOOR_MS")
-        float_of_string_opt
-    with
-    | Some v when v >= 0.0 -> v
-    | Some _ | None -> 0.2
-  in
-  let none = lookup_edit "none" and never = lookup_edit "fsync-never" in
+  let factor = 3.0 and floor_ms = 0.2 in
+  let none = edit "none" and never = edit "fsync-never" in
   if never > (none *. factor) +. floor_ms then
     failwith
       (Printf.sprintf
-         "durability%s: fsync-never edit median %.3f ms exceeds %.1fx \
-          the in-memory median %.3f ms (+%.2f ms floor)"
-         what never factor none floor_ms)
+         "fsync-never edit median %.3f ms exceeds %.1fx the in-memory \
+          median %.3f ms (+%.2f ms floor)"
+         never factor none floor_ms)
 
-let durability_check_run () =
-  section "DURABILITY"
-    "durability: measured edit/resolve latencies vs committed \
-     BENCH_durability.json";
-  let env_float name default =
-    match Option.bind (Sys.getenv_opt name) float_of_string_opt with
-    | Some v when v > 0.0 -> v
-    | Some _ | None -> default
-  in
-  let factor = env_float "BENCH_DURABILITY_TOL_FACTOR" 25.0 in
-  let floor_ms = env_float "BENCH_DURABILITY_TOL_FLOOR_MS" 5.0 in
-  let committed =
-    let ic =
-      try open_in durability_json_path
-      with Sys_error msg ->
-        failwith
-          (Printf.sprintf
-             "durability --check: cannot read %s (%s); run `bench \
-              durability` to regenerate it"
-             durability_json_path msg)
-    in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Obs.Json.parse text with
-    | Error e ->
-        failwith
-          (Printf.sprintf "durability --check: %s: %s" durability_json_path
-             e)
-    | Ok doc -> doc
-  in
-  let committed_runs =
-    match Obs.Json.member "runs" committed with
-    | Some (Obs.Json.Arr runs) -> runs
-    | _ -> failwith (durability_json_path ^ ": no runs")
-  in
-  let num field r =
-    match Obs.Json.member field r with
-    | Some (Obs.Json.Num v) when Float.is_finite v -> v
-    | _ -> failwith (Printf.sprintf "%s: bad %s" durability_json_path field)
-  in
-  let lookup name =
-    List.find_opt
-      (fun r -> Obs.Json.member "config" r = Some (Obs.Json.Str name))
-      committed_runs
-  in
-  let committed_edit name =
-    match lookup name with
-    | None ->
-        failwith
-          (Printf.sprintf "%s: no config=%s run" durability_json_path name)
-    | Some r -> num "edit_ms" r
-  in
-  (* The committed headline must hold on the machine that produced the
-     file. *)
-  durability_edit_gate ~what:" --check (committed)" committed_edit;
-  let _, cells = durability_measure () in
-  let failures = ref [] in
-  List.iter
-    (fun (name, edit_ms, edit_p95_ms, resolve_ms) ->
-      match lookup name with
-      | None ->
-          failures :=
-            Printf.sprintf "config=%s: missing from %s" name
-              durability_json_path
-            :: !failures
-      | Some r ->
-          let within what ref_ms ms =
-            if
-              not
-                (ms <= (ref_ms *. factor) +. floor_ms
-                && ref_ms <= (ms *. factor) +. floor_ms)
-            then
-              failures :=
-                Printf.sprintf "config=%s: %s %.3f ms vs committed %.3f ms"
-                  name what ms ref_ms
-                :: !failures
-          in
-          within "edit" (num "edit_ms" r) edit_ms;
-          within "edit p95" (num "edit_p95_ms" r) edit_p95_ms;
-          within "resolve" (num "resolve_ms" r) resolve_ms)
-    cells;
-  (* And the live measurement must reproduce the headline, so a journal
-     write-path regression fails even when every cell stays inside the
-     (generous) timing tolerance. *)
-  let live_edit name =
-    match
-      List.find_opt (fun (n, _, _, _) -> n = name) cells
-    with
-    | Some (_, edit_ms, _, _) -> edit_ms
-    | None -> failwith ("durability --check: no live cell for " ^ name)
-  in
-  durability_edit_gate ~what:" --check (live)" live_edit;
-  match !failures with
-  | [] ->
-      row "durability --check: all cells within %.0fx of %s\n" factor
-        durability_json_path
-  | fs ->
-      failwith
-        (Printf.sprintf
-           "durability --check: %d cell(s) out of tolerance:\n  %s"
-           (List.length fs)
-           (String.concat "\n  " (List.rev fs)))
+let durability_fields = [ "edit_ms"; "edit_p95_ms"; "resolve_ms" ]
 
 let durability_bench () =
-  if !obs_check then durability_check_run ()
-  else begin
-    section "DURABILITY"
-      "durability: journal overhead on the warm edit path -> \
-       BENCH_durability.json";
-    let edit_reps, cells = durability_measure () in
-    durability_edit_gate ~what:"" (fun name ->
-        match List.find_opt (fun (n, _, _, _) -> n = name) cells with
-        | Some (_, edit_ms, _, _) -> edit_ms
-        | None -> failwith ("durability: no cell for " ^ name));
-    let runs =
-      List.map
-        (fun (name, edit_ms, edit_p95_ms, resolve_ms) ->
-          row
-            "durability %-12s  edit %7.3f ms  p95 %7.3f ms  warm resolve \
-             %8.2f ms\n"
-            name edit_ms edit_p95_ms resolve_ms;
-          Obs.Json.Obj
-            [
-              ("config", Obs.Json.Str name);
-              ("edit_ms", Obs.Json.Num edit_ms);
-              ("edit_p95_ms", Obs.Json.Num edit_p95_ms);
-              ("resolve_ms", Obs.Json.Num resolve_ms);
-            ])
-        cells
-    in
-    let doc =
-      Obs.Json.Obj
-        [
-          ("schema", Obs.Json.Str "tecore-bench-durability/1");
-          ("fast", Obs.Json.Bool !fast_mode);
-          ("edit_reps", Obs.Json.Num (float_of_int edit_reps));
-          ("runs", Obs.Json.Arr runs);
-        ]
-    in
-    let oc = open_out durability_json_path in
-    output_string oc (Obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    (* Self-check: round-trip through our own parser, and make sure the
-       numbers downstream tooling keys on are present and finite. *)
-    let ic = open_in durability_json_path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    (match Obs.Json.parse text with
-    | Error e ->
-        failwith
-          (Printf.sprintf "%s: invalid JSON: %s" durability_json_path e)
-    | Ok parsed -> (
-        match Obs.Json.member "runs" parsed with
-        | Some (Obs.Json.Arr (_ :: _ as rs)) ->
-            List.iter
-              (fun r ->
-                (match Obs.Json.member "config" r with
-                | Some (Obs.Json.Str _) -> ()
-                | _ ->
-                    failwith
-                      (Printf.sprintf "%s: run misses config"
-                         durability_json_path));
-                List.iter
-                  (fun field ->
-                    match Obs.Json.member field r with
-                    | Some (Obs.Json.Num v) when Float.is_finite v -> ()
-                    | _ ->
-                        failwith
-                          (Printf.sprintf "%s: run misses %s"
-                             durability_json_path field))
-                  [ "edit_ms"; "edit_p95_ms"; "resolve_ms" ])
-              rs
-        | _ -> failwith (durability_json_path ^ ": no runs")));
-    row "wrote %s (%d cells, %d edit reps each) -- JSON validated\n"
-      durability_json_path (List.length cells) edit_reps
-  end
+  section "DURABILITY"
+    "durability: journal overhead on the warm edit path -> \
+     BENCH_durability.json";
+  run_baseline
+    {
+      name = "durability";
+      path = "BENCH_durability.json";
+      schema = "tecore-bench-durability/1";
+      fields = durability_fields;
+      full = false;
+      tolerance = Baseline.timing;
+      cells =
+        (fun doc ->
+          List.concat_map
+            (fun run ->
+              let key = "config=" ^ Baseline.str "config" run ^ " " in
+              List.map
+                (fun field -> (key ^ field, Baseline.num field run))
+                durability_fields)
+            (Baseline.runs doc));
+      headline = durability_headline;
+      measure =
+        (fun () ->
+          let edit_reps, cells = durability_measure () in
+          let runs =
+            List.map
+              (fun (name, edit_ms, edit_p95_ms, resolve_ms) ->
+                row
+                  "durability %-12s  edit %7.3f ms  p95 %7.3f ms  warm \
+                   resolve %8.2f ms\n"
+                  name edit_ms edit_p95_ms resolve_ms;
+                Obs.Json.Obj
+                  [
+                    ("config", Obs.Json.Str name);
+                    ("edit_ms", Obs.Json.Num edit_ms);
+                    ("edit_p95_ms", Obs.Json.Num edit_p95_ms);
+                    ("resolve_ms", Obs.Json.Num resolve_ms);
+                  ])
+              cells
+          in
+          [
+            ("edit_reps", Obs.Json.Num (float_of_int edit_reps));
+            ("runs", Obs.Json.Arr runs);
+          ]);
+    }
 
 (* ------------------------------------------------------------------ *)
 
@@ -2751,8 +1963,8 @@ let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("a1", a1); ("a2", a2); ("a3", a3); ("a4", a4);
-    ("a5", a5); ("a6", a6); ("a7", a7); ("micro", micro);
-    ("obs", obs_bench); ("par", par_bench); ("deadline", deadline_bench);
+    ("a5", a5); ("a6", a6); ("a7", a7);
+    ("obs", obs_bench); ("par", par_bench);
     ("incr", incr_bench); ("serve", serve_bench);
     ("durability", durability_bench);
   ]
@@ -2770,7 +1982,7 @@ let () =
         fast_mode := true;
         parse names rest
     | "--check" :: rest ->
-        obs_check := true;
+        check := true;
         parse names rest
     | "--jobs" :: n :: rest ->
         (match Prelude.Pool.parse_jobs (Some n) with
@@ -2781,14 +1993,10 @@ let () =
         parse names rest
     | a :: rest -> parse (a :: names) rest
   in
-  let smoke = List.mem "--smoke" args in
-  let names = parse [] args in
   let requested =
-    match names with
-    | _ :: _ -> names
-    | [] ->
-        if smoke then [ "e1"; "obs"; "par"; "deadline" ]
-        else List.map fst experiments
+    match parse [] args with
+    | [] -> List.map fst experiments
+    | names -> names
   in
   List.iter
     (fun name ->
