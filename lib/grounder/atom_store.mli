@@ -16,19 +16,41 @@ type origin =
 
 type t
 
+type key = int array
+(** An atom packed as codes: [[| p; a0; ..; a{n-1}; c |]] where [p] and
+    the [ai] are the {!Kg.Symbol} term ids of the predicate (as an IRI)
+    and the arguments, and [c] is [0] for an atemporal atom, else the
+    symbol id of its interval plus one. Symbol ids are process-global
+    and append-only, so a key means the same atom in every store. *)
+
 val create : unit -> t
 
 val of_graph : Kg.Graph.t -> t
-(** Intern every live fact of the graph as evidence. *)
+(** Intern every live fact of the graph as evidence, keyed straight
+    from the fact's symbols. *)
 
-val intern : t -> origin -> Logic.Atom.Ground.t -> id
+val intern_key : t -> origin -> key -> id
 (** Id of the atom, creating it if needed. When the atom already exists,
     an [Evidence] origin upgrades a [Hidden] one (and keeps the higher
-    confidence of two evidence origins). *)
+    confidence of two evidence origins). Every symbol the key names
+    must be interned; the key is copied. *)
+
+val find_in : t -> src:t -> id -> id option
+(** [find_in t ~src id]: the id in [t] of atom [id] of store [src]. *)
+
+val key : t -> id -> key
+(** A fresh copy of the atom's key. *)
+
+val intern : t -> origin -> Logic.Atom.Ground.t -> id
+(** {!intern_key} on the encoded atom; interns the atom's symbols in the
+    order predicate, arguments, interval. *)
 
 val find : t -> Logic.Atom.Ground.t -> id option
+(** The atom's id, when it is in the store; interns no symbol. *)
 
 val atom : t -> id -> Logic.Atom.Ground.t
+(** The boxed view of an atom, rebuilt from its key. *)
+
 val origin : t -> id -> origin
 
 val is_evidence : t -> id -> bool
@@ -42,6 +64,7 @@ val evidence_facts : t -> id -> Kg.Graph.id list
 val size : t -> int
 
 val iter : (id -> Logic.Atom.Ground.t -> origin -> unit) -> t -> unit
+(** Over every atom in id order, rebuilding each boxed view. *)
 
 val table_name : string -> arity:int -> temporal:bool -> string
 (** Table naming scheme: one table per (predicate, arity, temporality). *)

@@ -13,86 +13,197 @@ let atom_col i = "#" ^ string_of_int i
 
 let is_var_col c = String.length c > 0 && c.[0] = '?'
 let is_tvar_col c = String.length c > 0 && c.[0] = '!'
+let is_atom_col c = String.length c > 0 && c.[0] = '#'
 
 let col_var c = String.sub c 1 (String.length c - 1)
 
-(* Rebuild a substitution from one row of a bindings table, decoding
-   only the variable columns. *)
-let subst_of_row table =
-  let typed =
-    List.filter
-      (fun (c, _) -> is_var_col c || is_tvar_col c)
-      (List.mapi (fun i c -> (c, i)) (Table.columns table))
-  in
-  fun row ->
-    List.fold_left
-      (fun subst (c, col) ->
-        match subst with
-        | None -> None
-        | Some s ->
-            let code = Table.code_at table ~row ~col in
-            if is_var_col c then
-              match Value.decode_term code with
-              | Some term -> Logic.Subst.bind s (col_var c) term
-              | None -> None
-            else
-              match Value.decode_interval code with
-              | Some iv -> Logic.Subst.bind_time s (col_var c) iv
-              | None -> None)
-      (Some Logic.Subst.empty) typed
+(* Where a bindings row keeps each variable: object variables and
+   temporal variables by name, body atoms by body position. *)
+type layout = {
+  vars : (string * int) list;
+  tvars : (string * int) list;
+  atoms : (int * int) list;  (** (body position, column) in body order *)
+}
 
-(* Compile a batch of conditions against a column layout into a filter
-   over code rows. [conds] are [(cond, expected)] pairs: body conditions
-   expect [true] (keep rows where the condition holds — [None] drops,
-   matching eager evaluation); a pushed-down constraint-head condition
-   expects [false] (drop only the rows that provably satisfy it, so a
-   non-evaluable head still reaches the instance phase and raises there
-   exactly as the eager path does). Only the columns the conditions
-   actually mention are decoded. *)
+let layout_of_columns cols =
+  let vars = ref [] and tvars = ref [] and atoms = ref [] in
+  List.iteri
+    (fun i c ->
+      if is_var_col c then vars := (col_var c, i) :: !vars
+      else if is_tvar_col c then tvars := (col_var c, i) :: !tvars
+      else if is_atom_col c then
+        atoms := (int_of_string (col_var c), i) :: !atoms)
+    cols;
+  {
+    vars = List.rev !vars;
+    tvars = List.rev !tvars;
+    atoms = List.sort compare !atoms;
+  }
+
+let layout ~vars ~tvars =
+  layout_of_columns (List.map var_col vars @ List.map tvar_col tvars)
+
+let var_column layout v = List.assoc_opt v layout.vars
+let tvar_column layout v = List.assoc_opt v layout.tvars
+
+let body_atoms layout (row : Value.code array) =
+  List.map (fun (_, col) -> Value.payload row.(col)) layout.atoms
+
+let subst layout (row : Value.code array) =
+  let bind_all bind decode =
+    List.fold_left (fun subst (v, col) ->
+        Option.bind subst (fun s -> Option.bind (decode row.(col)) (bind s v)))
+  in
+  let s =
+    bind_all Logic.Subst.bind Value.decode_term (Some Logic.Subst.empty)
+      layout.vars
+  in
+  bind_all Logic.Subst.bind_time Value.decode_interval s layout.tvars
+
+(* ------------------------------------------------------------------ *)
+(* Conditions compiled over code rows                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A compiled term, interval or number raises [Undefined] where
+   {!Logic.Cond.eval} would answer [None]: an unbound variable, an
+   empty intersection, a [value] with no numeric view. Each condition
+   is compiled once per plan; the closures only read the row and the
+   lock-free {!Kg.Symbol} decoders, so the joins may run them on worker
+   domains. *)
+exception Undefined
+
+let undefined _ = raise Undefined
+
+let compile_time layout =
+  let rec go = function
+    | Logic.Lterm.Tvar v -> (
+        match tvar_column layout v with
+        | Some col -> fun row -> Kg.Symbol.interval (Value.payload row.(col))
+        | None -> undefined)
+    | Logic.Lterm.Tconst i -> fun _ -> i
+    | Logic.Lterm.Tinter (a, b) ->
+        let a = go a and b = go b in
+        fun row ->
+          (match Kg.Interval.intersect (a row) (b row) with
+          | Some i -> i
+          | None -> raise Undefined)
+    | Logic.Lterm.Thull (a, b) ->
+        let a = go a and b = go b in
+        fun row -> Kg.Interval.hull (a row) (b row)
+  in
+  go
+
+(* Object terms compile to symbol ids; code equality is term equality.
+   A constant that was never interned gets [-1], which equals no id: no
+   symbol is interned while a plan's conditions run. *)
+type term_slot = Col of int | Sym of int | Unbound
+
+let term_slot layout = function
+  | Logic.Lterm.Var v -> (
+      match var_column layout v with Some col -> Col col | None -> Unbound)
+  | Logic.Lterm.Const c ->
+      Sym (Option.value (Kg.Symbol.find_term c) ~default:(-1))
+
+let int_value = function
+  | Kg.Term.Int n -> n
+  | t -> ( match Kg.Term.as_int t with Some n -> n | None -> raise Undefined)
+
+let compile_arith layout =
+  let rec go = function
+    | Logic.Cond.Num n -> fun _ -> n
+    | Logic.Cond.Start_of tt ->
+        let f = compile_time layout tt in
+        fun row -> Kg.Interval.lo (f row)
+    | Logic.Cond.End_of tt ->
+        let f = compile_time layout tt in
+        fun row -> Kg.Interval.hi (f row)
+    | Logic.Cond.Length_of tt ->
+        let f = compile_time layout tt in
+        fun row -> Kg.Interval.length (f row)
+    | Logic.Cond.Value_of (Logic.Lterm.Const c) -> (
+        match Kg.Term.as_int c with Some n -> fun _ -> n | None -> undefined)
+    | Logic.Cond.Value_of term -> (
+        match term_slot layout term with
+        | Col col ->
+            fun row -> int_value (Kg.Symbol.term (Value.payload row.(col)))
+        | Sym _ | Unbound -> undefined)
+    | Logic.Cond.Add (a, b) ->
+        let a = go a and b = go b in
+        fun row -> a row + b row
+    | Logic.Cond.Sub (a, b) ->
+        let a = go a and b = go b in
+        fun row -> a row - b row
+  in
+  go
+
+let compile_cmp (op : Logic.Cond.cmp) a b : Value.code array -> bool =
+  match op with
+  | Lt -> fun row -> a row < b row
+  | Le -> fun row -> a row <= b row
+  | Gt -> fun row -> a row > b row
+  | Ge -> fun row -> a row >= b row
+  | Eq_cmp -> fun row -> a row = b row
+  | Ne_cmp -> fun row -> a row <> b row
+
+let compile_equal layout a b =
+  match (a, b) with
+  | Logic.Lterm.Const x, Logic.Lterm.Const y ->
+      let eq = Kg.Term.equal x y in
+      fun _ -> eq
+  | _ -> (
+      match (term_slot layout a, term_slot layout b) with
+      | Unbound, _ | _, Unbound -> undefined
+      | Col i, Col j -> fun row -> row.(i) = row.(j)
+      | Col i, Sym s | Sym s, Col i -> fun row -> Value.payload row.(i) = s
+      | Sym _, Sym _ -> assert false (* two constants, handled above *))
+
+let compile_condition layout : Logic.Cond.t -> Value.code array -> bool =
+  function
+  | Allen (set, a, b) ->
+      let a = compile_time layout a and b = compile_time layout b in
+      fun row -> Kg.Allen.Set.holds set (a row) (b row)
+  | Cmp (op, a, b) ->
+      compile_cmp op (compile_arith layout a) (compile_arith layout b)
+  | Eq (a, b) -> compile_equal layout a b
+  | Neq (a, b) ->
+      let eq = compile_equal layout a b in
+      fun row -> not (eq row)
+
+let condition layout cond =
+  let f = compile_condition layout cond in
+  fun row ->
+    match f row with
+    | true -> Some true
+    | false -> Some false
+    | exception Undefined -> None
+
+let interval layout tt =
+  let f = compile_time layout tt in
+  fun row -> match f row with i -> Some i | exception Undefined -> None
+
+(* Compile a batch of conditions against a column layout into one
+   filter over code rows. [conds] are [(cond, expected)] pairs: body
+   conditions expect [true] (keep rows where the condition holds — an
+   undefined one drops, matching eager evaluation); a pushed-down
+   constraint-head condition expects [false] (drop only the rows that
+   provably satisfy it, so a non-evaluable head still reaches the
+   instance phase and raises there exactly as the eager path does). *)
 let compile_conditions cols conds =
-  let positions = List.mapi (fun i c -> (c, i)) cols in
-  let needed =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun (cond, _) ->
-           List.map (fun v -> `V v) (Logic.Cond.vars cond)
-           @ List.map (fun v -> `T v) (Logic.Cond.tvars cond))
+  let layout = layout_of_columns cols in
+  let checks =
+    Array.of_list
+      (List.map
+         (fun (cond, expected) ->
+           let f = compile_condition layout cond in
+           if expected then fun row ->
+             (match f row with b -> b | exception Undefined -> false)
+           else fun row ->
+             (match f row with b -> not b | exception Undefined -> true))
          conds)
   in
-  let slots =
-    List.map
-      (fun need ->
-        match need with
-        | `V v -> (need, List.assoc (var_col v) positions)
-        | `T v -> (need, List.assoc (tvar_col v) positions))
-      needed
-  in
-  fun (codes : Value.code array) ->
-    let subst =
-      List.fold_left
-        (fun subst (need, i) ->
-          match subst with
-          | None -> None
-          | Some s -> (
-              match need with
-              | `V v -> (
-                  match Value.decode_term codes.(i) with
-                  | Some term -> Logic.Subst.bind s v term
-                  | None -> None)
-              | `T v -> (
-                  match Value.decode_interval codes.(i) with
-                  | Some iv -> Logic.Subst.bind_time s v iv
-                  | None -> None)))
-        (Some Logic.Subst.empty) slots
-    in
-    match subst with
-    | None -> false
-    | Some s ->
-        List.for_all
-          (fun (cond, expected) ->
-            if expected then Logic.Cond.eval s cond = Some true
-            else Logic.Cond.eval s cond <> Some true)
-          conds
+  fun (row : Value.code array) ->
+    let rec go i = i = Array.length checks || (checks.(i) row && go (i + 1)) in
+    go 0
 
 (* A condition is ready once every variable it mentions has a column. *)
 let split_ready cols pending =
@@ -318,37 +429,31 @@ let plan ?(pool = Prelude.Pool.sequential) ?violation store
                rule.name Logic.Cond.pp c));
       Some bindings
 
-(* Stream the bindings straight out of the joined table: the table is
-   fully materialised before the first [f] call, so a callback that
-   interns new atoms (and thereby grows the extension tables) cannot
-   perturb the iteration. At 10^6-fact scale this is what keeps the
-   per-binding [Subst] records transient instead of pinned in a
-   million-element list. *)
+(* Stream the bindings straight out of the joined table, one code row
+   at a time: the table is fully materialised before the first row, so
+   a callback that interns new atoms (and thereby grows the extension
+   tables) cannot perturb the iteration, and nothing per row is boxed
+   unless the callback decodes it. *)
 let fold ?pool ?violation store (rule : Logic.Rule.t) ~init ~f =
   match plan ?pool ?violation store rule with
   | None -> init
   | Some bindings ->
-      let to_subst = subst_of_row bindings in
-      let atom_positions =
-        List.mapi (fun i _ -> Table.column_index bindings (atom_col i)) rule.body
-      in
+      let f = f (layout_of_columns (Table.columns bindings)) in
+      let width = Table.width bindings in
+      let cols = Array.init width (Table.column_data bindings) in
+      let row = Array.make width 0 in
       let acc = ref init in
-      for row = 0 to Table.cardinal bindings - 1 do
-        match to_subst row with
-        | None -> ()
-        | Some subst ->
-            let body_atoms =
-              List.map
-                (fun col ->
-                  match Value.decode_int (Table.code_at bindings ~row ~col) with
-                  | Some id -> id
-                  | None -> assert false)
-                atom_positions
-            in
-            acc := f !acc { subst; body_atoms }
+      for i = 0 to Table.cardinal bindings - 1 do
+        for j = 0 to width - 1 do
+          row.(j) <- cols.(j).(i)
+        done;
+        acc := f !acc row
       done;
       !acc
 
 let all ?pool ?violation store rule =
   List.rev
-    (fold ?pool ?violation store rule ~init:[] ~f:(fun acc b -> b :: acc))
+    (fold ?pool ?violation store rule ~init:[] ~f:(fun layout acc row ->
+         match subst layout row with
+         | Some subst -> { subst; body_atoms = body_atoms layout row } :: acc
+         | None -> acc))

@@ -37,18 +37,53 @@ val all :
     @raise Invalid_argument when a body atom carries a computed temporal
     term ([Tinter]/[Thull] are only meaningful in heads and conditions). *)
 
+(** {1 Code rows}
+
+    A joined binding is a row of {!Reldb.Value.code}s: one column per
+    body variable and one per body atom's id. Heads and conditions are
+    compiled against the row's {!layout} once per plan and then run on
+    the codes, without decoding the row. *)
+
+type layout
+(** Where a bindings row keeps each variable and body atom. *)
+
+val layout : vars:string list -> tvars:string list -> layout
+(** The layout of rows holding the object variables [vars] (as term
+    codes), then the temporal variables [tvars] (as interval codes). *)
+
+val var_column : layout -> string -> int option
+val tvar_column : layout -> string -> int option
+
+val body_atoms : layout -> Reldb.Value.code array -> Atom_store.id list
+(** The row's body-atom ids, in body order. *)
+
+val subst : layout -> Reldb.Value.code array -> Logic.Subst.t option
+(** The row decoded into boxed bindings. *)
+
+val condition :
+  layout -> Logic.Cond.t -> Reldb.Value.code array -> bool option
+(** [condition layout c] compiles [c]; the result answers
+    {!Logic.Cond.eval} on [subst layout row] without building it.
+    Compile after interning: a constant not interned at compile time
+    never equals a row's term. *)
+
+val interval :
+  layout -> Logic.Lterm.ttime -> Reldb.Value.code array -> Kg.Interval.t option
+(** Compiled {!Logic.Subst.eval_time} over code rows. *)
+
 val fold :
   ?pool:Prelude.Pool.t ->
   ?violation:Logic.Cond.t ->
   Atom_store.t ->
   Logic.Rule.t ->
   init:'a ->
-  f:('a -> binding -> 'a) ->
+  f:(layout -> 'a -> Reldb.Value.code array -> 'a) ->
   'a
-(** Streaming variant of {!all}: folds [f] over the bindings in the
-    same order without materialising the list. The joined bindings
-    table is complete before the first [f] call, so [f] may intern new
-    atoms into the store (growing the extension tables) without
-    perturbing the iteration — this is how the closure and instance
-    phases keep million-row groundings from pinning a million [Subst]
-    records. [all] is [fold] collecting into a list. *)
+(** Streaming variant of {!all}: folds over the bindings in the same
+    order, as code rows. [f] is applied to the layout once, before the
+    first row — the place to compile heads and conditions — and the
+    result to every row. The row array is reused between calls. The
+    joined bindings table is complete before the first row, so [f] may
+    intern new atoms into the store (growing the extension tables)
+    without perturbing the iteration — this is how the closure and
+    instance phases ground million-row bodies without boxing a row. *)

@@ -83,9 +83,10 @@ val run :
     produce, which is what makes downstream solver caching sound. *)
 
 type snapshot
-(** What {!run_record} remembers of a grounding: per-round candidate
-    head atoms per inference rule (as ground-atom values, so they are
-    store-independent) and the final per-rule instance lists. *)
+(** What {!run_record} remembers of a grounding: its rules and
+    [lazy_constraints] mode, the per-round candidate heads of each
+    inference rule (as {!Atom_store.key}s, which are store-independent)
+    and the final per-rule instance lists. *)
 
 val run_record :
   ?max_rounds:int ->
@@ -119,10 +120,12 @@ val reground :
     (evidence already interned), re-joining only [affected] rules.
     Returns the result — byte-identical to {!run} on the same store —
     plus the snapshot for the next edit, or [None] when the replay
-    cannot be proven exact (rule list changed, or a replayed instance
-    references an atom the new store lacks); callers then fall back to
-    a fresh grounding. Pass the same [lazy_constraints] value as the
-    recorded run: replayed rules reuse the recorded instance lists, so
-    mixing modes would mix semantics.
+    cannot be proven exact; callers then fall back to a fresh
+    grounding. The replay is refused when the rules differ from the
+    recorded ones in anything (not just their names), when
+    [lazy_constraints] differs from the recorded mode — replayed rules
+    reuse the recorded instance lists, so mixing modes would mix
+    semantics — or when a replayed instance references an atom the new
+    store lacks.
 
     @raise Failure when the replayed closure exceeds [max_rounds]. *)

@@ -44,7 +44,13 @@ let pp ppf = function
   | Int n -> Format.pp_print_int ppf n
   | Flt f -> Format.fprintf ppf "%g" f
 
-let to_string t = Format.asprintf "%a" pp t
+(* Same bytes as [pp], without a formatter per call: the grounder
+   renders a term per fact and per decoded atom. *)
+let to_string = function
+  | Iri s -> s
+  | Str s -> Printf.sprintf "%S" s
+  | Int n -> string_of_int n
+  | Flt f -> Printf.sprintf "%g" f
 
 let of_string s =
   let s = String.trim s in

@@ -16,24 +16,27 @@ let interval i = Interval i
    is what lets the columnar tables hash and compare plain ints. *)
 type code = int
 
+let of_int n = (n lsl 2) lor 1
+let of_term_id id = (id lsl 2) lor 2
+let of_interval_id id = (id lsl 2) lor 3
+let payload c = c asr 2
+
 let code = function
   | Null -> 0
-  | Int n -> (n lsl 2) lor 1
-  | Term t -> (Kg.Symbol.term_id t lsl 2) lor 2
-  | Interval i -> (Kg.Symbol.interval_id i lsl 2) lor 3
+  | Int n -> of_int n
+  | Term t -> of_term_id (Kg.Symbol.term_id t)
+  | Interval i -> of_interval_id (Kg.Symbol.interval_id i)
 
 let code_opt = function
   | Null -> Some 0
-  | Int n -> Some ((n lsl 2) lor 1)
-  | Term t ->
-      Option.map (fun id -> (id lsl 2) lor 2) (Kg.Symbol.find_term t)
-  | Interval i ->
-      Option.map (fun id -> (id lsl 2) lor 3) (Kg.Symbol.find_interval i)
+  | Int n -> Some (of_int n)
+  | Term t -> Option.map of_term_id (Kg.Symbol.find_term t)
+  | Interval i -> Option.map of_interval_id (Kg.Symbol.find_interval i)
 
 let decode_term c =
-  if c land 3 = 2 then Some (Kg.Symbol.term (c asr 2)) else None
+  if c land 3 = 2 then Some (Kg.Symbol.term (payload c)) else None
 
-let decode_int c = if c land 3 = 1 then Some (c asr 2) else None
+let decode_int c = if c land 3 = 1 then Some (payload c) else None
 
 let decode_interval c =
-  if c land 3 = 3 then Some (Kg.Symbol.interval (c asr 2)) else None
+  if c land 3 = 3 then Some (Kg.Symbol.interval (payload c)) else None

@@ -33,6 +33,18 @@ val code_opt : t -> code option
     been interned — useful for lookups, where an unseen symbol simply
     matches nothing. *)
 
+val of_term_id : int -> code
+(** The code of the term with this {!Kg.Symbol} id. *)
+
+val of_interval_id : int -> code
+(** The code of the interval with this {!Kg.Symbol} id. *)
+
+val of_int : int -> code
+(** [code (Int n)]. *)
+
+val payload : code -> int
+(** The symbol id (term, interval) or machine int a code carries. *)
+
 val decode_term : code -> Kg.Term.t option
 val decode_int : code -> int option
 val decode_interval : code -> Kg.Interval.t option

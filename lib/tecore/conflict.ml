@@ -64,30 +64,31 @@ let interpret ~graph ~store ~instances ~assignment () =
   let derived = ref [] in
   let kept = ref 0 in
   let confidence_of = derived_confidences instances assignment in
-  Store.iter
-    (fun atom_id atom origin ->
-      match origin with
-      | Store.Evidence _ ->
-          (* A decision about the atom applies to every duplicate fact
-             behind it. *)
-          let facts = Store.evidence_facts store atom_id in
-          if assignment.(atom_id) then kept := !kept + List.length facts
-          else
-            List.iter
-              (fun fact ->
-                Kg.Graph.remove consistent fact;
-                removed := (fact, Kg.Graph.find graph fact) :: !removed)
-              facts
-      | Store.Hidden ->
-          if assignment.(atom_id) then begin
-            let confidence = confidence_of atom_id in
-            let as_quad = Logic.Atom.Ground.to_quad ~confidence atom in
-            (match as_quad with
-            | Some q -> ignore (Kg.Graph.add consistent q)
-            | None -> ());
-            derived := { atom; confidence; as_quad } :: !derived
-          end)
-    store;
+  (* Walk ids and origins; only a true hidden atom needs its boxed
+     view. *)
+  for atom_id = 0 to Store.size store - 1 do
+    if Store.is_evidence store atom_id then begin
+      (* A decision about the atom applies to every duplicate fact
+         behind it. *)
+      let facts = Store.evidence_facts store atom_id in
+      if assignment.(atom_id) then kept := !kept + List.length facts
+      else
+        List.iter
+          (fun fact ->
+            Kg.Graph.remove consistent fact;
+            removed := (fact, Kg.Graph.find graph fact) :: !removed)
+          facts
+    end
+    else if assignment.(atom_id) then begin
+      let atom = Store.atom store atom_id in
+      let confidence = confidence_of atom_id in
+      let as_quad = Logic.Atom.Ground.to_quad ~confidence atom in
+      (match as_quad with
+      | Some q -> ignore (Kg.Graph.add consistent q)
+      | None -> ());
+      derived := { atom; confidence; as_quad } :: !derived
+    end
+  done;
   {
     consistent;
     removed = List.rev !removed;

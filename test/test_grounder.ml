@@ -519,6 +519,101 @@ let qcheck_body_matches_brute_force =
       in
       List.sort compare fast = List.sort compare (brute_force_bindings store rule))
 
+(* The condition compiler answers exactly what [Cond.eval] answers on
+   the decoded row, for a condition and for its negation. Rows bind x,
+   y, z to terms (numeric and not) and t, u to intervals; conditions
+   also mention the unbound w and v, constants that were never
+   interned, and intersections that may be empty. *)
+let cond_terms =
+  Kg.Term.[| iri "a"; iri "b"; int 3; int (-2); str "7"; str "x"; float 2.0 |]
+
+let cond_intervals = [| iv 1 3; iv 2 5; iv 4 6; iv 5 5; iv 8 9 |]
+
+let gen_cond_case =
+  let open QCheck.Gen in
+  let never = Kg.Term.iri "cond-never-interned" in
+  let term =
+    frequency
+      [
+        (4, map Lterm.var (oneofl [ "x"; "y"; "z" ]));
+        (1, return (Lterm.var "w"));
+        (2, map (fun c -> Lterm.Const c) (oneofa cond_terms));
+        (1, return (Lterm.Const never));
+      ]
+  in
+  let rec ttime depth =
+    let leaf =
+      frequency
+        [
+          (4, map (fun v -> Lterm.Tvar v) (oneofl [ "t"; "u" ]));
+          (1, return (Lterm.Tvar "v"));
+          (1, map (fun i -> Lterm.Tconst i) (oneofa cond_intervals));
+        ]
+    in
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (3, leaf);
+          (1, map2 (fun a b -> Lterm.Tinter (a, b)) (ttime (depth - 1)) (ttime (depth - 1)));
+          (1, map2 (fun a b -> Lterm.Thull (a, b)) (ttime (depth - 1)) (ttime (depth - 1)));
+        ]
+  in
+  let rec arith depth =
+    let leaf =
+      frequency
+        [
+          (2, map (fun n -> Cond.Num n) (int_range (-3) 10));
+          (1, map (fun t -> Cond.Start_of t) (ttime 2));
+          (1, map (fun t -> Cond.End_of t) (ttime 2));
+          (1, map (fun t -> Cond.Length_of t) (ttime 2));
+          (2, map (fun t -> Cond.Value_of t) term);
+        ]
+    in
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (2, leaf);
+          (1, map2 (fun a b -> Cond.Add (a, b)) (arith (depth - 1)) (arith (depth - 1)));
+          (1, map2 (fun a b -> Cond.Sub (a, b)) (arith (depth - 1)) (arith (depth - 1)));
+        ]
+  in
+  let cond =
+    frequency
+      [
+        ( 2,
+          let* rels = list_size (int_range 0 13) (oneofl Kg.Allen.all) in
+          map2 (Cond.allen_set (Kg.Allen.Set.of_list rels)) (ttime 2) (ttime 2) );
+        ( 3,
+          let* op = oneofl Cond.[ Lt; Le; Gt; Ge; Eq_cmp; Ne_cmp ] in
+          map2 (fun a b -> Cond.Cmp (op, a, b)) (arith 2) (arith 2) );
+        (1, map2 (fun a b -> Cond.Eq (a, b)) term term);
+        (1, map2 (fun a b -> Cond.Neq (a, b)) term term);
+      ]
+  in
+  let* cond = cond in
+  let* xs = array_repeat 3 (oneofa cond_terms) in
+  let* ts = array_repeat 2 (oneofa cond_intervals) in
+  return (cond, xs, ts)
+
+let qcheck_condition_matches_eval =
+  QCheck.Test.make ~name:"compiled condition = Cond.eval" ~count:2000
+    (QCheck.make
+       ~print:(fun (c, _, _) -> Format.asprintf "%a" Cond.pp c)
+       gen_cond_case)
+    (fun (cond, xs, ts) ->
+      let layout = Body.layout ~vars:[ "x"; "y"; "z" ] ~tvars:[ "t"; "u" ] in
+      let row =
+        Array.append
+          (Array.map (fun t -> Reldb.Value.code (Reldb.Value.term t)) xs)
+          (Array.map (fun i -> Reldb.Value.code (Reldb.Value.interval i)) ts)
+      in
+      let subst = Option.get (Body.subst layout row) in
+      List.for_all
+        (fun c -> Body.condition layout c row = Cond.eval subst c)
+        [ cond; Cond.negate cond ])
+
 let () =
   Alcotest.run "grounder"
     [
@@ -544,6 +639,7 @@ let () =
           Alcotest.test_case "rejects computed time" `Quick
             test_body_rejects_computed_time;
           QCheck_alcotest.to_alcotest qcheck_body_matches_brute_force;
+          QCheck_alcotest.to_alcotest qcheck_condition_matches_eval;
         ] );
       ( "closure",
         [

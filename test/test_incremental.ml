@@ -289,6 +289,47 @@ let test_reground_identical () =
     "gibbs marginals identical" true
     (marginals n1 = marginals n2)
 
+(* A snapshot replays only the rules and the constraint mode it was
+   recorded under: same-named rules with another body or weight, or the
+   other [lazy_constraints] mode, must be refused, not replayed from
+   stale instances. *)
+let test_reground_refuses_mismatch () =
+  let d = Datagen.Footballdb.generate ~seed:5 ~players:12 ~noise_ratio:0.5 () in
+  let g = d.Datagen.Footballdb.graph in
+  let rules = Datagen.Footballdb.constraints () @ Datagen.Footballdb.rules () in
+  let _, snapshot =
+    Grounder.Ground.run_record (Grounder.Atom_store.of_graph g) rules
+  in
+  let reground ?lazy_constraints rules =
+    Grounder.Ground.reground ~snapshot
+      ~affected:(Grounder.Ground.affected_rules ~delta:[] rules)
+      ?lazy_constraints (Grounder.Atom_store.of_graph g) rules
+  in
+  Alcotest.(check bool) "same rules, same mode replay" true
+    (Option.is_some (reground rules));
+  (* Edit every soft rule in place; the names stay. *)
+  let edit f =
+    let edited =
+      List.map
+        (fun (r : Logic.Rule.t) ->
+          if r.Logic.Rule.weight <> None then f r else r)
+        rules
+    in
+    Alcotest.(check bool) "the edit changes a rule" false (edited = rules);
+    edited
+  in
+  let reweighted = edit (fun r -> { r with Logic.Rule.weight = Some 0.25 }) in
+  Alcotest.(check bool) "changed weight, same name: refused" true
+    (reground reweighted = None);
+  let rebodied =
+    edit (fun r ->
+        { r with Logic.Rule.conditions = []; body = [ List.hd r.Logic.Rule.body ] })
+  in
+  Alcotest.(check bool) "changed body, same name: refused" true
+    (reground rebodied = None);
+  Alcotest.(check bool) "other lazy_constraints mode: refused" true
+    (reground ~lazy_constraints:true rules = None)
+
 (* ------------------------------------------------------------------ *)
 (* Removed rules can leave nothing behind                              *)
 (* ------------------------------------------------------------------ *)
@@ -429,8 +470,12 @@ let () =
     [
       ("differential", differential_tests);
       ( "grounding",
-        [ Alcotest.test_case "reground is byte-identical" `Quick
-            test_reground_identical ] );
+        [
+          Alcotest.test_case "reground is byte-identical" `Quick
+            test_reground_identical;
+          Alcotest.test_case "reground refuses changed rules or mode" `Quick
+            test_reground_refuses_mismatch;
+        ] );
       ( "invalidation",
         [
           Alcotest.test_case "removed rule leaves no stale clauses" `Quick

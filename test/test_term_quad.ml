@@ -123,6 +123,30 @@ let test_quad_equal_hash () =
   Alcotest.check quad_testable "structurally equal" a b;
   Alcotest.(check bool) "hash agrees" true (Q.hash a = Q.hash b)
 
+(* [to_string] renders by constructor; it must stay byte-identical to
+   the formatter-based [pp], including escapes and special floats. *)
+let qcheck_to_string_matches_pp =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map T.iri (string_size ~gen:printable (int_range 0 8));
+          map T.str (string_size ~gen:char (int_range 0 8));
+          map T.str (oneofl [ "a\"b"; "tab\tnl\n"; "\\"; "\x01\xff" ]);
+          map T.int (oneof [ int; int_range (-50) 50; oneofl [ min_int; max_int ] ]);
+          map T.float
+            (oneof
+               [
+                 float;
+                 oneofl
+                   [ nan; infinity; neg_infinity; -0.; 0.; 1e-300; 1e21; -2.5 ];
+               ]);
+        ])
+  in
+  QCheck.Test.make ~name:"to_string = asprintf pp" ~count:2000
+    (QCheck.make ~print:(Format.asprintf "%a" T.pp) gen)
+    (fun t -> String.equal (T.to_string t) (Format.asprintf "%a" T.pp t))
+
 let () =
   Alcotest.run "term-quad"
     [
@@ -135,6 +159,7 @@ let () =
           Alcotest.test_case "as_int" `Quick test_term_as_int;
           Alcotest.test_case "of_string" `Quick test_term_of_string;
           Alcotest.test_case "hash" `Quick test_term_hash_consistent;
+          QCheck_alcotest.to_alcotest qcheck_to_string_matches_pp;
         ] );
       ( "quad",
         [
