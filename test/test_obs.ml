@@ -803,6 +803,121 @@ let test_export_validates () =
             "print . parse = id" text
             (Obs.Json.to_string json))
 
+(* The exposition bytes of a hand-built report, pinned exactly: nested
+   spans, root and span metrics, label escaping, non-finite values,
+   every event level and a non-zero drop count. *)
+let test_open_metrics_pinned () =
+  let hist xs =
+    let h = Obs.Histogram.create () in
+    List.iter (Obs.Histogram.add h) xs;
+    h
+  in
+  let series pts =
+    let s = Obs.Series.create () in
+    List.iter (fun (x, y) -> Obs.Series.add s ~x ~y) pts;
+    s
+  in
+  let node ?(counters = []) ?(gauges = []) ?(hists = []) ?(series = [])
+      ?(children = []) name calls total_ms =
+    {
+      Obs.Report.name;
+      calls;
+      total_ms;
+      counters;
+      gauges;
+      hists;
+      series;
+      children;
+      slices = [];
+    }
+  in
+  let event level name =
+    { Obs.Events.t_ms = 1.0; level; name; fields = [] }
+  in
+  let r =
+    {
+      Obs.Report.wall_ms = 1234.5;
+      counters = [ ("requests", 3.0); ("odd \"name\"\\\n", 0.25) ];
+      gauges = [ ("depth", Float.nan) ];
+      hists = [ ("latency", hist [ 1.0; 2.0; 3.0; 4.0 ]) ];
+      series = [];
+      spans =
+        [
+          node "resolve" 2 40.0
+            ~children:
+              [
+                node "ground" 2 12.5 ~counters:[ ("atoms", 7.0) ];
+                node "solve" 1 20.0
+                  ~gauges:[ ("cost", 1.5); ("bound", Float.infinity) ]
+                  ~hists:[ ("flips", hist [ 5.0; 9.0 ]) ]
+                  ~series:[ ("cost", series [ (0.0, 4.0); (1.0, 2.5) ]) ];
+              ];
+          node "workers/0" 1 3.0 ~counters:[ ("tasks", 12.0) ];
+        ];
+      events =
+        [
+          event Obs.Events.Info "a";
+          event Obs.Events.Warn "b";
+          event Obs.Events.Info "c";
+          event Obs.Events.Error "d";
+        ];
+      events_dropped = 2;
+    }
+  in
+  Alcotest.(check string)
+    "exposition bytes"
+    (String.concat "\n"
+       [
+         "# TYPE tecore_wall_ms gauge";
+         "tecore_wall_ms 1234.5";
+         "# TYPE tecore_span_ms counter";
+         "tecore_span_ms_total{path=\"resolve\"} 40";
+         "tecore_span_ms_total{path=\"resolve/ground\"} 12.5";
+         "tecore_span_ms_total{path=\"resolve/solve\"} 20";
+         "tecore_span_ms_total{path=\"workers/0\"} 3";
+         "# TYPE tecore_span_calls counter";
+         "tecore_span_calls_total{path=\"resolve\"} 2";
+         "tecore_span_calls_total{path=\"resolve/ground\"} 2";
+         "tecore_span_calls_total{path=\"resolve/solve\"} 1";
+         "tecore_span_calls_total{path=\"workers/0\"} 1";
+         "# TYPE tecore_counter counter";
+         "tecore_counter_total{name=\"requests\"} 3";
+         "tecore_counter_total{name=\"odd \\\"name\\\"\\\\\\n\"} 0.25";
+         "tecore_counter_total{path=\"resolve/ground\",name=\"atoms\"} 7";
+         "tecore_counter_total{path=\"workers/0\",name=\"tasks\"} 12";
+         "# TYPE tecore_gauge gauge";
+         "tecore_gauge{name=\"depth\"} NaN";
+         "tecore_gauge{path=\"resolve/solve\",name=\"cost\"} 1.5";
+         "tecore_gauge{path=\"resolve/solve\",name=\"bound\"} +Inf";
+         "# TYPE tecore_histogram summary";
+         "tecore_histogram{name=\"latency\",quantile=\"0.5\"} 2";
+         "tecore_histogram{name=\"latency\",quantile=\"0.9\"} 4";
+         "tecore_histogram{name=\"latency\",quantile=\"0.95\"} 4";
+         "tecore_histogram{name=\"latency\",quantile=\"0.99\"} 4";
+         "tecore_histogram_sum{name=\"latency\"} 10";
+         "tecore_histogram_count{name=\"latency\"} 4";
+         "tecore_histogram{path=\"resolve/solve\",name=\"flips\",quantile=\"0.5\"} 5";
+         "tecore_histogram{path=\"resolve/solve\",name=\"flips\",quantile=\"0.9\"} 9";
+         "tecore_histogram{path=\"resolve/solve\",name=\"flips\",quantile=\"0.95\"} 9";
+         "tecore_histogram{path=\"resolve/solve\",name=\"flips\",quantile=\"0.99\"} 9";
+         "tecore_histogram_sum{path=\"resolve/solve\",name=\"flips\"} 14";
+         "tecore_histogram_count{path=\"resolve/solve\",name=\"flips\"} 2";
+         "# TYPE tecore_series_points gauge";
+         "tecore_series_points{path=\"resolve/solve\",name=\"cost\"} 2";
+         "# TYPE tecore_series_last gauge";
+         "tecore_series_last{path=\"resolve/solve\",name=\"cost\"} 2.5";
+         "# TYPE tecore_events counter";
+         "tecore_events_total{level=\"debug\"} 0";
+         "tecore_events_total{level=\"info\"} 2";
+         "tecore_events_total{level=\"warn\"} 1";
+         "tecore_events_total{level=\"error\"} 1";
+         "# TYPE tecore_events_dropped counter";
+         "tecore_events_dropped_total 2";
+         "# EOF";
+         "";
+       ])
+    (Obs.Export.open_metrics r)
+
 let test_trace_validator_rejects () =
   List.iter
     (fun (what, json) ->
@@ -886,6 +1001,8 @@ let () =
         [
           Alcotest.test_case "trace and metrics validate" `Quick
             test_export_validates;
+          Alcotest.test_case "open metrics bytes pinned" `Quick
+            test_open_metrics_pinned;
           Alcotest.test_case "trace validator rejects" `Quick
             test_trace_validator_rejects;
           Alcotest.test_case "metrics validator rejects" `Quick

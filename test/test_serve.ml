@@ -378,6 +378,180 @@ let test_metrics_validate () =
       Alcotest.(check bool) "shed counter" true (has_line "serve_shed_total 0");
       close c)
 
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+
+(* Every [serve_*] line of the exposition, with the values of the
+   wall-clock rows (uptime, phase latencies) replaced by "_". *)
+let serve_lines text =
+  let starts_with p l =
+    String.length l >= String.length p && String.sub l 0 (String.length p) = p
+  in
+  String.split_on_char '\n' text
+  |> List.filter (fun l ->
+         starts_with "serve_" l || starts_with "# TYPE serve_" l)
+  |> List.map (fun l ->
+         if
+           starts_with "serve_uptime_seconds " l
+           || starts_with "serve_request_phase_ms" l
+         then String.sub l 0 (String.rindex l ' ') ^ " _"
+         else l)
+
+let pinned_serve_lines =
+  [
+    "# TYPE serve_sessions_open gauge";
+    "serve_sessions_open 1";
+    "# TYPE serve_queue_depth gauge";
+    "serve_queue_depth 0";
+    "# TYPE serve_lane_depth gauge";
+    "serve_lane_depth{lane=\"0\"} 0";
+    "serve_lane_depth{lane=\"1\"} 0";
+    "# TYPE serve_lane_requests_total counter";
+    "serve_lane_requests_total{lane=\"0\"} 2";
+    "serve_lane_requests_total{lane=\"1\"} 0";
+    "# TYPE serve_requests_total counter";
+    "serve_requests_total{outcome=\"ok\"} 10";
+    "serve_requests_total{outcome=\"parse\"} 1";
+    "serve_requests_total{outcome=\"exec\"} 1";
+    "serve_requests_total{outcome=\"rejected\"} 0";
+    "serve_requests_total{outcome=\"overloaded\"} 1";
+    "serve_requests_total{outcome=\"timed_out\"} 0";
+    "serve_requests_total{outcome=\"evicted\"} 1";
+    "serve_requests_total{outcome=\"expired\"} 0";
+    "serve_requests_total{outcome=\"storage\"} 0";
+    "serve_requests_total{outcome=\"shutting_down\"} 0";
+    "serve_requests_total{outcome=\"internal\"} 0";
+    "# TYPE serve_shed_total counter";
+    "serve_shed_total 1";
+    "# TYPE serve_sessions_evicted_total counter";
+    "serve_sessions_evicted_total 2";
+    "# TYPE serve_sessions_expired_total counter";
+    "serve_sessions_expired_total 0";
+    "# TYPE serve_sessions_recovered_total counter";
+    "serve_sessions_recovered_total 1";
+    "# TYPE serve_uptime_seconds gauge";
+    "serve_uptime_seconds _";
+    "# TYPE serve_request_phase_ms summary";
+    "serve_request_phase_ms{phase=\"parse\",quantile=\"0.5\"} _";
+    "serve_request_phase_ms{phase=\"parse\",quantile=\"0.95\"} _";
+    "serve_request_phase_ms_sum{phase=\"parse\"} _";
+    "serve_request_phase_ms_count{phase=\"parse\"} _";
+    "serve_request_phase_ms{phase=\"queue\",quantile=\"0.5\"} _";
+    "serve_request_phase_ms{phase=\"queue\",quantile=\"0.95\"} _";
+    "serve_request_phase_ms_sum{phase=\"queue\"} _";
+    "serve_request_phase_ms_count{phase=\"queue\"} _";
+    "serve_request_phase_ms{phase=\"lock\",quantile=\"0.5\"} _";
+    "serve_request_phase_ms{phase=\"lock\",quantile=\"0.95\"} _";
+    "serve_request_phase_ms_sum{phase=\"lock\"} _";
+    "serve_request_phase_ms_count{phase=\"lock\"} _";
+    "serve_request_phase_ms{phase=\"ground\",quantile=\"0.5\"} _";
+    "serve_request_phase_ms{phase=\"ground\",quantile=\"0.95\"} _";
+    "serve_request_phase_ms_sum{phase=\"ground\"} _";
+    "serve_request_phase_ms_count{phase=\"ground\"} _";
+    "serve_request_phase_ms{phase=\"solve\",quantile=\"0.5\"} _";
+    "serve_request_phase_ms{phase=\"solve\",quantile=\"0.95\"} _";
+    "serve_request_phase_ms_sum{phase=\"solve\"} _";
+    "serve_request_phase_ms_count{phase=\"solve\"} _";
+    "serve_request_phase_ms{phase=\"journal\",quantile=\"0.5\"} _";
+    "serve_request_phase_ms{phase=\"journal\",quantile=\"0.95\"} _";
+    "serve_request_phase_ms_sum{phase=\"journal\"} _";
+    "serve_request_phase_ms_count{phase=\"journal\"} _";
+    "serve_request_phase_ms{phase=\"fsync\",quantile=\"0.5\"} _";
+    "serve_request_phase_ms{phase=\"fsync\",quantile=\"0.95\"} _";
+    "serve_request_phase_ms_sum{phase=\"fsync\"} _";
+    "serve_request_phase_ms_count{phase=\"fsync\"} _";
+    "serve_request_phase_ms{phase=\"reply\",quantile=\"0.5\"} _";
+    "serve_request_phase_ms{phase=\"reply\",quantile=\"0.95\"} _";
+    "serve_request_phase_ms_sum{phase=\"reply\"} _";
+    "serve_request_phase_ms_count{phase=\"reply\"} _";
+    "# TYPE serve_session_requests_total counter";
+    "serve_session_requests_total{session=\"pin-a\"} 2";
+  ]
+
+(* The server's exposition bytes, pinned line by line on a scripted run
+   that touches every family: two lanes, a state dir, one session slot
+   (so a second hello evicts and a third recovers), a zero-length queue
+   (so a resolve behind a running one is shed), and every request
+   traced. *)
+let test_metrics_pinned () =
+  Prelude.Deadline.Faults.clear ();
+  let state_dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tecore-serve-pin-%d" (Unix.getpid ()))
+  in
+  rm_rf state_dir;
+  let config =
+    {
+      Serve.default_config with
+      Serve.lanes = 2;
+      state_dir = Some state_dir;
+      max_sessions = Some 1;
+      queue_cap = 0;
+      trace_every = 1;
+    }
+  in
+  let server = Serve.start ~config (`Tcp 0) in
+  Fun.protect
+    ~finally:(fun () ->
+      Prelude.Deadline.Faults.clear ();
+      Serve.stop server;
+      rm_rf state_dir)
+    (fun () ->
+      let a = connect server and b = connect server in
+      let kind c line =
+        match parse_response (request c line) with
+        | `Ok _ -> "ok"
+        | `Err j -> str_field j "kind"
+      in
+      let expect c line k =
+        Alcotest.(check string) line k (kind c line)
+      in
+      expect a "hello pin-a" "ok";
+      expect a "open" "ok";
+      expect a
+        "constraint one_team: ex:playsFor(x, y)@t ^ ex:playsFor(x, z)@t2 ^ \
+         y != z => disjoint(t, t2) ."
+        "ok";
+      expect a "assert ex:P1 ex:playsFor ex:T1 [2000,2004] 0.9 ." "ok";
+      expect a "assert ex:P1 ex:playsFor ex:T2 [2002,2006] 0.8 ." "ok";
+      expect a "frobnicate" "parse";
+      expect a "unrule no_such_rule" "exec";
+      (* A resolve stalled on its lane keeps the queue non-empty, so a
+         second resolve is shed. *)
+      Prelude.Deadline.Faults.configure "slow_resolve:500";
+      send a "resolve";
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while (not (Serve.busy server)) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.002
+      done;
+      expect b "hello pin-a" "ok";
+      expect b "resolve" "overloaded";
+      ignore (expect_ok "resolve" (input_line a.ic));
+      Prelude.Deadline.Faults.clear ();
+      expect b "hello pin-b" "ok";
+      expect a "stat" "evicted";
+      expect a "hello pin-a" "ok";
+      expect a "resolve" "ok";
+      close a;
+      close b;
+      (* The lane counters land just after the reply; wait for them. *)
+      let rec settle n =
+        let lines = serve_lines (Serve.metrics_text server) in
+        if n = 0 || lines = pinned_serve_lines then lines
+        else begin
+          Thread.delay 0.01;
+          settle (n - 1)
+        end
+      in
+      Alcotest.(check (list string))
+        "serve_* lines" pinned_serve_lines (settle 500))
+
 (* ------------------------------------------------------------------ *)
 (* Request tracing and the access log                                  *)
 (* ------------------------------------------------------------------ *)
@@ -629,6 +803,8 @@ let () =
         [
           Alcotest.test_case "live exposition validates" `Quick
             test_metrics_validate;
+          Alcotest.test_case "serve exposition bytes pinned" `Quick
+            test_metrics_pinned;
         ] );
       ( "tracing",
         [
