@@ -1266,135 +1266,121 @@ module Export = struct
 
   let path_label path = if path = "" then [] else [ ("path", path) ]
 
-  let open_metrics (r : Report.t) =
-    (* Collect rows per family first so each # TYPE line precedes all
-       of its samples, as the OpenMetrics grammar requires. Span paths
-       are unique after sibling merging, so label sets never repeat. *)
-    let span_rows = ref [] in
-    let counter_rows = ref [] in
-    let gauge_rows = ref [] in
-    let hist_rows = ref [] in
-    let series_rows = ref [] in
-    let add_metrics ~path (nd_counters, nd_gauges, nd_hists, nd_series) =
+  type family = {
+    name : string;
+    kind : string;
+    rows : (string * (string * string) list * float) list;
+  }
+
+  let summary_rows ~quantiles base h =
+    List.map
+      (fun q ->
+        ("", base @ [ ("quantile", Json.number q) ], Histogram.quantile h q))
+      quantiles
+    @ [
+        ("_sum", base, Histogram.total h);
+        ("_count", base, float_of_int (Histogram.count h));
+      ]
+
+  let add_family buf { name; kind; rows } =
+    if rows <> [] then begin
+      Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind);
       List.iter
-        (fun (k, v) -> counter_rows := (path, k, v) :: !counter_rows)
-        nd_counters;
-      List.iter
-        (fun (k, v) -> gauge_rows := (path, k, v) :: !gauge_rows)
-        nd_gauges;
-      List.iter (fun (k, h) -> hist_rows := (path, k, h) :: !hist_rows) nd_hists;
-      List.iter
-        (fun (k, s) -> series_rows := (path, k, s) :: !series_rows)
-        nd_series
-    in
+        (fun (suffix, kvs, v) ->
+          Buffer.add_string buf
+            (Printf.sprintf "%s%s%s %s\n" name suffix (labels kvs)
+               (metric_value v)))
+        rows
+    end
+
+  let open_metrics ?(families = []) (r : Report.t) =
+    (* Span paths depth-first. They are unique after sibling merging, so
+       label sets never repeat within a family. *)
+    let spans = ref [] in
     let rec walk path (nd : Report.node) =
       let path = if path = "" then nd.name else path ^ "/" ^ nd.name in
-      span_rows := (path, nd.total_ms, nd.calls) :: !span_rows;
-      add_metrics ~path (nd.counters, nd.gauges, nd.hists, nd.series);
+      spans := (path, nd) :: !spans;
       List.iter (walk path) nd.children
     in
-    add_metrics ~path:"" (r.counters, r.gauges, r.hists, r.series);
     List.iter (walk "") r.spans;
-    let buf = Buffer.create 1024 in
-    let line fmt =
-      Printf.ksprintf
-        (fun s ->
-          Buffer.add_string buf s;
-          Buffer.add_char buf '\n')
-        fmt
+    let spans = List.rev !spans in
+    let root =
+      {
+        Report.name = "";
+        calls = 0;
+        total_ms = 0.0;
+        counters = r.counters;
+        gauges = r.gauges;
+        hists = r.hists;
+        series = r.series;
+        children = [];
+        slices = [];
+      }
     in
-    line "# TYPE tecore_wall_ms gauge";
-    line "tecore_wall_ms %s" (metric_value r.wall_ms);
-    (match List.rev !span_rows with
-    | [] -> ()
-    | rows ->
-        line "# TYPE tecore_span_ms counter";
-        List.iter
-          (fun (path, ms, _) ->
-            line "tecore_span_ms_total%s %s"
-              (labels (path_label path))
-              (metric_value ms))
-          rows;
-        line "# TYPE tecore_span_calls counter";
-        List.iter
-          (fun (path, _, calls) ->
-            line "tecore_span_calls_total%s %d" (labels (path_label path)) calls)
-          rows);
-    (match List.rev !counter_rows with
-    | [] -> ()
-    | rows ->
-        line "# TYPE tecore_counter counter";
-        List.iter
-          (fun (path, k, v) ->
-            line "tecore_counter_total%s %s"
-              (labels (path_label path @ [ ("name", k) ]))
-              (metric_value v))
-          rows);
-    (match List.rev !gauge_rows with
-    | [] -> ()
-    | rows ->
-        line "# TYPE tecore_gauge gauge";
-        List.iter
-          (fun (path, k, v) ->
-            line "tecore_gauge%s %s"
-              (labels (path_label path @ [ ("name", k) ]))
-              (metric_value v))
-          rows);
-    (match List.rev !hist_rows with
-    | [] -> ()
-    | rows ->
-        line "# TYPE tecore_histogram summary";
-        List.iter
-          (fun (path, k, h) ->
-            let base = path_label path @ [ ("name", k) ] in
-            List.iter
-              (fun q ->
-                line "tecore_histogram%s %s"
-                  (labels (base @ [ ("quantile", Json.number q) ]))
-                  (metric_value (Histogram.quantile h q)))
-              [ 0.5; 0.9; 0.95; 0.99 ];
-            line "tecore_histogram_sum%s %s" (labels base)
-              (metric_value (Histogram.total h));
-            line "tecore_histogram_count%s %d" (labels base)
-              (Histogram.count h))
-          rows);
-    (match List.rev !series_rows with
-    | [] -> ()
-    | rows ->
-        line "# TYPE tecore_series_points gauge";
-        List.iter
-          (fun (path, k, s) ->
-            line "tecore_series_points%s %d"
-              (labels (path_label path @ [ ("name", k) ]))
-              (Series.count s))
-          rows;
-        line "# TYPE tecore_series_last gauge";
-        List.iter
-          (fun (path, k, s) ->
-            match List.rev (Series.points s) with
-            | (_, y) :: _ ->
-                line "tecore_series_last%s %s"
-                  (labels (path_label path @ [ ("name", k) ]))
-                  (metric_value y)
-            | [] -> ())
-          rows);
-    (if r.events <> [] then begin
-       line "# TYPE tecore_events counter";
-       List.iter
-         (fun lv ->
-           let n =
-             List.length (List.filter (fun e -> e.Events.level = lv) r.events)
-           in
-           line "tecore_events_total%s %d"
-             (labels [ ("level", Events.level_name lv) ])
-             n)
-         [ Events.Debug; Events.Info; Events.Warn; Events.Error ]
-     end);
-    (* Always emitted, so scrapers can alert on ring overflow even when
-       the ring itself is empty (e.g. right after a capacity resize). *)
-    line "# TYPE tecore_events_dropped counter";
-    line "tecore_events_dropped_total %d" r.events_dropped;
-    line "# EOF";
+    (* Rows for one kind of named metric, over the root-level metrics
+       (no path label) and then every span's. *)
+    let named select row =
+      List.concat_map
+        (fun (path, nd) ->
+          List.concat_map
+            (fun (k, x) -> row (path_label path @ [ ("name", k) ]) x)
+            (select nd))
+        (("", root) :: spans)
+    in
+    let per_span suffix value =
+      List.map (fun (path, nd) -> (suffix, path_label path, value nd)) spans
+    in
+    let family name kind rows = { name; kind; rows } in
+    let count n = float_of_int n in
+    let buf = Buffer.create 1024 in
+    List.iter (add_family buf)
+      ([
+         family "tecore_wall_ms" "gauge" [ ("", [], r.wall_ms) ];
+         family "tecore_span_ms" "counter"
+           (per_span "_total" (fun nd -> nd.Report.total_ms));
+         family "tecore_span_calls" "counter"
+           (per_span "_total" (fun nd -> count nd.Report.calls));
+         family "tecore_counter" "counter"
+           (named
+              (fun nd -> nd.Report.counters)
+              (fun l v -> [ ("_total", l, v) ]));
+         family "tecore_gauge" "gauge"
+           (named (fun nd -> nd.Report.gauges) (fun l v -> [ ("", l, v) ]));
+         family "tecore_histogram" "summary"
+           (named
+              (fun nd -> nd.Report.hists)
+              (summary_rows ~quantiles:[ 0.5; 0.9; 0.95; 0.99 ]));
+         family "tecore_series_points" "gauge"
+           (named
+              (fun nd -> nd.Report.series)
+              (fun l s -> [ ("", l, count (Series.count s)) ]));
+         family "tecore_series_last" "gauge"
+           (named
+              (fun nd -> nd.Report.series)
+              (fun l s ->
+                match List.rev (Series.points s) with
+                | (_, y) :: _ -> [ ("", l, y) ]
+                | [] -> []));
+         family "tecore_events" "counter"
+           (if r.events = [] then []
+            else
+              List.map
+                (fun lv ->
+                  ( "_total",
+                    [ ("level", Events.level_name lv) ],
+                    count
+                      (List.length
+                         (List.filter (fun e -> e.Events.level = lv) r.events))
+                  ))
+                [ Events.Debug; Events.Info; Events.Warn; Events.Error ]);
+         (* Always emitted, so scrapers can alert on ring overflow even
+            when the ring itself is empty (e.g. right after a capacity
+            resize). *)
+         family "tecore_events_dropped" "counter"
+           [ ("_total", [], count r.events_dropped) ];
+       ]
+      @ families);
+    Buffer.add_string buf "# EOF\n";
     Buffer.contents buf
 
   let validate_metrics text =

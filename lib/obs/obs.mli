@@ -346,14 +346,34 @@ module Export : sig
       a complete ["X"] event with non-negative [ts]/[dur], and at least
       [min_lanes] (default 1) distinct [tid] lanes. *)
 
-  val open_metrics : Report.t -> string
+  type family = {
+    name : string;  (** the [# TYPE] name *)
+    kind : string;  (** ["counter"], ["gauge"] or ["summary"] *)
+    rows : (string * (string * string) list * float) list;
+        (** samples: a suffix appended to [name] (e.g. ["_total"],
+            ["_sum"]), labels in order, value *)
+  }
+  (** One OpenMetrics metric family. A family without rows renders
+      nothing. Values print like {!Json.number} ([NaN]/[+Inf]/[-Inf]
+      when not finite), so an integral count prints as an integer. *)
+
+  val summary_rows :
+    quantiles:float list ->
+    (string * string) list ->
+    Histogram.t ->
+    (string * (string * string) list * float) list
+  (** [summary_rows ~quantiles labels h]: one [quantile]-labelled row per
+      quantile, then [_sum] and [_count] — the rows of a summary
+      family. *)
+
+  val open_metrics : ?families:family list -> Report.t -> string
   (** OpenMetrics/Prometheus text exposition of the whole report:
       span times and call counts ([tecore_span_ms_total],
       [tecore_span_calls_total]) labelled with their span path,
       counters/gauges, histograms as summaries with [quantile] labels
       plus [_sum]/[_count], series sizes and last values, event counts
-      per level, terminated by [# EOF]. Suitable for the node_exporter
-      textfile collector. *)
+      per level, then [families] (default none), terminated by
+      [# EOF]. Suitable for the node_exporter textfile collector. *)
 
   val validate_metrics : string -> (unit, string) result
   (** Small OpenMetrics grammar check used by CI: every line is a

@@ -229,30 +229,34 @@ type stats = {
   slowest : record list; (* slowest first *)
 }
 
+let add_phases tbl phases =
+  List.iter
+    (fun (p, ms) ->
+      let h =
+        match Hashtbl.find_opt tbl p with
+        | Some h -> h
+        | None ->
+            let h = Obs.Histogram.create () in
+            Hashtbl.add tbl p h;
+            h
+      in
+      Obs.Histogram.add h ms)
+    phases
+
+let in_phase_order tbl =
+  List.filter_map
+    (fun p -> Option.map (fun v -> (p, v)) (Hashtbl.find_opt tbl p))
+    phase_names
+
 let stats ?(top = 10) records =
   let wall = Obs.Histogram.create () in
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun r ->
       Obs.Histogram.add wall r.wall_ms;
-      List.iter
-        (fun (p, ms) ->
-          let h =
-            match Hashtbl.find_opt tbl p with
-            | Some h -> h
-            | None ->
-                let h = Obs.Histogram.create () in
-                Hashtbl.add tbl p h;
-                h
-          in
-          Obs.Histogram.add h ms)
-        r.phases)
+      add_phases tbl r.phases)
     records;
-  let phase_hists =
-    List.filter_map
-      (fun p -> Option.map (fun h -> (p, h)) (Hashtbl.find_opt tbl p))
-      phase_names
-  in
+  let phase_hists = in_phase_order tbl in
   let slowest =
     List.stable_sort (fun a b -> Float.compare b.wall_ms a.wall_ms) records
     |> List.filteri (fun i _ -> i < max 0 top)

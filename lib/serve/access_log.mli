@@ -30,6 +30,15 @@ val phase_names : string list
 (** The phase taxonomy in canonical reporting order:
     parse, queue, lock, ground, solve, journal, fsync, reply. *)
 
+val in_phase_order : (string, 'a) Hashtbl.t -> (string * 'a) list
+(** The table's bindings for the phases that occur, in {!phase_names}
+    order. *)
+
+val add_phases :
+  (string, Obs.Histogram.t) Hashtbl.t -> (string * float) list -> unit
+(** Add one record's phase timings to per-phase histograms — the fold
+    behind both {!stats} and the server's live summaries. *)
+
 val record_to_json : record -> Obs.Json.t
 val record_to_line : record -> string
 

@@ -25,6 +25,8 @@ type error_kind =
 
 type error = { kind : error_kind; line : int; column : int; message : string }
 
+let error kind ~line message = { kind; line; column = 1; message }
+
 let kind_name = function
   | Parse -> "parse"
   | Exec -> "exec"

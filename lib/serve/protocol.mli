@@ -65,6 +65,10 @@ type error_kind =
 
 type error = { kind : error_kind; line : int; column : int; message : string }
 
+val error : error_kind -> line:int -> string -> error
+(** An error located at column 1 of request [line] — every error but a
+    parse error, which points at the offending column. *)
+
 val kind_name : error_kind -> string
 (** Lowercase tag used in the wire error object and [serve.*] metrics:
     ["parse"], ["exec"], ["rejected"], ["overloaded"], ["timed_out"],

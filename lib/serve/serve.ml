@@ -122,7 +122,11 @@ module Reader = struct
            end
          done
        with Exit -> ());
-      if !nl >= 0 then `Line (take t !nl)
+      if !nl > t.max then begin
+        ignore (take t !nl);
+        `Too_long
+      end
+      else if !nl >= 0 then `Line (take t !nl)
       else if t.len > t.max then discard_to_newline ()
       else if refill t = 0 then
         if t.len > 0 then begin
@@ -233,7 +237,6 @@ type t = {
   listen_fd : Unix.file_descr;
   sockaddr : Unix.sockaddr;
   addr_str : string;
-  tcp_port : int option;
   sessions : (string, entry) Hashtbl.t;
   registry_lock : Mutex.t;
   mutable registry_clock : int;  (** bumps on every session use (LRU) *)
@@ -250,7 +253,7 @@ type t = {
   journal_group : Journal.group option;
       (** cross-session commit group pooling the [Every n] fsync budget
           (see {!Journal.attach}), when [--state-dir] is set *)
-  mutable shed : int;
+  shed : int Atomic.t;
   counters : int Atomic.t array;  (** indexed like [outcomes] *)
   requests : int Atomic.t;
   start_wall : float;  (** Unix epoch seconds at {!start} *)
@@ -289,14 +292,17 @@ let fnv1a_32 s =
     s;
   !h
 
+(* The lane named by a fault point's argument, modulo the lane count. *)
+let fault_lane t point =
+  let n = lane_count t in
+  ((Deadline.Faults.arg point mod n) + n) mod n
+
 (* Which lane serves a session id. The [lane_collide:L] fault point
    (TECORE_FAULTS) pins every session to lane [L mod lanes], the test
    hook for forcing hash collisions. *)
 let lane_of_session t id =
-  let n = lane_count t in
-  if Deadline.Faults.active "lane_collide" then
-    ((Deadline.Faults.arg "lane_collide" mod n) + n) mod n
-  else fnv1a_32 id mod n
+  if Deadline.Faults.active "lane_collide" then fault_lane t "lane_collide"
+  else fnv1a_32 id mod lane_count t
 
 let sessions_open t =
   Mutex.lock t.registry_lock;
@@ -304,11 +310,20 @@ let sessions_open t =
   Mutex.unlock t.registry_lock;
   n
 
+(* [f] summed over the lanes; called with [queue_lock] held. *)
+let sum_lanes t f = Array.fold_left (fun acc l -> acc + f l) 0 t.lanes
+
+let queued l = Queue.length l.lqueue
+
+let lane_pending l = queued l + l.lrunning
+
+(* Called with [queue_lock] held. *)
+let publish_queue_depth t =
+  Obs.gauge "serve.queue_depth" (float_of_int (sum_lanes t queued))
+
 let queue_depth t =
   Mutex.lock t.queue_lock;
-  let n =
-    Array.fold_left (fun acc l -> acc + Queue.length l.lqueue) 0 t.lanes
-  in
+  let n = sum_lanes t queued in
   Mutex.unlock t.queue_lock;
   n
 
@@ -318,9 +333,7 @@ let busy t =
   Mutex.unlock t.queue_lock;
   b
 
-let shed_count t = t.shed
-
-let sessions_evicted t = Atomic.get t.evicted_total
+let shed_count t = Atomic.get t.shed
 
 let sessions_expired t = Atomic.get t.expired_total
 
@@ -353,18 +366,7 @@ let recent_records t =
    seeing the same record set everywhere. *)
 let record_trace t (r : Access_log.record) =
   Mutex.lock t.trace_lock;
-  List.iter
-    (fun (p, ms) ->
-      let h =
-        match Hashtbl.find_opt t.phase_hists p with
-        | Some h -> h
-        | None ->
-            let h = Obs.Histogram.create () in
-            Hashtbl.add t.phase_hists p h;
-            h
-      in
-      Obs.Histogram.add h ms)
-    r.Access_log.phases;
+  Access_log.add_phases t.phase_hists r.Access_log.phases;
   let cap = Array.length t.recent in
   t.recent.(t.recent_head) <- Some r;
   t.recent_head <- (t.recent_head + 1) mod cap;
@@ -385,8 +387,6 @@ let touch t entry =
   entry.last_wall <- Unix.gettimeofday ();
   Mutex.unlock t.registry_lock
 
-let port t = t.tcp_port
-
 let address t = t.addr_str
 
 let count_outcome t result =
@@ -397,134 +397,67 @@ let count_outcome t result =
 (* ------------------------------------------------------------------ *)
 
 let metrics_text t =
-  let obs = Obs.Export.open_metrics (Obs.Report.capture ()) in
-  let eof = "# EOF\n" in
-  let body =
-    if
-      String.length obs >= String.length eof
-      && String.sub obs (String.length obs - String.length eof)
-           (String.length eof)
-         = eof
-    then String.sub obs 0 (String.length obs - String.length eof)
-    else obs
-  in
-  let b = Buffer.create (String.length body + 512) in
-  Buffer.add_string b body;
-  Buffer.add_string b "# TYPE serve_sessions_open gauge\n";
-  Buffer.add_string b
-    (Printf.sprintf "serve_sessions_open %d\n" (sessions_open t));
-  Buffer.add_string b "# TYPE serve_queue_depth gauge\n";
-  Buffer.add_string b
-    (Printf.sprintf "serve_queue_depth %d\n" (queue_depth t));
-  (* Per-lane pending work (queued + running) and completed resolves,
-     so a stuck or hot lane is visible from the exposition. *)
+  let report = Obs.Report.capture () in
   Mutex.lock t.queue_lock;
-  let lane_rows =
-    Array.map
-      (fun l -> (Queue.length l.lqueue + l.lrunning, Atomic.get l.lserved))
-      t.lanes
+  let lanes =
+    List.mapi
+      (fun i l -> (string_of_int i, (lane_pending l, Atomic.get l.lserved)))
+      (Array.to_list t.lanes)
   in
   Mutex.unlock t.queue_lock;
-  Buffer.add_string b "# TYPE serve_lane_depth gauge\n";
-  Array.iteri
-    (fun i (depth, _) ->
-      Buffer.add_string b
-        (Printf.sprintf "serve_lane_depth{lane=\"%d\"} %d\n" i depth))
-    lane_rows;
-  Buffer.add_string b "# TYPE serve_lane_requests_total counter\n";
-  Array.iteri
-    (fun i (_, served) ->
-      Buffer.add_string b
-        (Printf.sprintf "serve_lane_requests_total{lane=\"%d\"} %d\n" i
-           served))
-    lane_rows;
-  Buffer.add_string b "# TYPE serve_requests_total counter\n";
-  Array.iteri
-    (fun i name ->
-      Buffer.add_string b
-        (Printf.sprintf "serve_requests_total{outcome=\"%s\"} %d\n" name
-           (Atomic.get t.counters.(i))))
-    outcomes;
-  Buffer.add_string b "# TYPE serve_shed_total counter\n";
-  Buffer.add_string b (Printf.sprintf "serve_shed_total %d\n" t.shed);
-  Buffer.add_string b "# TYPE serve_sessions_evicted_total counter\n";
-  Buffer.add_string b
-    (Printf.sprintf "serve_sessions_evicted_total %d\n"
-       (Atomic.get t.evicted_total));
-  Buffer.add_string b "# TYPE serve_sessions_expired_total counter\n";
-  Buffer.add_string b
-    (Printf.sprintf "serve_sessions_expired_total %d\n"
-       (Atomic.get t.expired_total));
-  Buffer.add_string b "# TYPE serve_sessions_recovered_total counter\n";
-  Buffer.add_string b
-    (Printf.sprintf "serve_sessions_recovered_total %d\n"
-       (Atomic.get t.recovered_total));
-  Buffer.add_string b "# TYPE serve_uptime_seconds gauge\n";
-  Buffer.add_string b
-    (Printf.sprintf "serve_uptime_seconds %s\n"
-       (Obs.Json.number (Unix.gettimeofday () -. t.start_wall)));
-  (* Per-phase request-latency summaries, fed by traced requests. The
-     quantile values are Json.number-rendered so the offline analyzer's
-     floats compare byte-for-byte. *)
-  let escape_label s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '"' -> Buffer.add_string b "\\\""
-        | '\n' -> Buffer.add_string b "\\n"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
+  (* Quantiles computed exactly like {!Access_log.stats}, so the offline
+     analyzer's renderings compare byte-for-byte. *)
   Mutex.lock t.trace_lock;
   let phase_rows =
-    List.filter_map
-      (fun p ->
-        Option.map (fun h -> (p, h)) (Hashtbl.find_opt t.phase_hists p))
-      Access_log.phase_names
-  in
-  if phase_rows <> [] then begin
-    Buffer.add_string b "# TYPE serve_request_phase_ms summary\n";
-    List.iter
+    List.concat_map
       (fun (p, h) ->
-        List.iter
-          (fun q ->
-            Buffer.add_string b
-              (Printf.sprintf
-                 "serve_request_phase_ms{phase=\"%s\",quantile=\"%s\"} %s\n" p
-                 (Obs.Json.number q)
-                 (Obs.Json.number (Obs.Histogram.quantile h q))))
-          [ 0.5; 0.95 ];
-        Buffer.add_string b
-          (Printf.sprintf "serve_request_phase_ms_sum{phase=\"%s\"} %s\n" p
-             (Obs.Json.number (Obs.Histogram.total h)));
-        Buffer.add_string b
-          (Printf.sprintf "serve_request_phase_ms_count{phase=\"%s\"} %d\n" p
-             (Obs.Histogram.count h)))
-      phase_rows
-  end;
+        Obs.Export.summary_rows ~quantiles:[ 0.5; 0.95 ] [ ("phase", p) ] h)
+      (Access_log.in_phase_order t.phase_hists)
+  in
   Mutex.unlock t.trace_lock;
   Mutex.lock t.registry_lock;
-  let session_rows =
+  let sessions =
     Hashtbl.fold
       (fun id e acc -> (id, Atomic.get e.served) :: acc)
       t.sessions []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   Mutex.unlock t.registry_lock;
-  if session_rows <> [] then begin
-    Buffer.add_string b "# TYPE serve_session_requests_total counter\n";
-    List.iter
-      (fun (id, n) ->
-        Buffer.add_string b
-          (Printf.sprintf "serve_session_requests_total{session=\"%s\"} %d\n"
-             (escape_label id) n))
-      session_rows
-  end;
-  Buffer.add_string b eof;
-  Buffer.contents b
+  let num n = float_of_int n in
+  let family name kind rows = { Obs.Export.name; kind; rows } in
+  let single name kind v = family name kind [ ("", [], v) ] in
+  let labelled label values =
+    List.map (fun (l, v) -> ("", [ (label, l) ], num v)) values
+  in
+  let outcome_counts =
+    Array.to_list
+      (Array.mapi (fun i o -> (o, Atomic.get t.counters.(i))) outcomes)
+  in
+  Obs.Export.open_metrics report
+    ~families:
+      [
+        single "serve_sessions_open" "gauge" (num (sessions_open t));
+        single "serve_queue_depth" "gauge" (num (queue_depth t));
+        (* Per-lane pending work (queued + running) and completed
+           resolves, so a stuck or hot lane is visible. *)
+        family "serve_lane_depth" "gauge"
+          (labelled "lane" (List.map (fun (i, (d, _)) -> (i, d)) lanes));
+        family "serve_lane_requests_total" "counter"
+          (labelled "lane" (List.map (fun (i, (_, n)) -> (i, n)) lanes));
+        family "serve_requests_total" "counter"
+          (labelled "outcome" outcome_counts);
+        single "serve_shed_total" "counter" (num (Atomic.get t.shed));
+        single "serve_sessions_evicted_total" "counter"
+          (num (Atomic.get t.evicted_total));
+        single "serve_sessions_expired_total" "counter"
+          (num (Atomic.get t.expired_total));
+        single "serve_sessions_recovered_total" "counter"
+          (num (Atomic.get t.recovered_total));
+        single "serve_uptime_seconds" "gauge"
+          (Unix.gettimeofday () -. t.start_wall);
+        family "serve_request_phase_ms" "summary" phase_rows;
+        family "serve_session_requests_total" "counter"
+          (labelled "session" (List.sort compare sessions));
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Request execution                                                   *)
@@ -532,56 +465,77 @@ let metrics_text t =
 
 let json_num n = Obs.Json.Num (float_of_int n)
 
-let exec_error ~line message =
-  { Protocol.kind = Protocol.Exec; line; column = 1; message }
+let exec_error ~line message = Protocol.error Protocol.Exec ~line message
 
 let expired_error ~line id =
-  {
-    Protocol.kind = Protocol.Expired;
-    line;
-    column = 1;
-    message =
-      Printf.sprintf
-        "session %S expired after idle TTL; send: hello <client-id> to \
-         re-attach"
-        id;
-  }
+  Protocol.error Protocol.Expired ~line
+    (Printf.sprintf
+       "session %S expired after idle TTL; send: hello <client-id> to \
+        re-attach"
+       id)
 
 let storage_error ~line msg =
+  Protocol.error Protocol.Storage ~line
+    ("journal write failed; session is no longer durable: " ^ msg)
+
+let shutting_down ~line =
+  Protocol.error Protocol.Shutting_down ~line "server is shutting down"
+
+let entry_of t id ?journal ?recovery session =
   {
-    Protocol.kind = Protocol.Storage;
-    line;
-    column = 1;
-    message = "journal write failed; session is no longer durable: " ^ msg;
+    id;
+    session;
+    lock = Mutex.create ();
+    last_used = t.registry_clock;
+    last_wall = Unix.gettimeofday ();
+    evicted = false;
+    expired = false;
+    journal;
+    recovery;
+    served = Atomic.make 0;
   }
 
-(* Open the durable backing of a fresh registry entry: recover the
-   session from its directory when one exists, create a generation-0
-   journal otherwise. (No-op triple without [--state-dir].) *)
-let open_session t id =
+(* Join a session's journal to the cross-session commit group. *)
+let grouped t j =
+  Option.iter (Journal.attach j) t.journal_group;
+  j
+
+(* Rebuild a registry entry from the session's directory under the
+   state dir (replaying its snapshot and journal). *)
+let recover_entry t ~state_dir id =
+  let r =
+    Journal.recover ~state_dir ~fsync:t.config.fsync
+      ~compact_every:t.config.compact_every id
+  in
+  Atomic.incr t.recovered_total;
+  Obs.count "serve.sessions_recovered";
+  entry_of t id r.Journal.session
+    ~journal:(grouped t r.Journal.journal)
+    ~recovery:(Journal.status_name r.Journal.status)
+
+(* A registry entry for a [hello] of an unregistered id: recovered when
+   the session has a directory under the state dir, fresh otherwise
+   (with a generation-0 journal when the server is durable). *)
+let open_entry t id =
   match t.config.state_dir with
-  | None -> (Session.create (), None, None)
+  | None -> entry_of t id (Session.create ())
+  | Some state_dir when Sys.file_exists (Journal.session_dir ~state_dir id) ->
+      recover_entry t ~state_dir id
   | Some state_dir ->
-      let fsync = t.config.fsync in
-      let compact_every = t.config.compact_every in
-      let grouped j =
-        (match t.journal_group with
-        | Some g -> Journal.attach j g
-        | None -> ());
-        j
+      let journal =
+        Journal.create ~state_dir ~fsync:t.config.fsync
+          ~compact_every:t.config.compact_every id
       in
-      if Sys.file_exists (Journal.session_dir ~state_dir id) then begin
-        let r = Journal.recover ~state_dir ~fsync ~compact_every id in
-        Atomic.incr t.recovered_total;
-        Obs.count "serve.sessions_recovered";
-        ( r.Journal.session,
-          Some (grouped r.Journal.journal),
-          Some (Journal.status_name r.Journal.status) )
-      end
-      else
-        ( Session.create (),
-          Some (grouped (Journal.create ~state_dir ~fsync ~compact_every id)),
-          None )
+      entry_of t id (Session.create ()) ~journal:(grouped t journal)
+
+(* Close a retired entry's journal once any in-flight edit on it has
+   finished (acked edits are already on disk), so the fd is released
+   and a later [hello] can recover the session. *)
+let release_journal e =
+  Mutex.lock e.lock;
+  Option.iter Journal.close e.journal;
+  e.journal <- None;
+  Mutex.unlock e.lock
 
 (* Write-ahead persistence of one accepted edit; called with the entry
    lock held, after the edit applied. An IO failure surfaces as a typed
@@ -617,6 +571,13 @@ let persist_snapshot entry ~line ok =
         Ok ok
       with Sys_error msg -> Error (storage_error ~line msg))
 
+(* Hand a job its reply and wake the connection waiting on it. *)
+let answer job reply =
+  Mutex.lock job.jm;
+  job.reply <- Some reply;
+  Condition.signal job.jcv;
+  Mutex.unlock job.jm
+
 (* The queue-side half of a resolve: admission control, hand-off to the
    session's resolver lane, and the wait for its reply. Admission is
    global — the pending count spans every lane, so [--queue] bounds the
@@ -638,42 +599,25 @@ let submit_resolve t ~line ~trace entry mode =
   in
   let lane = t.lanes.(lane_of_session t entry.id) in
   Mutex.lock t.queue_lock;
-  let pending =
-    Array.fold_left
-      (fun acc l -> acc + Queue.length l.lqueue + l.lrunning)
-      0 t.lanes
-  in
+  let pending = sum_lanes t lane_pending in
   if t.stopped || Atomic.get t.stop_requested then begin
     Mutex.unlock t.queue_lock;
-    Error
-      {
-        Protocol.kind = Protocol.Shutting_down;
-        line;
-        column = 1;
-        message = "server is shutting down";
-      }
+    Error (shutting_down ~line)
   end
   else if pending > t.config.queue_cap then begin
-    t.shed <- t.shed + 1;
+    Atomic.incr t.shed;
     Mutex.unlock t.queue_lock;
     Obs.event ~level:Obs.Events.Warn "serve.shed"
       [ ("pending", Obs.Events.Int pending) ];
     Error
-      {
-        Protocol.kind = Protocol.Overloaded;
-        line;
-        column = 1;
-        message =
-          Printf.sprintf
+      (Protocol.error Protocol.Overloaded ~line
+         (Printf.sprintf
             "overloaded: %d resolve(s) pending (queue bound %d); retry later"
-            pending t.config.queue_cap;
-      }
+            pending t.config.queue_cap))
   end
   else begin
     Queue.add job lane.lqueue;
-    Obs.gauge "serve.queue_depth"
-      (float_of_int
-         (Array.fold_left (fun acc l -> acc + Queue.length l.lqueue) 0 t.lanes));
+    publish_queue_depth t;
     Condition.signal lane.lcv;
     Mutex.unlock t.queue_lock;
     Mutex.lock job.jm;
@@ -720,13 +664,71 @@ let run_resolve config job =
   | Ok r -> Ok (Protocol.ok_line (resolve_summary session r job.mode))
   | Error (Session.Rejected report) ->
       Error
-        {
-          Protocol.kind = Protocol.Rejected;
-          line = job.job_line;
-          column = 1;
-          message = Format.asprintf "%a" Tecore.Translator.pp_report report;
-        }
+        (Protocol.error Protocol.Rejected ~line:job.job_line
+           (Format.asprintf "%a" Tecore.Translator.pp_report report))
   | Error e -> Error (exec_error ~line:job.job_line (Session.error_message e))
+
+(* Run [f], recording its wall time as phase [name] when traced. *)
+let timed trace name f =
+  match trace with
+  | None -> f ()
+  | Some ctx ->
+      let t0 = Prelude.Timing.now_ms () in
+      let r = f () in
+      Obs.Phases.record ctx name (Prelude.Timing.now_ms () -. t0);
+      r
+
+(* Run [f] with the request's phase context installed, when traced. *)
+let with_trace trace f =
+  match trace with Some ctx -> Obs.with_phases ctx f | None -> f ()
+
+(* One dequeued job on [lane]: shed when the server is draining or the
+   budget expired while queued, else resolve under the entry lock. *)
+let run_job t lane ~draining job =
+  let line = job.job_line in
+  if draining then Error (shutting_down ~line)
+  else if Deadline.expired job.deadline then
+    Error
+      (Protocol.error Protocol.Timed_out ~line
+         "request budget expired while queued")
+  else begin
+    (* Deterministic slow-resolve injection for the overload and
+       head-of-line tests: TECORE_FAULTS=slow_resolve:MS stretches the
+       busy window. Adding slow_resolve_lane:L confines the stall to
+       lane [L mod lanes], so a sibling lane's progress past a stalled
+       one is observable (and deterministic) even on a single core. *)
+    if
+      (not (Deadline.Faults.active "slow_resolve_lane"))
+      || fault_lane t "slow_resolve_lane" = lane.lane_index
+    then Deadline.Faults.delay "slow_resolve";
+    timed job.trace "lock" (fun () -> Mutex.lock job.entry.lock);
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock job.entry.lock)
+      (fun () ->
+        let run () =
+          try run_resolve t.config job
+          with e ->
+            Error
+              (Protocol.error Protocol.Internal ~line
+                 ("resolve failed: " ^ Printexc.to_string e))
+        in
+        let run () =
+          (* Single-lane servers skip the solve lock entirely: their
+             execution path (and byte traffic) is exactly the previous
+             single-resolver release's. The wait for a contended solve
+             lock lands in the "lock" phase (entries sum at emission). *)
+          if lane_count t = 1 then run ()
+          else begin
+            timed job.trace "lock" (fun () -> Mutex.lock t.solve_lock);
+            Fun.protect ~finally:(fun () -> Mutex.unlock t.solve_lock) run
+          end
+        in
+        (* The resolver is a different systhread from the connection
+           that owns the context (which is blocked in [Condition.wait]
+           until we reply), so the engine's ground/solve spans need the
+           context installed here. *)
+        with_trace job.trace run)
+  end
 
 (* One lane's resolver thread: drain the lane's sub-queue in FIFO
    order. Within the request, everything but the solve itself (queue
@@ -739,112 +741,21 @@ let lane_loop t lane =
     while Queue.is_empty lane.lqueue && not (Atomic.get t.stop_requested) do
       Condition.wait lane.lcv t.queue_lock
     done;
-    if Queue.is_empty lane.lqueue then begin
+    if Queue.is_empty lane.lqueue then
       (* Stop requested and nothing left to drain. *)
-      Mutex.unlock t.queue_lock;
-      ()
-    end
+      Mutex.unlock t.queue_lock
     else begin
       let job = Queue.pop lane.lqueue in
-      Obs.gauge "serve.queue_depth"
-        (float_of_int
-           (Array.fold_left
-              (fun acc l -> acc + Queue.length l.lqueue)
-              0 t.lanes));
+      publish_queue_depth t;
       let draining = Atomic.get t.stop_requested in
       lane.lrunning <- 1;
       Mutex.unlock t.queue_lock;
-      (match job.trace with
-      | Some ctx ->
+      Option.iter
+        (fun ctx ->
           Obs.Phases.record ctx "queue"
-            (Prelude.Timing.now_ms () -. job.submitted_ms)
-      | None -> ());
-      let reply =
-        if draining then
-          Error
-            {
-              Protocol.kind = Protocol.Shutting_down;
-              line = job.job_line;
-              column = 1;
-              message = "server is shutting down";
-            }
-        else if Deadline.expired job.deadline then
-          Error
-            {
-              Protocol.kind = Protocol.Timed_out;
-              line = job.job_line;
-              column = 1;
-              message = "request budget expired while queued";
-            }
-        else begin
-          (* Deterministic slow-resolve injection for the overload and
-             head-of-line tests: TECORE_FAULTS=slow_resolve:MS stretches
-             the busy window. Adding slow_resolve_lane:L confines the
-             stall to lane [L mod lanes], so a sibling lane's progress
-             past a stalled one is observable (and deterministic) even
-             on a single core. *)
-          (if Deadline.Faults.active "slow_resolve_lane" then begin
-             let n = Array.length t.lanes in
-             if
-               ((Deadline.Faults.arg "slow_resolve_lane" mod n) + n) mod n
-               = lane.lane_index
-             then Deadline.Faults.delay "slow_resolve"
-           end
-           else Deadline.Faults.delay "slow_resolve");
-          let lock_t0 = Prelude.Timing.now_ms () in
-          Mutex.lock job.entry.lock;
-          (match job.trace with
-          | Some ctx ->
-              Obs.Phases.record ctx "lock"
-                (Prelude.Timing.now_ms () -. lock_t0)
-          | None -> ());
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock job.entry.lock)
-            (fun () ->
-              let run () =
-                try run_resolve t.config job
-                with e ->
-                  Error
-                    {
-                      Protocol.kind = Protocol.Internal;
-                      line = job.job_line;
-                      column = 1;
-                      message = "resolve failed: " ^ Printexc.to_string e;
-                    }
-              in
-              let run () =
-                (* Single-lane servers skip the solve lock entirely:
-                   their execution path (and byte traffic) is exactly
-                   the previous single-resolver release's. The wait for
-                   a contended solve lock lands in the "lock" phase
-                   (entries sum at emission). *)
-                if Array.length t.lanes = 1 then run ()
-                else begin
-                  let sl_t0 = Prelude.Timing.now_ms () in
-                  Mutex.lock t.solve_lock;
-                  (match job.trace with
-                  | Some ctx ->
-                      Obs.Phases.record ctx "lock"
-                        (Prelude.Timing.now_ms () -. sl_t0)
-                  | None -> ());
-                  Fun.protect
-                    ~finally:(fun () -> Mutex.unlock t.solve_lock)
-                    run
-                end
-              in
-              (* The resolver is a different systhread from the
-                 connection that owns the context (which is blocked in
-                 [Condition.wait] until we reply), so the engine's
-                 ground/solve spans need the context installed here. *)
-              match job.trace with
-              | Some ctx -> Obs.with_phases ctx run
-              | None -> run ())
-        end
-      in
-      Mutex.lock job.jm;
-      job.reply <- Some reply;
-      Condition.signal job.jcv;
-      Mutex.unlock job.jm;
+            (Prelude.Timing.now_ms () -. job.submitted_ms))
+        job.trace;
+      answer job (run_job t lane ~draining job);
       Mutex.lock t.queue_lock;
       lane.lrunning <- 0;
       Mutex.unlock t.queue_lock;
@@ -854,367 +765,297 @@ let lane_loop t lane =
   in
   loop ()
 
+(* ------------------------------------------------------------------ *)
+(* Request handlers                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [k] on the entry unless it has been retired — LRU-evicted, or
+   parked by the idle-TTL janitor. *)
+let if_live ~line entry k =
+  if entry.evicted then
+    Error
+      (Protocol.error Protocol.Evicted ~line
+         (Printf.sprintf
+            "session %S was evicted (server at --max-sessions capacity); \
+             send: hello <client-id> to start over"
+            entry.id))
+  else if entry.expired then Error (expired_error ~line entry.id)
+  else k entry
+
+let with_entry t conn_state ~line k =
+  match !conn_state with
+  | Some entry ->
+      if_live ~line entry (fun entry ->
+          touch t entry;
+          k entry)
+  | None ->
+      Error (exec_error ~line "no session selected (send: hello <client-id>)")
+
+let locked t conn_state ~line k =
+  with_entry t conn_state ~line (fun entry ->
+      Obs.phase "lock" (fun () -> Mutex.lock entry.lock);
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock entry.lock)
+        (fun () ->
+          (* Re-check under the lock: the entry may have been retired
+             between [with_entry] and here. *)
+          if_live ~line entry k))
+
+let with_graph t conn_state ~line k =
+  locked t conn_state ~line (fun entry ->
+      match Session.graph entry.session with
+      | Some _ -> k entry
+      | None ->
+          Error
+            (exec_error ~line "no graph loaded (send: load FILE, or: open)"))
+
+(* Fields that exist only on servers configured for them (a state dir,
+   several lanes, tracing), so plain servers keep their exact response
+   bytes. *)
+let only cond fields = if cond then fields else []
+
+let facts session =
+  match Session.graph session with Some g -> Kg.Graph.size g | None -> 0
+
+let tail t k =
+  let records = recent_records t in
+  let skip = max 0 (List.length records - k) in
+  let records = List.filteri (fun i _ -> i >= skip) records in
+  Ok
+    (Protocol.ok_line
+       [
+         ( "requests",
+           Obs.Json.Arr (List.map Access_log.record_to_json records) );
+       ])
+
+(* [hello ID]: attach the connection to session [ID], registering it
+   (fresh or recovered from disk) when it is not in the registry. *)
+let hello t conn_state ~line ~trace id =
+  Mutex.lock t.registry_lock;
+  t.registry_clock <- t.registry_clock + 1;
+  let evicted_entries = ref [] in
+  let attach =
+    match Hashtbl.find_opt t.sessions id with
+    | Some e ->
+        e.last_used <- t.registry_clock;
+        e.last_wall <- Unix.gettimeofday ();
+        Ok (e, false)
+    | None -> (
+        (* LRU eviction: creating one past [max_sessions] drops the
+           least-recently-used session. The evicted entry is only
+           unlinked here — connections still holding it are told with a
+           typed [evicted] error on their next use, and a resolve
+           already running on it is left to finish. *)
+        (match t.config.max_sessions with
+        | Some cap ->
+            while Hashtbl.length t.sessions >= max cap 1 do
+              let lru =
+                Hashtbl.fold
+                  (fun _ e acc ->
+                    match acc with
+                    | Some best when best.last_used <= e.last_used -> acc
+                    | _ -> Some e)
+                  t.sessions None
+              in
+              match lru with
+              | None -> assert false (* loop guard: non-empty *)
+              | Some e ->
+                  e.evicted <- true;
+                  Hashtbl.remove t.sessions e.id;
+                  evicted_entries := e :: !evicted_entries
+            done
+        | None -> ());
+        match open_entry t id with
+        | e ->
+            Hashtbl.add t.sessions id e;
+            Ok (e, true)
+        | exception Sys_error msg -> Error (storage_error ~line msg)
+        | exception Unix.Unix_error (e, fn, _) ->
+            Error (storage_error ~line (fn ^ ": " ^ Unix.error_message e)))
+  in
+  let open_now = Hashtbl.length t.sessions in
+  Mutex.unlock t.registry_lock;
+  (* Park evicted sessions' durable state outside the registry lock. *)
+  List.iter
+    (fun old ->
+      release_journal old;
+      Atomic.incr t.evicted_total;
+      Obs.count "serve.sessions_evicted";
+      Obs.event "serve.session_evict" [ ("client", Obs.Events.Str old.id) ])
+    !evicted_entries;
+  match attach with
+  | Error e -> Error e
+  | Ok (entry, created) ->
+      conn_state := Some entry;
+      if created then begin
+        Obs.gauge "serve.sessions_open" (float_of_int open_now);
+        Obs.event "serve.session_open" [ ("client", Obs.Events.Str id) ]
+      end;
+      Ok
+        (Protocol.ok_line
+           ([ ("session", Obs.Json.Str id); ("created", Obs.Json.Bool created) ]
+           @ only (t.config.state_dir <> None)
+               [
+                 ( "recovery",
+                   Obs.Json.Str (Option.value ~default:"none" entry.recovery)
+                 );
+               ]
+           @ only (trace <> None) [ ("started", Obs.Json.Num t.start_wall) ]))
+
+let open_graph ~line ~raw entry =
+  Session.load_graph entry.session (Kg.Graph.create ());
+  persist entry ~line ~raw
+    (Protocol.ok_line [ ("opened", Obs.Json.Bool true); ("facts", json_num 0) ])
+
+let stat t entry =
+  let session = entry.session in
+  let cache = Engine.cache_stats (Session.engine_state session) in
+  Ok
+    (Protocol.ok_line
+       ([
+          ("session", Obs.Json.Str entry.id);
+          ("facts", json_num (facts session));
+          ("rules", json_num (List.length (Session.rules session)));
+          ("pending_edits", json_num (Session.pending_edits session));
+          ("rules_dirty", Obs.Json.Bool (Session.rules_dirty session));
+          ("resolved", Obs.Json.Bool (Session.last_result session <> None));
+          ("cache_entries", json_num cache.Engine.solve_entries);
+          ("cache_hits", json_num cache.Engine.solve_hits);
+          ("cache_misses", json_num cache.Engine.solve_misses);
+        ]
+       @ only (t.config.state_dir <> None)
+           [
+             ("durable", Obs.Json.Bool (entry.journal <> None));
+             ( "recovery",
+               Obs.Json.Str (Option.value ~default:"none" entry.recovery) );
+             ( "journal_records",
+               json_num
+                 (match entry.journal with
+                 | Some j -> Journal.records_since_snapshot j
+                 | None -> 0) );
+           ]
+       @ only (lane_count t > 1)
+           [ ("lane", json_num (lane_of_session t entry.id)) ]))
+
+let last_result ~line entry =
+  let session = entry.session in
+  match Session.last_result session with
+  | None -> Error (exec_error ~line "no resolution yet")
+  | Some r ->
+      let resolution_json =
+        let s =
+          Tecore.Json_out.of_resolution
+            ~namespace:(Session.namespace session)
+            r.Engine.resolution
+        in
+        match Obs.Json.parse s with Ok j -> j | Error _ -> Obs.Json.Str s
+      in
+      let stats = r.Engine.stats in
+      Ok
+        (Protocol.ok_line
+           [
+             ( "engine",
+               Obs.Json.Str (Engine.choice_name stats.Engine.engine_used) );
+             ("objective", Obs.Json.Num stats.Engine.objective);
+             ( "status",
+               Obs.Json.Str (Deadline.status_name stats.Engine.status) );
+             ("hard_violations", json_num stats.Engine.hard_violations);
+             ("resolution", resolution_json);
+           ])
+
+let load ~line path entry =
+  match Session.load entry.session path with
+  | Ok () ->
+      persist_snapshot entry ~line
+        (Protocol.ok_line
+           [
+             ("loaded", Obs.Json.Str path);
+             ("facts", json_num (facts entry.session));
+           ])
+  | Error e -> Error (exec_error ~line (Session.error_message e))
+
+(* [assert] and [retract]: one quad in the session's namespace. *)
+let edit_fact ~line ~raw apply field payload entry =
+  match Kg.Nquads.parse_quad (Session.namespace entry.session) payload with
+  | Error msg -> Error (exec_error ~line msg)
+  | Ok q -> (
+      match apply entry.session q with
+      | Ok _ ->
+          persist entry ~line ~raw
+            (Protocol.ok_line [ (field, Obs.Json.Str (Kg.Quad.to_string q)) ])
+      | Error e -> Error (exec_error ~line (Session.error_message e)))
+
+let add_rules ~line ~raw payload entry =
+  match Session.add_rules entry.session payload with
+  | Ok rules ->
+      persist entry ~line ~raw
+        (Protocol.ok_line
+           [
+             ( "added",
+               Obs.Json.Arr
+                 (List.map
+                    (fun (r : Logic.Rule.t) -> Obs.Json.Str r.Logic.Rule.name)
+                    rules) );
+           ])
+  | Error msg -> Error (exec_error ~line msg)
+
+let unrule ~line ~raw name entry =
+  if Session.remove_rule entry.session name then
+    persist entry ~line ~raw
+      (Protocol.ok_line [ ("removed", Obs.Json.Str name) ])
+  else Error (exec_error ~line (Printf.sprintf "no rule named %S" name))
+
+let diff entry =
+  let session = entry.session in
+  let text =
+    match (Session.graph session, Session.last_result session) with
+    | Some g, Some r ->
+        Format.asprintf "%a" Tecore.Diff.pp
+          (Tecore.Diff.diff g r.Engine.resolution.Tecore.Conflict.consistent)
+    | _ -> "no resolution yet"
+  in
+  Ok (Protocol.ok_line [ ("diff", Obs.Json.Str text) ])
+
 (* One parsed request, executed. [trace] is the request's phase context
    when it was sampled — its presence also gates the trace-only response
    fields, so untraced servers keep their exact response bytes. *)
 let handle_request t conn_state ~line ~trace parsed raw =
+  let locked k = locked t conn_state ~line k in
+  let raw = Protocol.strip_cr raw in
+  let ok field v = Ok (Protocol.ok_line [ (field, v) ]) in
+  let edit apply field payload =
+    with_graph t conn_state ~line (edit_fact ~line ~raw apply field payload)
+  in
   let result =
     match parsed with
     | Error e -> Error e
-    | Ok req -> (
-        let with_entry k =
-          match !conn_state with
-          | Some entry when entry.evicted ->
-              Error
-                {
-                  Protocol.kind = Protocol.Evicted;
-                  line;
-                  column = 1;
-                  message =
-                    Printf.sprintf
-                      "session %S was evicted (server at --max-sessions \
-                       capacity); send: hello <client-id> to start over"
-                      entry.id;
-                }
-          | Some entry when entry.expired -> Error (expired_error ~line entry.id)
-          | Some entry ->
-              touch t entry;
-              k entry
-          | None ->
-              Error
-                (exec_error ~line
-                   "no session selected (send: hello <client-id>)")
-        in
-        let locked k =
-          with_entry (fun entry ->
-              Obs.phase "lock" (fun () -> Mutex.lock entry.lock);
-              Fun.protect
-                ~finally:(fun () -> Mutex.unlock entry.lock)
-                (fun () ->
-                  (* Re-check under the lock: the janitor may have parked
-                     the session between [with_entry] and here. *)
-                  if entry.expired then Error (expired_error ~line entry.id)
-                  else k entry))
-        in
-        let with_graph k =
-          locked (fun entry ->
-              match Session.graph entry.session with
-              | Some g -> k entry g
-              | None ->
-                  Error
-                    (exec_error ~line
-                       "no graph loaded (send: load FILE, or: open)"))
-        in
-        match req with
-        | Protocol.Ping -> Ok (Protocol.ok_line [ ("pong", Obs.Json.Bool true) ])
-        | Protocol.Quit -> Ok (Protocol.ok_line [ ("bye", Obs.Json.Bool true) ])
-        | Protocol.Shutdown ->
-            if t.config.allow_shutdown then
-              Ok (Protocol.ok_line [ ("stopping", Obs.Json.Bool true) ])
-            else Error (exec_error ~line "shutdown is disabled on this server")
-        | Protocol.Metrics ->
-            Ok (Protocol.ok_line [ ("metrics", Obs.Json.Str (metrics_text t)) ])
-        | Protocol.Trace n ->
-            Atomic.set t.trace_period n;
-            Obs.event "serve.trace" [ ("every", Obs.Events.Int n) ];
-            Ok (Protocol.ok_line [ ("trace", json_num n) ])
-        | Protocol.Tail k ->
-            let records = recent_records t in
-            let skip = max 0 (List.length records - k) in
-            let records = List.filteri (fun i _ -> i >= skip) records in
-            Ok
-              (Protocol.ok_line
-                 [
-                   ( "requests",
-                     Obs.Json.Arr (List.map Access_log.record_to_json records)
-                   );
-                 ])
-        | Protocol.Hello id -> (
-            Mutex.lock t.registry_lock;
-            t.registry_clock <- t.registry_clock + 1;
-            let evicted_entries = ref [] in
-            let attach =
-              match Hashtbl.find_opt t.sessions id with
-              | Some e ->
-                  e.last_used <- t.registry_clock;
-                  e.last_wall <- Unix.gettimeofday ();
-                  Ok (e, false)
-              | None -> (
-                  (* LRU eviction: creating one past [max_sessions] drops
-                     the least-recently-used session. The evicted entry
-                     is only unlinked here — connections still holding
-                     it are told with a typed [evicted] error on their
-                     next use, and a resolve already running on it is
-                     left to finish. *)
-                  (match t.config.max_sessions with
-                  | Some cap ->
-                      while Hashtbl.length t.sessions >= max cap 1 do
-                        let lru =
-                          Hashtbl.fold
-                            (fun _ e acc ->
-                              match acc with
-                              | Some best when best.last_used <= e.last_used ->
-                                  acc
-                              | _ -> Some e)
-                            t.sessions None
-                        in
-                        match lru with
-                        | None -> assert false (* loop guard: non-empty *)
-                        | Some e ->
-                            e.evicted <- true;
-                            Hashtbl.remove t.sessions e.id;
-                            evicted_entries := e :: !evicted_entries
-                      done
-                  | None -> ());
-                  match open_session t id with
-                  | session, journal, recovery ->
-                      let e =
-                        {
-                          id;
-                          session;
-                          lock = Mutex.create ();
-                          last_used = t.registry_clock;
-                          last_wall = Unix.gettimeofday ();
-                          evicted = false;
-                          expired = false;
-                          journal;
-                          recovery;
-                          served = Atomic.make 0;
-                        }
-                      in
-                      Hashtbl.add t.sessions id e;
-                      Ok (e, true)
-                  | exception Sys_error msg -> Error (storage_error ~line msg)
-                  | exception Unix.Unix_error (e, fn, _) ->
-                      Error
-                        (storage_error ~line
-                           (fn ^ ": " ^ Unix.error_message e)))
-            in
-            let open_now = Hashtbl.length t.sessions in
-            Mutex.unlock t.registry_lock;
-            (* Park evicted sessions' durable state outside the registry
-               lock (their data is already on disk; closing releases the
-               fd so a later hello can recover them). *)
-            List.iter
-              (fun old ->
-                Mutex.lock old.lock;
-                (match old.journal with
-                | Some j -> Journal.close j
-                | None -> ());
-                old.journal <- None;
-                Mutex.unlock old.lock;
-                Atomic.incr t.evicted_total;
-                Obs.count "serve.sessions_evicted";
-                Obs.event "serve.session_evict"
-                  [ ("client", Obs.Events.Str old.id) ])
-              !evicted_entries;
-            match attach with
-            | Error e -> Error e
-            | Ok (entry, created) ->
-                conn_state := Some entry;
-                if created then begin
-                  Obs.gauge "serve.sessions_open" (float_of_int open_now);
-                  Obs.event "serve.session_open"
-                    [ ("client", Obs.Events.Str id) ]
-                end;
-                let fields =
-                  [
-                    ("session", Obs.Json.Str id);
-                    ("created", Obs.Json.Bool created);
-                  ]
-                in
-                let fields =
-                  (* Durability fields only when --state-dir is set, so
-                     plain servers keep their exact response bytes. *)
-                  if t.config.state_dir = None then fields
-                  else
-                    fields
-                    @ [
-                        ( "recovery",
-                          Obs.Json.Str
-                            (Option.value ~default:"none" entry.recovery) );
-                      ]
-                in
-                let fields =
-                  (* The start-time echo rides only traced responses,
-                     gated like the durability fields above. *)
-                  if trace = None then fields
-                  else fields @ [ ("started", Obs.Json.Num t.start_wall) ]
-                in
-                Ok (Protocol.ok_line fields))
-        | Protocol.Open_ ->
-            locked (fun entry ->
-                Session.load_graph entry.session (Kg.Graph.create ());
-                persist entry ~line ~raw:(Protocol.strip_cr raw)
-                  (Protocol.ok_line
-                     [ ("opened", Obs.Json.Bool true); ("facts", json_num 0) ]))
-        | Protocol.Stat ->
-            locked (fun entry ->
-                let session = entry.session in
-                let facts =
-                  match Session.graph session with
-                  | Some g -> Kg.Graph.size g
-                  | None -> 0
-                in
-                let cache = Engine.cache_stats (Session.engine_state session) in
-                let fields =
-                  [
-                    ("session", Obs.Json.Str entry.id);
-                    ("facts", json_num facts);
-                    ("rules", json_num (List.length (Session.rules session)));
-                    ("pending_edits", json_num (Session.pending_edits session));
-                    ( "rules_dirty",
-                      Obs.Json.Bool (Session.rules_dirty session) );
-                    ( "resolved",
-                      Obs.Json.Bool (Session.last_result session <> None) );
-                    ("cache_entries", json_num cache.Engine.solve_entries);
-                    ("cache_hits", json_num cache.Engine.solve_hits);
-                    ("cache_misses", json_num cache.Engine.solve_misses);
-                  ]
-                in
-                let fields =
-                  (* Durability fields only when --state-dir is set, so
-                     plain servers keep their exact response bytes. *)
-                  if t.config.state_dir = None then fields
-                  else
-                    fields
-                    @ [
-                        ("durable", Obs.Json.Bool (entry.journal <> None));
-                        ( "recovery",
-                          Obs.Json.Str
-                            (Option.value ~default:"none" entry.recovery) );
-                        ( "journal_records",
-                          json_num
-                            (match entry.journal with
-                            | Some j -> Journal.records_since_snapshot j
-                            | None -> 0) );
-                      ]
-                in
-                let fields =
-                  (* Lane pinning is only surfaced on multi-lane
-                     servers, so single-lane responses keep their exact
-                     previous bytes. *)
-                  if Array.length t.lanes <= 1 then fields
-                  else
-                    fields
-                    @ [ ("lane", json_num (lane_of_session t entry.id)) ]
-                in
-                Ok (Protocol.ok_line fields))
-        | Protocol.Result_ ->
-            locked (fun entry ->
-                let session = entry.session in
-                match Session.last_result session with
-                | None -> Error (exec_error ~line "no resolution yet")
-                | Some r ->
-                    let resolution_json =
-                      let s =
-                        Tecore.Json_out.of_resolution
-                          ~namespace:(Session.namespace session)
-                          r.Engine.resolution
-                      in
-                      match Obs.Json.parse s with
-                      | Ok j -> j
-                      | Error _ -> Obs.Json.Str s
-                    in
-                    Ok
-                      (Protocol.ok_line
-                         [
-                           ( "engine",
-                             Obs.Json.Str
-                               (Engine.choice_name
-                                  r.Engine.stats.Engine.engine_used) );
-                           ( "objective",
-                             Obs.Json.Num r.Engine.stats.Engine.objective );
-                           ( "status",
-                             Obs.Json.Str
-                               (Deadline.status_name
-                                  r.Engine.stats.Engine.status) );
-                           ( "hard_violations",
-                             json_num r.Engine.stats.Engine.hard_violations );
-                           ("resolution", resolution_json);
-                         ]))
-        | Protocol.Cmd (Tecore.Script.Resolve mode) ->
-            with_entry (fun entry -> submit_resolve t ~line ~trace entry mode)
-        | Protocol.Cmd (Tecore.Script.Load path) ->
-            locked (fun entry ->
-                match Session.load entry.session path with
-                | Ok () ->
-                    let facts =
-                      match Session.graph entry.session with
-                      | Some g -> Kg.Graph.size g
-                      | None -> 0
-                    in
-                    persist_snapshot entry ~line
-                      (Protocol.ok_line
-                         [
-                           ("loaded", Obs.Json.Str path);
-                           ("facts", json_num facts);
-                         ])
-                | Error e ->
-                    Error (exec_error ~line (Session.error_message e)))
-        | Protocol.Cmd (Tecore.Script.Assert_ payload) ->
-            with_graph (fun entry _g ->
-                match
-                  Kg.Nquads.parse_quad (Session.namespace entry.session) payload
-                with
-                | Error msg -> Error (exec_error ~line msg)
-                | Ok q -> (
-                    match Session.assert_fact entry.session q with
-                    | Ok _ ->
-                        persist entry ~line ~raw:(Protocol.strip_cr raw)
-                          (Protocol.ok_line
-                             [ ("asserted", Obs.Json.Str (Kg.Quad.to_string q)) ])
-                    | Error e ->
-                        Error (exec_error ~line (Session.error_message e))))
-        | Protocol.Cmd (Tecore.Script.Retract payload) ->
-            with_graph (fun entry _g ->
-                match
-                  Kg.Nquads.parse_quad (Session.namespace entry.session) payload
-                with
-                | Error msg -> Error (exec_error ~line msg)
-                | Ok q -> (
-                    match Session.retract entry.session q with
-                    | Ok _ ->
-                        persist entry ~line ~raw:(Protocol.strip_cr raw)
-                          (Protocol.ok_line
-                             [ ("retracted", Obs.Json.Str (Kg.Quad.to_string q)) ])
-                    | Error e ->
-                        Error (exec_error ~line (Session.error_message e))))
-        | Protocol.Cmd (Tecore.Script.Rule payload) ->
-            locked (fun entry ->
-                match Session.add_rules entry.session payload with
-                | Ok rules ->
-                    persist entry ~line ~raw:(Protocol.strip_cr raw)
-                      (Protocol.ok_line
-                         [
-                           ( "added",
-                             Obs.Json.Arr
-                               (List.map
-                                  (fun (r : Logic.Rule.t) ->
-                                    Obs.Json.Str r.Logic.Rule.name)
-                                  rules) );
-                         ])
-                | Error msg -> Error (exec_error ~line msg))
-        | Protocol.Cmd (Tecore.Script.Unrule name) ->
-            locked (fun entry ->
-                if Session.remove_rule entry.session name then
-                  persist entry ~line ~raw:(Protocol.strip_cr raw)
-                    (Protocol.ok_line [ ("removed", Obs.Json.Str name) ])
-                else
-                  Error
-                    (exec_error ~line (Printf.sprintf "no rule named %S" name)))
-        | Protocol.Cmd Tecore.Script.Diff ->
-            locked (fun entry ->
-                let session = entry.session in
-                let text =
-                  match (Session.graph session, Session.last_result session) with
-                  | Some g, Some r ->
-                      Format.asprintf "%a" Tecore.Diff.pp
-                        (Tecore.Diff.diff g
-                           r.Engine.resolution.Tecore.Conflict.consistent)
-                  | _ -> "no resolution yet"
-                in
-                Ok (Protocol.ok_line [ ("diff", Obs.Json.Str text) ])))
+    | Ok Protocol.Ping -> ok "pong" (Obs.Json.Bool true)
+    | Ok Protocol.Quit -> ok "bye" (Obs.Json.Bool true)
+    | Ok Protocol.Shutdown when t.config.allow_shutdown ->
+        ok "stopping" (Obs.Json.Bool true)
+    | Ok Protocol.Shutdown ->
+        Error (exec_error ~line "shutdown is disabled on this server")
+    | Ok Protocol.Metrics -> ok "metrics" (Obs.Json.Str (metrics_text t))
+    | Ok (Protocol.Trace n) ->
+        Atomic.set t.trace_period n;
+        Obs.event "serve.trace" [ ("every", Obs.Events.Int n) ];
+        ok "trace" (json_num n)
+    | Ok (Protocol.Tail k) -> tail t k
+    | Ok (Protocol.Hello id) -> hello t conn_state ~line ~trace id
+    | Ok Protocol.Open_ -> locked (open_graph ~line ~raw)
+    | Ok Protocol.Stat -> locked (stat t)
+    | Ok Protocol.Result_ -> locked (last_result ~line)
+    | Ok (Protocol.Cmd cmd) -> (
+        match cmd with
+        | Tecore.Script.Resolve mode ->
+            with_entry t conn_state ~line (fun entry ->
+                submit_resolve t ~line ~trace entry mode)
+        | Tecore.Script.Load path -> locked (load ~line path)
+        | Tecore.Script.Assert_ p -> edit Session.assert_fact "asserted" p
+        | Tecore.Script.Retract p -> edit Session.retract "retracted" p
+        | Tecore.Script.Rule p -> locked (add_rules ~line ~raw p)
+        | Tecore.Script.Unrule name -> locked (unrule ~line ~raw name)
+        | Tecore.Script.Diff -> locked diff)
   in
   count_outcome t result;
   result
@@ -1247,9 +1088,7 @@ let canonical_phases ctx =
       Hashtbl.replace tbl n
         (ms +. Option.value ~default:0.0 (Hashtbl.find_opt tbl n)))
     (Obs.Phases.entries ctx);
-  List.filter_map
-    (fun p -> Option.map (fun ms -> (p, ms)) (Hashtbl.find_opt tbl p))
-    Access_log.phase_names
+  Access_log.in_phase_order tbl
 
 let emit_trace t ~req ~session ~parsed ~result ~wall ctx =
   let verb =
@@ -1262,7 +1101,7 @@ let emit_trace t ~req ~session ~parsed ~result ~wall ctx =
        multi-lane servers, so single-lane logs keep their exact
        previous schema. *)
     match session with
-    | Some id when Array.length t.lanes > 1 -> Some (lane_of_session t id)
+    | Some id when lane_count t > 1 -> Some (lane_of_session t id)
     | _ -> None
   in
   record_trace t
@@ -1288,14 +1127,8 @@ let connection_loop t fd =
         incr line;
         Atomic.incr t.requests;
         let e =
-          {
-            Protocol.kind = Protocol.Parse;
-            line = !line;
-            column = 1;
-            message =
-              Printf.sprintf "request exceeds %d bytes"
-                t.config.max_line_bytes;
-          }
+          Protocol.error Protocol.Parse ~line:!line
+            (Printf.sprintf "request exceeds %d bytes" t.config.max_line_bytes)
         in
         count_outcome t (Error e);
         send_line fd (Protocol.err_line e);
@@ -1317,13 +1150,7 @@ let connection_loop t fd =
           match trace with Some _ -> Prelude.Timing.now_ms () | None -> 0.0
         in
         let parsed =
-          match trace with
-          | None -> Protocol.parse_request ~line:!line raw
-          | Some ctx ->
-              let t0 = Prelude.Timing.now_ms () in
-              let p = Protocol.parse_request ~line:!line raw in
-              Obs.Phases.record ctx "parse" (Prelude.Timing.now_ms () -. t0);
-              p
+          timed trace "parse" (fun () -> Protocol.parse_request ~line:!line raw)
         in
         let run () =
           (* Nothing a request does may escape the loop: any unexpected
@@ -1332,21 +1159,13 @@ let connection_loop t fd =
           try handle_request t conn_state ~line:!line ~trace parsed raw
           with e ->
             let err =
-              {
-                Protocol.kind = Protocol.Internal;
-                line = !line;
-                column = 1;
-                message = "internal error: " ^ Printexc.to_string e;
-              }
+              Protocol.error Protocol.Internal ~line:!line
+                ("internal error: " ^ Printexc.to_string e)
             in
             count_outcome t (Error err);
             Error err
         in
-        let result =
-          match trace with
-          | None -> run ()
-          | Some ctx -> Obs.with_phases ctx run
-        in
+        let result = with_trace trace run in
         (match !conn_state with
         | Some entry -> Atomic.incr entry.served
         | None -> ());
@@ -1358,19 +1177,13 @@ let connection_loop t fd =
           | Some _ -> Protocol.with_request_id ~req response
           | None -> response
         in
-        (match trace with
-        | None -> send_line fd response
-        | Some ctx ->
-            let t0 = Prelude.Timing.now_ms () in
-            send_line fd response;
-            Obs.Phases.record ctx "reply" (Prelude.Timing.now_ms () -. t0);
+        timed trace "reply" (fun () -> send_line fd response);
+        Option.iter
+          (fun ctx ->
             let wall = Prelude.Timing.now_ms () -. t_start in
-            let session =
-              match !conn_state with
-              | Some entry -> Some entry.id
-              | None -> None
-            in
-            emit_trace t ~req ~session ~parsed ~result ~wall ctx);
+            let session = Option.map (fun e -> e.id) !conn_state in
+            emit_trace t ~req ~session ~parsed ~result ~wall ctx)
+          trace;
         match parsed with
         | Ok Protocol.Quit -> ()
         | Ok Protocol.Shutdown when t.config.allow_shutdown ->
@@ -1432,12 +1245,7 @@ let janitor_loop t ttl =
     Mutex.unlock t.registry_lock;
     List.iter
       (fun e ->
-        (* Take the entry lock so an in-flight edit finishes (and its
-           journal append lands) before the fd goes away. *)
-        Mutex.lock e.lock;
-        (match e.journal with Some j -> Journal.close j | None -> ());
-        e.journal <- None;
-        Mutex.unlock e.lock;
+        release_journal e;
         Atomic.incr t.expired_total;
         Obs.count "serve.sessions_expired";
         Obs.event "serve.session_expire"
@@ -1470,10 +1278,10 @@ let start ?(config = default_config) (listen : listen) =
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
   let sockaddr = Unix.getsockname fd in
-  let tcp_port, addr_str =
+  let addr_str =
     match sockaddr with
-    | Unix.ADDR_INET (_, p) -> (Some p, Printf.sprintf "127.0.0.1:%d" p)
-    | Unix.ADDR_UNIX path -> (None, path)
+    | Unix.ADDR_INET (_, p) -> Printf.sprintf "127.0.0.1:%d" p
+    | Unix.ADDR_UNIX path -> path
   in
   let access_writer =
     match config.access_log with
@@ -1500,7 +1308,6 @@ let start ?(config = default_config) (listen : listen) =
       listen_fd = fd;
       sockaddr;
       addr_str;
-      tcp_port;
       sessions = Hashtbl.create 64;
       registry_lock = Mutex.create ();
       registry_clock = 0;
@@ -1523,7 +1330,7 @@ let start ?(config = default_config) (listen : listen) =
         (match config.state_dir with
         | None -> None
         | Some _ -> Some (Journal.create_group ()));
-      shed = 0;
+      shed = Atomic.make 0;
       counters = Array.map (fun _ -> Atomic.make 0) outcomes;
       requests = Atomic.make 0;
       start_wall = Unix.gettimeofday ();
@@ -1552,29 +1359,8 @@ let start ?(config = default_config) (listen : listen) =
       List.iter
         (fun id ->
           t.registry_clock <- t.registry_clock + 1;
-          match
-            Journal.recover ~state_dir ~fsync:config.fsync
-              ~compact_every:config.compact_every id
-          with
-          | r ->
-              Atomic.incr t.recovered_total;
-              Obs.count "serve.sessions_recovered";
-              (match t.journal_group with
-              | Some g -> Journal.attach r.Journal.journal g
-              | None -> ());
-              Hashtbl.replace t.sessions id
-                {
-                  id;
-                  session = r.Journal.session;
-                  lock = Mutex.create ();
-                  last_used = t.registry_clock;
-                  last_wall = Unix.gettimeofday ();
-                  evicted = false;
-                  expired = false;
-                  journal = Some r.Journal.journal;
-                  recovery = Some (Journal.status_name r.Journal.status);
-                  served = Atomic.make 0;
-                }
+          match recover_entry t ~state_dir id with
+          | e -> Hashtbl.replace t.sessions id e
           | exception e ->
               Obs.event ~level:Obs.Events.Error "recovery.failed"
                 [
@@ -1638,19 +1424,7 @@ let stop t =
     Array.iter
       (fun l ->
         Queue.iter
-          (fun job ->
-            Mutex.lock job.jm;
-            job.reply <-
-              Some
-                (Error
-                   {
-                     Protocol.kind = Protocol.Shutting_down;
-                     line = job.job_line;
-                     column = 1;
-                     message = "server is shutting down";
-                   });
-            Condition.signal job.jcv;
-            Mutex.unlock job.jm)
+          (fun job -> answer job (Error (shutting_down ~line:job.job_line)))
           l.lqueue;
         Queue.clear l.lqueue)
       t.lanes;
@@ -1672,14 +1446,7 @@ let stop t =
     Mutex.lock t.registry_lock;
     let entries = Hashtbl.fold (fun _ e acc -> e :: acc) t.sessions [] in
     Mutex.unlock t.registry_lock;
-    List.iter
-      (fun e ->
-        match e.journal with
-        | Some j ->
-            Journal.close j;
-            e.journal <- None
-        | None -> ())
-      entries;
+    List.iter release_journal entries;
     (match t.access_writer with
     | Some w -> Access_log.close_writer w
     | None -> ());

@@ -154,9 +154,6 @@ val start : ?config:config -> listen -> t
     exception). Raises [Unix.Unix_error] when the address cannot be
     bound. *)
 
-val port : t -> int option
-(** The actual TCP port ([None] for Unix-domain servers). *)
-
 val address : t -> string
 (** Human-readable bound address ("127.0.0.1:PORT" or the socket
     path). *)
@@ -178,18 +175,11 @@ val lane_of_session : t -> string -> int
     [L mod lane_count] for every id — the test hook for forcing hash
     collisions. *)
 
-val queue_depth : t -> int
-(** Resolves currently queued across all lanes (not counting running
-    ones). *)
-
 val busy : t -> bool
 (** Whether any resolver lane is executing a request right now. *)
 
 val shed_count : t -> int
 (** Requests shed by admission control since [start]. *)
-
-val sessions_evicted : t -> int
-(** Sessions LRU-evicted under [max_sessions] since [start]. *)
 
 val sessions_expired : t -> int
 (** Sessions expired by the idle TTL since [start]. *)

@@ -182,6 +182,7 @@ for _ in $(seq 50); do [ -S "$ACCESS_SOCK" ] && break; sleep 0.1; done
   --send "assert ex:P1 ex:playsFor ex:T2 [2002,2006] 0.8 ." \
   --send "resolve" \
   --send "tail 5" \
+  --send "metrics" \
   --send "quit" > "$ACCESS_OUT"
 expect_exit 0 "access-log smoke: shutdown" \
   "$CLI" client --socket "$ACCESS_SOCK" --send "shutdown"
@@ -190,12 +191,24 @@ wait "$ACCESS_PID" || { echo "access-log serve exited non-zero" >&2; exit 1; }
 # more req fields, so only the leading one counts) — all present,
 # unique, strictly increasing.
 REQ_IDS=$(sed -n 's/^\(ok\|err\) {"req":\([0-9]*\).*/\2/p' "$ACCESS_OUT")
-[ "$(echo "$REQ_IDS" | wc -l)" -eq 8 ] \
+[ "$(echo "$REQ_IDS" | wc -l)" -eq 9 ] \
   || { echo "access-log smoke: not every response carries a request id" >&2; cat "$ACCESS_OUT" >&2; exit 1; }
-[ "$(echo "$REQ_IDS" | sort -n -u | wc -l)" -eq 8 ] \
+[ "$(echo "$REQ_IDS" | sort -n -u | wc -l)" -eq 9 ] \
   || { echo "access-log smoke: request ids are not unique" >&2; exit 1; }
 [ "$(echo "$REQ_IDS" | sort -n)" = "$REQ_IDS" ] \
   || { echo "access-log smoke: request ids are not monotone" >&2; exit 1; }
+# The live exposition of the real daemon carries every serve_* family
+# of the docs/SERVER.md table.
+for family in "serve_sessions_open gauge" "serve_queue_depth gauge" \
+  "serve_lane_depth gauge" "serve_lane_requests_total counter" \
+  "serve_requests_total counter" "serve_shed_total counter" \
+  "serve_sessions_evicted_total counter" \
+  "serve_sessions_expired_total counter" \
+  "serve_sessions_recovered_total counter" "serve_uptime_seconds gauge" \
+  "serve_request_phase_ms summary" "serve_session_requests_total counter"; do
+  grep -qF "# TYPE $family" "$ACCESS_OUT" \
+    || { echo "access-log smoke: metrics lack '# TYPE $family'" >&2; exit 1; }
+done
 # The log itself: resolve attributed to ground/solve, every line valid.
 grep -q '"verb":"resolve"' "$ACCESS_LOG" \
   || { echo "access-log smoke: no resolve record in the log" >&2; exit 1; }

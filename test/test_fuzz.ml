@@ -384,9 +384,12 @@ let test_wire_mutations_total () =
       reconnect ())
 
 (* Oversized frames are refused with a typed parse error — and the
-   connection stays usable for the next, normal-sized request. *)
+   connection stays usable for the next, normal-sized request. The cap
+   is exact: a line of [max] bytes is served and one of [max + 1] bytes
+   is refused, each arriving in a single write. *)
 let test_wire_oversized_line () =
-  let config = { Serve.default_config with Serve.max_line_bytes = 4096 } in
+  let max = 4096 in
+  let config = { Serve.default_config with Serve.max_line_bytes = max } in
   let server = Serve.start ~config (`Tcp 0) in
   Fun.protect
     ~finally:(fun () -> Serve.stop server)
@@ -396,25 +399,39 @@ let test_wire_oversized_line () =
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          wire_send fd ("assert " ^ String.make 20_000 'x');
-          (match input_line ic with
-          | resp ->
-              let contains affix =
-                let n = String.length affix in
-                let rec go i =
-                  i + n <= String.length resp
-                  && (String.sub resp i n = affix || go (i + 1))
+          let expect_exceeds what =
+            match input_line ic with
+            | resp ->
+                let contains affix =
+                  let n = String.length affix in
+                  let rec go i =
+                    i + n <= String.length resp
+                    && (String.sub resp i n = affix || go (i + 1))
+                  in
+                  go 0
                 in
-                go 0
-              in
-              Alcotest.(check bool)
-                "typed parse error" true
-                (contains "\"kind\":\"parse\"" && contains "exceeds")
-          | exception End_of_file ->
-              Alcotest.fail "connection dropped on oversized frame");
+                Alcotest.(check bool)
+                  (what ^ ": typed parse error") true
+                  (contains "\"kind\":\"parse\"" && contains "exceeds")
+            | exception End_of_file ->
+                Alcotest.fail "connection dropped on oversized frame"
+          in
+          let pong what =
+            Alcotest.(check string) what "ok {\"pong\":true}" (input_line ic)
+          in
+          wire_send fd ("assert " ^ String.make 20_000 'x');
+          expect_exceeds "20000 bytes";
           wire_send fd "ping";
-          Alcotest.(check string)
-            "usable after overflow" "ok {\"pong\":true}" (input_line ic)))
+          pong "usable after overflow";
+          (* Trailing blanks are ignored, so these are pings of an exact
+             length. *)
+          let ping_of len = "ping" ^ String.make (len - 4) ' ' in
+          wire_send fd (ping_of max);
+          pong "a line of exactly max bytes is served";
+          wire_send fd (ping_of (max + 1));
+          expect_exceeds "max + 1 bytes";
+          wire_send fd "ping";
+          pong "usable after max + 1"))
 
 (* ------------------------------------------------------------------ *)
 (* Lane routing: adversarial session ids must always land on a lane    *)
