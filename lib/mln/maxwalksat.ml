@@ -240,7 +240,14 @@ let[@inline] lower h1 s1 h2 s2 = h1 < h2 || (h1 = h2 && s1 < s2 -. 1e-12)
 
 let better (h1, s1) (h2, s2) = lower h1 s1 h2 s2
 
-let perfect (h, s) = h = 0 && s = 0.0
+(* Has a cost reached [target], the network's optimal soft cost? A
+   descent or portfolio holding such a cost can never be improved by
+   [lower] (it needs a gain above 1e-12), so searching on only burns
+   flips. The tolerance is half [lower]'s: it absorbs the float
+   rounding between two summation orders of the same optimum. With no
+   proven optimum the target is 0.0 and this is the classic (0, 0)
+   stop. *)
+let[@inline] reached target h s = h = 0 && Float.abs (s -. target) <= 5e-13
 
 (* Exact cost of [assignment], summing violated soft weight in clause
    order. The in-descent soft cost is incremental and drifts by float
@@ -256,13 +263,38 @@ let evaluate p assignment =
   done;
   (!hard, !soft)
 
-(* One full WalkSAT descent from [start], task-local. [stop] holds the
-   smallest task index that has reached cost (0, 0) ([max_int] while
+(* Networks of at most this many atoms get their optimum proven by
+   {!Exact} before the walk: 2^16 leaves stay well inside its node
+   budget, and FootballDB's components are nearly all this small. *)
+let exact_atoms = 16
+
+(* The soft cost of the network's proven optimum, or [None] when none
+   is computed: too many atoms, no soft clause (the optimum is (0, 0)
+   whenever the hard clauses are satisfiable) or a finite deadline (the
+   walk's budget is not spent on a proof). Exact's assignment itself is
+   never returned — among several optima it may pick another one than
+   the walk — only its cost, scored like every attempt. A function of
+   the network alone, so component solves stay pure. *)
+let optimum network p ~deadline =
+  if
+    p.num_atoms > exact_atoms
+    || Array.for_all Fun.id p.hard
+    || Deadline.is_finite deadline
+  then None
+  else
+    match Exact.solve network with
+    | Some { Exact.assignment; optimal = true; _ } -> (
+        match evaluate p assignment with 0, s -> Some s | _ -> None)
+    | Some _ | None -> None
+
+(* One full WalkSAT descent from [start], task-local. It stops early
+   once its best reaches [target] (see [reached]). [stop] holds the
+   smallest task index that has reached the target ([max_int] while
    none has). It is only consulted *between* tasks, never inside a
    running descent, and task [k] skips only when [stop < k] — a plain
    boolean would let a later, faster-scheduled optimum skip an
    earlier-indexed task it loses the tie-break to. With the index
-   check, every task below the first perfect one completes identically
+   check, every task below the first optimal one completes identically
    to a sequential run, and a skipped later task could at best have
    tied — which loses the earliest-task tie-break. The winning
    assignment, not just its cost, is thus the same at every job
@@ -284,9 +316,9 @@ let skipped_attempt =
 let scalar_cost (h, s) = (float_of_int h *. 1e9) +. s
 
 (* Lower [stop] to [k] if no smaller index is recorded yet. *)
-let rec note_perfect stop k =
+let rec note_reached stop k =
   let cur = Atomic.get stop in
-  if k < cur && not (Atomic.compare_and_set stop cur k) then note_perfect stop k
+  if k < cur && not (Atomic.compare_and_set stop cur k) then note_reached stop k
 
 (* Poll the deadline every 256 flips: a flip is cheap, a clock read is
    not, and a safe point is any flip boundary — [best] always holds a
@@ -320,8 +352,8 @@ let pick_var st rng ~noise ci =
     !best_var
   end
 
-let descend st rng ~max_flips ~stall ~noise ~deadline ~stop ~k ~observing
-    start =
+let descend st rng ~max_flips ~stall ~noise ~deadline ~target ~stop ~k
+    ~observing start =
   reset_state st start;
   let best = Array.copy st.assignment in
   let best_hard = ref st.unsat_hard.len and best_soft = ref st.f.soft_cost in
@@ -331,10 +363,11 @@ let descend st rng ~max_flips ~stall ~noise ~deadline ~stop ~k ~observing
   let since_improvement = ref 0 in
   let flips = ref 0 in
   let halted = ref false in
+  let optimal = ref (reached target !best_hard !best_soft) in
   while
     (not !halted)
     && !flips < max_flips
-    && st.unsat_hard.len + st.unsat_soft.len > 0
+    && (not !optimal)
     && !since_improvement < stall
   do
     if !flips land poll_mask = 0 && Deadline.expired deadline then
@@ -357,13 +390,14 @@ let descend st rng ~max_flips ~stall ~noise ~deadline ~stop ~k ~observing
         Array.blit st.assignment 0 best 0 (Array.length st.assignment);
         if observing then
           trail := (Prelude.Timing.now_ms (), scalar_cost (h, s)) :: !trail;
-        since_improvement := 0
+        since_improvement := 0;
+        optimal := reached target h s
       end
       else incr since_improvement
     end
   done;
-  let cost = evaluate st.p best in
-  if perfect cost then note_perfect stop k;
+  let ((h, s) as cost) = evaluate st.p best in
+  if reached target h s then note_reached stop k;
   if observing then
     trail := (Prelude.Timing.now_ms (), scalar_cost cost) :: !trail;
   { a_cost = cost; a_assignment = best; a_flips = !flips; a_trail = !trail }
@@ -386,6 +420,8 @@ let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
       (List.init (max 1 restarts) (fun i -> Prng.subseed seed i) @ portfolio)
   in
   let packed = pack network in
+  let optimum = optimum network packed ~deadline in
+  let target = Option.value optimum ~default:0.0 in
   let observing = Obs.enabled () in
   let stop = Atomic.make max_int in
   let start_of_task rng k =
@@ -420,8 +456,8 @@ let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
       if k > 0 then Deadline.Faults.inject "worker_crash" ~index:k;
       let rng = Prng.create seeds.(k) in
       let start = start_of_task rng k in
-      descend st rng ~max_flips ~stall ~noise ~deadline ~stop ~k ~observing
-        start
+      descend st rng ~max_flips ~stall ~noise ~deadline ~target ~stop ~k
+        ~observing start
     end
   in
   let results =
@@ -441,7 +477,7 @@ let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
     end
     else
       (* Parallel portfolio: every task gets its own state over the
-         shared packed view; once some domain reaches cost (0, 0)
+         shared packed view; once some domain reaches the target
          descents with a larger index stop being started (running ones
          complete). *)
       Pool.map_results ~deadline pool
@@ -455,7 +491,7 @@ let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
       results
   in
   (* Deterministic pick: lexicographic (hard, soft), earliest task wins
-     ties. The (0, 0) short-circuit can only drop attempts that would
+     ties. The target short-circuit can only drop attempts that would
      have lost anyway, so the winning cost is schedule-independent. *)
   let best =
     List.fold_left
@@ -495,6 +531,11 @@ let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
   Obs.count ~n:(List.length attempts) "walksat.portfolio_tasks";
   Obs.record "walksat.flips_per_solve" (float_of_int total_flips);
   Obs.gauge "walksat.soft_cost" soft_cost;
+  if Option.is_some optimum then begin
+    Obs.count "walksat.optimum_known";
+    if not (reached target hard_violated soft_cost) then
+      Obs.count "walksat.optimum_missed"
+  end;
   if observing then begin
     (* Convergence timeline: improvement samples from every attempt,
        time-ordered, lowered to a running minimum so the curve is the

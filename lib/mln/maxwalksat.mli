@@ -54,10 +54,19 @@ val solve :
     assignment (by default all-false; callers should pass
     {!Network.initial_assignment}). [portfolio] appends extra descents
     with exactly these seeds. [pool] (default
-    {!Prelude.Pool.sequential}) runs the descents as parallel tasks; a
-    descent reaching cost [(0, 0)] prevents further descents from
-    starting (running ones complete), which never changes the winning
-    assignment.
+    {!Prelude.Pool.sequential}) runs the descents as parallel tasks.
+
+    Optimum stop: a descent ends as soon as its best reaches the
+    network's optimum, and prevents further descents from starting
+    (running ones complete). The optimum is [(0, 0)] in general; for a
+    network of at most 16 atoms with a soft clause, solved under an
+    infinite [deadline], it is the soft cost of {!Exact.solve}'s proven
+    optimum. Improvements must beat the best by more than 1e-12, so
+    once a descent holds the optimum nothing can replace it: the stop
+    saves flips and restarts but never changes the returned
+    assignment. With observability on, such solves count
+    [walksat.optimum_known], and those whose answer stays above the
+    optimum [walksat.optimum_missed].
 
     Anytime contract: [deadline] (default {!Prelude.Deadline.none}) is
     polled every 256 flips; on expiry each running descent stops at its

@@ -181,7 +181,11 @@ let test_walksat_expired_deadline () =
     stats.Mln.Maxwalksat.hard_violated
 
 let test_walksat_crash_keeps_best () =
+  (* The CR clash keeps a soft clause violated in every answer. Padded
+     past 16 atoms, the walk proves no optimum either, so no descent
+     stops early and the crashing task 1 is always started. *)
   let _, network = cr_network () in
+  let network = { network with Network.num_atoms = 17 } in
   let cost (a, (s : Mln.Maxwalksat.stats)) =
     ignore a;
     (s.Mln.Maxwalksat.hard_violated, s.Mln.Maxwalksat.soft_cost)
@@ -398,18 +402,19 @@ let crash_keeps_best_property =
     (fun (net_seed, solve_seed) ->
       let network = random_network (Prelude.Prng.create net_seed) in
       (* Plant contradictory soft unit clauses so no descent reaches
-         cost (0,0): the perfect-cost early stop would otherwise skip
-         the crashing task and the fault would never fire. *)
+         cost (0,0), in a network of 17 atoms so the walk proves no
+         optimum either: the optimum stop would otherwise skip the
+         crashing task and the fault would never fire. *)
       let contradiction positive =
         {
-          Network.literals = [| { Network.atom = 0; positive } |];
+          Network.literals = [| { Network.atom = 16; positive } |];
           weight = Some 1.0;
           source = "pin";
         }
       in
       let network =
         {
-          network with
+          Network.num_atoms = 17;
           Network.clauses =
             Array.append network.Network.clauses
               [| contradiction true; contradiction false |];

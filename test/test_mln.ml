@@ -802,14 +802,13 @@ module Reference = struct
 end
 
 (* Random small weighted partial MaxSAT instances: hard, soft and unit
-   clauses over up to 20 atoms. Repeated and complementary literals are
-   left in — the packed kernel must reproduce the reference's update
-   sequence even there. Weights are tenths, so different sums land within
-   float rounding of each other (0.1 + 0.2 <> 0.3): near-ties inside
-   the 1e-12 tolerance occur. *)
-let oracle_case case_seed =
-  let rng = Prelude.Prng.create case_seed in
-  let num_atoms = 1 + Prelude.Prng.int rng 20 in
+   clauses over 1 to [max_atoms] atoms. Repeated and complementary
+   literals are left in — the packed kernel must reproduce the
+   reference's update sequence even there. Weights are tenths, so
+   different sums land within float rounding of each other (0.1 + 0.2 <>
+   0.3): near-ties inside the 1e-12 tolerance occur. *)
+let weighted_maxsat rng ~max_atoms =
+  let num_atoms = 1 + Prelude.Prng.int rng max_atoms in
   let clauses =
     Array.init
       (1 + Prelude.Prng.int rng 30)
@@ -830,12 +829,20 @@ let oracle_case case_seed =
           source = Printf.sprintf "c%d" i;
         })
   in
+  { Network.num_atoms; clauses }
+
+(* Up to 24 atoms: both sides of MaxWalkSAT's 16-atom exact-optimum
+   threshold. *)
+let oracle_case case_seed =
+  let rng = Prelude.Prng.create case_seed in
+  let network = weighted_maxsat rng ~max_atoms:24 in
+  let num_atoms = network.Network.num_atoms in
   let init =
     if Prelude.Prng.bool rng then
       Some (Array.init num_atoms (fun _ -> Prelude.Prng.bool rng))
     else None
   in
-  ( { Network.num_atoms; clauses },
+  ( network,
     init,
     Prelude.Prng.int rng 1_000,
     1 + Prelude.Prng.int rng 4,
@@ -920,24 +927,37 @@ let qcheck_packed_matches_reference =
         Reference.solve ~seed ~restarts ~portfolio ~max_flips ?init ~pool
           network
       in
-      (* With several jobs, how many later descents a (0, 0) optimum
-         keeps from starting depends on the schedule, and with it the
-         work counters and, under an injected crash, the status. Those
-         are compared sequentially only; the answer never depends on
-         the schedule. *)
+      (* With several jobs, how many later descents an optimum keeps
+         from starting depends on the schedule, and with it the work
+         counters and, under an injected crash, the status. Those are
+         compared sequentially only; the answer never depends on the
+         schedule. Where the packed kernel proves the optimum first
+         (small networks with a soft clause and satisfiable hard
+         clauses) it may stop sooner than the reference's (0, 0) rule,
+         never later. *)
+      let targeted =
+        network.Network.num_atoms <= 16
+        && Array.exists
+             (fun (c : Network.clause) -> c.weight <> None)
+             network.Network.clauses
+        && Mln.Exact.solve network <> None
+      in
       x = rx
       && s.Mln.Maxwalksat.hard_violated = rs.Reference.hard_violated
       && Int64.equal
            (Int64.bits_of_float s.Mln.Maxwalksat.soft_cost)
            (Int64.bits_of_float rs.Reference.soft_cost)
       && (jobs > 1
+         || (targeted && s.Mln.Maxwalksat.flips <= rs.Reference.flips)
          || s.Mln.Maxwalksat.flips = rs.Reference.flips
             && s.Mln.Maxwalksat.restarts_used = rs.Reference.restarts_used
             && s.Mln.Maxwalksat.status = rs.Reference.status))
 
 (* Two contradicting soft unit clauses keep one clause violated without
    ever improving, so every descent runs to its flip budget: a solve's
-   allocation must not grow with that budget. *)
+   allocation must not grow with that budget. The network has 17 atoms,
+   one more than MaxWalkSAT proves optima for, so no descent learns it
+   already holds the optimum. *)
 let test_flip_loop_allocation_free () =
   let unit positive =
     {
@@ -946,7 +966,7 @@ let test_flip_loop_allocation_free () =
       source = "u";
     }
   in
-  let network = { Network.num_atoms = 1; clauses = [| unit true; unit false |] } in
+  let network = { Network.num_atoms = 17; clauses = [| unit true; unit false |] } in
   let words max_flips =
     let before = Gc.minor_words () in
     let _, stats =
@@ -961,6 +981,94 @@ let test_flip_loop_allocation_free () =
     (Printf.sprintf "%.0f words for 100 flips, %.0f for 100000" short long)
     true
     (long -. short < 64.)
+
+(* [Exact.solve] against exhaustive enumeration. MaxWalkSAT stops at
+   the soft cost Exact proves optimal, so a cost reported too high would
+   end a descent early and change its answer. *)
+let qcheck_exact_matches_enumeration =
+  QCheck.Test.make ~name:"exact = exhaustive enumeration (<= 12 atoms)"
+    ~count:300
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun case_seed ->
+      let network =
+        weighted_maxsat (Prelude.Prng.create case_seed) ~max_atoms:12
+      in
+      let n = network.Network.num_atoms in
+      let assignment_of bits = Array.init n (fun v -> bits land (1 lsl v) <> 0) in
+      (* The cheapest soft cost over the hard-feasible assignments. *)
+      let minimum = ref None in
+      for bits = 0 to (1 lsl n) - 1 do
+        let a = assignment_of bits in
+        if Network.hard_violations network a = 0 then
+          let c = Network.cost network a in
+          match !minimum with
+          | Some m when m <= c -> ()
+          | _ -> minimum := Some c
+      done;
+      let at_minimum m a =
+        Network.hard_violations network a = 0
+        && Float.abs (Network.cost network a -. m) <= 1e-12
+      in
+      match (Mln.Exact.solve network, !minimum) with
+      | None, None -> true
+      | Some r, Some m ->
+          r.Mln.Exact.optimal
+          && at_minimum m r.Mln.Exact.assignment
+          && Float.abs (r.Mln.Exact.soft_cost -. m) <= 1e-12
+          && (match Mln.Ilp_encoding.solve network with
+             | Some (x, true) -> at_minimum m x
+             | Some (_, false) | None -> true)
+      | Some _, None | None, Some _ -> false)
+
+(* The Ranieri coach clash in miniature: two uncertain coach facts and
+   the hard constraint forbidding both. Small enough that MaxWalkSAT
+   proves its optimum before walking. *)
+let coach_conflict () =
+  let graph =
+    Kg.Graph.of_list
+      [
+        Kg.Quad.v "CR" "coach" (Kg.Term.iri "Chelsea") (2000, 2004) 0.9;
+        Kg.Quad.v "CR" "coach" (Kg.Term.iri "Napoli") (2001, 2003) 0.6;
+      ]
+  in
+  let rules =
+    parse_rules
+      "constraint c: coach(x, y)@t ^ coach(x, z)@t2 ^ y != z => disjoint(t, t2) ."
+  in
+  let store = Store.of_graph graph in
+  let result = Grounder.Ground.run store rules in
+  let network = Network.build store result.Grounder.Ground.instances in
+  (network, Network.initial_assignment network store)
+
+let test_stop_at_optimum () =
+  let network, init = coach_conflict () in
+  let x, s = Mln.Maxwalksat.solve ~init network in
+  let rx, rs = Reference.solve ~init network in
+  Alcotest.(check (array bool)) "reference's assignment" rx x;
+  Alcotest.(check int) "no restart" 0 s.Mln.Maxwalksat.restarts_used;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d flips, under the stall budget" s.Mln.Maxwalksat.flips)
+    true
+    (s.Mln.Maxwalksat.flips < 20_000);
+  Alcotest.(check bool) "the reference walks on" true
+    (rs.Reference.flips > s.Mln.Maxwalksat.flips);
+  let x4, _ =
+    Mln.Maxwalksat.solve ~init ~pool:(Prelude.Pool.create ~jobs:4) network
+  in
+  Alcotest.(check (array bool)) "jobs 4 = jobs 1" x x4
+
+(* A finite deadline leaves the budget to the walk: no optimum is
+   proven, and the solve does the reference's work. *)
+let test_finite_deadline_no_target () =
+  let network, init = coach_conflict () in
+  let deadline () = Prelude.Deadline.after ~ms:600_000. in
+  let x, s = Mln.Maxwalksat.solve ~init ~deadline:(deadline ()) network in
+  let rx, rs = Reference.solve ~init ~deadline:(deadline ()) network in
+  Alcotest.(check (array bool)) "reference's assignment" rx x;
+  Alcotest.(check int) "reference's flips" rs.Reference.flips
+    s.Mln.Maxwalksat.flips;
+  Alcotest.(check int) "reference's restarts" rs.Reference.restarts_used
+    s.Mln.Maxwalksat.restarts_used
 
 let test_negative_confidence_evidence () =
   (* Confidence < 0.5 evidence becomes a negated unit clause; MAP should
@@ -1016,6 +1124,11 @@ let () =
             test_solvers_agree_on_random_networks;
           QCheck_alcotest.to_alcotest qcheck_packed_matches_reference;
           QCheck_alcotest.to_alcotest qcheck_split_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_exact_matches_enumeration;
+          Alcotest.test_case "stop at the proven optimum" `Quick
+            test_stop_at_optimum;
+          Alcotest.test_case "finite deadline proves no optimum" `Quick
+            test_finite_deadline_no_target;
           Alcotest.test_case "zero-literal clause" `Quick
             test_zero_literal_fallback;
           Alcotest.test_case "flip loop allocation-free" `Quick
