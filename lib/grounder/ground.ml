@@ -274,15 +274,17 @@ let instances_of_rule ~pool ~lazy_constraints store (rule : Logic.Rule.t) =
   Obs.count ~n:!rows "ground.join_rows";
   List.rev instances_rev
 
-let run ?max_rounds ?(deadline = Prelude.Deadline.none)
-    ?(pool = Prelude.Pool.sequential) ?(lazy_constraints = false) store rules =
+(* The grounding core shared by {!run} and {!run_record}: closure, then
+   one instance list per rule. [log] collects the closure's candidate
+   streams for the replay snapshot. *)
+let ground ?max_rounds ~deadline ~pool ~lazy_constraints ?log store rules =
   let derived, rounds =
     Obs.span "closure" (fun () ->
-        closure ?max_rounds ~deadline ~pool store rules)
+        closure ?max_rounds ~deadline ~pool ?log store rules)
   in
   if Prelude.Deadline.expired deadline then
     raise (Timed_out { atoms = Atom_store.size store; rounds });
-  let instances =
+  let per_rule =
     (* Rules are grounded sequentially in rule order and the parallelism
        lives inside each join (partitioned hash join on [pool]) — the
        same pool must not be used at two nesting levels. Interning the
@@ -292,13 +294,17 @@ let run ?max_rounds ?(deadline = Prelude.Deadline.none)
        count. The closure's rounds interleave joins with interning, and
        that interleaving defines the id order we must preserve. *)
     Obs.span "instances" (fun () ->
-        List.concat_map
+        List.map
           (fun rule -> instances_of_rule ~pool ~lazy_constraints store rule)
           rules)
   in
-  let result = { instances; derived; rounds } in
+  let result = { instances = List.concat per_rule; derived; rounds } in
   emit_result_counters store result;
-  result
+  (result, per_rule)
+
+let run ?max_rounds ?(deadline = Prelude.Deadline.none)
+    ?(pool = Prelude.Pool.sequential) ?(lazy_constraints = false) store rules =
+  fst (ground ?max_rounds ~deadline ~pool ~lazy_constraints store rules)
 
 (* ------------------------------------------------------------------ *)
 (* Delta grounding: record enough of a run to replay it exactly.       *)
@@ -317,31 +323,23 @@ type snapshot = {
       (** final rule instances, one list per rule in rule order *)
 }
 
+(* [log] holds the closure rounds newest first. *)
+let snapshot_of ~lazy_constraints store rules log per_rule =
+  {
+    snap_store = store;
+    snap_rules = rules;
+    snap_lazy = lazy_constraints;
+    rounds_log = Array.of_list (List.rev log);
+    per_rule;
+  }
+
 let run_record ?max_rounds ?(deadline = Prelude.Deadline.none)
     ?(pool = Prelude.Pool.sequential) ?(lazy_constraints = false) store rules =
   let log = ref [] in
-  let derived, rounds =
-    Obs.span "closure" (fun () ->
-        closure ?max_rounds ~deadline ~pool ~log store rules)
+  let result, per_rule =
+    ground ?max_rounds ~deadline ~pool ~lazy_constraints ~log store rules
   in
-  if Prelude.Deadline.expired deadline then
-    raise (Timed_out { atoms = Atom_store.size store; rounds });
-  let per_rule =
-    Obs.span "instances" (fun () ->
-        List.map
-          (fun rule -> instances_of_rule ~pool ~lazy_constraints store rule)
-          rules)
-  in
-  let result = { instances = List.concat per_rule; derived; rounds } in
-  emit_result_counters store result;
-  ( result,
-    {
-      snap_store = store;
-      snap_rules = rules;
-      snap_lazy = lazy_constraints;
-      rounds_log = Array.of_list (List.rev !log);
-      per_rule;
-    } )
+  (result, snapshot_of ~lazy_constraints store rules !log per_rule)
 
 let affected_rules ~delta rules =
   (* Transitive closure over predicates: a rule is affected when its
@@ -473,13 +471,6 @@ let reground ~snapshot ~affected ?(max_rounds = 50)
         let result = { instances = List.concat per_rule; derived = List.rev !derived; rounds } in
         emit_result_counters store result;
         Some
-          ( result,
-            {
-              snap_store = store;
-              snap_rules = rules;
-              snap_lazy = lazy_constraints;
-              rounds_log = Array.of_list (List.rev !new_log);
-              per_rule;
-            } )
+          (result, snapshot_of ~lazy_constraints store rules !new_log per_rule)
     | exception Replay_miss -> None
   end

@@ -8,7 +8,6 @@ type component = {
 type solved = {
   values : bool array;
   status : Deadline.status;
-  cpi : Cpi.stats option;
 }
 
 (* Canonical structural form of a component: literals as signed 1-based
@@ -62,29 +61,18 @@ let key_of component ~init =
     k_init = init;
   }
 
-let merge_cpi acc = function
-  | None -> acc
-  | Some (s : Cpi.stats) -> (
-      match acc with
-      | None -> Some s
-      | Some (t : Cpi.stats) ->
-          Some
-            {
-              Cpi.iterations = t.Cpi.iterations + s.Cpi.iterations;
-              active_clauses = t.Cpi.active_clauses + s.Cpi.active_clauses;
-              total_clauses = t.Cpi.total_clauses + s.Cpi.total_clauses;
-              status = Deadline.worst t.Cpi.status s.Cpi.status;
-            })
-
 let solve ?cache ~solve_component ~init (network : Network.t) =
-  Components.solve ?cache
+  let values, status, () =
+    Components.solve ?cache
     ~vars:(fun c -> c.atoms)
     ~key:key_of
     ~solve_component:(fun c ~init ->
       if Array.length c.network.Network.clauses = 0 then
-        { values = Array.copy init; status = Deadline.Completed; cpi = None }
+        { values = Array.copy init; status = Deadline.Completed }
       else solve_component c.network ~init)
     ~status:(fun s -> s.status)
     ~values:(fun s -> s.values)
-    ~merge:(fun acc s -> merge_cpi acc s.cpi)
-    ~acc:None ~init (split network)
+    ~merge:(fun () _ -> ())
+    ~acc:() ~init (split network)
+  in
+  (values, status)

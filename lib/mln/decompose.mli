@@ -11,7 +11,6 @@ type component = {
 type solved = {
   values : bool array;  (** local assignment, indexed like [atoms] *)
   status : Prelude.Deadline.status;
-  cpi : Cpi.stats option;
 }
 
 type key
@@ -31,7 +30,7 @@ val solve :
   solve_component:(Network.t -> init:bool array -> solved) ->
   init:bool array ->
   Network.t ->
-  bool array * Prelude.Deadline.status * Cpi.stats option
+  bool array * Prelude.Deadline.status
 (** {!Components.solve} over {!split}; clause-free components keep
     their init without calling [solve_component]. Returns the merged
-    assignment, the worst status and the summed CPI stats. *)
+    assignment and the worst status. *)

@@ -13,10 +13,8 @@ type options = {
   seed : int;
   max_flips : int;
   restarts : int;
-  portfolio : int list;
   pool : Prelude.Pool.t;
   deadline : Deadline.t;
-  ground_deadline : Deadline.t;
   solve_cache : Decompose.cache option;
 }
 
@@ -28,10 +26,8 @@ let default_options =
     seed = 7;
     max_flips = 100_000;
     restarts = 3;
-    portfolio = [];
     pool = Prelude.Pool.sequential;
     deadline = Deadline.none;
-    ground_deadline = Deadline.none;
     solve_cache = None;
   }
 
@@ -39,12 +35,8 @@ type stats = {
   atoms : int;
   evidence_atoms : int;
   hidden_atoms : int;
-  clauses : int;
-  hard_clauses : int;
-  closure_rounds : int;
   ground_ms : float;
   solve_ms : float;
-  cpi : Cpi.stats option;
   hard_violations : int;
   objective : float;
   status : Deadline.status;
@@ -52,9 +44,6 @@ type stats = {
 
 type outcome = {
   assignment : bool array;
-  store : Grounder.Atom_store.t;
-  instances : Grounder.Ground.Instance.t list;
-  network : Network.t;
   stats : stats;
 }
 
@@ -75,8 +64,8 @@ let walk_fallback options network ~init =
     ];
   let assignment, _ =
     Maxwalksat.solve ~seed:options.seed ~max_flips:options.max_flips
-      ~restarts:options.restarts ~portfolio:options.portfolio
-      ~pool:options.pool ~deadline:options.deadline ~init network
+      ~restarts:options.restarts ~pool:options.pool ~deadline:options.deadline
+      ~init network
   in
   (assignment, Deadline.Degraded)
 
@@ -95,8 +84,8 @@ let base_solver ?stall options network ~init =
   | Walk ->
       let assignment, stats =
         Maxwalksat.solve ~seed:options.seed ~max_flips:options.max_flips
-          ~restarts:options.restarts ?stall ~portfolio:options.portfolio
-          ~pool:options.pool ~deadline:options.deadline ~init network
+          ~restarts:options.restarts ?stall ~pool:options.pool
+          ~deadline:options.deadline ~init network
       in
       (assignment, stats.Maxwalksat.status)
   | Exact_bb ->
@@ -132,14 +121,10 @@ let component_solver options sub ~init =
           base_solver ~stall scaled net ~init)
         ~init sub
     in
-    {
-      Decompose.values = assignment;
-      status = cpi_stats.Cpi.status;
-      cpi = Some cpi_stats;
-    }
+    { Decompose.values = assignment; status = cpi_stats.Cpi.status }
   else
     let assignment, status = base_solver ~stall scaled sub ~init in
-    { Decompose.values = assignment; status; cpi = None }
+    { Decompose.values = assignment; status }
 
 let run_ground ?(options = default_options) store
     (ground_result : Grounder.Ground.result) ~ground_ms =
@@ -162,22 +147,17 @@ let run_ground ?(options = default_options) store
      budgeted runs anyway. *)
   let solve () =
     if not (Deadline.is_finite options.deadline) then
-      let assignment, status, cpi =
-        Decompose.solve ?cache:options.solve_cache
-          ~solve_component:(component_solver options) ~init network
-      in
-      (assignment, cpi, status)
+      Decompose.solve ?cache:options.solve_cache
+        ~solve_component:(component_solver options) ~init network
     else if options.use_cpi then
       let assignment, cpi_stats =
         Cpi.solve ~solver:(base_solver options) ~deadline:options.deadline
           ~init network
       in
-      (assignment, Some cpi_stats, cpi_stats.Cpi.status)
-    else
-      let assignment, status = base_solver options network ~init in
-      (assignment, None, status)
+      (assignment, cpi_stats.Cpi.status)
+    else base_solver options network ~init
   in
-  let (assignment, cpi, status), solve_ms =
+  let (assignment, status), solve_ms =
     Prelude.Timing.time (fun () -> Obs.span "solve" solve)
   in
   if Deadline.is_finite options.deadline then
@@ -190,11 +170,6 @@ let run_ground ?(options = default_options) store
       | Store.Evidence _ -> incr evidence_atoms
       | Store.Hidden -> ())
     store;
-  let hard_clauses =
-    Array.fold_left
-      (fun acc (c : Network.clause) -> if c.weight = None then acc + 1 else acc)
-      0 network.Network.clauses
-  in
   (* A cut-short run may leave hard clauses violated — CPI's active
      subnetwork can even hide violations the expired budget never got
      to activate. Restore soundness with the deterministic (and
@@ -219,39 +194,25 @@ let run_ground ?(options = default_options) store
   in
   {
     assignment;
-    store;
-    instances = ground_result.Grounder.Ground.instances;
-    network;
     stats =
       {
         atoms = Store.size store;
         evidence_atoms = !evidence_atoms;
         hidden_atoms = Store.size store - !evidence_atoms;
-        clauses = Array.length network.Network.clauses;
-        hard_clauses;
-        closure_rounds = ground_result.Grounder.Ground.rounds;
         ground_ms;
         solve_ms;
-        cpi;
         hard_violations;
         objective = Network.score network assignment;
         status;
       };
   }
 
-let run_store ?(options = default_options) store rules =
-  let (ground_result : Grounder.Ground.result), ground_ms =
+let run ?(options = default_options) graph rules =
+  let store = Store.of_graph graph in
+  let ground_result, ground_ms =
     Prelude.Timing.time (fun () ->
         Obs.span "ground" (fun () ->
-            Grounder.Ground.run ~deadline:options.ground_deadline
-              ~pool:options.pool ~lazy_constraints:true store rules))
+            Grounder.Ground.run ~pool:options.pool ~lazy_constraints:true store
+              rules))
   in
-  (* Per-stage budget telemetry, only under a finite deadline so
-     unbudgeted runs keep byte-identical reports. *)
-  if Deadline.is_finite options.deadline then
-    Obs.gauge "deadline.ground_slack_ms"
-      (Deadline.remaining_ms options.deadline);
   run_ground ~options store ground_result ~ground_ms
-
-let run ?options graph rules =
-  run_store ?options (Store.of_graph graph) rules

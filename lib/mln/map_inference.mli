@@ -19,10 +19,10 @@ type options = {
   seed : int;
   max_flips : int;
   restarts : int;
-  portfolio : int list;         (** extra MaxWalkSAT descent seeds *)
   pool : Prelude.Pool.t;
-      (** runs grounding joins and MaxWalkSAT descents in parallel;
-          results are objective-identical at every job count *)
+      (** runs the grounding joins of {!run} and the MaxWalkSAT
+          descents in parallel; results are objective-identical at
+          every job count *)
   deadline : Prelude.Deadline.t;
       (** solve budget. The network is solved per connected component
           (see {!Decompose}), with per-component budgets scaled to
@@ -32,12 +32,10 @@ type options = {
           ladder: exact search on half the remaining budget, then — if
           optimality was not proved in the slice — MaxWalkSAT on the
           rest, seeded from the exact incumbent, with
-          [status = Degraded] *)
-  ground_deadline : Prelude.Deadline.t;
-      (** grounding budget, polled between closure rounds; expiry
-          raises {!Grounder.Ground.Timed_out} (there is no sound
-          partial grounding). Kept separate from [deadline] so
-          best-effort callers can budget only the solver *)
+          [status = Degraded]. Grounding is never budgeted here: a
+          caller that must bound it (as [Tecore.Engine.resolve] does
+          under [`Fail]) grounds itself with a deadline and calls
+          {!run_ground} *)
   solve_cache : Decompose.cache option;
       (** memoises component solutions across runs (the incremental
           engine's warm start). Only consulted under an infinite [deadline];
@@ -46,20 +44,16 @@ type options = {
 }
 
 val default_options : options
-(** [Walk] with CPI on, default network config, seed 7, no extra
-    portfolio seeds, {!Prelude.Pool.sequential}, infinite deadlines
-    (so the solve is decomposed), no solve cache. *)
+(** [Walk] with CPI on, default network config, seed 7, 3 restarts,
+    {!Prelude.Pool.sequential}, an infinite deadline (so the solve is
+    decomposed), no solve cache. *)
 
 type stats = {
   atoms : int;
   evidence_atoms : int;
   hidden_atoms : int;
-  clauses : int;
-  hard_clauses : int;
-  closure_rounds : int;
   ground_ms : float;
   solve_ms : float;
-  cpi : Cpi.stats option;
   hard_violations : int;        (** 0 unless the hard part is unsatisfiable *)
   objective : float;            (** satisfied soft weight of the MAP state *)
   status : Prelude.Deadline.status;
@@ -73,17 +67,13 @@ type stats = {
 
 type outcome = {
   assignment : bool array;      (** MAP truth value per atom id *)
-  store : Grounder.Atom_store.t;
-  instances : Grounder.Ground.Instance.t list;
-  network : Network.t;
   stats : stats;
 }
 
 val run : ?options:options -> Kg.Graph.t -> Logic.Rule.t list -> outcome
-
-val run_store :
-  ?options:options -> Grounder.Atom_store.t -> Logic.Rule.t list -> outcome
-(** Same, over a pre-built atom store (lets callers inject extra atoms). *)
+(** The whole pipeline in one call, for tests and benchmarks: build the
+    atom store, ground it without a deadline (the ["ground"] span and
+    [stats.ground_ms] cover the grounding only), then {!run_ground}. *)
 
 val run_ground :
   ?options:options ->
@@ -91,7 +81,7 @@ val run_ground :
   Grounder.Ground.result ->
   ground_ms:float ->
   outcome
-(** Encode-and-solve over a grounding computed elsewhere — the entry
-    point of the incremental engine, which produces the grounding by
-    delta replay instead of {!Grounder.Ground.run}. [ground_ms] is
-    reported in the stats verbatim. *)
+(** Encode-and-solve over a grounding computed elsewhere — the solve
+    step of [Tecore.Engine.resolve], which grounds fresh, records a
+    replay snapshot or replays one ({!Grounder.Ground.reground}).
+    [ground_ms] is reported in the stats verbatim. *)

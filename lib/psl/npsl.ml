@@ -8,7 +8,6 @@ type options = {
   threshold : float;
   pool : Prelude.Pool.t;
   deadline : Prelude.Deadline.t;
-  ground_deadline : Prelude.Deadline.t;
   solve_cache : Decompose.cache option;
 }
 
@@ -21,17 +20,11 @@ let default_options =
     threshold = 0.5;
     pool = Prelude.Pool.sequential;
     deadline = Prelude.Deadline.none;
-    ground_deadline = Prelude.Deadline.none;
     solve_cache = None;
   }
 
 type stats = {
   atoms : int;
-  evidence_atoms : int;
-  hidden_atoms : int;
-  potentials : int;
-  hard_constraints : int;
-  closure_rounds : int;
   ground_ms : float;
   solve_ms : float;
   admm : Admm.stats;
@@ -42,8 +35,6 @@ type stats = {
 type outcome = {
   assignment : bool array;
   truth : float array;
-  store : Grounder.Atom_store.t;
-  instances : Grounder.Ground.Instance.t list;
   model : Hlmrf.t;
   stats : stats;
 }
@@ -101,24 +92,13 @@ let run_ground ?(options = default_options) store
         ("flipped", Obs.Events.Int rounding_stats.Rounding.flipped);
         ("unrepaired", Obs.Events.Int rounding_stats.Rounding.unrepaired);
       ];
-  let evidence_atoms = ref 0 in
-  for id = 0 to Store.size store - 1 do
-    if Store.is_evidence store id then incr evidence_atoms
-  done;
   {
     assignment;
     truth;
-    store;
-    instances = ground_result.Grounder.Ground.instances;
     model;
     stats =
       {
         atoms = Store.size store;
-        evidence_atoms = !evidence_atoms;
-        hidden_atoms = Store.size store - !evidence_atoms;
-        potentials = model.Hlmrf.num_potentials;
-        hard_constraints = Hlmrf.num_constraints model;
-        closure_rounds = ground_result.Grounder.Ground.rounds;
         ground_ms;
         solve_ms;
         admm = admm_stats;
@@ -127,19 +107,12 @@ let run_ground ?(options = default_options) store
       };
   }
 
-let run_store ?(options = default_options) store rules =
-  let (ground_result : Grounder.Ground.result), ground_ms =
+let run ?(options = default_options) graph rules =
+  let store = Store.of_graph graph in
+  let ground_result, ground_ms =
     Prelude.Timing.time (fun () ->
         Obs.span "ground" (fun () ->
-            Grounder.Ground.run ~deadline:options.ground_deadline
-              ~pool:options.pool ~lazy_constraints:true store rules))
+            Grounder.Ground.run ~pool:options.pool ~lazy_constraints:true store
+              rules))
   in
-  (* Per-stage budget telemetry, only under a finite deadline so
-     unbudgeted runs keep byte-identical reports. *)
-  if Prelude.Deadline.is_finite options.deadline then
-    Obs.gauge "deadline.ground_slack_ms"
-      (Prelude.Deadline.remaining_ms options.deadline);
   run_ground ~options store ground_result ~ground_ms
-
-let run ?options graph rules =
-  run_store ?options (Store.of_graph graph) rules

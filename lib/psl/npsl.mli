@@ -12,17 +12,17 @@ type options = {
   tol : float;
   threshold : float;        (** rounding threshold *)
   pool : Prelude.Pool.t;
-      (** runs grounding joins and ADMM factor sweeps in parallel; the
-          solution is bitwise identical at every job count *)
+      (** runs the grounding joins of {!run} and the ADMM factor sweeps
+          in parallel; the solution is bitwise identical at every job
+          count *)
   deadline : Prelude.Deadline.t;
       (** solve budget. ADMM runs per connected component of the factor
           graph (see {!Decompose}) exactly when the deadline is
           infinite; a finite one runs the global ADMM, polled between
           iterations; on expiry the current (box-feasible) iterate is
-          rounded and returned with [status = Timed_out] *)
-  ground_deadline : Prelude.Deadline.t;
-      (** grounding budget; expiry raises {!Grounder.Ground.Timed_out}
-          (there is no sound partial grounding) *)
+          rounded and returned with [status = Timed_out]. Grounding is
+          never budgeted here: a caller that must bound it grounds
+          itself with a deadline and calls {!run_ground} *)
   solve_cache : Decompose.cache option;
       (** memoises component solutions across runs (the incremental
           engine's warm start). Only consulted under an infinite
@@ -33,11 +33,6 @@ val default_options : options
 
 type stats = {
   atoms : int;
-  evidence_atoms : int;
-  hidden_atoms : int;
-  potentials : int;
-  hard_constraints : int;
-  closure_rounds : int;
   ground_ms : float;
   solve_ms : float;
   admm : Admm.stats;
@@ -49,16 +44,14 @@ type stats = {
 type outcome = {
   assignment : bool array;   (** rounded MAP state per atom id *)
   truth : float array;       (** continuous MAP state per atom id *)
-  store : Grounder.Atom_store.t;
-  instances : Grounder.Ground.Instance.t list;
   model : Hlmrf.t;
   stats : stats;
 }
 
 val run : ?options:options -> Kg.Graph.t -> Logic.Rule.t list -> outcome
-
-val run_store :
-  ?options:options -> Grounder.Atom_store.t -> Logic.Rule.t list -> outcome
+(** The whole pipeline in one call, for tests and benchmarks: build the
+    atom store, ground it without a deadline (the ["ground"] span and
+    [stats.ground_ms] cover the grounding only), then {!run_ground}. *)
 
 val run_ground :
   ?options:options ->
@@ -66,6 +59,6 @@ val run_ground :
   Grounder.Ground.result ->
   ground_ms:float ->
   outcome
-(** Encode-and-solve over a grounding computed elsewhere (the
-    incremental engine's delta-replay path); [ground_ms] is reported in
+(** Encode, solve and round over a grounding computed elsewhere — the
+    solve step of [Tecore.Engine.resolve]; [ground_ms] is reported in
     the stats verbatim. *)

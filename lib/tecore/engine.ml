@@ -44,8 +44,6 @@ type delta = {
   rules_changed : bool;
 }
 
-let empty_delta = { facts = []; rules_changed = false }
-
 type cache_outcome =
   | Hit          (** empty delta: previous result returned as-is *)
   | Replay       (** delta grounding replayed, solver caches consulted *)
@@ -80,7 +78,6 @@ type fingerprint =
       * int
       * int
       * int
-      * int list
       * float option
   | Fp_psl of Psl.Hlmrf.config * float * int * float * float * float option
 
@@ -140,7 +137,6 @@ let fingerprint_of engine threshold =
           o.Mln.Map_inference.seed,
           o.Mln.Map_inference.max_flips,
           o.Mln.Map_inference.restarts,
-          o.Mln.Map_inference.portfolio,
           threshold )
   | Psl (o : Psl.Npsl.options) ->
       Fp_psl
@@ -199,9 +195,8 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
     if not (Deadline.is_finite deadline) then engine
     else
       match engine with
-      | Mln options ->
-          Mln { options with Mln.Map_inference.deadline; ground_deadline }
-      | Psl options -> Psl { options with Psl.Npsl.deadline; ground_deadline }
+      | Mln options -> Mln { options with Mln.Map_inference.deadline }
+      | Psl options -> Psl { options with Psl.Npsl.deadline }
       | Auto -> assert false
   in
   (* [jobs] defaults to the environment ([TECORE_JOBS], else 1). A pool
@@ -244,34 +239,86 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
           Obs.gauge "pool.speedup"
             (s.Prelude.Pool.busy_ms /. s.Prelude.Pool.wall_ms)
   in
-  let interpret store instances assignment =
-    Obs.span "interpret" (fun () ->
-        Conflict.interpret ~graph ~store ~instances ~assignment ())
+  Fun.protect ~finally:emit_pool_stats @@ fun () ->
+  (* A finite deadline makes cached reuse unsound (a budgeted solve is
+     not a pure function of the problem), so the state steps aside
+     entirely. *)
+  let state =
+    match state with
+    | Some st when Deadline.is_finite deadline ->
+        if mode = `Incremental then begin
+          st.outcome <- Some Bypass;
+          Obs.count "incr.bypass"
+        end;
+        None
+    | state -> state
   in
-  (* ---------------- stateful (incremental-capable) path ------------- *)
-  let run_state st =
-    Fun.protect ~finally:emit_pool_stats @@ fun () ->
-    let pool = Option.value pool ~default:Prelude.Pool.sequential in
+  let ground_pool =
+    match engine with
+    | Mln o -> o.Mln.Map_inference.pool
+    | Psl o -> o.Psl.Npsl.pool
+    | Auto -> assert false
+  in
+  (* The one grounding step. θ(G) is built inside the span, so
+     [ground_ms] covers the atom store as well as the closure and the
+     instance joins. Without a state this is the plain [Ground.run], the
+     only grounding that polls a deadline; with one, [run_record] also
+     keeps the replay snapshot, and [reground] replays one. [None] means
+     the replay could not be proven exact. *)
+  let ground ?replay () =
+    let grounding, ground_ms =
+      Prelude.Timing.time (fun () ->
+          Obs.span "ground" (fun () ->
+              let store = Grounder.Atom_store.of_graph graph in
+              let lazy_constraints = true in
+              match (state, replay) with
+              | None, _ ->
+                  Some
+                    ( store,
+                      Grounder.Ground.run ~deadline:ground_deadline
+                        ~pool:ground_pool ~lazy_constraints store rules,
+                      None )
+              | Some _, None ->
+                  let g, snap =
+                    Grounder.Ground.run_record ~pool:ground_pool
+                      ~lazy_constraints store rules
+                  in
+                  Some (store, g, Some snap)
+              | Some _, Some (snapshot, affected) ->
+                  Grounder.Ground.reground ~snapshot ~affected
+                    ~pool:ground_pool ~lazy_constraints store rules
+                  |> Option.map (fun (g, snap) -> (store, g, Some snap))))
+    in
+    Option.map (fun (store, g, snap) -> (store, g, snap, ground_ms)) grounding
+  in
+  let fresh_ground () =
+    match ground () with
+    | Some g -> g
+    | None -> assert false
+    | exception Grounder.Ground.Timed_out { atoms; rounds } ->
+        Obs.event ~level:Obs.Events.Error "ground.timed_out"
+          [
+            ("atoms", Obs.Events.Int atoms); ("rounds", Obs.Events.Int rounds);
+          ];
+        Obs.count "deadline.expired";
+        Obs.gauge "deadline.budget_ms" (Deadline.budget_ms deadline);
+        raise (Ground_timed_out (ground_timeout_report report ~atoms ~rounds))
+  in
+  (* With a state: decide from the fingerprint, the mode and the delta
+     whether to reuse the last result, replay the snapshot or ground
+     afresh, and record how the caches were used. *)
+  let plan st =
     let fp = fingerprint_of engine threshold in
     let fp_ok = st.fp = Some fp in
     let had_fp = st.fp <> None in
     if not fp_ok then invalidate st;
     st.fp <- Some fp;
-    let d = match delta with Some d -> d | None -> { facts = []; rules_changed = true } in
-    let fresh_ground () =
-      let (store, ground_result, snap), ground_ms =
-        Prelude.Timing.time (fun () ->
-            Obs.span "ground" (fun () ->
-                let store = Grounder.Atom_store.of_graph graph in
-                let ground_result, snap =
-                  Grounder.Ground.run_record ~pool ~lazy_constraints:true store
-                    rules
-                in
-                (store, ground_result, snap)))
-      in
-      (store, ground_result, snap, ground_ms)
+    let d =
+      match delta with
+      | Some d -> d
+      | None -> { facts = []; rules_changed = true }
     in
-    let incremental_ground snapshot =
+    let replay snapshot =
       (* The [incr_timeout] fault point simulates a failure in the middle
          of the incremental machinery; the handler below must recover
          with a correct fresh resolve, never a stale cache. *)
@@ -287,29 +334,14 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
       let rejoined = List.length (List.filter affected rules) in
       Obs.count ~n:rejoined "incr.rejoined_rules";
       Obs.count ~n:(List.length rules - rejoined) "incr.replayed_rules";
-      let out, ground_ms =
-        Prelude.Timing.time (fun () ->
-            Obs.span "ground" (fun () ->
-                let store = Grounder.Atom_store.of_graph graph in
-                match
-                  Grounder.Ground.reground ~snapshot ~affected
-                    ~lazy_constraints:true store rules
-                with
-                | Some (ground_result, snap) ->
-                    Some (store, ground_result, snap)
-                | None -> None))
-      in
-      match out with
-      | Some (store, ground_result, snap) ->
-          Some (store, ground_result, snap, ground_ms)
-      | None -> None
+      ground ~replay:(snapshot, affected) ()
     in
     let fall_back () =
       Obs.count "incr.fallback_events";
       st.snapshot <- None;
       st.last <- None;
       clear_solve_caches st;
-      (fresh_ground (), Fallback)
+      (`Ground (fresh_ground ()), Fallback)
     in
     let grounding, outcome =
       match mode with
@@ -327,19 +359,17 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
             in
             (`Ground (fresh_ground ()), oc)
           end
-          else if d.facts = [] && st.last <> None then (`Cached, Hit)
-          else begin
-            match incremental_ground (Option.get st.snapshot) with
-            | Some g -> (`Ground g, Replay)
-            | None ->
-                let g, oc = fall_back () in
-                (`Ground g, oc)
-            | exception e ->
-                Obs.event ~level:Obs.Events.Warn "incr.fault"
-                  [ ("exn", Obs.Events.Str (Printexc.to_string e)) ];
-                let g, oc = fall_back () in
-                (`Ground g, oc)
-          end
+          else
+            match (st.last, d.facts) with
+            | Some last, [] -> (`Cached last, Hit)
+            | _ -> (
+                match replay (Option.get st.snapshot) with
+                | Some g -> (`Ground g, Replay)
+                | None -> fall_back ()
+                | exception e ->
+                    Obs.event ~level:Obs.Events.Warn "incr.fault"
+                      [ ("exn", Obs.Events.Str (Printexc.to_string e)) ];
+                    fall_back ())
     in
     st.outcome <- Some outcome;
     Obs.count ("incr." ^ outcome_name outcome);
@@ -352,145 +382,80 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
         ("outcome", Obs.Events.Str (outcome_name outcome));
         ("delta_facts", Obs.Events.Int (List.length d.facts));
       ];
-    match grounding with
-    | `Cached -> (
-        match st.last with Some r -> r | None -> assert false)
-    | `Ground (store, ground_result, snap, ground_ms) ->
-        let run () =
-          match engine with
-          | Auto -> assert false
-          | Mln options ->
-              let options =
-                {
-                  options with
-                  Mln.Map_inference.solve_cache = Some st.mln_cache;
-                }
-              in
-              let out =
-                Mln.Map_inference.run_ground ~options store ground_result
-                  ~ground_ms
-              in
-              ( interpret store out.Mln.Map_inference.instances
-                  out.Mln.Map_inference.assignment,
-                {
-                  store;
-                  instances = out.Mln.Map_inference.instances;
-                  assignment = out.Mln.Map_inference.assignment;
-                },
-                Translator.Mln_engine,
-                out.Mln.Map_inference.stats.Mln.Map_inference.atoms,
-                out.Mln.Map_inference.stats.Mln.Map_inference.solve_ms,
-                out.Mln.Map_inference.stats.Mln.Map_inference.hard_violations,
-                out.Mln.Map_inference.stats.Mln.Map_inference.objective,
-                out.Mln.Map_inference.stats.Mln.Map_inference.status )
-          | Psl options ->
-              let options =
-                { options with Psl.Npsl.solve_cache = Some st.psl_cache }
-              in
-              let out =
-                Psl.Npsl.run_ground ~options store ground_result ~ground_ms
-              in
-              ( interpret store out.Psl.Npsl.instances out.Psl.Npsl.assignment,
-                {
-                  store;
-                  instances = out.Psl.Npsl.instances;
-                  assignment = out.Psl.Npsl.assignment;
-                },
-                Translator.Psl_engine,
-                out.Psl.Npsl.stats.Psl.Npsl.atoms,
-                out.Psl.Npsl.stats.Psl.Npsl.solve_ms,
-                out.Psl.Npsl.stats.Psl.Npsl.rounding.Psl.Rounding.unrepaired,
-                out.Psl.Npsl.stats.Psl.Npsl.admm.Psl.Admm.objective,
-                out.Psl.Npsl.stats.Psl.Npsl.status )
-        in
-        let ( (resolution, raw, engine_used, atoms, solve_ms, hard_violations,
-               objective, status),
-              rest_ms ) =
-          Prelude.Timing.time run
-        in
-        let resolution =
-          match threshold with
-          | None -> resolution
-          | Some t -> Conflict.apply_threshold t resolution
-        in
-        let result =
-          {
-            resolution;
-            report;
-            stats =
-              {
-                engine_used;
-                atoms;
-                ground_ms;
-                solve_ms;
-                total_ms = ground_ms +. rest_ms;
-                hard_violations;
-                objective;
-                status;
-              };
-            raw;
-          }
-        in
-        st.snapshot <- Some snap;
-        st.last <- (if status = Deadline.Completed then Some result else None);
-        result
+    grounding
   in
-  (* ---------------- stateless (legacy) path ------------------------- *)
-  let run_stateless () =
+  (* Solve and interpret one grounding. Only a state lends the solver
+     its component cache. *)
+  let solve_and_interpret (store, ground_result, snap, ground_ms) =
+    if Deadline.is_finite deadline then
+      Obs.gauge "deadline.ground_slack_ms" (Deadline.remaining_ms deadline);
     let run () =
-      match engine with
-      | Auto -> assert false
-      | Mln options ->
-          let out = Mln.Map_inference.run ~options graph rules in
-          ( interpret out.Mln.Map_inference.store
-              out.Mln.Map_inference.instances out.Mln.Map_inference.assignment,
-            {
-              store = out.Mln.Map_inference.store;
-              instances = out.Mln.Map_inference.instances;
-              assignment = out.Mln.Map_inference.assignment;
-            },
-            Translator.Mln_engine,
-            out.Mln.Map_inference.stats.Mln.Map_inference.atoms,
-            out.Mln.Map_inference.stats.Mln.Map_inference.ground_ms,
-            out.Mln.Map_inference.stats.Mln.Map_inference.solve_ms,
-            out.Mln.Map_inference.stats.Mln.Map_inference.hard_violations,
-            out.Mln.Map_inference.stats.Mln.Map_inference.objective,
-            out.Mln.Map_inference.stats.Mln.Map_inference.status )
-      | Psl options ->
-          let out = Psl.Npsl.run ~options graph rules in
-          ( interpret out.Psl.Npsl.store out.Psl.Npsl.instances
+      let engine_used, assignment, atoms, solve_ms, hard_violations, objective,
+          status =
+        match engine with
+        | Auto -> assert false
+        | Mln options ->
+            let options =
+              match state with
+              | Some st ->
+                  {
+                    options with
+                    Mln.Map_inference.solve_cache = Some st.mln_cache;
+                  }
+              | None -> options
+            in
+            let out =
+              Mln.Map_inference.run_ground ~options store ground_result
+                ~ground_ms
+            in
+            let s = out.Mln.Map_inference.stats in
+            ( Translator.Mln_engine,
+              out.Mln.Map_inference.assignment,
+              s.Mln.Map_inference.atoms,
+              s.Mln.Map_inference.solve_ms,
+              s.Mln.Map_inference.hard_violations,
+              s.Mln.Map_inference.objective,
+              s.Mln.Map_inference.status )
+        | Psl options ->
+            let options =
+              match state with
+              | Some st ->
+                  { options with Psl.Npsl.solve_cache = Some st.psl_cache }
+              | None -> options
+            in
+            let out =
+              Psl.Npsl.run_ground ~options store ground_result ~ground_ms
+            in
+            let s = out.Psl.Npsl.stats in
+            ( Translator.Psl_engine,
               out.Psl.Npsl.assignment,
-            {
-              store = out.Psl.Npsl.store;
-              instances = out.Psl.Npsl.instances;
-              assignment = out.Psl.Npsl.assignment;
-            },
-            Translator.Psl_engine,
-            out.Psl.Npsl.stats.Psl.Npsl.atoms,
-            out.Psl.Npsl.stats.Psl.Npsl.ground_ms,
-            out.Psl.Npsl.stats.Psl.Npsl.solve_ms,
-            out.Psl.Npsl.stats.Psl.Npsl.rounding.Psl.Rounding.unrepaired,
-            out.Psl.Npsl.stats.Psl.Npsl.admm.Psl.Admm.objective,
-            out.Psl.Npsl.stats.Psl.Npsl.status )
+              s.Psl.Npsl.atoms,
+              s.Psl.Npsl.solve_ms,
+              s.Psl.Npsl.rounding.Psl.Rounding.unrepaired,
+              s.Psl.Npsl.admm.Psl.Admm.objective,
+              s.Psl.Npsl.status )
+      in
+      let instances = ground_result.Grounder.Ground.instances in
+      let resolution =
+        Obs.span "interpret" (fun () ->
+            Conflict.interpret ~graph ~store ~instances ~assignment ())
+      in
+      ( resolution,
+        { store; instances; assignment },
+        {
+          engine_used;
+          atoms;
+          ground_ms;
+          solve_ms;
+          total_ms = ground_ms;
+          hard_violations;
+          objective;
+          status;
+        } )
     in
-    let ( (resolution, raw, engine_used, atoms, ground_ms, solve_ms,
-           hard_violations, objective, status),
-          total_ms ) =
-      Fun.protect ~finally:emit_pool_stats (fun () ->
-          try Prelude.Timing.time run
-          with Grounder.Ground.Timed_out { atoms; rounds } ->
-            Obs.event ~level:Obs.Events.Error "ground.timed_out"
-              [
-                ("atoms", Obs.Events.Int atoms);
-                ("rounds", Obs.Events.Int rounds);
-              ];
-            if Deadline.is_finite deadline then begin
-              Obs.count "deadline.expired";
-              Obs.gauge "deadline.budget_ms" (Deadline.budget_ms deadline)
-            end;
-            raise
-              (Ground_timed_out (ground_timeout_report report ~atoms ~rounds)))
-    in
+    let (resolution, raw, stats), rest_ms = Prelude.Timing.time run in
+    let stats = { stats with total_ms = ground_ms +. rest_ms } in
+    let status = stats.status in
     (* Deadline telemetry is emitted only for finite budgets so that runs
        without [--timeout] produce byte-identical reports to earlier
        releases. *)
@@ -512,35 +477,20 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
       | None -> resolution
       | Some t -> Conflict.apply_threshold t resolution
     in
-    {
-      resolution;
-      report;
-      stats =
-        {
-          engine_used;
-          atoms;
-          ground_ms;
-          solve_ms;
-          total_ms;
-          hard_violations;
-          objective;
-          status;
-        };
-      raw;
-    }
+    let result = { resolution; report; stats; raw } in
+    Option.iter
+      (fun st ->
+        st.snapshot <- snap;
+        st.last <- (if status = Deadline.Completed then Some result else None))
+      state;
+    result
   in
-  match state with
-  | Some st when not (Deadline.is_finite deadline) -> run_state st
-  | Some st ->
-      (* A finite deadline makes cached reuse unsound (a budgeted solve
-         is not a pure function of the problem), so the state machinery
-         steps aside entirely. *)
-      if mode = `Incremental then begin
-        st.outcome <- Some Bypass;
-        Obs.count "incr.bypass"
-      end;
-      run_stateless ()
-  | None -> run_stateless ()
+  let grounding =
+    match state with None -> `Ground (fresh_ground ()) | Some st -> plan st
+  in
+  match grounding with
+  | `Cached result -> result
+  | `Ground g -> solve_and_interpret g
 
 let pp_result ppf r =
   Format.fprintf ppf "@[<v>engine: %s@ %a@ runtime: %.1f ms (ground %.1f, solve %.1f)@]"

@@ -88,9 +88,6 @@ type delta = {
       (** whether the rule list changed; [true] forces full invalidation *)
 }
 
-val empty_delta : delta
-(** No fact edits, no rule edits. *)
-
 type cache_outcome =
   | Hit          (** empty delta: previous result returned as-is *)
   | Replay       (** delta grounding replayed, solver caches consulted *)
@@ -140,16 +137,29 @@ val resolve :
   Kg.Graph.t ->
   Logic.Rule.t list ->
   result
-(** [threshold] filters derived facts by confidence after resolution
+(** One pipeline, [map(θ(G), F ∪ C)], whatever the arguments: translate
+    (rejecting Error-level programs with {!Rejected}); choose the engine;
+    ground once inside the ["ground"] span — build the atom store, then
+    close and ground the rules ({!Grounder.Ground.run} without a state,
+    {!Grounder.Ground.run_record} with one, {!Grounder.Ground.reground}
+    on an incremental replay); encode and solve with the engine's
+    [run_ground]; interpret the MAP state ({!Conflict.interpret}); apply
+    [threshold]; and, with a state, record the snapshot and result.
+    [stats.ground_ms] therefore includes the atom-store build, and every
+    resolve reports the same span tree: [resolve] → [translate],
+    [ground] ([closure], [instances]), [encode], [solve], [round] (nPSL
+    only), [interpret].
+
+    [threshold] filters derived facts by confidence after resolution
     (defaults to keeping all). Default engine is [Auto].
 
     [jobs] sets the worker-domain count for grounding joins and the
     solver portfolios (0 = all cores, see {!Prelude.Pool.create});
     defaults to {!Prelude.Pool.default_jobs} — the [TECORE_JOBS]
     environment variable, else 1. With [jobs = 1] everything runs on the
-    calling domain and results are identical to previous releases; at
-    higher job counts the reported objective is unchanged (see
-    {!Prelude.Pool} for the determinism contract).
+    engine options' pool (by default {!Prelude.Pool.sequential}, the
+    calling domain); at higher job counts the reported objective is
+    unchanged (see {!Prelude.Pool} for the determinism contract).
 
     [deadline] (default {!Prelude.Deadline.none}) bounds the run.
     [on_timeout] (default [`Best_effort]) picks the policy:
@@ -165,23 +175,22 @@ val resolve :
       grounding raises {!Ground_timed_out}. Callers treat any
       non-[Completed] status as failure.
 
-    Without a finite [deadline] the observable behaviour — result,
-    formatted output, and Obs report — is identical to previous
-    releases; with one, the report gains [deadline.expired],
-    [deadline.budget_ms] and [deadline.slack_ms].
+    Without a finite [deadline] the result and formatted output are
+    identical to previous releases; with one, the Obs report gains
+    [deadline.expired], [deadline.budget_ms] and [deadline.slack_ms].
 
     [mode] (default [`Fresh]) and [state]/[delta] drive incremental
-    resolution. With [state] absent the call is exactly the stateless
-    pipeline. With [state] present and an infinite [deadline], the call
-    records its grounding snapshot and result into the state; under
-    [`Incremental] it additionally consults them, guided by [delta]
-    (absent [delta] is treated conservatively as "rules changed").
-    A finite [deadline] bypasses the state machinery entirely
-    ([Bypass]): a budgeted solve is not a pure function of the problem,
-    so nothing it produces may be cached. Any failure inside the
-    incremental machinery (including an injected [incr_timeout] fault)
-    invalidates the state and falls back to a correct fresh resolve —
-    never a stale cache. Emits [incr.<outcome>] counters and an
-    [incr.resolve] event per stateful call. *)
+    resolution. Without [state] nothing is cached: no snapshot is
+    recorded and the solvers get no component cache. With [state] and
+    an infinite [deadline], the call records its grounding snapshot and
+    result into the state; under [`Incremental] it additionally
+    consults them, guided by [delta] (absent [delta] is treated
+    conservatively as "rules changed"). A finite [deadline] drops the
+    state for the call ([Bypass]): a budgeted solve is not a pure
+    function of the problem, so nothing it produces may be cached. Any
+    failure inside the incremental machinery (including an injected
+    [incr_timeout] fault) invalidates the state and falls back to a
+    correct fresh resolve — never a stale cache. Emits [incr.<outcome>]
+    counters and an [incr.resolve] event per stateful call. *)
 
 val pp_result : Format.formatter -> result -> unit

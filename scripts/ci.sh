@@ -93,6 +93,18 @@ grep -q '^\[debug\]' "$LOG_OUT" \
 grep -q 'engine.selected' "$LOG_OUT" \
   || { echo "event stream lacks engine.selected" >&2; exit 1; }
 rm -f "$TRACE_OUT" "$METRICS_OUT" "$LOG_OUT"
+# A plain resolve runs with a session state and a budgeted one without;
+# both go through the one resolve pipeline, so their traces must name
+# the same stages.
+PLAIN_TRACE=$(mktemp) BUDGET_TRACE=$(mktemp)
+"$CLI" resolve -d data/football.tq -r data/football.rules \
+  --trace-out "$PLAIN_TRACE" >/dev/null
+"$CLI" resolve -d data/football.tq -r data/football.rules --timeout 600 \
+  --trace-out "$BUDGET_TRACE" >/dev/null
+span_names() { grep -o '"name":"[^"]*"' "$1" | sort -u; }
+diff <(span_names "$PLAIN_TRACE") <(span_names "$BUDGET_TRACE") \
+  || { echo "budgeted and plain resolves name different stages" >&2; exit 1; }
+rm -f "$PLAIN_TRACE" "$BUDGET_TRACE"
 
 echo "== disabled observability leaves output unchanged =="
 # Without --stats/--trace*/--log-level/--*-out the telemetry layer must

@@ -258,6 +258,44 @@ let test_engine_best_effort_survives_expiry () =
   Alcotest.(check int) "facts accounted for" (Kg.Graph.size graph)
     (r.Tecore.Conflict.kept + List.length r.Tecore.Conflict.removed)
 
+(* A grounding timeout with a state present bypasses the state: the
+   next unbudgeted resolve on it still equals a fresh one. *)
+let test_engine_ground_timeout_keeps_state () =
+  let graph, rules = cr_graph_and_rules () in
+  let module E = Tecore.Engine in
+  let state = E.create_state () in
+  let incremental ?deadline ?on_timeout ?delta () =
+    E.resolve ?deadline ?on_timeout ~mode:`Incremental ~state ?delta graph
+      rules
+  in
+  ignore (incremental ());
+  (match
+     incremental ~deadline:(Deadline.after ~ms:0.) ~on_timeout:`Fail ()
+   with
+  | _ -> Alcotest.fail "expected Ground_timed_out"
+  | exception E.Ground_timed_out _ -> ());
+  Alcotest.(check bool) "timeout recorded as a bypass" true
+    (E.last_outcome state = Some E.Bypass);
+  let answer (r : E.result) =
+    let raw = r.E.raw in
+    let store = ref [] in
+    Grounder.Atom_store.iter
+      (fun id atom _ ->
+        store := (id, Format.asprintf "%a" Logic.Atom.Ground.pp atom) :: !store)
+      raw.E.store;
+    ( List.map fst r.E.resolution.Tecore.Conflict.removed,
+      r.E.resolution.Tecore.Conflict.kept,
+      r.E.stats.E.objective,
+      !store,
+      List.map
+        (Format.asprintf "%a" (Grounder.Ground.Instance.pp raw.E.store))
+        raw.E.instances,
+      raw.E.assignment )
+  in
+  let next = incremental ~delta:{ E.facts = []; rules_changed = false } () in
+  Alcotest.(check bool) "next resolve equals a fresh one" true
+    (answer next = answer (E.resolve graph rules))
+
 let test_session_resolve_maps_ground_timeout () =
   let session = Tecore.Session.create () in
   let graph, rules = cr_graph_and_rules () in
@@ -473,6 +511,8 @@ let () =
             test_engine_fail_policy_rejects_grounding;
           Alcotest.test_case "best-effort survives expiry" `Quick
             test_engine_best_effort_survives_expiry;
+          Alcotest.test_case "ground timeout with a state bypasses it" `Quick
+            test_engine_ground_timeout_keeps_state;
           Alcotest.test_case "session maps ground timeout" `Quick
             test_session_resolve_maps_ground_timeout;
         ] );

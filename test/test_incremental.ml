@@ -236,6 +236,77 @@ let instances_dump store (result : Grounder.Ground.result) =
     (Format.asprintf "%a" (Grounder.Ground.Instance.pp store))
     result.Grounder.Ground.instances
 
+(* ------------------------------------------------------------------ *)
+(* One pipeline: a state changes the bookkeeping, not the stages       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every span path of a report with its counters, depth first; the
+   [incr.*] counters are the state's own bookkeeping. *)
+let span_tree (report : Obs.Report.t) =
+  let rec walk prefix (n : Obs.Report.node) =
+    let path = prefix ^ "/" ^ n.Obs.Report.name in
+    ( path,
+      List.filter
+        (fun (k, _) -> not (String.starts_with ~prefix:"incr." k))
+        n.Obs.Report.counters )
+    :: List.concat_map (walk path) n.Obs.Report.children
+  in
+  List.concat_map (walk "") report.Obs.Report.spans
+
+let observed f =
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let r = f () in
+      (r, span_tree (Obs.Report.capture ())))
+
+let raw_dump (r : Engine.result) =
+  let raw = r.Engine.raw in
+  ( store_dump raw.Engine.store,
+    List.map
+      (Format.asprintf "%a" (Grounder.Ground.Instance.pp raw.Engine.store))
+      raw.Engine.instances,
+    raw.Engine.assignment )
+
+let test_one_span_tree engine () =
+  let d = Datagen.Footballdb.generate ~seed:5 ~players:7 ~noise_ratio:0.4 () in
+  let session = new_session d in
+  (match Session.add_rules session extra_rule_src with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "add_rules: %s" e);
+  let g = Option.get (Session.graph session) in
+  let rules = Session.rules session in
+  let plain, plain_tree =
+    observed (fun () -> Engine.resolve ~engine ~jobs:1 g rules)
+  in
+  let stateful, stateful_tree =
+    observed (fun () ->
+        Engine.resolve ~engine ~jobs:1 ~state:(Engine.create_state ())
+          ~mode:`Fresh g rules)
+  in
+  Alcotest.(check (list string))
+    "same span paths" (List.map fst plain_tree) (List.map fst stateful_tree);
+  List.iter2
+    (fun (path, a) (_, b) ->
+      Alcotest.(check (list (pair string (float 0.))))
+        (path ^ " counters") a b)
+    plain_tree stateful_tree;
+  Alcotest.(check bool) "same resolution and objective" true
+    (signature plain = signature stateful);
+  Alcotest.(check bool) "same raw" true (raw_dump plain = raw_dump stateful)
+
+let span_tree_tests =
+  List.map
+    (fun (name, engine, _) ->
+      Alcotest.test_case
+        (Printf.sprintf "stateless and stateful share one span tree (%s)" name)
+        `Quick (test_one_span_tree engine))
+    engines
+
 let test_reground_identical () =
   let d =
     Datagen.Footballdb.generate ~seed:5 ~players:12 ~noise_ratio:0.5 ()
@@ -468,7 +539,7 @@ let test_fault_fallback () =
 let () =
   Alcotest.run "incremental"
     [
-      ("differential", differential_tests);
+      ("differential", differential_tests @ span_tree_tests);
       ( "grounding",
         [
           Alcotest.test_case "reground is byte-identical" `Quick

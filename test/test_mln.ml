@@ -899,11 +899,11 @@ let test_zero_literal_fallback () =
   | cs -> Alcotest.failf "%d components, expected one" (List.length cs));
   let init = [| false; true; false |] in
   let walk net ~init = Mln.Maxwalksat.solve ~seed:3 ~max_flips:500 ~init net in
-  let values, status, _ =
+  let values, status =
     Mln.Decompose.solve ~init
       ~solve_component:(fun net ~init ->
         let values, s = walk net ~init in
-        { Mln.Decompose.values; status = s.Mln.Maxwalksat.status; cpi = None })
+        { Mln.Decompose.values; status = s.Mln.Maxwalksat.status })
       network
   in
   let global, s = walk network ~init in
