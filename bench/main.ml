@@ -283,57 +283,33 @@ let a1 () =
           | Grounder.Ground.Instance.Satisfied ->
               (* naive grounding keeps the satisfied instance around *)
               Some
-                {
-                  Mln.Network.literals =
-                    Array.of_list
-                      ({ Mln.Network.atom = pinned; positive = true }
-                      :: List.map
-                           (fun id ->
-                             { Mln.Network.atom = id; positive = false })
-                           body_atoms);
-                  weight = rule.Logic.Rule.weight;
-                  source = rule.Logic.Rule.name ^ "/naive";
-                }
+                ( (pinned, true) :: List.map (fun id -> (id, false)) body_atoms,
+                  rule.Logic.Rule.weight,
+                  rule.Logic.Rule.name ^ "/naive" )
           | Grounder.Ground.Instance.Violated
           | Grounder.Ground.Instance.Derives _ ->
               None)
         instances
     in
-    let pin_clause =
-      {
-        Mln.Network.literals = [| { Mln.Network.atom = pinned; positive = true } |];
-        weight = None;
-        source = "pin";
-      }
-    in
-    {
-      Mln.Network.num_atoms = n + 1;
-      clauses =
-        Array.concat
-          [ aware.Mln.Network.clauses; Array.of_list (pin_clause :: extra) ];
-    }
+    let pin_clause = ([ (pinned, true) ], None, "pin") in
+    Mln.Network.append aware
+      (Mln.Network.of_clauses ~num_atoms:(n + 1) (pin_clause :: extra))
   in
   row "grounding produced %d rule instances in %.0f ms\n"
     (List.length instances) ground_ms;
   row "%-24s %-14s %-14s\n" "grounding" "clauses" "solve (ms)";
   let solve network =
-    let init = Array.make network.Mln.Network.num_atoms false in
-    Grounder.Atom_store.iter
-      (fun id _ origin ->
-        match origin with
-        | Grounder.Atom_store.Evidence _ -> init.(id) <- true
-        | Grounder.Atom_store.Hidden -> ())
-      store;
+    let init = Mln.Network.initial_assignment network store in
     if network.Mln.Network.num_atoms > Grounder.Atom_store.size store then
       init.(Grounder.Atom_store.size store) <- true;
     Prelude.Timing.mean_ms ~runs:3 (fun () ->
         ignore (Mln.Maxwalksat.solve ~seed:1 ~init network))
   in
   row "%-24s %-14d %-14.0f\n" "condition-aware (ours)"
-    (Array.length aware.Mln.Network.clauses)
+    (Mln.Network.num_clauses aware)
     (solve aware);
   row "%-24s %-14d %-14.0f\n" "naive (all instances)"
-    (Array.length naive.Mln.Network.clauses)
+    (Mln.Network.num_clauses naive)
     (solve naive)
 
 (* ------------------------------------------------------------------ *)

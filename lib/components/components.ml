@@ -81,8 +81,45 @@ let split ~num_vars:n ~num_factors ~arity ~var build =
         ~factors:(slice factor_start factors b)
         ~local)
 
+module Hash = struct
+  let seed = 0x9E3779B9
+
+  (* SplitMix-style finaliser (62-bit-safe constants, as the atom
+     store's code hash). *)
+  let[@inline] int h x =
+    let x = (h lxor x) * 0x3C79AC492BA7B653 in
+    let x = x lxor (x lsr 29) in
+    let x = x * 0x1C69B3F74AC4AE35 in
+    x lxor (x lsr 32)
+
+  let ints h (a : int array) =
+    let h = ref (int h (Array.length a)) in
+    for i = 0 to Array.length a - 1 do
+      h := int !h a.(i)
+    done;
+    !h
+
+  let floats h (a : float array) =
+    let h = ref (int h (Array.length a)) in
+    for i = 0 to Array.length a - 1 do
+      h := int !h (Int64.to_int (Int64.bits_of_float a.(i)))
+    done;
+    !h
+
+  let bools h (a : bool array) =
+    let h = ref (int h (Array.length a)) in
+    for i = 0 to Array.length a - 1 do
+      h := int !h (Bool.to_int a.(i))
+    done;
+    !h
+
+  let finish h = h land max_int
+end
+
+(* Keyed by the full-content hash; the keys sharing one are told apart
+   structurally. *)
 type ('key, 'solved) cache = {
-  table : ('key, 'solved) Hashtbl.t;
+  table : (int, 'key * 'solved) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
 }
@@ -101,8 +138,8 @@ let cache_stats c =
 
 let max_entries = 65_536
 
-let solve ?cache ~vars ~key ~solve_component ~status ~values ~merge ~acc ~init
-    components =
+let solve ?cache ~vars ~key ~hash ~solve_component ~status ~values ~merge ~acc
+    ~init components =
   let out = Array.copy init in
   let worst = ref Deadline.Completed in
   let hits = ref 0 and misses = ref 0 in
@@ -118,8 +155,13 @@ let solve ?cache ~vars ~key ~solve_component ~status ~values ~merge ~acc ~init
               solve_component component ~init
           | Some c -> (
               let k = key component ~init in
-              match Hashtbl.find_opt c.table k with
-              | Some s ->
+              let h = hash k in
+              match
+                List.find_opt
+                  (fun (k', _) -> k' = k)
+                  (Hashtbl.find_all c.table h)
+              with
+              | Some (_, s) ->
                   incr hits;
                   c.hits <- c.hits + 1;
                   s
@@ -134,7 +176,7 @@ let solve ?cache ~vars ~key ~solve_component ~status ~values ~merge ~acc ~init
                   if status s = Deadline.Completed then begin
                     if Hashtbl.length c.table >= max_entries then
                       Hashtbl.reset c.table;
-                    Hashtbl.add c.table k s
+                    Hashtbl.add c.table h (k, s)
                   end;
                   s)
         in

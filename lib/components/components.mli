@@ -39,10 +39,28 @@ val split :
     collapses the split into one component holding every variable and
     every factor rather than being dropped. *)
 
+module Hash : sig
+  (** Full-content hashing of packed keys: every element of every array
+      is mixed in (with the array's length), unlike the polymorphic
+      [Hashtbl.hash], which reads only the first few meaningful words.
+      Start from [seed], thread the state through the arrays of a key
+      and [finish] it. *)
+
+  val seed : int
+  val int : int -> int -> int
+  val ints : int -> int array -> int
+  val floats : int -> float array -> int
+  (** By the bits of each float. *)
+
+  val bools : int -> bool array -> int
+  val finish : int -> int
+end
+
 type ('key, 'solved) cache
-(** Memoised component solutions. Lookups compare keys structurally
-    (never by hash alone), so a hit is possible only for a structurally
-    equal key; only [Completed] solves are stored. Entries never expire
+(** Memoised component solutions, filed under a full-content hash of
+    the key. Lookups compare keys structurally (never by hash alone), so
+    a hit is possible only for a structurally equal key; only
+    [Completed] solves are stored. Entries never expire
     — they stay valid for any future graph that reproduces the
     component — so the table is reset when it reaches 65,536 entries,
     bounding it against edit streams that keep minting new
@@ -60,6 +78,7 @@ val solve :
   ?cache:('key, 'solved) cache ->
   vars:('c -> int array) ->
   key:('c -> init:'a array -> 'key) ->
+  hash:('key -> int) ->
   solve_component:('c -> init:'a array -> 'solved) ->
   status:('solved -> Prelude.Deadline.status) ->
   values:('solved -> 'a array) ->
@@ -69,9 +88,10 @@ val solve :
   'c list ->
   'a array * Prelude.Deadline.status * 'acc
 (** Solve every component sequentially, in list order: slice [init] to
-    the component's [vars], look the [key] up in [cache] (when given)
-    or run [solve_component], scatter the local [values] back to global
-    ids and fold the solution into [acc] with [merge]. Returns the
+    the component's [vars], look the [key] up in [cache] (when given;
+    filed under [hash key], which must agree on structurally equal
+    keys) or run [solve_component], scatter the local [values] back to
+    global ids and fold the solution into [acc] with [merge]. Returns the
     global assignment, the worst status over components and the folded
     [acc]. Emits [solve.components], [solve.cache_hits] and
     [solve.cache_misses] counters (every solve is a miss without a

@@ -15,19 +15,32 @@ let solve ?solver ?(deadline = Deadline.none) ~init (network : Network.t) =
   let solver =
     match solver with Some s -> s | None -> default_solver deadline
   in
-  let total = Array.length network.clauses in
+  let total = Network.num_clauses network in
   let active = Array.make total false in
+  let num_active = ref 0 in
   (* Seed with the unit clauses: evidence and priors. *)
-  Array.iteri
-    (fun ci (c : Network.clause) ->
-      if Array.length c.literals = 1 then active.(ci) <- true)
-    network.clauses;
+  for ci = 0 to total - 1 do
+    if network.offsets.(ci + 1) - network.offsets.(ci) = 1 then begin
+      active.(ci) <- true;
+      incr num_active
+    end
+  done;
+  (* The active clauses, in network order, sliced out of the network —
+     or the network itself once every clause is active. *)
   let build_active () =
-    let clauses = ref [] in
-    for ci = total - 1 downto 0 do
-      if active.(ci) then clauses := network.clauses.(ci) :: !clauses
-    done;
-    { network with Network.clauses = Array.of_list !clauses }
+    if !num_active = total then network
+    else begin
+      let clauses = Array.make !num_active 0 in
+      let k = ref 0 in
+      Array.iteri
+        (fun ci a ->
+          if a then begin
+            clauses.(!k) <- ci;
+            incr k
+          end)
+        active;
+      Network.sub ~num_atoms:network.num_atoms network clauses
+    end
   in
   (* The inner solver is anytime, so each round returns a status; the
      loop's own status is the worst seen, bumped to at least [Timed_out]
@@ -37,14 +50,16 @@ let solve ?solver ?(deadline = Deadline.none) ~init (network : Network.t) =
   let rec iterate assignment status iteration =
     (* Separation: activate every clause the solution violates. *)
     let added = ref 0 in
-    Array.iteri
-      (fun ci c ->
-        if (not active.(ci)) && not (Network.clause_satisfied c assignment)
-        then begin
-          active.(ci) <- true;
-          incr added
-        end)
-      network.clauses;
+    for ci = 0 to total - 1 do
+      if
+        (not active.(ci))
+        && not (Network.clause_satisfied network ci assignment)
+      then begin
+        active.(ci) <- true;
+        incr added
+      end
+    done;
+    num_active := !num_active + !added;
     Obs.event ~level:Obs.Events.Debug "cpi.round"
       [
         ("iteration", Obs.Events.Int iteration);
@@ -68,9 +83,7 @@ let solve ?solver ?(deadline = Deadline.none) ~init (network : Network.t) =
   in
   let first, first_status = solver (build_active ()) ~init in
   let assignment, status, iterations = iterate first first_status 1 in
-  let active_clauses =
-    Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 active
-  in
+  let active_clauses = !num_active in
   Obs.count ~n:iterations "cpi.iterations";
   Obs.count ~n:active_clauses "cpi.active_clauses";
   Obs.count ~n:total "cpi.total_clauses";

@@ -10,64 +10,62 @@ type solved = {
   status : Deadline.status;
 }
 
-(* Canonical structural form of a component: literals as signed 1-based
-   local indices plus the weight and source of every clause, and the
-   initial assignment restricted to the component. *)
+(* Canonical structural form of a component: its packed clauses over
+   local atoms (literal codes, offsets, weights and the hard mask —
+   everything a component solve reads) and the initial assignment
+   restricted to the component. The clause arrays are the component
+   network's own, not copies. *)
 type key = {
   k_atoms : int;
-  k_clauses : (int array * float option * string) array;
+  k_offsets : int array;
+  k_lits : int array;
+  k_weights : float array;
+  k_hard : bool array;
   k_init : bool array;
 }
 
 type cache = (key, solved) Components.cache
 
 let split (network : Network.t) =
-  let clauses = network.Network.clauses in
-  Components.split ~num_vars:network.Network.num_atoms
-    ~num_factors:(Array.length clauses)
-    ~arity:(fun ci -> Array.length clauses.(ci).Network.literals)
-    ~var:(fun ci j -> clauses.(ci).Network.literals.(j).Network.atom)
+  let { Network.offsets; lits; _ } = network in
+  Components.split ~num_vars:network.num_atoms
+    ~num_factors:(Network.num_clauses network)
+    ~arity:(fun ci -> offsets.(ci + 1) - offsets.(ci))
+    ~var:(fun ci j -> lits.(offsets.(ci) + j) lsr 1)
     (fun ~vars:atoms ~factors ~local ->
-      let clauses =
-        Array.map
-          (fun ci ->
-            let c = clauses.(ci) in
-            {
-              c with
-              Network.literals =
-                Array.map
-                  (fun (l : Network.literal) ->
-                    { l with Network.atom = local.(l.Network.atom) })
-                  c.Network.literals;
-            })
-          factors
-      in
-      { atoms; network = { Network.num_atoms = Array.length atoms; clauses } })
+      {
+        atoms;
+        network =
+          Network.sub ~local ~num_atoms:(Array.length atoms) network factors;
+      })
 
-let key_of component ~init =
+let key component ~init =
+  let n = component.network in
   {
-    k_atoms = component.network.Network.num_atoms;
-    k_clauses =
-      Array.map
-        (fun (c : Network.clause) ->
-          ( Array.map
-              (fun (l : Network.literal) ->
-                if l.Network.positive then l.Network.atom + 1
-                else -(l.Network.atom + 1))
-              c.Network.literals,
-            c.Network.weight,
-            c.Network.source ))
-        component.network.Network.clauses;
+    k_atoms = n.num_atoms;
+    k_offsets = n.offsets;
+    k_lits = n.lits;
+    k_weights = n.weights;
+    k_hard = n.hard;
     k_init = init;
   }
+
+let hash k =
+  let open Components.Hash in
+  let h = int seed k.k_atoms in
+  let h = ints h k.k_offsets in
+  let h = ints h k.k_lits in
+  let h = floats h k.k_weights in
+  let h = bools h k.k_hard in
+  finish (bools h k.k_init)
 
 let solve ?cache ~solve_component ~init (network : Network.t) =
   let values, status, () =
     Components.solve ?cache
     ~vars:(fun c -> c.atoms)
-    ~key:key_of
+    ~key ~hash
     ~solve_component:(fun c ~init ->
-      if Array.length c.network.Network.clauses = 0 then
+      if Network.num_clauses c.network = 0 then
         { values = Array.copy init; status = Deadline.Completed }
       else solve_component c.network ~init)
     ~status:(fun s -> s.status)

@@ -5,7 +5,9 @@
 
 type component = {
   atoms : int array;    (** global atom ids, ascending *)
-  network : Network.t;  (** literals remapped to local indices *)
+  network : Network.t;
+      (** the component's clauses sliced out of the whole network
+          ({!Network.sub}), literals remapped to local indices *)
 }
 
 type solved = {
@@ -16,8 +18,15 @@ type solved = {
 type key
 
 type cache = (key, solved) Components.cache
-(** Keyed by canonical structural form: clauses as signed local
-    literals with weights and sources, plus the local init. *)
+(** Keyed by canonical structural form: the component's packed clauses
+    (local literal codes, offsets, weights, hard mask) plus the local
+    init. Clause sources are left out: no solver reads them. *)
+
+val key : component -> init:bool array -> key
+
+val hash : key -> int
+(** Full-content hash ({!Components.Hash}) of every literal code,
+    offset, weight bit, hard bit and init bit of the key. *)
 
 val split : Network.t -> component list
 (** {!Components.split} over the clause graph; clauses keep their

@@ -4,7 +4,17 @@
     a static order (most-constrained first), propagates hard unit clauses,
     and prunes branches whose already-violated soft weight cannot beat the
     incumbent. Complexity is exponential; intended for the expressive,
-    small-instance regime where the paper uses nRockIt. *)
+    small-instance regime where the paper uses nRockIt.
+
+    The search runs on the packed network and its CSR occurrence index
+    ({!Network.occurrences}), with the assigned variables on an int
+    trail, forced variables on an int stack (the last one forced is
+    propagated first) and the charged soft clauses on an int stack.
+    Each variable's clauses are visited in descending clause order, so
+    the propagation sequence and the float sum of the charged soft
+    weight are fixed by the network alone. The search state is one
+    record with its float costs unboxed; the node loop allocates only
+    on a new incumbent. *)
 
 type result = {
   assignment : bool array;

@@ -22,37 +22,24 @@ let run ?(seed = 7) ?(burn_in = 1_000) ?(samples = 5_000)
   let base =
     match init with Some a -> Array.copy a | None -> Array.make n false
   in
-  (* The occurrence lists depend only on the network: build once, share
-     read-only across chains. *)
-  let occurrences = Array.make n [] in
-  Array.iteri
-    (fun ci (c : Network.clause) ->
-      Array.iter
-        (fun (l : Network.literal) ->
-          occurrences.(l.atom) <- ci :: occurrences.(l.atom))
-        c.literals)
-    network.clauses;
-  let weight (c : Network.clause) =
-    match c.weight with Some w -> w | None -> hard_weight
+  (* The occurrence index depends only on the network: build once,
+     share read-only across chains. *)
+  let occ_start, occ = Network.occurrences network in
+  let weight ci =
+    if network.hard.(ci) then hard_weight else network.weights.(ci)
   in
   (* Energy difference of clauses containing [v] between x_v=1 and
      x_v=0, with the rest of the chain state fixed. *)
   let delta state v =
-    List.fold_left
-      (fun acc ci ->
-        let c = network.clauses.(ci) in
-        let satisfied_with value =
-          Array.exists
-            (fun (l : Network.literal) ->
-              if l.atom = v then l.positive = value
-              else state.(l.atom) = l.positive)
-            c.literals
-        in
-        let sat1 = satisfied_with true and sat0 = satisfied_with false in
-        if sat1 = sat0 then acc
-        else if sat1 then acc +. weight c
-        else acc -. weight c)
-      0.0 occurrences.(v)
+    let acc = ref 0.0 in
+    for o = occ_start.(v) to occ_start.(v + 1) - 1 do
+      let ci = occ.(o) in
+      let sat1 = Network.satisfied_if network ci state ~atom:v true in
+      let sat0 = Network.satisfied_if network ci state ~atom:v false in
+      if sat1 <> sat0 then
+        acc := if sat1 then !acc +. weight ci else !acc -. weight ci
+    done;
+    !acc
   in
   (* One independent chain: own state, own PRNG stream. Chain 0 keeps
      the caller's seed (identical to the single-chain behaviour);

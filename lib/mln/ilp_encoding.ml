@@ -7,50 +7,48 @@ type encoding = {
 (* A clause Σ lit >= k translates to a row over atom variables: positive
    literal x contributes +x, negative contributes -x with 1 added to the
    constant side. *)
-let clause_row (c : Network.clause) =
-  let coeffs, negs =
-    Array.fold_left
-      (fun (coeffs, negs) (l : Network.literal) ->
-        if l.positive then ((l.atom, 1.0) :: coeffs, negs)
-        else ((l.atom, -1.0) :: coeffs, negs + 1))
-      ([], 0) c.literals
-  in
-  (coeffs, negs)
+let clause_row (network : Network.t) ci =
+  let coeffs = ref [] and negs = ref 0 in
+  for j = network.offsets.(ci) to network.offsets.(ci + 1) - 1 do
+    let c = network.lits.(j) in
+    if c land 1 = 1 then coeffs := (c lsr 1, 1.0) :: !coeffs
+    else begin
+      coeffs := (c lsr 1, -1.0) :: !coeffs;
+      incr negs
+    end
+  done;
+  (!coeffs, !negs)
 
 let encode (network : Network.t) =
   let n = network.num_atoms in
   let num_soft =
-    Array.fold_left
-      (fun acc (c : Network.clause) ->
-        if c.weight = None then acc else acc + 1)
-      0 network.clauses
+    Array.fold_left (fun acc h -> if h then acc else acc + 1) 0 network.hard
   in
   let num_vars = n + num_soft in
   let objective = Array.make num_vars 0.0 in
   let constraints = ref [] in
   let next_aux = ref n in
-  Array.iter
-    (fun (c : Network.clause) ->
-      let coeffs, negs = clause_row c in
-      match c.weight with
-      | None ->
-          (* Hard: Σ lit >= 1, i.e. Σ coeffs >= 1 - negs. *)
-          constraints :=
-            Ilp.Lp.constr coeffs Ilp.Lp.Ge (1.0 -. float_of_int negs)
-            :: !constraints
-      | Some w ->
-          (* Soft: z <= Σ lit (z - Σ coeffs <= negs) and z <= 1. With the
-             atoms integral, Σ lit is an integer, so z is integral at the
-             optimum without being branched on. *)
-          let z = !next_aux in
-          incr next_aux;
-          objective.(z) <- w;
-          constraints :=
-            Ilp.Lp.constr ((z, 1.0) :: List.map (fun (v, a) -> (v, -.a)) coeffs)
-              Ilp.Lp.Le (float_of_int negs)
-            :: Ilp.Lp.constr [ (z, 1.0) ] Ilp.Lp.Le 1.0
-            :: !constraints)
-    network.clauses;
+  for ci = 0 to Network.num_clauses network - 1 do
+    let coeffs, negs = clause_row network ci in
+    if network.hard.(ci) then
+      (* Hard: Σ lit >= 1, i.e. Σ coeffs >= 1 - negs. *)
+      constraints :=
+        Ilp.Lp.constr coeffs Ilp.Lp.Ge (1.0 -. float_of_int negs)
+        :: !constraints
+    else begin
+      (* Soft: z <= Σ lit (z - Σ coeffs <= negs) and z <= 1. With the
+         atoms integral, Σ lit is an integer, so z is integral at the
+         optimum without being branched on. *)
+      let z = !next_aux in
+      incr next_aux;
+      objective.(z) <- network.weights.(ci);
+      constraints :=
+        Ilp.Lp.constr ((z, 1.0) :: List.map (fun (v, a) -> (v, -.a)) coeffs)
+          Ilp.Lp.Le (float_of_int negs)
+        :: Ilp.Lp.constr [ (z, 1.0) ] Ilp.Lp.Le 1.0
+        :: !constraints
+    end
+  done;
   let lp = Ilp.Lp.make ~num_vars ~objective !constraints in
   Obs.count ~n:num_vars "ilp.vars";
   Obs.count ~n:(List.length !constraints) "ilp.constraints";

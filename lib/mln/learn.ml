@@ -29,35 +29,24 @@ let log_sigmoid x =
 
 let hard_weight = 2.0 *. Kg.Quad.max_weight
 
+let clause_weight (network : Network.t) ci =
+  if network.hard.(ci) then hard_weight else network.weights.(ci)
+
 let pseudo_log_likelihood (network : Network.t) world =
   let n = network.num_atoms in
-  let occurrences = Array.make n [] in
-  Array.iteri
-    (fun ci (c : Network.clause) ->
-      Array.iter
-        (fun (l : Network.literal) ->
-          occurrences.(l.atom) <- ci :: occurrences.(l.atom))
-        c.literals)
-    network.clauses;
+  let occ_start, occ = Network.occurrences network in
   let total = ref 0.0 in
   for i = 0 to n - 1 do
     let d = ref 0.0 in
-    List.iter
-      (fun ci ->
-        let c = network.clauses.(ci) in
-        let w = match c.weight with Some w -> w | None -> hard_weight in
-        let satisfied_with value =
-          Array.exists
-            (fun (l : Network.literal) ->
-              if l.atom = i then l.positive = value
-              else world.(l.atom) = l.positive)
-            c.literals
-        in
-        let sat_obs = satisfied_with world.(i) in
-        let sat_flip = satisfied_with (not world.(i)) in
-        if sat_obs && not sat_flip then d := !d +. w
-        else if sat_flip && not sat_obs then d := !d -. w)
-      occurrences.(i);
+    for o = occ_start.(i) to occ_start.(i + 1) - 1 do
+      let ci = occ.(o) in
+      let w = clause_weight network ci in
+      let satisfied_with = Network.satisfied_if network ci world ~atom:i in
+      let sat_obs = satisfied_with world.(i) in
+      let sat_flip = satisfied_with (not world.(i)) in
+      if sat_obs && not sat_flip then d := !d +. w
+      else if sat_flip && not sat_obs then d := !d -. w
+    done;
     total := !total +. log_sigmoid !d
   done;
   !total
@@ -89,46 +78,31 @@ let learn ?(options = default_options) store instances rules =
      false — otherwise a rule whose head is never in the data would look
      confirmed by its own derivations. *)
   let world = Network.initial_assignment network store in
-  let occurrences = Array.make network.Network.num_atoms [] in
-  Array.iteri
-    (fun ci (c : Network.clause) ->
-      Array.iter
-        (fun (l : Network.literal) ->
-          occurrences.(l.atom) <- ci :: occurrences.(l.atom))
-        c.literals)
-    network.Network.clauses;
+  let occ_start, occ = Network.occurrences network in
+  let rule_of_source =
+    Array.map (Hashtbl.find_opt rule_index) network.sources
+  in
   let stats =
-    Array.init network.Network.num_atoms (fun i ->
+    Array.init network.num_atoms (fun i ->
         let const = ref 0.0 in
         let grad = Hashtbl.create 4 in
-        List.iter
-          (fun ci ->
-            let c = network.Network.clauses.(ci) in
-            let satisfied_with value =
-              Array.exists
-                (fun (l : Network.literal) ->
-                  if l.atom = i then l.positive = value
-                  else world.(l.atom) = l.positive)
-                c.literals
-            in
-            let diff =
-              match (satisfied_with world.(i), satisfied_with (not world.(i)))
-              with
-              | true, false -> 1.0
-              | false, true -> -1.0
-              | _ -> 0.0
-            in
-            if diff <> 0.0 then
-              match Hashtbl.find_opt rule_index c.source with
-              | Some r ->
-                  Hashtbl.replace grad r
-                    (diff +. Option.value (Hashtbl.find_opt grad r) ~default:0.0)
-              | None ->
-                  let w =
-                    match c.weight with Some w -> w | None -> hard_weight
-                  in
-                  const := !const +. (diff *. w))
-          occurrences.(i);
+        for o = occ_start.(i) to occ_start.(i + 1) - 1 do
+          let ci = occ.(o) in
+          let satisfied_with = Network.satisfied_if network ci world ~atom:i in
+          let diff =
+            match (satisfied_with world.(i), satisfied_with (not world.(i)))
+            with
+            | true, false -> 1.0
+            | false, true -> -1.0
+            | _ -> 0.0
+          in
+          if diff <> 0.0 then
+            match rule_of_source.(network.source.(ci)) with
+            | Some r ->
+                Hashtbl.replace grad r
+                  (diff +. Option.value (Hashtbl.find_opt grad r) ~default:0.0)
+            | None -> const := !const +. (diff *. clause_weight network ci)
+        done;
         {
           const = !const;
           grad = Hashtbl.fold (fun r g acc -> (r, g) :: acc) grad [];

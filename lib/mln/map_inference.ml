@@ -135,9 +135,7 @@ let run_ground ?(options = default_options) store
             ground_result.Grounder.Ground.instances
         in
         Obs.count ~n:network.Network.num_atoms "network.atoms";
-        Obs.count
-          ~n:(Array.length network.Network.clauses)
-          "network.clauses";
+        Obs.count ~n:(Network.num_clauses network) "network.clauses";
         network)
   in
   let init = Network.expanded_assignment network in
@@ -164,12 +162,9 @@ let run_ground ?(options = default_options) store
     Obs.gauge "deadline.solve_slack_ms"
       (Deadline.remaining_ms options.deadline);
   let evidence_atoms = ref 0 in
-  Store.iter
-    (fun _ _ origin ->
-      match origin with
-      | Store.Evidence _ -> incr evidence_atoms
-      | Store.Hidden -> ())
-    store;
+  for id = 0 to Store.size store - 1 do
+    if Store.is_evidence store id then incr evidence_atoms
+  done;
   (* A cut-short run may leave hard clauses violated — CPI's active
      subnetwork can even hide violations the expired budget never got
      to activate. Restore soundness with the deterministic (and

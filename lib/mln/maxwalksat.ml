@@ -10,20 +10,14 @@ type stats = {
   status : Deadline.status;
 }
 
-(* Packed clause view of a network, built once per solve and shared
-   read-only by every descent (and every domain):
-
-   - clause [ci]'s literals are [lits.(offsets.(ci)) .. lits.(offsets.(ci
-     + 1) - 1)], each coded [atom * 2 + 1] when positive and [atom * 2]
-     when negative;
-   - [weights] is an unboxed float array (0.0 for hard clauses), [hard]
-     the hard mask;
-   - atom [a]'s occurrences are [occ.(occ_start.(a)) .. occ.(occ_start.(a
-     + 1) - 1)]: one entry per literal, in descending clause order. That
-     is exactly the order the list-based kernel prepended its occurrence
-     lists in, and [flip] and [delta] visit clauses in this order — the
-     soft-cost float sums, and hence every tie-break downstream, depend
-     on it. *)
+(* The network's packed clauses plus the occurrence index, built once
+   per solve and shared read-only by every descent (and every domain):
+   atom [a]'s occurrences are [occ.(occ_start.(a)) .. occ.(occ_start.(a
+   + 1) - 1)], one entry per literal, in descending clause order. That
+   is exactly the order the list-based kernel prepended its occurrence
+   lists in, and [flip] and [delta] visit clauses in this order — the
+   soft-cost float sums, and hence every tie-break downstream, depend
+   on it. The clause arrays are the network's own, not copies. *)
 type packed = {
   num_atoms : int;
   num_clauses : int;
@@ -35,43 +29,18 @@ type packed = {
   occ : int array;
 }
 
-let pack (network : Network.t) =
-  let clauses = network.Network.clauses in
-  let num_atoms = network.Network.num_atoms in
-  let num_clauses = Array.length clauses in
-  let offsets = Array.make (num_clauses + 1) 0 in
-  Array.iteri
-    (fun ci (c : Network.clause) ->
-      offsets.(ci + 1) <- offsets.(ci) + Array.length c.literals)
-    clauses;
-  let lits = Array.make offsets.(num_clauses) 0 in
-  let weights = Array.make num_clauses 0.0 in
-  let hard = Array.make num_clauses false in
-  let occ_start = Array.make (num_atoms + 1) 0 in
-  Array.iteri
-    (fun ci (c : Network.clause) ->
-      (match c.weight with
-      | None -> hard.(ci) <- true
-      | Some w -> weights.(ci) <- w);
-      Array.iteri
-        (fun j (l : Network.literal) ->
-          lits.(offsets.(ci) + j) <- (l.atom * 2) + Bool.to_int l.positive;
-          occ_start.(l.atom + 1) <- occ_start.(l.atom + 1) + 1)
-        c.literals)
-    clauses;
-  for a = 0 to num_atoms - 1 do
-    occ_start.(a + 1) <- occ_start.(a + 1) + occ_start.(a)
-  done;
-  let occ = Array.make occ_start.(num_atoms) 0 in
-  let fill = Array.sub occ_start 0 num_atoms in
-  for ci = num_clauses - 1 downto 0 do
-    for j = offsets.(ci) to offsets.(ci + 1) - 1 do
-      let a = lits.(j) lsr 1 in
-      occ.(fill.(a)) <- ci;
-      fill.(a) <- fill.(a) + 1
-    done
-  done;
-  { num_atoms; num_clauses; lits; offsets; weights; hard; occ_start; occ }
+let view (network : Network.t) =
+  let occ_start, occ = Network.occurrences network in
+  {
+    num_atoms = network.num_atoms;
+    num_clauses = Network.num_clauses network;
+    lits = network.lits;
+    offsets = network.offsets;
+    weights = network.weights;
+    hard = network.hard;
+    occ_start;
+    occ;
+  }
 
 let[@inline] literal_true assignment code =
   let v = assignment.(code lsr 1) in
@@ -419,7 +388,7 @@ let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
     Array.of_list
       (List.init (max 1 restarts) (fun i -> Prng.subseed seed i) @ portfolio)
   in
-  let packed = pack network in
+  let packed = view network in
   let optimum = optimum network packed ~deadline in
   let target = Option.value optimum ~default:0.0 in
   let observing = Obs.enabled () in

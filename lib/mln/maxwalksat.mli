@@ -14,9 +14,11 @@
     tasks are scheduled: passing a {!Prelude.Pool} runs them on worker
     domains without changing the reported objective.
 
-    Each solve packs the network once into flat arrays — literal codes
-    with per-clause offsets, unboxed weights, a hard mask and a CSR
-    occurrence index — shared read-only by every descent. The flip loop
+    The solver reads the network's own packed arrays (literal codes
+    with per-clause offsets, unboxed weights, a hard mask; see
+    {!Network.t}) and builds only a CSR occurrence index
+    ({!Network.occurrences}) per solve, shared read-only by every
+    descent. The flip loop
     (clause pick, greedy or random variable choice, flip, best-so-far
     tracking) does not allocate: costs live in unboxed float cells and
     the PRNG state is unboxed. Only observability samples and a finite

@@ -11,14 +11,18 @@ type result = {
   status : Deadline.status;
 }
 
+(* The clauses [m] of [network], in the given order, all hard. *)
+let hardened (network : Network.t) m =
+  let sub = Network.sub ~num_atoms:network.num_atoms network m in
+  let nc = Array.length m in
+  { sub with hard = Array.make nc true; weights = Array.make nc 0.0 }
+
 (* Draw a (near-)uniform satisfying assignment of the clause subset [m]
    with randomized WalkSAT from a random initial state: high noise gives
    the chain enough entropy to act as a SampleSAT stand-in. Returns None
    when the flip budget is exhausted. *)
 let sample_sat rng network m sample_flips state =
-  let selected =
-    { network with Network.clauses = Array.of_list m }
-  in
+  let selected = hardened network m in
   (* Random restart point: perturb the current state a little rather than
      fully randomize, which keeps acceptance high while still moving. *)
   let start = Array.copy state in
@@ -31,13 +35,10 @@ let sample_sat rng network m sample_flips state =
       ~max_flips:sample_flips ~restarts:2 ~noise:0.5 ~init:start selected
   in
   (* All selected clauses are treated as hard by the caller's contract:
-     they entered [m] as "must stay satisfied". Our MaxWalkSAT treats
-     hard (None-weight) clauses lexicographically, so check both. *)
+     they entered [m] as "must stay satisfied". *)
   if
     stats.Maxwalksat.hard_violated = 0
-    && Array.for_all
-         (fun c -> Network.clause_satisfied c assignment)
-         selected.Network.clauses
+    && Network.hard_violations selected assignment = 0
   then begin
     (* WalkSAT halts at the first solution it reaches, which biases
        toward solutions near the start. De-bias with a Metropolis walk
@@ -45,53 +46,43 @@ let sample_sat rng network m sample_flips state =
        only if every selected clause still holds — a symmetric chain
        whose stationary distribution is uniform over solutions. *)
     let n = Array.length assignment in
-    let occurrences = Array.make n [] in
-    Array.iteri
-      (fun ci (c : Network.clause) ->
-        Array.iter
-          (fun (l : Network.literal) ->
-            occurrences.(l.atom) <- ci :: occurrences.(l.atom))
-          c.literals)
-      selected.Network.clauses;
+    let occ_start, occ = Network.occurrences selected in
     let x = Array.copy assignment in
     for _ = 1 to 6 * n do
       let v = Prng.int rng n in
       x.(v) <- not x.(v);
-      let still_ok =
-        List.for_all
-          (fun ci ->
-            Network.clause_satisfied selected.Network.clauses.(ci) x)
-          occurrences.(v)
+      let rec still_ok o =
+        o >= occ_start.(v + 1)
+        || (Network.clause_satisfied selected occ.(o) x && still_ok (o + 1))
       in
-      if not still_ok then x.(v) <- not x.(v)
+      if not (still_ok occ_start.(v)) then x.(v) <- not x.(v)
     done;
     Some x
   end
   else None
 
-let harden (c : Network.clause) = { c with Network.weight = None }
+(* The indices of the clauses whose hard flag is [flag], in order. *)
+let clauses_where (network : Network.t) flag =
+  List.filter
+    (fun ci -> network.hard.(ci) = flag)
+    (List.init (Network.num_clauses network) Fun.id)
 
 let run ?(seed = 7) ?(burn_in = 100) ?(samples = 1_000)
     ?(sample_flips = 10_000) ?init ?(chains = 1) ?(pool = Pool.sequential)
     ?(deadline = Deadline.none) (network : Network.t) =
   if chains < 1 then invalid_arg "Mcsat.run: chains must be >= 1";
   let n = network.num_atoms in
-  let hard, soft =
-    Array.to_list network.clauses
-    |> List.partition (fun (c : Network.clause) -> c.weight = None)
-  in
-  let hard = List.map harden hard in
+  let hard = Array.of_list (clauses_where network true) in
+  let soft = clauses_where network false in
   (* Initial state: satisfy the hard clauses. Computed once (it depends
      only on [seed] and [init]) and copied into every chain. *)
   let initial =
     let candidate =
       match init with Some a -> Array.copy a | None -> Array.make n false
     in
-    if
-      List.for_all (fun c -> Network.clause_satisfied c candidate) hard
-    then candidate
+    if Network.hard_violations network candidate = 0 then candidate
     else begin
-      let hard_only = { network with Network.clauses = Array.of_list hard } in
+      let hard_only = hardened network hard in
       let a, stats = Maxwalksat.solve ~seed ~init:candidate hard_only in
       if stats.Maxwalksat.hard_violated > 0 then
         invalid_arg "Mcsat.run: hard clauses are unsatisfiable";
@@ -129,16 +120,13 @@ let run ?(seed = 7) ?(burn_in = 100) ?(samples = 1_000)
       (* Slice selection: hard clauses always; satisfied soft clauses with
          probability 1 - exp(-w). *)
       let m =
-        hard
-        @ List.filter_map
-            (fun (c : Network.clause) ->
-              match c.weight with
-              | Some w
-                when Network.clause_satisfied c !state
-                     && Prng.bernoulli rng (1.0 -. exp (-.w)) ->
-                  Some (harden c)
-              | _ -> None)
-            soft
+        Array.append hard
+          (Array.of_list
+             (List.filter
+                (fun ci ->
+                  Network.clause_satisfied network ci !state
+                  && Prng.bernoulli rng (1.0 -. exp (-.network.weights.(ci))))
+                soft))
       in
       (match sample_sat rng network m sample_flips !state with
       | Some next -> state := next

@@ -17,20 +17,47 @@
     - violated-constraint instance: clause [(-b1 ∨ ... ∨ -bn)].
 
     A rule clause holds each (atom, sign) once: when two body atoms bind
-    the same fact, [(-a ∨ -a)] becomes [(-a)]. *)
+    the same fact, [(-a ∨ -a)] becomes [(-a)].
 
-type literal = { atom : int; positive : bool }
-
-type clause = {
-  literals : literal array;
-  weight : float option;  (** [None] = hard *)
-  source : string;        (** rule name, ["evidence"] or ["prior"] *)
-}
+    The network is packed into flat arrays, the one layout every MLN
+    solver reads. Clause [ci]'s literals are the codes
+    [lits.(offsets.(ci)) .. lits.(offsets.(ci + 1) - 1)], in clause
+    order, each [atom * 2 + 1] when positive and [atom * 2] when
+    negative. [weights.(ci)] is the soft weight (0.0 for a hard clause),
+    [hard.(ci)] the hard mask and [sources.(source.(ci))] the clause's
+    origin. Every per-clause and per-literal field is an array of
+    immediates or unboxed floats, so solvers, the component split and
+    CPI's active subsets read and slice it without chasing pointers. *)
 
 type t = {
   num_atoms : int;
-  clauses : clause array;
+  offsets : int array;   (** per clause, plus one end sentinel *)
+  lits : int array;      (** per literal: [atom * 2 + positive] *)
+  weights : float array; (** per clause; 0.0 when hard *)
+  hard : bool array;     (** per clause *)
+  source : int array;    (** per clause, an index into [sources] *)
+  sources : string array;
+      (** rule names, ["evidence"] and ["prior"]; shared by every
+          sub-network *)
 }
+
+val num_clauses : t -> int
+
+val of_clauses :
+  num_atoms:int -> ((int * bool) list * float option * string) list -> t
+(** A network over atoms [0 .. num_atoms - 1] with exactly these
+    clauses, in order: literals as [(atom, positive)] pairs, kept as
+    given (repeats and complementary pairs included), weight [None] for
+    hard. *)
+
+val append : t -> t -> t
+(** The clauses of the first network, then those of the second, over
+    the larger of the two atom counts. *)
+
+val sub : ?local:int array -> num_atoms:int -> t -> int array -> t
+(** [sub ~num_atoms t clauses]: the clauses [clauses] of [t], in the
+    given order, over [num_atoms] atoms; with [local], each literal's
+    atom [a] becomes [local.(a)]. *)
 
 type config = {
   hidden_prior : float;
@@ -53,8 +80,22 @@ val build :
   Grounder.Atom_store.t ->
   Grounder.Ground.Instance.t list ->
   t
+(** Evidence and prior unit clauses in atom id order, then one clause
+    per rule instance in list order. Instances whose clause is empty or
+    a tautology add nothing, and a hard clause equal (as a set of
+    literals) to an earlier one is dropped. *)
 
-val clause_satisfied : clause -> bool array -> bool
+val occurrences : t -> int array * int array
+(** CSR occurrence index [(start, occ)]: atom [a]'s occurrences are
+    [occ.(start.(a)) .. occ.(start.(a + 1) - 1)], one clause index per
+    literal, in descending clause order. *)
+
+val clause_satisfied : t -> int -> bool array -> bool
+(** [clause_satisfied t ci x]: does clause [ci] hold under [x]? *)
+
+val satisfied_if : t -> int -> bool array -> atom:int -> bool -> bool
+(** [satisfied_if t ci x ~atom value]: does clause [ci] hold under [x]
+    with [atom] set to [value]? *)
 
 val hard_violations : t -> bool array -> int
 
@@ -89,4 +130,4 @@ val expanded_assignment : t -> bool array
 val pp : Format.formatter -> t -> unit
 (** Summary line plus the first few clauses. *)
 
-val pp_clause : Format.formatter -> clause -> unit
+val pp_clause : t -> Format.formatter -> int -> unit

@@ -70,7 +70,21 @@ let split (model : Hlmrf.t) =
     (fun ~vars ~factors ~local ->
       { vars; model = sub model ~num_vars:(Array.length vars) ~factors ~local })
 
-let key_of component ~init = { k_model = component.model; k_init = init }
+let key component ~init = { k_model = component.model; k_init = init }
+
+let kind_code = function Hlmrf.Hinge -> 0 | Hlmrf.Le -> 1 | Hlmrf.Eq -> 2
+
+let hash { k_model = m; k_init } =
+  let open Components.Hash in
+  let h = int seed m.num_vars in
+  let h = int h m.num_potentials in
+  let h = ints h (Array.map kind_code m.kind) in
+  let h = floats h m.weight in
+  let h = floats h m.const in
+  let h = ints h m.offsets in
+  let h = ints h m.var in
+  let h = floats h m.coef in
+  finish (floats h k_init)
 
 let clip01 v = if v < 0.0 then 0.0 else if v > 1.0 then 1.0 else v
 
@@ -100,7 +114,7 @@ let solve ?cache ?(pool = Prelude.Pool.sequential) ~rho ~max_iters ~tol ~init
   let truth, status, stats =
     Components.solve ?cache
       ~vars:(fun c -> c.vars)
-      ~key:key_of
+      ~key ~hash
       ~solve_component:(fun c ~init ->
         if Hlmrf.num_factors c.model = 0 then
           { values = Array.map clip01 init; admm = idle }

@@ -25,6 +25,12 @@ type cache = (key, solved) Components.cache
 (** Keyed by the component's packed sub-model plus its slice of the
     init. *)
 
+val key : component -> init:float array -> key
+
+val hash : key -> int
+(** Full-content hash ({!Components.Hash}) of every kind, weight,
+    constant, offset, variable, coefficient and init value of the key. *)
+
 val split : Hlmrf.t -> component list
 (** {!Components.split} over the factor graph (potentials, then
     constraints); factors keep their relative order. A (degenerate)

@@ -19,17 +19,34 @@ type derivation = {
   via : (string * Kg.Quad.t list) list;
 }
 
-(* The atom id of a removed evidence fact. *)
-let atom_of_fact store fact =
-  let found = ref None in
-  Store.iter
-    (fun id _ origin ->
-      match origin with
-      | Store.Evidence _ when !found = None ->
-          if List.mem fact (Store.evidence_facts store id) then found := Some id
-      | _ -> ())
-    store;
-  !found
+(* The atom of every evidence fact: the first atom, in id order, whose
+   evidence facts name it. *)
+let atoms_of_facts store =
+  let atoms = Hashtbl.create 1024 in
+  for id = 0 to Store.size store - 1 do
+    List.iter
+      (fun fact ->
+        if not (Hashtbl.mem atoms fact) then Hashtbl.add atoms fact id)
+      (Store.evidence_facts store id)
+  done;
+  atoms
+
+(* For every atom, the instances (in list order, each once) among whose
+   [atoms_of] it is. *)
+let index store instances ~atoms_of =
+  let n = Store.size store in
+  let idx = Array.make n [] and last = Array.make n (-1) in
+  List.iteri
+    (fun i inst ->
+      List.iter
+        (fun a ->
+          if last.(a) <> i then begin
+            last.(a) <- i;
+            idx.(a) <- inst :: idx.(a)
+          end)
+        (atoms_of inst))
+    (List.rev instances);
+  idx
 
 let quads_of_atoms store graph atom_ids =
   List.concat_map
@@ -38,25 +55,28 @@ let quads_of_atoms store graph atom_ids =
     atom_ids
 
 let removals ~store ~instances ~assignment ~graph ~resolution =
-  List.map
-    (fun (fact, quad) ->
-      let atom_id = atom_of_fact store fact in
-      (* Symmetric groundings (both orders of a self-join) describe the
-         same clash; dedupe on constraint name and partner atoms. *)
-      let seen = Hashtbl.create 8 in
-      let clashes =
-        match atom_id with
-        | None -> []
-        | Some removed_atom ->
-            List.filter_map
-              (fun { Instance.rule; body_atoms; head } ->
-                (* A clash explains the removal when the instance is a
-                   violation containing the removed atom whose other
-                   body atoms all survived. *)
-                if
-                  head = Instance.Violated
-                  && List.mem removed_atom body_atoms
-                then begin
+  let removed = resolution.Conflict.removed in
+  if removed = [] then []
+  else
+    let atom_of_fact = atoms_of_facts store in
+    let violations =
+      index store instances ~atoms_of:(fun { Instance.body_atoms; head; _ } ->
+          if head = Instance.Violated then body_atoms else [])
+    in
+    List.map
+      (fun (fact, quad) ->
+        (* Symmetric groundings (both orders of a self-join) describe the
+           same clash; dedupe on constraint name and partner atoms. *)
+        let seen = Hashtbl.create 8 in
+        let clashes =
+          match Hashtbl.find_opt atom_of_fact fact with
+          | None -> []
+          | Some removed_atom ->
+              List.filter_map
+                (fun { Instance.rule; body_atoms; _ } ->
+                  (* A clash explains the removal when the instance is a
+                     violation containing the removed atom whose other
+                     body atoms all survived. *)
                   let others =
                     List.filter (fun a -> a <> removed_atom) body_atoms
                   in
@@ -82,39 +102,40 @@ let removals ~store ~instances ~assignment ~graph ~resolution =
                           loser_weight = Kg.Quad.weight quad;
                         }
                   end
-                  else None
-                end
-                else None)
-              instances
-      in
-      { fact; quad; clashes })
-    resolution.Conflict.removed
+                  else None)
+                violations.(removed_atom)
+        in
+        { fact; quad; clashes })
+      removed
 
 let derivations ~store ~instances ~assignment ~graph ~resolution =
-  List.map
-    (fun (d : Conflict.derived_fact) ->
-      let atom_id = Store.find store d.Conflict.atom in
-      let via =
-        match atom_id with
-        | None -> []
-        | Some id ->
-            List.filter_map
-              (fun { Instance.rule; body_atoms; head } ->
-                match head with
-                | Instance.Derives h
-                  when h = id
-                       && List.for_all (fun a -> assignment.(a)) body_atoms ->
+  let derived = resolution.Conflict.derived in
+  if derived = [] then []
+  else
+    let derivers =
+      index store instances ~atoms_of:(fun { Instance.head; _ } ->
+          match head with Instance.Derives h -> [ h ] | _ -> [])
+    in
+    List.map
+      (fun (d : Conflict.derived_fact) ->
+        let via =
+          match Store.find store d.Conflict.atom with
+          | None -> []
+          | Some id ->
+              List.filter_map
+                (fun { Instance.rule; body_atoms; _ } ->
+                  if List.for_all (fun a -> assignment.(a)) body_atoms then
                     let evidence_support =
                       List.filter (Store.is_evidence store) body_atoms
                     in
                     Some
                       ( rule.Logic.Rule.name,
                         quads_of_atoms store graph evidence_support )
-                | _ -> None)
-              instances
-      in
-      { atom = d.Conflict.atom; via })
-    resolution.Conflict.derived
+                  else None)
+                derivers.(id)
+        in
+        { atom = d.Conflict.atom; via })
+      derived
 
 let pp_removal ppf r =
   Format.fprintf ppf "@[<v>removed %a" Kg.Quad.pp r.quad;

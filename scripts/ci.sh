@@ -345,6 +345,27 @@ awk -v v="$(metric mln.alloc_mwords)" 'BEGIN { exit !(v != "" && v + 0 <= 2) }' 
   || { echo "work-counter gate: mln.alloc_mwords = $(metric mln.alloc_mwords) exceeds 2" >&2; exit 1; }
 rm -rf "$SUITE_DIR" "$SUITE_OUT"
 
+echo "== solve-layer work counters (fb-mln, seed 1, full size, traced) =="
+# The same gate at full size (FootballDB-6500): 17,104 components and
+# 23,980 CPI rounds, so per-component and per-round allocation shows.
+# The MLN solve layer allocated 34.1 Mwords here while clauses were
+# boxed records re-boxed per component and repacked per solve, and
+# about 15 with one packed clause layout; the ceiling fails if boxed
+# clauses or the per-solve repack come back.
+SUITE_DIR=$(mktemp -d) SUITE_OUT=$(mktemp)
+bash bench/suite/run.sh --workload fb-mln --seed 1 --trace 1 \
+  --seconds 0.1 --workdir "$SUITE_DIR" > "$SUITE_OUT" \
+  || { echo "work-counter gate: full-size traced fb-mln run failed" >&2; cat "$SUITE_OUT" >&2; exit 1; }
+for expected in mln.clauses=48715 mln.components=17104 mln.flips=34728 \
+                mln.cpi_iterations=23980; do
+  name=${expected%=*} want=${expected#*=}
+  [ "$(metric "$name")" = "$want.0000" ] \
+    || { echo "work-counter gate: $name = $(metric "$name"), expected exactly $want" >&2; exit 1; }
+done
+awk -v v="$(metric mln.alloc_mwords)" 'BEGIN { exit !(v != "" && v + 0 <= 20) }' \
+  || { echo "work-counter gate: mln.alloc_mwords = $(metric mln.alloc_mwords) exceeds 20" >&2; exit 1; }
+rm -rf "$SUITE_DIR" "$SUITE_OUT"
+
 echo "== solve-layer work counters (fb-psl, seed 1, quick, traced) =="
 # The same gate for ADMM: a moved component boundary or a changed ADMM
 # trajectory shows in these exact counts. Allocation was 3.12 Mwords

@@ -371,20 +371,14 @@ let random_network rng =
         let len = 1 + Prelude.Prng.int rng 3 in
         let literals =
           Array.init len (fun _ ->
-              {
-                Network.atom = Prelude.Prng.int rng num_atoms;
-                positive = Prelude.Prng.bool rng;
-              })
+              (Prelude.Prng.int rng num_atoms, Prelude.Prng.bool rng))
         in
-        {
-          Network.literals;
-          weight =
-            (if Prelude.Prng.bernoulli rng 0.2 then None
-             else Some (0.5 +. Prelude.Prng.float rng 3.0));
-          source = Printf.sprintf "c%d" i;
-        })
+        ( Array.to_list literals,
+          (if Prelude.Prng.bernoulli rng 0.2 then None
+           else Some (0.5 +. Prelude.Prng.float rng 3.0)),
+          Printf.sprintf "c%d" i ))
   in
-  { Network.num_atoms; clauses }
+  Network.of_clauses ~num_atoms (Array.to_list clauses)
 
 (* (a) Without a deadline the anytime plumbing is invisible: passing
    [Deadline.none] explicitly is bitwise-identical to not passing one,
@@ -443,20 +437,11 @@ let crash_keeps_best_property =
          cost (0,0), in a network of 17 atoms so the walk proves no
          optimum either: the optimum stop would otherwise skip the
          crashing task and the fault would never fire. *)
-      let contradiction positive =
-        {
-          Network.literals = [| { Network.atom = 16; positive } |];
-          weight = Some 1.0;
-          source = "pin";
-        }
-      in
+      let contradiction positive = ([ (16, positive) ], Some 1.0, "pin") in
       let network =
-        {
-          Network.num_atoms = 17;
-          Network.clauses =
-            Array.append network.Network.clauses
-              [| contradiction true; contradiction false |];
-        }
+        Network.append network
+          (Network.of_clauses ~num_atoms:17
+             [ contradiction true; contradiction false ])
       in
       let cost (s : Mln.Maxwalksat.stats) =
         (s.Mln.Maxwalksat.hard_violated, s.Mln.Maxwalksat.soft_cost)

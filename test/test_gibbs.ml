@@ -3,18 +3,13 @@
 module Network = Mln.Network
 module Gibbs = Mln.Gibbs
 
-let unit_clause atom positive weight =
-  {
-    Network.literals = [| { Network.atom; positive } |];
-    weight;
-    source = "test";
-  }
+let unit_clause atom positive weight = ([ (atom, positive) ], weight, "test")
 
 let test_single_atom_marginal () =
   (* One soft unit clause (+0) with weight w: P(x) = sigmoid(w). *)
   let w = 1.0 in
   let network =
-    { Network.num_atoms = 1; clauses = [| unit_clause 0 true (Some w) |] }
+    Network.of_clauses ~num_atoms:1 [ unit_clause 0 true (Some w) ]
   in
   let r = Gibbs.run ~seed:1 ~burn_in:500 ~samples:20_000 network in
   let expected = 1.0 /. (1.0 +. exp (-.w)) in
@@ -26,10 +21,8 @@ let test_single_atom_marginal () =
 let test_opposing_units () =
   (* +x with weight 2, -x with weight 2: marginal 0.5. *)
   let network =
-    {
-      Network.num_atoms = 1;
-      clauses = [| unit_clause 0 true (Some 2.0); unit_clause 0 false (Some 2.0) |];
-    }
+    Network.of_clauses ~num_atoms:1
+      [ unit_clause 0 true (Some 2.0); unit_clause 0 false (Some 2.0) ]
   in
   let r = Gibbs.run ~seed:2 ~burn_in:500 ~samples:20_000 network in
   Alcotest.(check bool) "balanced" true
@@ -37,7 +30,7 @@ let test_opposing_units () =
 
 let test_hard_evidence_near_one () =
   let network =
-    { Network.num_atoms = 1; clauses = [| unit_clause 0 true None |] }
+    Network.of_clauses ~num_atoms:1 [ unit_clause 0 true None ]
   in
   let r = Gibbs.run ~seed:3 ~burn_in:200 ~samples:5_000 network in
   Alcotest.(check bool) "pinned near 1" true (r.Gibbs.marginals.(0) > 0.99)
@@ -46,23 +39,12 @@ let test_mutual_exclusion_marginals () =
   (* Evidence pulls both, hard clause forbids both: the chain splits its
      time between the two single-atom worlds according to their weights. *)
   let network =
-    {
-      Network.num_atoms = 2;
-      clauses =
-        [|
-          unit_clause 0 true (Some 2.0);
-          unit_clause 1 true (Some 1.0);
-          {
-            Network.literals =
-              [|
-                { Network.atom = 0; positive = false };
-                { Network.atom = 1; positive = false };
-              |];
-            weight = None;
-            source = "clash";
-          };
-        |];
-    }
+    Network.of_clauses ~num_atoms:2
+      [
+        unit_clause 0 true (Some 2.0);
+        unit_clause 1 true (Some 1.0);
+        ([ (0, false); (1, false) ], None, "clash");
+      ]
   in
   let r = Gibbs.run ~seed:4 ~burn_in:1_000 ~samples:30_000 network in
   Alcotest.(check bool) "heavier atom more probable" true
@@ -72,7 +54,7 @@ let test_mutual_exclusion_marginals () =
 
 let test_deterministic_given_seed () =
   let network =
-    { Network.num_atoms = 1; clauses = [| unit_clause 0 true (Some 0.7) |] }
+    Network.of_clauses ~num_atoms:1 [ unit_clause 0 true (Some 0.7) ]
   in
   let a = Gibbs.run ~seed:5 ~burn_in:100 ~samples:1_000 network in
   let b = Gibbs.run ~seed:5 ~burn_in:100 ~samples:1_000 network in

@@ -4,20 +4,8 @@
 module Network = Mln.Network
 module Mcsat = Mln.Mcsat
 
-let unit_clause atom positive weight =
-  {
-    Network.literals = [| { Network.atom; positive } |];
-    weight;
-    source = "test";
-  }
-
-let binary_clause (a, pa) (b, pb) weight =
-  {
-    Network.literals =
-      [| { Network.atom = a; positive = pa }; { Network.atom = b; positive = pb } |];
-    weight;
-    source = "test";
-  }
+let unit_clause atom positive weight = ([ (atom, positive) ], weight, "test")
+let binary_clause a b weight = ([ a; b ], weight, "test")
 
 (* Exact marginals by world enumeration: P(x) ∝ exp(Σ w·sat) over worlds
    satisfying all hard clauses. *)
@@ -27,21 +15,8 @@ let exact_marginals (network : Network.t) =
   let z = ref 0.0 in
   for world = 0 to (1 lsl n) - 1 do
     let x = Array.init n (fun i -> (world lsr i) land 1 = 1) in
-    let hard_ok =
-      Array.for_all
-        (fun (c : Network.clause) ->
-          c.weight <> None || Network.clause_satisfied c x)
-        network.clauses
-    in
-    if hard_ok then begin
-      let energy =
-        Array.fold_left
-          (fun acc (c : Network.clause) ->
-            match c.weight with
-            | Some w when Network.clause_satisfied c x -> acc +. w
-            | _ -> acc)
-          0.0 network.clauses
-      in
+    if Network.hard_violations network x = 0 then begin
+      let energy = Network.score network x in
       let p = exp energy in
       z := !z +. p;
       Array.iteri (fun i v -> if v then marginals.(i) <- marginals.(i) +. p) x
@@ -63,15 +38,12 @@ let check_against_exact ?(tol = 0.05) network ~samples =
 
 let test_soft_only () =
   let network =
-    {
-      Network.num_atoms = 2;
-      clauses =
-        [|
-          unit_clause 0 true (Some 1.0);
-          unit_clause 1 true (Some 0.5);
-          binary_clause (0, false) (1, true) (Some 0.7);
-        |];
-    }
+    Network.of_clauses ~num_atoms:2
+      [
+        unit_clause 0 true (Some 1.0);
+        unit_clause 1 true (Some 0.5);
+        binary_clause (0, false) (1, true) (Some 0.7);
+      ]
   in
   check_against_exact network ~samples:4_000
 
@@ -79,15 +51,12 @@ let test_hard_exclusion_exact_zeroes () =
   (* Hard mutual exclusion plus pulls: the joint world (T,T) must never
      be sampled. *)
   let network =
-    {
-      Network.num_atoms = 2;
-      clauses =
-        [|
-          unit_clause 0 true (Some 2.0);
-          unit_clause 1 true (Some 1.0);
-          binary_clause (0, false) (1, false) None;
-        |];
-    }
+    Network.of_clauses ~num_atoms:2
+      [
+        unit_clause 0 true (Some 2.0);
+        unit_clause 1 true (Some 1.0);
+        binary_clause (0, false) (1, false) None;
+      ]
   in
   check_against_exact network ~samples:4_000;
   (* Also: in every sample both can never be true; the marginals sum to
@@ -100,15 +69,12 @@ let test_hard_implication_chain () =
   (* Hard chain a -> b -> c with a pulled up: all three marginals ~ the
      same (worlds violating the chain are excluded). *)
   let network =
-    {
-      Network.num_atoms = 3;
-      clauses =
-        [|
-          unit_clause 0 true (Some 1.5);
-          binary_clause (0, false) (1, true) None;
-          binary_clause (1, false) (2, true) None;
-        |];
-    }
+    Network.of_clauses ~num_atoms:3
+      [
+        unit_clause 0 true (Some 1.5);
+        binary_clause (0, false) (1, true) None;
+        binary_clause (1, false) (2, true) None;
+      ]
   in
   check_against_exact network ~samples:4_000;
   let r = Mcsat.run ~seed:7 ~burn_in:200 ~samples:2_000 network in
@@ -117,10 +83,8 @@ let test_hard_implication_chain () =
 
 let test_unsatisfiable_hard_rejected () =
   let network =
-    {
-      Network.num_atoms = 1;
-      clauses = [| unit_clause 0 true None; unit_clause 0 false None |];
-    }
+    Network.of_clauses ~num_atoms:1
+      [ unit_clause 0 true None; unit_clause 0 false None ]
   in
   match Mcsat.run ~samples:10 network with
   | exception Invalid_argument _ -> ()
@@ -128,7 +92,7 @@ let test_unsatisfiable_hard_rejected () =
 
 let test_deterministic () =
   let network =
-    { Network.num_atoms = 1; clauses = [| unit_clause 0 true (Some 1.0) |] }
+    Network.of_clauses ~num_atoms:1 [ unit_clause 0 true (Some 1.0) ]
   in
   let a = Mcsat.run ~seed:9 ~samples:500 network in
   let b = Mcsat.run ~seed:9 ~samples:500 network in

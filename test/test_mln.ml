@@ -35,8 +35,8 @@ let test_network_shape () =
   Alcotest.(check int) "six atoms" 6 network.Network.num_atoms;
   let hard =
     Array.fold_left
-      (fun acc (c : Network.clause) -> if c.weight = None then acc + 1 else acc)
-      0 network.Network.clauses
+      (fun acc h -> if h then acc + 1 else acc)
+      0 network.Network.hard
   in
   (* 1 hard evidence (birthDate) + 1 deduplicated hard violation clause
      for the Chelsea/Napoli clash. *)
@@ -51,12 +51,7 @@ let test_clause_satisfaction_and_score () =
   Alcotest.(check bool) "evidence init also violates" true
     (Network.hard_violations network init > 0);
   (* Score + cost partition the total soft weight. *)
-  let total =
-    Array.fold_left
-      (fun acc (c : Network.clause) ->
-        match c.weight with Some w -> acc +. w | None -> acc)
-      0.0 network.Network.clauses
-  in
+  let total = Array.fold_left ( +. ) 0.0 network.Network.weights in
   Alcotest.(check bool) "score + cost = total" true
     (Float.abs (Network.score network init +. Network.cost network init -. total)
     < 1e-9)
@@ -80,18 +75,21 @@ let test_repeated_literals_collapse () =
        (fun (i : Grounder.Ground.Instance.t) -> i.body_atoms = [ 0; 0 ])
        result.Grounder.Ground.instances);
   let network = Network.build store result.Grounder.Ground.instances in
+  let literals ci =
+    Array.sub network.Network.lits network.Network.offsets.(ci)
+      (network.Network.offsets.(ci + 1) - network.Network.offsets.(ci))
+  in
+  let clauses = List.init (Network.num_clauses network) Fun.id in
   Alcotest.(check bool) "hard clause (-a)" true
-    (Array.exists
-       (fun (c : Network.clause) ->
-         c.weight = None
-         && c.literals = [| { Network.atom = 0; positive = false } |])
-       network.Network.clauses);
-  Array.iter
-    (fun (c : Network.clause) ->
+    (List.exists
+       (fun ci -> network.Network.hard.(ci) && literals ci = [| 0 |])
+       clauses);
+  List.iter
+    (fun ci ->
       Alcotest.(check int) "no repeated literal"
-        (Array.length c.literals)
-        (List.length (List.sort_uniq compare (Array.to_list c.literals))))
-    network.Network.clauses;
+        (Array.length (literals ci))
+        (List.length (List.sort_uniq compare (Array.to_list (literals ci)))))
+    clauses;
   let out = Mln.Map_inference.run graph rules in
   Alcotest.(check bool) "fact dropped" false out.Mln.Map_inference.assignment.(0);
   Alcotest.(check int) "resolved" 0
@@ -153,16 +151,8 @@ let test_ilp_running_example () =
 let test_exact_unsat_hard () =
   (* Two contradictory hard unit clauses. *)
   let network =
-    {
-      Network.num_atoms = 1;
-      clauses =
-        [|
-          { Network.literals = [| { Network.atom = 0; positive = true } |];
-            weight = None; source = "a" };
-          { Network.literals = [| { Network.atom = 0; positive = false } |];
-            weight = None; source = "b" };
-        |];
-    }
+    Network.of_clauses ~num_atoms:1
+      [ ([ (0, true) ], None, "a"); ([ (0, false) ], None, "b") ]
   in
   Alcotest.(check bool) "unsatisfiable" true (Mln.Exact.solve network = None);
   Alcotest.(check bool) "ilp agrees" true (Mln.Ilp_encoding.solve network = None)
@@ -209,34 +199,27 @@ let random_network rng =
         let len = 1 + Prelude.Prng.int rng 3 in
         let literals =
           Array.init len (fun _ ->
-              {
-                Network.atom = Prelude.Prng.int rng num_atoms;
-                positive = Prelude.Prng.bool rng;
-              })
+              (Prelude.Prng.int rng num_atoms, Prelude.Prng.bool rng))
         in
         (* Avoid tautologies (solvers treat them fine but they blur the
            objective comparison with Network.score). *)
         let tautology =
           Array.exists
-            (fun (l : Network.literal) ->
+            (fun (a, positive) ->
               Array.exists
-                (fun (l' : Network.literal) ->
-                  l.atom = l'.atom && l.positive <> l'.positive)
+                (fun (a', positive') -> a = a' && positive <> positive')
                 literals)
             literals
         in
         let literals =
-          if tautology then
-            [| { Network.atom = Prelude.Prng.int rng num_atoms; positive = true } |]
+          if tautology then [| (Prelude.Prng.int rng num_atoms, true) |]
           else literals
         in
-        {
-          Network.literals;
-          weight = Some (0.5 +. Prelude.Prng.float rng 3.0);
-          source = Printf.sprintf "c%d" i;
-        })
+        ( Array.to_list literals,
+          Some (0.5 +. Prelude.Prng.float rng 3.0),
+          Printf.sprintf "c%d" i ))
   in
-  { Network.num_atoms; clauses }
+  Network.of_clauses ~num_atoms (Array.to_list clauses)
 
 let test_solvers_agree_on_random_networks () =
   let rng = Prelude.Prng.create 99 in
@@ -273,13 +256,47 @@ let test_solvers_agree_on_random_networks () =
       (walk_score >= (0.95 *. exact_score) -. 1e-6)
   done
 
-(* The list-and-record MaxWalkSAT kernel that the packed one replaced,
-   kept verbatim (minus its Obs reporting), and the component split
-   that went with it: references for the differential oracles below. *)
+(* The boxed clause layout the packed network replaced, with the code
+   that ran on it, kept verbatim (minus Obs reporting): the network
+   builder, the list-and-record MaxWalkSAT kernel, the component split
+   and the list-based exact search. References for the differential
+   oracles below. *)
 module Reference = struct
   module Prng = Prelude.Prng
   module Pool = Prelude.Pool
   module Deadline = Prelude.Deadline
+
+  type literal = { atom : int; positive : bool }
+
+  type clause = {
+    literals : literal array;
+    weight : float option;  (* [None] = hard *)
+    source : string;
+  }
+
+  type network = {
+    num_atoms : int;
+    clauses : clause array;
+  }
+
+  (* The boxed view of a packed network. *)
+  let boxed (t : Network.t) =
+    {
+      num_atoms = t.Network.num_atoms;
+      clauses =
+        Array.init (Network.num_clauses t) (fun ci ->
+            let o = t.Network.offsets.(ci) in
+            {
+              literals =
+                Array.init (t.Network.offsets.(ci + 1) - o) (fun j ->
+                    let c = t.Network.lits.(o + j) in
+                    { atom = c lsr 1; positive = c land 1 = 1 });
+              weight =
+                (if t.Network.hard.(ci) then None
+                 else Some t.Network.weights.(ci));
+              source = t.Network.sources.(t.Network.source.(ci));
+            });
+    }
 
   type stats = {
     flips : int;
@@ -329,7 +346,7 @@ module Reference = struct
      a function of the network alone, so one array is built per solve and
      shared read-only by every restart (and every domain). *)
   type state = {
-    network : Network.t;
+    network : network;
     assignment : bool array;
     true_counts : int array;
     occurrences : int list array;
@@ -338,7 +355,7 @@ module Reference = struct
     mutable soft_cost : float;
   }
 
-  let clause_weight (c : Network.clause) =
+  let clause_weight (c : clause) =
     match c.weight with None -> `Hard | Some w -> `Soft w
 
   let mark_unsat st ci =
@@ -355,25 +372,25 @@ module Reference = struct
         if st.unsat_soft.pos.(ci) <> -1 then st.soft_cost <- st.soft_cost -. w;
         set_remove st.unsat_soft ci
 
-  let literal_true assignment (l : Network.literal) =
+  let literal_true assignment (l : literal) =
     assignment.(l.atom) = l.positive
 
-  let build_occurrences (network : Network.t) =
-    let occurrences = Array.make network.Network.num_atoms [] in
+  let build_occurrences (network : network) =
+    let occurrences = Array.make network.num_atoms [] in
     Array.iteri
-      (fun ci (c : Network.clause) ->
+      (fun ci (c : clause) ->
         Array.iter
-          (fun (l : Network.literal) ->
+          (fun (l : literal) ->
             occurrences.(l.atom) <- ci :: occurrences.(l.atom))
           c.literals)
-      network.Network.clauses;
+      network.clauses;
     occurrences
 
   let make_state network occurrences =
-    let num_clauses = Array.length network.Network.clauses in
+    let num_clauses = Array.length network.clauses in
     {
       network;
-      assignment = Array.make (max 1 network.Network.num_atoms) false;
+      assignment = Array.make (max 1 network.num_atoms) false;
       true_counts = Array.make (max 1 num_clauses) 0;
       occurrences;
       unsat_hard = set_create num_clauses;
@@ -389,7 +406,7 @@ module Reference = struct
     set_clear st.unsat_soft;
     st.soft_cost <- 0.0;
     Array.iteri
-      (fun ci (c : Network.clause) ->
+      (fun ci (c : clause) ->
         let count =
           Array.fold_left
             (fun acc l -> if literal_true st.assignment l then acc + 1 else acc)
@@ -397,16 +414,16 @@ module Reference = struct
         in
         st.true_counts.(ci) <- count;
         if count = 0 then mark_unsat st ci)
-      st.network.Network.clauses
+      st.network.clauses
 
   let flip st v =
     let old_value = st.assignment.(v) in
     st.assignment.(v) <- not old_value;
     List.iter
       (fun ci ->
-        let c = st.network.Network.clauses.(ci) in
+        let c = st.network.clauses.(ci) in
         Array.iter
-          (fun (l : Network.literal) ->
+          (fun (l : literal) ->
             if l.atom = v then
               if l.positive = old_value then begin
                 st.true_counts.(ci) <- st.true_counts.(ci) - 1;
@@ -424,13 +441,13 @@ module Reference = struct
     let dhard = ref 0 and dsoft = ref 0.0 in
     List.iter
       (fun ci ->
-        let c = st.network.Network.clauses.(ci) in
+        let c = st.network.clauses.(ci) in
         let sign =
           if st.true_counts.(ci) = 1 then begin
             (* Breaks iff the single true literal is carried by [v]. *)
             if
               Array.exists
-                (fun (l : Network.literal) ->
+                (fun (l : literal) ->
                   l.atom = v && literal_true st.assignment l)
                 c.literals
             then 1
@@ -440,7 +457,7 @@ module Reference = struct
             (* Makes iff [v] carries a literal that becomes true. *)
             if
               Array.exists
-                (fun (l : Network.literal) ->
+                (fun (l : literal) ->
                   l.atom = v && not (literal_true st.assignment l))
                 c.literals
             then -1
@@ -465,15 +482,15 @@ module Reference = struct
      on this recomputation: the reported cost — and hence the portfolio
      winner — is a pure function of the assignment, not of the add/remove
      history, which keeps the winner identical at every job count. *)
-  let evaluate (network : Network.t) assignment =
+  let evaluate (network : network) assignment =
     let hard = ref 0 and soft = ref 0.0 in
     Array.iter
-      (fun (c : Network.clause) ->
+      (fun (c : clause) ->
         if not (Array.exists (literal_true assignment) c.literals) then
           match clause_weight c with
           | `Hard -> incr hard
           | `Soft w -> soft := !soft +. w)
-      network.Network.clauses;
+      network.clauses;
     (!hard, !soft)
 
   (* One full WalkSAT descent from [start], task-local. [stop] holds the
@@ -556,7 +573,7 @@ module Reference = struct
         then st.unsat_hard.items.(Prng.int rng st.unsat_hard.len)
         else st.unsat_soft.items.(Prng.int rng st.unsat_soft.len)
       in
-      let c = st.network.Network.clauses.(ci) in
+      let c = st.network.clauses.(ci) in
       let v =
         if Prng.bernoulli rng noise then
           (Array.get c.literals (Prng.int rng (Array.length c.literals))).atom
@@ -565,7 +582,7 @@ module Reference = struct
           let best_var = ref (Array.get c.literals 0).atom in
           let best_delta = ref (delta st !best_var) in
           Array.iter
-            (fun (l : Network.literal) ->
+            (fun (l : literal) ->
               if l.atom <> !best_var then begin
                 let d = delta st l.atom in
                 if better d !best_delta then begin
@@ -592,7 +609,7 @@ module Reference = struct
     let base =
       match init with
       | Some a -> Array.copy a
-      | None -> Array.make network.Network.num_atoms false
+      | None -> Array.make network.num_atoms false
     in
     (* Task seeds: the configured restarts draw derived seeds; portfolio
        seeds are appended verbatim as extra independent descents. Task 0
@@ -711,15 +728,305 @@ module Reference = struct
     ( best.a_assignment,
       { flips = total_flips; restarts_used; hard_violated; soft_cost; status } )
 
-  (* The Hashtbl-and-list component split that the counting-sort one
-     replaced, verbatim. *)
-  type component = Mln.Decompose.component = {
-    atoms : int array;
-    network : Network.t;
+
+  (* The boxed network builder, verbatim. *)
+  module Store = Grounder.Atom_store
+  module Instance = Grounder.Ground.Instance
+  module Vec = Prelude.Vec
+
+  let logit confidence =
+    let w = log (confidence /. (1.0 -. confidence)) in
+    Float.min Kg.Quad.max_weight (Float.max (-.Kg.Quad.max_weight) w)
+
+  (* One literal per (atom, sign), first occurrence first. A constraint
+     whose body atoms bind the same fact twice grounds e.g. (-a v -a);
+     solvers count a clause's true literals, so a repeated literal would
+     be counted once per copy. *)
+  let rec distinct = function
+    | [] -> []
+    | l :: rest ->
+        l
+        :: distinct
+             (List.filter
+                (fun l' -> l'.atom <> l.atom || l'.positive <> l.positive)
+                rest)
+
+  let build ?(config = Network.default_config) store instances =
+    let clauses = Vec.create () in
+    let push literals weight source =
+      if literals <> [] then
+        Vec.push clauses { literals = Array.of_list literals; weight; source }
+    in
+    (* Unit clauses for evidence and hidden priors. *)
+    Store.iter
+      (fun id _atom origin ->
+        match origin with
+        | Store.Evidence { confidence; _ } ->
+            if confidence >= 1.0 then
+              push [ { atom = id; positive = true } ]
+                (if config.Network.evidence_hard then None else Some Kg.Quad.max_weight)
+                "evidence"
+            else begin
+              (* Confidence below 0.5 has a negative log-odds weight; keep
+                 all clause weights positive by asserting the negation. *)
+              let w = logit confidence +. config.Network.evidence_bonus in
+              if w > 0.0 then
+                push [ { atom = id; positive = true } ] (Some w) "evidence"
+              else if w < 0.0 then
+                push [ { atom = id; positive = false } ] (Some (-.w)) "evidence"
+            end
+        | Store.Hidden ->
+            if config.Network.hidden_prior > 0.0 then
+              push
+                [ { atom = id; positive = false } ]
+                (Some config.Network.hidden_prior) "prior")
+      store;
+    (* Clauses from ground rule instances. Identical hard clauses are
+       deduplicated (pure efficiency); soft duplicates are genuine distinct
+       groundings and must keep their cumulative weight. *)
+    let seen_hard = Hashtbl.create 1024 in
+    List.iter
+      (fun { Instance.rule; body_atoms; head } ->
+        let body_literals =
+          List.map (fun id -> { atom = id; positive = false }) body_atoms
+        in
+        let literals =
+          distinct
+            (match head with
+            | Instance.Satisfied -> []
+            | Instance.Violated -> body_literals
+            | Instance.Derives h -> body_literals @ [ { atom = h; positive = true } ])
+        in
+        match literals with
+        | [] -> ()
+        | _ ->
+            let weight = rule.Logic.Rule.weight in
+            let tautology =
+              (* e.g. a reflexive self-join pairing a fact with itself:
+                 (-a v ... v +a) is always true. *)
+              List.exists
+                (fun l ->
+                  l.positive
+                  && List.exists
+                       (fun l' -> (not l'.positive) && l'.atom = l.atom)
+                       literals)
+                literals
+            in
+            if not tautology then
+              if weight = None then begin
+                let key =
+                  List.sort compare
+                    (List.map (fun l -> (l.atom, l.positive)) literals)
+                in
+                if not (Hashtbl.mem seen_hard key) then begin
+                  Hashtbl.replace seen_hard key ();
+                  push literals None rule.Logic.Rule.name
+                end
+              end
+              else push literals weight rule.Logic.Rule.name)
+      instances;
+    { num_atoms = Store.size store; clauses = Vec.to_array clauses }
+
+  (* The list-based exact search, verbatim. *)
+  type exact_result = {
+    assignment : bool array;
+    soft_cost : float;
+    nodes : int;
+    optimal : bool;
   }
 
-  let split (network : Network.t) =
-    let n = network.Network.num_atoms in
+  type undo = {
+    mutable trail : int list; (* vars assigned since the choice point *)
+  }
+
+  (* Deadline polls are strided: a node expansion is tens of nanoseconds,
+     a clock read is not. 1024 nodes stay well under a millisecond. *)
+  let deadline_stride = 1024
+
+  let exact ?(max_nodes = 2_000_000) ?(deadline = Prelude.Deadline.none)
+      (network : network) =
+    let n = network.num_atoms in
+    let clauses = network.clauses in
+    let num_clauses = Array.length clauses in
+    (* -1 unassigned, 0 false, 1 true *)
+    let value = Array.make n (-1) in
+    let occurrences = Array.make n [] in
+    Array.iteri
+      (fun ci (c : clause) ->
+        Array.iter
+          (fun (l : literal) ->
+            occurrences.(l.atom) <- ci :: occurrences.(l.atom))
+          c.literals)
+      clauses;
+    (* Variable order: descending occurrence count (most constrained first). *)
+    let order =
+      let vars = Array.init n (fun v -> v) in
+      Array.sort
+        (fun a b ->
+          Int.compare (List.length occurrences.(b)) (List.length occurrences.(a)))
+        vars;
+      vars
+    in
+    let lit_state (l : literal) =
+      match value.(l.atom) with
+      | -1 -> `Unassigned
+      | v -> if (v = 1) = l.positive then `True else `False
+    in
+    let clause_state ci =
+      let c = clauses.(ci) in
+      let unassigned = ref 0 in
+      let satisfied = ref false in
+      Array.iter
+        (fun l ->
+          match lit_state l with
+          | `True -> satisfied := true
+          | `False -> ()
+          | `Unassigned -> incr unassigned)
+        c.literals;
+      if !satisfied then `Satisfied
+      else if !unassigned = 0 then `Violated
+      else `Open !unassigned
+    in
+    let incumbent = ref None in
+    let incumbent_cost = ref infinity in
+    let nodes = ref 0 in
+    let exhausted = ref false in
+    (* Current violated soft weight on the path. *)
+    let violated_soft = ref 0.0 in
+    let assign_var trail v b =
+      value.(v) <- (if b then 1 else 0);
+      trail.trail <- v :: trail.trail
+    in
+    let unwind trail =
+      List.iter (fun v -> value.(v) <- -1) trail.trail;
+      trail.trail <- []
+    in
+    (* Propagate hard unit clauses; returns false on hard conflict. Also
+       accumulates soft weight of clauses that became fully violated. *)
+    let rec propagate trail touched =
+      match touched with
+      | [] -> true
+      | v :: rest ->
+          let conflict = ref false in
+          let new_touched = ref rest in
+          List.iter
+            (fun ci ->
+              let c = clauses.(ci) in
+              if not !conflict then
+                match clause_state ci with
+                | `Satisfied -> ()
+                | `Violated -> if c.weight = None then conflict := true
+                | `Open 1 when c.weight = None ->
+                    (* Hard unit: force the remaining literal. *)
+                    Array.iter
+                      (fun (l : literal) ->
+                        if lit_state l = `Unassigned then begin
+                          assign_var trail l.atom l.positive;
+                          new_touched := l.atom :: !new_touched
+                        end)
+                      c.literals
+                | `Open _ -> ())
+            occurrences.(v);
+          (not !conflict) && propagate trail !new_touched
+    in
+    (* Soft cost is tracked incrementally: a soft clause is charged the
+       first time it becomes fully violated (stamped so it is charged only
+       once) and uncharged on backtrack. *)
+    let charged = Array.make num_clauses false in
+    let charge_stack = ref [] in
+    let charge_soft trail_vars =
+      List.iter
+        (fun v ->
+          List.iter
+            (fun ci ->
+              let c = clauses.(ci) in
+              match c.weight with
+              | Some w when (not charged.(ci)) && clause_state ci = `Violated ->
+                  charged.(ci) <- true;
+                  charge_stack := (ci, w) :: !charge_stack;
+                  violated_soft := !violated_soft +. w
+              | _ -> ())
+            occurrences.(v))
+        trail_vars
+    in
+    let uncharge until =
+      let rec loop () =
+        if !charge_stack != until then
+          match !charge_stack with
+          | [] -> ()
+          | (ci, w) :: rest ->
+              charged.(ci) <- false;
+              violated_soft := !violated_soft -. w;
+              charge_stack := rest;
+              loop ()
+      in
+      loop ()
+    in
+    let record_solution () =
+      if !violated_soft < !incumbent_cost -. 1e-12 then begin
+        incumbent_cost := !violated_soft;
+        incumbent :=
+          Some (Array.map (fun v -> v = 1) value)
+      end
+    in
+    let rec search depth =
+      if
+        !nodes >= max_nodes
+        || (!nodes land (deadline_stride - 1) = 0
+           && Prelude.Deadline.expired deadline)
+      then exhausted := true
+      else begin
+        incr nodes;
+        if !violated_soft >= !incumbent_cost -. 1e-12 then () (* prune *)
+        else begin
+          (* Next unassigned variable in static order. *)
+          let rec next i =
+            if i >= n then None
+            else if value.(order.(i)) = -1 then Some i
+            else next (i + 1)
+          in
+          match next depth with
+          | None -> record_solution ()
+          | Some i ->
+              let v = order.(i) in
+              let try_value b =
+                let trail = { trail = [] } in
+                let saved_charges = !charge_stack in
+                assign_var trail v b;
+                if propagate trail [ v ] then begin
+                  charge_soft trail.trail;
+                  if !violated_soft < !incumbent_cost -. 1e-12 then
+                    search (i + 1)
+                end;
+                uncharge saved_charges;
+                unwind trail
+              in
+              try_value true;
+              try_value false
+        end
+      end
+    in
+    search 0;
+    match !incumbent with
+    | None -> None
+    | Some assignment ->
+        Some
+          {
+            assignment;
+            soft_cost = !incumbent_cost;
+            nodes = !nodes;
+            optimal = not !exhausted;
+          }
+
+  (* The Hashtbl-and-list component split that the counting-sort one
+     replaced, verbatim. *)
+  type component = {
+    atoms : int array;
+    network : network;
+  }
+
+  let split (network : network) =
+    let n = network.num_atoms in
     let parent = Array.init n Fun.id in
     let rec find i =
       if parent.(i) = i then i
@@ -734,13 +1041,13 @@ module Reference = struct
       if ra <> rb then if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
     in
     Array.iter
-      (fun (c : Network.clause) ->
-        let lits = c.Network.literals in
+      (fun (c : clause) ->
+        let lits = c.literals in
         if Array.length lits > 1 then begin
-          let a0 = lits.(0).Network.atom in
-          Array.iter (fun (l : Network.literal) -> union a0 l.Network.atom) lits
+          let a0 = lits.(0).atom in
+          Array.iter (fun (l : literal) -> union a0 l.atom) lits
         end)
-      network.Network.clauses;
+      network.clauses;
     (* Union by smallest root, so each component's root is its smallest
        atom and first-seen order of roots is ascending — components come
        out in a canonical, job-count-independent order. *)
@@ -768,23 +1075,23 @@ module Reference = struct
     List.iter (fun (r, _) -> Hashtbl.add clauses_of_root r (ref [])) atoms_of_root;
     let orphan = ref false in
     Array.iter
-      (fun (c : Network.clause) ->
-        if Array.length c.Network.literals = 0 then orphan := true
+      (fun (c : clause) ->
+        if Array.length c.literals = 0 then orphan := true
         else begin
-          let r = find c.Network.literals.(0).Network.atom in
+          let r = find c.literals.(0).atom in
           let cell = Hashtbl.find clauses_of_root r in
           cell :=
             {
               c with
-              Network.literals =
+              literals =
                 Array.map
-                  (fun (l : Network.literal) ->
-                    { l with Network.atom = local.(l.Network.atom) })
-                  c.Network.literals;
+                  (fun (l : literal) ->
+                    { l with atom = local.(l.atom) })
+                  c.literals;
             }
             :: !cell
         end)
-      network.Network.clauses;
+      network.clauses;
     if !orphan then
       (* A zero-literal clause has no component to live in; solving such a
          network piecewise could silently drop it. Degenerate and (with
@@ -796,7 +1103,7 @@ module Reference = struct
           let clauses = Array.of_list (List.rev !(Hashtbl.find clauses_of_root r)) in
           {
             atoms;
-            network = { Network.num_atoms = Array.length atoms; clauses };
+            network = { num_atoms = Array.length atoms; clauses };
           })
         atoms_of_root
 end
@@ -816,20 +1123,14 @@ let weighted_maxsat rng ~max_atoms =
         let len =
           if Prelude.Prng.bernoulli rng 0.3 then 1 else 1 + Prelude.Prng.int rng 4
         in
-        {
-          Network.literals =
-            Array.init len (fun _ ->
-                {
-                  Network.atom = Prelude.Prng.int rng num_atoms;
-                  positive = Prelude.Prng.bool rng;
-                });
-          weight =
-            (if Prelude.Prng.bernoulli rng 0.3 then None
-             else Some (float_of_int (1 + Prelude.Prng.int rng 30) /. 10.));
-          source = Printf.sprintf "c%d" i;
-        })
+        ( Array.to_list
+            (Array.init len (fun _ ->
+                 (Prelude.Prng.int rng num_atoms, Prelude.Prng.bool rng))),
+          (if Prelude.Prng.bernoulli rng 0.3 then None
+           else Some (float_of_int (1 + Prelude.Prng.int rng 30) /. 10.)),
+          Printf.sprintf "c%d" i ))
   in
-  { Network.num_atoms; clauses }
+  Network.of_clauses ~num_atoms (Array.to_list clauses)
 
 (* Up to 24 atoms: both sides of MaxWalkSAT's 16-atom exact-optimum
    threshold. *)
@@ -869,26 +1170,22 @@ let qcheck_split_matches_reference =
   QCheck.Test.make ~name:"counting-sort split = Hashtbl reference" ~count:300
     arbitrary_case (fun case_seed ->
       let network, _, _, _, _, _, _ = oracle_case case_seed in
-      Mln.Decompose.split network = Reference.split network)
+      List.map
+        (fun (c : Mln.Decompose.component) ->
+          { Reference.atoms = c.atoms; network = Reference.boxed c.network })
+        (Mln.Decompose.split network)
+      = Reference.split (Reference.boxed network))
 
 (* A zero-literal clause belongs to no component, so the split must
    fall back to one component holding the whole network. *)
 let test_zero_literal_fallback () =
-  let lit atom positive = { Network.atom; positive } in
   let network =
-    {
-      Network.num_atoms = 3;
-      clauses =
-        [|
-          { Network.literals = [| lit 0 true |]; weight = Some 1.0; source = "a" };
-          { Network.literals = [||]; weight = Some 2.0; source = "empty" };
-          {
-            Network.literals = [| lit 1 false; lit 2 true |];
-            weight = None;
-            source = "b";
-          };
-        |];
-    }
+    Network.of_clauses ~num_atoms:3
+      [
+        ([ (0, true) ], Some 1.0, "a");
+        ([], Some 2.0, "empty");
+        ([ (1, false); (2, true) ], None, "b");
+      ]
   in
   (match Mln.Decompose.split network with
   | [ c ] ->
@@ -925,7 +1222,7 @@ let qcheck_packed_matches_reference =
       in
       let rx, rs =
         Reference.solve ~seed ~restarts ~portfolio ~max_flips ?init ~pool
-          network
+          (Reference.boxed network)
       in
       (* With several jobs, how many later descents an optimum keeps
          from starting depends on the schedule, and with it the work
@@ -937,9 +1234,7 @@ let qcheck_packed_matches_reference =
          never later. *)
       let targeted =
         network.Network.num_atoms <= 16
-        && Array.exists
-             (fun (c : Network.clause) -> c.weight <> None)
-             network.Network.clauses
+        && Array.exists not network.Network.hard
         && Mln.Exact.solve network <> None
       in
       x = rx
@@ -959,14 +1254,8 @@ let qcheck_packed_matches_reference =
    one more than MaxWalkSAT proves optima for, so no descent learns it
    already holds the optimum. *)
 let test_flip_loop_allocation_free () =
-  let unit positive =
-    {
-      Network.literals = [| { Network.atom = 0; positive } |];
-      weight = Some 1.0;
-      source = "u";
-    }
-  in
-  let network = { Network.num_atoms = 17; clauses = [| unit true; unit false |] } in
+  let unit positive = ([ (0, positive) ], Some 1.0, "u") in
+  let network = Network.of_clauses ~num_atoms:17 [ unit true; unit false ] in
   let words max_flips =
     let before = Gc.minor_words () in
     let _, stats =
@@ -1020,6 +1309,153 @@ let qcheck_exact_matches_enumeration =
              | Some (_, false) | None -> true)
       | Some _, None | None, Some _ -> false)
 
+(* Packed [Exact.solve] against the list-based reference, bit for bit:
+   same assignment, soft-cost bits, node count and optimality flag.
+   The generator mixes hard and soft clauses, hard units (which drive
+   propagation) and repeated atoms; a node budget of 1 to 60 cuts many
+   searches short, so [optimal = false] incumbents are compared too. *)
+let exact_case case_seed =
+  let rng = Prelude.Prng.create case_seed in
+  let network = weighted_maxsat rng ~max_atoms:12 in
+  let max_nodes =
+    if Prelude.Prng.bool rng then 1 + Prelude.Prng.int rng 60 else 2_000_000
+  in
+  (network, max_nodes)
+
+let exact_matches_reference case_seed =
+  let network, max_nodes = exact_case case_seed in
+  match
+    ( Mln.Exact.solve ~max_nodes network,
+      Reference.exact ~max_nodes (Reference.boxed network) )
+  with
+  | None, None -> true
+  | Some r, Some rr ->
+      r.Mln.Exact.assignment = rr.Reference.assignment
+      && Int64.equal
+           (Int64.bits_of_float r.Mln.Exact.soft_cost)
+           (Int64.bits_of_float rr.Reference.soft_cost)
+      && r.Mln.Exact.nodes = rr.Reference.nodes
+      && r.Mln.Exact.optimal = rr.Reference.optimal
+  | Some _, None | None, Some _ -> false
+
+let qcheck_exact_matches_reference =
+  QCheck.Test.make ~name:"packed exact = list-based reference, bit for bit"
+    ~count:500
+    QCheck.(
+      make
+        ~print:(fun case_seed ->
+          let network, max_nodes = exact_case case_seed in
+          Format.asprintf "case %d: max_nodes %d@.%a" case_seed max_nodes
+            Network.pp network)
+        Gen.(int_bound 1_000_000))
+    exact_matches_reference
+
+(* The generator reaches every outcome the property compares. *)
+let test_exact_cases_cover_outcomes () =
+  let outcomes =
+    List.init 500 (fun case_seed ->
+        let network, max_nodes = exact_case case_seed in
+        match Mln.Exact.solve ~max_nodes network with
+        | None -> `Unsat
+        | Some { Mln.Exact.optimal = false; _ } -> `Cut
+        | Some _ -> `Optimal)
+  in
+  List.iter
+    (fun (what, outcome) ->
+      Alcotest.(check bool) what true (List.mem outcome outcomes))
+    [ ("unsatisfiable", `Unsat); ("cut short", `Cut); ("optimal", `Optimal) ]
+
+(* Packed [Network.build] against the boxed reference, clause by clause
+   (literals, weight, hard flag, source), on FootballDB and the bundled
+   data files, under the default and a non-default config. *)
+let check_build_matches_reference name store instances =
+  List.iter
+    (fun config ->
+      let packed = Network.build ~config store instances in
+      let reference = Reference.build ~config store instances in
+      Alcotest.(check int) (name ^ ": atoms") reference.Reference.num_atoms
+        packed.Network.num_atoms;
+      Alcotest.(check int) (name ^ ": clauses")
+        (Array.length reference.Reference.clauses)
+        (Network.num_clauses packed);
+      Array.iteri
+        (fun ci c ->
+          if c <> reference.Reference.clauses.(ci) then
+            Alcotest.failf "%s: clause %d differs: %a" name ci
+              (Network.pp_clause packed) ci)
+        (Reference.boxed packed).Reference.clauses)
+    [
+      Network.default_config;
+      {
+        Network.hidden_prior = 0.0;
+        evidence_bonus = -0.3;
+        evidence_hard = false;
+      };
+    ]
+
+let test_build_matches_reference_footballdb () =
+  List.iter
+    (fun seed ->
+      let d =
+        Datagen.Footballdb.generate ~seed ~players:150 ~noise_ratio:0.5 ()
+      in
+      let store = Store.of_graph d.Datagen.Footballdb.graph in
+      let rules =
+        Datagen.Footballdb.constraints () @ Datagen.Footballdb.rules ()
+      in
+      List.iter
+        (fun lazy_constraints ->
+          let result = Grounder.Ground.run ~lazy_constraints store rules in
+          check_build_matches_reference
+            (Printf.sprintf "FootballDB-150 seed %d" seed)
+            store result.Grounder.Ground.instances)
+        [ true; false ])
+    [ 1; 2; 3 ]
+
+(* Self-joins: a rule deriving one of its own body facts grounds
+   tautologies (-a v -b v +a), a constraint binding one fact twice
+   grounds (-a v -a), and symmetric groundings repeat hard clauses. *)
+let test_build_matches_reference_self_joins () =
+  let graph =
+    Kg.Graph.of_list
+      [
+        Kg.Quad.v "x" "coach" (Kg.Term.iri "A") (2000, 2005) 0.9;
+        Kg.Quad.v "x" "coach" (Kg.Term.iri "B") (2003, 2007) 0.6;
+        Kg.Quad.v "x" "coach" (Kg.Term.iri "C") (2010, 2012) 1.0;
+      ]
+  in
+  let rules =
+    parse_rules
+      {|constraint c: coach(x, y)@t ^ coach(x, z)@t2 => before(t, t2) .
+constraint d: coach(x, y)@t ^ coach(x, z)@t2 ^ y != z => disjoint(t, t2) .
+rule keep 0.7: coach(x, y)@t ^ coach(x, z)@t2 => coach(x, y)@t .|}
+  in
+  let store = Store.of_graph graph in
+  let result = Grounder.Ground.run store rules in
+  check_build_matches_reference "self-joins" store
+    result.Grounder.Ground.instances
+
+let test_build_matches_reference_data () =
+  List.iter
+    (fun name ->
+      let ns = Kg.Namespace.create () in
+      let tq = Printf.sprintf "../data/%s.tq" name in
+      let graph =
+        match Kg.Nquads.parse_file ~namespace:ns tq with
+        | Ok g -> g
+        | Error e -> Alcotest.failf "%s: %a" tq Kg.Nquads.pp_error e
+      in
+      let rules =
+        let path = Printf.sprintf "../data/%s.rules" name in
+        match Rulelang.Parser.parse_file ~namespace:ns path with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "%s: %a" path Rulelang.Parser.pp_error e
+      in
+      let store = Store.of_graph graph in
+      let result = Grounder.Ground.run ~lazy_constraints:true store rules in
+      check_build_matches_reference tq store result.Grounder.Ground.instances)
+    [ "ranieri"; "football" ]
+
 (* The Ranieri coach clash in miniature: two uncertain coach facts and
    the hard constraint forbidding both. Small enough that MaxWalkSAT
    proves its optimum before walking. *)
@@ -1043,7 +1479,7 @@ let coach_conflict () =
 let test_stop_at_optimum () =
   let network, init = coach_conflict () in
   let x, s = Mln.Maxwalksat.solve ~init network in
-  let rx, rs = Reference.solve ~init network in
+  let rx, rs = Reference.solve ~init (Reference.boxed network) in
   Alcotest.(check (array bool)) "reference's assignment" rx x;
   Alcotest.(check int) "no restart" 0 s.Mln.Maxwalksat.restarts_used;
   Alcotest.(check bool)
@@ -1063,7 +1499,9 @@ let test_finite_deadline_no_target () =
   let network, init = coach_conflict () in
   let deadline () = Prelude.Deadline.after ~ms:600_000. in
   let x, s = Mln.Maxwalksat.solve ~init ~deadline:(deadline ()) network in
-  let rx, rs = Reference.solve ~init ~deadline:(deadline ()) network in
+  let rx, rs =
+    Reference.solve ~init ~deadline:(deadline ()) (Reference.boxed network)
+  in
   Alcotest.(check (array bool)) "reference's assignment" rx x;
   Alcotest.(check int) "reference's flips" rs.Reference.flips
     s.Mln.Maxwalksat.flips;
@@ -1110,6 +1548,12 @@ let () =
             test_clause_satisfaction_and_score;
           Alcotest.test_case "repeated literals collapse" `Quick
             test_repeated_literals_collapse;
+          Alcotest.test_case "build = boxed reference (FootballDB)" `Quick
+            test_build_matches_reference_footballdb;
+          Alcotest.test_case "build = boxed reference (data files)" `Quick
+            test_build_matches_reference_data;
+          Alcotest.test_case "build = boxed reference (self-joins)" `Quick
+            test_build_matches_reference_self_joins;
         ] );
       ( "solvers",
         [
@@ -1125,6 +1569,9 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_packed_matches_reference;
           QCheck_alcotest.to_alcotest qcheck_split_matches_reference;
           QCheck_alcotest.to_alcotest qcheck_exact_matches_enumeration;
+          QCheck_alcotest.to_alcotest qcheck_exact_matches_reference;
+          Alcotest.test_case "exact cases cover every outcome" `Quick
+            test_exact_cases_cover_outcomes;
           Alcotest.test_case "stop at the proven optimum" `Quick
             test_stop_at_optimum;
           Alcotest.test_case "finite deadline proves no optimum" `Quick

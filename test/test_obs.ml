@@ -634,27 +634,14 @@ let check_timeline ?(map_cost = false) name pts =
    exclusion, and a hard unit on atom 2 so the samplers have a hard
    part to respect. *)
 let tiny_network () =
-  let clause lits weight =
-    {
-      Mln.Network.literals =
-        Array.of_list
-          (List.map
-             (fun (atom, positive) -> { Mln.Network.atom; positive })
-             lits);
-      weight;
-      source = "tiny";
-    }
-  in
-  {
-    Mln.Network.num_atoms = 3;
-    clauses =
-      [|
-        clause [ (0, true) ] (Some 1.0);
-        clause [ (1, true) ] (Some 0.6);
-        clause [ (0, false); (1, false) ] (Some 0.8);
-        clause [ (2, true) ] None;
-      |];
-  }
+  let clause lits weight = (lits, weight, "tiny") in
+  Mln.Network.of_clauses ~num_atoms:3
+    [
+      clause [ (0, true) ] (Some 1.0);
+      clause [ (1, true) ] (Some 0.6);
+      clause [ (0, false); (1, false) ] (Some 0.8);
+      clause [ (2, true) ] None;
+    ]
 
 let test_walksat_convergence () =
   with_obs (fun () ->

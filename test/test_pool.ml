@@ -188,20 +188,14 @@ let random_network rng =
         let len = 1 + Prelude.Prng.int rng 3 in
         let literals =
           Array.init len (fun _ ->
-              {
-                Network.atom = Prelude.Prng.int rng num_atoms;
-                positive = Prelude.Prng.bool rng;
-              })
+              (Prelude.Prng.int rng num_atoms, Prelude.Prng.bool rng))
         in
-        {
-          Network.literals;
-          weight =
-            (if Prelude.Prng.bernoulli rng 0.2 then None
-             else Some (0.5 +. Prelude.Prng.float rng 3.0));
-          source = Printf.sprintf "c%d" i;
-        })
+        ( Array.to_list literals,
+          (if Prelude.Prng.bernoulli rng 0.2 then None
+           else Some (0.5 +. Prelude.Prng.float rng 3.0)),
+          Printf.sprintf "c%d" i ))
   in
-  { Network.num_atoms; clauses }
+  Network.of_clauses ~num_atoms (Array.to_list clauses)
 
 let walksat_jobs_property =
   QCheck.Test.make ~count:40
