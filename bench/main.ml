@@ -272,31 +272,32 @@ let a1 () =
     Prelude.Timing.time (fun () -> Grounder.Ground.run store rules)
   in
   let instances = ground.Grounder.Ground.instances in
+  let n_instances = Array.length instances.Grounder.Ground.head in
   let aware = Mln.Network.build store instances in
   let naive =
     let n = aware.Mln.Network.num_atoms in
     let pinned = n in
     let extra =
-      List.filter_map
-        (fun { Grounder.Ground.Instance.rule; body_atoms; head } ->
-          match head with
-          | Grounder.Ground.Instance.Satisfied ->
-              (* naive grounding keeps the satisfied instance around *)
-              Some
-                ( (pinned, true) :: List.map (fun id -> (id, false)) body_atoms,
-                  rule.Logic.Rule.weight,
-                  rule.Logic.Rule.name ^ "/naive" )
-          | Grounder.Ground.Instance.Violated
-          | Grounder.Ground.Instance.Derives _ ->
-              None)
-        instances
+      List.init n_instances Fun.id
+      |> List.filter_map (fun i ->
+             if instances.head.(i) = Grounder.Ground.satisfied then
+               (* naive grounding keeps the satisfied instance around *)
+               let rule = instances.rules.(instances.rule.(i)) in
+               Some
+                 ( (pinned, true)
+                   :: List.map
+                        (fun id -> (id, false))
+                        (Grounder.Ground.body_atoms instances i),
+                   rule.Logic.Rule.weight,
+                   rule.Logic.Rule.name ^ "/naive" )
+             else None)
     in
     let pin_clause = ([ (pinned, true) ], None, "pin") in
     Mln.Network.append aware
       (Mln.Network.of_clauses ~num_atoms:(n + 1) (pin_clause :: extra))
   in
-  row "grounding produced %d rule instances in %.0f ms\n"
-    (List.length instances) ground_ms;
+  row "grounding produced %d rule instances in %.0f ms\n" n_instances
+    ground_ms;
   row "%-24s %-14s %-14s\n" "grounding" "clauses" "solve (ms)";
   let solve network =
     let init = Mln.Network.initial_assignment network store in
@@ -845,7 +846,7 @@ let par_mem_worker regime =
         ( "instances",
           Obs.Json.Num
             (float_of_int
-               (List.length result.Grounder.Ground.instances)) );
+               (Array.length result.Grounder.Ground.instances.head)) );
         ("peak_mb", Obs.Json.Num peak_mb);
         ( "stages",
           Obs.Json.Obj
@@ -912,19 +913,7 @@ let par_ground_speedup () =
   let rules = Datagen.Wikidata.constraints () @ Datagen.Wikidata.rules () in
   (* Full structural fingerprint of a grounding result: the determinism
      contract is jobs=N == jobs=1, not merely "same counts". *)
-  let fingerprint (r : Grounder.Ground.result) =
-    ( r.rounds,
-      r.derived,
-      List.map
-        (fun (i : Grounder.Ground.Instance.t) ->
-          ( i.rule.Logic.Rule.name,
-            i.body_atoms,
-            match i.head with
-            | Grounder.Ground.Instance.Derives id -> id
-            | Grounder.Ground.Instance.Satisfied -> -1
-            | Grounder.Ground.Instance.Violated -> -2 ))
-        r.instances )
-  in
+  let fingerprint (r : Grounder.Ground.result) = (r.rounds, r.instances) in
   let measure jobs =
     let pool = Prelude.Pool.create ~jobs in
     let samples =

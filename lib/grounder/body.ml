@@ -46,6 +46,8 @@ let layout ~vars ~tvars =
 let var_column layout v = List.assoc_opt v layout.vars
 let tvar_column layout v = List.assoc_opt v layout.tvars
 
+let atom_columns layout = Array.of_list (List.map snd layout.atoms)
+
 let body_atoms layout (row : Value.code array) =
   List.map (fun (_, col) -> Value.payload row.(col)) layout.atoms
 

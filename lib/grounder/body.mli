@@ -54,8 +54,8 @@ val layout : vars:string list -> tvars:string list -> layout
 val var_column : layout -> string -> int option
 val tvar_column : layout -> string -> int option
 
-val body_atoms : layout -> Reldb.Value.code array -> Atom_store.id list
-(** The row's body-atom ids, in body order. *)
+val atom_columns : layout -> int array
+(** The columns holding the row's body-atom ids, in body order. *)
 
 val subst : layout -> Reldb.Value.code array -> Logic.Subst.t option
 (** The row decoded into boxed bindings. *)

@@ -1,33 +1,22 @@
 module Ivec = Prelude.Ivec
 
-module Instance = struct
-  type head_state =
-    | Derives of Atom_store.id
-    | Satisfied
-    | Violated
+type instances = {
+  rules : Logic.Rule.t array;
+  rule : int array;
+  head : int array;
+  offsets : int array;
+  body : Atom_store.id array;
+}
 
-  type t = {
-    rule : Logic.Rule.t;
-    body_atoms : Atom_store.id list;
-    head : head_state;
-  }
+let violated = -1
+let satisfied = -2
 
-  let pp store ppf t =
-    let pp_atom ppf id = Logic.Atom.Ground.pp ppf (Atom_store.atom store id) in
-    Format.fprintf ppf "%s: %a -> " t.rule.Logic.Rule.name
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ^ ")
-         pp_atom)
-      t.body_atoms;
-    match t.head with
-    | Derives id -> pp_atom ppf id
-    | Satisfied -> Format.pp_print_string ppf "(satisfied)"
-    | Violated -> Format.pp_print_string ppf "(violated)"
-end
+let body_atoms t i =
+  let start = t.offsets.(i) in
+  List.init (t.offsets.(i + 1) - start) (fun k -> t.body.(start + k))
 
 type result = {
-  instances : Instance.t list;
-  derived : Atom_store.id list;
+  instances : instances;
   rounds : int;
 }
 
@@ -136,38 +125,69 @@ let intern_head store head row =
   done;
   Atom_store.intern_key store Atom_store.Hidden head.key
 
+(* ------------------------------------------------------------------ *)
+(* The replay snapshot                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type snapshot = {
+  snap_store : Atom_store.t;
+  rounds_log : int array array array;
+      (** [rounds_log.(r).(i)]: the keys of the candidate heads produced
+          in closure round [r+1] by the [i]-th inference rule, in
+          binding order, concatenated (each is as long as that rule's
+          head key). Keys are store-independent. *)
+  snap_instances : instances;
+  rule_start : int array;
+      (** rule [r]'s slice of [snap_instances] is the instances
+          [rule_start.(r) .. rule_start.(r+1) - 1] *)
+}
+
+(* ------------------------------------------------------------------ *)
+(* Closure                                                             *)
+(* ------------------------------------------------------------------ *)
+
 (* One closure round of one inference rule, joined live: every
-   instantiable head, in row order, is interned if absent — a new one
-   is pushed on [derived] — and, when [log] is given, its key appended
-   there (the candidate stream {!reground} replays). Answers the number
-   of joined rows. *)
-let derive_live ~pool ?log store derived rule head_pattern =
+   instantiable head, in row order, is interned if absent and, when
+   [log] is given, its key appended there (the candidate stream a
+   replay re-interns). Answers the number of joined rows. *)
+let derive_live ~pool ?log store rule head_pattern =
   let rows = ref 0 in
   Body.fold ~pool store rule ~init:() ~f:(fun layout ->
       let head = compile_head layout head_pattern in
       fun () row ->
         incr rows;
         if fill head row then begin
-          let fresh = Atom_store.size store in
-          let id = intern_head store head row in
-          if id = fresh then derived := id :: !derived;
+          ignore (intern_head store head row);
           Option.iter
             (fun log -> Ivec.append log head.key ~pos:0 ~len:(Array.length head.key))
             log
         end);
   !rows
 
-(* Saturate the store under inference rules. Derived atoms are interned as
-   Hidden, which inserts them into the extension tables, so subsequent
-   rounds see them; the loop stops when a round adds no atom. The
-   deadline is polled between rounds — a completed round is the safe
-   point: stopping mid-round would leave the extension tables ahead of
-   [derived]. *)
-let closure ?(max_rounds = 50) ?(deadline = Prelude.Deadline.none)
-    ?(pool = Prelude.Pool.sequential) ?log store rules =
+(* One closure round of one inference rule, replayed: re-intern the
+   recorded candidate keys, [stride] codes each. Interning decides
+   afresh whether each atom is new, which keeps the replayed store
+   byte-identical to a fresh grounding even when a retraction makes an
+   atom internable that was already present last time. *)
+let derive_replayed store candidates ~stride =
+  let key = Array.make stride 0 in
+  for k = 0 to (Array.length candidates / stride) - 1 do
+    Array.blit candidates (k * stride) key 0 stride;
+    ignore (Atom_store.intern_key store Atom_store.Hidden key)
+  done
+
+(* Saturate the store under inference rules. Derived atoms are interned
+   as Hidden, which inserts them into the extension tables, so later
+   rounds see them; the loop stops when a round adds no atom. Under
+   [replay], a rule not [affected] re-interns its recorded candidates
+   for the round instead of joining; rounds past the recorded horizon
+   reuse the last recorded round (the rule's extension is frozen
+   there, so a fresh run would recompute exactly that stream). When
+   [log] is given, every round's candidate streams are pushed on it.
+   The deadline is polled between rounds: a completed round is the
+   safe point. *)
+let closure ~max_rounds ~deadline ~pool ?replay ?log store rules =
   let inference = List.filter Logic.Rule.is_inference rules in
-  let n_inference = List.length inference in
-  let derived = ref [] in
   let rec loop round =
     if round > max_rounds then
       failwith
@@ -184,162 +204,219 @@ let closure ?(max_rounds = 50) ?(deadline = Prelude.Deadline.none)
       raise
         (Timed_out { atoms = Atom_store.size store; rounds = round - 1 });
     let before = Atom_store.size store in
-    let round_candidates = Array.make n_inference [||] in
-    List.iteri
-      (fun ri rule ->
-        match head_atom rule with
-        | None -> ()
-        | Some head ->
-            (* Stream the bindings: each instantiable head (in binding
-               order — not just the newly interned ones) is interned on
-               the fly; the candidate keys are only kept when a
-               recording caller asked for the log. The replay in
-               {!reground} re-decides interning dynamically, which is
-               what keeps it exact when a retraction makes an atom
-               internable that was already present last time. *)
-            let candidates = Option.map (fun _ -> Ivec.create ()) log in
-            let rows = derive_live ~pool ?log:candidates store derived rule head in
-            Obs.count ~n:rows "ground.join_rows";
-            Option.iter
-              (fun c -> round_candidates.(ri) <- Ivec.to_array c)
-              candidates)
-      inference;
-    (match log with
-    | None -> ()
-    | Some log -> log := round_candidates :: !log);
+    let round_candidates =
+      List.mapi
+        (fun ri rule ->
+          let head = Option.get (head_atom rule) in
+          match replay with
+          | Some (snap, affected) when not (affected rule) ->
+              let recorded = snap.rounds_log in
+              let candidates =
+                recorded.(min (round - 1) (Array.length recorded - 1)).(ri)
+              in
+              derive_replayed store candidates
+                ~stride:(List.length head.Logic.Atom.args + 2);
+              candidates
+          | _ ->
+              let candidates = Option.map (fun _ -> Ivec.create ()) log in
+              let rows = derive_live ~pool ?log:candidates store rule head in
+              Obs.count ~n:rows "ground.join_rows";
+              Option.fold ~none:[||] ~some:Ivec.to_array candidates)
+        inference
+    in
+    Option.iter (fun log -> log := Array.of_list round_candidates :: !log) log;
     let added = Atom_store.size store - before in
     Obs.event ~level:Obs.Events.Debug "ground.round"
       [ ("round", Obs.Events.Int round); ("new_atoms", Obs.Events.Int added) ];
     if added > 0 then loop (round + 1) else round
   in
-  let rounds = loop 1 in
-  (List.rev !derived, rounds)
+  loop 1
 
-(* The instance of one bindings row, compiled once per plan. *)
+(* ------------------------------------------------------------------ *)
+(* Instances                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The instance buffer while it is written; [offsets] leads with 0. *)
+type buffer = {
+  rule_ix : Ivec.t;
+  heads : Ivec.t;
+  ends : Ivec.t;
+  atoms : Ivec.t;
+}
+
+(* Close an instance whose body atoms are already pushed. *)
+let push_instance buf ~rule ~head =
+  Ivec.push buf.rule_ix rule;
+  Ivec.push buf.heads head;
+  Ivec.push buf.ends (Ivec.length buf.atoms)
+
+(* The head code of one bindings row, compiled once per plan;
+   [no_head_code] when an inference head does not instantiate. *)
+let no_head_code = min_int
+
 let compile_instance store (rule : Logic.Rule.t) layout =
-  let instance row head =
-    Some { Instance.rule; body_atoms = Body.body_atoms layout row; head }
-  in
   match rule.head with
   | Logic.Rule.Infer head_pattern ->
       let head = compile_head layout head_pattern in
       fun row ->
-        if fill head row then
-          instance row (Instance.Derives (intern_head store head row))
-        else None
+        if fill head row then intern_head store head row else no_head_code
   | Logic.Rule.Require cond -> (
       let eval = Body.condition layout cond in
       fun row ->
         match eval row with
-        | Some true -> instance row Instance.Satisfied
-        | Some false -> instance row Instance.Violated
+        | Some true -> satisfied
+        | Some false -> violated
         | None ->
             invalid_arg
               (Format.asprintf
                  "rule %s: head condition %a not evaluable under %a" rule.name
                  Logic.Cond.pp cond Logic.Subst.pp
                  (Option.get (Body.subst layout row))))
-  | Logic.Rule.Bottom -> fun row -> instance row Instance.Violated
+  | Logic.Rule.Bottom -> fun _ -> violated
 
-let emit_result_counters store (result : result) =
-  Obs.count ~n:(List.length result.instances) "ground.instances";
-  Obs.count ~n:(List.length result.derived) "ground.derived_atoms";
-  Obs.count ~n:result.rounds "ground.rounds";
-  Obs.count ~n:(Atom_store.size store) "ground.atoms";
-  Obs.count ~n:(Kg.Symbol.terms_interned ()) "intern.terms";
-  Obs.count ~n:(Kg.Symbol.intervals_interned ()) "intern.intervals"
-
-(* One rule's instance-phase grounding, streamed. Under
-   [lazy_constraints], a constraint's head condition is pushed down into
-   the body joins with flipped polarity: combinations that satisfy the
-   constraint are vetoed inside the join and never materialise, so the
-   produced bindings are exactly the violations. The [Satisfied]
-   instances are therefore not produced in that mode — sound for the
-   engines (both network builders drop them) but visible in statistics,
-   hence opt-in. *)
-let instances_of_rule ~pool ~lazy_constraints store (rule : Logic.Rule.t) =
+(* Rule [ri]'s instances, joined live and written to [buf] in row
+   order. Under [lazy_constraints], a constraint's head condition is
+   pushed down into the body joins with flipped polarity: combinations
+   that satisfy the constraint are vetoed inside the join and never
+   materialise, so the produced rows are exactly the violations. *)
+let instances_of_rule ~pool ~lazy_constraints buf store ri
+    (rule : Logic.Rule.t) =
   let violation =
     match rule.head with
     | Logic.Rule.Require cond when lazy_constraints -> Some cond
     | _ -> None
   in
   let rows = ref 0 in
-  let instances_rev =
-    Body.fold ~pool ?violation store rule ~init:[] ~f:(fun layout ->
-        let instance = compile_instance store rule layout in
-        fun acc row ->
-          incr rows;
-          match instance row with Some inst -> inst :: acc | None -> acc)
-  in
-  Obs.count ~n:!rows "ground.join_rows";
-  List.rev instances_rev
+  Body.fold ~pool ?violation store rule ~init:() ~f:(fun layout ->
+      let head_of = compile_instance store rule layout in
+      let cols = Body.atom_columns layout in
+      fun () row ->
+        incr rows;
+        let head = head_of row in
+        if head <> no_head_code then begin
+          for k = 0 to Array.length cols - 1 do
+            Ivec.push buf.atoms (Reldb.Value.payload row.(cols.(k)))
+          done;
+          push_instance buf ~rule:ri ~head
+        end);
+  Obs.count ~n:!rows "ground.join_rows"
 
-(* The grounding core shared by {!run} and {!run_record}: closure, then
-   one instance list per rule. [log] collects the closure's candidate
-   streams for the replay snapshot. *)
-let ground ?max_rounds ~deadline ~pool ~lazy_constraints ?log store rules =
-  let derived, rounds =
+exception Replay_miss
+
+(* Rule [ri]'s recorded slice, appended to [buf] with every atom id
+   mapped through [remap] (an old id's new id, [-1] when the new store
+   lacks it). *)
+let replay_slice buf snap ri ~remap =
+  let old = snap.snap_instances in
+  let map id =
+    let nid = if id < Array.length remap then remap.(id) else -1 in
+    if nid < 0 then raise Replay_miss;
+    nid
+  in
+  for i = snap.rule_start.(ri) to snap.rule_start.(ri + 1) - 1 do
+    for j = old.offsets.(i) to old.offsets.(i + 1) - 1 do
+      Ivec.push buf.atoms (map old.body.(j))
+    done;
+    let h = old.head.(i) in
+    push_instance buf ~rule:ri ~head:(if h >= 0 then map h else h)
+  done
+
+let emit_result_counters store (result : result) =
+  let hidden = ref 0 in
+  for id = 0 to Atom_store.size store - 1 do
+    if not (Atom_store.is_evidence store id) then incr hidden
+  done;
+  Obs.count ~n:(Array.length result.instances.rule) "ground.instances";
+  Obs.count ~n:!hidden "ground.derived_atoms";
+  Obs.count ~n:result.rounds "ground.rounds";
+  Obs.count ~n:(Atom_store.size store) "ground.atoms";
+  Obs.count ~n:(Kg.Symbol.terms_interned ()) "intern.terms";
+  Obs.count ~n:(Kg.Symbol.intervals_interned ()) "intern.intervals"
+
+(* ------------------------------------------------------------------ *)
+(* The grounding core                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Closure, then the instance buffer, one rule slice after another in
+   rule order. With [replay], a rule [affected] by the edit joins live
+   and every other rule replays its recorded candidates and slice.
+   When [log] is given, the closure's candidate streams are pushed on
+   it. Answers the result and where each rule's slice starts. *)
+let ground ?(max_rounds = 50) ?(deadline = Prelude.Deadline.none)
+    ?(pool = Prelude.Pool.sequential) ~lazy_constraints ?log ?replay store
+    rules =
+  let rounds =
     Obs.span "closure" (fun () ->
-        closure ?max_rounds ~deadline ~pool ?log store rules)
+        closure ~max_rounds ~deadline ~pool ?replay ?log store rules)
   in
   if Prelude.Deadline.expired deadline then
     raise (Timed_out { atoms = Atom_store.size store; rounds });
-  let per_rule =
-    (* Rules are grounded sequentially in rule order and the parallelism
-       lives inside each join (partitioned hash join on [pool]) — the
-       same pool must not be used at two nesting levels. Interning the
-       results stays sequential in rule order (every Infer head already
-       exists at the fixpoint, so this is lookup-only), which keeps
-       atom-id assignment deterministic and independent of the job
-       count. The closure's rounds interleave joins with interning, and
-       that interleaving defines the id order we must preserve. *)
-    Obs.span "instances" (fun () ->
-        List.map
-          (fun rule -> instances_of_rule ~pool ~lazy_constraints store rule)
-          rules)
+  let buf =
+    {
+      rule_ix = Ivec.create ();
+      heads = Ivec.create ();
+      ends = Ivec.create ();
+      atoms = Ivec.create ();
+    }
   in
-  let result = { instances = List.concat per_rule; derived; rounds } in
+  Ivec.push buf.ends 0;
+  let rule_start = Ivec.create () in
+  (* Rules are grounded sequentially in rule order and the parallelism
+     lives inside each join (partitioned hash join on [pool]): the same
+     pool must not be used at two nesting levels. Every Infer head
+     already exists at the fixpoint, so interning here is lookup-only,
+     which keeps atom ids independent of the job count. A replayed
+     slice's atoms must all exist in the new store (their supporting
+     predicates are untouched); a miss means the affected set was
+     wrong, and the replay is refused. *)
+  Obs.span "instances" (fun () ->
+      let remap =
+        match replay with
+        | None -> [||]
+        | Some (snap, _) ->
+            Array.init (Atom_store.size snap.snap_store) (fun id ->
+                Option.value ~default:(-1)
+                  (Atom_store.find_in store ~src:snap.snap_store id))
+      in
+      List.iteri
+        (fun ri rule ->
+          Ivec.push rule_start (Ivec.length buf.rule_ix);
+          match replay with
+          | Some (snap, affected) when not (affected rule) ->
+              replay_slice buf snap ri ~remap
+          | _ -> instances_of_rule ~pool ~lazy_constraints buf store ri rule)
+        rules;
+      Ivec.push rule_start (Ivec.length buf.rule_ix));
+  let instances =
+    {
+      rules = Array.of_list rules;
+      rule = Ivec.to_array buf.rule_ix;
+      head = Ivec.to_array buf.heads;
+      offsets = Ivec.to_array buf.ends;
+      body = Ivec.to_array buf.atoms;
+    }
+  in
+  let result = { instances; rounds } in
   emit_result_counters store result;
-  (result, per_rule)
-
-let run ?max_rounds ?(deadline = Prelude.Deadline.none)
-    ?(pool = Prelude.Pool.sequential) ?(lazy_constraints = false) store rules =
-  fst (ground ?max_rounds ~deadline ~pool ~lazy_constraints store rules)
-
-(* ------------------------------------------------------------------ *)
-(* Delta grounding: record enough of a run to replay it exactly.       *)
-(* ------------------------------------------------------------------ *)
-
-type snapshot = {
-  snap_store : Atom_store.t;
-  snap_rules : Logic.Rule.t list;
-  snap_lazy : bool;  (** the [lazy_constraints] mode of the recording *)
-  rounds_log : int array array array;
-      (** [rounds_log.(r).(i)]: the keys of the candidate heads produced
-          in closure round [r+1] by the [i]-th inference rule, in
-          binding order, concatenated (each is as long as that rule's
-          head key). Keys are store-independent. *)
-  per_rule : Instance.t list list;
-      (** final rule instances, one list per rule in rule order *)
-}
+  (result, Ivec.to_array rule_start)
 
 (* [log] holds the closure rounds newest first. *)
-let snapshot_of ~lazy_constraints store rules log per_rule =
-  {
-    snap_store = store;
-    snap_rules = rules;
-    snap_lazy = lazy_constraints;
-    rounds_log = Array.of_list (List.rev log);
-    per_rule;
-  }
+let with_snapshot store log (result, rule_start) =
+  ( result,
+    {
+      snap_store = store;
+      rounds_log = Array.of_list (List.rev !log);
+      snap_instances = result.instances;
+      rule_start;
+    } )
 
-let run_record ?max_rounds ?(deadline = Prelude.Deadline.none)
-    ?(pool = Prelude.Pool.sequential) ?(lazy_constraints = false) store rules =
+let run ?max_rounds ?deadline ?pool ?(lazy_constraints = false) store rules =
+  fst (ground ?max_rounds ?deadline ?pool ~lazy_constraints store rules)
+
+let run_record ?max_rounds ?deadline ?pool store rules =
   let log = ref [] in
-  let result, per_rule =
-    ground ?max_rounds ~deadline ~pool ~lazy_constraints ~log store rules
-  in
-  (result, snapshot_of ~lazy_constraints store rules !log per_rule)
+  with_snapshot store log
+    (ground ?max_rounds ?deadline ?pool ~lazy_constraints:true ~log store rules)
 
 let affected_rules ~delta rules =
   (* Transitive closure over predicates: a rule is affected when its
@@ -372,105 +449,16 @@ let affected_rules ~delta rules =
   done;
   rule_touched
 
-exception Replay_miss
-
-let reground ~snapshot ~affected ?(max_rounds = 50)
-    ?(pool = Prelude.Pool.sequential) ?(lazy_constraints = false) store rules =
-  (* Recorded instances replay only under the same rules — names,
-     bodies, conditions, heads and weights — and the same constraint
-     mode; anything else is a fresh grounding. *)
-  if rules <> snapshot.snap_rules || lazy_constraints <> snapshot.snap_lazy
-  then None
-  else begin
-    let inference = List.filter Logic.Rule.is_inference rules in
-    let n_inference = List.length inference in
-    let recorded_rounds = Array.length snapshot.rounds_log in
-    let derived = ref [] in
-    let new_log = ref [] in
-    (* Replay the closure: affected rules re-join live against the new
-       store; unaffected rules replay their recorded candidate keys
-       (store-independent). Rounds past the recorded horizon reuse the
-       last recorded round — an unaffected rule's extension is frozen
-       there, so a fresh run would recompute exactly that stream. The
-       intern-if-absent decision is taken dynamically either way, which
-       is what makes the replayed store byte-identical to a fresh
-       grounding. *)
-    let replay candidates (head : Logic.Atom.t) =
-      let key = Array.make (List.length head.args + 2) 0 in
-      let stride = Array.length key in
-      for k = 0 to (Array.length candidates / stride) - 1 do
-        Array.blit candidates (k * stride) key 0 stride;
-        let fresh = Atom_store.size store in
-        if Atom_store.intern_key store Atom_store.Hidden key = fresh then
-          derived := fresh :: !derived
-      done
-    in
-    let rec loop round =
-      if round > max_rounds then
-        failwith
-          (Printf.sprintf "Grounder.closure: no fixpoint after %d rounds"
-             max_rounds);
-      let before = Atom_store.size store in
-      let round_candidates = Array.make n_inference [||] in
-      List.iteri
-        (fun ri rule ->
-          let head = Option.get (head_atom rule) in
-          if affected rule then begin
-            let log = Ivec.create () in
-            ignore (derive_live ~pool ~log store derived rule head);
-            round_candidates.(ri) <- Ivec.to_array log
-          end
-          else if recorded_rounds > 0 then begin
-            let candidates =
-              snapshot.rounds_log.(min (round - 1) (recorded_rounds - 1)).(ri)
-            in
-            replay candidates head;
-            round_candidates.(ri) <- candidates
-          end)
-        inference;
-      new_log := round_candidates :: !new_log;
-      if Atom_store.size store - before > 0 then loop (round + 1) else round
-    in
-    let rounds = Obs.span "closure" (fun () -> loop 1) in
-    (* Instance phase: old→new id remap for replayed rules. Any old atom
-       still referenced by an unaffected rule must exist in the new
-       store (its supporting predicates are untouched); a miss means the
-       affected-set computation was wrong, so refuse and let the caller
-       fall back to a fresh grounding. *)
-    let old_size = Atom_store.size snapshot.snap_store in
-    let old_to_new =
-      Array.init old_size (fun id ->
-          Option.value ~default:(-1)
-            (Atom_store.find_in store ~src:snapshot.snap_store id))
-    in
-    let remap id =
-      let nid = if id < old_size then old_to_new.(id) else -1 in
-      if nid < 0 then raise Replay_miss;
-      nid
-    in
-    let remap_instance (inst : Instance.t) =
-      {
-        inst with
-        Instance.body_atoms = List.map remap inst.Instance.body_atoms;
-        head =
-          (match inst.Instance.head with
-          | Instance.Derives id -> Instance.Derives (remap id)
-          | h -> h);
-      }
-    in
+let reground ~snapshot ~affected ?max_rounds ?pool store rules =
+  (* Recorded slices replay only under the same rules — names, bodies,
+     conditions, heads and weights; anything else is a fresh
+     grounding. *)
+  if Array.of_list rules <> snapshot.snap_instances.rules then None
+  else
+    let log = ref [] in
     match
-      Obs.span "instances" (fun () ->
-          List.map2
-            (fun rule old_instances ->
-              if affected rule then
-                instances_of_rule ~pool ~lazy_constraints store rule
-              else List.map remap_instance old_instances)
-            rules snapshot.per_rule)
+      ground ?max_rounds ?pool ~lazy_constraints:true ~log
+        ~replay:(snapshot, affected) store rules
     with
-    | per_rule ->
-        let result = { instances = List.concat per_rule; derived = List.rev !derived; rounds } in
-        emit_result_counters store result;
-        Some
-          (result, snapshot_of ~lazy_constraints store rules !new_log per_rule)
+    | grounding -> Some (with_snapshot store log grounding)
     | exception Replay_miss -> None
-  end

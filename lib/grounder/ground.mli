@@ -2,33 +2,45 @@
 
     [run store rules] first saturates the store under the inference rules
     (deriving hidden atoms, e.g. worksFor facts from playsFor facts via
-    f1), then grounds every rule once, producing the ground rule instances
-    from which the MLN and PSL engines build their networks. *)
+    f1), then grounds every rule once, writing the ground rule instances
+    — from which the MLN and PSL engines build their networks — into one
+    flat {!instances} buffer straight from the join rows. A replay
+    ({!reground}) runs the same closure loop and instance phase; each
+    rule there either joins live or replays its recorded slice. *)
 
-module Instance : sig
-  type head_state =
-    | Derives of Atom_store.id
-        (** inference instance: body supports this (possibly new) atom *)
-    | Satisfied
-        (** constraint instance whose head condition holds — trivially
-            satisfied, carried for statistics only *)
-    | Violated
-        (** constraint instance whose head condition fails: the body atoms
-            cannot all be true together *)
+type instances = {
+  rules : Logic.Rule.t array;  (** the grounded rules, in rule order *)
+  rule : int array;
+      (** per instance: the index of its rule in [rules]. Instances come
+          rule by rule, in rule order, so this is non-decreasing *)
+  head : int array;
+      (** per instance: the atom an inference instance derives (its body
+          supports this possibly hidden atom), or {!violated} for a
+          constraint instance whose head condition fails (the body atoms
+          cannot all be true together), or {!satisfied} for one whose
+          head condition holds (trivially satisfied, carried for
+          statistics only) *)
+  offsets : int array;
+      (** [n + 1] entries for [n] instances: instance [i]'s body atoms
+          are [body.(offsets.(i)) .. body.(offsets.(i+1) - 1)] *)
+  body : Atom_store.id array;
+      (** the body atoms of every instance, each in body order *)
+}
+(** Every rule instance of a grounding, in grounding order: rules in
+    rule order, and each rule's instances in join-row order. *)
 
-  type t = {
-    rule : Logic.Rule.t;
-    body_atoms : Atom_store.id list;
-    head : head_state;
-  }
+val violated : int
+(** The head code of a violated constraint instance (negative). *)
 
-  val pp : Atom_store.t -> Format.formatter -> t -> unit
-end
+val satisfied : int
+(** The head code of a satisfied constraint instance (negative). *)
+
+val body_atoms : instances -> int -> Atom_store.id list
+(** Instance [i]'s body atoms, in body order. *)
 
 type result = {
-  instances : Instance.t list;
-  derived : Atom_store.id list;   (** hidden atoms introduced by closure *)
-  rounds : int;                   (** closure iterations until fixpoint *)
+  instances : instances;
+  rounds : int;  (** closure iterations until fixpoint *)
 }
 
 exception Timed_out of { atoms : int; rounds : int }
@@ -56,10 +68,9 @@ val run :
     condition down into its body joins with flipped polarity:
     combinations that satisfy the constraint are vetoed inside the join
     and never materialise, so only violations are produced. The
-    [Instance.Satisfied] instances disappear from the result in this
-    mode — both network builders discard them, so inference is
-    unchanged, but callers reading them for statistics must leave the
-    flag off.
+    {!satisfied} instances disappear from the result in this mode —
+    both network builders discard them, so inference is unchanged, but
+    callers reading them for statistics must leave the flag off.
 
     [deadline] (default {!Prelude.Deadline.none}) is polled between
     closure rounds and before the instance joins; expiry raises
@@ -78,25 +89,27 @@ val run :
     way to keep atom ids byte-identical to a from-scratch run), but only
     rules whose body predicates are transitively affected by the edit
     re-run their joins — every other rule replays the candidate streams
-    and instances recorded from the previous run. The replayed
+    and the instance slice recorded from the previous run. The replayed
     [(store, instances)] pair is byte-identical to what {!run} would
-    produce, which is what makes downstream solver caching sound. *)
+    produce, which is what makes downstream solver caching sound.
+    Recording and replay always push constraints into the joins
+    ([lazy_constraints]). *)
 
 type snapshot
-(** What {!run_record} remembers of a grounding: its rules and
-    [lazy_constraints] mode, the per-round candidate heads of each
-    inference rule (as {!Atom_store.key}s, which are store-independent)
-    and the final per-rule instance lists. *)
+(** What {!run_record} remembers of a grounding: its store, the
+    per-round candidate heads of each inference rule (as
+    {!Atom_store.key}s, which are store-independent), and its instance
+    buffer with where each rule's slice starts. *)
 
 val run_record :
   ?max_rounds:int ->
   ?deadline:Prelude.Deadline.t ->
   ?pool:Prelude.Pool.t ->
-  ?lazy_constraints:bool ->
   Atom_store.t ->
   Logic.Rule.t list ->
   result * snapshot
-(** Exactly {!run}, additionally returning the replay snapshot. *)
+(** Exactly [run ~lazy_constraints:true], additionally returning the
+    replay snapshot. *)
 
 val affected_rules :
   delta:string list -> Logic.Rule.t list -> Logic.Rule.t -> bool
@@ -112,20 +125,19 @@ val reground :
   affected:(Logic.Rule.t -> bool) ->
   ?max_rounds:int ->
   ?pool:Prelude.Pool.t ->
-  ?lazy_constraints:bool ->
   Atom_store.t ->
   Logic.Rule.t list ->
   (result * snapshot) option
 (** Replay the recorded grounding against a freshly rebuilt [store]
-    (evidence already interned), re-joining only [affected] rules.
-    Returns the result — byte-identical to {!run} on the same store —
-    plus the snapshot for the next edit, or [None] when the replay
-    cannot be proven exact; callers then fall back to a fresh
-    grounding. The replay is refused when the rules differ from the
-    recorded ones in anything (not just their names), when
-    [lazy_constraints] differs from the recorded mode — replayed rules
-    reuse the recorded instance lists, so mixing modes would mix
-    semantics — or when a replayed instance references an atom the new
-    store lacks.
+    (evidence already interned), re-joining only [affected] rules; every
+    other rule re-interns its recorded candidates in the closure and
+    copies its recorded slice, remapped to the new atom ids in one
+    pass. Returns the result — byte-identical to
+    [run ~lazy_constraints:true] on the same store — plus the snapshot
+    for the next edit, or [None] when the replay cannot be proven exact;
+    callers then fall back to a fresh grounding. The replay is refused
+    when the rules differ from the recorded ones in anything (not just
+    their names), or when a replayed instance references an atom the
+    new store lacks.
 
     @raise Failure when the replayed closure exceeds [max_rounds]. *)

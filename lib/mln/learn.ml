@@ -1,5 +1,4 @@
 module Store = Grounder.Atom_store
-module Instance = Grounder.Ground.Instance
 
 type options = {
   iterations : int;

@@ -42,7 +42,7 @@ type result = {
 val learn :
   ?options:options ->
   Grounder.Atom_store.t ->
-  Grounder.Ground.Instance.t list ->
+  Grounder.Ground.instances ->
   Logic.Rule.t list ->
   result
 (** Learn weights for the soft rules in the list; hard rules and the

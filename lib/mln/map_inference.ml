@@ -10,9 +10,6 @@ type options = {
   solver : solver;
   use_cpi : bool;
   network_config : Network.config;
-  seed : int;
-  max_flips : int;
-  restarts : int;
   pool : Prelude.Pool.t;
   deadline : Deadline.t;
   solve_cache : Decompose.cache option;
@@ -23,13 +20,15 @@ let default_options =
     solver = Walk;
     use_cpi = true;
     network_config = Network.default_config;
-    seed = 7;
-    max_flips = 100_000;
-    restarts = 3;
     pool = Prelude.Pool.sequential;
     deadline = Deadline.none;
     solve_cache = None;
   }
+
+(* The MaxWalkSAT settings of every solve. *)
+let seed = 7
+let max_flips = 100_000
+let restarts = 3
 
 type stats = {
   atoms : int;
@@ -63,9 +62,8 @@ let walk_fallback options network ~init =
       ("remaining_ms", Obs.Events.Float (Deadline.remaining_ms options.deadline));
     ];
   let assignment, _ =
-    Maxwalksat.solve ~seed:options.seed ~max_flips:options.max_flips
-      ~restarts:options.restarts ~pool:options.pool ~deadline:options.deadline
-      ~init network
+    Maxwalksat.solve ~seed ~max_flips ~restarts ~pool:options.pool
+      ~deadline:options.deadline ~init network
   in
   (assignment, Deadline.Degraded)
 
@@ -79,12 +77,11 @@ let exact_ladder options network ~init outcome =
   | Some (incumbent, false) -> walk_fallback options network ~init:incumbent
   | None -> walk_fallback options network ~init
 
-let base_solver ?stall options network ~init =
+let base_solver ?(max_flips = max_flips) ?stall options network ~init =
   match options.solver with
   | Walk ->
       let assignment, stats =
-        Maxwalksat.solve ~seed:options.seed ~max_flips:options.max_flips
-          ~restarts:options.restarts ?stall ~pool:options.pool
+        Maxwalksat.solve ~seed ~max_flips ~restarts ?stall ~pool:options.pool
           ~deadline:options.deadline ~init network
       in
       (assignment, stats.Maxwalksat.status)
@@ -107,23 +104,18 @@ let base_solver ?stall options network ~init =
    surrounding network — the purity contract of {!Components}. *)
 let component_solver options sub ~init =
   let a = max 1 sub.Network.num_atoms in
-  let scaled =
-    {
-      options with
-      max_flips = min options.max_flips (max 1_000 (100 * a));
-    }
-  in
+  let max_flips = min max_flips (max 1_000 (100 * a)) in
   let stall = min 20_000 (max 250 (25 * a)) in
   if options.use_cpi then
     let assignment, cpi_stats =
       Cpi.solve
         ~solver:(fun net ~init ->
-          base_solver ~stall scaled net ~init)
+          base_solver ~max_flips ~stall options net ~init)
         ~init sub
     in
     { Decompose.values = assignment; status = cpi_stats.Cpi.status }
   else
-    let assignment, status = base_solver ~stall scaled sub ~init in
+    let assignment, status = base_solver ~max_flips ~stall options sub ~init in
     { Decompose.values = assignment; status }
 
 let run_ground ?(options = default_options) store

@@ -16,9 +16,6 @@ type options = {
   solver : solver;
   use_cpi : bool;               (** wrap the solver in cutting-plane inference *)
   network_config : Network.config;
-  seed : int;
-  max_flips : int;
-  restarts : int;
   pool : Prelude.Pool.t;
       (** runs the grounding joins of {!run} and the MaxWalkSAT
           descents in parallel; results are objective-identical at
@@ -44,9 +41,11 @@ type options = {
 }
 
 val default_options : options
-(** [Walk] with CPI on, default network config, seed 7, 3 restarts,
+(** [Walk] with CPI on, default network config,
     {!Prelude.Pool.sequential}, an infinite deadline (so the solve is
-    decomposed), no solve cache. *)
+    decomposed), no solve cache. MaxWalkSAT always runs with seed 7, 3
+    restarts and at most 100,000 flips per descent (fewer per component
+    on the decomposed path). *)
 
 type stats = {
   atoms : int;

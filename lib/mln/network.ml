@@ -1,7 +1,6 @@
 module Vec = Prelude.Vec
 module Ivec = Prelude.Ivec
 module Store = Grounder.Atom_store
-module Instance = Grounder.Ground.Instance
 
 type t = {
   num_atoms : int;
@@ -119,7 +118,7 @@ let logit confidence =
 let build ?(config = default_config) store instances =
   let n = Store.size store in
   (* At most one clause per atom and one per instance. *)
-  let cap = n + List.length instances in
+  let cap = n + Array.length instances.Grounder.Ground.rule in
   let offsets = Array.make (cap + 1) 0 in
   let weights = Array.make cap 0.0 in
   let hard = Array.make cap false in
@@ -187,33 +186,37 @@ let build ?(config = default_config) store instances =
     go 0
   in
   let seen_hard = Hashtbl.create 1024 in
-  List.iter
-    (fun { Instance.rule; body_atoms; head } ->
-      Ivec.clear clause;
-      (match head with
-      | Instance.Satisfied -> ()
-      | Instance.Violated -> List.iter (fun b -> add (code b false)) body_atoms
-      | Instance.Derives h ->
-          List.iter (fun b -> add (code b false)) body_atoms;
-          add (code h true));
-      let len = Ivec.length clause in
-      if len > 0 && not (tautology ()) then begin
-        let weight = rule.Logic.Rule.weight in
-        let fresh =
-          weight <> None
-          ||
-          let key = Array.sub (Ivec.raw clause) 0 len in
-          Array.sort Int.compare key;
-          (not (Hashtbl.mem seen_hard key))
-          && (Hashtbl.replace seen_hard key ();
-              true)
-        in
-        if fresh then begin
-          Ivec.append lits (Ivec.raw clause) ~pos:0 ~len;
-          close weight (intern rule.Logic.Rule.name)
-        end
-      end)
-    instances;
+  let { Grounder.Ground.rules; rule; head; offsets = starts; body } =
+    instances
+  in
+  for i = 0 to Array.length rule - 1 do
+    Ivec.clear clause;
+    let h = head.(i) in
+    if h <> Grounder.Ground.satisfied then begin
+      for j = starts.(i) to starts.(i + 1) - 1 do
+        add (code body.(j) false)
+      done;
+      if h >= 0 then add (code h true)
+    end;
+    let len = Ivec.length clause in
+    if len > 0 && not (tautology ()) then begin
+      let rule = rules.(rule.(i)) in
+      let weight = rule.Logic.Rule.weight in
+      let fresh =
+        weight <> None
+        ||
+        let key = Array.sub (Ivec.raw clause) 0 len in
+        Array.sort Int.compare key;
+        (not (Hashtbl.mem seen_hard key))
+        && (Hashtbl.replace seen_hard key ();
+            true)
+      in
+      if fresh then begin
+        Ivec.append lits (Ivec.raw clause) ~pos:0 ~len;
+        close weight (intern rule.Logic.Rule.name)
+      end
+    end
+  done;
   let nc = !num_clauses in
   {
     num_atoms = n;

@@ -78,10 +78,10 @@ val default_config : config
 val build :
   ?config:config ->
   Grounder.Atom_store.t ->
-  Grounder.Ground.Instance.t list ->
+  Grounder.Ground.instances ->
   t
 (** Evidence and prior unit clauses in atom id order, then one clause
-    per rule instance in list order. Instances whose clause is empty or
+    per rule instance in buffer order. Instances whose clause is empty or
     a tautology add nothing, and a hard clause equal (as a set of
     literals) to an earlier one is dropped. *)
 

@@ -1,5 +1,5 @@
 module Store = Grounder.Atom_store
-module Instance = Grounder.Ground.Instance
+module Ground = Grounder.Ground
 
 type kind =
   | Hinge
@@ -29,57 +29,59 @@ type config = {
 let default_config =
   { hidden_prior = 0.005; evidence_bonus = 0.1; evidence_hard = true }
 
-(* Which hard instances add a constraint: the first per (sorted body,
-   head). *)
-let fresh_hard instances =
+(* Which hard instances add a constraint: the first per (head, sorted
+   body). *)
+let fresh_hard (instances : Ground.instances) =
   let seen = Hashtbl.create 1024 in
-  Array.of_list
-    (List.map
-       (fun { Instance.rule; body_atoms; head } ->
-         match (head, rule.Logic.Rule.weight) with
-         | (Instance.Violated | Instance.Derives _), None ->
-             let h = match head with Instance.Derives h -> h | _ -> -1 in
-             let key = (List.sort compare body_atoms, h) in
-             if Hashtbl.mem seen key then false
-             else begin
-               Hashtbl.replace seen key ();
-               true
-             end
-         | _ -> false)
-       instances)
+  Array.mapi
+    (fun i h ->
+      h <> Ground.satisfied
+      && instances.rules.(instances.rule.(i)).Logic.Rule.weight = None
+      &&
+      let start = instances.offsets.(i) in
+      let body =
+        Array.sub instances.body start (instances.offsets.(i + 1) - start)
+      in
+      Array.sort Int.compare body;
+      let key = (h, body) in
+      not (Hashtbl.mem seen key)
+      && (Hashtbl.replace seen key ();
+          true))
+    instances.head
 
 (* Every factor of the model, in generation order, as
-   [emit kind weight const head body]: the factor over
-   [const - x_head + Σ x_body], with [head = -1] for none. *)
-let iter_factors config store instances ~fresh emit =
+   [emit kind weight const head body pos len]: the factor over
+   [const - x_head + Σ x_body], with a negative [head] for none and the body
+   [body.(pos) .. body.(pos + len - 1)]. *)
+let iter_factors config store (instances : Ground.instances) ~fresh emit =
+  let one = [| 0 |] in
   (* By origin alone: decoding every atom would cost more than the
      whole build. *)
   for id = 0 to Store.size store - 1 do
+    one.(0) <- id;
     match Store.origin store id with
     | Store.Evidence { confidence; _ } ->
         if confidence >= 1.0 && config.evidence_hard then
           (* x = 1 *)
-          emit Eq 0.0 (-1.0) (-1) [ id ]
+          emit Eq 0.0 (-1.0) (-1) one 0 1
         else
           (* weight · (1 - x) = weight · max(0, 1 - x) since x <= 1 *)
-          emit Hinge (confidence +. config.evidence_bonus) 1.0 id []
+          emit Hinge (confidence +. config.evidence_bonus) 1.0 id one 0 0
     | Store.Hidden ->
         if config.hidden_prior > 0.0 then
-          emit Hinge config.hidden_prior 0.0 (-1) [ id ]
+          emit Hinge config.hidden_prior 0.0 (-1) one 0 1
   done;
-  List.iteri
-    (fun i { Instance.rule; body_atoms; head } ->
-      let const = -.float_of_int (List.length body_atoms - 1) in
-      match (head, rule.Logic.Rule.weight) with
-      | Instance.Satisfied, _ -> ()
-      | Instance.Violated, Some w -> emit Hinge w const (-1) body_atoms
-      | Instance.Derives h, Some w -> emit Hinge w const h body_atoms
-      (* Σ body - (n-1) <= 0, and Σ body - (n-1) - head <= 0 *)
-      | Instance.Violated, None ->
-          if fresh.(i) then emit Le 0.0 const (-1) body_atoms
-      | Instance.Derives h, None ->
-          if fresh.(i) then emit Le 0.0 const h body_atoms)
-    instances
+  Array.iteri
+    (fun i h ->
+      let pos = instances.offsets.(i) in
+      let len = instances.offsets.(i + 1) - pos in
+      let const = -.float_of_int (len - 1) in
+      if h <> Ground.satisfied then
+        match instances.rules.(instances.rule.(i)).Logic.Rule.weight with
+        | Some w -> emit Hinge w const h instances.body pos len
+        (* Σ body - (n-1) <= 0, and Σ body - (n-1) - head <= 0 *)
+        | None -> if fresh.(i) then emit Le 0.0 const h instances.body pos len)
+    instances.head
 
 (* Two passes over the factors: count them, then write each into its
    final slot, potentials from the front and constraints after them. No
@@ -89,10 +91,10 @@ let build ?(config = default_config) store instances =
   let each = iter_factors config store instances ~fresh in
   let factors = [| 0; 0 |] and terms = [| 0; 0 |] in
   let region kind = if kind = Hinge then 0 else 1 in
-  each (fun kind _ _ head body ->
+  each (fun kind _ _ head _ _ len ->
       let r = region kind in
       factors.(r) <- factors.(r) + 1;
-      terms.(r) <- terms.(r) + Bool.to_int (head >= 0) + List.length body);
+      terms.(r) <- terms.(r) + Bool.to_int (head >= 0) + len);
   let nf = factors.(0) + factors.(1) and nt = terms.(0) + terms.(1) in
   let t =
     {
@@ -108,7 +110,7 @@ let build ?(config = default_config) store instances =
   in
   (* Cursors: the next factor and term slot of each region. *)
   let next = [| 0; factors.(0) |] and slot = [| 0; terms.(0) |] in
-  each (fun kind weight const head body ->
+  each (fun kind weight const head body pos len ->
       let r = region kind in
       let f = next.(r) in
       t.kind.(f) <- kind;
@@ -121,7 +123,9 @@ let build ?(config = default_config) store instances =
         slot.(r) <- slot.(r) + 1
       in
       if head >= 0 then add head (-1.0);
-      List.iter (fun v -> add v 1.0) body;
+      for j = pos to pos + len - 1 do
+        add body.(j) 1.0
+      done;
       next.(r) <- f + 1);
   t
 

@@ -58,7 +58,7 @@ val default_config : config
 val build :
   ?config:config ->
   Grounder.Atom_store.t ->
-  Grounder.Ground.Instance.t list ->
+  Grounder.Ground.instances ->
   t
 
 val objective : t -> float array -> float

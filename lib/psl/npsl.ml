@@ -2,10 +2,7 @@ module Store = Grounder.Atom_store
 
 type options = {
   config : Hlmrf.config;
-  rho : float;
   max_iters : int;
-  tol : float;
-  threshold : float;
   pool : Prelude.Pool.t;
   deadline : Prelude.Deadline.t;
   solve_cache : Decompose.cache option;
@@ -14,14 +11,17 @@ type options = {
 let default_options =
   {
     config = Hlmrf.default_config;
-    rho = 1.0;
     max_iters = 2_000;
-    tol = 1e-4;
-    threshold = 0.5;
     pool = Prelude.Pool.sequential;
     deadline = Prelude.Deadline.none;
     solve_cache = None;
   }
+
+(* The ADMM step size and tolerance and the rounding threshold of every
+   solve. *)
+let rho = 1.0
+let tol = 1e-4
+let threshold = 0.5
 
 type stats = {
   atoms : int;
@@ -67,11 +67,10 @@ let run_ground ?(options = default_options) store
         Obs.span "solve" (fun () ->
             if not (Prelude.Deadline.is_finite options.deadline) then
               Decompose.solve ?cache:options.solve_cache ~pool:options.pool
-                ~rho:options.rho ~max_iters:options.max_iters ~tol:options.tol
-                ~init model
+                ~rho ~max_iters:options.max_iters ~tol ~init model
             else
-              Admm.solve ~rho:options.rho ~max_iters:options.max_iters
-                ~tol:options.tol ~init ~pool:options.pool
+              Admm.solve ~rho ~max_iters:options.max_iters ~tol ~init
+                ~pool:options.pool
                 ~deadline:options.deadline model))
   in
   if Prelude.Deadline.is_finite options.deadline then
@@ -79,7 +78,7 @@ let run_ground ?(options = default_options) store
       (Prelude.Deadline.remaining_ms options.deadline);
   let assignment, rounding_stats =
     Obs.span "round" (fun () ->
-        Rounding.round ~threshold:options.threshold model truth)
+        Rounding.round ~threshold model truth)
   in
   if rounding_stats.Rounding.flipped > 0 || rounding_stats.Rounding.unrepaired > 0
   then

@@ -7,10 +7,7 @@
 
 type options = {
   config : Hlmrf.config;
-  rho : float;
   max_iters : int;
-  tol : float;
-  threshold : float;        (** rounding threshold *)
   pool : Prelude.Pool.t;
       (** runs the grounding joins of {!run} and the ADMM factor sweeps
           in parallel; the solution is bitwise identical at every job
@@ -30,6 +27,10 @@ type options = {
 }
 
 val default_options : options
+(** Default HL-MRF config, 2,000 ADMM iterations,
+    {!Prelude.Pool.sequential}, an infinite deadline, no solve cache.
+    ADMM always runs with step size 1.0 and tolerance 1e-4, and rounds
+    at threshold 0.5. *)
 
 type stats = {
   atoms : int;

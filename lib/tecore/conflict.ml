@@ -1,5 +1,5 @@
 module Store = Grounder.Atom_store
-module Instance = Grounder.Ground.Instance
+module Ground = Grounder.Ground
 
 type derived_fact = {
   atom : Logic.Atom.Ground.t;
@@ -19,42 +19,43 @@ let sigmoid x = 1.0 /. (1.0 +. exp (-.x))
 
 (* Facts involved in a hard constraint instance that is violated when all
    evidence is taken at face value — the conflicts the debugger reports. *)
-let conflicting_facts store instances =
+let conflicting_facts store (instances : Ground.instances) =
   let ids = Hashtbl.create 256 in
-  List.iter
-    (fun { Instance.rule; body_atoms; head } ->
-      let is_violation =
-        head = Instance.Violated && Logic.Rule.is_hard rule
-      in
-      if is_violation then
-        List.iter
-          (fun atom_id ->
-            List.iter
-              (fun fact -> Hashtbl.replace ids fact ())
-              (Store.evidence_facts store atom_id))
-          body_atoms)
-    instances;
+  Array.iteri
+    (fun i h ->
+      if
+        h = Ground.violated
+        && Logic.Rule.is_hard instances.rules.(instances.rule.(i))
+      then
+        for j = instances.offsets.(i) to instances.offsets.(i + 1) - 1 do
+          List.iter
+            (fun fact -> Hashtbl.replace ids fact ())
+            (Store.evidence_facts store instances.body.(j))
+        done)
+    instances.head;
   Hashtbl.fold (fun id () acc -> id :: acc) ids [] |> List.sort Int.compare
 
 (* Support of a hidden atom: total weight of its firing derivations. *)
-let derived_confidences instances assignment =
+let derived_confidences (instances : Ground.instances) assignment =
   let support = Hashtbl.create 64 in
-  List.iter
-    (fun { Instance.rule; body_atoms; head } ->
-      match head with
-      | Instance.Derives h when assignment.(h) ->
-          let body_true = List.for_all (fun b -> assignment.(b)) body_atoms in
-          if body_true then begin
-            let w =
-              match rule.Logic.Rule.weight with
-              | Some w -> w
-              | None -> Kg.Quad.max_weight
-            in
-            Hashtbl.replace support h
-              (w +. Option.value (Hashtbl.find_opt support h) ~default:0.0)
-          end
-      | _ -> ())
-    instances;
+  let rec true_from j stop =
+    j = stop || (assignment.(instances.body.(j)) && true_from (j + 1) stop)
+  in
+  Array.iteri
+    (fun i h ->
+      if
+        h >= 0 && assignment.(h)
+        && true_from instances.offsets.(i) instances.offsets.(i + 1)
+      then begin
+        let w =
+          match instances.rules.(instances.rule.(i)).Logic.Rule.weight with
+          | Some w -> w
+          | None -> Kg.Quad.max_weight
+        in
+        Hashtbl.replace support h
+          (w +. Option.value (Hashtbl.find_opt support h) ~default:0.0)
+      end)
+    instances.head;
   fun atom_id ->
     sigmoid (Option.value (Hashtbl.find_opt support atom_id) ~default:0.0)
 

@@ -32,7 +32,7 @@ type resolution = {
 val interpret :
   graph:Kg.Graph.t ->
   store:Grounder.Atom_store.t ->
-  instances:Grounder.Ground.Instance.t list ->
+  instances:Grounder.Ground.instances ->
   assignment:bool array ->
   unit ->
   resolution

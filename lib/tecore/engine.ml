@@ -18,7 +18,7 @@ type run_stats = {
 
 type raw = {
   store : Grounder.Atom_store.t;
-  instances : Grounder.Ground.Instance.t list;
+  instances : Grounder.Ground.instances;
   assignment : bool array;
 }
 
@@ -72,14 +72,8 @@ let outcome_name = function
    exact configuration that produced it. *)
 type fingerprint =
   | Fp_mln of
-      Mln.Map_inference.solver
-      * bool
-      * Mln.Network.config
-      * int
-      * int
-      * int
-      * float option
-  | Fp_psl of Psl.Hlmrf.config * float * int * float * float * float option
+      Mln.Map_inference.solver * bool * Mln.Network.config * float option
+  | Fp_psl of Psl.Hlmrf.config * int * float option
 
 type state = {
   mutable snapshot : Grounder.Ground.snapshot option;
@@ -134,18 +128,9 @@ let fingerprint_of engine threshold =
         ( o.Mln.Map_inference.solver,
           o.Mln.Map_inference.use_cpi,
           o.Mln.Map_inference.network_config,
-          o.Mln.Map_inference.seed,
-          o.Mln.Map_inference.max_flips,
-          o.Mln.Map_inference.restarts,
           threshold )
   | Psl (o : Psl.Npsl.options) ->
-      Fp_psl
-        ( o.Psl.Npsl.config,
-          o.Psl.Npsl.rho,
-          o.Psl.Npsl.max_iters,
-          o.Psl.Npsl.tol,
-          o.Psl.Npsl.threshold,
-          threshold )
+      Fp_psl (o.Psl.Npsl.config, o.Psl.Npsl.max_iters, threshold)
   | Auto -> assert false
 
 (* Append the structured partial-grounding note to the translator report
@@ -259,34 +244,33 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
     | Psl o -> o.Psl.Npsl.pool
     | Auto -> assert false
   in
-  (* The one grounding step. θ(G) is built inside the span, so
-     [ground_ms] covers the atom store as well as the closure and the
-     instance joins. Without a state this is the plain [Ground.run], the
-     only grounding that polls a deadline; with one, [run_record] also
-     keeps the replay snapshot, and [reground] replays one. [None] means
-     the replay could not be proven exact. *)
+  (* The one grounding step, constraints always pushed into the joins.
+     θ(G) is built inside the span, so [ground_ms] covers the atom store
+     as well as the closure and the instance joins. Without a state
+     this is the plain [Ground.run], the only grounding that polls a
+     deadline; with one, [run_record] also keeps the replay snapshot,
+     and [reground] replays one. [None] means the replay could not be
+     proven exact. *)
   let ground ?replay () =
     let grounding, ground_ms =
       Prelude.Timing.time (fun () ->
           Obs.span "ground" (fun () ->
               let store = Grounder.Atom_store.of_graph graph in
-              let lazy_constraints = true in
               match (state, replay) with
               | None, _ ->
                   Some
                     ( store,
                       Grounder.Ground.run ~deadline:ground_deadline
-                        ~pool:ground_pool ~lazy_constraints store rules,
+                        ~pool:ground_pool ~lazy_constraints:true store rules,
                       None )
               | Some _, None ->
                   let g, snap =
-                    Grounder.Ground.run_record ~pool:ground_pool
-                      ~lazy_constraints store rules
+                    Grounder.Ground.run_record ~pool:ground_pool store rules
                   in
                   Some (store, g, Some snap)
               | Some _, Some (snapshot, affected) ->
                   Grounder.Ground.reground ~snapshot ~affected
-                    ~pool:ground_pool ~lazy_constraints store rules
+                    ~pool:ground_pool store rules
                   |> Option.map (fun (g, snap) -> (store, g, Some snap))))
     in
     Option.map (fun (store, g, snap) -> (store, g, snap, ground_ms)) grounding

@@ -37,7 +37,7 @@ val choice_name : Translator.engine_choice -> string
 
 type raw = {
   store : Grounder.Atom_store.t;
-  instances : Grounder.Ground.Instance.t list;
+  instances : Grounder.Ground.instances;
   assignment : bool array;
 }
 (** The grounding artefacts behind a result, for downstream analyses

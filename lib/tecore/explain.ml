@@ -1,5 +1,5 @@
 module Store = Grounder.Atom_store
-module Instance = Grounder.Ground.Instance
+module Ground = Grounder.Ground
 
 type removal = {
   fact : Kg.Graph.id;
@@ -31,21 +31,20 @@ let atoms_of_facts store =
   done;
   atoms
 
-(* For every atom, the instances (in list order, each once) among whose
-   [atoms_of] it is. *)
-let index store instances ~atoms_of =
+(* For every atom, the instances (in buffer order, each once) among
+   whose [atoms_of] it is. *)
+let index store (instances : Ground.instances) ~atoms_of =
   let n = Store.size store in
   let idx = Array.make n [] and last = Array.make n (-1) in
-  List.iteri
-    (fun i inst ->
-      List.iter
-        (fun a ->
-          if last.(a) <> i then begin
-            last.(a) <- i;
-            idx.(a) <- inst :: idx.(a)
-          end)
-        (atoms_of inst))
-    (List.rev instances);
+  for i = Array.length instances.head - 1 downto 0 do
+    List.iter
+      (fun a ->
+        if last.(a) <> i then begin
+          last.(a) <- i;
+          idx.(a) <- i :: idx.(a)
+        end)
+      (atoms_of i)
+  done;
   idx
 
 let quads_of_atoms store graph atom_ids =
@@ -60,8 +59,10 @@ let removals ~store ~instances ~assignment ~graph ~resolution =
   else
     let atom_of_fact = atoms_of_facts store in
     let violations =
-      index store instances ~atoms_of:(fun { Instance.body_atoms; head; _ } ->
-          if head = Instance.Violated then body_atoms else [])
+      index store instances ~atoms_of:(fun i ->
+          if instances.head.(i) = Ground.violated then
+            Ground.body_atoms instances i
+          else [])
     in
     List.map
       (fun (fact, quad) ->
@@ -73,12 +74,14 @@ let removals ~store ~instances ~assignment ~graph ~resolution =
           | None -> []
           | Some removed_atom ->
               List.filter_map
-                (fun { Instance.rule; body_atoms; _ } ->
+                (fun i ->
                   (* A clash explains the removal when the instance is a
                      violation containing the removed atom whose other
                      body atoms all survived. *)
+                  let rule = instances.rules.(instances.rule.(i)) in
                   let others =
-                    List.filter (fun a -> a <> removed_atom) body_atoms
+                    List.filter (fun a -> a <> removed_atom)
+                      (Ground.body_atoms instances i)
                   in
                   let key =
                     (rule.Logic.Rule.name, List.sort Int.compare others)
@@ -113,8 +116,9 @@ let derivations ~store ~instances ~assignment ~graph ~resolution =
   if derived = [] then []
   else
     let derivers =
-      index store instances ~atoms_of:(fun { Instance.head; _ } ->
-          match head with Instance.Derives h -> [ h ] | _ -> [])
+      index store instances ~atoms_of:(fun i ->
+          let h = instances.head.(i) in
+          if h >= 0 then [ h ] else [])
     in
     List.map
       (fun (d : Conflict.derived_fact) ->
@@ -123,7 +127,9 @@ let derivations ~store ~instances ~assignment ~graph ~resolution =
           | None -> []
           | Some id ->
               List.filter_map
-                (fun { Instance.rule; body_atoms; _ } ->
+                (fun i ->
+                  let rule = instances.rules.(instances.rule.(i)) in
+                  let body_atoms = Ground.body_atoms instances i in
                   if List.for_all (fun a -> assignment.(a)) body_atoms then
                     let evidence_support =
                       List.filter (Store.is_evidence store) body_atoms

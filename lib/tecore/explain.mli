@@ -30,7 +30,7 @@ type derivation = {
 
 val removals :
   store:Grounder.Atom_store.t ->
-  instances:Grounder.Ground.Instance.t list ->
+  instances:Grounder.Ground.instances ->
   assignment:bool array ->
   graph:Kg.Graph.t ->
   resolution:Conflict.resolution ->
@@ -41,7 +41,7 @@ val removals :
 
 val derivations :
   store:Grounder.Atom_store.t ->
-  instances:Grounder.Ground.Instance.t list ->
+  instances:Grounder.Ground.instances ->
   assignment:bool array ->
   graph:Kg.Graph.t ->
   resolution:Conflict.resolution ->

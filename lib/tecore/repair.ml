@@ -1,5 +1,5 @@
 module Store = Grounder.Atom_store
-module Instance = Grounder.Ground.Instance
+module Ground = Grounder.Ground
 
 type repair = {
   removed : (Kg.Graph.id * Kg.Quad.t) list;
@@ -16,7 +16,7 @@ type group = {
 
 let conflict_groups graph rules =
   let store = Store.of_graph graph in
-  let result = Grounder.Ground.run ~lazy_constraints:true store rules in
+  let instances = (Ground.run ~lazy_constraints:true store rules).instances in
   let group_of_atom = Hashtbl.create 64 in
   let group atom_id =
     match Hashtbl.find_opt group_of_atom atom_id with
@@ -37,21 +37,24 @@ let conflict_groups graph rules =
         g
   in
   let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun { Instance.rule; body_atoms; head } ->
-      if head = Instance.Violated && Logic.Rule.is_hard rule then begin
-        let atoms =
-          List.filter (Store.is_evidence store) body_atoms
-          |> List.sort_uniq Int.compare
-        in
-        if atoms = [] || Hashtbl.mem seen atoms then None
-        else begin
-          Hashtbl.replace seen atoms ();
-          Some (List.map group atoms)
-        end
-      end
-      else None)
-    result.Grounder.Ground.instances
+  List.init (Array.length instances.head) Fun.id
+  |> List.filter_map (fun i ->
+         if
+           instances.head.(i) = Ground.violated
+           && Logic.Rule.is_hard instances.rules.(instances.rule.(i))
+         then begin
+           let atoms =
+             Ground.body_atoms instances i
+             |> List.filter (Store.is_evidence store)
+             |> List.sort_uniq Int.compare
+           in
+           if atoms = [] || Hashtbl.mem seen atoms then None
+           else begin
+             Hashtbl.replace seen atoms ();
+             Some (List.map group atoms)
+           end
+         end
+         else None)
 
 let conflict_sets graph rules =
   conflict_groups graph rules

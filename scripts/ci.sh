@@ -351,13 +351,17 @@ echo "== solve-layer work counters (fb-mln, seed 1, full size, traced) =="
 # The MLN solve layer allocated 34.1 Mwords here while clauses were
 # boxed records re-boxed per component and repacked per solve, and
 # about 15 with one packed clause layout; the ceiling fails if boxed
-# clauses or the per-solve repack come back.
+# clauses or the per-solve repack come back. The same run gates the
+# full-size grounder counts exactly (rows joined, atoms, rule instances,
+# closure rounds), so a grounding change shows at full size too.
 SUITE_DIR=$(mktemp -d) SUITE_OUT=$(mktemp)
 bash bench/suite/run.sh --workload fb-mln --seed 1 --trace 1 \
   --seconds 0.1 --workdir "$SUITE_DIR" > "$SUITE_OUT" \
   || { echo "work-counter gate: full-size traced fb-mln run failed" >&2; cat "$SUITE_OUT" >&2; exit 1; }
 for expected in mln.clauses=48715 mln.components=17104 mln.flips=34728 \
-                mln.cpi_iterations=23980; do
+                mln.cpi_iterations=23980 grounder.join_rows=32805 \
+                grounder.atoms=31505 grounder.instances=26281 \
+                grounder.rounds=2; do
   name=${expected%=*} want=${expected#*=}
   [ "$(metric "$name")" = "$want.0000" ] \
     || { echo "work-counter gate: $name = $(metric "$name"), expected exactly $want" >&2; exit 1; }

@@ -288,8 +288,8 @@ let test_engine_ground_timeout_keeps_state () =
       r.E.stats.E.objective,
       !store,
       List.map
-        (Format.asprintf "%a" (Grounder.Ground.Instance.pp raw.E.store))
-        raw.E.instances,
+        (Format.asprintf "%a" (Instance_view.pp raw.E.store))
+        (Instance_view.of_instances raw.E.instances),
       raw.E.assignment )
   in
   let next = incremental ~delta:{ E.facts = []; rules_changed = false } () in

@@ -121,7 +121,7 @@ let test_pp_smoke () =
    for the indexed one. *)
 module Reference = struct
   module Store = Grounder.Atom_store
-  module Instance = Grounder.Ground.Instance
+  module Instance = Instance_view
   module Conflict = Tecore.Conflict
 
   type removal = E.removal = {
@@ -249,7 +249,8 @@ let check_against_reference name graph rules =
       let result = Tecore.Engine.resolve ~engine graph rules in
       let raw = result.Tecore.Engine.raw in
       let reference f =
-        f ~store:raw.Tecore.Engine.store ~instances:raw.Tecore.Engine.instances
+        f ~store:raw.Tecore.Engine.store
+          ~instances:(Instance_view.of_instances raw.Tecore.Engine.instances)
           ~assignment:raw.Tecore.Engine.assignment ~graph
           ~resolution:result.Tecore.Engine.resolution
       in

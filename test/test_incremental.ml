@@ -233,8 +233,8 @@ let store_dump store =
 
 let instances_dump store (result : Grounder.Ground.result) =
   List.map
-    (Format.asprintf "%a" (Grounder.Ground.Instance.pp store))
-    result.Grounder.Ground.instances
+    (Format.asprintf "%a" (Instance_view.pp store))
+    (Instance_view.of_result result)
 
 (* ------------------------------------------------------------------ *)
 (* One pipeline: a state changes the bookkeeping, not the stages       *)
@@ -268,8 +268,8 @@ let raw_dump (r : Engine.result) =
   let raw = r.Engine.raw in
   ( store_dump raw.Engine.store,
     List.map
-      (Format.asprintf "%a" (Grounder.Ground.Instance.pp raw.Engine.store))
-      raw.Engine.instances,
+      (Format.asprintf "%a" (Instance_view.pp raw.Engine.store))
+      (Instance_view.of_instances raw.Engine.instances),
     raw.Engine.assignment )
 
 let test_one_span_tree engine () =
@@ -332,9 +332,12 @@ let test_reground_identical () =
     | Some (r, _) -> r
     | None -> Alcotest.fail "reground refused a same-rules replay"
   in
-  (* ...and compare against a fresh grounding, atom by atom. *)
+  (* ...and compare against a fresh grounding (constraints pushed into
+     the joins, as recording and replay always do), atom by atom. *)
   let store_fresh = Grounder.Atom_store.of_graph g in
-  let result_fresh = Grounder.Ground.run store_fresh rules in
+  let result_fresh =
+    Grounder.Ground.run ~lazy_constraints:true store_fresh rules
+  in
   Alcotest.(check (list (triple int string string)))
     "stores identical" (store_dump store_fresh) (store_dump store_inc);
   Alcotest.(check (list string))
@@ -358,9 +361,8 @@ let test_reground_identical () =
     "gibbs marginals identical" true
     (marginals n1 = marginals n2)
 
-(* A snapshot replays only the rules and the constraint mode it was
-   recorded under: same-named rules with another body or weight, or the
-   other [lazy_constraints] mode, must be refused, not replayed from
+(* A snapshot replays only the rules it was recorded under: same-named
+   rules with another body or weight must be refused, not replayed from
    stale instances. *)
 let test_reground_refuses_mismatch () =
   let d = Datagen.Footballdb.generate ~seed:5 ~players:12 ~noise_ratio:0.5 () in
@@ -369,12 +371,12 @@ let test_reground_refuses_mismatch () =
   let _, snapshot =
     Grounder.Ground.run_record (Grounder.Atom_store.of_graph g) rules
   in
-  let reground ?lazy_constraints rules =
+  let reground rules =
     Grounder.Ground.reground ~snapshot
       ~affected:(Grounder.Ground.affected_rules ~delta:[] rules)
-      ?lazy_constraints (Grounder.Atom_store.of_graph g) rules
+      (Grounder.Atom_store.of_graph g) rules
   in
-  Alcotest.(check bool) "same rules, same mode replay" true
+  Alcotest.(check bool) "same rules replay" true
     (Option.is_some (reground rules));
   (* Edit every soft rule in place; the names stay. *)
   let edit f =
@@ -395,9 +397,7 @@ let test_reground_refuses_mismatch () =
         { r with Logic.Rule.conditions = []; body = [ List.hd r.Logic.Rule.body ] })
   in
   Alcotest.(check bool) "changed body, same name: refused" true
-    (reground rebodied = None);
-  Alcotest.(check bool) "other lazy_constraints mode: refused" true
-    (reground ~lazy_constraints:true rules = None)
+    (reground rebodied = None)
 
 (* ------------------------------------------------------------------ *)
 (* Removed rules can leave nothing behind                              *)
@@ -434,9 +434,9 @@ let test_remove_rule_invalidates () =
       Alcotest.(check bool)
         "no stale instances" true
         (List.for_all
-           (fun (i : Grounder.Ground.Instance.t) ->
-             i.Grounder.Ground.Instance.rule.Logic.Rule.name <> "t_worksfor")
-           r.Engine.raw.Engine.instances);
+           (fun (i : Instance_view.t) ->
+             i.Instance_view.rule.Logic.Rule.name <> "t_worksfor")
+           (Instance_view.of_instances r.Engine.raw.Engine.instances));
       let g = Option.get (Session.graph session) in
       let r_fresh = Engine.resolve ~engine g (Session.rules session) in
       Alcotest.(check bool)
@@ -542,7 +542,7 @@ let () =
         [
           Alcotest.test_case "reground is byte-identical" `Quick
             test_reground_identical;
-          Alcotest.test_case "reground refuses changed rules or mode" `Quick
+          Alcotest.test_case "reground refuses changed rules" `Quick
             test_reground_refuses_mismatch;
         ] );
       ( "invalidation",

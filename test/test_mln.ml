@@ -72,8 +72,8 @@ let test_repeated_literals_collapse () =
   let result = Grounder.Ground.run ~lazy_constraints:true store rules in
   Alcotest.(check bool) "grounding binds one fact twice" true
     (List.exists
-       (fun (i : Grounder.Ground.Instance.t) -> i.body_atoms = [ 0; 0 ])
-       result.Grounder.Ground.instances);
+       (fun (i : Instance_view.t) -> i.body_atoms = [ 0; 0 ])
+       (Instance_view.of_result result));
   let network = Network.build store result.Grounder.Ground.instances in
   let literals ci =
     Array.sub network.Network.lits network.Network.offsets.(ci)
@@ -731,7 +731,7 @@ module Reference = struct
 
   (* The boxed network builder, verbatim. *)
   module Store = Grounder.Atom_store
-  module Instance = Grounder.Ground.Instance
+  module Instance = Instance_view
   module Vec = Prelude.Vec
 
   let logit confidence =
@@ -824,7 +824,7 @@ module Reference = struct
                 end
               end
               else push literals weight rule.Logic.Rule.name)
-      instances;
+      (Instance.of_instances instances);
     { num_atoms = Store.size store; clauses = Vec.to_array clauses }
 
   (* The list-based exact search, verbatim. *)

@@ -229,10 +229,10 @@ let grounding_jobs_property =
         let store = Grounder.Atom_store.of_graph d.Datagen.Footballdb.graph in
         let result = Grounder.Ground.run ~pool store rules in
         ( Grounder.Atom_store.size store,
-          result.Grounder.Ground.derived,
+          Instance_view.hidden store,
           List.map
-            (Format.asprintf "%a" (Grounder.Ground.Instance.pp store))
-            result.Grounder.Ground.instances )
+            (Format.asprintf "%a" (Instance_view.pp store))
+            (Instance_view.of_result result) )
       in
       ground Pool.sequential = ground (Pool.create ~jobs:4))
 

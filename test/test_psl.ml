@@ -284,7 +284,7 @@ let test_npsl_agrees_with_mln_on_example () =
 
 module Reference = struct
   module Vec = Prelude.Vec
-  module Instance = Grounder.Ground.Instance
+  module Instance = Instance_view
 
   let eval_linexp (e : Spec.linexp) x =
     List.fold_left (fun acc (v, a) -> acc +. (a *. x.(v))) e.const e.coeffs
@@ -353,7 +353,7 @@ module Reference = struct
               Vec.push constraints
                 (Spec.Le { coeffs = (h, -1.0) :: body_coeffs; const = body_const })
             end)
-      instances;
+      (Instance.of_instances instances);
     {
       num_vars = Store.size store;
       potentials = Vec.to_array potentials;
