@@ -59,6 +59,12 @@ let exit_rejected = 2
 let exit_timeout = 3
 let exit_io = 4
 
+(* A whole file, or the exit-4 IO error. Reads to end of file rather
+   than by length, so pipes and procfs files work too. *)
+let read_file path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> raise (Cli_error (exit_io, msg))
+
 let load_session ?rules_file data_file =
   let session = Tecore.Session.create () in
   (match Tecore.Session.load session data_file with
@@ -68,15 +74,7 @@ let load_session ?rules_file data_file =
   (match rules_file with
   | None -> ()
   | Some path ->
-      let src =
-        try
-          let ic = open_in path in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with Sys_error msg -> raise (Cli_error (exit_io, msg))
-      in
-      (match Tecore.Session.add_rules session src with
+      (match Tecore.Session.add_rules session (read_file path) with
       | Ok _ -> ()
       | Error e -> failwith (Printf.sprintf "%s: %s" path e)));
   session
@@ -701,14 +699,7 @@ let demo_cmd =
 
 let session_run script_file engine jobs =
   handle (fun () ->
-      let text =
-        try
-          let ic = open_in script_file in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with Sys_error msg -> raise (Cli_error (exit_io, msg))
-      in
+      let text = read_file script_file in
       match Tecore.Script.parse_string ~path:script_file text with
       | Error e -> failwith (Format.asprintf "%a" Tecore.Script.pp_error e)
       | Ok script -> (
@@ -747,14 +738,6 @@ let session_cmd =
     Term.(const session_run $ script_arg $ engine_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
-
-let read_file path =
-  try
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with Sys_error msg -> raise (Cli_error (exit_io, msg))
 
 let serve_listen socket port : Serve.listen =
   match (socket, port) with

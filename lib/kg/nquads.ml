@@ -122,22 +122,22 @@ let parse_quad ns line =
 let is_blank line =
   String.for_all (fun c -> c = ' ' || c = '\t' || c = '\r') line
 
-let parse_prefix_directive line =
-  (* "@prefix ex: <http://...> ." *)
-  let parts =
-    String.split_on_char ' ' line
-    |> List.filter (fun s -> s <> "" && s <> ".")
-  in
-  match parts with
-  | [ "@prefix"; prefixed; iri ] ->
-      let n = String.length prefixed in
-      let m = String.length iri in
-      if n >= 1 && prefixed.[n - 1] = ':' && m >= 2 && iri.[0] = '<'
-         && iri.[m - 1] = '>'
-      then
-        Some (String.sub prefixed 0 (n - 1), String.sub iri 1 (m - 2))
-      else None
-  | _ -> None
+(* "@prefix ex: <http://...> ." *)
+let parse_prefix line =
+  if not (String.starts_with ~prefix:"@prefix" line) then None
+  else
+    let parts =
+      String.split_on_char ' ' line
+      |> List.filter (fun s -> s <> "" && s <> ".")
+    in
+    match parts with
+    | [ "@prefix"; prefixed; iri ]
+      when String.ends_with ~suffix:":" prefixed
+           && String.length iri >= 2 && iri.[0] = '<'
+           && iri.[String.length iri - 1] = '>' ->
+        let n = String.length prefixed and m = String.length iri in
+        Some (Ok (String.sub prefixed 0 (n - 1), String.sub iri 1 (m - 2)))
+    | _ -> Some (Error "malformed @prefix")
 
 let parse_string ?namespace text =
   let ns = match namespace with Some ns -> ns | None -> Namespace.create () in
@@ -145,33 +145,32 @@ let parse_string ?namespace text =
   let lines = String.split_on_char '\n' text in
   let rec loop lineno = function
     | [] -> Ok graph
-    | line :: rest ->
+    | line :: rest -> (
         let trimmed = String.trim line in
         if is_blank line || (trimmed <> "" && trimmed.[0] = '#') then
           loop (lineno + 1) rest
-        else if String.length trimmed >= 7 && String.sub trimmed 0 7 = "@prefix"
-        then
-          match parse_prefix_directive trimmed with
-          | Some (prefix, iri) ->
+        else
+          match parse_prefix trimmed with
+          | Some (Ok (prefix, iri)) ->
               Namespace.add ns ~prefix ~iri;
               loop (lineno + 1) rest
-          | None ->
-              Error { line = lineno; column = None; message = "malformed @prefix" }
-        else
-          match parse_quad_loc ns trimmed with
-          | Ok q ->
-              ignore (Graph.add graph q);
-              loop (lineno + 1) rest
-          | Error (message, column) -> Error { line = lineno; column; message }
+          | Some (Error message) -> Error { line = lineno; column = None; message }
+          | None -> (
+              match parse_quad_loc ns trimmed with
+              | Ok q ->
+                  ignore (Graph.add graph q);
+                  loop (lineno + 1) rest
+              | Error (message, column) ->
+                  (* Columns count on the raw line: [trimmed] starts at
+                     the first occurrence of its first byte. *)
+                  let shift c = c + String.index line trimmed.[0] in
+                  let column = Option.map shift column in
+                  Error { line = lineno; column; message }))
   in
   loop 1 lines
 
 let parse_file ?namespace path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string ?namespace text
+  parse_string ?namespace (In_channel.with_open_bin path In_channel.input_all)
 
 let print_term ns ppf t =
   match t with

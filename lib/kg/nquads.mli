@@ -17,8 +17,8 @@
 type error = {
   line : int;               (** 1-based *)
   column : int option;
-      (** 1-based, relative to the trimmed line; [Some] for lexical
-          errors (unterminated string/iri/interval), [None] for
+      (** 1-based, on the raw line (indentation counts); [Some] for
+          lexical errors (unterminated string/iri/interval), [None] for
           structural ones (field count, bad confidence) *)
   message : string;
 }
@@ -38,10 +38,15 @@ val parse_quad : Namespace.t -> string -> (Quad.t, string) result
     column in the message text (["... (column C)"]); {!parse_string}
     callers get it structured via [error.column] instead. *)
 
-val print : ?namespace:Namespace.t -> Format.formatter -> Graph.t -> unit
-(** Serialise; IRIs are shrunk through the prefix table and the table's
-    bindings are emitted as [@prefix] directives. *)
+val parse_prefix : string -> (string * string, string) result option
+(** [parse_prefix line] reads an [@prefix] directive from a trimmed
+    line: [None] when the line does not start with [@prefix],
+    [Some (Ok (prefix, iri))] for ["@prefix ex: <http://...> ."] and
+    [Some (Error "malformed @prefix")] otherwise. The one [@prefix]
+    parser: UTKG files and the server's journal replay share it. *)
 
 val to_string : ?namespace:Namespace.t -> Graph.t -> string
+(** Serialise; IRIs are shrunk through the prefix table and the table's
+    bindings are emitted as [@prefix] directives. *)
 
 val save_file : ?namespace:Namespace.t -> string -> Graph.t -> unit

@@ -363,18 +363,7 @@ let parse_string ?namespace src =
       | exception Parse_error e -> Error e)
 
 let parse_file ?namespace path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse_string ?namespace src
-
-let parse_rule ?namespace src =
-  match parse_string ?namespace src with
-  | Ok [ rule ] -> Ok rule
-  | Ok rules ->
-      Error (Printf.sprintf "expected 1 declaration, found %d" (List.length rules))
-  | Error e -> Error (Format.asprintf "%a" pp_error e)
+  parse_string ?namespace (In_channel.with_open_bin path In_channel.input_all)
 
 let parse_query ?namespace src =
   match Lexer.tokenize src with

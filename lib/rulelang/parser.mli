@@ -49,10 +49,6 @@ val parse_string :
 val parse_file :
   ?namespace:Kg.Namespace.t -> string -> (Logic.Rule.t list, error) result
 
-val parse_rule :
-  ?namespace:Kg.Namespace.t -> string -> (Logic.Rule.t, string) result
-(** Parse a single declaration (convenience for tests and the CLI). *)
-
 val parse_query :
   ?namespace:Kg.Namespace.t ->
   string ->

@@ -192,12 +192,7 @@ let warning_to_string = function
       Printf.sprintf "bad record at line %d: %s" line reason
 
 let read_file path =
-  let ic = open_in_bin path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let contents = In_channel.with_open_bin path In_channel.input_all in
   let lines = String.split_on_char '\n' contents in
   (* A well-formed log ends with '\n', so the split yields a trailing
      "" sentinel; its absence already means the tail was torn. *)

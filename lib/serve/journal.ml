@@ -229,14 +229,8 @@ let write_all fd b ofs len =
   go ofs len
 
 let read_file_opt path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          Some (really_input_string ic len))
+  try Some (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error _ -> None
 
 (* tmp + fsync + rename + directory fsync: the file exists fully
    written or not at all. *)
@@ -285,71 +279,32 @@ let list_sessions ~state_dir =
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* "@prefix p: <iri> ." — same shape Kg.Nquads accepts in UTKG files. *)
-let parse_prefix_directive line =
-  let parts =
-    String.split_on_char ' ' line |> List.filter (fun s -> s <> "" && s <> ".")
-  in
-  match parts with
-  | [ "@prefix"; prefixed; iri ] ->
-      let n = String.length prefixed in
-      let m = String.length iri in
-      if
-        n >= 1
-        && prefixed.[n - 1] = ':'
-        && m >= 2
-        && iri.[0] = '<'
-        && iri.[m - 1] = '>'
-      then Some (String.sub prefixed 0 (n - 1), String.sub iri 1 (m - 2))
-      else None
-  | _ -> None
-
+(* A record is an [open], an [@prefix] directive (both only in state
+   dumps) or an edit-script line, which runs through the one executor
+   the wire and [tecore session --script] use. *)
 let replay_line session ~line payload =
-  let payload = Protocol.strip_cr payload in
   let trimmed = String.trim payload in
   if trimmed = "open" then begin
     Tecore.Session.load_graph session (Kg.Graph.create ());
     Ok ()
   end
-  else if
-    String.length trimmed >= 7 && String.sub trimmed 0 7 = "@prefix"
-  then
-    match parse_prefix_directive trimmed with
-    | Some (prefix, iri) ->
+  else
+    match Kg.Nquads.parse_prefix trimmed with
+    | Some (Ok (prefix, iri)) ->
         Kg.Namespace.add (Tecore.Session.namespace session) ~prefix ~iri;
         Ok ()
-    | None -> Error "malformed @prefix"
-  else
-    match Tecore.Script.parse_command ~path:"journal" ~line trimmed with
-    | Error e -> Error e.Tecore.Script.message
-    | Ok None -> Ok ()
-    | Ok (Some { cmd; _ }) -> (
-        let ns = Tecore.Session.namespace session in
-        match cmd with
-        | Tecore.Script.Assert_ p -> (
-            match Kg.Nquads.parse_quad ns p with
-            | Error msg -> Error msg
-            | Ok q ->
-                Result.fold ~ok:(fun _ -> Ok ())
-                  ~error:(fun e -> Error (Tecore.Session.error_message e))
-                  (Tecore.Session.assert_fact session q))
-        | Tecore.Script.Retract p -> (
-            match Kg.Nquads.parse_quad ns p with
-            | Error msg -> Error msg
-            | Ok q ->
-                Result.fold ~ok:(fun _ -> Ok ())
-                  ~error:(fun e -> Error (Tecore.Session.error_message e))
-                  (Tecore.Session.retract session q))
-        | Tecore.Script.Rule p ->
-            Result.map (fun _ -> ()) (Tecore.Session.add_rules session p)
-        | Tecore.Script.Unrule name ->
-            if Tecore.Session.remove_rule session name then Ok ()
-            else Error (Printf.sprintf "no rule named %S" name)
-        | Tecore.Script.Load path -> Tecore.Session.load_file session path
-        | Tecore.Script.Resolve _ | Tecore.Script.Diff ->
+    | Some (Error msg) -> Error msg
+    | None -> (
+        match Tecore.Script.parse_command ~path:"journal" ~line trimmed with
+        | Error e -> Error e.Tecore.Script.message
+        | Ok None
+        | Ok (Some { cmd = Tecore.Script.Resolve _ | Tecore.Script.Diff; _ })
+          ->
             (* Reads never reach the journal; tolerate them in case a
                duplicated region smuggles one in. *)
-            Ok ())
+            Ok ()
+        | Ok (Some { cmd; _ }) ->
+            Result.map ignore (Tecore.Script.apply session cmd))
 
 (* ------------------------------------------------------------------ *)
 (* Handles                                                             *)

@@ -154,11 +154,8 @@ val maybe_compact : t -> (unit -> string list) -> bool
 (** Run {!compact} when the record counter has reached the handle's
     [compact_every] threshold; returns whether it did. *)
 
-val sync : t -> unit
-(** Force an fsync of the journal fd (used at clean shutdown). *)
-
 val close : t -> unit
-(** {!sync} (best-effort), leave any commit {!group} and release the
+(** Fsync (best-effort), leave any commit {!group} and release the
     fd. Idempotent. *)
 
 (**/**)

@@ -43,30 +43,14 @@ let kind_name = function
 (* Request parsing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let is_space c = c = ' ' || c = '\t'
-
 let strip_cr s =
   let n = String.length s in
   if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s
 
-let split_keyword s =
-  let n = String.length s in
-  let rec skip i = if i < n && is_space s.[i] then skip (i + 1) else i in
-  let ks = skip 0 in
-  let rec word i = if i < n && not (is_space s.[i]) then word (i + 1) else i in
-  let ke = word ks in
-  let ps = skip ke in
-  (String.sub s ks (ke - ks), String.sub s ps (n - ps), ks + 1, ps + 1)
-
-let rstrip s =
-  let n = String.length s in
-  let rec go n = if n > 0 && is_space s.[n - 1] then go (n - 1) else n in
-  String.sub s 0 (go n)
-
 let parse_request ~line raw =
   let raw = strip_cr raw in
-  let keyword, payload, col_kw, col_arg = split_keyword raw in
-  let payload = rstrip payload in
+  let keyword, payload, col_kw, col_arg = Tecore.Script.split_keyword raw in
+  let payload = Tecore.Script.trim_end payload in
   let err kind column message = Error { kind; line; column; message } in
   let no_arg verb r =
     if payload = "" then Ok r

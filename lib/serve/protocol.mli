@@ -26,7 +26,13 @@
     1-based sequence number on the connection) and [column], and a
     [message]. Parsing is total: every byte sequence yields a typed
     response, never an escaping exception (fuzzed in
-    [test/test_fuzz.ml]). *)
+    [test/test_fuzz.ml]).
+
+    The wire shares the edit language with [tecore session --script]
+    and the journal's crash replay: requests split with the one
+    {!Tecore.Script.split_keyword} (blanks are space, tab and CR), edit
+    commands parse with {!Tecore.Script.parse_command} and run through
+    the one executor {!Tecore.Script.apply}. *)
 
 type request =
   | Hello of string
@@ -69,20 +75,8 @@ val error : error_kind -> line:int -> string -> error
 (** An error located at column 1 of request [line] — every error but a
     parse error, which points at the offending column. *)
 
-val kind_name : error_kind -> string
-(** Lowercase tag used in the wire error object and [serve.*] metrics:
-    ["parse"], ["exec"], ["rejected"], ["overloaded"], ["timed_out"],
-    ["evicted"], ["expired"], ["storage"], ["shutting_down"],
-    ["internal"]. *)
-
 val strip_cr : string -> string
 (** Drop one trailing [\r], so LF and CRLF clients look the same. *)
-
-val split_keyword : string -> string * string * int * int
-(** [split_keyword s] is [(keyword, rest, keyword_column, rest_column)]
-    with surrounding blanks skipped and 1-based columns — the shared
-    first tokenisation step of the wire parser and the scripted
-    driver. *)
 
 val parse_request : line:int -> string -> (request, error) result
 (** Total parser for one request line ([line] is the request's sequence
@@ -100,7 +94,9 @@ val ok_line : (string * Obs.Json.t) list -> string
 (** ["ok <compact-json-object>"] — the fields in the given order. *)
 
 val err_line : error -> string
-(** ["err {\"kind\":...,\"line\":...,\"column\":...,\"message\":...}"]. *)
+(** ["err {\"kind\":...,\"line\":...,\"column\":...,\"message\":...}"];
+    the kind is the constructor's lowercase name (["parse"], ["exec"],
+    ..., ["timed_out"], ["shutting_down"], ["internal"]). *)
 
 val with_request_id : req:int -> string -> string
 (** Splice [{"req":N}] in as the first field of a rendered response

@@ -963,47 +963,26 @@ let last_result ~line entry =
              ("resolution", resolution_json);
            ])
 
-let load ~line path entry =
-  match Session.load entry.session path with
-  | Ok () ->
+(* [load], [assert], [retract], [rule]/[constraint] and [unrule]: the
+   edit language's one executor, then the write-ahead record. *)
+let edit ~line ~raw cmd entry =
+  let str s = Obs.Json.Str s in
+  let journaled field v =
+    persist entry ~line ~raw (Protocol.ok_line [ (field, v) ])
+  in
+  match Tecore.Script.apply entry.session cmd with
+  | Error msg -> Error (exec_error ~line msg)
+  | Ok (Tecore.Script.Loaded { path; facts }) ->
       persist_snapshot entry ~line
-        (Protocol.ok_line
-           [
-             ("loaded", Obs.Json.Str path);
-             ("facts", json_num (facts entry.session));
-           ])
-  | Error e -> Error (exec_error ~line (Session.error_message e))
-
-(* [assert] and [retract]: one quad in the session's namespace. *)
-let edit_fact ~line ~raw apply field payload entry =
-  match Kg.Nquads.parse_quad (Session.namespace entry.session) payload with
-  | Error msg -> Error (exec_error ~line msg)
-  | Ok q -> (
-      match apply entry.session q with
-      | Ok _ ->
-          persist entry ~line ~raw
-            (Protocol.ok_line [ (field, Obs.Json.Str (Kg.Quad.to_string q)) ])
-      | Error e -> Error (exec_error ~line (Session.error_message e)))
-
-let add_rules ~line ~raw payload entry =
-  match Session.add_rules entry.session payload with
-  | Ok rules ->
-      persist entry ~line ~raw
-        (Protocol.ok_line
-           [
-             ( "added",
-               Obs.Json.Arr
-                 (List.map
-                    (fun (r : Logic.Rule.t) -> Obs.Json.Str r.Logic.Rule.name)
-                    rules) );
-           ])
-  | Error msg -> Error (exec_error ~line msg)
-
-let unrule ~line ~raw name entry =
-  if Session.remove_rule entry.session name then
-    persist entry ~line ~raw
-      (Protocol.ok_line [ ("removed", Obs.Json.Str name) ])
-  else Error (exec_error ~line (Printf.sprintf "no rule named %S" name))
+        (Protocol.ok_line [ ("loaded", str path); ("facts", json_num facts) ])
+  | Ok (Tecore.Script.Asserted q) -> journaled "asserted" (str (Kg.Quad.to_string q))
+  | Ok (Tecore.Script.Retracted q) ->
+      journaled "retracted" (str (Kg.Quad.to_string q))
+  | Ok (Tecore.Script.Added rules) ->
+      journaled "added"
+        (Obs.Json.Arr
+           (List.map (fun (r : Logic.Rule.t) -> str r.Logic.Rule.name) rules))
+  | Ok (Tecore.Script.Removed name) -> journaled "removed" (str name)
 
 let diff entry =
   let session = entry.session in
@@ -1023,9 +1002,6 @@ let handle_request t conn_state ~line ~trace parsed raw =
   let locked k = locked t conn_state ~line k in
   let raw = Protocol.strip_cr raw in
   let ok field v = Ok (Protocol.ok_line [ (field, v) ]) in
-  let edit apply field payload =
-    with_graph t conn_state ~line (edit_fact ~line ~raw apply field payload)
-  in
   let result =
     match parsed with
     | Error e -> Error e
@@ -1050,11 +1026,11 @@ let handle_request t conn_state ~line ~trace parsed raw =
         | Tecore.Script.Resolve mode ->
             with_entry t conn_state ~line (fun entry ->
                 submit_resolve t ~line ~trace entry mode)
-        | Tecore.Script.Load path -> locked (load ~line path)
-        | Tecore.Script.Assert_ p -> edit Session.assert_fact "asserted" p
-        | Tecore.Script.Retract p -> edit Session.retract "retracted" p
-        | Tecore.Script.Rule p -> locked (add_rules ~line ~raw p)
-        | Tecore.Script.Unrule name -> locked (unrule ~line ~raw name)
+        | Tecore.Script.Assert_ _ | Tecore.Script.Retract _ ->
+            with_graph t conn_state ~line (edit ~line ~raw cmd)
+        | Tecore.Script.Load _ | Tecore.Script.Rule _ | Tecore.Script.Unrule _
+          ->
+            locked (edit ~line ~raw cmd)
         | Tecore.Script.Diff -> locked diff)
   in
   count_outcome t result;
@@ -1481,12 +1457,12 @@ module Driver = struct
 
   let parse_line ~path ~line raw =
     let raw = Protocol.strip_cr raw in
-    let keyword, payload, col_kw, col_arg = Protocol.split_keyword raw in
+    let keyword, payload, col_kw, col_arg = Tecore.Script.split_keyword raw in
     let err column message =
       Error { Tecore.Script.path; line; column; message }
     in
     let name_and_rest what k =
-      let name, rest, _, _ = Protocol.split_keyword payload in
+      let name, rest, _, _ = Tecore.Script.split_keyword payload in
       if name = "" then err col_arg (what ^ ": missing client name")
       else k name rest
     in

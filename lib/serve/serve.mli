@@ -255,4 +255,22 @@ module Driver : sig
       ["NAME> request"] / ["NAME< response"] transcript lines. Errors
       (unknown client names, malformed driver lines, await timeouts)
       halt with a located error in the [path:line:column] convention. *)
+
+  (**/**)
+
+  type dcmd =
+    | Connect of string
+    | Send of string * string
+    | Post of string * string
+    | Recv of string
+    | Await_busy
+    | Await_idle
+    | Close of string
+
+  val parse_line :
+    path:string ->
+    line:int ->
+    string ->
+    (dcmd option, Tecore.Script.error) result
+  (** One driver line — exposed for tests. *)
 end

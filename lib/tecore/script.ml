@@ -20,23 +20,20 @@ let pp_error ppf e =
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let is_space c = c = ' ' || c = '\t' || c = '\r'
+let is_blank c = c = ' ' || c = '\t' || c = '\r'
 
-(* First non-space index from [i], clamped to the line length. *)
-let skip_spaces line i =
-  let n = String.length line in
-  let rec go i = if i < n && is_space line.[i] then go (i + 1) else i in
-  go i
+let split_keyword s =
+  let n = String.length s in
+  let rec skip i = if i < n && is_blank s.[i] then skip (i + 1) else i in
+  let rec word i = if i < n && not (is_blank s.[i]) then word (i + 1) else i in
+  let ks = skip 0 in
+  let ke = word ks in
+  let ps = skip ke in
+  (String.sub s ks (ke - ks), String.sub s ps (n - ps), ks + 1, ps + 1)
 
-let word_end line i =
-  let n = String.length line in
-  let rec go i = if i < n && not (is_space line.[i]) then go (i + 1) else i in
-  go i
-
-let rstrip line =
-  let n = String.length line in
-  let rec go n = if n > 0 && is_space line.[n - 1] then go (n - 1) else n in
-  String.sub line 0 (go n)
+let trim_end s =
+  let rec go n = if n > 0 && is_blank s.[n - 1] then go (n - 1) else n in
+  String.sub s 0 (go (String.length s))
 
 (* Validate an assert/retract payload: it must be a single well-formed
    fact. Parsed against a throwaway namespace — the real parse happens
@@ -62,30 +59,22 @@ let check_fact ~path ~line ~col0 payload =
                   (List.length facts);
             })
 
-let check_rule ~path ~line ~col0 payload =
+let check_rule ~path ~line ~column payload =
   match
     Rulelang.Parser.parse_string ~namespace:(Kg.Namespace.create ()) payload
   with
   | Error e ->
       (* Rule payloads are single lines, so the parser's own line number
          is always 1; the useful coordinate is the payload start. *)
-      Error { path; line; column = col0 + 1; message = e.Rulelang.Parser.message }
-  | Ok [] ->
-      Error
-        { path; line; column = col0 + 1; message = "expected a rule declaration" }
+      Error { path; line; column; message = e.Rulelang.Parser.message }
+  | Ok [] -> Error { path; line; column; message = "expected a rule declaration" }
   | Ok _ -> Ok ()
 
 let parse_line ~path ~line raw =
-  let raw = rstrip raw in
-  let ks = skip_spaces raw 0 in
-  if ks >= String.length raw || raw.[ks] = '#' then Ok None
+  let raw = trim_end raw in
+  let keyword, payload, col_kw, col_arg = split_keyword raw in
+  if keyword = "" || keyword.[0] = '#' then Ok None
   else
-    let ke = word_end raw ks in
-    let keyword = String.sub raw ks (ke - ks) in
-    let ps = skip_spaces raw ke in
-    let payload = String.sub raw ps (String.length raw - ps) in
-    let col_kw = ks + 1 in
-    let col_arg = ps + 1 in
     let err column message = Error { path; line; column; message } in
     let require_arg what k =
       if payload = "" then err col_arg (keyword ^ ": missing " ^ what)
@@ -94,24 +83,18 @@ let parse_line ~path ~line raw =
     let cmd c = Ok (Some { cmd = c; line; column = col_kw }) in
     match keyword with
     | "load" -> require_arg "file path" (fun p -> cmd (Load p))
-    | "assert" ->
+    | "assert" | "retract" ->
         require_arg "fact" (fun p ->
-            match check_fact ~path ~line ~col0:ps p with
-            | Ok () -> cmd (Assert_ p)
-            | Error e -> Error e)
-    | "retract" ->
-        require_arg "fact" (fun p ->
-            match check_fact ~path ~line ~col0:ps p with
-            | Ok () -> cmd (Retract p)
-            | Error e -> Error e)
+            Result.bind (check_fact ~path ~line ~col0:(col_arg - 1) p)
+              (fun () ->
+                cmd (if keyword = "assert" then Assert_ p else Retract p)))
     | "rule" | "constraint" ->
         (* The payload is the whole line: the rule language's own
            declarations already start with [rule]/[constraint]. *)
-        let decl = String.sub raw ks (String.length raw - ks) in
+        let decl = String.sub raw (col_kw - 1) (String.length raw - col_kw + 1) in
         require_arg "rule declaration" (fun _ ->
-            match check_rule ~path ~line ~col0:ks decl with
-            | Ok () -> cmd (Rule decl)
-            | Error e -> Error e)
+            Result.bind (check_rule ~path ~line ~column:col_kw decl) (fun () ->
+                cmd (Rule decl)))
     | "unrule" -> require_arg "rule name" (fun p -> cmd (Unrule p))
     | "resolve" -> (
         match payload with
@@ -144,15 +127,41 @@ let parse_string ~path text =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let parse_fact ~session payload =
-  match
-    Kg.Nquads.parse_string ~namespace:(Session.namespace session) payload
-  with
-  | Ok g -> (
-      match Kg.Graph.to_list g with
-      | [ q ] -> q
-      | _ -> invalid_arg "script fact payload changed arity since parse")
-  | Error _ -> invalid_arg "script fact payload stopped parsing since parse"
+type outcome =
+  | Loaded of { path : string; facts : int }
+  | Asserted of Kg.Quad.t
+  | Retracted of Kg.Quad.t
+  | Added of Logic.Rule.t list
+  | Removed of string
+
+let apply ?dir session cmd =
+  let fact payload edit k =
+    match Kg.Nquads.parse_quad (Session.namespace session) payload with
+    | Error msg -> Error msg
+    | Ok q -> (
+        match edit session q with
+        | Ok _ -> Ok (k q)
+        | Error e -> Error (Session.error_message e))
+  in
+  match cmd with
+  | Load path -> (
+      let file =
+        match dir with
+        | Some dir when Filename.is_relative path -> Filename.concat dir path
+        | _ -> path
+      in
+      match Session.load session file with
+      | Ok () ->
+          let facts = Option.fold ~none:0 ~some:Kg.Graph.size (Session.graph session) in
+          Ok (Loaded { path; facts })
+      | Error e -> Error (Session.error_message e))
+  | Assert_ payload -> fact payload Session.assert_fact (fun q -> Asserted q)
+  | Retract payload -> fact payload Session.retract (fun q -> Retracted q)
+  | Rule decl -> Result.map (fun rules -> Added rules) (Session.add_rules session decl)
+  | Unrule name ->
+      if Session.remove_rule session name then Ok (Removed name)
+      else Error (Printf.sprintf "no rule named %S" name)
+  | Resolve _ | Diff -> invalid_arg "Script.apply: resolve and diff are not edits"
 
 let engine_name = Engine.choice_name
 
@@ -166,41 +175,6 @@ let run ?engine ?jobs ~session fmt (t : t) =
   let out fmt_str = Format.fprintf fmt fmt_str in
   let exec (c : located) =
     match c.cmd with
-    | Load arg ->
-        let file =
-          if Filename.is_relative arg then
-            Filename.concat (Filename.dirname t.path) arg
-          else arg
-        in
-        (match Session.load session file with
-        | Ok () -> ()
-        | Error e -> fail c (Session.error_message e));
-        let facts =
-          match Session.graph session with
-          | Some g -> Kg.Graph.size g
-          | None -> 0
-        in
-        out "loaded %s (%d facts)@." arg facts
-    | Assert_ payload -> (
-        let q = parse_fact ~session payload in
-        match Session.assert_fact session q with
-        | Ok _ -> out "asserted %s@." (Kg.Quad.to_string q)
-        | Error e -> fail c (Session.error_message e))
-    | Retract payload -> (
-        let q = parse_fact ~session payload in
-        match Session.retract session q with
-        | Ok _ -> out "retracted %s@." (Kg.Quad.to_string q)
-        | Error e -> fail c (Session.error_message e))
-    | Rule payload -> (
-        match Session.add_rules session payload with
-        | Ok rules ->
-            List.iter
-              (fun (r : Logic.Rule.t) -> out "added rule %s@." r.Logic.Rule.name)
-              rules
-        | Error msg -> fail c msg)
-    | Unrule name ->
-        if Session.remove_rule session name then out "removed rule %s@." name
-        else fail c (Printf.sprintf "no rule named %S" name)
     | Resolve mode -> (
         match Session.resolve ?engine ?jobs ~mode session with
         | Ok r ->
@@ -233,6 +207,17 @@ let run ?engine ?jobs ~session fmt (t : t) =
             out "%a@." Diff.pp
               (Diff.diff g r.Engine.resolution.Conflict.consistent)
         | _, None | None, _ -> out "diff: no resolution yet@.")
+    | edit -> (
+        match apply ~dir:(Filename.dirname t.path) session edit with
+        | Error msg -> fail c msg
+        | Ok (Loaded { path; facts }) -> out "loaded %s (%d facts)@." path facts
+        | Ok (Asserted q) -> out "asserted %s@." (Kg.Quad.to_string q)
+        | Ok (Retracted q) -> out "retracted %s@." (Kg.Quad.to_string q)
+        | Ok (Added rules) ->
+            List.iter
+              (fun (r : Logic.Rule.t) -> out "added rule %s@." r.Logic.Rule.name)
+              rules
+        | Ok (Removed name) -> out "removed rule %s@." name)
   in
   match List.iter exec t.commands with
   | () -> Ok ()

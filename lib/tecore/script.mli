@@ -24,7 +24,13 @@
     Parsing is eager: fact and rule payloads are validated up front
     against a throwaway namespace, so a malformed line 10 is reported
     before line 1 runs. All errors — parse and execution — are typed and
-    located as [path:line:column]. *)
+    located as [path:line:column].
+
+    This module owns the edit language end to end. The server's wire
+    ([Serve.Protocol]), its journal replay ([Serve.Journal]) and this
+    module's {!run} split lines with the one {!split_keyword}, parse
+    commands with {!parse_command} and run edits with the one {!apply},
+    so an edit means the same thing whichever door it comes through. *)
 
 type command =
   | Load of string
@@ -49,6 +55,16 @@ val parse_string : path:string -> string -> (t, error) result
     [path] is used only for error locations and for resolving relative
     [load] arguments at execution time. *)
 
+val split_keyword : string -> string * string * int * int
+(** [split_keyword s] is [(keyword, rest, keyword_column, rest_column)]:
+    the first blank-delimited word of [s] and everything after the blanks
+    that follow it, with 1-based columns ([rest_column] is one past the
+    end of [s] when [rest] is empty). Blanks are space, tab and CR.
+    Trailing blanks stay in [rest] (see {!trim_end}). *)
+
+val trim_end : string -> string
+(** [s] without its trailing blanks. *)
+
 val parse_command :
   path:string -> line:int -> string -> (located option, error) result
 (** Parse one script line — the unit the server's wire protocol reuses as
@@ -57,6 +73,24 @@ val parse_command :
     [Error] (at [path:line:column]) otherwise. Payload validation is as
     eager as in {!parse_string}: a malformed fact or rule is refused
     here, before anything executes. *)
+
+type outcome =
+  | Loaded of { path : string; facts : int }
+      (** the command's path and the loaded graph's fact count *)
+  | Asserted of Kg.Quad.t
+  | Retracted of Kg.Quad.t
+  | Added of Logic.Rule.t list
+  | Removed of string  (** the removed rule's name *)
+
+val apply : ?dir:string -> Session.t -> command -> (outcome, string) result
+(** Run one edit — [Load], [Assert_], [Retract], [Rule] or [Unrule] —
+    against the session: the one executor behind {!run}, the server's
+    edit verbs and journal replay. Fact payloads are parsed by
+    {!Kg.Nquads.parse_quad} in the session's namespace. A relative [load]
+    path resolves against [dir] when given. Errors are the rendered
+    message ({!Session.error_message} for session errors). Raises
+    [Invalid_argument] on [Resolve] and [Diff]: reads stay with the
+    caller. *)
 
 val run :
   ?engine:Engine.engine ->

@@ -74,8 +74,6 @@ let load t path =
       let msg = if contains ~needle:path msg then msg else path ^ ": " ^ msg in
       Error (Io_error msg)
 
-let load_file t path = Result.map_error error_message (load t path)
-
 let load_string t text =
   match Obs.span "parse" (fun () -> Kg.Nquads.parse_string ~namespace:t.ns text) with
   | Ok g ->
@@ -144,11 +142,6 @@ let remove_rule t name =
   else false
 
 let rules t = t.rule_set
-
-let clear_rules t =
-  t.rule_set <- [];
-  t.result <- None;
-  t.rules_changed <- true
 
 let complete_predicate t prefix =
   match t.kg with

@@ -39,9 +39,6 @@ val load : t -> string -> (unit, error) result
     offending path, [Parse_error] locates the failure as
     [path:line:column]. *)
 
-val load_file : t -> string -> (unit, string) result
-(** [load] with the error rendered through {!error_message}. *)
-
 val load_string : t -> string -> (unit, string) result
 val graph : t -> Kg.Graph.t option
 
@@ -71,8 +68,6 @@ val remove_rule : t -> string -> bool
 (** Remove by name; false when absent. *)
 
 val rules : t -> Logic.Rule.t list
-
-val clear_rules : t -> unit
 
 val complete_predicate : t -> string -> string list
 (** Auto-completion for the constraints editor (Figure 5): predicates of

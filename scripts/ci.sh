@@ -51,6 +51,10 @@ expect_exit() { # expect_exit CODE DESCRIPTION CMD...
 }
 expect_exit 0 "clean resolve" \
   "$CLI" resolve -d data/ranieri.tq -r data/ranieri.rules
+# Inputs are read to end of file, not by a seek-measured length, so
+# pipes and procfs files work too.
+expect_exit 0 "resolve from pipes" \
+  "$CLI" resolve -d <(cat data/ranieri.tq) -r <(cat data/ranieri.rules)
 expect_exit 4 "missing data file" \
   "$CLI" resolve -d no-such-file.tq
 expect_exit 4 "missing rules file" \

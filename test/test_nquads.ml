@@ -116,6 +116,11 @@ let test_error_columns () =
     (Printf.sprintf "pp_error renders the column of %S" e.N.message)
     true
     (contains ~needle:"column 5" (Format.asprintf "%a" N.pp_error e));
+  (* Columns count on the raw line: indentation included. *)
+  let e = parse_err "ok p b [1,2] .\n  a p \"late unterminated [1,2] ." in
+  Alcotest.(check (option int)) "indented column" (Some 7) e.N.column;
+  let e = parse_err "\t a p <open [1,2] ." in
+  Alcotest.(check (option int)) "tab-indented column" (Some 7) e.N.column;
   (* Structural errors carry no column. *)
   let e = parse_err "a p b\n" in
   Alcotest.(check (option int)) "no column" None e.N.column;

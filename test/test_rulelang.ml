@@ -249,14 +249,6 @@ let test_printer_roundtrip () =
         (Rulelang.Printer.rule_to_string b))
     rules reparsed
 
-let test_parse_rule_single () =
-  (match Rulelang.Parser.parse_rule "rule r 1: p(x, y)@t => q(x, y)@t ." with
-  | Ok r -> Alcotest.(check string) "name" "r" r.Rule.name
-  | Error e -> Alcotest.fail e);
-  match Rulelang.Parser.parse_rule "rule a 1: p(x)@t => p(x)@t . rule b 1: p(x)@t => p(x)@t ." with
-  | Ok _ -> Alcotest.fail "two rules accepted by parse_rule"
-  | Error _ -> ()
-
 let () =
   Alcotest.run "rulelang"
     [
@@ -288,7 +280,6 @@ let () =
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "unsafe reported" `Quick test_unsafe_reported_with_name;
           Alcotest.test_case "paper program" `Quick test_paper_program;
-          Alcotest.test_case "parse_rule" `Quick test_parse_rule_single;
         ] );
       ( "printer",
         [ Alcotest.test_case "roundtrip" `Quick test_printer_roundtrip ] );

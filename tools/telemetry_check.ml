@@ -19,11 +19,7 @@
    Used by scripts/ci.sh to gate the telemetry smoke run. *)
 
 let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+  try In_channel.with_open_bin path In_channel.input_all
   with Sys_error msg ->
     Printf.eprintf "telemetry_check: %s\n" msg;
     exit 1
