@@ -154,7 +154,8 @@ let parse_string ?namespace text =
           | Some (Ok (prefix, iri)) ->
               Namespace.add ns ~prefix ~iri;
               loop (lineno + 1) rest
-          | Some (Error message) -> Error { line = lineno; column = None; message }
+          | Some (Error message) ->
+              Error { line = lineno; column = None; message }
           | None -> (
               match parse_quad_loc ns trimmed with
               | Ok q ->

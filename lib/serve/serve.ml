@@ -975,7 +975,8 @@ let edit ~line ~raw cmd entry =
   | Ok (Tecore.Script.Loaded { path; facts }) ->
       persist_snapshot entry ~line
         (Protocol.ok_line [ ("loaded", str path); ("facts", json_num facts) ])
-  | Ok (Tecore.Script.Asserted q) -> journaled "asserted" (str (Kg.Quad.to_string q))
+  | Ok (Tecore.Script.Asserted q) ->
+      journaled "asserted" (str (Kg.Quad.to_string q))
   | Ok (Tecore.Script.Retracted q) ->
       journaled "retracted" (str (Kg.Quad.to_string q))
   | Ok (Tecore.Script.Added rules) ->

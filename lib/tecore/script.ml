@@ -67,10 +67,11 @@ let check_rule ~path ~line ~column payload =
       (* Rule payloads are single lines, so the parser's own line number
          is always 1; the useful coordinate is the payload start. *)
       Error { path; line; column; message = e.Rulelang.Parser.message }
-  | Ok [] -> Error { path; line; column; message = "expected a rule declaration" }
+  | Ok [] ->
+      Error { path; line; column; message = "expected a rule declaration" }
   | Ok _ -> Ok ()
 
-let parse_line ~path ~line raw =
+let parse_command ~path ~line raw =
   let raw = trim_end raw in
   let keyword, payload, col_kw, col_arg = split_keyword raw in
   if keyword = "" || keyword.[0] = '#' then Ok None
@@ -91,7 +92,8 @@ let parse_line ~path ~line raw =
     | "rule" | "constraint" ->
         (* The payload is the whole line: the rule language's own
            declarations already start with [rule]/[constraint]. *)
-        let decl = String.sub raw (col_kw - 1) (String.length raw - col_kw + 1) in
+        let ks = col_kw - 1 in
+        let decl = String.sub raw ks (String.length raw - ks) in
         require_arg "rule declaration" (fun _ ->
             Result.bind (check_rule ~path ~line ~column:col_kw decl) (fun () ->
                 cmd (Rule decl)))
@@ -109,14 +111,12 @@ let parse_line ~path ~line raw =
         else err col_arg "diff takes no argument"
     | other -> err col_kw (Printf.sprintf "unknown command %S" other)
 
-let parse_command ~path ~line raw = parse_line ~path ~line raw
-
 let parse_string ~path text =
   let lines = String.split_on_char '\n' text in
   let rec go line acc = function
     | [] -> Ok { path; commands = List.rev acc }
     | raw :: rest -> (
-        match parse_line ~path ~line raw with
+        match parse_command ~path ~line raw with
         | Ok None -> go (line + 1) acc rest
         | Ok (Some c) -> go (line + 1) (c :: acc) rest
         | Error e -> Error e)
@@ -152,16 +152,20 @@ let apply ?dir session cmd =
       in
       match Session.load session file with
       | Ok () ->
-          let facts = Option.fold ~none:0 ~some:Kg.Graph.size (Session.graph session) in
+          let facts =
+            Option.fold ~none:0 ~some:Kg.Graph.size (Session.graph session)
+          in
           Ok (Loaded { path; facts })
       | Error e -> Error (Session.error_message e))
   | Assert_ payload -> fact payload Session.assert_fact (fun q -> Asserted q)
   | Retract payload -> fact payload Session.retract (fun q -> Retracted q)
-  | Rule decl -> Result.map (fun rules -> Added rules) (Session.add_rules session decl)
+  | Rule decl ->
+      Result.map (fun rules -> Added rules) (Session.add_rules session decl)
   | Unrule name ->
       if Session.remove_rule session name then Ok (Removed name)
       else Error (Printf.sprintf "no rule named %S" name)
-  | Resolve _ | Diff -> invalid_arg "Script.apply: resolve and diff are not edits"
+  | Resolve _ | Diff ->
+      invalid_arg "Script.apply: resolve and diff are not edits"
 
 let engine_name = Engine.choice_name
 
@@ -215,7 +219,8 @@ let run ?engine ?jobs ~session fmt (t : t) =
         | Ok (Retracted q) -> out "retracted %s@." (Kg.Quad.to_string q)
         | Ok (Added rules) ->
             List.iter
-              (fun (r : Logic.Rule.t) -> out "added rule %s@." r.Logic.Rule.name)
+              (fun (r : Logic.Rule.t) ->
+                out "added rule %s@." r.Logic.Rule.name)
               rules
         | Ok (Removed name) -> out "removed rule %s@." name)
   in
