@@ -228,9 +228,16 @@ let write_all fd b ofs len =
   in
   go ofs len
 
+(* Only a failed open means absent: a read that fails after the open
+   raises, so recovery never mistakes an unreadable journal for an
+   empty one. *)
 let read_file_opt path =
-  try Some (In_channel.with_open_bin path In_channel.input_all)
-  with Sys_error _ -> None
+  match In_channel.open_bin path with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> In_channel.close_noerr ic)
+        (fun () -> Some (In_channel.input_all ic))
 
 (* tmp + fsync + rename + directory fsync: the file exists fully
    written or not at all. *)

@@ -88,6 +88,9 @@ let parse_command ~path ~line raw =
         require_arg "fact" (fun p ->
             Result.bind (check_fact ~path ~line ~col0:(col_arg - 1) p)
               (fun () ->
+                (* [check_fact] read the payload as a document line, which
+                   [String.trim]s it; [apply] parses exactly those bytes. *)
+                let p = String.trim p in
                 cmd (if keyword = "assert" then Assert_ p else Retract p)))
     | "rule" | "constraint" ->
         (* The payload is the whole line: the rule language's own

@@ -72,7 +72,9 @@ val parse_command :
     blank or comment line, [Ok (Some c)] for a command, and a located
     [Error] (at [path:line:column]) otherwise. Payload validation is as
     eager as in {!parse_string}: a malformed fact or rule is refused
-    here, before anything executes. *)
+    here, before anything executes. A fact payload is validated as an
+    N-Quads document line, which trims it; [Assert_]/[Retract] carry it
+    so trimmed, so {!apply} parses the bytes that were validated. *)
 
 type outcome =
   | Loaded of { path : string; facts : int }

@@ -8,7 +8,8 @@
    added — the one deliberate change of the shared splitter. Random lines
    over verbs, blanks, '#' and payload bytes must parse identically under
    the shared splitter, except that a CR before a line's last byte is now
-   a blank on the wire too. *)
+   a blank on the wire too, and that a fact payload now arrives trimmed
+   as its validator read it. *)
 
 module Script = Tecore.Script
 module Protocol = Serve.Protocol
@@ -297,6 +298,21 @@ let gen_line =
 
 let arb_line = QCheck.make ~print:(Printf.sprintf "%S") gen_line
 
+(* The parent carried a fact payload as written; it now carries the
+   trimmed bytes its validator read, so execution parses those. *)
+let trim_fact = function
+  | Script.Assert_ p -> Script.Assert_ (String.trim p)
+  | Script.Retract p -> Script.Retract (String.trim p)
+  | c -> c
+
+let trim_located = function
+  | Ok (Some (c : Script.located)) -> Ok (Some { c with cmd = trim_fact c.cmd })
+  | r -> r
+
+let trim_request = function
+  | Ok (Protocol.Cmd c) -> Ok (Protocol.Cmd (trim_fact c))
+  | r -> r
+
 (* A CR that is not the line's last byte: the one place the shared
    splitter parts from the wire's old blanks. *)
 let inner_cr s =
@@ -308,14 +324,15 @@ let qcheck_script_line =
   QCheck.Test.make ~name:"script lines parse as before" ~count:3000 arb_line
     (fun s ->
       Script.parse_command ~path:"p" ~line:3 s
-      = Parent.Script_line.parse_command ~path:"p" ~line:3 s)
+      = trim_located (Parent.Script_line.parse_command ~path:"p" ~line:3 s))
 
 let qcheck_wire_request =
   QCheck.Test.make ~name:"wire requests parse as before, CR now a blank"
     ~count:3000 arb_line (fun s ->
       let now = Protocol.parse_request ~line:4 s in
-      now = Parent.Wire_cr.parse_request ~line:4 s
-      && (inner_cr s || now = Parent.Wire_lf.parse_request ~line:4 s))
+      now = trim_request (Parent.Wire_cr.parse_request ~line:4 s)
+      && (inner_cr s
+         || now = trim_request (Parent.Wire_lf.parse_request ~line:4 s)))
 
 let qcheck_driver_line =
   QCheck.Test.make ~name:"driver lines parse as before, CR now a blank"
@@ -384,6 +401,39 @@ let test_form_feed_fact_column () =
   match Script.parse_command ~path:"p" ~line:1 "assert \012\"x" with
   | Error e -> Alcotest.(check int) "column of the quote" 9 e.Script.column
   | Ok _ -> Alcotest.fail "unterminated string accepted"
+
+(* A form feed at either end of a fact: validation trims it, and the
+   command carries the trimmed payload, so the fact also runs. *)
+let test_form_feed_fact_runs () =
+  let fact = "ex:a ex:p ex:b [1,2] ." in
+  let line = "assert \012" ^ fact ^ "\012" in
+  (match Script.parse_command ~path:"p" ~line:1 line with
+  | Ok (Some { Script.cmd = Script.Assert_ p; _ }) ->
+      Alcotest.(check string) "payload" fact p
+  | _ -> Alcotest.fail "expected an assert");
+  (match Protocol.parse_request ~line:1 line with
+  | Ok (Protocol.Cmd (Script.Assert_ p)) ->
+      Alcotest.(check string) "wire payload" fact p
+  | _ -> Alcotest.fail "expected a wire assert");
+  let session = Tecore.Session.create () in
+  Tecore.Session.load_graph session (Kg.Graph.create ());
+  let text = line ^ "\nretract " ^ fact ^ "\012\n" in
+  match Script.parse_string ~path:"ff.script" text with
+  | Error e -> Alcotest.failf "parse: %s" e.Script.message
+  | Ok script -> (
+      let buf = Buffer.create 64 in
+      let fmt = Format.formatter_of_buffer buf in
+      match Script.run ~session fmt script with
+      | Error e -> Alcotest.failf "run: %s" e.Script.message
+      | Ok () ->
+          Format.pp_print_flush fmt ();
+          Alcotest.(check string)
+            "transcript"
+            "asserted (http://example.org/a, http://example.org/p, \
+             http://example.org/b, [1,2])\n\
+             retracted (http://example.org/a, http://example.org/p, \
+             http://example.org/b, [1,2])\n"
+            (Buffer.contents buf))
 
 (* ------------------------------------------------------------------ *)
 (* The one executor                                                    *)
@@ -460,6 +510,8 @@ let () =
             test_empty_argument_columns;
           Alcotest.test_case "form feed fact column" `Quick
             test_form_feed_fact_column;
+          Alcotest.test_case "form feed fact runs" `Quick
+            test_form_feed_fact_runs;
           QCheck_alcotest.to_alcotest qcheck_script_line;
           QCheck_alcotest.to_alcotest qcheck_wire_request;
           QCheck_alcotest.to_alcotest qcheck_driver_line;

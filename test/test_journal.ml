@@ -373,6 +373,30 @@ let test_torn_tail_every_boundary () =
 (* Unrecoverable damage                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* A journal that opens but cannot be read is an IO failure, not an
+   empty tail: reading it as empty would report [Full] and let the next
+   compaction drop acknowledged edits. A directory in the journal's
+   place opens and then fails to read. *)
+let test_unreadable_journal_raises () =
+  with_state_dir "unreadable" (fun state_dir ->
+      let j =
+        Journal.create ~state_dir ~fsync:Journal.Always ~compact_every:0 "ivy"
+      in
+      List.iter (Journal.append j) [ "open"; assert_line 1 ];
+      Journal.close j;
+      let path =
+        Filename.concat (Journal.session_dir ~state_dir "ivy") "journal.0"
+      in
+      Sys.remove path;
+      Unix.mkdir path 0o755;
+      match
+        Journal.recover ~state_dir ~fsync:Journal.Always ~compact_every:0 "ivy"
+      with
+      | exception Sys_error _ -> ()
+      | r ->
+          Alcotest.failf "unreadable journal recovered with status %s"
+            (Journal.status_name r.Journal.status))
+
 let test_unrecoverable_manifest () =
   with_state_dir "badmanifest" (fun state_dir ->
       let j =
@@ -1158,6 +1182,8 @@ let () =
         [
           Alcotest.test_case "torn tail at every byte boundary" `Quick
             test_torn_tail_every_boundary;
+          Alcotest.test_case "unreadable journal raises" `Quick
+            test_unreadable_journal_raises;
           Alcotest.test_case "corrupt manifest" `Quick
             test_unrecoverable_manifest;
           Alcotest.test_case "corrupt snapshot" `Quick
