@@ -36,6 +36,3 @@ val rules : unit -> Logic.Rule.t list
 (** One soft inference rule ([fb_veteran]): a player with a stint
     starting past age 30 is a veteran. Exercises the inference path on
     this dataset. *)
-
-val horizon : int
-(** Last time point of the generated histories (2017, as in the paper). *)

@@ -76,12 +76,3 @@ let occupations =
     "Philosopher"; "Physician"; "Physicist"; "Politician"; "Sculptor";
     "Singer"; "Sociologist"; "Teacher";
   |]
-
-let cities =
-  [|
-    "Arelton"; "Brinmore"; "Calverford"; "Dresmont"; "Elwick"; "Farrowgate";
-    "Grenholm"; "Hartsville"; "Islefield"; "Jorvale"; "Kelsmere";
-    "Lynden_Falls"; "Marwick"; "Nethercliff"; "Ortana"; "Pellbrook";
-    "Quarrytown"; "Rivenhall"; "Selmora"; "Thornbury"; "Umberline";
-    "Vancross"; "Westhollow"; "Yarrowfen";
-  |]

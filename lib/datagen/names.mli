@@ -19,5 +19,3 @@ val universities : string array
 val organisations : string array
 
 val occupations : string array
-
-val cities : string array

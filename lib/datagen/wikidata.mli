@@ -23,10 +23,6 @@ val generate :
 (** Defaults: [seed = 2], [total_facts = 63_000] (the paper's corpus at
     1:100), [conflict_rate = 0.0]. *)
 
-val regimes : (string * int) list
-(** Named scale regimes for the million-fact benchmarks:
-    [("1e5", 100_000); ("1e6", 1_000_000)]. *)
-
 val generate_regime : ?seed:int -> string -> dataset
 (** [generate_regime name] pins the generation parameters of a named
     regime (default [seed = 2], 1 % planted conflicts) so benchmark

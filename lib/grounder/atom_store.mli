@@ -66,9 +66,6 @@ val size : t -> int
 val iter : (id -> Logic.Atom.Ground.t -> origin -> unit) -> t -> unit
 (** Over every atom in id order, rebuilding each boxed view. *)
 
-val table_name : string -> arity:int -> temporal:bool -> string
-(** Table naming scheme: one table per (predicate, arity, temporality). *)
-
 val table_for :
   t -> string -> arity:int -> temporal:bool -> Reldb.Table.t option
 (** The extension table of a predicate, when any atom of that shape was

@@ -16,20 +16,18 @@ end)
 
 type id = int
 
-(* The four lookup indexes are built lazily, on first use: the grounding
+(* The two lookup indexes are built lazily, on first use: the grounding
    pipeline only ever streams a graph ([iter]), and at 10^6 facts the
-   subject/predicate tables, the (s, p) pair table and the per-predicate
-   interval trees together cost more resident memory than the quads
-   themselves. Sessions that actually edit pay the build once, on their
-   first point query; [add] keeps any already-built index up to date. *)
+   predicate table and the (s, p) pair table cost resident memory the
+   stream never needs. Sessions that actually edit pay the build once,
+   on their first point query; [add] keeps an already-built index up to
+   date. *)
 type t = {
   quads : Quad.t Vec.t;
   alive : bool Vec.t;
   mutable live : int;
-  mutable by_subject : id Vec.t Term_table.t option;
   mutable by_predicate : id Vec.t Term_table.t option;
   mutable by_sp : id Vec.t Pair_table.t option;
-  mutable temporal : id Interval_tree.t Term_table.t option;
 }
 
 let create () =
@@ -37,10 +35,8 @@ let create () =
     quads = Vec.create ();
     alive = Vec.create ();
     live = 0;
-    by_subject = None;
     by_predicate = None;
     by_sp = None;
-    temporal = None;
   }
 
 let index_push table key id =
@@ -59,27 +55,9 @@ let sp_push table q id =
       Vec.push vec id;
       Pair_table.replace table (q.Quad.subject, q.Quad.predicate) vec
 
-let temporal_push table q id =
-  let tree =
-    Option.value
-      (Term_table.find_opt table q.Quad.predicate)
-      ~default:Interval_tree.empty
-  in
-  Term_table.replace table q.Quad.predicate
-    (Interval_tree.add q.Quad.time id tree)
-
-(* Index builders cover dead quads too: [remove]/[restore] never touch
-   the indexes (liveness is checked at query time), so a lazily built
-   index must agree with one maintained incrementally since [create]. *)
-let subject_index t =
-  match t.by_subject with
-  | Some table -> table
-  | None ->
-      let table = Term_table.create 64 in
-      Vec.iteri (fun id q -> index_push table q.Quad.subject id) t.quads;
-      t.by_subject <- Some table;
-      table
-
+(* Index builders cover dead quads too: [remove] never touches the
+   indexes (liveness is checked at query time), so a lazily built index
+   must agree with one maintained incrementally since [create]. *)
 let predicate_index t =
   match t.by_predicate with
   | Some table -> table
@@ -98,24 +76,13 @@ let sp_index t =
       t.by_sp <- Some table;
       table
 
-let temporal_index t =
-  match t.temporal with
-  | Some table -> table
-  | None ->
-      let table = Term_table.create 16 in
-      Vec.iteri (fun id q -> temporal_push table q id) t.quads;
-      t.temporal <- Some table;
-      table
-
 let add t q =
   let id = Vec.length t.quads in
   Vec.push t.quads q;
   Vec.push t.alive true;
   t.live <- t.live + 1;
-  Option.iter (fun table -> index_push table q.Quad.subject id) t.by_subject;
   Option.iter (fun table -> index_push table q.Quad.predicate id) t.by_predicate;
   Option.iter (fun table -> sp_push table q id) t.by_sp;
-  Option.iter (fun table -> temporal_push table q id) t.temporal;
   id
 
 let check_id t id =
@@ -129,13 +96,6 @@ let remove t id =
     t.live <- t.live - 1
   end
 
-let restore t id =
-  check_id t id;
-  if not (Vec.get t.alive id) then begin
-    Vec.set t.alive id true;
-    t.live <- t.live + 1
-  end
-
 let mem_id t id = id >= 0 && id < Vec.length t.quads && Vec.get t.alive id
 
 let find t id =
@@ -144,19 +104,13 @@ let find t id =
 
 let size t = t.live
 
-let total t = Vec.length t.quads
-
 let iter f t =
   Vec.iteri (fun id q -> if Vec.get t.alive id then f id q) t.quads
 
-let fold f t acc =
-  let acc = ref acc in
-  iter (fun id q -> acc := f id q !acc) t;
-  !acc
-
-let to_list t = List.rev (fold (fun _ q acc -> q :: acc) t [])
-
-let ids t = List.rev (fold (fun id _ acc -> id :: acc) t [])
+let to_list t =
+  let acc = ref [] in
+  iter (fun _ q -> acc := q :: !acc) t;
+  List.rev !acc
 
 let of_list quads =
   let t = create () in
@@ -169,8 +123,7 @@ let copy t =
   Vec.iteri (fun id alive -> if not alive then remove t' id) t.alive;
   t'
 
-let live_of_index t table key =
-  match Term_table.find_opt table key with
+let live t = function
   | None -> []
   | Some vec ->
       List.rev
@@ -180,34 +133,10 @@ let live_of_index t table key =
              else acc)
            [] vec)
 
-let by_subject t s = live_of_index t (subject_index t) s
-
-let by_predicate t p = live_of_index t (predicate_index t) p
+let by_predicate t p = live t (Term_table.find_opt (predicate_index t) p)
 
 let by_subject_predicate t s p =
-  match Pair_table.find_opt (sp_index t) (s, p) with
-  | None -> []
-  | Some vec ->
-      List.rev
-        (Vec.fold
-           (fun acc id ->
-             if Vec.get t.alive id then (id, Vec.get t.quads id) :: acc
-             else acc)
-           [] vec)
-
-let overlapping t p window =
-  match Term_table.find_opt (temporal_index t) p with
-  | None -> []
-  | Some tree ->
-      Interval_tree.overlapping window tree
-      |> List.filter_map (fun (_, id) ->
-             if Vec.get t.alive id then Some (id, Vec.get t.quads id)
-             else None)
-
-let contains_statement t q =
-  List.exists
-    (fun (_, q') -> Quad.same_statement q q')
-    (by_subject_predicate t q.Quad.subject q.Quad.predicate)
+  live t (Pair_table.find_opt (sp_index t) (s, p))
 
 let predicates t =
   let counts = Term_table.create 16 in
@@ -221,75 +150,6 @@ let predicates t =
   Term_table.fold (fun p c acc -> (p, c) :: acc) counts []
   |> List.sort (fun (p1, c1) (p2, c2) ->
          match Int.compare c2 c1 with 0 -> Term.compare p1 p2 | c -> c)
-
-let subjects t =
-  let seen = Term_table.create 64 in
-  let acc = ref [] in
-  iter
-    (fun _ q ->
-      if not (Term_table.mem seen q.Quad.subject) then begin
-        Term_table.replace seen q.Quad.subject ();
-        acc := q.Quad.subject :: !acc
-      end)
-    t;
-  List.rev !acc
-
-let complete_predicate t prefix =
-  let prefix = String.lowercase_ascii prefix in
-  let matches name =
-    let name = String.lowercase_ascii name in
-    String.length prefix <= String.length name
-    && String.sub name 0 (String.length prefix) = prefix
-  in
-  predicates t
-  |> List.filter_map (fun (p, _) ->
-         if matches (Term.to_string p) then Some p else None)
-
-type stats = {
-  facts : int;
-  removed : int;
-  distinct_subjects : int;
-  distinct_predicates : int;
-  certain_facts : int;
-  min_confidence : float;
-  max_confidence : float;
-  time_span : Interval.t option;
-}
-
-let stats t =
-  let certain = ref 0 in
-  let min_c = ref 1.0 and max_c = ref 0.0 in
-  let span = ref None in
-  iter
-    (fun _ q ->
-      if Quad.is_certain q then incr certain;
-      if q.Quad.confidence < !min_c then min_c := q.Quad.confidence;
-      if q.Quad.confidence > !max_c then max_c := q.Quad.confidence;
-      span :=
-        Some
-          (match !span with
-          | None -> q.Quad.time
-          | Some s -> Interval.hull s q.Quad.time))
-    t;
-  {
-    facts = t.live;
-    removed = total t - t.live;
-    distinct_subjects = List.length (subjects t);
-    distinct_predicates = List.length (predicates t);
-    certain_facts = !certain;
-    min_confidence = (if t.live = 0 then 0.0 else !min_c);
-    max_confidence = !max_c;
-    time_span = !span;
-  }
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<v>facts: %d@ removed: %d@ subjects: %d@ predicates: %d@ certain: \
-     %d@ confidence: [%.3g, %.3g]@ span: %a@]"
-    s.facts s.removed s.distinct_subjects s.distinct_predicates
-    s.certain_facts s.min_confidence s.max_confidence
-    (Format.pp_print_option Interval.pp)
-    s.time_span
 
 let pp ppf t =
   iter (fun _ q -> Format.fprintf ppf "%a@." Quad.pp q) t

@@ -1,9 +1,8 @@
 (** Indexed store of uncertain temporal facts — the UTKG.
 
     Facts get stable integer identifiers on insertion. The store keeps
-    hash indexes on subject, predicate and (subject, predicate), plus one
-    interval tree per predicate for temporal overlap queries; removal is
-    by tombstone so identifiers stay valid across debugging rounds. *)
+    hash indexes on predicate and (subject, predicate); removal is by tombstone so identifiers
+    stay valid across debugging rounds. *)
 
 type t
 
@@ -23,9 +22,6 @@ val remove : t -> id -> unit
 (** Tombstone a fact. Idempotent.
     @raise Invalid_argument on an unknown id. *)
 
-val restore : t -> id -> unit
-(** Undo a removal (used when exploring alternative repairs). *)
-
 val mem_id : t -> id -> bool
 (** True when the id is live (inserted and not removed). *)
 
@@ -36,62 +32,22 @@ val find : t -> id -> Quad.t
 val size : t -> int
 (** Number of live facts. *)
 
-val total : t -> int
-(** Number of facts ever inserted, including tombstoned ones. *)
-
 val iter : (id -> Quad.t -> unit) -> t -> unit
 (** Over live facts, in insertion order. *)
 
-val fold : (id -> Quad.t -> 'acc -> 'acc) -> t -> 'acc -> 'acc
-
 val to_list : t -> Quad.t list
 
-val ids : t -> id list
-
 val of_list : Quad.t list -> t
-
-val contains_statement : t -> Quad.t -> bool
-(** True when a live fact has the same triple and interval. *)
 
 (** {1 Queries} *)
 
 val by_predicate : t -> Term.t -> (id * Quad.t) list
 
-val by_subject : t -> Term.t -> (id * Quad.t) list
-
 val by_subject_predicate : t -> Term.t -> Term.t -> (id * Quad.t) list
-
-val overlapping : t -> Term.t -> Interval.t -> (id * Quad.t) list
-(** Live facts with the given predicate whose validity interval overlaps
-    the query interval. *)
 
 val predicates : t -> (Term.t * int) list
 (** Distinct predicates of live facts with their fact counts, sorted by
     descending count. Backs the constraint editor's auto-completion. *)
-
-val subjects : t -> Term.t list
-(** Distinct subjects of live facts. *)
-
-val complete_predicate : t -> string -> Term.t list
-(** [complete_predicate t prefix] — predicates whose rendered name starts
-    with [prefix] (case-insensitive); the UI auto-completion of Figure 5. *)
-
-(** {1 Statistics} *)
-
-type stats = {
-  facts : int;
-  removed : int;
-  distinct_subjects : int;
-  distinct_predicates : int;
-  certain_facts : int;
-  min_confidence : float;
-  max_confidence : float;
-  time_span : Interval.t option;
-}
-
-val stats : t -> stats
-
-val pp_stats : Format.formatter -> stats -> unit
 
 val pp : Format.formatter -> t -> unit
 (** Lists live facts, one per line, in the paper's notation. *)

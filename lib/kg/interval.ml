@@ -19,25 +19,13 @@ let equal a b = a.lo = b.lo && a.hi = b.hi
 let compare a b =
   match Int.compare a.lo b.lo with 0 -> Int.compare a.hi b.hi | c -> c
 
-let contains i t = i.lo <= t && t <= i.hi
-
-let subsumes outer inner = outer.lo <= inner.lo && inner.hi <= outer.hi
-
 let overlaps a b = a.lo <= b.hi && b.lo <= a.hi
-
-let disjoint a b = not (overlaps a b)
 
 let intersect a b =
   if overlaps a b then Some { lo = max a.lo b.lo; hi = min a.hi b.hi }
   else None
 
 let hull a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
-
-let before a b = a.hi + 1 < b.lo
-
-let shift i d = { lo = i.lo + d; hi = i.hi + d }
-
-let clamp i ~within = intersect i within
 
 let pp ppf i =
   if i.lo = i.hi then Format.fprintf ppf "[%d]" i.lo

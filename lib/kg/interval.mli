@@ -25,17 +25,8 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Lexicographic on [(lo, hi)]. *)
 
-val contains : t -> int -> bool
-(** [contains i t] is true when time point [t] lies inside [i]. *)
-
-val subsumes : t -> t -> bool
-(** [subsumes outer inner]: every point of [inner] is in [outer]. *)
-
 val overlaps : t -> t -> bool
 (** True when the two intervals share at least one time point. *)
-
-val disjoint : t -> t -> bool
-(** Negation of {!overlaps}. *)
 
 val intersect : t -> t -> t option
 (** Largest common sub-interval, when the intervals overlap. This realises
@@ -44,15 +35,6 @@ val intersect : t -> t -> t option
 
 val hull : t -> t -> t
 (** Smallest interval covering both arguments. *)
-
-val before : t -> t -> bool
-(** Strictly earlier, with a gap (Allen's [before]). *)
-
-val shift : t -> int -> t
-(** Translate both endpoints. *)
-
-val clamp : t -> within:t -> t option
-(** Restrict to a window; [None] if the intersection is empty. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints in the paper's notation, e.g. [\[2000,2004\]]. *)

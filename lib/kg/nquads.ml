@@ -173,10 +173,29 @@ let parse_string ?namespace text =
 let parse_file ?namespace path =
   parse_string ?namespace (In_channel.with_open_bin path In_channel.input_all)
 
-let print_term ns ppf t =
-  match t with
-  | Term.Iri name -> Format.pp_print_string ppf (Namespace.shrink ns name)
-  | t -> Term.pp ppf t
+let fact_line ns q =
+  let term = function
+    | Term.Iri name -> Namespace.shrink ns name
+    | Term.Flt f ->
+        (* Keep the literal a float on reparse: "2" would come back as
+           an Int term. *)
+        let s = Prelude.Floatlit.to_lexeme f in
+        if int_of_string_opt s <> None then s ^ "." else s
+    | t -> Term.to_string t
+  in
+  let b = Buffer.create 64 in
+  List.iter
+    (fun t ->
+      Buffer.add_string b (term t);
+      Buffer.add_char b ' ')
+    [ q.Quad.subject; q.Quad.predicate; q.Quad.object_ ];
+  Buffer.add_string b (Interval.to_string q.Quad.time);
+  if q.Quad.confidence < 1.0 then begin
+    Buffer.add_char b ' ';
+    Buffer.add_string b (Prelude.Floatlit.to_lexeme q.Quad.confidence)
+  end;
+  Buffer.add_string b " .";
+  Buffer.contents b
 
 let print ?namespace ppf graph =
   let ns = match namespace with Some ns -> ns | None -> Namespace.create () in
@@ -184,18 +203,7 @@ let print ?namespace ppf graph =
     (fun (prefix, iri) ->
       Format.fprintf ppf "@@prefix %s: <%s> .@." prefix iri)
     (Namespace.bindings ns);
-  Graph.iter
-    (fun _ q ->
-      Format.fprintf ppf "%a %a %a %a"
-        (print_term ns) q.Quad.subject
-        (print_term ns) q.Quad.predicate
-        (print_term ns) q.Quad.object_
-        Interval.pp q.Quad.time;
-      if q.Quad.confidence < 1.0 then
-        Format.fprintf ppf " %s"
-          (Prelude.Floatlit.to_lexeme q.Quad.confidence);
-      Format.fprintf ppf " .@.")
-    graph
+  Graph.iter (fun _ q -> Format.fprintf ppf "%s@." (fact_line ns q)) graph
 
 let to_string ?namespace graph =
   Format.asprintf "%a" (fun ppf g -> print ?namespace ppf g) graph

@@ -45,6 +45,13 @@ val parse_prefix : string -> (string * string, string) result option
     [Some (Error "malformed @prefix")] otherwise. The one [@prefix]
     parser: UTKG files and the server's journal replay share it. *)
 
+val fact_line : Namespace.t -> Quad.t -> string
+(** One fact as a line of this format, without the newline: IRIs shrunk
+    through the prefix table, floats written to reparse as the same
+    float (a float object keeps its decimal point, so [2.0] is ["2."]
+    rather than the integer ["2"]). The one fact printer: {!to_string},
+    {!save_file} and the server's state dump write facts through it. *)
+
 val to_string : ?namespace:Namespace.t -> Graph.t -> string
 (** Serialise; IRIs are shrunk through the prefix table and the table's
     bindings are emitted as [@prefix] directives. *)

@@ -21,8 +21,6 @@ let v s p o (lo, hi) confidence =
   make ~confidence ~subject:(Term.iri s) ~predicate:(Term.iri p) ~object_:o
     (Interval.make lo hi)
 
-let triple q = (q.subject, q.predicate, q.object_)
-
 let is_certain q = q.confidence >= 1.0
 
 let weight q =
@@ -30,13 +28,6 @@ let weight q =
   else
     let w = log (q.confidence /. (1.0 -. q.confidence)) in
     Float.min max_weight (Float.max (-.max_weight) w)
-
-let equal a b =
-  Term.equal a.subject b.subject
-  && Term.equal a.predicate b.predicate
-  && Term.equal a.object_ b.object_
-  && Interval.equal a.time b.time
-  && Float.equal a.confidence b.confidence
 
 let same_statement a b =
   Term.equal a.subject b.subject
@@ -56,14 +47,6 @@ let compare a b =
       else
         let c = Interval.compare a.time b.time in
         if c <> 0 then c else Float.compare a.confidence b.confidence
-
-let hash q =
-  Hashtbl.hash
-    ( Term.hash q.subject,
-      Term.hash q.predicate,
-      Term.hash q.object_,
-      Interval.lo q.time,
-      Interval.hi q.time )
 
 let pp ppf q =
   Format.fprintf ppf "(%a, %a, %a, %a)" Term.pp q.subject Term.pp q.predicate

@@ -30,8 +30,6 @@ val v : string -> string -> Term.t -> int * int -> float -> t
     [v subject predicate object (lo, hi) confidence]. Subject and
     predicate are IRIs. *)
 
-val triple : t -> Term.t * Term.t * Term.t
-
 val is_certain : t -> bool
 (** True when confidence = 1.0. *)
 
@@ -42,14 +40,10 @@ val weight : t -> float
 val max_weight : float
 (** Weight assigned to deterministic (confidence 1.0) facts. *)
 
-val equal : t -> t -> bool
-(** Structural equality including time and confidence. *)
-
 val same_statement : t -> t -> bool
 (** Equality ignoring confidence (same triple, same interval). *)
 
 val compare : t -> t -> int
-val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Paper notation: [(CR, coach, Chelsea, [2000,2004]) 0.9]. *)

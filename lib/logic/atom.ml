@@ -9,14 +9,6 @@ let make ?time predicate args = { predicate; args; time }
 let quad_pattern predicate ~subject ~object_ ~time =
   { predicate; args = [ subject; object_ ]; time = Some time }
 
-let arity a = List.length a.args
-
-let is_ground a =
-  List.for_all (fun t -> not (Lterm.is_var t)) a.args
-  && match a.time with
-     | None | Some (Lterm.Tconst _) -> true
-     | Some _ -> false
-
 let vars a =
   let seen = Hashtbl.create 8 in
   let out = ref [] in
@@ -34,27 +26,6 @@ let vars a =
 
 let tvars a =
   match a.time with None -> [] | Some tt -> Lterm.tvars tt
-
-let apply s a =
-  {
-    a with
-    args = List.map (Subst.apply s) a.args;
-    time = Option.map (Subst.apply_time s) a.time;
-  }
-
-let equal a b =
-  String.equal a.predicate b.predicate
-  && List.length a.args = List.length b.args
-  && List.for_all2 Lterm.equal a.args b.args
-  && Option.equal
-       (fun x y ->
-         match (x, y) with
-         | Lterm.Tvar v, Lterm.Tvar w -> String.equal v w
-         | Lterm.Tconst i, Lterm.Tconst j -> Kg.Interval.equal i j
-         | _ -> x = y)
-       a.time b.time
-
-let compare a b = Stdlib.compare a b
 
 let pp_args pp_one ppf args =
   Format.fprintf ppf "(%a)"
@@ -93,25 +64,6 @@ module Ground = struct
              ~predicate:(Kg.Term.iri a.predicate) ~object_:o i)
     | _ -> None
 
-  let equal a b =
-    String.equal a.predicate b.predicate
-    && List.length a.args = List.length b.args
-    && List.for_all2 Kg.Term.equal a.args b.args
-    && Option.equal Kg.Interval.equal a.time b.time
-
-  let compare a b =
-    let c = String.compare a.predicate b.predicate in
-    if c <> 0 then c
-    else
-      let c = List.compare Kg.Term.compare a.args b.args in
-      if c <> 0 then c else Option.compare Kg.Interval.compare a.time b.time
-
-  let hash a =
-    Hashtbl.hash
-      ( a.predicate,
-        List.map Kg.Term.hash a.args,
-        Option.map (fun i -> (Kg.Interval.lo i, Kg.Interval.hi i)) a.time )
-
   let pp ppf a =
     Format.fprintf ppf "%s%a" a.predicate (pp_args Kg.Term.pp) a.args;
     match a.time with
@@ -139,33 +91,3 @@ let instantiate s a =
           | Some i ->
               Some { Ground.predicate = a.predicate; args; time = Some i }
           | None -> None))
-
-let match_ground pattern ground subst =
-  if
-    (not (String.equal pattern.predicate ground.Ground.predicate))
-    || List.length pattern.args <> List.length ground.Ground.args
-  then None
-  else
-    let step subst (pterm, gconst) =
-      match subst with
-      | None -> None
-      | Some s -> (
-          match pterm with
-          | Lterm.Const c ->
-              if Kg.Term.equal c gconst then Some s else None
-          | Lterm.Var v -> Subst.bind s v gconst)
-    in
-    let subst =
-      List.fold_left step (Some subst)
-        (List.combine pattern.args ground.Ground.args)
-    in
-    match (subst, pattern.time, ground.Ground.time) with
-    | None, _, _ -> None
-    | Some s, None, None -> Some s
-    | Some s, Some (Lterm.Tvar v), Some i -> Subst.bind_time s v i
-    | Some s, Some tt, Some i -> (
-        (* Computed or constant temporal term: must already evaluate. *)
-        match Subst.eval_time s tt with
-        | Some j when Kg.Interval.equal i j -> Some s
-        | _ -> None)
-    | Some _, None, Some _ | Some _, Some _, None -> None

@@ -18,19 +18,10 @@ val quad_pattern :
 (** The binary temporal pattern used for KG predicates:
     [quad_pattern p ~subject ~object_ ~time] is [p(subject, object_)@time]. *)
 
-val arity : t -> int
-
-val is_ground : t -> bool
-
 val vars : t -> string list
 (** Object variables, in order of first occurrence, without duplicates. *)
 
 val tvars : t -> string list
-
-val apply : Subst.t -> t -> t
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 
@@ -55,9 +46,6 @@ module Ground : sig
   (** Inverse of {!of_quad} for binary temporal atoms; [None] for
       atemporal or non-binary atoms. *)
 
-  val equal : t -> t -> bool
-  val compare : t -> t -> int
-  val hash : t -> int
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
 end
@@ -65,8 +53,3 @@ end
 val instantiate : Subst.t -> t -> Ground.t option
 (** Fully ground under a substitution; [None] when a variable is unbound
     or a computed interval is empty. *)
-
-val match_ground : t -> Ground.t -> Subst.t -> Subst.t option
-(** One-sided unification: extend the substitution so the pattern equals
-    the ground atom, if possible. Computed temporal terms ([Tinter], ...)
-    are not invertible and only match when already fully bound. *)

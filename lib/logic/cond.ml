@@ -15,7 +15,6 @@ type t =
   | Eq of Lterm.t * Lterm.t
   | Neq of Lterm.t * Lterm.t
 
-let allen r a b = Allen (Kg.Allen.Set.singleton r, a, b)
 let allen_set s a b = Allen (s, a, b)
 
 let rec arith_vars = function
@@ -91,27 +90,6 @@ let eval s = function
       match (Subst.eval_term s a, Subst.eval_term s b) with
       | Some x, Some y -> Some (not (Kg.Term.equal x y))
       | _ -> None)
-
-let negate_cmp = function
-  | Lt -> Ge
-  | Le -> Gt
-  | Gt -> Le
-  | Ge -> Lt
-  | Eq_cmp -> Ne_cmp
-  | Ne_cmp -> Eq_cmp
-
-let negate = function
-  | Allen (set, a, b) ->
-      let complement =
-        List.fold_left
-          (fun acc r ->
-            if Kg.Allen.Set.mem r set then acc else Kg.Allen.Set.add r acc)
-          Kg.Allen.Set.empty Kg.Allen.all
-      in
-      Allen (complement, a, b)
-  | Cmp (op, a, b) -> Cmp (negate_cmp op, a, b)
-  | Eq (a, b) -> Neq (a, b)
-  | Neq (a, b) -> Eq (a, b)
 
 let cmp_name = function
   | Lt -> "<"

@@ -25,7 +25,6 @@ type t =
   | Eq of Lterm.t * Lterm.t       (** object equality [y = z] *)
   | Neq of Lterm.t * Lterm.t      (** object inequality [y != z] *)
 
-val allen : Kg.Allen.relation -> Lterm.ttime -> Lterm.ttime -> t
 val allen_set : Kg.Allen.Set.t -> Lterm.ttime -> Lterm.ttime -> t
 
 val vars : t -> string list
@@ -38,8 +37,5 @@ val eval : Subst.t -> t -> bool option
 (** Truth value under a substitution; [None] when some variable is still
     unbound or a numeric view does not exist (e.g. [Value_of] of a
     non-numeric constant, an empty computed interval). *)
-
-val negate : t -> t
-(** Logical negation (comparison flip, Allen-set complement). *)
 
 val pp : Format.formatter -> t -> unit

@@ -10,22 +10,6 @@ type ttime =
 
 let var v = Var v
 let const c = Const c
-let iri s = Const (Kg.Term.iri s)
-
-let equal a b =
-  match (a, b) with
-  | Var x, Var y -> String.equal x y
-  | Const x, Const y -> Kg.Term.equal x y
-  | (Var _ | Const _), _ -> false
-
-let compare a b =
-  match (a, b) with
-  | Var x, Var y -> String.compare x y
-  | Const x, Const y -> Kg.Term.compare x y
-  | Var _, Const _ -> -1
-  | Const _, Var _ -> 1
-
-let is_var = function Var _ -> true | Const _ -> false
 
 let vars = function Var v -> [ v ] | Const _ -> []
 

@@ -18,13 +18,6 @@ type ttime =
 
 val var : string -> t
 val const : Kg.Term.t -> t
-val iri : string -> t
-(** Constant IRI shorthand. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-
-val is_var : t -> bool
 
 val vars : t -> string list
 (** Free object variables (0 or 1 elements). *)

@@ -42,9 +42,6 @@ val check_safety : t -> (unit, string) result
     condition occurs in a body atom; every temporal variable of the head
     and conditions occurs as a body atom's time. *)
 
-val body_vars : t -> string list
-val body_tvars : t -> string list
-
 val pp : Format.formatter -> t -> unit
 (** Paper-style rendering, e.g.
     [f1: playsFor(?x, ?y)@?t -> worksFor(?x, ?y)@?t  w=2.5]. *)

@@ -20,20 +20,6 @@ let bind_time s v i =
 let find s v = Smap.find_opt v s.objects
 let find_time s v = Smap.find_opt v s.times
 
-let apply s term =
-  match term with
-  | Lterm.Var v -> (
-      match find s v with Some c -> Lterm.Const c | None -> term)
-  | Lterm.Const _ -> term
-
-let rec apply_time s tt =
-  match tt with
-  | Lterm.Tvar v -> (
-      match find_time s v with Some i -> Lterm.Tconst i | None -> tt)
-  | Lterm.Tconst _ -> tt
-  | Lterm.Tinter (a, b) -> Lterm.Tinter (apply_time s a, apply_time s b)
-  | Lterm.Thull (a, b) -> Lterm.Thull (apply_time s a, apply_time s b)
-
 let eval_term s = function
   | Lterm.Var v -> find s v
   | Lterm.Const c -> Some c
@@ -49,9 +35,6 @@ let rec eval_time s = function
       match (eval_time s a, eval_time s b) with
       | Some ia, Some ib -> Some (Kg.Interval.hull ia ib)
       | _ -> None)
-
-let domain s = List.map fst (Smap.bindings s.objects)
-let time_domain s = List.map fst (Smap.bindings s.times)
 
 let pp ppf s =
   Format.fprintf ppf "{";

@@ -14,22 +14,11 @@ val bind : t -> string -> Kg.Term.t -> t option
 
 val bind_time : t -> string -> Kg.Interval.t -> t option
 
-val find : t -> string -> Kg.Term.t option
-val find_time : t -> string -> Kg.Interval.t option
-
-val apply : t -> Lterm.t -> Lterm.t
-(** Replace bound variables by their constants. *)
-
-val apply_time : t -> Lterm.ttime -> Lterm.ttime
-
 val eval_term : t -> Lterm.t -> Kg.Term.t option
 (** Fully evaluate to a constant; [None] if an unbound variable remains. *)
 
 val eval_time : t -> Lterm.ttime -> Kg.Interval.t option
 (** Evaluate a temporal term, computing intersections and hulls. An empty
     intersection yields [None] (the rule instance does not fire). *)
-
-val domain : t -> string list
-val time_domain : t -> string list
 
 val pp : Format.formatter -> t -> unit

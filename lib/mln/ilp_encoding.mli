@@ -13,11 +13,6 @@ type encoding = {
   num_atom_vars : int;      (** atoms occupy variables [0 .. n-1] *)
 }
 
-val encode : Network.t -> encoding
-
-val decode : encoding -> float array -> bool array
-(** Read the atom assignment off an ILP solution. *)
-
 val solve :
   ?max_nodes:int ->
   ?deadline:Prelude.Deadline.t ->

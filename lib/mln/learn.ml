@@ -31,25 +31,6 @@ let hard_weight = 2.0 *. Kg.Quad.max_weight
 let clause_weight (network : Network.t) ci =
   if network.hard.(ci) then hard_weight else network.weights.(ci)
 
-let pseudo_log_likelihood (network : Network.t) world =
-  let n = network.num_atoms in
-  let occ_start, occ = Network.occurrences network in
-  let total = ref 0.0 in
-  for i = 0 to n - 1 do
-    let d = ref 0.0 in
-    for o = occ_start.(i) to occ_start.(i + 1) - 1 do
-      let ci = occ.(o) in
-      let w = clause_weight network ci in
-      let satisfied_with = Network.satisfied_if network ci world ~atom:i in
-      let sat_obs = satisfied_with world.(i) in
-      let sat_flip = satisfied_with (not world.(i)) in
-      if sat_obs && not sat_flip then d := !d +. w
-      else if sat_flip && not sat_obs then d := !d -. w
-    done;
-    total := !total +. log_sigmoid !d
-  done;
-  !total
-
 (* Per-atom statistics of the observed world: for each learnable rule, the
    satisfied-count difference between the observed value and the flip; for
    fixed-weight clauses, the same difference folded into a constant. *)

@@ -52,8 +52,3 @@ val learn :
 val apply : result -> Logic.Rule.t list -> Logic.Rule.t list
 (** Replace each soft rule's weight with its learned value (rules
     without a learned entry are returned unchanged). *)
-
-val pseudo_log_likelihood : Network.t -> bool array -> float
-(** PLL of a world under a ground network (all clause weights as given;
-    hard clauses contribute with a large finite weight). Exposed for
-    testing and for comparing candidate rule sets. *)

@@ -324,18 +324,15 @@ let repair_hard t x =
   done;
   !total
 
-(* Soft weight summed in clause order over the clauses whose
-   satisfaction under [x] is [satisfied]. *)
-let soft_sum t x ~satisfied =
+(* Soft weight summed in clause order over the soft clauses [x]
+   satisfies. *)
+let score t x =
   let acc = ref 0.0 in
   for ci = 0 to num_clauses t - 1 do
-    if (not t.hard.(ci)) && clause_satisfied t ci x = satisfied then
+    if (not t.hard.(ci)) && clause_satisfied t ci x then
       acc := !acc +. t.weights.(ci)
   done;
   !acc
-
-let score t x = soft_sum t x ~satisfied:true
-let cost t x = soft_sum t x ~satisfied:false
 
 let initial_assignment t store =
   let n = Store.size store in

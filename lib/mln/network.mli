@@ -114,9 +114,6 @@ val score : t -> bool array -> float
 (** Total weight of satisfied soft clauses. Only meaningful to compare
     assignments with equal {!hard_violations}. *)
 
-val cost : t -> bool array -> float
-(** Total weight of violated soft clauses (score's complement). *)
-
 val initial_assignment : t -> Grounder.Atom_store.t -> bool array
 (** Evidence true, hidden false — the observed world of θ(G) itself
     (the training world for weight learning and the Gibbs start). *)

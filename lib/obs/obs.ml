@@ -73,7 +73,6 @@ module Histogram = struct
   let minimum h = h.lo
   let maximum h = h.hi
   let stored h = h.len
-  let capacity h = h.cap
 
   let quantile h q =
     if h.len = 0 then Float.nan
@@ -163,7 +162,6 @@ module Phases = struct
     if outer = 0 then record ctx name ms
 
   let entries ctx = List.rev ctx.acc
-  let total ctx = List.fold_left (fun s (_, ms) -> s +. ms) 0.0 ctx.acc
 end
 
 module Series = struct
@@ -232,8 +230,6 @@ module Series = struct
         kept @ [ (x, y) ]
     | _ -> kept
 
-  let length s = List.length (points s)
-
   let merge a b =
     let pts =
       List.stable_sort
@@ -265,13 +261,6 @@ module Events = struct
     | Info -> "info"
     | Warn -> "warn"
     | Error -> "error"
-
-  let level_of_string = function
-    | "debug" -> Some Debug
-    | "info" -> Some Info
-    | "warn" | "warning" -> Some Warn
-    | "error" -> Some Error
-    | _ -> None
 
   let value_to_string = function
     | Int i -> string_of_int i
@@ -594,8 +583,8 @@ let next_worker = ref 0
 
 (* Structured event log: a bounded ring so unbounded Debug chatter
    cannot grow the process; overflow drops the oldest events. *)
-let default_event_capacity = 4096
-let event_ring = ref (Array.make default_event_capacity (None : Events.event option))
+let event_capacity = 4096
+let event_ring = Array.make event_capacity (None : Events.event option)
 let event_head = ref 0 (* next write position *)
 let event_stored = ref 0
 let event_dropped = ref 0
@@ -667,7 +656,7 @@ let reset () =
       main_domain := (Domain.self () :> int);
       Hashtbl.reset workers;
       next_worker := 0;
-      Array.fill !event_ring 0 (Array.length !event_ring) None;
+      Array.fill event_ring 0 event_capacity None;
       event_head := 0;
       event_stored := 0;
       event_dropped := 0)
@@ -833,11 +822,10 @@ let sample name ~t_ms ~v =
 
 (* Events in ring order, oldest first; with the lock held. *)
 let events_locked () =
-  let ring = !event_ring in
-  let cap = Array.length ring in
+  let cap = event_capacity in
   let start = ((!event_head - !event_stored) mod cap + cap) mod cap in
   List.init !event_stored (fun i ->
-      match ring.((start + i) mod cap) with
+      match event_ring.((start + i) mod cap) with
       | Some e -> e
       | None -> assert false)
 
@@ -846,30 +834,11 @@ let event ?(level = Events.Info) name fields =
     locked (fun () ->
         let t_ms = Prelude.Timing.now_ms () -. (root_frame ()).start_ms in
         let e = { Events.t_ms; level; name; fields } in
-        let ring = !event_ring in
-        let cap = Array.length ring in
-        if !event_stored = cap then incr event_dropped
+        if !event_stored = event_capacity then incr event_dropped
         else incr event_stored;
-        ring.(!event_head) <- Some e;
-        event_head := (!event_head + 1) mod cap;
+        event_ring.(!event_head) <- Some e;
+        event_head := (!event_head + 1) mod event_capacity;
         match !event_hook with Some h -> h e | None -> ())
-
-let set_event_capacity cap =
-  let cap = max 1 cap in
-  locked (fun () ->
-      let old = events_locked () in
-      let n = List.length old in
-      let discard = max 0 (n - cap) in
-      let kept = List.filteri (fun i _ -> i >= discard) old in
-      let ring = Array.make cap None in
-      List.iteri (fun i e -> ring.(i) <- Some e) kept;
-      event_ring := ring;
-      event_stored := List.length kept;
-      event_head := !event_stored mod cap;
-      event_dropped := !event_dropped + discard)
-
-let event_capacity () = locked (fun () -> Array.length !event_ring)
-let events_dropped () = locked (fun () -> !event_dropped)
 
 (* ------------------------------------------------------------------ *)
 (* Reports.                                                            *)
@@ -1135,8 +1104,6 @@ module Report = struct
       if t.events_dropped > 0 then
         [ ("events_dropped", Json.Num (float_of_int t.events_dropped)) ]
       else [])
-
-  let to_string t = Json.to_string (to_json t)
 end
 
 (* ------------------------------------------------------------------ *)

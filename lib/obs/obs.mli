@@ -88,9 +88,6 @@ module Events : sig
   val level_name : level -> string
   (** ["debug"], ["info"], ["warn"], ["error"]. *)
 
-  val level_of_string : string -> level option
-  (** Inverse of {!level_name} (also accepts ["warning"]). *)
-
   val value_to_string : value -> string
 end
 
@@ -105,16 +102,6 @@ val set_event_hook : (Events.event -> unit) option -> unit
     CLI's [--log-level] streams to stderr through this). The hook runs
     under the internal mutex: it must not call back into [Obs]. [None]
     uninstalls. *)
-
-val set_event_capacity : int -> unit
-(** Resize the event ring (clamped to >= 1), keeping the newest events;
-    discarded events count as dropped. The capacity survives {!reset}.
-    Default 4096. *)
-
-val event_capacity : unit -> int
-
-val events_dropped : unit -> int
-(** Events lost to ring overflow since the last {!reset}. *)
 
 (** Bounded sample reservoir with quantile queries, used for
     solver-iteration metrics (flips per solve, nodes per MILP call, ...)
@@ -144,8 +131,6 @@ module Histogram : sig
 
   val stored : t -> int
   (** Samples currently retained ([<= capacity]). *)
-
-  val capacity : t -> int
 
   val quantile : t -> float -> float
   (** Nearest-rank quantile over the retained samples: [quantile h q]
@@ -191,9 +176,6 @@ module Phases : sig
 
   val entries : ctx -> (string * float) list
   (** Captured entries in insertion order. *)
-
-  val total : ctx -> float
-  (** Sum of all captured durations. *)
 end
 
 val with_phases : Phases.ctx -> (unit -> 'a) -> 'a
@@ -230,9 +212,6 @@ module Series : sig
   val count : t -> int
   (** Samples offered, including downsampled-away ones. *)
 
-  val length : t -> int
-  (** Points currently retained. *)
-
   val points : t -> (float * float) list
   (** Retained points in insertion order, ending at the most recent
       sample. *)
@@ -260,13 +239,9 @@ module Json : sig
     | Arr of t list
     | Obj of (string * t) list
 
-  val number : float -> string
-  (** A finite float rendered so that [float_of_string] returns it
-      exactly (shortest of %.12g/%.15g/%.16g/%.17g); non-finite floats
-      render as ["null"]. *)
-
   val to_string : t -> string
-  (** Compact rendering. Numbers round-trip exactly (see {!number});
+  (** Compact rendering. A finite number is the shortest of
+      %.12g/%.15g/%.16g/%.17g that [float_of_string] reads back exactly;
       non-finite numbers render as [null]. *)
 
   val parse : string -> (t, string) result
@@ -312,9 +287,6 @@ module Report : sig
       are not included) plus root-level metrics, worker lanes and the
       event log. Does not reset. *)
 
-  val self_ms : node -> float
-  (** [total_ms] minus the children's [total_ms]. *)
-
   val find : t -> string list -> node option
   (** [find t path] follows span names from the top, e.g.
       [find t ["resolve"; "ground"]]. *)
@@ -326,9 +298,6 @@ module Report : sig
   val to_json : t -> Json.t
   (** Events and series appear only when non-empty, so reports from
       runs that emit neither are unchanged from earlier releases. *)
-
-  val to_string : t -> string
-  (** [to_json] rendered compactly. *)
 end
 
 (** Machine-consumable renderings of a captured {!Report.t}. *)

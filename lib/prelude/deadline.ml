@@ -1,4 +1,4 @@
-(* Wall-clock budgets + shared cancellation flags. The clock is
+(* Wall-clock budgets. The clock is
    [Unix.gettimeofday] (the same clock as {!Timing}); budgets are short
    enough that wall-vs-monotonic drift is irrelevant here, and the poll
    stays a single clock read. *)
@@ -6,36 +6,28 @@
 type t = {
   limit : float; (* absolute ms; infinity = never *)
   budget : float; (* the ms the deadline was created with *)
-  cancelled : bool Atomic.t; (* shared with slices *)
 }
 
-let none = { limit = infinity; budget = infinity; cancelled = Atomic.make false }
-
-let after ~ms =
-  { limit = Timing.now_ms () +. ms; budget = ms; cancelled = Atomic.make false }
+let none = { limit = infinity; budget = infinity }
+let after ~ms = { limit = Timing.now_ms () +. ms; budget = ms }
 
 let of_timeout_ms = function None -> none | Some ms -> after ~ms
 
 let is_finite t = t.limit < infinity
 
-let expired t =
-  Atomic.get t.cancelled || (t.limit < infinity && Timing.now_ms () >= t.limit)
+let expired t = t.limit < infinity && Timing.now_ms () >= t.limit
 
 let remaining_ms t =
-  if Atomic.get t.cancelled then neg_infinity
-  else if t.limit = infinity then infinity
-  else t.limit -. Timing.now_ms ()
+  if t.limit = infinity then infinity else t.limit -. Timing.now_ms ()
 
 let budget_ms t = t.budget
-
-let cancel t = if t != none then Atomic.set t.cancelled true
 
 let slice t ~frac =
   if not (is_finite t) then t
   else
     let left = Float.max 0.0 (remaining_ms t) in
     let ms = left *. frac in
-    { limit = Timing.now_ms () +. ms; budget = ms; cancelled = t.cancelled }
+    { limit = Timing.now_ms () +. ms; budget = ms }
 
 let env_timeout_ms () =
   match Sys.getenv_opt "TECORE_TIMEOUT_MS" with

@@ -1,13 +1,13 @@
-(** Time budgets and cooperative cancellation for anytime inference.
+(** Time budgets for anytime inference.
 
-    A deadline is a wall-clock budget plus a cancellation flag that can
-    be shared across worker domains. Every stage of the pipeline
+    A deadline is a wall-clock budget that can be shared across worker
+    domains. Every stage of the pipeline
     (grounding, the solver portfolios, ADMM sweeps, MILP node
     exploration) polls its deadline at safe points and, on expiry, stops
     where it stands and returns its best feasible answer tagged with a
     {!status} instead of running to completion or dying.
 
-    Polling is cheap: {!expired} on {!none} is a single atomic load, and
+    Polling is cheap: {!expired} on {!none} is a single comparison, and
     on a finite deadline one clock read — callers on very hot paths
     (e.g. the WalkSAT flip loop) additionally stride their polls.
 
@@ -18,7 +18,7 @@
 type t
 
 val none : t
-(** The infinite budget: never expires, {!cancel} is a no-op. This is
+(** The infinite budget: never expires. This is
     the default of every [?deadline] argument, and with it every solver
     behaves exactly as it did before deadlines existed. *)
 
@@ -33,24 +33,17 @@ val is_finite : t -> bool
 (** [false] exactly for {!none} (and deadlines sliced from it). *)
 
 val expired : t -> bool
-(** True once the budget has run out or the deadline was cancelled. *)
+(** True once the budget has run out. *)
 
 val remaining_ms : t -> float
-(** Milliseconds left ([infinity] for {!none}); negative once overrun,
-    [neg_infinity] when cancelled. *)
+(** Milliseconds left ([infinity] for {!none}); negative once overrun. *)
 
 val budget_ms : t -> float
 (** The budget the deadline was created with ([infinity] for {!none}). *)
 
-val cancel : t -> unit
-(** Cooperatively cancel: every subsequent {!expired} poll — including
-    through {!slice}s of this deadline — answers [true]. No-op on
-    {!none}. *)
-
 val slice : t -> frac:float -> t
 (** [slice t ~frac] is a sub-budget covering [frac] of the remaining
-    time of [t], sharing its cancellation flag (cancelling or expiring
-    the parent expires the slice, never the other way around). Slicing
+    time of [t]; it never outlives its parent. Slicing
     {!none} returns {!none}: an infinite budget has no meaningful
     fraction. Used by the degradation ladder to give the exact solver a
     bounded first shot. *)

@@ -24,8 +24,6 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Ivec.get: index out of bounds";
   t.data.(i)
 
-let unsafe_get t i = Array.unsafe_get t.data i
-
 let set t i x =
   if i < 0 || i >= t.len then invalid_arg "Ivec.set: index out of bounds";
   t.data.(i) <- x

@@ -14,9 +14,6 @@ val push : t -> int -> unit
 val get : t -> int -> int
 (** @raise Invalid_argument out of bounds. *)
 
-val unsafe_get : t -> int -> int
-(** No bounds check; caller guarantees [i < length t]. *)
-
 val set : t -> int -> int -> unit
 (** @raise Invalid_argument out of bounds. *)
 

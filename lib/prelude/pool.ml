@@ -278,8 +278,6 @@ let map_array t f xs =
   run_tasks t n (fun i -> out.(i) <- Some (f xs.(i)));
   Array.map (function Some v -> v | None -> assert false) out
 
-let map t f xs = Array.to_list (map_array t f (Array.of_list xs))
-
 (* Containment and deadline-awareness live in the task wrapper, not in
    the crew: a task that raises stores its own [Error] and returns
    normally, so one crashed task can neither abort the batch nor wedge
@@ -294,10 +292,6 @@ let map_results ?(deadline = Deadline.none) t f xs =
       if not (Deadline.expired deadline) then
         out.(i) <- (try Ok (f xs.(i)) with e -> Error e));
   Array.to_list out
-
-let run_all t thunks =
-  let thunks = Array.of_list thunks in
-  run_tasks t (Array.length thunks) (fun i -> thunks.(i) ())
 
 let for_ t ?(chunk = 1024) n f =
   if chunk <= 0 then invalid_arg "Pool.for_: chunk <= 0";

@@ -54,12 +54,6 @@ val default_jobs : unit -> int
 (** Job count from the [TECORE_JOBS] environment variable (same syntax
     as {!parse_jobs}), defaulting to 1. *)
 
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map pool f xs] applies [f] to every element, running up to [jobs]
-    applications concurrently, and returns results in input order. The
-    first exception raised by any task is re-raised after all workers
-    stop (remaining tasks are not started). *)
-
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_results :
@@ -73,9 +67,6 @@ val map_results :
     their results — the anytime solvers use exactly this to hold on to
     the best-so-far attempt when a worker crashes or the budget runs
     out. Ordering and determinism match {!map}. *)
-
-val run_all : t -> (unit -> unit) list -> unit
-(** Run every thunk, in input order when [jobs = 1]. *)
 
 val for_ : t -> ?chunk:int -> int -> (int -> unit) -> unit
 (** [for_ pool ~chunk n f] runs [f i] for every [0 <= i < n], dealing

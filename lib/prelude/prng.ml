@@ -14,8 +14,6 @@ let of_state state =
 
 let create seed = of_state (Int64.of_int seed)
 
-let copy = Bytes.copy
-
 let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
@@ -25,8 +23,6 @@ let[@inline] int64 t =
   let state = Int64.add (get_state t 0) golden_gamma in
   set_state t 0 state;
   mix state
-
-let split t = of_state (int64 t)
 
 let subseed seed i =
   if i < 0 then invalid_arg "Prng.subseed: negative index";
@@ -65,17 +61,3 @@ let pick_list t l =
   match l with
   | [] -> invalid_arg "Prng.pick_list: empty list"
   | _ -> List.nth l (int t (List.length l))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let gaussian t ~mean ~stddev =
-  let u1 = max 1e-12 (float t 1.0) in
-  let u2 = float t 1.0 in
-  let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-  mean +. (stddev *. z)

@@ -11,13 +11,6 @@ type t
 val create : int -> t
 (** [create seed] builds a fresh generator. Equal seeds give equal streams. *)
 
-val copy : t -> t
-(** Independent copy continuing from the current state. *)
-
-val split : t -> t
-(** [split g] advances [g] and returns a statistically independent child
-    generator; used to give sub-components their own streams. *)
-
 val subseed : int -> int -> int
 (** [subseed seed i] is a decorrelated child seed for task [i] of a
     computation seeded with [seed] — a pure function of its arguments,
@@ -46,9 +39,3 @@ val pick : t -> 'a array -> 'a
 
 val pick_list : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
-val gaussian : t -> mean:float -> stddev:float -> float
-(** Box-Muller normal deviate. *)

@@ -7,8 +7,6 @@ let create () = { data = [||]; len = 0 }
 
 let length t = t.len
 
-let is_empty t = t.len = 0
-
 let grow t x =
   let cap = Array.length t.data in
   let ncap = if cap = 0 then 16 else 2 * cap in
@@ -29,15 +27,6 @@ let set t i x =
   if i < 0 || i >= t.len then invalid_arg "Vec.set: index out of bounds";
   t.data.(i) <- x
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    t.len <- t.len - 1;
-    Some t.data.(t.len)
-  end
-
-let clear t = t.len <- 0
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)
@@ -55,32 +44,4 @@ let fold f acc t =
   done;
   !acc
 
-let exists p t =
-  let rec loop i = i < t.len && (p t.data.(i) || loop (i + 1)) in
-  loop 0
-
-let to_list t =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.data.(i) :: acc) in
-  loop (t.len - 1) []
-
 let to_array t = Array.sub t.data 0 t.len
-
-let of_array a = { data = Array.copy a; len = Array.length a }
-
-let of_list l = of_array (Array.of_list l)
-
-let map f t =
-  if t.len = 0 then { data = [||]; len = 0 }
-  else begin
-    let first = f t.data.(0) in
-    let data = Array.make t.len first in
-    for i = 1 to t.len - 1 do
-      data.(i) <- f t.data.(i)
-    done;
-    { data; len = t.len }
-  end
-
-let filter p t =
-  let out = create () in
-  iter (fun x -> if p x then push out x) t;
-  out

@@ -51,8 +51,6 @@ let column_index t c =
   | Some i -> i
   | None -> raise Not_found
 
-let code_at t ~row ~col = Ivec.get t.data.(col) row
-
 let column_data t col = Ivec.raw t.data.(col)
 
 let insert_codes t codes =

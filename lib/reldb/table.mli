@@ -28,9 +28,6 @@ val insert_codes : t -> Value.code array -> unit
 (** Append a row of codes.
     @raise Invalid_argument when the row width mismatches. *)
 
-val code_at : t -> row:int -> col:int -> Value.code
-(** One cell, as its interned code. *)
-
 val column_data : t -> int -> int array
 (** The raw backing array of a column: entries [0 .. cardinal t - 1]
     are live codes, anything past that is garbage. Invalidated by the

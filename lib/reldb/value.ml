@@ -5,7 +5,6 @@ type t =
   | Null
 
 let term t = Term t
-let int n = Int n
 let interval i = Interval i
 
 (* Injective encoding into a single int: two tag bits, payload above.
@@ -36,7 +35,6 @@ let code_opt = function
 let decode_term c =
   if c land 3 = 2 then Some (Kg.Symbol.term (payload c)) else None
 
-let decode_int c = if c land 3 = 1 then Some (payload c) else None
 
 let decode_interval c =
   if c land 3 = 3 then Some (Kg.Symbol.interval (payload c)) else None

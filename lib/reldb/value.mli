@@ -12,7 +12,6 @@ type t =
   | Null
 
 val term : Kg.Term.t -> t
-val int : int -> t
 val interval : Kg.Interval.t -> t
 
 (** {1 Interned codes}
@@ -46,7 +45,6 @@ val payload : code -> int
 (** The symbol id (term, interval) or machine int a code carries. *)
 
 val decode_term : code -> Kg.Term.t option
-val decode_int : code -> int option
 val decode_interval : code -> Kg.Interval.t option
 (** Tag-checked decodes of a single code: [None] when the code carries
     another kind of value. *)

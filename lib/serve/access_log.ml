@@ -152,12 +152,6 @@ let rotate w =
   w.fd <- open_fd w.path;
   w.bytes <- 0
 
-let write_all fd b pos len =
-  let written = ref 0 in
-  while !written < len do
-    written := !written + Unix.write fd b (pos + !written) (len - !written)
-  done
-
 let write w r =
   let b = Bytes.of_string (record_to_line r ^ "\n") in
   let len = Bytes.length b in
@@ -169,7 +163,7 @@ let write w r =
          the live file empty: a record larger than [max_bytes] still
          lands somewhere. *)
       if w.bytes > 0 && w.bytes + len > w.max_bytes then rotate w;
-      write_all w.fd b 0 len;
+      Journal.write_all w.fd b 0 len;
       w.bytes <- w.bytes + len)
 
 let close_writer w =

@@ -40,11 +40,6 @@ val add_phases :
     behind both {!stats} and the server's live summaries. *)
 
 val record_to_json : record -> Obs.Json.t
-val record_to_line : record -> string
-
-val record_of_line : string -> (record, string) result
-(** Parse one log line, validating the schema (positive integer [req],
-    non-negative durations, phase object). *)
 
 (** {1 Writer} *)
 

@@ -118,23 +118,22 @@ let frame payload =
   b
 
 (* Split a file's bytes into CRC-valid payloads. Returns the payloads
-   of the longest valid prefix and the byte offset where it ends —
-   [clean] iff that offset is EOF. *)
+   of the longest valid prefix and whether that prefix reaches EOF. *)
 let parse_frames data =
   let n = String.length data in
   let rec loop ofs acc =
-    if ofs = n then (List.rev acc, ofs, true)
-    else if n - ofs < header_bytes + 1 then (List.rev acc, ofs, false)
+    if ofs = n then (List.rev acc, true)
+    else if n - ofs < header_bytes + 1 then (List.rev acc, false)
     else
       let len = read_be32 data ofs in
       if len < 0 || len > max_record_bytes || ofs + header_bytes + len + 1 > n
-      then (List.rev acc, ofs, false)
+      then (List.rev acc, false)
       else
         let payload = String.sub data (ofs + header_bytes) len in
         if
           data.[ofs + header_bytes + len] <> '\n'
           || crc32 payload <> read_be32 data (ofs + 4)
-        then (List.rev acc, ofs, false)
+        then (List.rev acc, false)
         else loop (ofs + header_bytes + len + 1) (payload :: acc)
   in
   loop 0 []
@@ -374,13 +373,11 @@ let group_flush g =
         | Some fd -> (
             try
               Obs.phase "fsync" (fun () -> Unix.fsync fd);
-              m.unsynced <- 0;
-              Obs.count "journal.fsync"
+              m.unsynced <- 0
             with Unix.Unix_error _ -> ())
         | None -> ())
     g.members;
-  Atomic.incr g.commits;
-  Obs.count "journal.group_commit"
+  Atomic.incr g.commits
 
 let create ~state_dir ~fsync ~compact_every id =
   let dir = session_dir ~state_dir id in
@@ -388,12 +385,10 @@ let create ~state_dir ~fsync ~compact_every id =
   let t = open_gen ~dir ~id ~fsync ~compact_every ~gen:0 ~since:0 in
   fsync_dir dir;
   write_manifest dir 0;
-  Obs.count "journal.create";
   t
 
 let fail t msg =
   t.failed <- Some msg;
-  Obs.count "journal.io_error";
   raise (Sys_error msg)
 
 let live_fd t =
@@ -413,8 +408,7 @@ let live_fd t =
 let policy_fsync t fd =
   let sync () =
     Obs.phase "fsync" (fun () -> Unix.fsync fd);
-    t.unsynced <- 0;
-    Obs.count "journal.fsync"
+    t.unsynced <- 0
   in
   match t.fsync with
   | Never -> t.unsynced <- t.unsynced + 1
@@ -462,9 +456,7 @@ let append t payload =
    with Unix.Unix_error (e, fn, _) ->
      fail t
        (Printf.sprintf "journal %s: %s: %s" t.id fn (Unix.error_message e)));
-  t.since_snapshot <- t.since_snapshot + 1;
-  Obs.count "journal.append";
-  Obs.count ~n:(Bytes.length b) "journal.bytes"
+  t.since_snapshot <- t.since_snapshot + 1
 
 let records_since_snapshot t = t.since_snapshot
 
@@ -501,14 +493,7 @@ let compact t lines =
     t.fd <- Some fd';
     t.gen <- gen';
     t.since_snapshot <- 0;
-    t.unsynced <- 0;
-    Obs.count "journal.compact";
-    Obs.event "journal.compact"
-      [
-        ("session", Obs.Events.Str t.id);
-        ("gen", Obs.Events.Int gen');
-        ("records", Obs.Events.Int (List.length lines));
-      ]
+    t.unsynced <- 0
   with
   | Unix.Unix_error (e, fn, _) ->
       fail t
@@ -528,8 +513,7 @@ let sync t =
       try
         if t.unsynced > 0 then begin
           Unix.fsync fd;
-          t.unsynced <- 0;
-          Obs.count "journal.fsync"
+          t.unsynced <- 0
         end
       with Unix.Unix_error (e, fn, _) ->
         fail t
@@ -598,93 +582,73 @@ let recover ~state_dir ~fsync ~compact_every id =
     write_manifest dir gen;
     { session; journal = t; status = Unrecoverable reason }
   in
-  let result =
-    match read_manifest dir with
-    | Error reason -> reinit (fresh ()) reason
-    | Ok gen -> (
-        let session = fresh () in
-        let snapshot_ok =
-          match
-            read_file_opt (Filename.concat dir (snapshot_name gen))
-          with
-          | None ->
-              (* Generation 0 starts from the empty session; at any
-                 later generation the snapshot is written before the
-                 manifest flips, so a missing one is real damage. *)
-              if gen = 0 then Ok () else Error "missing snapshot"
-          | Some data -> (
-              let records, _, clean = parse_frames data in
-              if not clean then Error "corrupt snapshot frame"
-              else
-                match replay_records session records with
-                | Ok _ -> Ok ()
-                | Error (i, msg) ->
-                    Error
-                      (Printf.sprintf "snapshot record %d: %s" (i + 1) msg))
-        in
-        match snapshot_ok with
-        | Error reason ->
-            (* A half-applied snapshot is not a consistent session;
-               restart from empty. *)
-            reinit (fresh ()) reason
-        | Ok () -> (
-            let journal_path = Filename.concat dir (journal_name gen) in
-            let data =
-              (* The journal file is created before the manifest flips,
-                 but tolerate its absence (adversarial deletion) as an
-                 empty tail. *)
-              Option.value ~default:"" (read_file_opt journal_path)
-            in
-            let records, clean_end, clean = parse_frames data in
-            let applied, bad =
+  match read_manifest dir with
+  | Error reason -> reinit (fresh ()) reason
+  | Ok gen -> (
+      let session = fresh () in
+      let snapshot_ok =
+        match
+          read_file_opt (Filename.concat dir (snapshot_name gen))
+        with
+        | None ->
+            (* Generation 0 starts from the empty session; at any
+               later generation the snapshot is written before the
+               manifest flips, so a missing one is real damage. *)
+            if gen = 0 then Ok () else Error "missing snapshot"
+        | Some data -> (
+            let records, clean = parse_frames data in
+            if not clean then Error "corrupt snapshot frame"
+            else
               match replay_records session records with
-              | Ok n -> (n, None)
-              | Error (i, msg) -> (i, Some msg)
-            in
-            match (clean, bad) with
-            | true, None ->
-                let t =
-                  open_gen ~dir ~id ~fsync ~compact_every ~gen
-                    ~since:applied
-                in
-                { session; journal = t; status = Full }
-            | _ ->
-                (* Torn tail, corrupt frame, or a record that refused
-                   to apply: keep the consistent prefix and compact it
-                   into a clean next generation (which is also the
-                   physical truncation). *)
-                ignore clean_end;
-                let consumed = ref 0 in
-                List.iteri
-                  (fun i r ->
-                    if i < applied then consumed := !consumed + frame_bytes r)
-                  records;
-                let dropped_bytes = String.length data - !consumed in
-                let t =
-                  open_gen ~dir ~id ~fsync ~compact_every ~gen
-                    ~since:applied
-                in
-                compact t (Tecore.Session.dump_state session);
-                {
-                  session;
-                  journal = t;
-                  status = Partial { dropped_bytes; replayed = applied };
-                }))
-  in
-  (match result.status with
-  | Full -> Obs.count "recovery.full"
-  | Partial { dropped_bytes; replayed } ->
-      Obs.count "recovery.partial";
-      Obs.count ~n:dropped_bytes "recovery.dropped_bytes";
-      Obs.event ~level:Obs.Events.Warn "recovery.partial"
-        [
-          ("session", Obs.Events.Str id);
-          ("dropped_bytes", Obs.Events.Int dropped_bytes);
-          ("replayed", Obs.Events.Int replayed);
-        ]
-  | Unrecoverable reason ->
-      Obs.count "recovery.unrecoverable";
-      Obs.event ~level:Obs.Events.Error "recovery.unrecoverable"
-        [ ("session", Obs.Events.Str id); ("reason", Obs.Events.Str reason) ]);
-  Obs.count "recovery.sessions";
-  result
+              | Ok _ -> Ok ()
+              | Error (i, msg) ->
+                  Error
+                    (Printf.sprintf "snapshot record %d: %s" (i + 1) msg))
+      in
+      match snapshot_ok with
+      | Error reason ->
+          (* A half-applied snapshot is not a consistent session;
+             restart from empty. *)
+          reinit (fresh ()) reason
+      | Ok () -> (
+          let journal_path = Filename.concat dir (journal_name gen) in
+          let data =
+            (* The journal file is created before the manifest flips,
+               but tolerate its absence (adversarial deletion) as an
+               empty tail. *)
+            Option.value ~default:"" (read_file_opt journal_path)
+          in
+          let records, clean = parse_frames data in
+          let applied, bad =
+            match replay_records session records with
+            | Ok n -> (n, None)
+            | Error (i, msg) -> (i, Some msg)
+          in
+          match (clean, bad) with
+          | true, None ->
+              let t =
+                open_gen ~dir ~id ~fsync ~compact_every ~gen
+                  ~since:applied
+              in
+              { session; journal = t; status = Full }
+          | _ ->
+              (* Torn tail, corrupt frame, or a record that refused
+                 to apply: keep the consistent prefix and compact it
+                 into a clean next generation (which is also the
+                 physical truncation). *)
+              let consumed = ref 0 in
+              List.iteri
+                (fun i r ->
+                  if i < applied then consumed := !consumed + frame_bytes r)
+                records;
+              let dropped_bytes = String.length data - !consumed in
+              let t =
+                open_gen ~dir ~id ~fsync ~compact_every ~gen
+                  ~since:applied
+              in
+              compact t (Tecore.Session.dump_state session);
+              {
+                session;
+                journal = t;
+                status = Partial { dropped_bytes; replayed = applied };
+              }))

@@ -158,6 +158,11 @@ val close : t -> unit
 (** Fsync (best-effort), leave any commit {!group} and release the
     fd. Idempotent. *)
 
+val write_all : Unix.file_descr -> bytes -> int -> int -> unit
+(** [write_all fd b ofs len] writes [len] bytes of [b] from [ofs],
+    looping over short writes. The one write loop of the server: the
+    journal, the access log and the wire's replies use it. *)
+
 (**/**)
 
 val replay_line :

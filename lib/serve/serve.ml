@@ -140,17 +140,9 @@ module Reader = struct
     go 0
 end
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off =
-    if off < n then
-      let w = Unix.write fd b off (n - off) in
-      go (off + w)
-  in
-  go 0
-
-let send_line fd s = write_all fd (s ^ "\n")
+let send_line fd s =
+  let b = Bytes.of_string (s ^ "\n") in
+  Journal.write_all fd b 0 (Bytes.length b)
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                        *)
@@ -317,10 +309,6 @@ let queued l = Queue.length l.lqueue
 
 let lane_pending l = queued l + l.lrunning
 
-(* Called with [queue_lock] held. *)
-let publish_queue_depth t =
-  Obs.gauge "serve.queue_depth" (float_of_int (sum_lanes t queued))
-
 let queue_depth t =
   Mutex.lock t.queue_lock;
   let n = sum_lanes t queued in
@@ -335,15 +323,7 @@ let busy t =
 
 let shed_count t = Atomic.get t.shed
 
-let sessions_expired t = Atomic.get t.expired_total
-
-let sessions_recovered t = Atomic.get t.recovered_total
-
 let requests_total t = Atomic.get t.requests
-
-let start_time t = t.start_wall
-
-let trace_period t = Atomic.get t.trace_period
 
 (* Traced requests still in the ring, oldest first. *)
 let recent_records t =
@@ -376,7 +356,7 @@ let record_trace t (r : Access_log.record) =
       try Access_log.write w r
       with Unix.Unix_error _ | Sys_error _ ->
         (* A failing access log must never take a connection down. *)
-        Obs.count "serve.access_log_error")
+        ())
   | None -> ());
   Mutex.unlock t.trace_lock
 
@@ -478,6 +458,15 @@ let storage_error ~line msg =
   Protocol.error Protocol.Storage ~line
     ("journal write failed; session is no longer durable: " ^ msg)
 
+let recovery_error ~line msg =
+  Protocol.error Protocol.Storage ~line ("session recovery failed: " ^ msg)
+
+(* The message of an environmental (filesystem) failure. *)
+let io_message = function
+  | Sys_error msg -> Some msg
+  | Unix.Unix_error (e, fn, _) -> Some (fn ^ ": " ^ Unix.error_message e)
+  | _ -> None
+
 let shutting_down ~line =
   Protocol.error Protocol.Shutting_down ~line "server is shutting down"
 
@@ -508,25 +497,35 @@ let recover_entry t ~state_dir id =
       ~compact_every:t.config.compact_every id
   in
   Atomic.incr t.recovered_total;
-  Obs.count "serve.sessions_recovered";
   entry_of t id r.Journal.session
     ~journal:(grouped t r.Journal.journal)
     ~recovery:(Journal.status_name r.Journal.status)
 
 (* A registry entry for a [hello] of an unregistered id: recovered when
    the session has a directory under the state dir, fresh otherwise
-   (with a generation-0 journal when the server is durable). *)
-let open_entry t id =
+   (with a generation-0 journal when the server is durable). A
+   filesystem failure is a typed [storage] error that says whether the
+   recovery or the new journal failed. *)
+let open_entry t ~line id =
+  let guard error f =
+    match f () with
+    | e -> Ok e
+    | exception exn -> (
+        match io_message exn with
+        | Some msg -> Error (error ~line msg)
+        | None -> raise exn)
+  in
   match t.config.state_dir with
-  | None -> entry_of t id (Session.create ())
+  | None -> Ok (entry_of t id (Session.create ()))
   | Some state_dir when Sys.file_exists (Journal.session_dir ~state_dir id) ->
-      recover_entry t ~state_dir id
+      guard recovery_error (fun () -> recover_entry t ~state_dir id)
   | Some state_dir ->
-      let journal =
-        Journal.create ~state_dir ~fsync:t.config.fsync
-          ~compact_every:t.config.compact_every id
-      in
-      entry_of t id (Session.create ()) ~journal:(grouped t journal)
+      guard storage_error (fun () ->
+          let journal =
+            Journal.create ~state_dir ~fsync:t.config.fsync
+              ~compact_every:t.config.compact_every id
+          in
+          entry_of t id (Session.create ()) ~journal:(grouped t journal))
 
 (* Close a retired entry's journal once any in-flight edit on it has
    finished (acked edits are already on disk), so the fd is released
@@ -607,8 +606,6 @@ let submit_resolve t ~line ~trace entry mode =
   else if pending > t.config.queue_cap then begin
     Atomic.incr t.shed;
     Mutex.unlock t.queue_lock;
-    Obs.event ~level:Obs.Events.Warn "serve.shed"
-      [ ("pending", Obs.Events.Int pending) ];
     Error
       (Protocol.error Protocol.Overloaded ~line
          (Printf.sprintf
@@ -617,7 +614,6 @@ let submit_resolve t ~line ~trace entry mode =
   end
   else begin
     Queue.add job lane.lqueue;
-    publish_queue_depth t;
     Condition.signal lane.lcv;
     Mutex.unlock t.queue_lock;
     Mutex.lock job.jm;
@@ -746,7 +742,6 @@ let lane_loop t lane =
       Mutex.unlock t.queue_lock
     else begin
       let job = Queue.pop lane.lqueue in
-      publish_queue_depth t;
       let draining = Atomic.get t.stop_requested in
       lane.lrunning <- 1;
       Mutex.unlock t.queue_lock;
@@ -865,32 +860,22 @@ let hello t conn_state ~line ~trace id =
                   evicted_entries := e :: !evicted_entries
             done
         | None -> ());
-        match open_entry t id with
-        | e ->
-            Hashtbl.add t.sessions id e;
-            Ok (e, true)
-        | exception Sys_error msg -> Error (storage_error ~line msg)
-        | exception Unix.Unix_error (e, fn, _) ->
-            Error (storage_error ~line (fn ^ ": " ^ Unix.error_message e)))
+        open_entry t ~line id
+        |> Result.map (fun e ->
+               Hashtbl.add t.sessions id e;
+               (e, true)))
   in
-  let open_now = Hashtbl.length t.sessions in
   Mutex.unlock t.registry_lock;
   (* Park evicted sessions' durable state outside the registry lock. *)
   List.iter
     (fun old ->
       release_journal old;
-      Atomic.incr t.evicted_total;
-      Obs.count "serve.sessions_evicted";
-      Obs.event "serve.session_evict" [ ("client", Obs.Events.Str old.id) ])
+      Atomic.incr t.evicted_total)
     !evicted_entries;
   match attach with
   | Error e -> Error e
   | Ok (entry, created) ->
       conn_state := Some entry;
-      if created then begin
-        Obs.gauge "serve.sessions_open" (float_of_int open_now);
-        Obs.event "serve.session_open" [ ("client", Obs.Events.Str id) ]
-      end;
       Ok
         (Protocol.ok_line
            ([ ("session", Obs.Json.Str id); ("created", Obs.Json.Bool created) ]
@@ -1015,7 +1000,6 @@ let handle_request t conn_state ~line ~trace parsed raw =
     | Ok Protocol.Metrics -> ok "metrics" (Obs.Json.Str (metrics_text t))
     | Ok (Protocol.Trace n) ->
         Atomic.set t.trace_period n;
-        Obs.event "serve.trace" [ ("every", Obs.Events.Int n) ];
         ok "trace" (json_num n)
     | Ok (Protocol.Tail k) -> tail t k
     | Ok (Protocol.Hello id) -> hello t conn_state ~line ~trace id
@@ -1116,7 +1100,6 @@ let connection_loop t fd =
            the fetch-and-add is the same counter behind
            [serve_requests_total]. *)
         let req = 1 + Atomic.fetch_and_add t.requests 1 in
-        Obs.count "serve.requests";
         let period = Atomic.get t.trace_period in
         let trace =
           if period > 0 && (period = 1 || req mod period = 0) then
@@ -1223,13 +1206,7 @@ let janitor_loop t ttl =
     List.iter
       (fun e ->
         release_journal e;
-        Atomic.incr t.expired_total;
-        Obs.count "serve.sessions_expired";
-        Obs.event "serve.session_expire"
-          [
-            ("client", Obs.Events.Str e.id);
-            ("parked", Obs.Events.Bool (t.config.state_dir <> None));
-          ])
+        Atomic.incr t.expired_total)
       stale
   done
 
@@ -1329,7 +1306,8 @@ let start ?(config = default_config) (listen : listen) =
   in
   (* Startup recovery: rebuild the registry from every session directory
      under the state dir before accepting connections. A session whose
-     recovery fails environmentally is skipped (logged), never fatal. *)
+     recovery fails is skipped with a warning on stderr, never fatal; a
+     later [hello] retries it. *)
   (match config.state_dir with
   | None -> ()
   | Some state_dir ->
@@ -1339,13 +1317,9 @@ let start ?(config = default_config) (listen : listen) =
           match recover_entry t ~state_dir id with
           | e -> Hashtbl.replace t.sessions id e
           | exception e ->
-              Obs.event ~level:Obs.Events.Error "recovery.failed"
-                [
-                  ("session", Obs.Events.Str id);
-                  ("error", Obs.Events.Str (Printexc.to_string e));
-                ])
+              Printf.eprintf "warning: session %S not recovered: %s\n%!" id
+                (Option.value (io_message e) ~default:(Printexc.to_string e)))
         (Journal.list_sessions ~state_dir));
-  Obs.event "serve.listening" [ ("address", Obs.Events.Str addr_str) ];
   Array.iter
     (fun lane ->
       lane.lthread <- Some (Thread.create (fun () -> lane_loop t lane) ()))
@@ -1471,8 +1445,9 @@ module Driver = struct
     else
       match keyword with
       | "connect" ->
-          if payload = "" then err col_arg "connect: missing client name"
-          else Ok (Some (Connect payload))
+          name_and_rest "connect" (fun name rest ->
+              if rest = "" then Ok (Some (Connect name))
+              else err col_arg "connect takes only a client name")
       | "send" ->
           name_and_rest "send" (fun name rest ->
               if rest = "" then err col_arg "send: missing request"

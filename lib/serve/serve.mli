@@ -151,8 +151,10 @@ val start : ?config:config -> listen -> t
     [state_dir] set, first rebuilds the session registry by recovering
     every session directory (replaying snapshots and journals; torn or
     corrupt content degrades to a typed recovery status, never an
-    exception). Raises [Unix.Unix_error] when the address cannot be
-    bound. *)
+    exception); a session whose recovery still raises (say, an
+    unreadable file) is skipped with one [warning:] line on stderr,
+    and a later [hello] for it retries. Raises [Unix.Unix_error] when
+    the address cannot be bound. *)
 
 val address : t -> string
 (** Human-readable bound address ("127.0.0.1:PORT" or the socket
@@ -162,17 +164,12 @@ val connect : t -> Unix.file_descr
 (** A fresh loopback client socket connected to this server (used by
     the scripted driver, tests and benchmarks). *)
 
-val sessions_open : t -> int
-
-val lane_count : t -> int
-(** Number of resolver lanes this server runs. *)
-
 val lane_of_session : t -> string -> int
 (** The lane a session id is pinned to: a stable 32-bit FNV-1a hash
-    modulo {!lane_count}. Total for any string (empty, huge and
-    non-ASCII ids included) and always in [[0, lane_count)]. The
+    modulo the lane count. Total for any string (empty, huge and
+    non-ASCII ids included) and always in [[0, lanes)]. The
     [lane_collide:L] fault point (TECORE_FAULTS) overrides it to
-    [L mod lane_count] for every id — the test hook for forcing hash
+    [L mod lanes] for every id — the test hook for forcing hash
     collisions. *)
 
 val busy : t -> bool
@@ -181,23 +178,8 @@ val busy : t -> bool
 val shed_count : t -> int
 (** Requests shed by admission control since [start]. *)
 
-val sessions_expired : t -> int
-(** Sessions expired by the idle TTL since [start]. *)
-
-val sessions_recovered : t -> int
-(** Sessions recovered from the state dir (at [start] or lazily on
-    [hello]) since [start]. *)
-
 val requests_total : t -> int
 (** Requests parsed off all connections since [start]. *)
-
-val start_time : t -> float
-(** Unix epoch seconds at {!start} — the value echoed as [started] in
-    traced [hello] responses and behind [serve_uptime_seconds]. *)
-
-val trace_period : t -> int
-(** Current request-trace sampling period (0 = off), as last set by the
-    config or the [trace] verb. *)
 
 val recent_records : t -> Access_log.record list
 (** The traced requests still in the [tail] ring (up to 64), oldest

@@ -28,25 +28,6 @@ type derivation = {
       (** firing rule name with the supporting facts of each instance *)
 }
 
-val removals :
-  store:Grounder.Atom_store.t ->
-  instances:Grounder.Ground.instances ->
-  assignment:bool array ->
-  graph:Kg.Graph.t ->
-  resolution:Conflict.resolution ->
-  removal list
-(** One entry per removed fact. A removal with no clashes means the fact
-    lost on its own weight (confidence below 0.5) rather than through a
-    constraint. *)
-
-val derivations :
-  store:Grounder.Atom_store.t ->
-  instances:Grounder.Ground.instances ->
-  assignment:bool array ->
-  graph:Kg.Graph.t ->
-  resolution:Conflict.resolution ->
-  derivation list
-
 val pp_removal : Format.formatter -> removal -> unit
 val pp_derivation : Format.formatter -> derivation -> unit
 

@@ -26,6 +26,3 @@ val of_result :
     (["completed"|"timed_out"|"degraded"]), whether the budget
     [expired], and the [budget_ms]/[slack_ms] pair; without one the
     payload is byte-identical to earlier releases. *)
-
-val escape : string -> string
-(** JSON string escaping (quotes, backslashes, control characters). *)

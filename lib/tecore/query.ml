@@ -34,14 +34,6 @@ let run ?namespace graph src =
       | exception (Logic.Rule.Ill_formed msg | Invalid_argument msg) ->
           Error msg)
 
-let select ?namespace graph src vars =
-  Result.map
-    (fun answers ->
-      List.map
-        (fun a -> List.map (fun v -> Logic.Subst.find a.subst v) vars)
-        answers)
-    (run ?namespace graph src)
-
 let pp_answer graph ppf a =
   Format.fprintf ppf "@[<v>%a  (confidence %.3g)" Logic.Subst.pp a.subst
     a.confidence;

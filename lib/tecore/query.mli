@@ -26,15 +26,4 @@ val run : ?namespace:Kg.Namespace.t -> Kg.Graph.t -> string ->
   (answer list, string) result
 (** Parse and evaluate the query against the graph. *)
 
-val run_parsed :
-  Kg.Graph.t -> Logic.Atom.t list -> Logic.Cond.t list -> answer list
-(** Evaluate an already-parsed query.
-    @raise Invalid_argument on unsafe conditions (variables not bound by
-    any atom). *)
-
-val select : ?namespace:Kg.Namespace.t -> Kg.Graph.t -> string ->
-  string list -> (Kg.Term.t option list list, string) result
-(** [select graph query vars] projects each answer onto the named object
-    variables — the tabular view a UI would render. *)
-
 val pp_answer : Kg.Graph.t -> Format.formatter -> answer -> unit

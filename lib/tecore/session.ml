@@ -163,33 +163,6 @@ let complete_predicate t prefix =
 
 (* {1 State dump — the snapshot body of the server's durability layer} *)
 
-let dump_quad_line ns (q : Kg.Quad.t) =
-  let term t =
-    match t with
-    | Kg.Term.Iri name -> Kg.Namespace.shrink ns name
-    | Kg.Term.Flt f ->
-        (* Keep the literal a float on reparse: "2" would come back as
-           an Int term. *)
-        let s = Prelude.Floatlit.to_lexeme f in
-        if int_of_string_opt s <> None then s ^ "." else s
-    | t -> Kg.Term.to_string t
-  in
-  let b = Buffer.create 64 in
-  Buffer.add_string b "assert ";
-  Buffer.add_string b (term q.Kg.Quad.subject);
-  Buffer.add_char b ' ';
-  Buffer.add_string b (term q.Kg.Quad.predicate);
-  Buffer.add_char b ' ';
-  Buffer.add_string b (term q.Kg.Quad.object_);
-  Buffer.add_char b ' ';
-  Buffer.add_string b (Kg.Interval.to_string q.Kg.Quad.time);
-  if q.Kg.Quad.confidence < 1.0 then begin
-    Buffer.add_char b ' ';
-    Buffer.add_string b (Prelude.Floatlit.to_lexeme q.Kg.Quad.confidence)
-  end;
-  Buffer.add_string b " .";
-  Buffer.contents b
-
 let dump_state t =
   let prefixes =
     List.map
@@ -211,7 +184,9 @@ let dump_state t =
         (* Insertion order: replay re-adds facts oldest-first, so the
            "retract the oldest matching fact" tie-break keeps behaving
            identically after a snapshot round-trip. *)
-        List.map (dump_quad_line t.ns) (Kg.Graph.to_list g)
+        List.map
+          (fun q -> "assert " ^ Kg.Nquads.fact_line t.ns q)
+          (Kg.Graph.to_list g)
   in
   prefixes @ opened @ rules @ facts
 

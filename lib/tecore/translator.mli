@@ -36,8 +36,4 @@ type report = {
 
 val analyse : Kg.Graph.t -> Logic.Rule.t list -> report
 
-val mln_size_limit : int
-(** Fact count above which the PSL engine is recommended (the paper's
-    "MLN solvers do not scale well"). *)
-
 val pp_report : Format.formatter -> report -> unit

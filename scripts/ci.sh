@@ -134,6 +134,20 @@ echo "== session script golden transcripts =="
 # so the transcripts are stable under the fault sweep above.
 dune build @data/runtest
 
+echo "== examples run =="
+# The six library examples are callers of the public API; run each from
+# an empty temporary directory (they read no input and write no files) and
+# require exit 0 and an untouched directory.
+EXAMPLES_DIR=$(mktemp -d) EXAMPLES_BIN=$PWD/_build/default/examples
+for ex in quickstart football_debugging wikidata_spouse constraint_editor \
+  kg_curation weight_learning; do
+  (cd "$EXAMPLES_DIR" && "$EXAMPLES_BIN/$ex.exe" >/dev/null) \
+    || { echo "example $ex failed" >&2; exit 1; }
+done
+[ -z "$(ls -A "$EXAMPLES_DIR")" ] \
+  || { echo "an example wrote files into its working directory" >&2; exit 1; }
+rmdir "$EXAMPLES_DIR"
+
 echo "== incremental fallback under TECORE_FAULTS=incr_timeout =="
 # With the incremental-replay fault armed, every stateful resolve must
 # fall back to a fresh ground — cache=fallback in the transcript, never

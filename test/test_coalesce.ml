@@ -183,7 +183,7 @@ let qcheck_no_mergeable_remains =
         (fun (a : Q.t) ->
           List.for_all
             (fun (b : Q.t) ->
-              Q.equal a b
+              a = b
               || not
                    (I.overlaps a.Q.time b.Q.time
                    || I.hi a.Q.time + 1 = I.lo b.Q.time

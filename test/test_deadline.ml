@@ -52,11 +52,7 @@ let test_none_never_expires () =
   Alcotest.(check bool) "infinite remaining" true
     (Deadline.remaining_ms Deadline.none = infinity);
   Alcotest.(check bool) "infinite budget" true
-    (Deadline.budget_ms Deadline.none = infinity);
-  (* Cancelling the shared [none] must stay a no-op. *)
-  Deadline.cancel Deadline.none;
-  Alcotest.(check bool) "cancel is a no-op" false
-    (Deadline.expired Deadline.none)
+    (Deadline.budget_ms Deadline.none = infinity)
 
 let test_after_expires () =
   let d = Deadline.after ~ms:0. in
@@ -64,9 +60,7 @@ let test_after_expires () =
   Alcotest.(check bool) "already expired" true (Deadline.expired d);
   let d = Deadline.after ~ms:60_000. in
   Alcotest.(check bool) "fresh budget live" false (Deadline.expired d);
-  Alcotest.(check bool) "remaining positive" true (Deadline.remaining_ms d > 0.);
-  Deadline.cancel d;
-  Alcotest.(check bool) "cancelled" true (Deadline.expired d)
+  Alcotest.(check bool) "remaining positive" true (Deadline.remaining_ms d > 0.)
 
 let test_of_timeout_ms () =
   Alcotest.(check bool) "None is none" false
@@ -81,11 +75,7 @@ let test_slice () =
   let slice = Deadline.slice parent ~frac:0.5 in
   Alcotest.(check bool) "slice finite" true (Deadline.is_finite slice);
   Alcotest.(check bool) "slice within parent" true
-    (Deadline.remaining_ms slice <= Deadline.remaining_ms parent);
-  (* Cancellation flows parent -> slice. *)
-  Deadline.cancel parent;
-  Alcotest.(check bool) "parent cancel expires slice" true
-    (Deadline.expired slice)
+    (Deadline.remaining_ms slice <= Deadline.remaining_ms parent)
 
 let test_status_lattice () =
   let open Deadline in

@@ -1,83 +1,6 @@
-(* Tests for calendar dates and KG diffing. *)
+(* Tests for KG diffing. *)
 
-module D = Kg.Date
 module Diff = Tecore.Diff
-
-let date y m d = D.make ~year:y ~month:m ~day:d
-
-let test_epoch () =
-  Alcotest.(check int) "epoch day 0" 0 (D.to_day_number (date 1970 1 1));
-  Alcotest.(check int) "day 1" 1 (D.to_day_number (date 1970 1 2));
-  Alcotest.(check int) "day -1" (-1) (D.to_day_number (date 1969 12 31))
-
-let test_known_days () =
-  (* 2000-03-01 is day 11017 (post leap day of a 400-divisible year). *)
-  Alcotest.(check int) "2000-03-01" 11017 (D.to_day_number (date 2000 3 1));
-  Alcotest.(check int) "2000-02-29 exists" 11016
-    (D.to_day_number (date 2000 2 29))
-
-let test_leap_years () =
-  Alcotest.(check bool) "2000 leap" true (D.is_leap_year 2000);
-  Alcotest.(check bool) "1900 not leap" false (D.is_leap_year 1900);
-  Alcotest.(check bool) "2024 leap" true (D.is_leap_year 2024);
-  Alcotest.(check bool) "2023 not leap" false (D.is_leap_year 2023);
-  Alcotest.(check int) "feb 2024" 29 (D.days_in_month ~year:2024 ~month:2);
-  Alcotest.(check int) "feb 1900" 28 (D.days_in_month ~year:1900 ~month:2)
-
-let test_invalid_dates () =
-  let bad y m d =
-    match D.make ~year:y ~month:m ~day:d with
-    | exception D.Invalid _ -> ()
-    | _ -> Alcotest.fail (Printf.sprintf "%d-%d-%d accepted" y m d)
-  in
-  bad 2023 2 29;
-  bad 2024 2 30;
-  bad 2024 13 1;
-  bad 2024 0 1;
-  bad 2024 4 31;
-  bad 2024 1 0
-
-let test_iso_roundtrip () =
-  List.iter
-    (fun s ->
-      match D.of_iso s with
-      | Ok d -> Alcotest.(check string) s s (D.to_iso d)
-      | Error e -> Alcotest.fail e)
-    [ "1970-01-01"; "2000-02-29"; "1951-10-20"; "0001-01-01"; "-0044-03-15" ];
-  (match D.of_iso "not-a-date" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage accepted");
-  match D.of_iso "2023-02-29" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "invalid leap day accepted"
-
-let test_interval_building () =
-  (match D.interval "2000-01-01" "2004-06-30" with
-  | Ok i ->
-      Alcotest.(check int) "length" 1643 (Kg.Interval.length i);
-      let from_s, to_s = D.interval_to_iso i in
-      Alcotest.(check string) "from" "2000-01-01" from_s;
-      Alcotest.(check string) "to" "2004-06-30" to_s
-  | Error e -> Alcotest.fail e);
-  match D.interval "2004-01-01" "2000-01-01" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "reversed interval accepted"
-
-let qcheck_day_roundtrip =
-  QCheck.Test.make ~name:"of_day_number (to_day_number d) = d" ~count:2000
-    QCheck.(int_range (-1_000_000) 1_000_000)
-    (fun day ->
-      let d = D.of_day_number day in
-      D.to_day_number d = day)
-
-let qcheck_successive_days =
-  QCheck.Test.make ~name:"day n+1 is the calendar successor" ~count:1000
-    QCheck.(int_range (-200_000) 200_000)
-    (fun day ->
-      let a = D.of_day_number day and b = D.of_day_number (day + 1) in
-      D.compare a b < 0)
-
-(* ---------------- diff ---------------- *)
 
 let g quads = Kg.Graph.of_list quads
 let q ?(c = 0.9) s p o span = Kg.Quad.v s p (Kg.Term.iri o) span c
@@ -146,19 +69,8 @@ let test_diff_pp () =
   Alcotest.(check bool) "plus line" true (String.contains s '+')
 
 let () =
-  Alcotest.run "date-diff"
+  Alcotest.run "diff"
     [
-      ( "date",
-        [
-          Alcotest.test_case "epoch" `Quick test_epoch;
-          Alcotest.test_case "known days" `Quick test_known_days;
-          Alcotest.test_case "leap years" `Quick test_leap_years;
-          Alcotest.test_case "invalid dates" `Quick test_invalid_dates;
-          Alcotest.test_case "iso roundtrip" `Quick test_iso_roundtrip;
-          Alcotest.test_case "interval building" `Quick test_interval_building;
-          QCheck_alcotest.to_alcotest qcheck_day_roundtrip;
-          QCheck_alcotest.to_alcotest qcheck_successive_days;
-        ] );
       ( "diff",
         [
           Alcotest.test_case "empty" `Quick test_diff_empty;

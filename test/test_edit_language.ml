@@ -8,8 +8,9 @@
    added — the one deliberate change of the shared splitter. Random lines
    over verbs, blanks, '#' and payload bytes must parse identically under
    the shared splitter, except that a CR before a line's last byte is now
-   a blank on the wire too, and that a fact payload now arrives trimmed
-   as its validator read it. *)
+   a blank on the wire too, that a fact payload now arrives trimmed as
+   its validator read it, and that a driver's [connect] name is now its
+   first word. *)
 
 module Script = Tecore.Script
 module Protocol = Serve.Protocol
@@ -313,6 +314,25 @@ let trim_request = function
   | Ok (Protocol.Cmd c) -> Ok (Protocol.Cmd (trim_fact c))
   | r -> r
 
+(* The parent took everything after [connect] as the client name; the
+   name is now the first word, parsed as [send], [recv] and [close]
+   parse theirs, so trailing blanks are dropped and a second word is
+   refused at the argument's column. *)
+let connect_first_word s = function
+  | Ok (Some (Driver.Connect payload)) -> (
+      let _, _, _, col_arg = Script.split_keyword (Protocol.strip_cr s) in
+      match Script.split_keyword payload with
+      | name, "", _, _ -> Ok (Some (Driver.Connect name))
+      | _ ->
+          Error
+            {
+              Script.path = "d";
+              line = 5;
+              column = col_arg;
+              message = "connect takes only a client name";
+            })
+  | r -> r
+
 (* A CR that is not the line's last byte: the one place the shared
    splitter parts from the wire's old blanks. *)
 let inner_cr s =
@@ -338,8 +358,31 @@ let qcheck_driver_line =
   QCheck.Test.make ~name:"driver lines parse as before, CR now a blank"
     ~count:3000 arb_line (fun s ->
       let now = Driver.parse_line ~path:"d" ~line:5 s in
-      now = Parent.Wire_cr.driver_line ~path:"d" ~line:5 s
-      && (inner_cr s || now = Parent.Wire_lf.driver_line ~path:"d" ~line:5 s))
+      now = connect_first_word s (Parent.Wire_cr.driver_line ~path:"d" ~line:5 s)
+      && (inner_cr s
+         || now
+            = connect_first_word s
+                (Parent.Wire_lf.driver_line ~path:"d" ~line:5 s)))
+
+(* The connect case, spelled out: a trailing blank no longer joins the
+   name, and a second word is refused like [close a b]. *)
+let test_connect_name () =
+  let parse = Driver.parse_line ~path:"d" ~line:1 in
+  Alcotest.(check bool) "trailing blank" true
+    (parse "connect a " = Ok (Some (Driver.Connect "a")));
+  Alcotest.(check bool) "second word" true
+    (parse "connect a b"
+    = Error
+        {
+          Script.path = "d";
+          line = 1;
+          column = 9;
+          message = "connect takes only a client name";
+        });
+  Alcotest.(check bool) "close agrees" true
+    (match parse "close a b" with
+    | Error { Script.message; _ } -> message = "close takes only a client name"
+    | Ok _ -> false)
 
 (* The CR case, spelled out: server verbs now parse through inner CRs. *)
 let test_cr_is_a_blank () =
@@ -506,6 +549,7 @@ let () =
         [
           Alcotest.test_case "split_keyword" `Quick test_split_keyword;
           Alcotest.test_case "CR is a blank" `Quick test_cr_is_a_blank;
+          Alcotest.test_case "connect client name" `Quick test_connect_name;
           Alcotest.test_case "empty argument columns" `Quick
             test_empty_argument_columns;
           Alcotest.test_case "form feed fact column" `Quick

@@ -3,9 +3,8 @@
 module G = Kg.Graph
 module Q = Kg.Quad
 module T = Kg.Term
-module I = Kg.Interval
 
-let quad_testable = Alcotest.testable Q.pp Q.equal
+let quad_testable = Alcotest.testable Q.pp ( = )
 
 let sample () =
   let g = G.create () in
@@ -25,20 +24,15 @@ let sample () =
 let test_add_size () =
   let g, ids = sample () in
   Alcotest.(check int) "size" 6 (G.size g);
-  Alcotest.(check int) "total" 6 (G.total g);
   Alcotest.(check (list int)) "ids are dense" [ 0; 1; 2; 3; 4; 5 ] ids
 
-let test_remove_restore () =
+let test_remove () =
   let g, _ = sample () in
   G.remove g 4;
   Alcotest.(check int) "size after remove" 5 (G.size g);
-  Alcotest.(check int) "total unchanged" 6 (G.total g);
   Alcotest.(check bool) "id dead" false (G.mem_id g 4);
   G.remove g 4;
-  Alcotest.(check int) "remove idempotent" 5 (G.size g);
-  G.restore g 4;
-  Alcotest.(check int) "restored" 6 (G.size g);
-  Alcotest.(check bool) "id live" true (G.mem_id g 4)
+  Alcotest.(check int) "remove idempotent" 5 (G.size g)
 
 let test_unknown_id () =
   let g, _ = sample () in
@@ -54,8 +48,6 @@ let test_queries () =
   let g, _ = sample () in
   Alcotest.(check int) "coach facts" 3
     (List.length (G.by_predicate g (T.iri "coach")));
-  Alcotest.(check int) "CR facts" 5
-    (List.length (G.by_subject g (T.iri "CR")));
   Alcotest.(check int) "CR coach facts" 3
     (List.length (G.by_subject_predicate g (T.iri "CR") (T.iri "coach")));
   Alcotest.(check int) "Kid playsFor" 1
@@ -65,27 +57,9 @@ let test_queries_respect_tombstones () =
   let g, _ = sample () in
   G.remove g 0;
   Alcotest.(check int) "coach facts after remove" 2
-    (List.length (G.by_predicate g (T.iri "coach")));
-  Alcotest.(check int) "overlap query after remove" 1
-    (List.length (G.overlapping g (T.iri "coach") (I.make 2001 2003)))
+    (List.length (G.by_predicate g (T.iri "coach")))
 
-let test_overlapping () =
-  let g, _ = sample () in
-  let hits = G.overlapping g (T.iri "coach") (I.make 2001 2003) in
-  Alcotest.(check int) "chelsea+napoli" 2 (List.length hits);
-  let hits = G.overlapping g (T.iri "coach") (I.make 2010 2012) in
-  Alcotest.(check int) "gap years" 0 (List.length hits);
-  let hits = G.overlapping g (T.iri "playsFor") (I.make 1986 2010) in
-  Alcotest.(check int) "both players" 2 (List.length hits)
-
-let test_contains_statement () =
-  let g, _ = sample () in
-  Alcotest.(check bool) "present (any confidence)" true
-    (G.contains_statement g (Q.v "CR" "coach" (T.iri "Chelsea") (2000, 2004) 0.1));
-  Alcotest.(check bool) "different interval" false
-    (G.contains_statement g (Q.v "CR" "coach" (T.iri "Chelsea") (2000, 2005) 0.9))
-
-let test_predicates_and_completion () =
+let test_predicates () =
   let g, _ = sample () in
   let preds = G.predicates g in
   Alcotest.(check int) "three predicates" 3 (List.length preds);
@@ -93,32 +67,7 @@ let test_predicates_and_completion () =
   | (p, c) :: _ ->
       Alcotest.(check string) "coach most frequent" "coach" (T.to_string p);
       Alcotest.(check int) "count" 3 c
-  | [] -> Alcotest.fail "no predicates");
-  Alcotest.(check int) "complete 'c'" 1
-    (List.length (G.complete_predicate g "c"));
-  Alcotest.(check int) "complete ''" 3
-    (List.length (G.complete_predicate g ""));
-  Alcotest.(check int) "complete 'z'" 0
-    (List.length (G.complete_predicate g "z"))
-
-let test_subjects () =
-  let g, _ = sample () in
-  Alcotest.(check int) "two subjects" 2 (List.length (G.subjects g))
-
-let test_stats () =
-  let g, _ = sample () in
-  let s = G.stats g in
-  Alcotest.(check int) "facts" 6 s.G.facts;
-  Alcotest.(check int) "certain" 1 s.G.certain_facts;
-  Alcotest.(check int) "subjects" 2 s.G.distinct_subjects;
-  Alcotest.(check int) "predicates" 3 s.G.distinct_predicates;
-  Alcotest.(check bool) "span" true
-    (match s.G.time_span with
-    | Some span -> I.lo span = 1951 && I.hi span = 2017
-    | None -> false);
-  G.remove g 0;
-  let s = G.stats g in
-  Alcotest.(check int) "removed tracked" 1 s.G.removed
+  | [] -> Alcotest.fail "no predicates")
 
 let test_copy_independent () =
   let g, _ = sample () in
@@ -183,31 +132,8 @@ let qcheck_by_predicate_naive =
             List.filter (fun q -> T.equal q.Q.predicate (T.iri p)) quads
           in
           List.length fast = List.length naive
-          && List.for_all2 Q.equal fast naive)
+          && fast = naive)
         [ "p0"; "p1"; "p2"; "p3" ])
-
-let qcheck_overlapping_naive =
-  QCheck.Test.make ~name:"overlapping = naive filter" ~count:200
-    QCheck.(pair arbitrary_graph (pair (int_range 0 60) (int_range 0 10)))
-    (fun (quads, (lo, len)) ->
-      let window = I.make lo (lo + len) in
-      let g = G.of_list quads in
-      List.for_all
-        (fun p ->
-          let fast =
-            G.overlapping g (T.iri p) window
-            |> List.map fst |> List.sort Int.compare
-          in
-          let naive =
-            List.filteri (fun _ _ -> true) quads
-            |> List.mapi (fun i q -> (i, q))
-            |> List.filter (fun (_, q) ->
-                   T.equal q.Q.predicate (T.iri p)
-                   && I.overlaps q.Q.time window)
-            |> List.map fst
-          in
-          fast = naive)
-        [ "p0"; "p1" ])
 
 let () =
   Alcotest.run "graph"
@@ -215,7 +141,7 @@ let () =
       ( "store",
         [
           Alcotest.test_case "add/size" `Quick test_add_size;
-          Alcotest.test_case "remove/restore" `Quick test_remove_restore;
+          Alcotest.test_case "remove" `Quick test_remove;
           Alcotest.test_case "unknown ids" `Quick test_unknown_id;
           Alcotest.test_case "copy independence" `Quick test_copy_independent;
           Alcotest.test_case "of_list roundtrip" `Quick test_of_list_roundtrip;
@@ -228,16 +154,10 @@ let () =
           Alcotest.test_case "basic" `Quick test_queries;
           Alcotest.test_case "tombstones respected" `Quick
             test_queries_respect_tombstones;
-          Alcotest.test_case "temporal overlap" `Quick test_overlapping;
-          Alcotest.test_case "contains_statement" `Quick test_contains_statement;
-          Alcotest.test_case "predicates/completion" `Quick
-            test_predicates_and_completion;
-          Alcotest.test_case "subjects" `Quick test_subjects;
-          Alcotest.test_case "stats" `Quick test_stats;
+          Alcotest.test_case "predicates" `Quick test_predicates;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest qcheck_by_predicate_naive;
-          QCheck_alcotest.to_alcotest qcheck_overlapping_naive;
         ] );
     ]

@@ -64,7 +64,10 @@ let script_arb =
   QCheck.make script_gen ~print:(fun ops ->
       String.concat "; " (List.map pp_op ops))
 
-let live_facts g = List.rev (Kg.Graph.fold (fun id q acc -> (id, q) :: acc) g [])
+let live_facts g =
+  let acc = ref [] in
+  Kg.Graph.iter (fun id q -> acc := (id, q) :: !acc) g;
+  List.rev !acc
 
 let apply session op =
   match op with

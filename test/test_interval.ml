@@ -24,18 +24,9 @@ let test_point () =
   Alcotest.(check int) "hi" 1951 (I.hi p);
   Alcotest.(check int) "length" 1 (I.length p)
 
-let test_contains () =
-  let i = iv 10 20 in
-  Alcotest.(check bool) "inside" true (I.contains i 15);
-  Alcotest.(check bool) "lo edge" true (I.contains i 10);
-  Alcotest.(check bool) "hi edge" true (I.contains i 20);
-  Alcotest.(check bool) "below" false (I.contains i 9);
-  Alcotest.(check bool) "above" false (I.contains i 21)
-
-let test_overlaps_disjoint () =
+let test_overlaps () =
   Alcotest.(check bool) "overlap" true (I.overlaps (iv 1 5) (iv 5 9));
   Alcotest.(check bool) "no overlap" false (I.overlaps (iv 1 4) (iv 5 9));
-  Alcotest.(check bool) "disjoint" true (I.disjoint (iv 1 4) (iv 5 9));
   Alcotest.(check bool) "contained overlaps" true (I.overlaps (iv 1 9) (iv 3 4))
 
 let test_intersect () =
@@ -53,25 +44,6 @@ let test_hull () =
     (I.hull (iv 1 3) (iv 7 9));
   Alcotest.check interval_testable "hull of nested" (iv 1 9)
     (I.hull (iv 1 9) (iv 3 4))
-
-let test_subsumes () =
-  Alcotest.(check bool) "outer subsumes inner" true (I.subsumes (iv 1 9) (iv 3 4));
-  Alcotest.(check bool) "equal subsumes" true (I.subsumes (iv 1 9) (iv 1 9));
-  Alcotest.(check bool) "partial does not" false (I.subsumes (iv 1 5) (iv 3 9))
-
-let test_before () =
-  Alcotest.(check bool) "gap" true (I.before (iv 1 3) (iv 5 9));
-  Alcotest.(check bool) "adjacent is not before (meets)" false
-    (I.before (iv 1 4) (iv 5 9));
-  Alcotest.(check bool) "overlap is not before" false (I.before (iv 1 6) (iv 5 9))
-
-let test_shift_clamp () =
-  Alcotest.check interval_testable "shift" (iv 11 13) (I.shift (iv 1 3) 10);
-  Alcotest.(check (option interval_testable)) "clamp inside"
-    (Some (iv 3 5))
-    (I.clamp (iv 1 5) ~within:(iv 3 10));
-  Alcotest.(check (option interval_testable)) "clamp out" None
-    (I.clamp (iv 1 2) ~within:(iv 5 10))
 
 let test_compare_order () =
   Alcotest.(check bool) "lex by lo" true (I.compare (iv 1 9) (iv 2 3) < 0);
@@ -121,20 +93,23 @@ let qcheck_intersect_commutes =
     (fun (a, b) ->
       Option.equal I.equal (I.intersect a b) (I.intersect b a))
 
+(* [outer] covers every point of [inner]. *)
+let subsumes outer inner = I.lo outer <= I.lo inner && I.hi inner <= I.hi outer
+
 let qcheck_intersect_subsumed =
   QCheck.Test.make ~name:"intersection inside both" ~count:500
     QCheck.(pair arbitrary_interval arbitrary_interval)
     (fun (a, b) ->
       match I.intersect a b with
-      | None -> I.disjoint a b
-      | Some c -> I.subsumes a c && I.subsumes b c)
+      | None -> not (I.overlaps a b)
+      | Some c -> subsumes a c && subsumes b c)
 
 let qcheck_hull_contains =
   QCheck.Test.make ~name:"hull contains both" ~count:500
     QCheck.(pair arbitrary_interval arbitrary_interval)
     (fun (a, b) ->
       let h = I.hull a b in
-      I.subsumes h a && I.subsumes h b)
+      subsumes h a && subsumes h b)
 
 let qcheck_overlaps_symmetric =
   QCheck.Test.make ~name:"overlaps symmetric" ~count:500
@@ -156,13 +131,9 @@ let () =
         ] );
       ( "relations",
         [
-          Alcotest.test_case "contains" `Quick test_contains;
-          Alcotest.test_case "overlaps/disjoint" `Quick test_overlaps_disjoint;
+          Alcotest.test_case "overlaps" `Quick test_overlaps;
           Alcotest.test_case "intersect" `Quick test_intersect;
           Alcotest.test_case "hull" `Quick test_hull;
-          Alcotest.test_case "subsumes" `Quick test_subsumes;
-          Alcotest.test_case "before" `Quick test_before;
-          Alcotest.test_case "shift/clamp" `Quick test_shift_clamp;
           Alcotest.test_case "compare" `Quick test_compare_order;
         ] );
       ( "serialisation",

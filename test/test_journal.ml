@@ -536,6 +536,18 @@ let expect_ok line resp =
   | `Err j ->
       Alcotest.failf "request %S failed: %s" line (Obs.Json.to_string j)
 
+(* A counter of the server's live exposition. *)
+let counter server name =
+  let prefix = name ^ " " in
+  let n = String.length prefix in
+  match
+    List.find_opt
+      (fun l -> String.length l > n && String.sub l 0 n = prefix)
+      (String.split_on_char '\n' (Serve.metrics_text server))
+  with
+  | Some l -> int_of_string (String.sub l n (String.length l - n))
+  | None -> Alcotest.failf "no %s in the exposition" name
+
 let expect_err_kind name kind resp =
   match parse_response resp with
   | `Err j -> Alcotest.(check string) name kind (str_field j "kind")
@@ -575,7 +587,7 @@ let test_serve_restart () =
         ~finally:(fun () -> Serve.stop server)
         (fun () ->
           Alcotest.(check int) "startup recovery counted" 1
-            (Serve.sessions_recovered server);
+            (counter server "serve_sessions_recovered_total");
           let c = connect server in
           let ok line = expect_ok line (request c line) in
           let hj = ok "hello alice" in
@@ -596,14 +608,12 @@ let test_serve_restart () =
 (* ------------------------------------------------------------------ *)
 
 let await_expired server =
+  let expired () = counter server "serve_sessions_expired_total" in
   let deadline = Unix.gettimeofday () +. 5. in
-  while
-    Serve.sessions_expired server = 0 && Unix.gettimeofday () < deadline
-  do
+  while expired () = 0 && Unix.gettimeofday () < deadline do
     Unix.sleepf 0.01
   done;
-  Alcotest.(check bool) "janitor expired the session" true
-    (Serve.sessions_expired server > 0)
+  Alcotest.(check bool) "janitor expired the session" true (expired () > 0)
 
 let test_idle_ttl_parks_durable_sessions () =
   with_state_dir "ttl" (fun sd ->
@@ -753,7 +763,7 @@ let cli_binary =
     (Filename.dirname Sys.executable_name)
     (Filename.concat ".." (Filename.concat "bin" "tecore_cli.exe"))
 
-let spawn_daemon ?(extra_args = []) ~socket ~state_dir ~faults () =
+let spawn_daemon ?(extra_args = []) ?stderr ~socket ~state_dir ~faults () =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let keep s =
     not
@@ -769,7 +779,8 @@ let spawn_daemon ?(extra_args = []) ~socket ~state_dir ~faults () =
       (Array.of_list
          ([ cli_binary; "serve"; "--socket"; socket; "--state-dir"; state_dir ]
          @ extra_args))
-      env devnull devnull devnull
+      env devnull devnull
+      (Option.value stderr ~default:devnull)
   in
   Unix.close devnull;
   pid
@@ -1154,6 +1165,47 @@ let test_group_commit_crash ~fsync () =
           Journal.close r.Journal.journal)
         [ ("gc-a", ref_a); ("gc-b", ref_b) ])
 
+(* A session whose startup recovery fails is skipped with one warning
+   line on the daemon's stderr, and a later [hello] for it is refused
+   with a [storage] error that says the recovery failed. A MANIFEST that
+   is a directory fails to read even for root. *)
+let test_failed_recovery_reported () =
+  with_state_dir "badrecovery" (fun sd ->
+      mkdir_p
+        (Filename.concat (Journal.session_dir ~state_dir:sd "zed") "MANIFEST");
+      let socket = Filename.concat sd "daemon.sock" in
+      let err_path = Filename.concat sd "stderr.txt" in
+      let err =
+        Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+      in
+      let pid = spawn_daemon ~stderr:err ~socket ~state_dir:sd ~faults:"" () in
+      Unix.close err;
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        (fun () ->
+          let fd = connect_unix socket in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              let raw = { rfd = fd; rbuf = Buffer.create 256 } in
+              send_line fd "hello zed";
+              match recv_line ~timeout:10. raw with
+              | None -> Alcotest.fail "daemon did not answer hello"
+              | Some resp -> (
+                  match parse_response resp with
+                  | `Err j ->
+                      Alcotest.(check string) "kind" "storage"
+                        (str_field j "kind");
+                      Alcotest.(check string) "message"
+                        "session recovery failed: Is a directory"
+                        (str_field j "message")
+                  | `Ok _ -> Alcotest.failf "hello accepted: %s" resp)));
+      Alcotest.(check string) "one warning line"
+        "warning: session \"zed\" not recovered: Is a directory\n"
+        (read_file err_path))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1193,6 +1245,8 @@ let () =
         [
           Alcotest.test_case "restart recovers the registry" `Quick
             test_serve_restart;
+          Alcotest.test_case "failed startup recovery is reported" `Quick
+            test_failed_recovery_reported;
           Alcotest.test_case "idle TTL parks durable sessions" `Quick
             test_idle_ttl_parks_durable_sessions;
           Alcotest.test_case "idle TTL discards ephemeral sessions" `Quick

@@ -160,12 +160,6 @@ let parse_rules src =
   | Ok rules -> rules
   | Error e -> Alcotest.fail (Format.asprintf "%a" Rulelang.Parser.pp_error e)
 
-let test_escape () =
-  Alcotest.(check string) "quotes" "a\\\"b" (J.escape "a\"b");
-  Alcotest.(check string) "backslash" "a\\\\b" (J.escape "a\\b");
-  Alcotest.(check string) "newline" "a\\nb" (J.escape "a\nb");
-  Alcotest.(check string) "control" "a\\u0001b" (J.escape "a\001b")
-
 let test_quad_json () =
   let q = Kg.Quad.v "CR" "coach" (Kg.Term.iri "Chelsea") (2000, 2004) 0.9 in
   match parse_json (J.of_quad q) with
@@ -275,7 +269,6 @@ let () =
     [
       ( "rendering",
         [
-          Alcotest.test_case "escape" `Quick test_escape;
           Alcotest.test_case "quad" `Quick test_quad_json;
           Alcotest.test_case "tricky strings" `Quick test_quad_with_tricky_strings;
           Alcotest.test_case "full result" `Quick test_result_json;

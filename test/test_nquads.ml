@@ -5,7 +5,7 @@ module G = Kg.Graph
 module Q = Kg.Quad
 module T = Kg.Term
 
-let quad_testable = Alcotest.testable Q.pp Q.equal
+let quad_testable = Alcotest.testable Q.pp ( = )
 
 let parse_ok text =
   match N.parse_string text with
@@ -169,6 +169,31 @@ let test_file_roundtrip () =
   | Error e -> Alcotest.fail (Format.asprintf "%a" N.pp_error e));
   Sys.remove path
 
+(* Float objects survive save_file -> parse_file as the same float:
+   [2.0] does not come back as the integer 2, nor [0.123456789] as a
+   six-digit rounding. *)
+let test_file_roundtrip_floats () =
+  let quads =
+    [
+      Q.v "a" "p" (T.float 2.0) (1, 2) 0.5;
+      Q.v "a" "q" (T.float 0.123456789) (3, 4) 1.0;
+    ]
+  in
+  let path = Filename.temp_file "tecore" ".tq" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      N.save_file path (G.of_list quads);
+      let facts = "a p 2. [1,2] 0.5 .\na q 0.123456789 [3,4] .\n" in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let n = String.length text and k = String.length facts in
+      Alcotest.(check string)
+        "fact lines" facts
+        (String.sub text (max 0 (n - k)) (min n k));
+      match N.parse_file path with
+      | Ok g -> Alcotest.(check (list quad_testable)) "reparsed" quads (G.to_list g)
+      | Error e -> Alcotest.fail (Format.asprintf "%a" N.pp_error e))
+
 let test_parse_quad_single () =
   let ns = Kg.Namespace.create () in
   (match N.parse_quad ns "ex:a ex:p ex:b [1,5] 0.75" with
@@ -205,7 +230,7 @@ let qcheck_roundtrip =
       | Error _ -> false
       | Ok g' ->
           let xs = G.to_list g and ys = G.to_list g' in
-          List.length xs = List.length ys && List.for_all2 Q.equal xs ys)
+          xs = ys)
 
 let () =
   Alcotest.run "nquads"
@@ -229,6 +254,8 @@ let () =
         [
           Alcotest.test_case "explicit" `Quick test_roundtrip_explicit;
           Alcotest.test_case "file" `Quick test_file_roundtrip;
+          Alcotest.test_case "file, float objects" `Quick
+            test_file_roundtrip_floats;
           QCheck_alcotest.to_alcotest qcheck_roundtrip;
         ] );
     ]

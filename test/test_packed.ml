@@ -57,7 +57,7 @@ module Boxed_body = struct
           match subst with
           | None -> None
           | Some s ->
-              let code = Table.code_at table ~row ~col in
+              let code = (Table.column_data table col).(row) in
               if is_var_col c then
                 match Value.decode_term code with
                 | Some term -> Logic.Subst.bind s (col_var c) term
@@ -367,9 +367,7 @@ module Boxed_body = struct
               let body_atoms =
                 List.map
                   (fun col ->
-                    match Value.decode_int (Table.code_at bindings ~row ~col) with
-                    | Some id -> id
-                    | None -> assert false)
+                    Value.payload (Table.column_data bindings col).(row))
                   atom_positions
               in
               acc := f !acc { subst; body_atoms }
@@ -593,13 +591,18 @@ let same_grounding ?edit ~lazy_constraints graph rules =
        false
      end
 
+let live_ids graph =
+  let acc = ref [] in
+  Kg.Graph.iter (fun id _ -> acc := id :: !acc) graph;
+  List.rev !acc
+
 (* [n] random edits of [graph], each retracting one fact and asserting
    one new one: a random fact's predicate, object and interval under
    another random fact's subject. Each is the edit (applied to a copy
    of the graph) and the predicates it touches. *)
 let random_edits ~seed graph n =
   let rng = Prelude.Prng.create seed in
-  let ids = Array.of_list (Kg.Graph.ids graph) in
+  let ids = Array.of_list (live_ids graph) in
   List.init n (fun _ ->
       let gone = Prelude.Prng.pick rng ids in
       let from = Kg.Graph.find graph (Prelude.Prng.pick rng ids) in
@@ -628,7 +631,7 @@ let check_dataset name graph rules =
         (same_grounding ~lazy_constraints (Kg.Graph.copy graph) rules))
     [ false; true ];
   (* Retract the first fact of the first predicate, then replay. *)
-  match Kg.Graph.ids graph with
+  match live_ids graph with
   | [] -> ()
   | id :: _ ->
       let q = Kg.Graph.find graph id in

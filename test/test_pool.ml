@@ -5,6 +5,9 @@
 module Pool = Prelude.Pool
 module Network = Mln.Network
 
+(* A list map over the pool's array combinator. *)
+let map pool f xs = Array.to_list (Pool.map_array pool f (Array.of_list xs))
+
 let parse_rules src =
   match Rulelang.Parser.parse_string src with
   | Ok rules -> rules
@@ -18,11 +21,11 @@ let test_map_order () =
   let xs = List.init 200 Fun.id in
   Alcotest.(check (list int))
     "input order" (List.map (fun x -> x * x) xs)
-    (Pool.map pool (fun x -> x * x) xs);
+    (map pool (fun x -> x * x) xs);
   Alcotest.(check (list int))
     "sequential agrees"
-    (Pool.map Pool.sequential (fun x -> x * x) xs)
-    (Pool.map pool (fun x -> x * x) xs)
+    (map Pool.sequential (fun x -> x * x) xs)
+    (map pool (fun x -> x * x) xs)
 
 let test_map_array () =
   let pool = Pool.create ~jobs:3 in
@@ -34,27 +37,27 @@ let test_exception_propagation () =
   let pool = Pool.create ~jobs:4 in
   Alcotest.check_raises "task failure re-raised" (Failure "boom") (fun () ->
       ignore
-        (Pool.map pool
+        (map pool
            (fun x -> if x = 17 then failwith "boom" else x)
            (List.init 64 Fun.id)));
   (* The pool stays usable after a failed operation. *)
   Alcotest.(check (list int)) "pool recovers" [ 0; 1; 2 ]
-    (Pool.map pool Fun.id [ 0; 1; 2 ])
+    (map pool Fun.id [ 0; 1; 2 ])
 
 let test_nested_use_rejected () =
   let pool = Pool.create ~jobs:2 in
   Alcotest.check_raises "nested submit" Pool.Nested_use (fun () ->
       ignore
-        (Pool.map pool
-           (fun _ -> List.length (Pool.map pool Fun.id [ 1; 2; 3 ]))
+        (map pool
+           (fun _ -> List.length (map pool Fun.id [ 1; 2; 3 ]))
            [ 1; 2; 3; 4 ]))
 
 let test_sequential_nesting_allowed () =
   (* jobs = 1 pools are plain loops and may nest freely. *)
   let total =
-    Pool.map Pool.sequential
+    map Pool.sequential
       (fun x ->
-        List.fold_left ( + ) 0 (Pool.map Pool.sequential (fun y -> x * y) [ 1; 2 ]))
+        List.fold_left ( + ) 0 (map Pool.sequential (fun y -> x * y) [ 1; 2 ]))
       [ 1; 2; 3 ]
     |> List.fold_left ( + ) 0
   in
@@ -66,9 +69,9 @@ let test_cross_pool_nesting_degrades () =
   let outer = Pool.create ~jobs:2 in
   let inner = Pool.create ~jobs:2 in
   let results =
-    Pool.map outer
+    map outer
       (fun x ->
-        List.fold_left ( + ) 0 (Pool.map inner (fun y -> x + y) [ 1; 2; 3 ]))
+        List.fold_left ( + ) 0 (map inner (fun y -> x + y) [ 1; 2; 3 ]))
       (List.init 8 Fun.id)
   in
   Alcotest.(check (list int)) "cross-pool results"
@@ -88,14 +91,14 @@ let test_concurrent_cross_pool_nesting () =
   let entered = Atomic.make 0 in
   let failed = Atomic.make false in
   let results =
-    Pool.map outer
+    map outer
       (fun x ->
         Atomic.incr arrived;
         while Atomic.get arrived < 2 do
           Domain.cpu_relax ()
         done;
         try
-          Pool.map inner
+          map inner
             (fun y ->
               Atomic.incr entered;
               while Atomic.get entered < 2 && not (Atomic.get failed) do
@@ -110,13 +113,6 @@ let test_concurrent_cross_pool_nesting () =
   in
   Alcotest.(check (list (list int))) "both degraded loops ran"
     [ [ 11; 12 ]; [ 21; 22 ] ] results
-
-let test_run_all () =
-  let pool = Pool.create ~jobs:4 in
-  let hits = Array.make 32 false in
-  Pool.run_all pool
-    (List.init 32 (fun i () -> hits.(i) <- true));
-  Alcotest.(check bool) "all thunks ran" true (Array.for_all Fun.id hits)
 
 let test_for_chunked_sum () =
   (* Per-chunk partial sums reduce identically at any job count because
@@ -137,8 +133,8 @@ let test_for_chunked_sum () =
 
 let test_stats () =
   let pool = Pool.create ~jobs:4 in
-  ignore (Pool.map pool Fun.id (List.init 10 Fun.id));
-  Pool.run_all pool [ (fun () -> ()); (fun () -> ()) ];
+  ignore (map pool Fun.id (List.init 10 Fun.id));
+  Pool.for_ pool ~chunk:1 2 ignore;
   let s = Pool.stats pool in
   Alcotest.(check int) "calls" 2 s.Pool.calls;
   Alcotest.(check int) "tasks" 12 s.Pool.tasks;
@@ -151,8 +147,8 @@ let test_one_job_plain_loop () =
   let seen = ref [] in
   Pool.for_ pool ~chunk:3 10 (fun i -> seen := i :: !seen);
   Alcotest.(check (list int)) "in order" (List.init 10 Fun.id) (List.rev !seen);
-  ignore (Pool.map pool Fun.id [ 1; 2; 3 ]);
-  Pool.run_all pool [ (fun () -> ()) ];
+  ignore (map pool Fun.id [ 1; 2; 3 ]);
+  Pool.for_ pool ~chunk:1 1 ignore;
   let s = Pool.stats pool in
   Alcotest.(check int) "calls" 0 s.Pool.calls;
   Alcotest.(check int) "tasks" 0 s.Pool.tasks;
@@ -322,7 +318,6 @@ let () =
             test_cross_pool_nesting_degrades;
           Alcotest.test_case "concurrent cross-pool nesting" `Quick
             test_concurrent_cross_pool_nesting;
-          Alcotest.test_case "run_all" `Quick test_run_all;
           Alcotest.test_case "chunked for_ sums bitwise" `Quick
             test_for_chunked_sum;
           Alcotest.test_case "stats" `Quick test_stats;

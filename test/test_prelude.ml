@@ -58,22 +58,6 @@ let test_prng_bernoulli_rate () =
     true
     (Float.abs (rate -. 0.3) < 0.02)
 
-let test_prng_split_independent () =
-  let parent = Prng.create 12 in
-  let child = Prng.split parent in
-  let a = Prng.int64 parent and b = Prng.int64 child in
-  Alcotest.(check bool) "parent and child differ" false (Int64.equal a b)
-
-let test_prng_shuffle_permutation () =
-  let rng = Prng.create 13 in
-  let a = Array.init 100 (fun i -> i) in
-  Prng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort Int.compare sorted;
-  Alcotest.(check (array int)) "still a permutation"
-    (Array.init 100 (fun i -> i))
-    sorted
-
 let test_prng_pick () =
   let rng = Prng.create 14 in
   let pool = [| 1; 2; 3 |] in
@@ -84,24 +68,9 @@ let test_prng_pick () =
   Alcotest.check_raises "empty list" (Invalid_argument "Prng.pick_list: empty list")
     (fun () -> ignore (Prng.pick_list rng []))
 
-let test_prng_gaussian_moments () =
-  let rng = Prng.create 15 in
-  let n = 50_000 in
-  let sum = ref 0.0 and sq = ref 0.0 in
-  for _ = 1 to n do
-    let v = Prng.gaussian rng ~mean:3.0 ~stddev:2.0 in
-    sum := !sum +. v;
-    sq := !sq +. (v *. v)
-  done;
-  let mean = !sum /. float_of_int n in
-  let var = (!sq /. float_of_int n) -. (mean *. mean) in
-  Alcotest.(check bool) "mean near 3" true (Float.abs (mean -. 3.0) < 0.1);
-  Alcotest.(check bool) "stddev near 2" true
-    (Float.abs (sqrt var -. 2.0) < 0.1)
-
 let test_vec_push_get () =
   let v = Vec.create () in
-  Alcotest.(check bool) "fresh is empty" true (Vec.is_empty v);
+  Alcotest.(check int) "fresh is empty" 0 (Vec.length v);
   for i = 0 to 99 do
     Vec.push v (i * i)
   done;
@@ -110,8 +79,14 @@ let test_vec_push_get () =
   Vec.set v 7 0;
   Alcotest.(check int) "set 7" 0 (Vec.get v 7)
 
+(* A vector holding [xs], in order. *)
+let vec xs =
+  let v = Vec.create () in
+  List.iter (Vec.push v) xs;
+  v
+
 let test_vec_bounds () =
-  let v = Vec.of_list [ 1; 2; 3 ] in
+  let v = vec [ 1; 2; 3 ] in
   Alcotest.check_raises "get out of bounds"
     (Invalid_argument "Vec.get: index out of bounds") (fun () ->
       ignore (Vec.get v 3));
@@ -119,45 +94,17 @@ let test_vec_bounds () =
     (Invalid_argument "Vec.set: index out of bounds") (fun () ->
       Vec.set v (-1) 0)
 
-let test_vec_pop () =
-  let v = Vec.of_list [ 1; 2 ] in
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Vec.pop v);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Vec.pop v);
-  Alcotest.(check (option int)) "pop empty" None (Vec.pop v)
-
-let test_vec_conversions () =
-  let v = Vec.of_list [ 3; 1; 4; 1; 5 ] in
-  Alcotest.(check (list int)) "to_list" [ 3; 1; 4; 1; 5 ] (Vec.to_list v);
-  Alcotest.(check (array int)) "to_array" [| 3; 1; 4; 1; 5 |] (Vec.to_array v);
-  let doubled = Vec.map (fun x -> 2 * x) v in
-  Alcotest.(check (list int)) "map" [ 6; 2; 8; 2; 10 ] (Vec.to_list doubled);
-  let evens = Vec.filter (fun x -> x mod 2 = 0) v in
-  Alcotest.(check (list int)) "filter" [ 4 ] (Vec.to_list evens)
-
 let test_vec_fold_iter () =
-  let v = Vec.of_list [ 1; 2; 3; 4 ] in
+  let v = vec [ 1; 2; 3; 4 ] in
   Alcotest.(check int) "fold sum" 10 (Vec.fold ( + ) 0 v);
   let seen = ref [] in
   Vec.iteri (fun i x -> seen := (i, x) :: !seen) v;
   Alcotest.(check int) "iteri count" 4 (List.length !seen);
-  Alcotest.(check bool) "exists" true (Vec.exists (fun x -> x = 3) v);
-  Alcotest.(check bool) "not exists" false (Vec.exists (fun x -> x = 9) v)
-
-let test_vec_clear () =
-  let v = Vec.of_list [ 1 ] in
-  Vec.clear v;
-  Alcotest.(check int) "cleared" 0 (Vec.length v);
-  Vec.push v 5;
-  Alcotest.(check int) "reusable" 5 (Vec.get v 0)
+  Alcotest.(check (array int)) "to_array" [| 1; 2; 3; 4 |] (Vec.to_array v)
 
 let test_timing_mean () =
   let ms = Prelude.Timing.mean_ms ~runs:3 (fun () -> ignore (Sys.opaque_identity 1)) in
   Alcotest.(check bool) "non-negative" true (ms >= 0.0)
-
-let qcheck_vec_roundtrip =
-  QCheck.Test.make ~name:"vec of_list/to_list roundtrip" ~count:200
-    QCheck.(list int)
-    (fun l -> Vec.to_list (Vec.of_list l) = l)
 
 let qcheck_prng_int_uniformish =
   QCheck.Test.make ~name:"prng int stays in bounds" ~count:200
@@ -171,8 +118,7 @@ let qcheck_prng_int_uniformish =
    MaxWalkSAT and lib/datagen draw from these streams, so a change to
    the generator's internals (representation, inlining) that shifted a
    stream would silently change every solver answer and every generated
-   benchmark input. [splits] holds the first draw of each of 64
-   successive children; [float_bits] the IEEE bits of [float g 1.0];
+   benchmark input. [float_bits] holds the IEEE bits of [float g 1.0];
    [bernoullis] the outcomes of [bernoulli g 0.3]; [ints] [int g 1000]. *)
 type pins = {
   seed : int;
@@ -180,7 +126,6 @@ type pins = {
   ints : int array;
   float_bits : int64 array;
   bernoullis : string;
-  splits : int64 array;
   subseeds : int array;
 }
 
@@ -243,30 +188,6 @@ let prng_pins =
         0x3fe117129c2803daL;
       |];
       bernoullis = "0000000010000001000011011100100000100000001000010001000101000100";
-      splits = [|
-        0x5e41ab087439611eL; 0x778b1aa9c29bc868L; 0xa6c7188e0551111eL;
-        0x3edffcdc1f877be0L; 0x4000795f8e33b2a8L; 0xfe70ac4117edc3c7L;
-        0xf52105eb43095af5L; 0xeb8c20b669300277L; 0xe32a1c52543681cdL;
-        0x2bd77a50fd2aabe7L; 0xe040a28ba0eaf10dL; 0x70fe1c0cd1931858L;
-        0x1d891538fb11c7afL; 0x10b298b9172e6c76L; 0xf00138f00ef33c8fL;
-        0x5dd9add5e84d1856L; 0x7631c3f3ecf21031L; 0xdf0ab2ba5494079cL;
-        0x1ed78fd7e7fc74c4L; 0xf64ac133c6d6be0bL; 0x8b70bd43f008dfadL;
-        0x340d2f7d12ec4815L; 0xdf0abf2286ac8728L; 0xf90f60a971c13292L;
-        0x276aff35520f2a10L; 0x6a54eee9640876a7L; 0x2952a6458f873799L;
-        0x41bf2e98f8c16a89L; 0x5b50559984a2fcb9L; 0xcb44f16e47b4ecb1L;
-        0xcb917d6de0d4a903L; 0x37c4e6f2b42e8a5bL; 0xde20b8132e4678e6L;
-        0xfc5d67c9411b55cbL; 0xdfe275498b776d50L; 0xc33bb6984591a2e3L;
-        0xba6581aca8c596c9L; 0x83dfa3a4e1b5356L; 0x57992c82e758e19L;
-        0xff3aa975e676e285L; 0xcb7fdd941448a2e3L; 0xcbc73d2ccf6a54c1L;
-        0xce968ad230cee93bL; 0xaf1c59e2455a9390L; 0xf1f7d031be3c92f0L;
-        0x598a898328c36715L; 0xd4ea765ac7e7875cL; 0x8bdab318b1e4fcL;
-        0x1243da6629e4a7b2L; 0x1f70d2f3ed8e8edaL; 0xaf1d4d6c4a70ae44L;
-        0x87f6f4c746cda5ccL; 0x56cde2820708533L; 0x45047a954b853c82L;
-        0xdcb65fa2f62dff1dL; 0x40c8826140cfaa56L; 0xaa0fc00f16918f94L;
-        0x95ddc91cbe5f6b1cL; 0x3cf772599e6b71c1L; 0x7eec82c977def6f7L;
-        0x9062363153b70ab5L; 0xd619466b2065d4b3L; 0x3fb2a91c7e6a880L;
-        0x8489b9f85d85dfb2L;
-      |];
       subseeds = [|
         0x24428b7b22409730; 0x2fbae3685963bb19; 0x3e24e8bbbecc9557;
         0x1c7061a43b90b242; 0x1c6ed53634406d6e; 0x30d342ffe40540a0;
@@ -349,30 +270,6 @@ let prng_pins =
         0x3fd9b349604fa6d8L;
       |];
       bernoullis = "0100010010100000000001000010000101001011000110000000110100000000";
-      splits = [|
-        0xb8b4c2977eabce45L; 0x8254fd5b2111dce4L; 0x9c84dc3aae97b406L;
-        0xaec971331f50717cL; 0xba42f571ab5a9e30L; 0x6e7777fe2dced668L;
-        0xfca14a663f16d7e1L; 0xc13b52776948e9bfL; 0x1024aced80457773L;
-        0xcf073694e5fb2039L; 0x2a7522bf6a17c4bcL; 0x81c91810452127b9L;
-        0x9b2dc44af257a06L; 0xb6f47f88fb064015L; 0xd0ddddabb2c23a73L;
-        0x26bf37ec5263446L; 0x13971e023f2bc0efL; 0x848debe682118f94L;
-        0x1b7dad0d5125d876L; 0x6e2f0cfee3eeaa3dL; 0x71aabb39d2275ec5L;
-        0x2f0ac860b8948a7cL; 0x829e48f5d0be2baaL; 0x7871d3a4f5d7889dL;
-        0xbd73459f1a4be361L; 0xd4f8916c7752af62L; 0x134cdebbc996da27L;
-        0xa38997b01ebbe34aL; 0x3ba27e5317c6109dL; 0xdd8743e8c7011231L;
-        0x342f9ded887dd1c3L; 0xad13125ee84856a4L; 0x4eea7c0fe4edbbd8L;
-        0x1478b5a12d16e6aeL; 0xe9aef46b538d3ff5L; 0x6f1272650ad5978L;
-        0x7c9db2d9d507fd13L; 0xb5c402e335bc4cecL; 0x5ed2d124dd2de17L;
-        0xb432e3e1eeedd487L; 0x231e5fcff2f12706L; 0xf4d75b20b6e9a79bL;
-        0xbcc7bb82f1720fe4L; 0x4edf6a2bd309d880L; 0x17920f5a2fc4fe7bL;
-        0xce94c299fc4c6a26L; 0xa8a864878addb1d8L; 0x74a45aaad3b391d7L;
-        0x8c909be3f2e052a6L; 0xd62d22be097891bcL; 0xf749060ff5cdff8dL;
-        0x6f7b35ecca83de12L; 0x62b58d85d5d5c93bL; 0x358c328e9ffd1892L;
-        0xb41e642d324ab66aL; 0x5be81c9b01eb7ebeL; 0x988ee7df750b395bL;
-        0x5c79b005aa4767faL; 0x811a61d317bfc004L; 0x9dbaa8113d1545b9L;
-        0x26e200d1951608e1L; 0x2778a2c98fc780e5L; 0x336a967af01417e1L;
-        0x3a41602dce5815f1L;
-      |];
       subseeds = [|
         0x18f2f879164c8375; 0x1130f35fd0f1987; 0x39a610202eac4a80;
         0x254ebadc19cf8a72; 0x1cf4ced99a878876; 0xff6afa1b2efaa84;
@@ -455,30 +352,6 @@ let prng_pins =
         0x3fc842bd5cef7194L;
       |];
       bernoullis = "1010100000000111110000000110010001010100000110010101001100000011";
-      splits = [|
-        0x800343194b107776L; 0x4d872b704557c1e1L; 0x103c9eace4f4a19bL;
-        0x3c1dd70c3507b7a3L; 0xb1fadc7f6d450ae9L; 0x66dba6c075ba365cL;
-        0xfa078f5e3e5d061L; 0x427c690c2bd6cc56L; 0x4e498133e0dfe097L;
-        0x418b78fa402024fcL; 0x74053482d445f240L; 0xa8fdd2585d9bb050L;
-        0xba1de5daee3eb5cdL; 0x5854aa47eeb02f98L; 0x94db0d35be97c7beL;
-        0x8ba3042f3a1d64b1L; 0xeb0ab3b876369a7cL; 0x8ab44f971b209a4L;
-        0xfbbc5e82e3adc3beL; 0x8a085060f662b6f6L; 0xf3c985ba2aa14ed2L;
-        0x5f6e3b5f33c7c3d5L; 0x554343d0aa6d4766L; 0xe850367c34bbfd57L;
-        0x533ee7c6cdfb857dL; 0x83cccd06bc5ca6b1L; 0xa1f0b0ce30257e13L;
-        0x8435320d4779f9ccL; 0x5a291040811326fbL; 0x3ffae6885e1f5c09L;
-        0x69f4c338c94bfc46L; 0xf3d2dcbb58e9e797L; 0x611bde787e153248L;
-        0xf63012dbb92f7ea1L; 0xdc3531698c400fcfL; 0x7a4bb9ca95b2d859L;
-        0x291435c1293230c2L; 0x9289e00e0def245fL; 0xca3aac3cd0ce1b2eL;
-        0xb8e274f4186ff39eL; 0x652ec48009d9a5deL; 0xfbdea05330d19568L;
-        0x743ebd79817262c3L; 0x52aeb92225cdbfe3L; 0xec68e4b6ccd88d0eL;
-        0xe468f093bcfdb7faL; 0x6555a074441237c1L; 0xaa4359e29157851dL;
-        0x44be336673c7ecd7L; 0xafb58088cff72056L; 0x8a37756691eef3c7L;
-        0x6dddb665134c95dfL; 0xa948e95c97804268L; 0xc377bdba7e496ba5L;
-        0x755073fea511b2c1L; 0xfb6af2e532bb8098L; 0x6c503e2e36d2d4b9L;
-        0xb212b86fa1c9f0bdL; 0x5c82ce884792dfcbL; 0x1d2586307732f864L;
-        0x5f7859ce68c3cc48L; 0xc0ba16506c6f8f20L; 0xbf69b9b6ba9bdb7dL;
-        0x1f34b70f08b58e29L;
-      |];
       subseeds = [|
         0x88f1d364f7add9e; 0x1ea477460e5c7b8b; 0xc43820c5026bf79;
         0x2147818585a96fb9; 0x687561f344b4b5a; 0x2cd3dcc93c4744b7;
@@ -524,8 +397,6 @@ let test_prng_stream_pins () =
         (String.concat ""
            (Array.to_list
               (draws (fun g -> if Prng.bernoulli g 0.3 then "1" else "0"))));
-      Alcotest.(check (array int64)) (name "split") p.splits
-        (draws (fun g -> Prng.int64 (Prng.split g)));
       Alcotest.(check (array int)) (name "subseed") p.subseeds
         (Array.init n (Prng.subseed p.seed)))
     prng_pins
@@ -542,10 +413,7 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_prng_float_bounds;
           Alcotest.test_case "bernoulli extremes" `Quick test_prng_bernoulli_extremes;
           Alcotest.test_case "bernoulli rate" `Quick test_prng_bernoulli_rate;
-          Alcotest.test_case "split independence" `Quick test_prng_split_independent;
-          Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "pick" `Quick test_prng_pick;
-          Alcotest.test_case "gaussian moments" `Quick test_prng_gaussian_moments;
           Alcotest.test_case "stream pins" `Quick test_prng_stream_pins;
           QCheck_alcotest.to_alcotest qcheck_prng_int_uniformish;
         ] );
@@ -553,11 +421,7 @@ let () =
         [
           Alcotest.test_case "push/get/set" `Quick test_vec_push_get;
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
-          Alcotest.test_case "pop" `Quick test_vec_pop;
-          Alcotest.test_case "conversions" `Quick test_vec_conversions;
-          Alcotest.test_case "fold/iter/exists" `Quick test_vec_fold_iter;
-          Alcotest.test_case "clear" `Quick test_vec_clear;
-          QCheck_alcotest.to_alcotest qcheck_vec_roundtrip;
+          Alcotest.test_case "fold/iter/to_array" `Quick test_vec_fold_iter;
         ] );
       ( "timing",
         [ Alcotest.test_case "mean_ms" `Quick test_timing_mean ] );

@@ -6,22 +6,24 @@ module RA = Reldb.Relalg
 module I = Kg.Interval
 
 let iri s = V.code (V.term (Kg.Term.iri s))
-let int n = V.code (V.int n)
+let int n = V.code (V.Int n)
 
 let table name columns rows =
   let t = Tbl.create ~name ~columns in
   List.iter (fun r -> Tbl.insert_codes t (Array.of_list r)) rows;
   t
 
+let cell t ~row ~col = (Tbl.column_data t col).(row)
+
 (* Every row of a table as its code array, in table order. *)
 let rows t =
   List.init (Tbl.cardinal t) (fun row ->
-      Array.init (Tbl.width t) (fun col -> Tbl.code_at t ~row ~col))
+      Array.init (Tbl.width t) (fun col -> cell t ~row ~col))
 
 let int_at t ~row ~col =
-  match V.decode_int (Tbl.code_at t ~row ~col) with
-  | Some n -> n
-  | None -> Alcotest.fail "non-int cell"
+  let c = cell t ~row ~col in
+  let n = V.payload c in
+  if c = int n then n else Alcotest.fail "non-int cell"
 
 let people () =
   table "people" [ "name"; "age"; "city" ]
@@ -45,17 +47,14 @@ let test_value_kinds () =
     (int 1 = V.code (V.term (Kg.Term.int 1)));
   Alcotest.(check bool) "interval code stable" true
     (V.code (V.interval (I.make 1 2)) = V.code (V.interval (I.make 1 2)));
-  Alcotest.(check (option int)) "decode_int" (Some 3) (V.decode_int (int 3));
-  Alcotest.(check (option int)) "decode_int of term" None
-    (V.decode_int (V.code (V.term (Kg.Term.int 3))));
+  Alcotest.(check int) "int payload" 3 (V.payload (int 3));
   Alcotest.(check bool) "decode_interval" true
     (V.decode_interval (V.code (V.interval (I.make 1 2))) = Some (I.make 1 2));
   Alcotest.(check bool) "decode_term" true
     (V.decode_term (iri "a") = Some (Kg.Term.iri "a"));
   Alcotest.(check bool) "null decodes to nothing" true
     (let null = V.code V.Null in
-     V.decode_term null = None && V.decode_int null = None
-     && V.decode_interval null = None);
+     V.decode_term null = None && V.decode_interval null = None);
   Alcotest.(check bool) "code_opt of an unseen symbol" true
     (V.code_opt (V.term (Kg.Term.iri "never-interned-anywhere")) = None)
 
@@ -66,13 +65,13 @@ let test_int_codes () =
     (List.length (List.sort_uniq compare codes));
   List.iter2
     (fun n c ->
-      Alcotest.(check (option int)) "round trip" (Some n) (V.decode_int c);
+      Alcotest.(check int) "round trip" n (V.payload c);
       Alcotest.(check bool) "an int is no term" true (V.decode_term c = None);
       Alcotest.(check bool) "an int is no interval" true
         (V.decode_interval c = None))
     ns codes;
   Alcotest.(check bool) "code_opt of an int" true
-    (V.code_opt (V.int 5) = Some (int 5))
+    (V.code_opt (V.Int 5) = Some (int 5))
 
 let test_table_basics () =
   let t = people () in
@@ -82,7 +81,7 @@ let test_table_basics () =
   (match Tbl.column_index t "nope" with
   | exception Not_found -> ()
   | _ -> Alcotest.fail "unknown column must raise");
-  Alcotest.(check int) "code_at" 41 (int_at t ~row:1 ~col:1);
+  Alcotest.(check int) "cell" 41 (int_at t ~row:1 ~col:1);
   Alcotest.(check int) "count_for" 2
     (Tbl.count_for t ~col:2 ~code:(iri "london"))
 
@@ -115,12 +114,15 @@ let test_column_data () =
   for col = 0 to Tbl.width t - 1 do
     let data = Tbl.column_data t col in
     Alcotest.(check bool) "backing array covers the rows" true
-      (Array.length data >= Tbl.cardinal t);
-    for row = 0 to Tbl.cardinal t - 1 do
-      Alcotest.(check int) "raw cell = code_at" (Tbl.code_at t ~row ~col)
-        data.(row)
-    done
-  done
+      (Array.length data >= Tbl.cardinal t)
+  done;
+  Alcotest.(check bool) "cells are the inserted codes" true
+    (rows t
+    = [
+        [| iri "ada"; int 36; iri "london" |];
+        [| iri "alan"; int 41; iri "london" |];
+        [| iri "grace"; int 85; iri "arlington" |];
+      ])
 
 let test_count_for_growth () =
   let t = people () in
@@ -153,7 +155,7 @@ let test_select_codes () =
   let older =
     RA.select_codes
       (fun r ->
-        match V.decode_int r.(1) with Some age -> age > 40 | None -> false)
+        V.payload r.(1) > 40)
       t
   in
   Alcotest.(check (list string)) "schema kept" (Tbl.columns t)
@@ -257,9 +259,9 @@ let test_product_renaming_and_filter () =
     [ "name"; "age"; "city"; "cities.city"; "country" ]
     (Tbl.columns p);
   Alcotest.(check int) "left-major order" (iri "ada")
-    (Tbl.code_at p ~row:2 ~col:0);
+    (cell p ~row:2 ~col:0);
   Alcotest.(check int) "right cycles fastest" (iri "paris")
-    (Tbl.code_at p ~row:2 ~col:3);
+    (cell p ~row:2 ~col:3);
   let same_city =
     RA.product ~filter:(fun r -> r.(2) = r.(3)) (people ()) (cities ())
   in

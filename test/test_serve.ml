@@ -567,15 +567,18 @@ let test_request_ids_and_zero_cost () =
   (* Traced server: every response carries a unique, strictly monotone
      request id, ok and err alike, and hello echoes the start time. *)
   let config = { Serve.default_config with Serve.trace_every = 1 } in
+  let before = Unix.gettimeofday () in
   let server = Serve.start ~config (`Tcp 0) in
+  let after = Unix.gettimeofday () in
   Fun.protect
     ~finally:(fun () -> Serve.stop server)
     (fun () ->
       let c = connect server in
       let hj = expect_ok "hello" (request c "hello ids") in
-      Alcotest.(check (float 1.0))
-        "hello echoes the server start time" (Serve.start_time server)
-        (num_field hj "started");
+      let started = num_field hj "started" in
+      Alcotest.(check bool)
+        "hello echoes the server start time" true
+        (before <= started && started <= after);
       let last = ref 0 in
       for _ = 1 to 10 do
         let j = expect_ok "ping" (request c "ping") in
@@ -619,12 +622,10 @@ let test_trace_verb_sampling () =
       Alcotest.(check bool)
         "off by default" false
         (contains (request c "ping") "\"req\":");
-      Alcotest.(check int) "period 0" 0 (Serve.trace_period server);
       (* req 2 sets the period; the deciding happens before execution,
          so the trace request itself is still untraced. *)
       let resp = request c "trace 3" in
       Alcotest.(check bool) "trace 3 accepted" true (contains resp "ok ");
-      Alcotest.(check int) "period 3" 3 (Serve.trace_period server);
       (* reqs 3..6: ids divisible by 3 are traced. *)
       Alcotest.(check (list bool))
         "every 3rd request traced"
@@ -634,7 +635,6 @@ let test_trace_verb_sampling () =
            [ (); (); (); () ])
       ;
       ignore (expect_ok "trace off" (request c "trace off"));
-      Alcotest.(check int) "period back to 0" 0 (Serve.trace_period server);
       Alcotest.(check bool)
         "off again" false
         (contains (request c "ping") "\"req\":");
@@ -753,7 +753,7 @@ let test_access_log_analyzer_matches_live () =
         (List.mem p resolve_phases))
     [ "ground"; "solve" ];
   (* Live summary quantiles = analyzer quantiles, byte for byte: both
-     sides are Json.number renderings of Obs.Histogram.quantile over
+     sides are Obs.Json renderings of Obs.Histogram.quantile over
      the same record set. *)
   let s = Serve.Access_log.stats records in
   let metric_lines = String.split_on_char '\n' metrics in
@@ -780,7 +780,7 @@ let test_access_log_analyzer_matches_live () =
         (fun (qs, q) ->
           Alcotest.(check string)
             (Printf.sprintf "%s p%s: live = offline" phase qs)
-            (Obs.Json.number (Obs.Histogram.quantile h q))
+            (Obs.Json.to_string (Obs.Json.Num (Obs.Histogram.quantile h q)))
             (live_value phase qs))
         [ ("0.5", 0.5); ("0.95", 0.95) ])
     s.Serve.Access_log.phase_hists;

@@ -33,6 +33,18 @@ let connect server =
 
 let close client = close_in_noerr client.ic
 
+(* The [serve_sessions_open] gauge of the live exposition. *)
+let sessions_open server =
+  let prefix = "serve_sessions_open " in
+  let n = String.length prefix in
+  match
+    List.find_opt
+      (fun l -> String.length l > n && String.sub l 0 n = prefix)
+      (String.split_on_char '\n' (Serve.metrics_text server))
+  with
+  | Some l -> int_of_string (String.sub l n (String.length l - n))
+  | None -> Alcotest.fail "no serve_sessions_open gauge"
+
 let post client line =
   let b = Bytes.of_string (line ^ "\n") in
   let n = Bytes.length b in
@@ -150,7 +162,7 @@ let run_exercise ?(engine = Engine.Auto) ?lanes ?(pipeline = false) ~jobs
       in
       Alcotest.(check int)
         "one session per client" (List.length scripts)
-        (Serve.sessions_open server);
+        (sessions_open server);
       Alcotest.(check int) "nothing shed" 0 (Serve.shed_count server);
       results)
 
@@ -371,8 +383,7 @@ let test_shared_session () =
       in
       if not (contains expected) then
         Alcotest.failf "expected %s in final stat %s" expected stat;
-      Alcotest.(check int) "one shared session" 1
-        (Serve.sessions_open server);
+      Alcotest.(check int) "one shared session" 1 (sessions_open server);
       close setup)
 
 let () =

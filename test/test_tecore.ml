@@ -56,7 +56,8 @@ rule dup 2.0: playsFor(x, y)@t => worksFor(x, y)@t .|}
 
 let test_translator_recommends_psl_at_scale () =
   let graph = Kg.Graph.create () in
-  for i = 0 to Tecore.Translator.mln_size_limit do
+  (* One fact past the translator's 20,000-atom MLN size limit. *)
+  for i = 0 to 20_000 do
     ignore
       (Kg.Graph.add graph
          (Kg.Quad.v (Printf.sprintf "s%d" i) "p" (Kg.Term.iri "o") (1, 2) 0.9))

@@ -5,7 +5,6 @@ module Q = Kg.Quad
 module I = Kg.Interval
 
 let term_testable = Alcotest.testable T.pp T.equal
-let quad_testable = Alcotest.testable Q.pp Q.equal
 
 let test_term_constructors () =
   Alcotest.check term_testable "iri" (T.Iri "a") (T.iri "a");
@@ -46,10 +45,9 @@ let test_quad_make () =
   let q = Q.v "CR" "coach" (T.iri "Chelsea") (2000, 2004) 0.9 in
   Alcotest.(check bool) "confidence" true (q.Q.confidence = 0.9);
   Alcotest.(check bool) "not certain" false (Q.is_certain q);
-  let s, p, o = Q.triple q in
-  Alcotest.check term_testable "subject" (T.iri "CR") s;
-  Alcotest.check term_testable "predicate" (T.iri "coach") p;
-  Alcotest.check term_testable "object" (T.iri "Chelsea") o
+  Alcotest.check term_testable "subject" (T.iri "CR") q.Q.subject;
+  Alcotest.check term_testable "predicate" (T.iri "coach") q.Q.predicate;
+  Alcotest.check term_testable "object" (T.iri "Chelsea") q.Q.object_
 
 let test_quad_invalid_confidence () =
   let mk c = Q.v "a" "p" (T.iri "b") (1, 2) c in
@@ -84,7 +82,7 @@ let test_quad_same_statement () =
   let b = Q.v "s" "p" (T.iri "o") (1, 5) 0.4 in
   let c = Q.v "s" "p" (T.iri "o") (1, 6) 0.9 in
   Alcotest.(check bool) "same modulo confidence" true (Q.same_statement a b);
-  Alcotest.(check bool) "not equal" false (Q.equal a b);
+  Alcotest.(check bool) "not equal" false (a = b);
   Alcotest.(check bool) "different interval" false (Q.same_statement a c)
 
 let test_quad_certain_default () =
@@ -116,12 +114,6 @@ let test_quad_compare_total () =
     (List.for_all (fun q -> Q.compare q q = 0) quads);
   Alcotest.(check bool) "sorted idempotent" true
     (List.sort Q.compare sorted = sorted)
-
-let test_quad_equal_hash () =
-  let a = Q.v "s" "p" (T.iri "o") (1, 5) 0.9 in
-  let b = Q.v "s" "p" (T.iri "o") (1, 5) 0.9 in
-  Alcotest.check quad_testable "structurally equal" a b;
-  Alcotest.(check bool) "hash agrees" true (Q.hash a = Q.hash b)
 
 (* [to_string] renders by constructor; it must stay byte-identical to
    the formatter-based [pp], including escapes and special floats. *)
@@ -173,6 +165,5 @@ let () =
           Alcotest.test_case "certain default" `Quick test_quad_certain_default;
           Alcotest.test_case "pp" `Quick test_quad_pp;
           Alcotest.test_case "compare total" `Quick test_quad_compare_total;
-          Alcotest.test_case "equal/hash" `Quick test_quad_equal_hash;
         ] );
     ]
