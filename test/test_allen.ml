@@ -186,6 +186,24 @@ let test_derived_sets () =
   Alcotest.(check bool) "within contains" false
     (A.Set.holds A.Set.within (iv 1 9) (iv 5 9))
 
+(* Constraint c1's "strictly earlier": a gap or adjacency, nothing that
+   shares a time point. *)
+let test_before_or_meets () =
+  Alcotest.(check (list string)) "exactly before and meets"
+    [ A.name A.Before; A.name A.Meets ]
+    (List.map A.name (A.Set.to_list A.Set.before_or_meets));
+  Alcotest.(check bool) "gap" true
+    (A.Set.holds A.Set.before_or_meets (iv 1 2) (iv 5 9));
+  Alcotest.(check bool) "adjacent" true
+    (A.Set.holds A.Set.before_or_meets (iv 1 4) (iv 5 9));
+  Alcotest.(check bool) "shared end point" false
+    (A.Set.holds A.Set.before_or_meets (iv 1 5) (iv 5 9));
+  Alcotest.(check bool) "later" false
+    (A.Set.holds A.Set.before_or_meets (iv 5 9) (iv 1 2));
+  Alcotest.(check bool) "inside disjoint" true
+    (A.Set.equal A.Set.before_or_meets
+       (A.Set.inter A.Set.before_or_meets A.Set.disjoint))
+
 let test_network_consistent_chain () =
   let n = A.Network.create 3 in
   A.Network.constrain n 0 1 (A.Set.singleton A.Before);
@@ -307,6 +325,7 @@ let () =
         [
           Alcotest.test_case "operations" `Quick test_set_operations;
           Alcotest.test_case "derived sets" `Quick test_derived_sets;
+          Alcotest.test_case "before_or_meets" `Quick test_before_or_meets;
         ] );
       ( "network",
         [

@@ -128,6 +128,26 @@ let test_timeline_overlap_detection () =
         (T.to_string a = "x" && T.to_string b = "y")
   | _ -> Alcotest.fail "expected one overlap"
 
+(* The curator's view: one line per segment, then one per issue. *)
+let test_pp_timeline () =
+  let g =
+    G.of_list
+      [
+        Q.v "a" "p" (T.iri "x") (2001, 2005) 0.9;
+        Q.v "a" "p" (T.iri "y") (2004, 2008) 0.5;
+        Q.v "a" "p" (T.iri "z") (2012, 2014) 1.0;
+      ]
+  in
+  let t = C.timeline g ~subject:(T.iri "a") ~predicate:(T.iri "p") in
+  Alcotest.(check string) "rendering"
+    "a / p:\n\
+    \  [2001,2005] x (0.9)\n\
+    \  [2004,2008] y (0.5)\n\
+    \  [2012,2014] z (1)\n\
+    \  overlap [2004,2005]: x vs y\n\
+    \  gap [2009,2011]"
+    (Format.asprintf "%a" C.pp_timeline t)
+
 let test_timeline_same_object_overlap_ok () =
   (* Overlapping segments of the same object are not an issue (they
      coalesce away). *)
@@ -273,6 +293,7 @@ let () =
           Alcotest.test_case "same-object overlap ok" `Quick
             test_timeline_same_object_overlap_ok;
           Alcotest.test_case "empty" `Quick test_timeline_empty;
+          Alcotest.test_case "pp_timeline" `Quick test_pp_timeline;
         ] );
       ( "properties",
         [

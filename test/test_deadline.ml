@@ -89,6 +89,35 @@ let test_status_lattice () =
   Alcotest.(check bool) "completed is neutral" true
     (worst Completed Completed = Completed)
 
+let test_pp_status () =
+  let open Deadline in
+  Alcotest.(check (list string)) "printed as named"
+    [ "completed"; "timed_out"; "degraded" ]
+    (List.map (Format.asprintf "%a" pp_status) [ Completed; Timed_out; Degraded ])
+
+(* The CLI's fallback budget: a finite number of milliseconds, blanks
+   allowed; anything else (including an empty value) is no budget. *)
+let test_env_timeout_ms () =
+  let var = "TECORE_TIMEOUT_MS" in
+  let saved = Sys.getenv_opt var in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv var (Option.value saved ~default:""))
+    (fun () ->
+      List.iter
+        (fun (value, expect) ->
+          Unix.putenv var value;
+          Alcotest.(check (option (float 0.)))
+            (Printf.sprintf "%S" value) expect
+            (Deadline.env_timeout_ms ()))
+        [
+          ("250", Some 250.);
+          (" 1.5 ", Some 1.5);
+          ("", None);
+          ("soon", None);
+          ("inf", None);
+          ("nan", None);
+        ])
+
 (* ------------------------------------------------------------------ *)
 (* Fault injection.                                                    *)
 
@@ -461,6 +490,8 @@ let () =
           Alcotest.test_case "of_timeout_ms" `Quick test_of_timeout_ms;
           Alcotest.test_case "slice" `Quick test_slice;
           Alcotest.test_case "status lattice" `Quick test_status_lattice;
+          Alcotest.test_case "pp_status" `Quick test_pp_status;
+          Alcotest.test_case "env_timeout_ms" `Quick test_env_timeout_ms;
         ] );
       ( "faults",
         [ Alcotest.test_case "configure/trip/inject" `Quick test_faults_configure ] );

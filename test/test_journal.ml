@@ -1165,6 +1165,34 @@ let test_group_commit_crash ~fsync () =
           Journal.close r.Journal.journal)
         [ ("gc-a", ref_a); ("gc-b", ref_b) ])
 
+(* The server's one write loop: a slice of a buffer far larger than a
+   pipe's capacity arrives whole, in order, while a reader drains it. *)
+let test_write_all () =
+  let payload = Bytes.init 300_000 (fun i -> Char.chr (i * 7 mod 251)) in
+  let ofs = 1234 and len = 250_000 in
+  let r, w = Unix.pipe ~cloexec:true () in
+  let reader =
+    Domain.spawn (fun () ->
+        let buf = Buffer.create len and chunk = Bytes.create 4096 in
+        let rec drain () =
+          match Unix.read r chunk 0 (Bytes.length chunk) with
+          | 0 -> Buffer.contents buf
+          | n ->
+              Buffer.add_subbytes buf chunk 0 n;
+              drain ()
+        in
+        drain ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close r)
+    (fun () ->
+      Journal.write_all w payload ofs len;
+      Unix.close w;
+      let got = Domain.join reader in
+      Alcotest.(check int) "every byte" len (String.length got);
+      Alcotest.(check bool) "the slice, in order" true
+        (String.equal got (Bytes.sub_string payload ofs len)))
+
 (* A session whose startup recovery fails is skipped with one warning
    line on the daemon's stderr, and a later [hello] for it is refused
    with a [storage] error that says the recovery failed. A MANIFEST that
@@ -1214,6 +1242,7 @@ let () =
       ( "units",
         [
           Alcotest.test_case "crc32" `Quick test_crc32;
+          Alcotest.test_case "write_all" `Quick test_write_all;
           Alcotest.test_case "session-id codec" `Quick test_id_codec;
           Alcotest.test_case "fsync policy parsing" `Quick test_fsync_policy;
           Alcotest.test_case "record replay" `Quick test_replay_line;

@@ -160,6 +160,24 @@ let parse_rules src =
   | Ok rules -> rules
   | Error e -> Alcotest.fail (Format.asprintf "%a" Rulelang.Parser.pp_error e)
 
+(* Strings are escaped as Obs.Json escapes them: quotes, backslashes,
+   newlines and control bytes, exactly. *)
+let test_escape () =
+  let q =
+    Kg.Quad.v "a\001b" "p" (Kg.Term.str "q\"b\\n\nc") (1, 2) 0.5
+  in
+  let json = J.of_quad q in
+  let has needle =
+    let n = String.length needle and h = String.length json in
+    let rec at i = i + n <= h && (String.sub json i n = needle || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "control byte" true (has {|"subject":"a\u0001b"|});
+  Alcotest.(check bool) "quote, backslash, newline" true
+    (has {|"object":"q\"b\\n\nc"|});
+  Alcotest.(check bool) "same bytes as Obs.Json" true
+    (has (Obs.Json.to_string (Obs.Json.Str "a\001b")))
+
 let test_quad_json () =
   let q = Kg.Quad.v "CR" "coach" (Kg.Term.iri "Chelsea") (2000, 2004) 0.9 in
   match parse_json (J.of_quad q) with
@@ -269,6 +287,7 @@ let () =
     [
       ( "rendering",
         [
+          Alcotest.test_case "escape" `Quick test_escape;
           Alcotest.test_case "quad" `Quick test_quad_json;
           Alcotest.test_case "tricky strings" `Quick test_quad_with_tricky_strings;
           Alcotest.test_case "full result" `Quick test_result_json;

@@ -188,6 +188,42 @@ let test_rule_safety () =
   Alcotest.(check bool) "inference" true (Rule.is_inference ok);
   Alcotest.(check bool) "soft" false (Rule.is_hard ok)
 
+(* [check_safety] names every unbound variable, object ones first; a
+   rule edited after [make] is checked the same way. *)
+let test_rule_check_safety () =
+  let body =
+    [ quad_atom "coach" (Lterm.var "x") (Lterm.var "y") (Lterm.Tvar "t") ]
+  in
+  let ok =
+    Rule.make ~name:"ok" ~body
+      (Rule.Infer (quad_atom "worksFor" (Lterm.var "x") (Lterm.var "y") (Lterm.Tvar "t")))
+  in
+  Alcotest.(check bool) "safe rule" true (Rule.check_safety ok = Ok ());
+  let unsafe =
+    {
+      ok with
+      Rule.name = "loose";
+      head =
+        Rule.Infer
+          (quad_atom "worksFor" (Lterm.var "x") (Lterm.var "w") (Lterm.Tvar "u"));
+    }
+  in
+  Alcotest.(check (result unit string))
+    "unbound variables named"
+    (Error "unsafe rule loose: unbound variable(s) ?w, ?u")
+    (Rule.check_safety unsafe);
+  Alcotest.(check bool) "denial of the body is safe" true
+    (Rule.check_safety { ok with Rule.head = Rule.Bottom } = Ok ())
+
+let test_lterm_pp_time () =
+  let t = Lterm.Tvar "t" and u = Lterm.Tvar "u" in
+  Alcotest.(check string) "variable" "?t" (Format.asprintf "%a" Lterm.pp_time t);
+  Alcotest.(check string) "constant" "[2000,2004]"
+    (Format.asprintf "%a" Lterm.pp_time (Lterm.Tconst (iv 2000 2004)));
+  Alcotest.(check string) "nested intersection and hull" "(?t n (?u u [1,2]))"
+    (Format.asprintf "%a" Lterm.pp_time
+       (Lterm.Tinter (t, Lterm.Thull (u, Lterm.Tconst (iv 1 2)))))
+
 let test_rule_validation () =
   (match Rule.make ~name:"empty" ~body:[] Rule.Bottom with
   | exception Rule.Ill_formed _ -> ()
@@ -230,6 +266,7 @@ let () =
           Alcotest.test_case "bind conflict" `Quick test_subst_bind_conflict;
           Alcotest.test_case "eval_time" `Quick test_subst_eval_time;
           Alcotest.test_case "lterm vars" `Quick test_lterm_vars;
+          Alcotest.test_case "lterm pp_time" `Quick test_lterm_pp_time;
         ] );
       ( "atom",
         [
@@ -246,6 +283,7 @@ let () =
       ( "rule",
         [
           Alcotest.test_case "safety" `Quick test_rule_safety;
+          Alcotest.test_case "check_safety" `Quick test_rule_check_safety;
           Alcotest.test_case "validation" `Quick test_rule_validation;
           Alcotest.test_case "pp" `Quick test_rule_pp;
         ] );

@@ -67,6 +67,48 @@ let test_clause_satisfaction_and_score () =
     (Float.abs (Network.score network init +. soft_cost network init -. total)
     < 1e-9)
 
+(* [satisfied_if] evaluates a clause with one atom overridden, leaving
+   the assignment itself alone. *)
+let test_satisfied_if () =
+  let network =
+    Network.of_clauses ~num_atoms:2 [ ([ (0, true); (1, false) ], Some 1.0, "r") ]
+  in
+  let x = [| false; true |] in
+  Alcotest.(check bool) "clause fails as is" false
+    (Network.clause_satisfied network 0 x);
+  Alcotest.(check bool) "a0 := true" true
+    (Network.satisfied_if network 0 x ~atom:0 true);
+  Alcotest.(check bool) "a1 := false" true
+    (Network.satisfied_if network 0 x ~atom:1 false);
+  Alcotest.(check bool) "a1 := true" false
+    (Network.satisfied_if network 0 x ~atom:1 true);
+  Alcotest.(check (array bool)) "assignment untouched" [| false; true |] x
+
+(* [repair_hard] flips, in place, the earliest literal of the lowest
+   violated hard clause when that strictly lowers the violation count,
+   and reports what it could not repair. *)
+let test_repair_hard () =
+  let network =
+    Network.of_clauses ~num_atoms:3
+      [
+        ([ (0, false); (1, false) ], None, "c");
+        ([ (2, true) ], None, "evidence");
+        ([ (0, true) ], Some 1.0, "evidence");
+      ]
+  in
+  let x = [| true; true; false |] in
+  Alcotest.(check int) "two hard violations" 2 (Network.hard_violations network x);
+  Alcotest.(check int) "all repaired" 0 (Network.repair_hard network x);
+  Alcotest.(check (array bool)) "earliest literal flipped" [| false; true; true |] x;
+  let contradiction =
+    Network.of_clauses ~num_atoms:1
+      [ ([ (0, true) ], None, "a"); ([ (0, false) ], None, "b") ]
+  in
+  let y = [| false |] in
+  Alcotest.(check int) "a contradiction stays violated" 1
+    (Network.repair_hard contradiction y);
+  Alcotest.(check (array bool)) "no non-improving flip" [| false |] y
+
 (* Binding both body atoms of a constraint to the one fact grounds
    (-a v -a) here — before(t, t) never holds. The clause must hold -a
    once: solvers count a clause's true literals, and the duplicate made
@@ -1557,6 +1599,8 @@ let () =
           Alcotest.test_case "shape" `Quick test_network_shape;
           Alcotest.test_case "satisfaction/score" `Quick
             test_clause_satisfaction_and_score;
+          Alcotest.test_case "satisfied_if" `Quick test_satisfied_if;
+          Alcotest.test_case "repair_hard" `Quick test_repair_hard;
           Alcotest.test_case "repeated literals collapse" `Quick
             test_repeated_literals_collapse;
           Alcotest.test_case "build = boxed reference (FootballDB)" `Quick

@@ -203,6 +203,97 @@ let test_parse_quad_single () =
   | Ok _ -> Alcotest.fail "expected error"
   | Error _ -> ()
 
+let test_namespace_expand_shrink () =
+  let ns = Kg.Namespace.create () in
+  Alcotest.(check string) "expand bound" "http://example.org/CR"
+    (Kg.Namespace.expand ns "ex:CR");
+  Alcotest.(check string) "unbound prefix unchanged" "zz:CR"
+    (Kg.Namespace.expand ns "zz:CR");
+  Alcotest.(check string) "no prefix unchanged" "CR"
+    (Kg.Namespace.expand ns "CR");
+  Alcotest.(check string) "shrink" "ex:CR"
+    (Kg.Namespace.shrink ns "http://example.org/CR");
+  Alcotest.(check string) "shrink unknown unchanged" "http://other.org/CR"
+    (Kg.Namespace.shrink ns "http://other.org/CR");
+  Kg.Namespace.add ns ~prefix:"exp" ~iri:"http://example.org/people/";
+  Alcotest.(check string) "longest match wins" "exp:CR"
+    (Kg.Namespace.shrink ns "http://example.org/people/CR");
+  Alcotest.(check string) "shorter binding still used" "ex:Chelsea"
+    (Kg.Namespace.shrink ns "http://example.org/Chelsea")
+
+let test_parse_prefix () =
+  Alcotest.(check bool) "not a directive" true
+    (N.parse_prefix "ex:a ex:p ex:b [1,2] ." = None);
+  Alcotest.(check bool) "directive" true
+    (N.parse_prefix "@prefix dbp: <http://dbpedia.org/resource/> ."
+    = Some (Ok ("dbp", "http://dbpedia.org/resource/")));
+  Alcotest.(check bool) "malformed" true
+    (N.parse_prefix "@prefix broken" = Some (Error "malformed @prefix"))
+
+(* One fact line per quad: IRIs shrunk, the confidence omitted when
+   certain, float objects keep a decimal point. *)
+let test_fact_line () =
+  let ns = Kg.Namespace.create () in
+  let line q = N.fact_line ns q in
+  Alcotest.(check string) "shrunk, with confidence"
+    "ex:CR ex:coach ex:Chelsea [2000,2004] 0.9 ."
+    (line
+       (Q.v "http://example.org/CR" "http://example.org/coach"
+          (T.iri "http://example.org/Chelsea") (2000, 2004) 0.9));
+  Alcotest.(check string) "certain: no confidence" "a born 1951 [1951] ."
+    (line (Q.v "a" "born" (T.int 1951) (1951, 1951) 1.0));
+  Alcotest.(check string) "integral float keeps its point" "a w 2. [1,2] ."
+    (line (Q.v "a" "w" (T.float 2.0) (1, 2) 1.0));
+  Alcotest.(check string) "negative integral float" "a w -3. [1,2] ."
+    (line (Q.v "a" "w" (T.float (-3.0)) (1, 2) 1.0));
+  Alcotest.(check string) "all digits kept" "a w 0.123456789 [1,2] ."
+    (line (Q.v "a" "w" (T.float 0.123456789) (1, 2) 1.0));
+  Alcotest.(check string) "string literal quoted" "a label \"x y\" [1,2] ."
+    (line (Q.v "a" "label" (T.str "x y") (1, 2) 1.0))
+
+(* Every quad the printer writes parses back to itself. *)
+let arbitrary_fact =
+  let open QCheck in
+  let name = Gen.(map (Printf.sprintf "n%d") (int_range 0 9)) in
+  let iri =
+    Gen.(
+      oneof
+        [
+          map T.iri name;
+          map (fun n -> T.iri ("http://example.org/" ^ n)) name;
+        ])
+  in
+  let object_ =
+    Gen.(
+      oneof
+        [
+          iri;
+          map T.int (int_range (-100_000) 100_000);
+          map T.float (map (fun f -> if Float.is_finite f then f else 0.5) float);
+          map T.float (map float_of_int (int_range (-50) 50));
+          map T.str (string_size ~gen:(char_range 'a' 'z') (int_range 0 8));
+        ])
+  in
+  let quad =
+    Gen.(
+      map
+        (fun ((s, p, o), (lo, len), conf) ->
+          Q.make ~confidence:conf ~subject:s ~predicate:p ~object_:o
+            (Kg.Interval.make lo (lo + len)))
+        (triple (triple iri iri object_)
+           (pair (int_range (-50) 50) (int_range 0 30))
+           (oneof [ return 1.0; float_range 0.001 1.0 ])))
+  in
+  make ~print:Q.to_string quad
+
+let qcheck_fact_line_reparses =
+  QCheck.Test.make ~name:"fact_line reparses to the same quad" ~count:1000
+    arbitrary_fact (fun q ->
+      let ns = Kg.Namespace.create () in
+      match N.parse_quad ns (N.fact_line ns q) with
+      | Ok q' -> q' = q
+      | Error _ -> false)
+
 (* Round-trip property over generated graphs. *)
 let arbitrary_quads =
   let quad_gen =
@@ -249,6 +340,9 @@ let () =
             test_malformed_regressions;
           Alcotest.test_case "error columns" `Quick test_error_columns;
           Alcotest.test_case "parse_quad" `Quick test_parse_quad_single;
+          Alcotest.test_case "parse_prefix" `Quick test_parse_prefix;
+          Alcotest.test_case "namespace expand/shrink" `Quick
+            test_namespace_expand_shrink;
         ] );
       ( "roundtrip",
         [
@@ -256,6 +350,8 @@ let () =
           Alcotest.test_case "file" `Quick test_file_roundtrip;
           Alcotest.test_case "file, float objects" `Quick
             test_file_roundtrip_floats;
+          Alcotest.test_case "fact_line" `Quick test_fact_line;
+          QCheck_alcotest.to_alcotest qcheck_fact_line_reparses;
           QCheck_alcotest.to_alcotest qcheck_roundtrip;
         ] );
     ]

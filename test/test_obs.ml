@@ -428,6 +428,41 @@ let test_events_basic () =
       Alcotest.(check int) "nothing dropped" 0 r.Obs.Report.events_dropped)
 
 (* The ring keeps the newest 4096 events. *)
+let test_event_level_and_value_names () =
+  let open Obs.Events in
+  Alcotest.(check (list string)) "level names"
+    [ "debug"; "info"; "warn"; "error" ]
+    (List.map level_name [ Debug; Info; Warn; Error ]);
+  Alcotest.(check (list int)) "severities ascend" [ 0; 1; 2; 3 ]
+    (List.map severity [ Debug; Info; Warn; Error ]);
+  Alcotest.(check (list string)) "values"
+    [ "3"; "2.5"; "who"; "true" ]
+    (List.map value_to_string [ Int 3; Float 2.5; Str "who"; Bool true ])
+
+(* A summary family's rows: one per quantile, labelled after the given
+   labels, then [_sum] and [_count]. *)
+let test_summary_rows () =
+  let h = Obs.Histogram.create () in
+  List.iter (Obs.Histogram.add h) [ 1.0; 2.0; 3.0; 4.0 ];
+  let rows =
+    Obs.Export.summary_rows ~quantiles:[ 0.5; 0.95 ] [ ("phase", "solve") ] h
+  in
+  Alcotest.(check (list (pair string (list (pair string string)))))
+    "suffixes and labels"
+    [
+      ("", [ ("phase", "solve"); ("quantile", "0.5") ]);
+      ("", [ ("phase", "solve"); ("quantile", "0.95") ]);
+      ("_sum", [ ("phase", "solve") ]);
+      ("_count", [ ("phase", "solve") ]);
+    ]
+    (List.map (fun (suffix, labels, _) -> (suffix, labels)) rows);
+  Alcotest.(check (list (float 1e-12)))
+    "values"
+    [
+      Obs.Histogram.quantile h 0.5; Obs.Histogram.quantile h 0.95; 10.0; 4.0;
+    ]
+    (List.map (fun (_, _, v) -> v) rows)
+
 let test_events_ring_overflow () =
   with_obs (fun () ->
       for i = 0 to 4096 + 11 do
@@ -963,6 +998,8 @@ let () =
           Alcotest.test_case "ring overflow keeps newest" `Quick
             test_events_ring_overflow;
           Alcotest.test_case "event hook streams" `Quick test_event_hook;
+          Alcotest.test_case "level and value names" `Quick
+            test_event_level_and_value_names;
         ] );
       ( "series",
         [
@@ -1002,6 +1039,7 @@ let () =
           Alcotest.test_case "merge" `Quick test_histogram_merge;
           Alcotest.test_case "reservoir past the cap" `Quick
             test_histogram_reservoir_cap;
+          Alcotest.test_case "summary rows" `Quick test_summary_rows;
           QCheck_alcotest.to_alcotest prop_histogram_merge_stable;
         ] );
       ( "phases",

@@ -172,6 +172,26 @@ let test_create_and_parse () =
     (Pool.parse_jobs (Some "-2"));
   Alcotest.(check (option int)) "parse absent" None (Pool.parse_jobs None)
 
+(* [TECORE_JOBS] read through [parse_jobs]; unset or unparsable is 1. *)
+let test_default_jobs () =
+  let var = "TECORE_JOBS" in
+  let saved = Sys.getenv_opt var in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv var (Option.value saved ~default:""))
+    (fun () ->
+      List.iter
+        (fun (value, expect) ->
+          Unix.putenv var value;
+          Alcotest.(check int) (Printf.sprintf "%S" value) expect
+            (Pool.default_jobs ()))
+        [
+          ("3", 3);
+          ("0", Pool.recommended_jobs ());
+          ("", 1);
+          ("many", 1);
+          ("-4", 1);
+        ])
+
 (* ------------------------------------------------------------------ *)
 (* Determinism across job counts.                                      *)
 
@@ -325,6 +345,7 @@ let () =
             test_one_job_plain_loop;
           Alcotest.test_case "create and parse_jobs" `Quick
             test_create_and_parse;
+          Alcotest.test_case "default_jobs" `Quick test_default_jobs;
         ] );
       ( "determinism",
         [

@@ -102,9 +102,73 @@ let test_vec_fold_iter () =
   Alcotest.(check int) "iteri count" 4 (List.length !seen);
   Alcotest.(check (array int)) "to_array" [| 1; 2; 3; 4 |] (Vec.to_array v)
 
+(* Pushes past the initial capacity keep every element, in order. *)
+let qcheck_vec_roundtrip =
+  QCheck.Test.make ~name:"vec push/to_array roundtrip" ~count:200
+    QCheck.(list int)
+    (fun l -> Array.to_list (Vec.to_array (vec l)) = l)
+
+let test_vec_iter_order () =
+  let v = vec [ 5; 3; 8 ] in
+  let seen = ref [] in
+  Vec.iter (fun x -> seen := x :: !seen) v;
+  Alcotest.(check (list int)) "iter visits in index order" [ 5; 3; 8 ]
+    (List.rev !seen);
+  let indexed = ref [] in
+  Vec.iteri (fun i x -> indexed := (i, x) :: !indexed) v;
+  Alcotest.(check (list (pair int int)))
+    "iteri pairs each index with its element"
+    [ (0, 5); (1, 3); (2, 8) ]
+    (List.rev !indexed)
+
 let test_timing_mean () =
   let ms = Prelude.Timing.mean_ms ~runs:3 (fun () -> ignore (Sys.opaque_identity 1)) in
   Alcotest.(check bool) "non-negative" true (ms >= 0.0)
+
+let test_timing_time () =
+  let result, ms = Prelude.Timing.time (fun () -> 6 * 7) in
+  Alcotest.(check int) "result passed through" 42 result;
+  Alcotest.(check bool) "elapsed non-negative" true (ms >= 0.0);
+  let ran = ref false in
+  let ms = Prelude.Timing.time_ms (fun () -> ran := true) in
+  Alcotest.(check bool) "thunk ran" true !ran;
+  Alcotest.(check bool) "time_ms non-negative" true (ms >= 0.0)
+
+module Floatlit = Prelude.Floatlit
+
+let bits_equal x s =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float (float_of_string s))
+
+let has_signed_exponent s =
+  let n = String.length s in
+  let rec scan i =
+    i + 1 < n
+    && (((s.[i] = 'e' || s.[i] = 'E') && (s.[i + 1] = '+' || s.[i + 1] = '-'))
+       || scan (i + 1))
+  in
+  scan 0
+
+(* Short values keep their short spelling; values whose shortest
+   spelling needs a signed exponent are written as plain decimals. *)
+let test_floatlit_lexemes () =
+  List.iter
+    (fun (x, s) ->
+      Alcotest.(check string) (Printf.sprintf "%h" x) s (Floatlit.to_lexeme x))
+    [ (2.5, "2.5"); (0.1, "0.1"); (1.0, "1"); (-0.75, "-0.75"); (0.9, "0.9") ];
+  List.iter
+    (fun x ->
+      let s = Floatlit.to_lexeme x in
+      Alcotest.(check bool) (s ^ " has no signed exponent") false
+        (has_signed_exponent s);
+      Alcotest.(check bool) (s ^ " round-trips") true (bits_equal x s))
+    [ 1e-7; 1e20; 0.1 +. 0.2; 1. /. 3.; 5e-324; Float.max_float ]
+
+let qcheck_floatlit_roundtrip =
+  QCheck.Test.make ~name:"floatlit reparses bitwise, no signed exponent"
+    ~count:1000 QCheck.float (fun x ->
+      QCheck.assume (Float.is_finite x);
+      let s = Floatlit.to_lexeme x in
+      bits_equal x s && not (has_signed_exponent s))
 
 let qcheck_prng_int_uniformish =
   QCheck.Test.make ~name:"prng int stays in bounds" ~count:200
@@ -422,7 +486,17 @@ let () =
           Alcotest.test_case "push/get/set" `Quick test_vec_push_get;
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
           Alcotest.test_case "fold/iter/to_array" `Quick test_vec_fold_iter;
+          Alcotest.test_case "iter order" `Quick test_vec_iter_order;
+          QCheck_alcotest.to_alcotest qcheck_vec_roundtrip;
         ] );
       ( "timing",
-        [ Alcotest.test_case "mean_ms" `Quick test_timing_mean ] );
+        [
+          Alcotest.test_case "mean_ms" `Quick test_timing_mean;
+          Alcotest.test_case "time/time_ms" `Quick test_timing_time;
+        ] );
+      ( "floatlit",
+        [
+          Alcotest.test_case "lexemes" `Quick test_floatlit_lexemes;
+          QCheck_alcotest.to_alcotest qcheck_floatlit_roundtrip;
+        ] );
     ]

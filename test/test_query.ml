@@ -77,6 +77,20 @@ let test_no_atoms () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "atomless query accepted"
 
+(* An answer prints its bindings and confidence, then one line per
+   supporting fact in query-atom order. *)
+let test_pp_answer () =
+  let g = graph () in
+  match Q.run g "coach(x, Ajax)@t ^ birthDate(CR, b)@u" with
+  | Error e -> Alcotest.fail e
+  | Ok [ a ] ->
+      Alcotest.(check string) "rendering"
+        "{b=1951 x=Kid t=[2010,2012] u=[1951,2017] }  (confidence 0.8)\n\
+        \  (Kid, coach, Ajax, [2010,2012]) 0.8\n\
+        \  (CR, birthDate, 1951, [1951,2017])"
+        (Format.asprintf "%a" (Q.pp_answer g) a)
+  | Ok answers -> Alcotest.failf "%d answers" (List.length answers)
+
 let test_namespace_query () =
   let ns = Kg.Namespace.create () in
   let g =
@@ -105,6 +119,7 @@ let () =
           Alcotest.test_case "interval constant" `Quick test_interval_constant;
           Alcotest.test_case "empty result" `Quick test_empty_result;
           Alcotest.test_case "namespace" `Quick test_namespace_query;
+          Alcotest.test_case "pp_answer" `Quick test_pp_answer;
         ] );
       ( "errors",
         [

@@ -73,6 +73,22 @@ let test_int_codes () =
   Alcotest.(check bool) "code_opt of an int" true
     (V.code_opt (V.Int 5) = Some (int 5))
 
+(* The id-level constructors the packed grounder uses agree with
+   encoding the value itself, and [payload] gives the id back. *)
+let test_codes_of_ids () =
+  let t = Kg.Term.iri "codes-of-ids" and i = I.make 7 9 in
+  let tid = Kg.Symbol.term_id t and iid = Kg.Symbol.interval_id i in
+  Alcotest.(check int) "term" (V.code (V.term t)) (V.of_term_id tid);
+  Alcotest.(check int) "interval" (V.code (V.interval i)) (V.of_interval_id iid);
+  Alcotest.(check int) "int" (V.code (V.Int (-12))) (V.of_int (-12));
+  Alcotest.(check (list int)) "payloads" [ tid; iid; -12 ]
+    (List.map V.payload [ V.of_term_id tid; V.of_interval_id iid; V.of_int (-12) ]);
+  Alcotest.(check bool) "kinds stay apart" true
+    (V.of_term_id tid <> V.of_interval_id tid && V.of_term_id tid <> V.of_int tid);
+  Alcotest.(check bool) "decodes" true
+    (V.decode_term (V.of_term_id tid) = Some t
+    && V.decode_interval (V.of_interval_id iid) = Some i)
+
 let test_table_basics () =
   let t = people () in
   Alcotest.(check int) "cardinal" 3 (Tbl.cardinal t);
@@ -477,6 +493,7 @@ let () =
         [
           Alcotest.test_case "kinds" `Quick test_value_kinds;
           Alcotest.test_case "int codes" `Quick test_int_codes;
+          Alcotest.test_case "codes of ids" `Quick test_codes_of_ids;
         ] );
       ( "table",
         [

@@ -249,6 +249,34 @@ let test_printer_roundtrip () =
         (Rulelang.Printer.rule_to_string b))
     rules reparsed
 
+(* [pp_rule]/[pp_program] print stored names; passing the prefix
+   table's [shrink] gives the compact source form, which reparses to the
+   same rules under that table. *)
+let test_printer_shrink () =
+  let ns = Kg.Namespace.create () in
+  let src = "rule n 1.5: ex:p(x, ex:K)@t => ex:q(x, ex:K)@t ." in
+  let rules =
+    match Rulelang.Parser.parse_string ~namespace:ns src with
+    | Ok rules -> rules
+    | Error e -> Alcotest.fail (Format.asprintf "%a" Rulelang.Parser.pp_error e)
+  in
+  let r = List.hd rules in
+  Alcotest.(check string) "pp_rule prints stored names"
+    "rule n 1.5: http://example.org/p(x, http://example.org/K)@t => \
+     http://example.org/q(x, http://example.org/K)@t ."
+    (Format.asprintf "%a" Rulelang.Printer.pp_rule r);
+  Alcotest.(check string) "pp_program agrees with program_to_string"
+    (Rulelang.Printer.program_to_string rules)
+    (Format.asprintf "@[<v>%a@]" Rulelang.Printer.pp_program rules);
+  let shrunk =
+    Rulelang.Printer.program_to_string ~shrink:(Kg.Namespace.shrink ns) rules
+  in
+  Alcotest.(check string) "shrunk form"
+    "rule n 1.5: ex:p(x, ex:K)@t => ex:q(x, ex:K)@t ." shrunk;
+  match Rulelang.Parser.parse_string ~namespace:ns shrunk with
+  | Ok [ r' ] -> Alcotest.(check bool) "reparses to the same rule" true (r = r')
+  | _ -> Alcotest.fail "shrunk form does not reparse"
+
 let () =
   Alcotest.run "rulelang"
     [
@@ -282,5 +310,8 @@ let () =
           Alcotest.test_case "paper program" `Quick test_paper_program;
         ] );
       ( "printer",
-        [ Alcotest.test_case "roundtrip" `Quick test_printer_roundtrip ] );
+        [
+          Alcotest.test_case "roundtrip" `Quick test_printer_roundtrip;
+          Alcotest.test_case "shrink" `Quick test_printer_shrink;
+        ] );
     ]

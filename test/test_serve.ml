@@ -792,6 +792,67 @@ let test_access_log_analyzer_matches_live () =
          contains l "serve_session_requests_total{session=\"analyzer\"}")
        metric_lines)
 
+(* ------------------------------------------------------------------ *)
+(* Protocol rendering and the access log's phase helpers.              *)
+
+module Protocol = Serve.Protocol
+
+let test_response_lines () =
+  Alcotest.(check string) "ok line, fields in order"
+    "ok {\"session\":\"a\",\"facts\":3}"
+    (Protocol.ok_line [ ("session", Obs.Json.Str "a"); ("facts", Obs.Json.Num 3.) ]);
+  Alcotest.(check string) "err line"
+    "err {\"kind\":\"timed_out\",\"line\":4,\"column\":1,\"message\":\"budget \\\"spent\\\"\"}"
+    (Protocol.err_line (Protocol.error Protocol.Timed_out ~line:4 "budget \"spent\""));
+  Alcotest.(check string) "request id spliced first"
+    "ok {\"req\":7,\"pong\":true}"
+    (Protocol.with_request_id ~req:7 "ok {\"pong\":true}");
+  Alcotest.(check string) "into an empty object" "ok {\"req\":8}"
+    (Protocol.with_request_id ~req:8 (Protocol.ok_line []));
+  Alcotest.(check string) "no object: unchanged" "ok"
+    (Protocol.with_request_id ~req:9 "ok")
+
+(* The access log's [verb]: the request's first keyword, constraints
+   reporting as [rule] like the command they parse to. *)
+let test_request_verbs () =
+  List.iter
+    (fun (line, verb) ->
+      match Protocol.parse_request ~line:1 line with
+      | Ok r -> Alcotest.(check string) line verb (Protocol.request_verb r)
+      | Error e -> Alcotest.failf "%S does not parse: %s" line e.Protocol.message)
+    [
+      ("hello a", "hello");
+      ("open", "open");
+      ("stat", "stat");
+      ("ping", "ping");
+      ("trace on", "trace");
+      ("tail 3", "tail");
+      ("assert a p b [1,2] 0.5 .", "assert");
+      ("retract a p b [1,2] .", "retract");
+      ("rule f 1: p(x, y)@t => q(x, y)@t .", "rule");
+      ("constraint c: p(x, y)@t ^ p(x, z)@u ^ y != z => disjoint(t, u) .", "rule");
+      ("unrule f", "unrule");
+      ("resolve", "resolve");
+      ("diff", "diff");
+    ]
+
+(* Per-phase histograms come back in the canonical phase order, not in
+   the order the phases were first seen. *)
+let test_phase_order () =
+  Alcotest.(check (list string)) "taxonomy"
+    [ "parse"; "queue"; "lock"; "ground"; "solve"; "journal"; "fsync"; "reply" ]
+    Serve.Access_log.phase_names;
+  let tbl = Hashtbl.create 8 in
+  Serve.Access_log.add_phases tbl [ ("reply", 0.5); ("solve", 4.0) ];
+  Serve.Access_log.add_phases tbl [ ("solve", 2.0); ("parse", 0.1) ];
+  let ordered = Serve.Access_log.in_phase_order tbl in
+  Alcotest.(check (list string)) "canonical order" [ "parse"; "solve"; "reply" ]
+    (List.map fst ordered);
+  Alcotest.(check (list int)) "observations per phase" [ 1; 2; 1 ]
+    (List.map (fun (_, h) -> Obs.Histogram.count h) ordered);
+  Alcotest.(check (float 1e-12)) "solve total" 6.0
+    (Obs.Histogram.total (List.assoc "solve" ordered))
+
 let () =
   Alcotest.run "serve"
     [
@@ -816,5 +877,12 @@ let () =
             test_tail_verb;
           Alcotest.test_case "analyzer matches live summaries" `Quick
             test_access_log_analyzer_matches_live;
+          Alcotest.test_case "phases in canonical order" `Quick
+            test_phase_order;
+        ] );
+      ( "protocol",
+        [
+          Alcotest.test_case "response lines" `Quick test_response_lines;
+          Alcotest.test_case "request verbs" `Quick test_request_verbs;
         ] );
     ]

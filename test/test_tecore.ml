@@ -143,6 +143,38 @@ let test_threshold () =
   Alcotest.(check int) "consistent shrinks" 4
     (Kg.Graph.size drop.Tecore.Engine.resolution.Tecore.Conflict.consistent)
 
+(* The threshold applied after the fact: the derived fact leaves both
+   the derived list and the consistent graph, and the resolution it was
+   applied to is left as it was. *)
+let test_apply_threshold () =
+  let r =
+    (Tecore.Engine.resolve (cr_graph ()) (cr_rules ())).Tecore.Engine.resolution
+  in
+  let size res = Kg.Graph.size res.Tecore.Conflict.consistent in
+  let derived res = List.length res.Tecore.Conflict.derived in
+  Alcotest.(check (pair int int)) "unthresholded" (1, 5) (derived r, size r);
+  let low = Tecore.Conflict.apply_threshold 0.5 r in
+  Alcotest.(check (pair int int)) "0.5 keeps it" (1, 5) (derived low, size low);
+  let high = Tecore.Conflict.apply_threshold 0.95 r in
+  Alcotest.(check (pair int int)) "0.95 drops it" (0, 4) (derived high, size high);
+  Alcotest.(check (pair int int)) "input untouched" (1, 5) (derived r, size r)
+
+let test_pp_summary () =
+  let r =
+    (Tecore.Engine.resolve (cr_graph ()) (cr_rules ())).Tecore.Engine.resolution
+  in
+  Alcotest.(check string) "statistics panel"
+    (Printf.sprintf
+       "kept facts:        %d\nremoved facts:     1\nderived facts:     1\n\
+        conflicting facts: 2"
+       r.Tecore.Conflict.kept)
+    (Format.asprintf "%a" Tecore.Conflict.pp_summary r)
+
+let test_choice_name () =
+  Alcotest.(check (list string)) "spellings" [ "mln"; "psl" ]
+    (List.map Tecore.Engine.choice_name
+       [ Tecore.Translator.Mln_engine; Tecore.Translator.Psl_engine ])
+
 let test_derived_confidence_monotone () =
   (* Two rules deriving the same atom give higher confidence than one. *)
   let graph =
@@ -222,6 +254,60 @@ ex:CR ex:coach ex:Napoli [2001,2003] 0.6 .|}
   Alcotest.(check bool) "remove absent rule" false
     (Tecore.Session.remove_rule s "zz")
 
+(* The delta the next incremental resolve replays: fact edits counted,
+   rule edits flagged, both cleared by a successful resolve. *)
+let test_session_pending_delta () =
+  let s = Tecore.Session.create () in
+  (match Tecore.Session.load_string s "CR coach Chelsea [2000,2004] 0.9 ." with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let resolve () =
+    match Tecore.Session.resolve ~mode:`Incremental s with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Tecore.Session.error_message e)
+  in
+  let delta () = (Tecore.Session.pending_edits s, Tecore.Session.rules_dirty s) in
+  resolve ();
+  Alcotest.(check (pair int bool)) "clean after resolve" (0, false) (delta ());
+  let q = Kg.Quad.v "CR" "coach" (Kg.Term.iri "Napoli") (2001, 2003) 0.6 in
+  ignore (Tecore.Session.assert_fact s q);
+  Alcotest.(check (pair int bool)) "one assert" (1, false) (delta ());
+  ignore (Tecore.Session.retract s q);
+  Alcotest.(check (pair int bool)) "assert + retract" (2, false) (delta ());
+  (match
+     Tecore.Session.add_rules s
+       "constraint c2: coach(x, y)@t ^ coach(x, z)@t2 ^ y != z => disjoint(t, t2) ."
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (pair int bool)) "rule edit" (2, true) (delta ());
+  resolve ();
+  Alcotest.(check (pair int bool)) "cleared" (0, false) (delta ())
+
+(* The state dump writes facts with the one fact printer, so a float
+   object comes back a float. *)
+let test_session_dump_state_floats () =
+  let s = Tecore.Session.create () in
+  (match Tecore.Session.load_string s "ex:a ex:w 2. [1,2] .\nex:a ex:v 0.123456789 [3,4] 0.5 ." with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let asserts =
+    List.filter
+      (fun l -> String.length l > 7 && String.sub l 0 7 = "assert ")
+      (Tecore.Session.dump_state s)
+  in
+  Alcotest.(check (list string)) "assert lines"
+    [ "assert ex:a ex:w 2. [1,2] ."; "assert ex:a ex:v 0.123456789 [3,4] 0.5 ." ]
+    asserts;
+  let ns = Tecore.Session.namespace s in
+  List.iter2
+    (fun line expect ->
+      match Kg.Nquads.parse_quad ns (String.sub line 7 (String.length line - 7)) with
+      | Ok q -> Alcotest.(check bool) line true (q.Kg.Quad.object_ = expect)
+      | Error e -> Alcotest.fail e)
+    asserts
+    [ Kg.Term.float 2.0; Kg.Term.float 0.123456789 ]
+
 let test_session_load_errors () =
   let s = Tecore.Session.create () in
   (match Tecore.Session.load_string s "not a fact line" with
@@ -281,6 +367,9 @@ let () =
           Alcotest.test_case "resolve psl" `Quick test_resolve_psl;
           Alcotest.test_case "resolve auto" `Quick test_resolve_auto;
           Alcotest.test_case "threshold" `Quick test_threshold;
+          Alcotest.test_case "apply_threshold" `Quick test_apply_threshold;
+          Alcotest.test_case "pp_summary" `Quick test_pp_summary;
+          Alcotest.test_case "choice_name" `Quick test_choice_name;
           Alcotest.test_case "derived confidence monotone" `Quick
             test_derived_confidence_monotone;
           Alcotest.test_case "rejected" `Quick test_rejected;
@@ -291,5 +380,8 @@ let () =
         [
           Alcotest.test_case "workflow" `Quick test_session_workflow;
           Alcotest.test_case "load errors" `Quick test_session_load_errors;
+          Alcotest.test_case "pending delta" `Quick test_session_pending_delta;
+          Alcotest.test_case "dump_state floats" `Quick
+            test_session_dump_state_floats;
         ] );
     ]

@@ -16,6 +16,13 @@ let test_term_equal_across_kinds () =
   Alcotest.(check bool) "iri vs str" false (T.equal (T.iri "a") (T.str "a"));
   Alcotest.(check bool) "int vs float" false (T.equal (T.int 1) (T.float 1.0))
 
+let test_term_is_literal () =
+  Alcotest.(check bool) "iri" false (T.is_literal (T.iri "a"));
+  Alcotest.(check bool) "str" true (T.is_literal (T.str "a"));
+  Alcotest.(check bool) "int" true (T.is_literal (T.int 3));
+  Alcotest.(check bool) "float" true (T.is_literal (T.float 2.5));
+  Alcotest.(check bool) "year-like iri" false (T.is_literal (T.iri "2004"))
+
 let test_term_compare_total () =
   let terms = [ T.iri "b"; T.str "a"; T.int 5; T.float 1.5; T.iri "a" ] in
   let sorted = List.sort T.compare terms in
@@ -149,6 +156,7 @@ let () =
             test_term_equal_across_kinds;
           Alcotest.test_case "total order" `Quick test_term_compare_total;
           Alcotest.test_case "as_int" `Quick test_term_as_int;
+          Alcotest.test_case "is_literal" `Quick test_term_is_literal;
           Alcotest.test_case "of_string" `Quick test_term_of_string;
           Alcotest.test_case "hash" `Quick test_term_hash_consistent;
           QCheck_alcotest.to_alcotest qcheck_to_string_matches_pp;
