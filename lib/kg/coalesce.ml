@@ -5,27 +5,32 @@ let mergeable a b =
   Interval.overlaps a b || Interval.hi a + 1 = Interval.lo b
   || Interval.hi b + 1 = Interval.lo a
 
+module Triples = Hashtbl.Make (struct
+  type t = Term.t * Term.t * Term.t
+
+  let equal (s, p, o) (s', p', o') =
+    Term.equal s s' && Term.equal p p' && Term.equal o o'
+
+  let hash (s, p, o) = Hashtbl.hash (Term.hash s, Term.hash p, Term.hash o)
+end)
+
 let coalesce graph =
   (* Group facts by (s, p, o); merge interval chains inside each group. *)
-  let groups = Hashtbl.create 256 in
+  let groups = Triples.create 256 in
   let order = ref [] in
   Graph.iter
     (fun _ q ->
-      let key =
-        ( Term.to_string q.Quad.subject,
-          Term.to_string q.Quad.predicate,
-          Term.to_string q.Quad.object_ )
-      in
-      (match Hashtbl.find_opt groups key with
+      let key = (q.Quad.subject, q.Quad.predicate, q.Quad.object_) in
+      match Triples.find_opt groups key with
       | None ->
           order := key :: !order;
-          Hashtbl.replace groups key [ q ]
-      | Some qs -> Hashtbl.replace groups key (q :: qs)))
+          Triples.replace groups key [ q ]
+      | Some qs -> Triples.replace groups key (q :: qs))
     graph;
   let out = Graph.create () in
   List.iter
     (fun key ->
-      let qs = List.rev (Hashtbl.find groups key) in
+      let qs = List.rev (Triples.find groups key) in
       let sorted =
         List.sort (fun (a : Quad.t) b -> Interval.compare a.time b.time) qs
       in

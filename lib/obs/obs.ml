@@ -123,47 +123,6 @@ module Histogram = struct
   let to_list h = Array.to_list (Array.sub h.data 0 h.len)
 end
 
-(* Per-request phase accumulators for [tecore serve]: a request's trace
-   context collects (phase, elapsed-ms) pairs independently of the
-   process-wide span tree, so the server can attribute one request's
-   time to parse/queue/lock/ground/solve/journal/fsync/reply even while
-   global collection is disabled. Contexts are installed per systhread
-   (see [with_phases] below) and explicitly handed between threads by
-   the owner — the connection thread installs the context, the resolver
-   re-installs it around the solve. *)
-module Phases = struct
-  type ctx = {
-    only : string list option;
-        (* when set, spans outside this list are not captured *)
-    mutable depth : int;
-        (* open captured spans; nested ones attribute to the outermost *)
-    mutable acc : (string * float) list; (* reversed insertion order *)
-  }
-
-  let create ?only () = { only; depth = 0; acc = [] }
-
-  let interested ctx name =
-    match ctx.only with
-    | None -> true
-    | Some names -> List.mem name names
-
-  let record ctx name ms = ctx.acc <- (name, ms) :: ctx.acc
-
-  (* Span-capture bracket: [enter] before running the body, [leave]
-     after. Only the outermost captured span records, so a cutting-plane
-     re-ground nested inside [solve] is not double-counted. *)
-  let enter ctx =
-    let outer = ctx.depth in
-    ctx.depth <- outer + 1;
-    outer
-
-  let leave ctx name ms ~outer =
-    ctx.depth <- outer;
-    if outer = 0 then record ctx name ms
-
-  let entries ctx = List.rev ctx.acc
-end
-
 module Series = struct
   (* Bounded (x, y) timeline. Downsampling is by decimation, not random
      reservoir: when the buffer fills, every other kept point is
@@ -600,51 +559,6 @@ let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-(* Installed per-request phase contexts, keyed by systhread id: all
-   server threads share one domain, so Domain-local storage cannot tell
-   a connection thread from the resolver. [phases_installed] is a plain
-   load on the hot path — when zero (no tracing anywhere), [span] and
-   [phase] cost exactly two flag reads. *)
-let phase_ctxs : (int, Phases.ctx) Hashtbl.t = Hashtbl.create 8
-let phases_installed = ref 0
-
-let current_phase_ctx () =
-  if !phases_installed = 0 then None
-  else
-    let tid = Thread.id (Thread.self ()) in
-    locked (fun () -> Hashtbl.find_opt phase_ctxs tid)
-
-let with_phases ctx f =
-  let tid = Thread.id (Thread.self ()) in
-  let prev =
-    locked (fun () ->
-        let prev = Hashtbl.find_opt phase_ctxs tid in
-        Hashtbl.replace phase_ctxs tid ctx;
-        incr phases_installed;
-        prev)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      locked (fun () ->
-          (match prev with
-          | Some p -> Hashtbl.replace phase_ctxs tid p
-          | None -> Hashtbl.remove phase_ctxs tid);
-          decr phases_installed))
-    f
-
-(* Time [f] into the calling thread's installed phase context, without
-   ever touching the global span tree — safe on connection threads even
-   while process-wide collection is enabled. No context, no cost. *)
-let phase name f =
-  match current_phase_ctx () with
-  | None -> f ()
-  | Some ctx when Phases.interested ctx name ->
-      let outer = Phases.enter ctx in
-      let t0 = Prelude.Timing.now_ms () in
-      Fun.protect f ~finally:(fun () ->
-          Phases.leave ctx name (Prelude.Timing.now_ms () -. t0) ~outer)
-  | Some _ -> f ()
-
 let enabled () = !is_enabled
 let set_enabled b = locked (fun () -> is_enabled := b)
 let set_trace h = locked (fun () -> trace_hook := h)
@@ -705,19 +619,10 @@ let node_of_frame ~epoch fr elapsed =
   }
 
 let span name f =
-  if not !is_enabled then
-    (* Process-wide collection off: spans still feed an installed
-       per-request phase context, and stay a tail call without one. *)
-    phase name f
+  if not !is_enabled then f ()
   else begin
     let fr = fresh_frame name in
     let did = (Domain.self () :> int) in
-    let pctx =
-      match current_phase_ctx () with
-      | Some ctx when Phases.interested ctx name ->
-          Some (ctx, Phases.enter ctx)
-      | _ -> None
-    in
     locked (fun () ->
         if did = !main_domain then stack := fr :: !stack
         else begin
@@ -741,9 +646,6 @@ let span name f =
         end);
     let close () =
       let elapsed = Prelude.Timing.now_ms () -. fr.start_ms in
-      (match pctx with
-      | Some (ctx, outer) -> Phases.leave ctx name elapsed ~outer
-      | None -> ());
       locked (fun () ->
           let finish parent depth =
             parent.fchildren <-

@@ -44,9 +44,7 @@ val span : string -> (unit -> 'a) -> 'a
     the same parent are merged at {!Report.capture} time (their call
     counts and durations accumulate). On a domain other than the main
     stack's owner the span lands in that domain's ["workers/<i>"] lane.
-    Whether or not collection is enabled, a span also records its
-    elapsed time into the calling thread's installed {!Phases.ctx}, if
-    any. Disabled and with no context installed: tail-calls [f]. *)
+    Disabled: tail-calls [f]. *)
 
 val count : ?n:int -> string -> unit
 (** [count name] bumps the counter [name] of the innermost open span by
@@ -151,49 +149,6 @@ module Histogram : sig
   (** Retained samples in insertion order (up to reservoir
       displacement). *)
 end
-
-(** Per-request phase accumulators, the server-side complement to the
-    process-wide span tree: a {!Phases.ctx} installed with
-    {!with_phases} captures the elapsed time of every {!span} and
-    {!phase} run by the installing thread, whether or not global
-    collection is enabled. [tecore serve] uses one context per traced
-    request to attribute its latency to
-    parse/queue/lock/ground/solve/journal/fsync/reply. *)
-module Phases : sig
-  type ctx
-
-  val create : ?only:string list -> unit -> ctx
-  (** A fresh, empty context. With [only], spans whose name is not
-      listed are ignored (the server's filter against non-taxonomy
-      engine spans); nested captured spans attribute to the outermost
-      one, so e.g. a cutting-plane re-ground inside ["solve"] is not
-      double-counted. *)
-
-  val record : ctx -> string -> float -> unit
-  (** Append a directly-measured [(phase, elapsed-ms)] entry, bypassing
-      the [only] filter (used for queue wait, which is computed from
-      timestamps rather than a bracket). *)
-
-  val entries : ctx -> (string * float) list
-  (** Captured entries in insertion order. *)
-end
-
-val with_phases : Phases.ctx -> (unit -> 'a) -> 'a
-(** [with_phases ctx f] installs [ctx] as the calling {e systhread}'s
-    phase context for the duration of [f] (restoring any previously
-    installed one afterwards, so nesting is safe). While installed,
-    {!span} and {!phase} on this thread record into [ctx]. A context
-    may be handed between threads — the server installs the same
-    request context on the connection thread and, for the solve, on the
-    resolver thread — but must only be installed on one running thread
-    at a time. *)
-
-val phase : string -> (unit -> 'a) -> 'a
-(** [phase name f] times [f ()] into the calling thread's installed
-    phase context. Unlike {!span} it never touches the global span
-    tree, so it is safe on server connection threads even while
-    process-wide collection is enabled. Without an installed context it
-    tail-calls [f]. *)
 
 (** Bounded [(x, y)] timeline for convergence curves. Downsampling is by
     decimation (drop every other kept point and double the stride when

@@ -372,7 +372,7 @@ let group_flush g =
         match m.fd with
         | Some fd -> (
             try
-              Obs.phase "fsync" (fun () -> Unix.fsync fd);
+              Unix.fsync fd;
               m.unsynced <- 0
             with Unix.Unix_error _ -> ())
         | None -> ())
@@ -404,22 +404,26 @@ let live_fd t =
    applies to the pending total across the whole group, and crossing it
    flushes every dirty member in one pass (group commit) — the
    server-wide bound on acked-but-unsynced edits is [n - 1] in total
-   rather than per session. *)
+   rather than per session. Returns the milliseconds spent syncing, a
+   group flush included, or [None] when this append did not sync. *)
 let policy_fsync t fd =
   let sync () =
-    Obs.phase "fsync" (fun () -> Unix.fsync fd);
+    Unix.fsync fd;
     t.unsynced <- 0
   in
+  let timed f = Some (Prelude.Timing.time_ms f) in
   match t.fsync with
-  | Never -> t.unsynced <- t.unsynced + 1
+  | Never ->
+      t.unsynced <- t.unsynced + 1;
+      None
   | Always ->
       t.unsynced <- t.unsynced + 1;
-      sync ()
+      timed sync
   | Every n -> (
       match t.group with
       | None ->
           t.unsynced <- t.unsynced + 1;
-          if t.unsynced >= n then sync ()
+          if t.unsynced >= n then timed sync else None
       | Some g ->
           Mutex.lock g.glock;
           Fun.protect
@@ -429,34 +433,45 @@ let policy_fsync t fd =
               let total =
                 List.fold_left (fun acc m -> acc + m.unsynced) 0 g.members
               in
-              if total >= n then begin
+              if total >= n then
                 (* The appending handle syncs through the failing path
                    so its own IO errors stay sticky; the rest of the
                    group is flushed best-effort. *)
-                sync ();
-                group_flush g
-              end))
+                timed (fun () ->
+                    sync ();
+                    group_flush g)
+              else None))
+
+type timing = { write_ms : float; fsync_ms : float option }
 
 let append t payload =
   let fd = live_fd t in
   let b = frame payload in
   t.appends <- t.appends + 1;
-  (try
-     if Prelude.Deadline.Faults.trip_at "journal_torn" ~index:t.appends then begin
-       (* Torn-write window: flush a strict prefix of the frame, then
-          stall so a crash test can SIGKILL the process mid-record.
-          Harmless when nobody kills us — the rest follows. *)
-       let half = max 1 (Bytes.length b / 2) in
-       write_all fd b 0 half;
-       Unix.sleepf 30.;
-       write_all fd b half (Bytes.length b - half)
-     end
-     else Obs.phase "journal" (fun () -> write_all fd b 0 (Bytes.length b));
-     policy_fsync t fd
-   with Unix.Unix_error (e, fn, _) ->
-     fail t
-       (Printf.sprintf "journal %s: %s: %s" t.id fn (Unix.error_message e)));
-  t.since_snapshot <- t.since_snapshot + 1
+  let timing =
+    try
+      let write_ms =
+        Prelude.Timing.time_ms (fun () ->
+            if Prelude.Deadline.Faults.trip_at "journal_torn" ~index:t.appends
+            then begin
+              (* Torn-write window: flush a strict prefix of the frame,
+                 then stall so a crash test can SIGKILL the process
+                 mid-record. Harmless when nobody kills us — the rest
+                 follows. *)
+              let half = max 1 (Bytes.length b / 2) in
+              write_all fd b 0 half;
+              Unix.sleepf 30.;
+              write_all fd b half (Bytes.length b - half)
+            end
+            else write_all fd b 0 (Bytes.length b))
+      in
+      { write_ms; fsync_ms = policy_fsync t fd }
+    with Unix.Unix_error (e, fn, _) ->
+      fail t
+        (Printf.sprintf "journal %s: %s: %s" t.id fn (Unix.error_message e))
+  in
+  t.since_snapshot <- t.since_snapshot + 1;
+  timing
 
 let records_since_snapshot t = t.since_snapshot
 

@@ -128,8 +128,16 @@ val recover :
     corrupt content; environmental IO failures while re-opening for
     append leave the handle in a failed state whose {!append} raises. *)
 
-val append : t -> string -> unit
-(** Frame and append one accepted edit, fsyncing per policy. Raises
+type timing = {
+  write_ms : float;  (** writing the framed record *)
+  fsync_ms : float option;
+      (** flushing it to disk, a group flush included; [None] when the
+          policy did not sync on this append *)
+}
+
+val append : t -> string -> timing
+(** Frame and append one accepted edit, fsyncing per policy, and report
+    where the time went (the server's [journal] and [fsync] phases). Raises
     [Sys_error] on IO failure (the server surfaces this as a typed
     [storage] error and stops journaling the session). The
     [journal_torn:K] fault point (TECORE_FAULTS) makes the K-th append

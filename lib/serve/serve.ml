@@ -170,13 +170,17 @@ type entry = {
           exposition counters *)
 }
 
+(* A traced request's phase timings, (phase, elapsed-ms) newest first.
+   The connection thread owns it; a resolve hands it to the resolver
+   lane with the job and gets it back with the reply. *)
+type trace = { mutable phases : (string * float) list }
+
 type job = {
   entry : entry;
   mode : [ `Fresh | `Incremental ];
   deadline : Deadline.t;
   job_line : int;
-  trace : Obs.Phases.ctx option;
-      (** the submitting request's phase context, when traced *)
+  trace : trace option;  (** the submitting request's phases, when traced *)
   submitted_ms : float;  (** enqueue timestamp, for the queue-wait phase *)
   mutable reply : (string, Protocol.error) result option;
   jm : Mutex.t;
@@ -536,17 +540,32 @@ let release_journal e =
   e.journal <- None;
   Mutex.unlock e.lock
 
+(* Record [ms] as phase [name] of a traced request. *)
+let note trace name ms =
+  Option.iter (fun tr -> tr.phases <- (name, ms) :: tr.phases) trace
+
+(* Run [f], recording its wall time as phase [name] when traced. *)
+let timed trace name f =
+  match trace with
+  | None -> f ()
+  | Some _ ->
+      let r, ms = Prelude.Timing.time f in
+      note trace name ms;
+      r
+
 (* Write-ahead persistence of one accepted edit; called with the entry
    lock held, after the edit applied. An IO failure surfaces as a typed
    [storage] error: the edit stays applied in memory but is no longer
    durable, and the journal stays failed (sticky) so every later edit
    says so too. *)
-let persist entry ~line ~raw ok =
+let persist entry ~line ~trace ~raw ok =
   match entry.journal with
   | None -> Ok ok
   | Some j -> (
       try
-        Journal.append j raw;
+        let w = Journal.append j raw in
+        note trace "journal" w.Journal.write_ms;
+        Option.iter (note trace "fsync") w.Journal.fsync_ms;
         (try
            ignore
              (Journal.maybe_compact j (fun () ->
@@ -649,7 +668,10 @@ let resolve_summary session (r : Engine.result) mode =
       Obs.Json.Str (Deadline.status_name r.Engine.stats.Engine.status) );
   ]
 
-(* Runs on the resolver thread, session lock held by the caller. *)
+(* Runs on the resolver thread, session lock held by the caller. A
+   resolve that ran the engine (anything but a cache hit, which returns
+   the previous result as it was) reports its grounding as the [ground]
+   phase and the rest (encode, solve, interpret) as [solve]. *)
 let run_resolve config job =
   let entry = job.entry in
   let session = entry.session in
@@ -657,26 +679,18 @@ let run_resolve config job =
     Session.resolve ~engine:config.engine ?jobs:config.jobs
       ~deadline:job.deadline ~mode:job.mode session
   with
-  | Ok r -> Ok (Protocol.ok_line (resolve_summary session r job.mode))
+  | Ok r ->
+      let s = r.Engine.stats in
+      if Session.cache_outcome session <> Some Engine.Hit then begin
+        note job.trace "ground" s.Engine.ground_ms;
+        note job.trace "solve" (s.Engine.total_ms -. s.Engine.ground_ms)
+      end;
+      Ok (Protocol.ok_line (resolve_summary session r job.mode))
   | Error (Session.Rejected report) ->
       Error
         (Protocol.error Protocol.Rejected ~line:job.job_line
            (Format.asprintf "%a" Tecore.Translator.pp_report report))
   | Error e -> Error (exec_error ~line:job.job_line (Session.error_message e))
-
-(* Run [f], recording its wall time as phase [name] when traced. *)
-let timed trace name f =
-  match trace with
-  | None -> f ()
-  | Some ctx ->
-      let t0 = Prelude.Timing.now_ms () in
-      let r = f () in
-      Obs.Phases.record ctx name (Prelude.Timing.now_ms () -. t0);
-      r
-
-(* Run [f] with the request's phase context installed, when traced. *)
-let with_trace trace f =
-  match trace with Some ctx -> Obs.with_phases ctx f | None -> f ()
 
 (* One dequeued job on [lane]: shed when the server is draining or the
    budget expired while queued, else resolve under the entry lock. *)
@@ -708,22 +722,15 @@ let run_job t lane ~draining job =
               (Protocol.error Protocol.Internal ~line
                  ("resolve failed: " ^ Printexc.to_string e))
         in
-        let run () =
-          (* Single-lane servers skip the solve lock entirely: their
-             execution path (and byte traffic) is exactly the previous
-             single-resolver release's. The wait for a contended solve
-             lock lands in the "lock" phase (entries sum at emission). *)
-          if lane_count t = 1 then run ()
-          else begin
-            timed job.trace "lock" (fun () -> Mutex.lock t.solve_lock);
-            Fun.protect ~finally:(fun () -> Mutex.unlock t.solve_lock) run
-          end
-        in
-        (* The resolver is a different systhread from the connection
-           that owns the context (which is blocked in [Condition.wait]
-           until we reply), so the engine's ground/solve spans need the
-           context installed here. *)
-        with_trace job.trace run)
+        (* Single-lane servers skip the solve lock entirely: their
+           execution path (and byte traffic) is exactly the previous
+           single-resolver release's. The wait for a contended solve
+           lock lands in the "lock" phase (entries sum at emission). *)
+        if lane_count t = 1 then run ()
+        else begin
+          timed job.trace "lock" (fun () -> Mutex.lock t.solve_lock);
+          Fun.protect ~finally:(fun () -> Mutex.unlock t.solve_lock) run
+        end)
   end
 
 (* One lane's resolver thread: drain the lane's sub-queue in FIFO
@@ -745,11 +752,7 @@ let lane_loop t lane =
       let draining = Atomic.get t.stop_requested in
       lane.lrunning <- 1;
       Mutex.unlock t.queue_lock;
-      Option.iter
-        (fun ctx ->
-          Obs.Phases.record ctx "queue"
-            (Prelude.Timing.now_ms () -. job.submitted_ms))
-        job.trace;
+      note job.trace "queue" (Prelude.Timing.now_ms () -. job.submitted_ms);
       answer job (run_job t lane ~draining job);
       Mutex.lock t.queue_lock;
       lane.lrunning <- 0;
@@ -786,9 +789,9 @@ let with_entry t conn_state ~line k =
   | None ->
       Error (exec_error ~line "no session selected (send: hello <client-id>)")
 
-let locked t conn_state ~line k =
+let locked t conn_state ~line ~trace k =
   with_entry t conn_state ~line (fun entry ->
-      Obs.phase "lock" (fun () -> Mutex.lock entry.lock);
+      timed trace "lock" (fun () -> Mutex.lock entry.lock);
       Fun.protect
         ~finally:(fun () -> Mutex.unlock entry.lock)
         (fun () ->
@@ -796,8 +799,8 @@ let locked t conn_state ~line k =
              between [with_entry] and here. *)
           if_live ~line entry k))
 
-let with_graph t conn_state ~line k =
-  locked t conn_state ~line (fun entry ->
+let with_graph t conn_state ~line ~trace k =
+  locked t conn_state ~line ~trace (fun entry ->
       match Session.graph entry.session with
       | Some _ -> k entry
       | None ->
@@ -887,9 +890,9 @@ let hello t conn_state ~line ~trace id =
                ]
            @ only (trace <> None) [ ("started", Obs.Json.Num t.start_wall) ]))
 
-let open_graph ~line ~raw entry =
+let open_graph ~line ~trace ~raw entry =
   Session.load_graph entry.session (Kg.Graph.create ());
-  persist entry ~line ~raw
+  persist entry ~line ~trace ~raw
     (Protocol.ok_line [ ("opened", Obs.Json.Bool true); ("facts", json_num 0) ])
 
 let stat t entry =
@@ -927,14 +930,6 @@ let last_result ~line entry =
   match Session.last_result session with
   | None -> Error (exec_error ~line "no resolution yet")
   | Some r ->
-      let resolution_json =
-        let s =
-          Tecore.Json_out.of_resolution
-            ~namespace:(Session.namespace session)
-            r.Engine.resolution
-        in
-        match Obs.Json.parse s with Ok j -> j | Error _ -> Obs.Json.Str s
-      in
       let stats = r.Engine.stats in
       Ok
         (Protocol.ok_line
@@ -945,15 +940,18 @@ let last_result ~line entry =
              ( "status",
                Obs.Json.Str (Deadline.status_name stats.Engine.status) );
              ("hard_violations", json_num stats.Engine.hard_violations);
-             ("resolution", resolution_json);
+             ( "resolution",
+               Tecore.Json_out.of_resolution
+                 ~namespace:(Session.namespace session)
+                 r.Engine.resolution );
            ])
 
 (* [load], [assert], [retract], [rule]/[constraint] and [unrule]: the
    edit language's one executor, then the write-ahead record. *)
-let edit ~line ~raw cmd entry =
+let edit ~line ~trace ~raw cmd entry =
   let str s = Obs.Json.Str s in
   let journaled field v =
-    persist entry ~line ~raw (Protocol.ok_line [ (field, v) ])
+    persist entry ~line ~trace ~raw (Protocol.ok_line [ (field, v) ])
   in
   match Tecore.Script.apply entry.session cmd with
   | Error msg -> Error (exec_error ~line msg)
@@ -981,11 +979,11 @@ let diff entry =
   in
   Ok (Protocol.ok_line [ ("diff", Obs.Json.Str text) ])
 
-(* One parsed request, executed. [trace] is the request's phase context
-   when it was sampled — its presence also gates the trace-only response
+(* One parsed request, executed. [trace] is the request's phases when
+   it was sampled — its presence also gates the trace-only response
    fields, so untraced servers keep their exact response bytes. *)
 let handle_request t conn_state ~line ~trace parsed raw =
-  let locked k = locked t conn_state ~line k in
+  let locked k = locked t conn_state ~line ~trace k in
   let raw = Protocol.strip_cr raw in
   let ok field v = Ok (Protocol.ok_line [ (field, v) ]) in
   let result =
@@ -1003,7 +1001,7 @@ let handle_request t conn_state ~line ~trace parsed raw =
         ok "trace" (json_num n)
     | Ok (Protocol.Tail k) -> tail t k
     | Ok (Protocol.Hello id) -> hello t conn_state ~line ~trace id
-    | Ok Protocol.Open_ -> locked (open_graph ~line ~raw)
+    | Ok Protocol.Open_ -> locked (open_graph ~line ~trace ~raw)
     | Ok Protocol.Stat -> locked (stat t)
     | Ok Protocol.Result_ -> locked (last_result ~line)
     | Ok (Protocol.Cmd cmd) -> (
@@ -1012,10 +1010,10 @@ let handle_request t conn_state ~line ~trace parsed raw =
             with_entry t conn_state ~line (fun entry ->
                 submit_resolve t ~line ~trace entry mode)
         | Tecore.Script.Assert_ _ | Tecore.Script.Retract _ ->
-            with_graph t conn_state ~line (edit ~line ~raw cmd)
+            with_graph t conn_state ~line ~trace (edit ~line ~trace ~raw cmd)
         | Tecore.Script.Load _ | Tecore.Script.Rule _ | Tecore.Script.Unrule _
           ->
-            locked (edit ~line ~raw cmd)
+            locked (edit ~line ~trace ~raw cmd)
         | Tecore.Script.Diff -> locked diff)
   in
   count_outcome t result;
@@ -1031,27 +1029,19 @@ let remove_conn t fd =
   Mutex.unlock t.conns_lock;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Span names captured into a traced request's phase context: the
-   engine's grounding/solving spans plus the serve-side lock/journal
-   brackets. "encode" folds into the solve phase at emission; spans
-   outside this list (resolve, translate, interpret, closure, ...) are
-   nested inside or around the captured ones and would double-count. *)
-let span_phases = [ "ground"; "encode"; "solve"; "lock"; "journal"; "fsync" ]
-
-(* Aggregate a context's raw entries into the canonical taxonomy:
-   duplicates sum (two journal appends in one request), "encode" counts
-   as solve, and phases that never occurred stay absent. *)
-let canonical_phases ctx =
+(* A request's phases in the canonical taxonomy: repeated phases sum
+   (the session and solve locks of one resolve), and phases that never
+   occurred stay absent. *)
+let canonical_phases tr =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun (n, ms) ->
-      let n = if n = "encode" then "solve" else n in
       Hashtbl.replace tbl n
         (ms +. Option.value ~default:0.0 (Hashtbl.find_opt tbl n)))
-    (Obs.Phases.entries ctx);
+    tr.phases;
   Access_log.in_phase_order tbl
 
-let emit_trace t ~req ~session ~parsed ~result ~wall ctx =
+let emit_trace t ~req ~session ~parsed ~result ~wall tr =
   let verb =
     match parsed with
     | Ok r -> Protocol.request_verb r
@@ -1074,7 +1064,7 @@ let emit_trace t ~req ~session ~parsed ~result ~wall ctx =
       verb;
       outcome = outcomes.(outcome_index result);
       wall_ms = wall;
-      phases = canonical_phases ctx;
+      phases = canonical_phases tr;
     }
 
 let connection_loop t fd =
@@ -1103,7 +1093,7 @@ let connection_loop t fd =
         let period = Atomic.get t.trace_period in
         let trace =
           if period > 0 && (period = 1 || req mod period = 0) then
-            Some (Obs.Phases.create ~only:span_phases ())
+            Some { phases = [] }
           else None
         in
         let t_start =
@@ -1112,7 +1102,7 @@ let connection_loop t fd =
         let parsed =
           timed trace "parse" (fun () -> Protocol.parse_request ~line:!line raw)
         in
-        let run () =
+        let result =
           (* Nothing a request does may escape the loop: any unexpected
              exception is contained as a typed internal error and the
              connection keeps serving. *)
@@ -1125,7 +1115,6 @@ let connection_loop t fd =
             count_outcome t (Error err);
             Error err
         in
-        let result = with_trace trace run in
         (match !conn_state with
         | Some entry -> Atomic.incr entry.served
         | None -> ());
@@ -1139,10 +1128,10 @@ let connection_loop t fd =
         in
         timed trace "reply" (fun () -> send_line fd response);
         Option.iter
-          (fun ctx ->
+          (fun tr ->
             let wall = Prelude.Timing.now_ms () -. t_start in
             let session = Option.map (fun e -> e.id) !conn_state in
-            emit_trace t ~req ~session ~parsed ~result ~wall ctx)
+            emit_trace t ~req ~session ~parsed ~result ~wall tr)
           trace;
         match parsed with
         | Ok Protocol.Quit -> ()

@@ -5,17 +5,24 @@ type t = {
   unchanged : int;
 }
 
-(* Statement key: triple + interval, ignoring confidence. *)
-let key (q : Kg.Quad.t) =
-  ( Kg.Term.to_string q.subject,
-    Kg.Term.to_string q.predicate,
-    Kg.Term.to_string q.object_,
-    Kg.Interval.lo q.time,
-    Kg.Interval.hi q.time )
+(* Quads keyed by statement: triple + interval, ignoring confidence. *)
+module Statements = Hashtbl.Make (struct
+  type t = Kg.Quad.t
+
+  let equal = Kg.Quad.same_statement
+
+  let hash (q : t) =
+    Hashtbl.hash
+      ( Kg.Term.hash q.subject,
+        Kg.Term.hash q.predicate,
+        Kg.Term.hash q.object_,
+        Kg.Interval.lo q.time,
+        Kg.Interval.hi q.time )
+end)
 
 let index graph =
-  let table = Hashtbl.create 256 in
-  Kg.Graph.iter (fun _ q -> Hashtbl.replace table (key q) q) graph;
+  let table = Statements.create 256 in
+  Kg.Graph.iter (fun _ q -> Statements.replace table q q) graph;
   table
 
 let diff left right =
@@ -25,17 +32,17 @@ let diff left right =
   let only_right = ref [] in
   let confidence_changed = ref [] in
   let unchanged = ref 0 in
-  Hashtbl.iter
+  Statements.iter
     (fun k (lq : Kg.Quad.t) ->
-      match Hashtbl.find_opt right_index k with
+      match Statements.find_opt right_index k with
       | None -> only_left := lq :: !only_left
       | Some rq ->
           if Float.equal lq.confidence rq.confidence then incr unchanged
           else confidence_changed := (lq, rq) :: !confidence_changed)
     left_index;
-  Hashtbl.iter
+  Statements.iter
     (fun k rq ->
-      if not (Hashtbl.mem left_index k) then only_right := rq :: !only_right)
+      if not (Statements.mem left_index k) then only_right := rq :: !only_right)
     right_index;
   let sort = List.sort Kg.Quad.compare in
   {

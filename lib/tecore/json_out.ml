@@ -1,65 +1,56 @@
-let str s = Obs.Json.to_string (Obs.Json.Str s)
+module J = Obs.Json
 
-let obj fields =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) fields)
-  ^ "}"
+let int n = J.Num (float_of_int n)
 
-let arr items = "[" ^ String.concat "," items ^ "]"
+(* Floats keep the six significant digits of the [%g] rendering these
+   payloads have always had: the serve-mixed benchmark pins a digest of
+   the removed facts as [result] serves them. Non-finite values render
+   as [null]. *)
+let num f = J.Num (float_of_string (Printf.sprintf "%g" f))
 
-let float_value f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%g" f
-
-let term ns t =
-  match t with
+let term ns = function
   | Kg.Term.Iri name -> (
       match ns with
-      | Some ns -> str (Kg.Namespace.shrink ns name)
-      | None -> str name)
-  | Kg.Term.Str s -> str s
-  | Kg.Term.Int n -> string_of_int n
-  | Kg.Term.Flt f -> float_value f
+      | Some ns -> J.Str (Kg.Namespace.shrink ns name)
+      | None -> J.Str name)
+  | Kg.Term.Str s -> J.Str s
+  | Kg.Term.Int n -> int n
+  | Kg.Term.Flt f -> num f
 
-let of_quad ?namespace (q : Kg.Quad.t) =
-  obj
-    [
-      ("subject", term namespace q.subject);
-      ("predicate", term namespace q.predicate);
-      ("object", term namespace q.object_);
-      ("from", string_of_int (Kg.Interval.lo q.time));
-      ("to", string_of_int (Kg.Interval.hi q.time));
-      ("confidence", float_value q.confidence);
-    ]
+let interval i =
+  [ ("from", int (Kg.Interval.lo i)); ("to", int (Kg.Interval.hi i)) ]
 
-let of_derived ?namespace (d : Conflict.derived_fact) =
+let quad ns (q : Kg.Quad.t) =
+  J.Obj
+    ([
+       ("subject", term ns q.subject);
+       ("predicate", term ns q.predicate);
+       ("object", term ns q.object_);
+     ]
+    @ interval q.time
+    @ [ ("confidence", num q.confidence) ])
+
+let of_quad ?namespace q = J.to_string (quad namespace q)
+
+let derived ns (d : Conflict.derived_fact) =
   let atom = d.atom in
-  obj
-    (("predicate", str atom.Logic.Atom.Ground.predicate)
-     :: ("args", arr (List.map (term namespace) atom.Logic.Atom.Ground.args))
-     :: ("confidence", float_value d.confidence)
-     ::
-     (match atom.Logic.Atom.Ground.time with
-     | Some i ->
-         [
-           ("from", string_of_int (Kg.Interval.lo i));
-           ("to", string_of_int (Kg.Interval.hi i));
-         ]
-     | None -> []))
+  J.Obj
+    ([
+       ("predicate", J.Str atom.Logic.Atom.Ground.predicate);
+       ("args", J.Arr (List.map (term ns) atom.Logic.Atom.Ground.args));
+       ("confidence", num d.confidence);
+     ]
+    @ match atom.Logic.Atom.Ground.time with Some i -> interval i | None -> [])
 
 let of_resolution ?namespace (r : Conflict.resolution) =
-  obj
+  let quads qs = J.Arr (List.map (quad namespace) qs) in
+  J.Obj
     [
-      ("kept", string_of_int r.kept);
-      ( "removed",
-        arr (List.map (fun (_, q) -> of_quad ?namespace q) r.removed) );
-      ("derived", arr (List.map (of_derived ?namespace) r.derived));
-      ("conflicting_ids", arr (List.map string_of_int r.conflicting));
-      ( "consistent",
-        arr
-          (List.map (of_quad ?namespace) (Kg.Graph.to_list r.consistent)) );
+      ("kept", int r.kept);
+      ("removed", quads (List.map snd r.removed));
+      ("derived", J.Arr (List.map (derived namespace) r.derived));
+      ("conflicting_ids", J.Arr (List.map int r.conflicting));
+      ("consistent", quads (Kg.Graph.to_list r.consistent));
     ]
 
 let of_result ?namespace ?deadline ?obs (result : Engine.result) =
@@ -72,41 +63,39 @@ let of_result ?namespace ?deadline ?obs (result : Engine.result) =
     | Some d when Prelude.Deadline.is_finite d ->
         [
           ( "deadline",
-            obj
+            J.Obj
               [
                 ( "status",
-                  str (Prelude.Deadline.status_name stats.Engine.status) );
+                  J.Str (Prelude.Deadline.status_name stats.Engine.status) );
                 ( "expired",
-                  if stats.Engine.status = Prelude.Deadline.Completed then
-                    "false"
-                  else "true" );
-                ("budget_ms", float_value (Prelude.Deadline.budget_ms d));
-                ( "slack_ms",
-                  float_value (Prelude.Deadline.remaining_ms d) );
+                  J.Bool (stats.Engine.status <> Prelude.Deadline.Completed) );
+                ("budget_ms", num (Prelude.Deadline.budget_ms d));
+                ("slack_ms", num (Prelude.Deadline.remaining_ms d));
               ] );
         ]
     | Some _ | None -> []
   in
-  obj
-    ([
-       ( "engine",
-         str
-           (match stats.Engine.engine_used with
-           | Translator.Mln_engine -> "mln"
-           | Translator.Psl_engine -> "psl") );
-       ( "stats",
-         obj
-           [
-             ("atoms", string_of_int stats.Engine.atoms);
-             ("ground_ms", float_value stats.Engine.ground_ms);
-             ("solve_ms", float_value stats.Engine.solve_ms);
-             ("total_ms", float_value stats.Engine.total_ms);
-             ("hard_violations", string_of_int stats.Engine.hard_violations);
-           ] );
-       ("resolution", of_resolution ?namespace result.resolution);
-     ]
-    @ deadline_fields
-    @
-    match obs with
-    | None -> []
-    | Some report -> [ ("obs", Obs.Json.to_string (Obs.Report.to_json report)) ])
+  J.to_string
+    (J.Obj
+       ([
+          ( "engine",
+            J.Str
+              (match stats.Engine.engine_used with
+              | Translator.Mln_engine -> "mln"
+              | Translator.Psl_engine -> "psl") );
+          ( "stats",
+            J.Obj
+              [
+                ("atoms", int stats.Engine.atoms);
+                ("ground_ms", num stats.Engine.ground_ms);
+                ("solve_ms", num stats.Engine.solve_ms);
+                ("total_ms", num stats.Engine.total_ms);
+                ("hard_violations", int stats.Engine.hard_violations);
+              ] );
+          ("resolution", of_resolution ?namespace result.resolution);
+        ]
+       @ deadline_fields
+       @
+       match obs with
+       | None -> []
+       | Some report -> [ ("obs", Obs.Report.to_json report) ]))

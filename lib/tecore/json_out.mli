@@ -4,11 +4,13 @@
     wire; this module is that data contract: a self-contained, dependency
     free JSON serialisation of facts, resolutions and run statistics,
     used by the CLI's [--json] mode and by anything embedding TeCoRe as
-    a service. *)
+    a service. Everything renders through {!Obs.Json}: floats keep the
+    six significant digits of [%g], and a non-finite one is [null]. *)
 
 val of_quad : ?namespace:Kg.Namespace.t -> Kg.Quad.t -> string
 
-val of_resolution : ?namespace:Kg.Namespace.t -> Conflict.resolution -> string
+val of_resolution :
+  ?namespace:Kg.Namespace.t -> Conflict.resolution -> Obs.Json.t
 (** Object with [kept], [removed] (fact array), [derived] (atom,
     confidence and quad form when it exists) and [conflicting] (fact id
     array). *)

@@ -244,6 +244,8 @@ grep -q '"verb":"resolve"' "$ACCESS_LOG" \
   || { echo "access-log smoke: no resolve record in the log" >&2; exit 1; }
 grep -q '"ground":' "$ACCESS_LOG" \
   || { echo "access-log smoke: resolve record lacks a ground phase" >&2; exit 1; }
+grep '"verb":"resolve"' "$ACCESS_LOG" | grep -q '"solve":' \
+  || { echo "access-log smoke: resolve record lacks a solve phase" >&2; exit 1; }
 _build/default/tools/telemetry_check.exe accesslog "$ACCESS_LOG"
 "$CLI" logstat "$ACCESS_LOG" --top 3 > /dev/null \
   || { echo "access-log smoke: tecore logstat failed" >&2; exit 1; }

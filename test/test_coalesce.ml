@@ -59,6 +59,22 @@ let test_distinct_statements_untouched () =
   in
   Alcotest.(check int) "no cross-statement merge" 4 (G.size (C.coalesce g))
 
+(* Objects group as terms, not as their %g spellings: floats that
+   print alike and an integer against its float are distinct
+   statements, so their overlapping intervals never merge. *)
+let test_term_identity () =
+  let g =
+    G.of_list
+      [
+        Q.v "a" "p" (T.float 0.1234567) (2001, 2003) 0.9;
+        Q.v "a" "p" (T.float 0.1234568) (2002, 2004) 0.9;
+        Q.v "a" "q" (T.int 5) (2001, 2003) 0.9;
+        Q.v "a" "q" (T.float 5.0) (2002, 2004) 0.9;
+      ]
+  in
+  Alcotest.(check int) "no merge across distinct terms" 4
+    (G.size (C.coalesce g))
+
 let test_unsorted_input () =
   let g =
     G.of_list
@@ -281,6 +297,7 @@ let () =
           Alcotest.test_case "keeps gaps" `Quick test_keeps_gaps;
           Alcotest.test_case "distinct statements untouched" `Quick
             test_distinct_statements_untouched;
+          Alcotest.test_case "term identity" `Quick test_term_identity;
           Alcotest.test_case "unsorted input" `Quick test_unsorted_input;
           Alcotest.test_case "confidence capped" `Quick test_confidence_capped;
         ] );

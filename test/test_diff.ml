@@ -61,6 +61,22 @@ let test_diff_resolution_use_case () =
   Alcotest.(check int) "nothing added (no inference rules)" 0
     (List.length d.Diff.only_right)
 
+(* Objects are compared as terms, not as their %g spellings: floats
+   that print alike and an integer against its float stay distinct. *)
+let test_diff_term_identity () =
+  let lit o = Kg.Quad.v "a" "p" o (1, 2) 0.9 in
+  let d =
+    Diff.diff
+      (g [ lit (Kg.Term.float 0.1234567); lit (Kg.Term.int 5) ])
+      (g [ lit (Kg.Term.float 0.1234568); lit (Kg.Term.float 5.0) ])
+  in
+  Alcotest.(check int) "nothing unchanged" 0 d.Diff.unchanged;
+  Alcotest.(check int) "both left facts removed" 2
+    (List.length d.Diff.only_left);
+  Alcotest.(check int) "both right facts added" 2
+    (List.length d.Diff.only_right);
+  Alcotest.(check bool) "not empty" false (Diff.is_empty d)
+
 let test_diff_pp () =
   let left = g [ q "a" "p" "x" (1, 2) ] in
   let right = g [ q "b" "p" "y" (1, 2) ] in
@@ -81,6 +97,7 @@ let () =
             test_diff_interval_matters;
           Alcotest.test_case "resolution diff" `Quick
             test_diff_resolution_use_case;
+          Alcotest.test_case "term identity" `Quick test_diff_term_identity;
           Alcotest.test_case "pp" `Quick test_diff_pp;
         ] );
     ]

@@ -21,6 +21,11 @@ module Prng = Prelude.Prng
    parent process must stay fault-free even under the CI fault sweep. *)
 let () = Prelude.Deadline.Faults.clear ()
 
+let append j line = ignore (Journal.append j line)
+
+(* Append one record; whether that append fsynced. *)
+let synced j line = (Journal.append j line).Journal.fsync_ms <> None
+
 (* ------------------------------------------------------------------ *)
 (* Filesystem helpers                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -176,7 +181,7 @@ let test_roundtrip_full () =
         Journal.create ~state_dir ~fsync:Journal.Always ~compact_every:0
           "alice"
       in
-      List.iter (Journal.append j) edits;
+      List.iter (append j) edits;
       Alcotest.(check int) "record counter" 5
         (Journal.records_since_snapshot j);
       Alcotest.(check int) "append counter" 5 (Journal.appends j);
@@ -195,7 +200,7 @@ let test_roundtrip_full () =
       Alcotest.(check int) "tail counter restored" 5
         (Journal.records_since_snapshot r.Journal.journal);
       (* The recovered handle stays appendable. *)
-      Journal.append r.Journal.journal (assert_line 4);
+      append r.Journal.journal (assert_line 4);
       Journal.close r.Journal.journal;
       let r2 =
         recover_full "after re-append" ~state_dir ~fsync:Journal.Always
@@ -230,7 +235,7 @@ let test_compaction () =
           (match Journal.replay_line session ~line:(i + 1) line with
           | Ok () -> ()
           | Error m -> Alcotest.failf "mirror replay %S: %s" line m);
-          Journal.append j line;
+          append j line;
           if Journal.maybe_compact j (fun () -> Session.dump_state session)
           then incr compactions)
         edits;
@@ -265,13 +270,13 @@ let test_explicit_compact () =
           (match Journal.replay_line session ~line:(i + 1) line with
           | Ok () -> ()
           | Error m -> Alcotest.failf "mirror replay %S: %s" line m);
-          Journal.append j line)
+          append j line)
         edits;
       Journal.compact j (Session.dump_state session);
       Alcotest.(check int) "counter reset" 0
         (Journal.records_since_snapshot j);
       (* A post-snapshot record lands in the new generation. *)
-      Journal.append j (assert_line 3);
+      append j (assert_line 3);
       Journal.close j;
       let r =
         recover_full "snapshot + tail" ~state_dir ~fsync:Journal.Always
@@ -294,7 +299,7 @@ let test_torn_tail_every_boundary () =
         Journal.create ~state_dir:template ~fsync:Journal.Never
           ~compact_every:0 "t"
       in
-      List.iter (Journal.append j) edits;
+      List.iter (append j) edits;
       Journal.close j;
       let tdir = Journal.session_dir ~state_dir:template "t" in
       let manifest = read_file (Filename.concat tdir "MANIFEST") in
@@ -382,7 +387,7 @@ let test_unreadable_journal_raises () =
       let j =
         Journal.create ~state_dir ~fsync:Journal.Always ~compact_every:0 "ivy"
       in
-      List.iter (Journal.append j) [ "open"; assert_line 1 ];
+      List.iter (append j) [ "open"; assert_line 1 ];
       Journal.close j;
       let path =
         Filename.concat (Journal.session_dir ~state_dir "ivy") "journal.0"
@@ -402,7 +407,7 @@ let test_unrecoverable_manifest () =
       let j =
         Journal.create ~state_dir ~fsync:Journal.Always ~compact_every:0 "eve"
       in
-      List.iter (Journal.append j) [ "open"; assert_line 1; assert_line 2 ];
+      List.iter (append j) [ "open"; assert_line 1; assert_line 2 ];
       Journal.close j;
       let dir = Journal.session_dir ~state_dir "eve" in
       write_file (Filename.concat dir "MANIFEST") "not a manifest\n";
@@ -416,8 +421,8 @@ let test_unrecoverable_manifest () =
       Alcotest.(check bool) "damaged journal kept" true
         (Sys.file_exists (Filename.concat dir "journal.0"));
       (* ...and the handle is live at a fresh generation. *)
-      Journal.append r.Journal.journal "open";
-      Journal.append r.Journal.journal (assert_line 7);
+      append r.Journal.journal "open";
+      append r.Journal.journal (assert_line 7);
       Journal.close r.Journal.journal;
       let r2 =
         recover_full "re-initialised" ~state_dir ~fsync:Journal.Always
@@ -439,7 +444,7 @@ let test_unrecoverable_snapshot () =
           (match Journal.replay_line session ~line:(i + 1) line with
           | Ok () -> ()
           | Error m -> Alcotest.failf "mirror replay %S: %s" line m);
-          Journal.append j line)
+          append j line)
         [ "open"; constraint_line; assert_line 1; assert_line 2 ];
       Journal.compact j (Session.dump_state session);
       Journal.close j;
@@ -723,14 +728,10 @@ let gen_script ~seed ~ops =
   List.rev !out
 
 let resolution_payload session (r : Engine.result) =
-  let s =
-    Tecore.Json_out.of_resolution
-      ~namespace:(Session.namespace session)
-      r.Engine.resolution
-  in
-  match Obs.Json.parse s with
-  | Ok j -> Obs.Json.to_string j
-  | Error e -> Alcotest.failf "local resolution JSON does not parse: %s" e
+  Obs.Json.to_string
+    (Tecore.Json_out.of_resolution
+       ~namespace:(Session.namespace session)
+       r.Engine.resolution)
 
 (* The backend matrix of test_serve.ml. *)
 let engines =
@@ -992,27 +993,31 @@ let test_group_commit_pooling () =
       Journal.attach ja g (* double attach must not double-count *);
       Journal.attach jb g;
       Alcotest.(check int) "no commits yet" 0 (Journal.group_commits g);
-      Journal.append ja (assert_line 1);
-      Journal.append jb (assert_line 2);
+      let a1 = synced ja (assert_line 1) in
+      let b2 = synced jb (assert_line 2) in
+      Alcotest.(check (list bool))
+        "pooled appends below the budget do not sync" [ false; false ]
+        [ a1; b2 ];
       Alcotest.(check int)
         "two pooled appends stay below the budget (attach deduplicates)" 0
         (Journal.group_commits g);
-      Journal.append ja (assert_line 3);
+      Alcotest.(check bool) "the append that commits the group syncs" true
+        (synced ja (assert_line 3));
       Alcotest.(check int) "third pooled append triggers a group commit" 1
         (Journal.group_commits g);
       (* The flush resets every member: the next budget starts from
          zero across the group. *)
-      Journal.append jb (assert_line 4);
-      Journal.append jb (assert_line 5);
+      append jb (assert_line 4);
+      append jb (assert_line 5);
       Alcotest.(check int) "flush reset the whole pool" 1
         (Journal.group_commits g);
-      Journal.append ja (assert_line 6);
+      append ja (assert_line 6);
       Alcotest.(check int) "second group commit" 2 (Journal.group_commits g);
       (* [close] detaches: the survivor pools alone from then on. *)
       Journal.close ja;
-      Journal.append jb (assert_line 7);
-      Journal.append jb (assert_line 8);
-      Journal.append jb (assert_line 9);
+      append jb (assert_line 7);
+      append jb (assert_line 8);
+      append jb (assert_line 9);
       Alcotest.(check int) "detached member no longer counts" 3
         (Journal.group_commits g);
       Journal.close jb;
@@ -1028,8 +1033,10 @@ let test_group_commit_pooling () =
       Journal.attach jc g2;
       Journal.attach jd g2;
       for i = 1 to 4 do
-        Journal.append jc (assert_line i);
-        Journal.append jd (assert_line (i + 4))
+        Alcotest.(check bool) "always syncs every append" true
+          (synced jc (assert_line i));
+        Alcotest.(check bool) "never syncs no append" false
+          (synced jd (assert_line (i + 4)))
       done;
       Alcotest.(check int) "always/never ignore the group" 0
         (Journal.group_commits g2);

@@ -255,6 +255,23 @@ let test_namespace_shrinking () =
       | _ -> Alcotest.fail "subject")
   | _ -> Alcotest.fail "not an object"
 
+(* Float objects render as Obs.Json numbers: a non-finite one as null,
+   so the payload stays valid JSON, and a finite one with the six
+   significant digits of [%g]. *)
+let test_float_objects () =
+  let obj o =
+    field "object" (parse_json (J.of_quad (Kg.Quad.v "a" "p" o (1, 2) 1.0)))
+  in
+  List.iter
+    (fun x ->
+      match obj (Kg.Term.float x) with
+      | JNull -> ()
+      | _ -> Alcotest.failf "%h object is not null" x)
+    [ Float.infinity; Float.neg_infinity; Float.nan ];
+  match obj (Kg.Term.float 0.123456789) with
+  | JNum f -> Alcotest.(check (float 5e-7)) "six digits" 0.123456789 f
+  | _ -> Alcotest.fail "float object is not a number"
+
 let test_atemporal_derived () =
   let g =
     Kg.Graph.of_list
@@ -293,6 +310,7 @@ let () =
           Alcotest.test_case "full result" `Quick test_result_json;
           Alcotest.test_case "namespace shrinking" `Quick
             test_namespace_shrinking;
+          Alcotest.test_case "float objects" `Quick test_float_objects;
           Alcotest.test_case "atemporal derived" `Quick test_atemporal_derived;
         ] );
     ]

@@ -221,75 +221,6 @@ let prop_histogram_merge_stable =
       ok_stream && deterministic && exact_below_cap && unaliased)
 
 (* ------------------------------------------------------------------ *)
-(* Per-request phase contexts.                                        *)
-
-let test_phases_capture_when_disabled () =
-  (* Phase capture is independent of global collection: with Obs
-     disabled an installed context still times spans, the [only] filter
-     drops non-taxonomy names, direct records bypass the filter, and
-     the global report stays empty. *)
-  Obs.reset ();
-  Obs.set_enabled false;
-  let ctx = Obs.Phases.create ~only:[ "ground"; "solve" ] () in
-  Obs.with_phases ctx (fun () ->
-      Obs.span "ground" (fun () -> ());
-      Obs.span "translate" (fun () -> ());
-      Obs.span "solve" (fun () -> ()));
-  Obs.Phases.record ctx "queue" 1.5;
-  Alcotest.(check (list string))
-    "interesting spans + direct records, in order"
-    [ "ground"; "solve"; "queue" ]
-    (List.map fst (Obs.Phases.entries ctx));
-  List.iter
-    (fun (_, ms) ->
-      Alcotest.(check bool) "durations non-negative" true (ms >= 0.0))
-    (Obs.Phases.entries ctx);
-  Obs.set_enabled true;
-  let r = Obs.Report.capture () in
-  Obs.set_enabled false;
-  Alcotest.(check int)
-    "global report untouched" 0
-    (List.length r.Obs.Report.spans)
-
-let test_phases_nested_outermost () =
-  (* A captured span inside a captured span attributes to the outer one
-     only (a cutting-plane re-ground inside solve is not
-     double-counted) — on both the enabled and the disabled path. *)
-  let check_with enabled =
-    Obs.reset ();
-    Obs.set_enabled enabled;
-    let ctx = Obs.Phases.create ~only:[ "solve"; "ground" ] () in
-    Obs.with_phases ctx (fun () ->
-        Obs.span "solve" (fun () -> Obs.span "ground" (fun () -> ())));
-    Obs.set_enabled false;
-    Alcotest.(check (list string))
-      (Printf.sprintf "outermost only (enabled=%b)" enabled)
-      [ "solve" ]
-      (List.map fst (Obs.Phases.entries ctx))
-  in
-  check_with false;
-  check_with true;
-  Obs.reset ()
-
-let test_phases_uninstalled_context () =
-  (* Spans outside [with_phases] never touch a context, and contexts
-     nest: the inner installation wins for its extent only. *)
-  Obs.reset ();
-  Obs.set_enabled false;
-  let outer = Obs.Phases.create () and inner = Obs.Phases.create () in
-  Obs.span "stray" (fun () -> ());
-  Obs.with_phases outer (fun () ->
-      Obs.span "a" (fun () -> ());
-      Obs.with_phases inner (fun () -> Obs.span "b" (fun () -> ()));
-      Obs.span "c" (fun () -> ()));
-  Alcotest.(check (list string))
-    "outer saw its own extent" [ "a"; "c" ]
-    (List.map fst (Obs.Phases.entries outer));
-  Alcotest.(check (list string))
-    "inner saw the nested extent" [ "b" ]
-    (List.map fst (Obs.Phases.entries inner))
-
-(* ------------------------------------------------------------------ *)
 (* JSON round-trip.                                                   *)
 
 let test_json_roundtrip_report () =
@@ -1041,15 +972,6 @@ let () =
             test_histogram_reservoir_cap;
           Alcotest.test_case "summary rows" `Quick test_summary_rows;
           QCheck_alcotest.to_alcotest prop_histogram_merge_stable;
-        ] );
-      ( "phases",
-        [
-          Alcotest.test_case "captures with collection disabled" `Quick
-            test_phases_capture_when_disabled;
-          Alcotest.test_case "nested spans attribute to outermost" `Quick
-            test_phases_nested_outermost;
-          Alcotest.test_case "installation scoping" `Quick
-            test_phases_uninstalled_context;
         ] );
       ( "json",
         [

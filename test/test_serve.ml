@@ -187,14 +187,10 @@ let mirror_exec session line =
             Alcotest.failf "mirror_exec does not handle %S" line)
 
 let resolution_payload session (r : Engine.result) =
-  let s =
-    Tecore.Json_out.of_resolution
-      ~namespace:(Session.namespace session)
-      r.Engine.resolution
-  in
-  match Obs.Json.parse s with
-  | Ok j -> Obs.Json.to_string j
-  | Error e -> Alcotest.failf "local resolution JSON does not parse: %s" e
+  Obs.Json.to_string
+    (Tecore.Json_out.of_resolution
+       ~namespace:(Session.namespace session)
+       r.Engine.resolution)
 
 (* ------------------------------------------------------------------ *)
 (* Differential run                                                    *)
@@ -792,6 +788,96 @@ let test_access_log_analyzer_matches_live () =
          contains l "serve_session_requests_total{session=\"analyzer\"}")
        metric_lines)
 
+(* The phases a traced request reports, by request: a durable edit has
+   [journal], plus [fsync] when the policy synced it; a resolve that ran
+   the engine has [ground] and [solve], a cache hit has neither. Every
+   phase is in the taxonomy and the phases fit in the wall time. *)
+let test_request_phases () =
+  let phases_of ~fsync script =
+    let state_dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "tecore-serve-phases-%d" (Unix.getpid ()))
+    in
+    rm_rf state_dir;
+    let config =
+      {
+        Serve.default_config with
+        Serve.state_dir = Some state_dir;
+        fsync;
+        trace_every = 1;
+      }
+    in
+    let server = Serve.start ~config (`Tcp 0) in
+    Fun.protect
+      ~finally:(fun () ->
+        Serve.stop server;
+        rm_rf state_dir)
+      (fun () ->
+        let c = connect server in
+        List.iter (fun line -> ignore (expect_ok line (request c line))) script;
+        close c;
+        (* Stop first: the last record lands after its reply. *)
+        Serve.stop server;
+        let records = Serve.recent_records server in
+        Alcotest.(check int) "one record per request" (List.length script)
+          (List.length records);
+        List.map
+          (fun (r : Serve.Access_log.record) ->
+            let phases = r.Serve.Access_log.phases in
+            List.iter
+              (fun (p, _) ->
+                Alcotest.(check bool)
+                  (p ^ " is in the taxonomy") true
+                  (List.mem p Serve.Access_log.phase_names))
+              phases;
+            let sum = List.fold_left (fun acc (_, ms) -> acc +. ms) 0. phases in
+            Alcotest.(check bool)
+              (Printf.sprintf "req %d: phases %.3f ms within wall %.3f ms"
+                 r.Serve.Access_log.req sum r.Serve.Access_log.wall_ms)
+              true
+              (sum <= r.Serve.Access_log.wall_ms);
+            List.map fst phases)
+          records)
+  in
+  let has phases names = List.for_all (fun p -> List.mem p phases) names in
+  let lacks phases names =
+    List.for_all (fun p -> not (List.mem p phases)) names
+  in
+  let assert_line = "assert ex:P1 ex:playsFor ex:T1 [2000,2004] 0.9 ." in
+  (match
+     phases_of ~fsync:Serve.Journal.Always
+       [
+         "hello phases-always";
+         "open";
+         "constraint one_team: ex:playsFor(x, y)@t ^ ex:playsFor(x, z)@t2 ^ \
+          y != z => disjoint(t, t2) .";
+         assert_line;
+         "resolve";
+         "resolve";
+         "assert ex:P1 ex:playsFor ex:T2 [2002,2006] 0.8 .";
+         "resolve";
+       ]
+   with
+  | [ _; _; _; edit; miss; hit; _; replay ] ->
+      Alcotest.(check bool) "durable edit: journal and fsync" true
+        (has edit [ "journal"; "fsync" ]);
+      Alcotest.(check bool) "first resolve: ground and solve" true
+        (has miss [ "ground"; "solve" ]);
+      Alcotest.(check bool) "cache hit: no ground, no solve" true
+        (lacks hit [ "ground"; "solve" ]);
+      Alcotest.(check bool) "replay: ground and solve" true
+        (has replay [ "ground"; "solve" ])
+  | _ -> Alcotest.fail "unexpected record count");
+  match
+    phases_of ~fsync:Serve.Journal.Never
+      [ "hello phases-never"; "open"; assert_line ]
+  with
+  | [ _; _; edit ] ->
+      Alcotest.(check bool) "unsynced edit: journal, no fsync" true
+        (has edit [ "journal" ] && lacks edit [ "fsync" ])
+  | _ -> Alcotest.fail "unexpected record count"
+
 (* ------------------------------------------------------------------ *)
 (* Protocol rendering and the access log's phase helpers.              *)
 
@@ -877,6 +963,7 @@ let () =
             test_tail_verb;
           Alcotest.test_case "analyzer matches live summaries" `Quick
             test_access_log_analyzer_matches_live;
+          Alcotest.test_case "request phases" `Quick test_request_phases;
           Alcotest.test_case "phases in canonical order" `Quick
             test_phase_order;
         ] );

@@ -10,8 +10,9 @@
 
      telemetry_check accesslog FILE
        FILE must be a tecore serve access log: every line a valid
-       JSON-lines request record whose per-phase durations sum to at
-       most the recorded wall time (within tolerance). A torn final
+       JSON-lines request record whose phases are all named in the
+       phase taxonomy and whose per-phase durations sum to at most the
+       recorded wall time (within tolerance). A torn final
        line — the signature of a crash mid-append — is tolerated with
        a warning; any other malformed line fails.
 
@@ -73,6 +74,11 @@ let check_accesslog path =
     warnings;
   List.iter
     (fun (r : Serve.Access_log.record) ->
+      List.iter
+        (fun (p, _) ->
+          if not (List.mem p Serve.Access_log.phase_names) then
+            fail "%s: req %d: phase %S is not in the taxonomy" path r.req p)
+        r.phases;
       let sum =
         List.fold_left (fun acc (_, ms) -> acc +. ms) 0. r.phases
       in
