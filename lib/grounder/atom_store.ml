@@ -1,6 +1,7 @@
 module Ivec = Prelude.Ivec
+module Fvec = Prelude.Fvec
 module Ground = Logic.Atom.Ground
-module Symbol = Kg.Symbol
+module Graph = Kg.Graph
 
 type id = int
 
@@ -8,32 +9,14 @@ type origin =
   | Evidence of { confidence : float; fact : Kg.Graph.id }
   | Hidden
 
-(* Growable unboxed float vector (per-atom evidence confidence). *)
-module Fvec = struct
-  type t = { mutable data : float array; mutable len : int }
-
-  let create () = { data = Array.make 64 0.0; len = 0 }
-
-  let push t x =
-    if t.len = Array.length t.data then begin
-      let grown = Array.make (2 * t.len) 0.0 in
-      Array.blit t.data 0 grown 0 t.len;
-      t.data <- grown
-    end;
-    t.data.(t.len) <- x;
-    t.len <- t.len + 1
-
-  let get t i = t.data.(i)
-  let set t i x = t.data.(i) <- x
-end
-
 (* Atoms live code-packed: one flat int buffer holds, per atom, its
-   {!key} — the {!Kg.Symbol} id of its predicate, the symbol ids of its
-   arguments and an interval code ([0] = atemporal, else interval id +
-   1); [offsets] maps an atom id to its slice ([size + 1] entries, last
-   one a sentinel). A million boxed [Ground.t] records — each a record,
-   an argument list and an option — collapse to ~5 flat ints; the boxed
-   view is rebuilt on demand by {!atom}.
+   {!key} — the symbol code of its predicate, the symbol codes of its
+   arguments and an interval code ([0] = atemporal, else interval code
+   + 1), all from the graph's table [symbols]; [offsets] maps an atom
+   id to its slice ([size + 1] entries, last one a sentinel). A million
+   boxed [Ground.t] records — each a record, an argument list and an
+   option — collapse to ~5 flat ints; the boxed view is rebuilt on
+   demand by {!atom}.
 
    The dictionary is open-addressing over the packed codes: one int
    array of atom ids (-1 = empty), probed linearly, comparing candidate
@@ -41,6 +24,7 @@ end
 type key = int array
 
 type t = {
+  symbols : Graph.symbols;
   codes : Ivec.t;
   offsets : Ivec.t;
   mutable dict : int array;
@@ -55,21 +39,31 @@ type t = {
       (** extension tables by {!shape}; the shape fixes the columns *)
 }
 
-let create () =
-  let offsets = Ivec.create () in
+(* A store sized for [atoms] atoms of up to 4 codes: its dictionary
+   stays under half full without a rehash. *)
+let sized symbols ~atoms =
+  let offsets = Ivec.create ~capacity:(atoms + 1) () in
   Ivec.push offsets 0;
+  let cap = ref 1024 in
+  while !cap <= 2 * atoms do
+    cap := 2 * !cap
+  done;
   {
-    codes = Ivec.create ();
+    symbols;
+    codes = Ivec.create ~capacity:(4 * atoms) ();
     offsets;
-    dict = Array.make 1024 (-1);
-    dict_mask = 1023;
+    dict = Array.make !cap (-1);
+    dict_mask = !cap - 1;
     dict_n = 0;
     conf = Fvec.create ();
-    origin_fact = Ivec.create ();
-    first_fact = Ivec.create ();
+    origin_fact = Ivec.create ~capacity:atoms ();
+    first_fact = Ivec.create ~capacity:atoms ();
     more_facts = Hashtbl.create 64;
     tables = Hashtbl.create 16;
   }
+
+let create symbols = sized symbols ~atoms:0
+let symbols t = t.symbols
 
 let size t = Ivec.length t.offsets - 1
 
@@ -140,58 +134,39 @@ let key t atom_id =
     (Ivec.get t.offsets (atom_id + 1) - start)
     (fun i -> Ivec.get t.codes (start + i))
 
-(* Boxed encodings. [encode] interns symbols (the writer path) in the
-   order predicate, arguments, interval; [encode_opt] only looks them
-   up — an atom mentioning a never-seen symbol cannot be in the store. *)
-let time_code = function
-  | None -> 0
-  | Some i -> Symbol.interval_id i + 1
-
-let encode (atom : Ground.t) =
-  let nargs = List.length atom.args in
-  let key = Array.make (nargs + 2) 0 in
-  key.(0) <- Symbol.term_id (Kg.Term.iri atom.predicate);
-  List.iteri (fun i a -> key.(i + 1) <- Symbol.term_id a) atom.args;
-  key.(nargs + 1) <- time_code atom.time;
-  key
-
-let encode_opt (atom : Ground.t) =
-  match Symbol.find_term (Kg.Term.iri atom.predicate) with
-  | None -> None
-  | Some pred ->
-      let nargs = List.length atom.args in
-      let key = Array.make (nargs + 2) 0 in
-      key.(0) <- pred;
-      let ok =
-        List.for_all
-          (fun (i, a) ->
-            match Symbol.find_term a with
-            | Some s ->
-                key.(i + 1) <- s;
-                true
-            | None -> false)
-          (List.mapi (fun i a -> (i, a)) atom.args)
-        &&
-        match atom.time with
-        | None -> true
-        | Some iv -> (
-            match Symbol.find_interval iv with
-            | Some s ->
-                key.(nargs + 1) <- s + 1;
-                true
-            | None -> false)
-      in
-      if ok then Some key else None
+(* A boxed atom's key: with [intern], interning its symbols (the
+   writer path) in the order predicate, arguments, interval; without,
+   only looking them up — [None] for an atom mentioning a never-seen
+   symbol, which cannot be in the store. *)
+let encode t ~intern (atom : Ground.t) =
+  let code add find x =
+    if intern then Some (add t.symbols x) else find t.symbols x
+  in
+  let term = code Graph.intern_term Graph.find_term in
+  let predicate = term (Kg.Term.iri atom.predicate) in
+  let args = List.map term atom.args in
+  let time =
+    match atom.time with
+    | None -> Some 0
+    | Some i ->
+        Option.map succ (code Graph.intern_interval Graph.find_interval i)
+  in
+  let codes = (predicate :: args) @ [ time ] in
+  if List.mem None codes then None
+  else Some (Array.of_list (List.map Option.get codes))
 
 let atom t atom_id =
   let key = key t atom_id in
   let n = Array.length key in
-  let predicate = Kg.Term.to_string (Symbol.term key.(0)) in
-  let args = List.init (n - 2) (fun i -> Symbol.term key.(i + 1)) in
+  let term = Graph.term t.symbols in
   let time =
-    match key.(n - 1) with 0 -> None | c -> Some (Symbol.interval (c - 1))
+    match key.(n - 1) with
+    | 0 -> None
+    | c -> Some (Graph.interval t.symbols (c - 1))
   in
-  Ground.make ?time predicate args
+  Ground.make ?time
+    (Kg.Term.to_string (term key.(0)))
+    (List.init (n - 2) (fun i -> term key.(i + 1)))
 
 let origin t atom_id =
   match Ivec.get t.origin_fact atom_id with
@@ -200,12 +175,6 @@ let origin t atom_id =
 
 let is_evidence t atom_id = Ivec.get t.origin_fact atom_id >= 0
 
-let table_name predicate ~arity ~temporal =
-  Printf.sprintf "%s/%d%s" predicate arity (if temporal then "@" else "")
-
-let table_columns arity =
-  List.init arity (fun i -> Printf.sprintf "a%d" i) @ [ "t"; "atom" ]
-
 (* One extension table per (predicate symbol, arity, temporality),
    found by an int key instead of a formatted name. *)
 let shape pred ~arity ~temporal =
@@ -213,7 +182,7 @@ let shape pred ~arity ~temporal =
   (pred lsl 16) lor (arity lsl 1) lor Bool.to_int temporal
 
 let table_for t predicate ~arity ~temporal =
-  match Symbol.find_term (Kg.Term.iri predicate) with
+  match Graph.find_term t.symbols (Kg.Term.iri predicate) with
   | None -> None
   | Some pred -> Hashtbl.find_opt t.tables (shape pred ~arity ~temporal)
 
@@ -230,9 +199,13 @@ let insert_row t (key : key) id =
     | Some table -> table
     | None ->
         let name =
-          table_name (Kg.Term.to_string (Symbol.term key.(0))) ~arity ~temporal
+          Printf.sprintf "%s/%d%s"
+            (Kg.Term.to_string (Graph.term t.symbols key.(0)))
+            arity
+            (if temporal then "@" else "")
         in
-        let table = Reldb.Table.create ~name ~columns:(table_columns arity) in
+        let columns = List.init arity (Printf.sprintf "a%d") @ [ "t"; "atom" ] in
+        let table = Reldb.Table.create ~name ~columns in
         Hashtbl.replace t.tables shape table;
         table
   in
@@ -242,7 +215,7 @@ let insert_row t (key : key) id =
   done;
   row.(arity) <-
     (match key.(n - 1) with
-    | 0 -> Reldb.Value.code Reldb.Value.Null
+    | 0 -> Reldb.Value.null
     | c -> Reldb.Value.of_interval_id (c - 1));
   row.(arity + 1) <- Reldb.Value.of_int id;
   Reldb.Table.insert_codes table row
@@ -297,10 +270,11 @@ let intern_key t origin key =
   | Hidden -> intern_packed t key ~fact:(-1) ~confidence:0.0
   | Evidence { confidence; fact } -> intern_packed t key ~fact ~confidence
 
-let intern t origin atom = intern_key t origin (encode atom)
+let intern t origin atom =
+  intern_key t origin (Option.get (encode t ~intern:true atom))
 
 let find t atom =
-  Option.bind (encode_opt atom) (fun key ->
+  Option.bind (encode t ~intern:false atom) (fun key ->
       let id = probe_key t key in
       if id >= 0 then Some id else None)
 
@@ -311,25 +285,24 @@ let find_in t ~src id =
   | nid when nid >= 0 -> Some nid
   | _ -> None
 
-(* θ on each fact, straight to a key: the symbols are interned in the
-   order {!encode} would intern them for [Ground.of_quad q], so atom
-   and symbol ids match the boxed path. The predicate of a well-formed
-   quad is an IRI; any other term keeps θ's rendered-name semantics. *)
+(* θ on each fact, as a column copy: a fact's row of codes is its
+   atom's key, with the interval code shifted by one, so no term is
+   hashed. The predicate of a well-formed quad is an IRI; any other
+   term keeps θ's rendered-name semantics and is interned as that IRI. *)
 let of_graph graph =
-  let t = create () in
+  let symbols = Graph.symbols graph in
+  let t = sized symbols ~atoms:(Graph.size graph) in
   let key = Array.make 4 0 in
-  Kg.Graph.iter
-    (fun fact q ->
-      let predicate =
-        match q.Kg.Quad.predicate with
-        | Kg.Term.Iri _ as p -> p
-        | p -> Kg.Term.iri (Kg.Term.to_string p)
-      in
-      key.(0) <- Symbol.term_id predicate;
-      key.(1) <- Symbol.term_id q.Kg.Quad.subject;
-      key.(2) <- Symbol.term_id q.Kg.Quad.object_;
-      key.(3) <- Symbol.interval_id q.Kg.Quad.time + 1;
-      ignore (intern_packed t key ~fact ~confidence:q.Kg.Quad.confidence))
+  Graph.iter_codes
+    (fun fact ~predicate ~subject ~object_ ~interval ~confidence ->
+      key.(0) <-
+        (match Graph.term symbols predicate with
+        | Kg.Term.Iri _ -> predicate
+        | p -> Graph.intern_term symbols (Kg.Term.iri (Kg.Term.to_string p)));
+      key.(1) <- subject;
+      key.(2) <- object_;
+      key.(3) <- interval + 1;
+      ignore (intern_packed t key ~fact ~confidence))
     graph;
   t
 

@@ -18,16 +18,22 @@ type t
 
 type key = int array
 (** An atom packed as codes: [[| p; a0; ..; a{n-1}; c |]] where [p] and
-    the [ai] are the {!Kg.Symbol} term ids of the predicate (as an IRI)
-    and the arguments, and [c] is [0] for an atemporal atom, else the
-    symbol id of its interval plus one. Symbol ids are process-global
-    and append-only, so a key means the same atom in every store. *)
+    the [ai] are the term codes of the predicate (as an IRI) and the
+    arguments in the store's symbol table, and [c] is [0] for an
+    atemporal atom, else the code of its interval plus one. The table
+    is the graph's and append-only, so a key means the same atom in
+    every store built over that graph. *)
 
-val create : unit -> t
+val create : Kg.Graph.symbols -> t
+(** An empty store whose atoms are coded in this symbol table. *)
 
 val of_graph : Kg.Graph.t -> t
-(** Intern every live fact of the graph as evidence, keyed straight
-    from the fact's symbols. *)
+(** Intern every live fact of the graph as evidence, in the graph's own
+    symbol table: a column copy of the facts' codes, sized from the
+    graph's fact count up front. *)
+
+val symbols : t -> Kg.Graph.symbols
+(** The table the store's codes come from. *)
 
 val intern_key : t -> origin -> key -> id
 (** Id of the atom, creating it if needed. When the atom already exists,
@@ -36,7 +42,8 @@ val intern_key : t -> origin -> key -> id
     must be interned; the key is copied. *)
 
 val find_in : t -> src:t -> id -> id option
-(** [find_in t ~src id]: the id in [t] of atom [id] of store [src]. *)
+(** [find_in t ~src id]: the id in [t] of atom [id] of store [src], two
+    stores over the same symbol table. *)
 
 val key : t -> id -> key
 (** A fresh copy of the atom's key. *)

@@ -18,14 +18,16 @@ let is_atom_col c = String.length c > 0 && c.[0] = '#'
 let col_var c = String.sub c 1 (String.length c - 1)
 
 (* Where a bindings row keeps each variable: object variables and
-   temporal variables by name, body atoms by body position. *)
+   temporal variables by name, body atoms by body position; and the
+   symbol table its codes decode through. *)
 type layout = {
+  symbols : Kg.Graph.symbols;
   vars : (string * int) list;
   tvars : (string * int) list;
   atoms : (int * int) list;  (** (body position, column) in body order *)
 }
 
-let layout_of_columns cols =
+let layout_of_columns symbols cols =
   let vars = ref [] and tvars = ref [] and atoms = ref [] in
   List.iteri
     (fun i c ->
@@ -35,13 +37,14 @@ let layout_of_columns cols =
         atoms := (int_of_string (col_var c), i) :: !atoms)
     cols;
   {
+    symbols;
     vars = List.rev !vars;
     tvars = List.rev !tvars;
     atoms = List.sort compare !atoms;
   }
 
-let layout ~vars ~tvars =
-  layout_of_columns (List.map var_col vars @ List.map tvar_col tvars)
+let layout symbols ~vars ~tvars =
+  layout_of_columns symbols (List.map var_col vars @ List.map tvar_col tvars)
 
 let var_column layout v = List.assoc_opt v layout.vars
 let tvar_column layout v = List.assoc_opt v layout.tvars
@@ -56,11 +59,10 @@ let subst layout (row : Value.code array) =
     List.fold_left (fun subst (v, col) ->
         Option.bind subst (fun s -> Option.bind (decode row.(col)) (bind s v)))
   in
-  let s =
-    bind_all Logic.Subst.bind Value.decode_term (Some Logic.Subst.empty)
-      layout.vars
-  in
-  bind_all Logic.Subst.bind_time Value.decode_interval s layout.tvars
+  let term = Value.decode_term layout.symbols
+  and interval = Value.decode_interval layout.symbols in
+  let s = bind_all Logic.Subst.bind term (Some Logic.Subst.empty) layout.vars in
+  bind_all Logic.Subst.bind_time interval s layout.tvars
 
 (* ------------------------------------------------------------------ *)
 (* Conditions compiled over code rows                                  *)
@@ -69,9 +71,9 @@ let subst layout (row : Value.code array) =
 (* A compiled term, interval or number raises [Undefined] where
    {!Logic.Cond.eval} would answer [None]: an unbound variable, an
    empty intersection, a [value] with no numeric view. Each condition
-   is compiled once per plan; the closures only read the row and the
-   lock-free {!Kg.Symbol} decoders, so the joins may run them on worker
-   domains. *)
+   is compiled once per plan; the closures only read the row and decode
+   through the graph's symbol table, which nothing writes while a join
+   runs, so the joins may run them on worker domains. *)
 exception Undefined
 
 let undefined _ = raise Undefined
@@ -80,7 +82,8 @@ let compile_time layout =
   let rec go = function
     | Logic.Lterm.Tvar v -> (
         match tvar_column layout v with
-        | Some col -> fun row -> Kg.Symbol.interval (Value.payload row.(col))
+        | Some col ->
+            fun row -> Kg.Graph.interval layout.symbols (Value.payload row.(col))
         | None -> undefined)
     | Logic.Lterm.Tconst i -> fun _ -> i
     | Logic.Lterm.Tinter (a, b) ->
@@ -104,7 +107,7 @@ let term_slot layout = function
   | Logic.Lterm.Var v -> (
       match var_column layout v with Some col -> Col col | None -> Unbound)
   | Logic.Lterm.Const c ->
-      Sym (Option.value (Kg.Symbol.find_term c) ~default:(-1))
+      Sym (Option.value (Kg.Graph.find_term layout.symbols c) ~default:(-1))
 
 let int_value = function
   | Kg.Term.Int n -> n
@@ -127,7 +130,8 @@ let compile_arith layout =
     | Logic.Cond.Value_of term -> (
         match term_slot layout term with
         | Col col ->
-            fun row -> int_value (Kg.Symbol.term (Value.payload row.(col)))
+            fun row ->
+              int_value (Kg.Graph.term layout.symbols (Value.payload row.(col)))
         | Sym _ | Unbound -> undefined)
     | Logic.Cond.Add (a, b) ->
         let a = go a and b = go b in
@@ -190,8 +194,8 @@ let interval layout tt =
    constraint-head condition expects [false] (drop only the rows that
    provably satisfy it, so a non-evaluable head still reaches the
    instance phase and raises there exactly as the eager path does). *)
-let compile_conditions cols conds =
-  let layout = layout_of_columns cols in
+let compile_conditions symbols cols conds =
+  let layout = layout_of_columns symbols cols in
   let checks =
     Array.of_list
       (List.map
@@ -222,6 +226,7 @@ let split_ready cols pending =
    variables, renames argument columns to variable columns and keeps
    one column per variable plus the atom-id column. *)
 let atom_fragment store index (atom : Logic.Atom.t) =
+  let symbols = Atom_store.symbols store in
   let temporal = Option.is_some atom.time in
   let arity = List.length atom.args in
   match Atom_store.table_for store atom.predicate ~arity ~temporal with
@@ -235,7 +240,7 @@ let atom_fragment store index (atom : Logic.Atom.t) =
         (fun j term ->
           match term with
           | Logic.Lterm.Const c -> (
-              match Value.code_opt (Value.term c) with
+              match Value.find_term symbols c with
               | Some code -> filters := `Eq (j, code) :: !filters
               | None -> unmatchable := true)
           | Logic.Lterm.Var v -> (
@@ -250,7 +255,7 @@ let atom_fragment store index (atom : Logic.Atom.t) =
       | None -> ()
       | Some (Logic.Lterm.Tvar v) -> keep := (tcol, tvar_col v) :: !keep
       | Some (Logic.Lterm.Tconst i) -> (
-          match Value.code_opt (Value.interval i) with
+          match Value.find_interval symbols i with
           | Some code -> filters := `Eq (tcol, code) :: !filters
           | None -> unmatchable := true)
       | Some (Logic.Lterm.Tinter _ | Logic.Lterm.Thull _) ->
@@ -292,8 +297,8 @@ let atom_cardinality store (atom : Logic.Atom.t) =
   with
   | None -> 0
   | Some table ->
-      let narrow acc col value =
-        match Value.code_opt value with
+      let symbols = Atom_store.symbols store in
+      let narrow acc col = function
         | None -> 0
         | Some code -> min acc (Table.count_for table ~col ~code)
       in
@@ -301,12 +306,14 @@ let atom_cardinality store (atom : Logic.Atom.t) =
       List.iteri
         (fun j term ->
           match term with
-          | Logic.Lterm.Const c -> card := narrow !card j (Value.term c)
+          | Logic.Lterm.Const c ->
+              card := narrow !card j (Value.find_term symbols c)
           | Logic.Lterm.Var _ -> ())
         atom.args;
       (match atom.time with
       | Some (Logic.Lterm.Tconst i) ->
-          card := narrow !card (List.length atom.args) (Value.interval i)
+          card :=
+            narrow !card (List.length atom.args) (Value.find_interval symbols i)
       | _ -> ());
       !card
 
@@ -387,7 +394,10 @@ let plan ?(pool = Prelude.Pool.sequential) ?violation store
                 let filter =
                   match ready with
                   | [] -> None
-                  | _ -> Some (compile_conditions out_cols ready)
+                  | _ ->
+                      Some
+                        (compile_conditions (Atom_store.symbols store) out_cols
+                           ready)
                 in
                 let joined =
                   if is_start then
@@ -440,7 +450,9 @@ let fold ?pool ?violation store (rule : Logic.Rule.t) ~init ~f =
   match plan ?pool ?violation store rule with
   | None -> init
   | Some bindings ->
-      let f = f (layout_of_columns (Table.columns bindings)) in
+      let f =
+        f (layout_of_columns (Atom_store.symbols store) (Table.columns bindings))
+      in
       let width = Table.width bindings in
       let cols = Array.init width (Table.column_data bindings) in
       let row = Array.make width 0 in

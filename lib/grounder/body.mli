@@ -47,9 +47,10 @@ val all :
 type layout
 (** Where a bindings row keeps each variable and body atom. *)
 
-val layout : vars:string list -> tvars:string list -> layout
+val layout : Kg.Graph.symbols -> vars:string list -> tvars:string list -> layout
 (** The layout of rows holding the object variables [vars] (as term
-    codes), then the temporal variables [tvars] (as interval codes). *)
+    codes), then the temporal variables [tvars] (as interval codes),
+    coded in this symbol table. *)
 
 val var_column : layout -> string -> int option
 val tvar_column : layout -> string -> int option

@@ -62,15 +62,20 @@ let symbol ~find ~intern ~offset value =
   in
   { read; intern }
 
-let term_symbol = symbol ~find:Kg.Symbol.find_term ~intern:Kg.Symbol.term_id ~offset:0
-
 (* A head compiled against a row layout: one slot per key position, in
    key order — predicate, arguments, interval — which is also the order
-   {!Atom_store.intern} interns a boxed atom's symbols in, so symbol ids
-   come out as on the boxed path. [key] is reused row to row. *)
+   {!Atom_store.intern} interns a boxed atom's symbols in, so symbol
+   codes come out as on the boxed path. [key] is reused row to row. *)
 type head = { key : Atom_store.key; slots : slot array }
 
-let compile_head layout (head : Logic.Atom.t) =
+let compile_head store layout (head : Logic.Atom.t) =
+  let s = Atom_store.symbols store in
+  let find_interval = Kg.Graph.find_interval s
+  and intern_interval = Kg.Graph.intern_interval s in
+  let term_symbol =
+    symbol ~find:(Kg.Graph.find_term s) ~intern:(Kg.Graph.intern_term s)
+      ~offset:0
+  in
   let arg = function
     | Logic.Lterm.Var v -> (
         match Body.var_column layout v with
@@ -86,18 +91,17 @@ let compile_head layout (head : Logic.Atom.t) =
         | Some col -> column col ~offset:1
         | None -> { read = no_head; intern = no_head })
     | Some (Logic.Lterm.Tconst i) ->
-        symbol ~find:Kg.Symbol.find_interval ~intern:Kg.Symbol.interval_id
-          ~offset:1 i
+        symbol ~find:find_interval ~intern:intern_interval ~offset:1 i
     | Some tt ->
         let eval = Body.interval layout tt in
         let value row = match eval row with Some i -> i | None -> raise No_head in
         {
           read =
             (fun row ->
-              match Kg.Symbol.find_interval (value row) with
+              match find_interval (value row) with
               | Some id -> id + 1
               | None -> -1);
-          intern = (fun row -> Kg.Symbol.interval_id (value row) + 1);
+          intern = (fun row -> intern_interval (value row) + 1);
         }
   in
   let slots =
@@ -135,7 +139,8 @@ type snapshot = {
       (** [rounds_log.(r).(i)]: the keys of the candidate heads produced
           in closure round [r+1] by the [i]-th inference rule, in
           binding order, concatenated (each is as long as that rule's
-          head key). Keys are store-independent. *)
+          head key). Keys hold symbol codes, so they mean the same atom
+          in every store over the graph's symbol table. *)
   snap_instances : instances;
   rule_start : int array;
       (** rule [r]'s slice of [snap_instances] is the instances
@@ -153,7 +158,7 @@ type snapshot = {
 let derive_live ~pool ?log store rule head_pattern =
   let rows = ref 0 in
   Body.fold ~pool store rule ~init:() ~f:(fun layout ->
-      let head = compile_head layout head_pattern in
+      let head = compile_head store layout head_pattern in
       fun () row ->
         incr rows;
         if fill head row then begin
@@ -257,7 +262,7 @@ let no_head_code = min_int
 let compile_instance store (rule : Logic.Rule.t) layout =
   match rule.head with
   | Logic.Rule.Infer head_pattern ->
-      let head = compile_head layout head_pattern in
+      let head = compile_head store layout head_pattern in
       fun row ->
         if fill head row then intern_head store head row else no_head_code
   | Logic.Rule.Require cond -> (
@@ -329,9 +334,7 @@ let emit_result_counters store (result : result) =
   Obs.count ~n:(Array.length result.instances.rule) "ground.instances";
   Obs.count ~n:!hidden "ground.derived_atoms";
   Obs.count ~n:result.rounds "ground.rounds";
-  Obs.count ~n:(Atom_store.size store) "ground.atoms";
-  Obs.count ~n:(Kg.Symbol.terms_interned ()) "intern.terms";
-  Obs.count ~n:(Kg.Symbol.intervals_interned ()) "intern.intervals"
+  Obs.count ~n:(Atom_store.size store) "ground.atoms"
 
 (* ------------------------------------------------------------------ *)
 (* The grounding core                                                  *)
@@ -451,9 +454,13 @@ let affected_rules ~delta rules =
 
 let reground ~snapshot ~affected ?max_rounds ?pool store rules =
   (* Recorded slices replay only under the same rules — names, bodies,
-     conditions, heads and weights; anything else is a fresh
-     grounding. *)
-  if Array.of_list rules <> snapshot.snap_instances.rules then None
+     conditions, heads and weights — and against a store over the same
+     symbol table, the one the recorded keys are coded in; anything
+     else is a fresh grounding. *)
+  if
+    Array.of_list rules <> snapshot.snap_instances.rules
+    || Atom_store.symbols store != Atom_store.symbols snapshot.snap_store
+  then None
   else
     let log = ref [] in
     match

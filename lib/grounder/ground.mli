@@ -98,8 +98,9 @@ val run :
 type snapshot
 (** What {!run_record} remembers of a grounding: its store, the
     per-round candidate heads of each inference rule (as
-    {!Atom_store.key}s, which are store-independent), and its instance
-    buffer with where each rule's slice starts. *)
+    {!Atom_store.key}s, which mean the same atom in every store over the
+    same graph), and its instance buffer with where each rule's slice
+    starts. *)
 
 val run_record :
   ?max_rounds:int ->
@@ -137,7 +138,8 @@ val reground :
     for the next edit, or [None] when the replay cannot be proven exact;
     callers then fall back to a fresh grounding. The replay is refused
     when the rules differ from the recorded ones in anything (not just
-    their names), or when a replayed instance references an atom the
-    new store lacks.
+    their names), when [store] codes its atoms in another graph's symbol
+    table than the recorded store, or when a replayed instance
+    references an atom the new store lacks.
 
     @raise Failure when the replayed closure exceeds [max_rounds]. *)

@@ -1,111 +1,194 @@
 module Vec = Prelude.Vec
+module Ivec = Prelude.Ivec
+module Fvec = Prelude.Fvec
 
-module Term_table = Hashtbl.Make (struct
+(* ------------------------------------------------------------------ *)
+(* Symbols                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One intern table: values to dense codes, in first-intern order. *)
+module Intern (H : Hashtbl.HashedType) = struct
+  module Codes = Hashtbl.Make (H)
+
+  type t = { codes : int Codes.t; values : H.t Vec.t }
+
+  let create n = { codes = Codes.create n; values = Vec.create () }
+
+  let intern t x =
+    match Codes.find t.codes x with
+    | code -> code
+    | exception Not_found ->
+        let code = Vec.length t.values in
+        Vec.push t.values x;
+        Codes.add t.codes x code;
+        code
+
+  let copy t =
+    let values = Vec.create () in
+    Vec.iter (Vec.push values) t.values;
+    { codes = Codes.copy t.codes; values }
+end
+
+module Terms = Intern (struct
   type t = Term.t
 
   let equal = Term.equal
-  let hash = Term.hash
+
+  (* [equal] tells an IRI from a string of the same spelling, so the
+     constructor need not enter the hash (nor a boxed tag pair). *)
+  let hash : t -> int = function
+    | Iri s | Str s -> Hashtbl.hash s
+    | Int n -> Hashtbl.hash n
+    | Flt f -> Hashtbl.hash f
 end)
 
-module Pair_table = Hashtbl.Make (struct
-  type t = Term.t * Term.t
+module Intervals = Intern (struct
+  type t = Interval.t
 
-  let equal (a1, b1) (a2, b2) = Term.equal a1 a2 && Term.equal b1 b2
-  let hash (a, b) = Hashtbl.hash (Term.hash a, Term.hash b)
+  let equal = Interval.equal
+  let hash (i : t) = Hashtbl.hash i
 end)
+
+type symbols = { terms : Terms.t; intervals : Intervals.t }
+
+let intern_term s = Terms.intern s.terms
+let intern_interval s = Intervals.intern s.intervals
+let find_term s = Terms.Codes.find_opt s.terms.codes
+let find_interval s = Intervals.Codes.find_opt s.intervals.codes
+let term s = Vec.get s.terms.values
+let interval s = Vec.get s.intervals.values
+let term_count s = Vec.length s.terms.values
+let interval_count s = Vec.length s.intervals.values
+
+(* ------------------------------------------------------------------ *)
+(* Facts                                                               *)
+(* ------------------------------------------------------------------ *)
 
 type id = int
 
-(* The two lookup indexes are built lazily, on first use: the grounding
-   pipeline only ever streams a graph ([iter]), and at 10^6 facts the
-   predicate table and the (s, p) pair table cost resident memory the
-   stream never needs. Sessions that actually edit pay the build once,
-   on their first point query; [add] keeps an already-built index up to
-   date. *)
+(* Fact [id] is row [id] of [codes]: its predicate, subject, object and
+   interval codes, in the order [add] interns them and the grounder
+   keys an atom in. The predicate index is built lazily, on first use:
+   the grounding pipeline only ever streams a graph, and at 10^6 facts
+   the index costs resident memory the stream never needs. Sessions
+   that actually edit pay the build once, on their first point query;
+   [add] keeps an already-built index up to date. *)
+let stride = 4
+
 type t = {
-  quads : Quad.t Vec.t;
-  alive : bool Vec.t;
+  symbols : symbols;
+  codes : Ivec.t;
+  confidence : Fvec.t;
+  alive : Ivec.t;  (** 1 while live, 0 once removed *)
   mutable live : int;
-  mutable by_predicate : id Vec.t Term_table.t option;
-  mutable by_sp : id Vec.t Pair_table.t option;
+  mutable by_predicate : (int, Ivec.t) Hashtbl.t option;
 }
 
 let create () =
   {
-    quads = Vec.create ();
-    alive = Vec.create ();
+    symbols = { terms = Terms.create 1024; intervals = Intervals.create 256 };
+    codes = Ivec.create ();
+    confidence = Fvec.create ();
+    alive = Ivec.create ();
     live = 0;
     by_predicate = None;
-    by_sp = None;
   }
 
-let index_push table key id =
-  match Term_table.find_opt table key with
-  | Some vec -> Vec.push vec id
-  | None ->
-      let vec = Vec.create () in
-      Vec.push vec id;
-      Term_table.replace table key vec
+let symbols t = t.symbols
+let count t = Fvec.length t.confidence
+let code t id k = Ivec.get t.codes ((stride * id) + k)
 
-let sp_push table q id =
-  match Pair_table.find_opt table (q.Quad.subject, q.Quad.predicate) with
-  | Some vec -> Vec.push vec id
+let index_push table p id =
+  match Hashtbl.find_opt table p with
+  | Some ids -> Ivec.push ids id
   | None ->
-      let vec = Vec.create () in
-      Vec.push vec id;
-      Pair_table.replace table (q.Quad.subject, q.Quad.predicate) vec
+      let ids = Ivec.create () in
+      Ivec.push ids id;
+      Hashtbl.replace table p ids
 
-(* Index builders cover dead quads too: [remove] never touches the
-   indexes (liveness is checked at query time), so a lazily built index
-   must agree with one maintained incrementally since [create]. *)
+(* The index covers dead facts too: [remove] never touches it (liveness
+   is checked at query time), so a lazily built index must agree with
+   one maintained incrementally since [create]. *)
 let predicate_index t =
   match t.by_predicate with
   | Some table -> table
   | None ->
-      let table = Term_table.create 16 in
-      Vec.iteri (fun id q -> index_push table q.Quad.predicate id) t.quads;
+      let table = Hashtbl.create 64 in
+      for id = 0 to count t - 1 do
+        index_push table (code t id 0) id
+      done;
       t.by_predicate <- Some table;
       table
 
-let sp_index t =
-  match t.by_sp with
-  | Some table -> table
-  | None ->
-      let table = Pair_table.create 64 in
-      Vec.iteri (fun id q -> sp_push table q id) t.quads;
-      t.by_sp <- Some table;
-      table
-
-let add t q =
-  let id = Vec.length t.quads in
-  Vec.push t.quads q;
-  Vec.push t.alive true;
+let add_codes t ~predicate ~subject ~object_ ~interval ~confidence =
+  let term c = c >= 0 && c < term_count t.symbols in
+  if
+    not
+      (term predicate && term subject && term object_ && interval >= 0
+      && interval < interval_count t.symbols)
+  then invalid_arg "Graph.add_codes: a code the table never gave";
+  let id = count t in
+  Ivec.push t.codes predicate;
+  Ivec.push t.codes subject;
+  Ivec.push t.codes object_;
+  Ivec.push t.codes interval;
+  Fvec.push t.confidence confidence;
+  Ivec.push t.alive 1;
   t.live <- t.live + 1;
-  Option.iter (fun table -> index_push table q.Quad.predicate id) t.by_predicate;
-  Option.iter (fun table -> sp_push table q id) t.by_sp;
+  Option.iter (fun table -> index_push table predicate id) t.by_predicate;
   id
 
+let add t (q : Quad.t) =
+  let s = t.symbols in
+  let predicate = intern_term s q.predicate in
+  let subject = intern_term s q.subject in
+  let object_ = intern_term s q.object_ in
+  let interval = intern_interval s q.time in
+  add_codes t ~predicate ~subject ~object_ ~interval ~confidence:q.confidence
+
 let check_id t id =
-  if id < 0 || id >= Vec.length t.quads then
+  if id < 0 || id >= count t then
     invalid_arg (Printf.sprintf "Graph: unknown fact id %d" id)
+
+let mem_id t id = id >= 0 && id < count t && Ivec.get t.alive id = 1
 
 let remove t id =
   check_id t id;
-  if Vec.get t.alive id then begin
-    Vec.set t.alive id false;
+  if mem_id t id then begin
+    Ivec.set t.alive id 0;
     t.live <- t.live - 1
   end
 
-let mem_id t id = id >= 0 && id < Vec.length t.quads && Vec.get t.alive id
+let quad t id =
+  let s = t.symbols in
+  {
+    Quad.predicate = term s (code t id 0);
+    subject = term s (code t id 1);
+    object_ = term s (code t id 2);
+    time = interval s (code t id 3);
+    confidence = Fvec.get t.confidence id;
+  }
 
 let find t id =
   check_id t id;
-  Vec.get t.quads id
+  quad t id
 
 let size t = t.live
 
+let iter_codes f t =
+  let alive = Ivec.raw t.alive and codes = Ivec.raw t.codes in
+  for id = 0 to count t - 1 do
+    if alive.(id) = 1 then
+      let row = stride * id in
+      f id ~predicate:codes.(row) ~subject:codes.(row + 1)
+        ~object_:codes.(row + 2) ~interval:codes.(row + 3)
+        ~confidence:(Fvec.get t.confidence id)
+  done
+
 let iter f t =
-  Vec.iteri (fun id q -> if Vec.get t.alive id then f id q) t.quads
+  for id = 0 to count t - 1 do
+    if mem_id t id then f id (quad t id)
+  done
 
 let to_list t =
   let acc = ref [] in
@@ -118,38 +201,43 @@ let of_list quads =
   t
 
 let copy t =
-  let t' = create () in
-  Vec.iter (fun q -> ignore (add t' q)) t.quads;
-  Vec.iteri (fun id alive -> if not alive then remove t' id) t.alive;
-  t'
+  {
+    symbols =
+      {
+        terms = Terms.copy t.symbols.terms;
+        intervals = Intervals.copy t.symbols.intervals;
+      };
+    codes = Ivec.copy t.codes;
+    confidence = Fvec.copy t.confidence;
+    alive = Ivec.copy t.alive;
+    live = t.live;
+    by_predicate = None;
+  }
 
-let live t = function
+let by_predicate t p =
+  match
+    Option.bind (find_term t.symbols p) (Hashtbl.find_opt (predicate_index t))
+  with
   | None -> []
-  | Some vec ->
-      List.rev
-        (Vec.fold
-           (fun acc id ->
-             if Vec.get t.alive id then (id, Vec.get t.quads id) :: acc
-             else acc)
-           [] vec)
-
-let by_predicate t p = live t (Term_table.find_opt (predicate_index t) p)
+  | Some ids ->
+      Array.to_list (Ivec.to_array ids)
+      |> List.filter_map (fun id ->
+             if mem_id t id then Some (id, quad t id) else None)
 
 let by_subject_predicate t s p =
-  live t (Pair_table.find_opt (sp_index t) (s, p))
+  match find_term t.symbols s with
+  | None -> []
+  | Some s -> List.filter (fun (id, _) -> code t id 1 = s) (by_predicate t p)
 
 let predicates t =
-  let counts = Term_table.create 16 in
-  iter
-    (fun _ q ->
-      let c =
-        Option.value (Term_table.find_opt counts q.Quad.predicate) ~default:0
-      in
-      Term_table.replace counts q.Quad.predicate (c + 1))
+  let counts = Hashtbl.create 16 in
+  iter_codes
+    (fun _ ~predicate ~subject:_ ~object_:_ ~interval:_ ~confidence:_ ->
+      let c = Option.value (Hashtbl.find_opt counts predicate) ~default:0 in
+      Hashtbl.replace counts predicate (c + 1))
     t;
-  Term_table.fold (fun p c acc -> (p, c) :: acc) counts []
+  Hashtbl.fold (fun p c acc -> (term t.symbols p, c) :: acc) counts []
   |> List.sort (fun (p1, c1) (p2, c2) ->
          match Int.compare c2 c1 with 0 -> Term.compare p1 p2 | c -> c)
 
-let pp ppf t =
-  iter (fun _ q -> Format.fprintf ppf "%a@." Quad.pp q) t
+let pp ppf t = iter (fun _ q -> Format.fprintf ppf "%a@." Quad.pp q) t

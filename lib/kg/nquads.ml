@@ -176,11 +176,6 @@ let parse_file ?namespace path =
 let fact_line ns q =
   let term = function
     | Term.Iri name -> Namespace.shrink ns name
-    | Term.Flt f ->
-        (* Keep the literal a float on reparse: "2" would come back as
-           an Int term. *)
-        let s = Prelude.Floatlit.to_lexeme f in
-        if int_of_string_opt s <> None then s ^ "." else s
     | t -> Term.to_string t
   in
   let b = Buffer.create 64 in

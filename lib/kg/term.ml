@@ -38,19 +38,18 @@ let as_int = function
   | Str s | Iri s -> int_of_string_opt s
   | Flt f -> if Float.is_integer f then Some (int_of_float f) else None
 
-let pp ppf = function
-  | Iri s -> Format.pp_print_string ppf s
-  | Str s -> Format.fprintf ppf "%S" s
-  | Int n -> Format.pp_print_int ppf n
-  | Flt f -> Format.fprintf ppf "%g" f
-
-(* Same bytes as [pp], without a formatter per call: the grounder
-   renders a term per fact and per decoded atom. *)
+(* A float prints as the shortest literal that reads back to the same
+   bits, never as an integer ("2." rather than "2"), so [of_string]
+   gives back a [Flt]. *)
 let to_string = function
   | Iri s -> s
   | Str s -> Printf.sprintf "%S" s
   | Int n -> string_of_int n
-  | Flt f -> Printf.sprintf "%g" f
+  | Flt f ->
+      let s = Prelude.Floatlit.to_lexeme f in
+      if int_of_string_opt s <> None then s ^ "." else s
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let of_string s =
   let s = String.trim s in

@@ -26,9 +26,13 @@ val as_int : t -> int option
     [Int n] and year-like [Iri]/[Str] values that parse as integers. *)
 
 val pp : Format.formatter -> t -> unit
-(** IRIs print bare, strings print quoted, numbers print plainly. *)
+(** IRIs print bare, strings print quoted, integers print plainly. A
+    float prints as the shortest literal that reads back to the same
+    bits ({!Prelude.Floatlit.to_lexeme}), with a trailing ["."] where
+    that literal would read as an integer. *)
 
 val to_string : t -> string
+(** The bytes {!pp} prints. *)
 
 val of_string : string -> t
 (** Inverse of {!to_string}: quoted strings become [Str], integers [Int],

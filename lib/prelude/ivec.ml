@@ -46,4 +46,6 @@ let iter f t =
 
 let to_array t = Array.sub t.data 0 t.len
 
+let copy t = { data = to_array t; len = t.len }
+
 let raw t = t.data

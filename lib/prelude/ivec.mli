@@ -32,6 +32,8 @@ val iter : (int -> unit) -> t -> unit
 val to_array : t -> int array
 (** Copy of the live prefix. *)
 
+val copy : t -> t
+
 val raw : t -> int array
 (** The backing array itself (length >= [length t]; entries past the
     live prefix are garbage). For tight loops that index [0 .. length-1]

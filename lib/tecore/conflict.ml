@@ -59,8 +59,19 @@ let derived_confidences (instances : Ground.instances) assignment =
   fun atom_id ->
     sigmoid (Option.value (Hashtbl.find_opt support atom_id) ~default:0.0)
 
+(* A derived quad joins the copy by its atom's key when the store is
+   coded in the graph's table, which the copy keeps: [[| p; s; o; i+1 |]]
+   for the binary temporal atoms that have a quad form. *)
+let add_derived consistent ~same_codes store atom_id (q : Kg.Quad.t) =
+  if same_codes then
+    let k = Store.key store atom_id in
+    Kg.Graph.add_codes consistent ~predicate:k.(0) ~subject:k.(1)
+      ~object_:k.(2) ~interval:(k.(3) - 1) ~confidence:q.confidence
+  else Kg.Graph.add consistent q
+
 let interpret ~graph ~store ~instances ~assignment () =
   let consistent = Kg.Graph.copy graph in
+  let same_codes = Store.symbols store == Kg.Graph.symbols graph in
   let removed = ref [] in
   let derived = ref [] in
   let kept = ref 0 in
@@ -85,7 +96,8 @@ let interpret ~graph ~store ~instances ~assignment () =
       let confidence = confidence_of atom_id in
       let as_quad = Logic.Atom.Ground.to_quad ~confidence atom in
       (match as_quad with
-      | Some q -> ignore (Kg.Graph.add consistent q)
+      | Some q ->
+          ignore (add_derived consistent ~same_codes store atom_id q)
       | None -> ());
       derived := { atom; confidence; as_quad } :: !derived
     end

@@ -77,6 +77,32 @@ let test_diff_term_identity () =
     (List.length d.Diff.only_right);
   Alcotest.(check bool) "not empty" false (Diff.is_empty d)
 
+(* [tecore diff] prints those two floats as two distinct lines, each
+   spelled so that it reads back to its own term. *)
+let test_diff_cli_float_lines () =
+  let file obj =
+    let path = Filename.temp_file "diff" ".tq" in
+    Out_channel.with_open_text path (fun oc ->
+        Printf.fprintf oc "<a> <p> %s [2000,2004] 0.9 .\n" obj);
+    path
+  in
+  let left = file "0.1234567" and right = file "0.1234568" in
+  let cli = Filename.concat ".." (Filename.concat "bin" "tecore_cli.exe") in
+  let ic = Unix.open_process_args_in cli [| cli; "diff"; left; right |] in
+  let lines = In_channel.input_lines ic in
+  ignore (Unix.close_process_in ic);
+  Sys.remove left;
+  Sys.remove right;
+  let changes =
+    List.filter (fun l -> l <> "" && (l.[0] = '-' || l.[0] = '+')) lines
+  in
+  Alcotest.(check (list string)) "one line each, distinct"
+    [
+      "- (a, p, 0.1234567, [2000,2004]) 0.9";
+      "+ (a, p, 0.1234568, [2000,2004]) 0.9";
+    ]
+    changes
+
 let test_diff_pp () =
   let left = g [ q "a" "p" "x" (1, 2) ] in
   let right = g [ q "b" "p" "y" (1, 2) ] in
@@ -98,6 +124,8 @@ let () =
           Alcotest.test_case "resolution diff" `Quick
             test_diff_resolution_use_case;
           Alcotest.test_case "term identity" `Quick test_diff_term_identity;
+          Alcotest.test_case "cli float lines" `Quick
+            test_diff_cli_float_lines;
           Alcotest.test_case "pp" `Quick test_diff_pp;
         ] );
     ]

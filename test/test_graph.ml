@@ -135,6 +135,81 @@ let qcheck_by_predicate_naive =
           && fast = naive)
         [ "p0"; "p1"; "p2"; "p3" ])
 
+(* ------------------------------------------------------------------ *)
+(* Symbols                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* [add] interns predicate, subject, object and interval, fact by fact,
+   into dense codes; a second fact over known symbols adds none. *)
+let test_add_interns_in_order () =
+  let g, _ = sample () in
+  let s = G.symbols g in
+  Alcotest.(check (list string)) "terms in first-intern order"
+    [ "coach"; "CR"; "Chelsea"; "Leicester"; "playsFor"; "Palermo";
+      "birthDate"; "1951"; "Napoli"; "Kid"; "Ajax" ]
+    (List.init (G.term_count s) (fun c -> T.to_string (G.term s c)));
+  Alcotest.(check int) "intervals" 6 (G.interval_count s);
+  Alcotest.(check (option int)) "find" (Some 1) (G.find_term s (T.iri "CR"));
+  Alcotest.(check (option int)) "find never added" None
+    (G.find_term s (T.iri "Nobody"))
+
+(* A copy keeps every code and owns its table from then on. *)
+let test_copy_symbols () =
+  let g, _ = sample () in
+  let c = G.copy g in
+  let id =
+    G.add_codes c ~predicate:0 ~subject:1 ~object_:8 ~interval:0
+      ~confidence:0.5
+  in
+  Alcotest.check quad_testable "add_codes = add of the decoded quad"
+    (Q.v "CR" "coach" (T.iri "Napoli") (2000, 2004) 0.5)
+    (G.find c id);
+  ignore (G.add c (Q.v "New" "coach" (T.iri "X") (1, 2) 0.5));
+  Alcotest.(check (option int)) "the copy's new term" (Some 11)
+    (G.find_term (G.symbols c) (T.iri "New"));
+  Alcotest.(check (option int)) "is not in the original" None
+    (G.find_term (G.symbols g) (T.iri "New"));
+  Alcotest.check_raises "a code the table never gave"
+    (Invalid_argument "Graph.add_codes: a code the table never gave")
+    (fun () ->
+      ignore
+        (G.add_codes g ~predicate:0 ~subject:1 ~object_:99 ~interval:0
+           ~confidence:0.5))
+
+(* A graph's symbols die with it: once a resolved graph and its result
+   are unreachable, a major collection frees its table and a term that
+   only the graph held. *)
+let[@inline never] resolve_and_drop ~table ~term =
+  let subject = T.iri (Printf.sprintf "freed-%d" 1) in
+  let g =
+    G.of_list
+      [
+        Q.make ~confidence:0.9 ~subject ~predicate:(T.iri "coach")
+          ~object_:(T.iri "A") (Kg.Interval.make 2000 2004);
+        Q.make ~confidence:0.6 ~subject ~predicate:(T.iri "coach")
+          ~object_:(T.iri "B") (Kg.Interval.make 2001 2003);
+      ]
+  in
+  let rules =
+    Result.get_ok
+      (Rulelang.Parser.parse_string
+         "constraint c: coach(x, y)@t ^ coach(x, z)@t2 ^ y != z => \
+          disjoint(t, t2) .")
+  in
+  let r = Tecore.Engine.resolve g rules in
+  Alcotest.(check int) "one fact removed" 1
+    (List.length r.Tecore.Engine.resolution.Tecore.Conflict.removed);
+  Weak.set table 0 (Some (G.symbols g));
+  Weak.set term 0 (Some subject)
+
+let test_symbols_freed () =
+  let table = Weak.create 1 and term = Weak.create 1 in
+  resolve_and_drop ~table ~term;
+  Gc.full_major ();
+  Alcotest.(check bool) "the table is freed" false (Weak.check table 0);
+  Alcotest.(check bool) "so is a term only the graph held" false
+    (Weak.check term 0)
+
 let () =
   Alcotest.run "graph"
     [
@@ -155,6 +230,13 @@ let () =
           Alcotest.test_case "tombstones respected" `Quick
             test_queries_respect_tombstones;
           Alcotest.test_case "predicates" `Quick test_predicates;
+        ] );
+      ( "symbols",
+        [
+          Alcotest.test_case "add interns in fact order" `Quick
+            test_add_interns_in_order;
+          Alcotest.test_case "copy keeps codes" `Quick test_copy_symbols;
+          Alcotest.test_case "freed with the graph" `Quick test_symbols_freed;
         ] );
       ( "properties",
         [

@@ -7,6 +7,9 @@ open Logic
 
 let iv = Kg.Interval.make
 
+(* An empty store over a fresh graph's symbol table. *)
+let new_store () = Store.create (Kg.Graph.symbols (Kg.Graph.create ()))
+
 let quad_atom p s o t = Atom.quad_pattern p ~subject:s ~object_:o ~time:t
 
 let cr_graph () =
@@ -35,7 +38,7 @@ let test_store_of_graph () =
     store
 
 let test_store_intern_dedup () =
-  let store = Store.create () in
+  let store = new_store () in
   let atom =
     Atom.Ground.make ~time:(iv 1 2) "p" [ Kg.Term.iri "a"; Kg.Term.iri "b" ]
   in
@@ -46,7 +49,7 @@ let test_store_intern_dedup () =
   Alcotest.(check bool) "find" true (Store.find store atom = Some id1)
 
 let test_store_evidence_upgrade () =
-  let store = Store.create () in
+  let store = new_store () in
   let atom =
     Atom.Ground.make ~time:(iv 1 2) "p" [ Kg.Term.iri "a"; Kg.Term.iri "b" ]
   in
@@ -100,15 +103,16 @@ let test_grounding_tables_queryable () =
   let module Tbl = Reldb.Table in
   let module V = Reldb.Value in
   let cell ~row name = (Tbl.column_data table (Tbl.column_index table name)).(row) in
+  let syms = Store.symbols store in
   let some = function Some v -> v | None -> Alcotest.fail "mistyped cell" in
   let cr_rows = ref 0 in
   for row = 0 to Tbl.cardinal table - 1 do
-    let subject = some (V.decode_term (cell ~row "a0")) in
+    let subject = some (V.decode_term syms (cell ~row "a0")) in
     let stored =
       Atom.Ground.make
-        ~time:(some (V.decode_interval (cell ~row "t")))
+        ~time:(some (V.decode_interval syms (cell ~row "t")))
         "coach"
-        [ subject; some (V.decode_term (cell ~row "a1")) ]
+        [ subject; some (V.decode_term syms (cell ~row "a1")) ]
     in
     let id = V.payload (cell ~row "atom") in
     Alcotest.(check string) "atom cell names the interned atom"
@@ -332,21 +336,29 @@ let arbitrary_term =
           (int_range (-800) 800);
       ])
 
+(* One graph's table across all cases, so lookups hit earlier cases'
+   symbols as well as fresh ones. *)
+let shared_symbols = Kg.Graph.symbols (Kg.Graph.create ())
+
 let qcheck_symbol_roundtrip =
-  QCheck.Test.make ~name:"Symbol: term/interval intern round-trips" ~count:500
+  QCheck.Test.make ~name:"Graph symbols: term/interval intern round-trips"
+    ~count:500
     QCheck.(pair arbitrary_term (pair (int_range 0 3000) (int_range 0 50)))
     (fun (t, (lo, len)) ->
-      let id = Kg.Symbol.term_id t in
+      let s = shared_symbols in
+      let id = Kg.Graph.intern_term s t in
       let iv = Kg.Interval.make lo (lo + len) in
-      let iid = Kg.Symbol.interval_id iv in
-      Kg.Term.equal (Kg.Symbol.term id) t
-      && Kg.Symbol.term_id t = id
-      && Kg.Symbol.find_term t = Some id
+      let iid = Kg.Graph.intern_interval s iv in
+      Kg.Term.equal (Kg.Graph.term s id) t
+      && Kg.Graph.intern_term s t = id
+      && Kg.Graph.find_term s t = Some id
+      && id < Kg.Graph.term_count s
       && Kg.Interval.(
-           lo (Kg.Symbol.interval iid) = lo iv
-           && hi (Kg.Symbol.interval iid) = hi iv)
-      && Kg.Symbol.interval_id iv = iid
-      && Kg.Symbol.find_interval iv = Some iid)
+           lo (Kg.Graph.interval s iid) = lo iv
+           && hi (Kg.Graph.interval s iid) = hi iv)
+      && Kg.Graph.intern_interval s iv = iid
+      && Kg.Graph.find_interval s iv = Some iid
+      && iid < Kg.Graph.interval_count s)
 
 let arbitrary_ground_atom =
   QCheck.(
@@ -365,7 +377,7 @@ let qcheck_store_roundtrip =
     ~count:200
     QCheck.(list_of_size (Gen.int_range 0 25) arbitrary_ground_atom)
     (fun atoms ->
-      let store = Store.create () in
+      let store = new_store () in
       let ids = List.map (Store.intern store Store.Hidden) atoms in
       let distinct = List.sort_uniq compare atoms in
       Store.size store = List.length distinct
@@ -517,7 +529,7 @@ let qcheck_body_matches_brute_force =
   QCheck.Test.make ~name:"Body.all = nested-loop enumeration" ~count:500
     (QCheck.make ~print:print_body_case gen_body_case)
     (fun (facts, rule) ->
-      let store = Store.create () in
+      let store = new_store () in
       List.iter (fun atom -> ignore (Store.intern store Store.Hidden atom)) facts;
       let fast =
         List.map
@@ -611,11 +623,17 @@ let qcheck_condition_matches_eval =
        ~print:(fun (c, _, _) -> Format.asprintf "%a" Cond.pp c)
        gen_cond_case)
     (fun (cond, xs, ts) ->
-      let layout = Body.layout ~vars:[ "x"; "y"; "z" ] ~tvars:[ "t"; "u" ] in
+      let syms = Kg.Graph.symbols (Kg.Graph.create ()) in
+      let layout = Body.layout syms ~vars:[ "x"; "y"; "z" ] ~tvars:[ "t"; "u" ] in
       let row =
         Array.append
-          (Array.map (fun t -> Reldb.Value.code (Reldb.Value.term t)) xs)
-          (Array.map (fun i -> Reldb.Value.code (Reldb.Value.interval i)) ts)
+          (Array.map
+             (fun t -> Reldb.Value.of_term_id (Kg.Graph.intern_term syms t))
+             xs)
+          (Array.map
+             (fun i ->
+               Reldb.Value.of_interval_id (Kg.Graph.intern_interval syms i))
+             ts)
       in
       let subst = Option.get (Body.subst layout row) in
       Body.condition layout cond row = Cond.eval subst cond)

@@ -403,6 +403,77 @@ let test_reground_refuses_mismatch () =
     (reground rebodied = None)
 
 (* ------------------------------------------------------------------ *)
+(* Head symbols and later asserts share one table                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The head constant [Athlete] occurs in no fact, so the first resolve
+   interns it into the session graph's symbol table; an assert then
+   interns a new term behind it. The assert touches only [birthDate],
+   so the replay copies the athlete rule's recorded candidates and
+   instances into the new store by their codes — which must still name
+   the same symbols there. The replayed resolve must equal a fresh one
+   on the same graph, atom for atom, and one on a rebuilt graph whose
+   table numbers the symbols afresh. *)
+let athlete_rule_src =
+  "rule t_athlete 1.2: playsFor(x, y)@t => occupation(x, Athlete)@t ."
+
+let test_head_constant_then_assert engine () =
+  let d = Datagen.Footballdb.generate ~seed:13 ~players:10 ~noise_ratio:0.4 () in
+  let session = new_session d in
+  (match Session.add_rules session athlete_rule_src with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "add_rules: %s" e);
+  let g = Option.get (Session.graph session) in
+  let code t = Kg.Graph.find_term (Kg.Graph.symbols g) (Kg.Term.iri t) in
+  Alcotest.(check bool) "no fact names the head constant" true
+    (code "Athlete" = None);
+  let resolve () =
+    match Session.resolve ~engine ~mode:`Incremental session with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "resolve: %s" (Session.error_message e)
+  in
+  ignore (resolve ());
+  let athlete = Option.get (code "Athlete") in
+  (match
+     Session.assert_fact session
+       (Kg.Quad.v "NewPlayer" "birthDate" (Kg.Term.int 1970) (1970, 2017) 0.7)
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "assert: %s" (Session.error_message e));
+  Alcotest.(check bool) "the new term comes after it" true
+    (Option.get (code "NewPlayer") > athlete);
+  let rules = Session.rules session in
+  Alcotest.(check bool) "the athlete rule is replayed" false
+    (Grounder.Ground.affected_rules ~delta:[ "birthDate" ] rules
+       (List.find (fun (r : Logic.Rule.t) -> r.name = "t_athlete") rules));
+  let r_inc = resolve () in
+  Alcotest.(check string) "the assert replays" "replay"
+    (Engine.outcome_name (Option.get (Session.cache_outcome session)));
+  Alcotest.(check bool) "athletes are derived" true
+    (List.exists
+       (fun (f : Conflict.derived_fact) ->
+         f.Conflict.atom.Logic.Atom.Ground.predicate = "occupation")
+       r_inc.Engine.resolution.Conflict.derived);
+  let r_fresh = Engine.resolve ~engine g rules in
+  Alcotest.(check bool) "= fresh on the same graph" true
+    (signature r_inc = signature r_fresh);
+  Alcotest.(check bool) "same raw" true (raw_dump r_inc = raw_dump r_fresh);
+  let rebuilt = Kg.Graph.of_list (Kg.Graph.to_list g) in
+  Alcotest.(check bool) "fact ids carry over" true
+    (List.for_all2 ( = )
+       (List.map fst (live_facts g))
+       (List.init (Kg.Graph.size rebuilt) Fun.id));
+  Alcotest.(check bool) "= fresh on a rebuilt graph" true
+    (signature r_inc = signature (Engine.resolve ~engine rebuilt rules))
+
+let head_constant_tests =
+  List.map
+    (fun (name, engine, _) ->
+      Alcotest.test_case (Printf.sprintf "head constant, then assert (%s)" name)
+        `Quick (test_head_constant_then_assert engine))
+    engines
+
+(* ------------------------------------------------------------------ *)
 (* Removed rules can leave nothing behind                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -547,7 +618,8 @@ let () =
             test_reground_identical;
           Alcotest.test_case "reground refuses changed rules" `Quick
             test_reground_refuses_mismatch;
-        ] );
+        ]
+        @ head_constant_tests );
       ( "invalidation",
         [
           Alcotest.test_case "removed rule leaves no stale clauses" `Quick

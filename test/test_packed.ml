@@ -14,11 +14,11 @@
    store's hidden atoms must be exactly the boxed closure's derived
    list.
 
-   The symbol table is process-global and append-only, so both sides
-   must start from the same table: the boxed grounding runs in a forked
-   child and reports a digest over a pipe, the packed one runs in the
-   parent from the state the child inherited. This executable never
-   starts a domain, so forking is safe. *)
+   Symbols are interned into the graph's own table, so each side
+   grounds its own copy of the graph, and both start from the same
+   table. A separate check builds a table the boxed way — each fact's
+   predicate, subject, object and interval, fact by fact — and requires
+   the graph's own table, which [Kg.Graph.add] filled, to equal it. *)
 
 module Store = Grounder.Atom_store
 module Ground = Grounder.Ground
@@ -43,9 +43,16 @@ module Boxed_body = struct
 
   let col_var c = String.sub c 1 (String.length c - 1)
 
+  (* The code of a constant in the store's symbol table, [None] when it
+     was never interned. *)
+  let term_code store = Value.find_term (Grounder.Atom_store.symbols store)
+
+  let interval_code store =
+    Value.find_interval (Grounder.Atom_store.symbols store)
+
   (* Rebuild a substitution from one row of a bindings table, decoding
      only the variable columns. *)
-  let subst_of_row table =
+  let subst_of_row symbols table =
     let typed =
       List.filter
         (fun (c, _) -> is_var_col c || is_tvar_col c)
@@ -59,11 +66,11 @@ module Boxed_body = struct
           | Some s ->
               let code = (Table.column_data table col).(row) in
               if is_var_col c then
-                match Value.decode_term code with
+                match Value.decode_term symbols code with
                 | Some term -> Logic.Subst.bind s (col_var c) term
                 | None -> None
               else
-                match Value.decode_interval code with
+                match Value.decode_interval symbols code with
                 | Some iv -> Logic.Subst.bind_time s (col_var c) iv
                 | None -> None)
         (Some Logic.Subst.empty) typed
@@ -76,7 +83,7 @@ module Boxed_body = struct
      non-evaluable head still reaches the instance phase and raises there
      exactly as the eager path does). Only the columns the conditions
      actually mention are decoded. *)
-  let compile_conditions cols conds =
+  let compile_conditions symbols cols conds =
     let positions = List.mapi (fun i c -> (c, i)) cols in
     let needed =
       List.sort_uniq compare
@@ -103,11 +110,11 @@ module Boxed_body = struct
             | Some s -> (
                 match need with
                 | `V v -> (
-                    match Value.decode_term codes.(i) with
+                    match Value.decode_term symbols codes.(i) with
                     | Some term -> Logic.Subst.bind s v term
                     | None -> None)
                 | `T v -> (
-                    match Value.decode_interval codes.(i) with
+                    match Value.decode_interval symbols codes.(i) with
                     | Some iv -> Logic.Subst.bind_time s v iv
                     | None -> None)))
           (Some Logic.Subst.empty) slots
@@ -149,7 +156,7 @@ module Boxed_body = struct
           (fun j term ->
             match term with
             | Logic.Lterm.Const c -> (
-                match Value.code_opt (Value.term c) with
+                match term_code store c with
                 | Some code -> filters := `Eq (j, code) :: !filters
                 | None -> unmatchable := true)
             | Logic.Lterm.Var v -> (
@@ -164,7 +171,7 @@ module Boxed_body = struct
         | None -> ()
         | Some (Logic.Lterm.Tvar v) -> keep := (tcol, tvar_col v) :: !keep
         | Some (Logic.Lterm.Tconst i) -> (
-            match Value.code_opt (Value.interval i) with
+            match interval_code store i with
             | Some code -> filters := `Eq (tcol, code) :: !filters
             | None -> unmatchable := true)
         | Some (Logic.Lterm.Tinter _ | Logic.Lterm.Thull _) ->
@@ -206,8 +213,7 @@ module Boxed_body = struct
     with
     | None -> 0
     | Some table ->
-        let narrow acc col value =
-          match Value.code_opt value with
+        let narrow acc col = function
           | None -> 0
           | Some code -> min acc (Table.count_for table ~col ~code)
         in
@@ -215,12 +221,13 @@ module Boxed_body = struct
         List.iteri
           (fun j term ->
             match term with
-            | Logic.Lterm.Const c -> card := narrow !card j (Value.term c)
+            | Logic.Lterm.Const c -> card := narrow !card j (term_code store c)
             | Logic.Lterm.Var _ -> ())
           atom.args;
         (match atom.time with
         | Some (Logic.Lterm.Tconst i) ->
-            card := narrow !card (List.length atom.args) (Value.interval i)
+            card :=
+              narrow !card (List.length atom.args) (interval_code store i)
         | _ -> ());
         !card
 
@@ -301,7 +308,11 @@ module Boxed_body = struct
                   let filter =
                     match ready with
                     | [] -> None
-                    | _ -> Some (compile_conditions out_cols ready)
+                    | _ ->
+                        Some
+                          (compile_conditions
+                             (Grounder.Atom_store.symbols store)
+                             out_cols ready)
                   in
                   let joined =
                     if is_start then
@@ -355,7 +366,9 @@ module Boxed_body = struct
     match plan ?pool ?violation store rule with
     | None -> init
     | Some bindings ->
-        let to_subst = subst_of_row bindings in
+        let to_subst =
+          subst_of_row (Grounder.Atom_store.symbols store) bindings
+        in
         let atom_positions =
           List.mapi (fun i _ -> Table.column_index bindings (atom_col i)) rule.body
         in
@@ -381,7 +394,7 @@ module Boxed = struct
   module Atom_store = Store
 
   let of_graph graph =
-    let t = Atom_store.create () in
+    let t = Atom_store.create (Kg.Graph.symbols graph) in
     Kg.Graph.iter
       (fun fact q ->
         ignore
@@ -468,19 +481,19 @@ end
 (* Digests                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let symbols_since (terms0, intervals0) =
+(* The symbols of a table from code [terms0] and [intervals0] on. *)
+let symbols_since syms (terms0, intervals0) =
   let b = Buffer.create 256 in
-  for i = terms0 to Kg.Symbol.terms_interned () - 1 do
-    Printf.bprintf b "term %d %S\n" i (Kg.Term.to_string (Kg.Symbol.term i))
+  for i = terms0 to Kg.Graph.term_count syms - 1 do
+    Printf.bprintf b "term %d %S\n" i (Kg.Term.to_string (Kg.Graph.term syms i))
   done;
-  for i = intervals0 to Kg.Symbol.intervals_interned () - 1 do
+  for i = intervals0 to Kg.Graph.interval_count syms - 1 do
     Printf.bprintf b "interval %d %s\n" i
-      (Kg.Interval.to_string (Kg.Symbol.interval i))
+      (Kg.Interval.to_string (Kg.Graph.interval syms i))
   done;
   Buffer.contents b
 
-let symbol_state () =
-  (Kg.Symbol.terms_interned (), Kg.Symbol.intervals_interned ())
+let symbol_state syms = (Kg.Graph.term_count syms, Kg.Graph.interval_count syms)
 
 (* Every atom (key, boxed view, origin, evidence facts), every instance
    (rule, body atoms, head), the derived atoms and the closure rounds of
@@ -516,54 +529,35 @@ let packed store (result : Ground.result) =
   digest store
     (Instance.of_result result, Instance.hidden store, result.Ground.rounds)
 
-(* The digest of [f ()] plus the symbols it interned; a failure is part
-   of the answer. *)
-let run_digest f =
-  let state = symbol_state () in
+(* The digest of [f graph] plus the symbols it interned into the
+   graph's table; a failure is part of the answer. *)
+let run_digest graph f =
+  let syms = Kg.Graph.symbols graph in
+  let state = symbol_state syms in
   let d =
-    match f () with
+    match f graph with
     | d -> d
     | exception (Invalid_argument m | Failure m) -> "error: " ^ m
   in
-  d ^ symbols_since state
-
-let in_child f =
-  flush_all ();
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close r;
-      let s = try f () with e -> "uncaught: " ^ Printexc.to_string e in
-      let oc = Unix.out_channel_of_descr w in
-      output_string oc s;
-      close_out oc;
-      Unix._exit 0
-  | pid ->
-      Unix.close w;
-      let ic = Unix.in_channel_of_descr r in
-      let s = In_channel.input_all ic in
-      close_in ic;
-      ignore (Unix.waitpid [] pid);
-      s
+  d ^ symbols_since syms state
 
 (* [edit] (when given) is applied to the graph after a first grounding:
    the boxed side then grounds the edited graph from scratch, the
    packed side replays its recorded snapshot with [reground] — or, in
    the eager mode, which is never recorded, grounds afresh. *)
 let boxed_digest ?edit ~lazy_constraints graph rules =
-  in_child (fun () ->
-      run_digest (fun () ->
+  run_digest graph (fun graph ->
+      let store = Boxed.of_graph graph in
+      let result = Boxed.run ~lazy_constraints store rules in
+      match edit with
+      | None -> digest store result
+      | Some (edit, _) ->
+          edit graph;
           let store = Boxed.of_graph graph in
-          let result = Boxed.run ~lazy_constraints store rules in
-          match edit with
-          | None -> digest store result
-          | Some (edit, _) ->
-              edit graph;
-              let store = Boxed.of_graph graph in
-              digest store (Boxed.run ~lazy_constraints store rules)))
+          digest store (Boxed.run ~lazy_constraints store rules))
 
 let packed_digest ?edit ~lazy_constraints graph rules =
-  run_digest (fun () ->
+  run_digest graph (fun graph ->
       let store = Store.of_graph graph in
       match edit with
       | None -> packed store (Ground.run ~lazy_constraints store rules)
@@ -581,13 +575,38 @@ let packed_digest ?edit ~lazy_constraints graph rules =
           | Some (result, _) -> packed store result
           | None -> "reground refused"))
 
+(* Each side grounds its own copy, from the same symbol table. *)
 let same_grounding ?edit ~lazy_constraints graph rules =
-  (* The child works on its own copy of the graph. *)
-  let boxed = boxed_digest ?edit ~lazy_constraints graph rules in
-  let packed = packed_digest ?edit ~lazy_constraints graph rules in
+  let boxed =
+    boxed_digest ?edit ~lazy_constraints (Kg.Graph.copy graph) rules
+  in
+  let packed =
+    packed_digest ?edit ~lazy_constraints (Kg.Graph.copy graph) rules
+  in
   String.equal boxed packed
   || begin
        Printf.eprintf "--- boxed\n%s--- packed\n%s" boxed packed;
+       false
+     end
+
+(* The table [Kg.Graph.add] fills equals the one the boxed store fills
+   from an empty table: θ of each fact, interned predicate, subject,
+   object, interval, fact by fact. *)
+let same_symbols graph =
+  let added = Kg.Graph.of_list (Kg.Graph.to_list graph) in
+  let boxed = Kg.Graph.create () in
+  let store = Store.create (Kg.Graph.symbols boxed) in
+  Kg.Graph.iter
+    (fun fact q ->
+      ignore
+        (Store.intern store
+           (Store.Evidence { confidence = q.Kg.Quad.confidence; fact })
+           (Logic.Atom.Ground.of_quad q)))
+    added;
+  let all g = symbols_since (Kg.Graph.symbols g) (0, 0) in
+  String.equal (all added) (all boxed)
+  || begin
+       Printf.eprintf "--- boxed\n%s--- added\n%s" (all boxed) (all added);
        false
      end
 
@@ -623,12 +642,14 @@ let random_edits ~seed graph n =
           [ pred gone; Kg.Term.to_string added.Kg.Quad.predicate ] ))
 
 let check_dataset name graph rules =
+  Alcotest.(check bool) (name ^ ", symbols in θ's order") true
+    (same_symbols graph);
   List.iter
     (fun lazy_constraints ->
       Alcotest.(check bool)
         (Printf.sprintf "%s, lazy_constraints=%b" name lazy_constraints)
         true
-        (same_grounding ~lazy_constraints (Kg.Graph.copy graph) rules))
+        (same_grounding ~lazy_constraints graph rules))
     [ false; true ];
   (* Retract the first fact of the first predicate, then replay. *)
   match live_ids graph with
@@ -640,14 +661,13 @@ let check_dataset name graph rules =
         (name ^ ", run_record then reground") true
         (same_grounding
            ~edit:((fun g -> Kg.Graph.remove g id), delta)
-           ~lazy_constraints:true (Kg.Graph.copy graph) rules);
+           ~lazy_constraints:true graph rules);
       List.iteri
         (fun k edit ->
           Alcotest.(check bool)
             (Printf.sprintf "%s, random edit %d then reground" name k)
             true
-            (same_grounding ~edit ~lazy_constraints:true (Kg.Graph.copy graph)
-               rules))
+            (same_grounding ~edit ~lazy_constraints:true graph rules))
         (random_edits ~seed:(Hashtbl.hash name) graph 3)
 
 let test_footballdb () =
@@ -697,10 +717,10 @@ let test_data_files () =
    strings (so [value] can be undefined). Rules join p, q and the
    derived w (binary temporal) and s (unary atemporal); heads draw from
    the body's variables, a constant that occurs nowhere in the graph
-   and intervals computed with ∩ and hull. Every case salts its
-   predicates, IRIs and intervals, so its grounding interns symbols the
-   table has not seen — which is what makes the symbol order
-   observable. *)
+   and intervals computed with ∩ and hull, so grounding interns symbols
+   the graph's table has not seen — which is what makes the symbol
+   order observable. Every case salts its predicates, IRIs and
+   intervals. *)
 type vocab = {
   p : string;
   q : string;
@@ -870,7 +890,7 @@ let qcheck_packed_equals_boxed =
     (fun (facts, rules, retract) ->
       let graph = Kg.Graph.of_list facts in
       let plain lazy_constraints =
-        same_grounding ~lazy_constraints (Kg.Graph.copy graph) rules
+        same_grounding ~lazy_constraints graph rules
       in
       let replayed =
         match facts with
@@ -881,9 +901,9 @@ let qcheck_packed_equals_boxed =
             same_grounding
               ~edit:((fun g -> Kg.Graph.remove g id),
                      [ Kg.Term.to_string q.Kg.Quad.predicate ])
-              ~lazy_constraints:(retract mod 2 = 0) (Kg.Graph.copy graph) rules
+              ~lazy_constraints:(retract mod 2 = 0) graph rules
       in
-      plain false && plain true && replayed)
+      same_symbols graph && plain false && plain true && replayed)
 
 let () =
   Alcotest.run "packed"

@@ -5,8 +5,12 @@ module Tbl = Reldb.Table
 module RA = Reldb.Relalg
 module I = Kg.Interval
 
-let iri s = V.code (V.term (Kg.Term.iri s))
-let int n = V.code (V.Int n)
+(* Codes come from one graph's symbol table. *)
+let syms = Kg.Graph.symbols (Kg.Graph.create ())
+let term t = V.of_term_id (Kg.Graph.intern_term syms t)
+let interval i = V.of_interval_id (Kg.Graph.intern_interval syms i)
+let iri s = term (Kg.Term.iri s)
+let int = V.of_int
 
 let table name columns rows =
   let t = Tbl.create ~name ~columns in
@@ -43,20 +47,18 @@ let cities () =
 
 let test_value_kinds () =
   Alcotest.(check bool) "term code stable" true (iri "a" = iri "a");
-  Alcotest.(check bool) "int vs term" false
-    (int 1 = V.code (V.term (Kg.Term.int 1)));
+  Alcotest.(check bool) "int vs term" false (int 1 = term (Kg.Term.int 1));
   Alcotest.(check bool) "interval code stable" true
-    (V.code (V.interval (I.make 1 2)) = V.code (V.interval (I.make 1 2)));
+    (interval (I.make 1 2) = interval (I.make 1 2));
   Alcotest.(check int) "int payload" 3 (V.payload (int 3));
   Alcotest.(check bool) "decode_interval" true
-    (V.decode_interval (V.code (V.interval (I.make 1 2))) = Some (I.make 1 2));
+    (V.decode_interval syms (interval (I.make 1 2)) = Some (I.make 1 2));
   Alcotest.(check bool) "decode_term" true
-    (V.decode_term (iri "a") = Some (Kg.Term.iri "a"));
+    (V.decode_term syms (iri "a") = Some (Kg.Term.iri "a"));
   Alcotest.(check bool) "null decodes to nothing" true
-    (let null = V.code V.Null in
-     V.decode_term null = None && V.decode_interval null = None);
-  Alcotest.(check bool) "code_opt of an unseen symbol" true
-    (V.code_opt (V.term (Kg.Term.iri "never-interned-anywhere")) = None)
+    (V.decode_term syms V.null = None && V.decode_interval syms V.null = None);
+  Alcotest.(check bool) "an unseen symbol has no code" true
+    (Kg.Graph.find_term syms (Kg.Term.iri "never-interned-anywhere") = None)
 
 let test_int_codes () =
   let ns = [ 0; 1; -1; 2; -2; 1 lsl 40; -(1 lsl 40); (1 lsl 59) - 1 ] in
@@ -66,28 +68,28 @@ let test_int_codes () =
   List.iter2
     (fun n c ->
       Alcotest.(check int) "round trip" n (V.payload c);
-      Alcotest.(check bool) "an int is no term" true (V.decode_term c = None);
+      Alcotest.(check bool) "an int is no term" true
+        (V.decode_term syms c = None);
       Alcotest.(check bool) "an int is no interval" true
-        (V.decode_interval c = None))
+        (V.decode_interval syms c = None))
     ns codes;
-  Alcotest.(check bool) "code_opt of an int" true
-    (V.code_opt (V.Int 5) = Some (int 5))
+  Alcotest.(check bool) "null is no int" true (V.null <> int 0)
 
-(* The id-level constructors the packed grounder uses agree with
-   encoding the value itself, and [payload] gives the id back. *)
+(* The code constructors keep the kinds apart, [payload] gives the
+   symbol code back, and the decoders read the table that gave it. *)
 let test_codes_of_ids () =
   let t = Kg.Term.iri "codes-of-ids" and i = I.make 7 9 in
-  let tid = Kg.Symbol.term_id t and iid = Kg.Symbol.interval_id i in
-  Alcotest.(check int) "term" (V.code (V.term t)) (V.of_term_id tid);
-  Alcotest.(check int) "interval" (V.code (V.interval i)) (V.of_interval_id iid);
-  Alcotest.(check int) "int" (V.code (V.Int (-12))) (V.of_int (-12));
+  let tid = Kg.Graph.intern_term syms t
+  and iid = Kg.Graph.intern_interval syms i in
+  Alcotest.(check int) "term" (term t) (V.of_term_id tid);
+  Alcotest.(check int) "interval" (interval i) (V.of_interval_id iid);
   Alcotest.(check (list int)) "payloads" [ tid; iid; -12 ]
     (List.map V.payload [ V.of_term_id tid; V.of_interval_id iid; V.of_int (-12) ]);
   Alcotest.(check bool) "kinds stay apart" true
     (V.of_term_id tid <> V.of_interval_id tid && V.of_term_id tid <> V.of_int tid);
   Alcotest.(check bool) "decodes" true
-    (V.decode_term (V.of_term_id tid) = Some t
-    && V.decode_interval (V.of_interval_id iid) = Some i)
+    (V.decode_term syms (V.of_term_id tid) = Some t
+    && V.decode_interval syms (V.of_interval_id iid) = Some i)
 
 let test_table_basics () =
   let t = people () in

@@ -342,6 +342,65 @@ let test_warm_path () =
       close c)
 
 (* ------------------------------------------------------------------ *)
+(* An evicted session's memory                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Symbols belong to a session's graph, so evicting the session frees
+   them: a session whose graph holds about 4 MB of distinct terms is
+   resolved, then evicted by a second one, and once its connection is
+   closed the live heap falls back to within a quarter of that. *)
+let test_evicted_session_freed () =
+  let file = Filename.temp_file "evicted" ".tq" in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc "@prefix ex: <http://example.org/> .\n";
+      for i = 1 to 2000 do
+        Printf.fprintf oc "ex:%s%d ex:playsFor ex:T%d [1990,1995] 0.8 .\n"
+          (String.make 2000 'p') i (i mod 2)
+      done);
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let config = { Serve.default_config with Serve.max_sessions = Some 1 } in
+  let server = Serve.start ~config (`Tcp 0) in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.stop server;
+      Sys.remove file)
+    (fun () ->
+      let base = live () in
+      let c = connect server in
+      List.iter
+        (fun line -> ignore (expect_ok line (request c line)))
+        [
+          "hello big";
+          "load " ^ file;
+          "constraint one_team: ex:playsFor(x, y)@t ^ ex:playsFor(x, z)@t2 \
+           ^ y != z => disjoint(t, t2) .";
+          "resolve";
+        ];
+      let loaded = live () - base in
+      Alcotest.(check bool) "the session holds its terms" true
+        (loaded > 2000 * 2000 / 8);
+      let d = connect server in
+      ignore (expect_ok "hello" (request d "hello small"));
+      close c;
+      (* The server lets go of the session once the connection thread
+         sees the close. *)
+      let rec settle tries =
+        let held = live () - base in
+        if held < loaded / 4 || tries = 0 then held
+        else begin
+          Unix.sleepf 0.05;
+          settle (tries - 1)
+        end
+      in
+      let held = settle 100 in
+      if held >= loaded / 4 then
+        Alcotest.failf "%d of the session's %d words still live" held loaded;
+      close d)
+
+(* ------------------------------------------------------------------ *)
 (* Live metrics                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -946,6 +1005,11 @@ let () =
       ( "warm path",
         [ Alcotest.test_case "1-fact edits stay cached" `Quick test_warm_path ]
       );
+      ( "memory",
+        [
+          Alcotest.test_case "an evicted session's symbols are freed" `Quick
+            test_evicted_session_freed;
+        ] );
       ( "metrics",
         [
           Alcotest.test_case "live exposition validates" `Quick
