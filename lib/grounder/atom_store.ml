@@ -1,5 +1,5 @@
 module Ivec = Prelude.Ivec
-module Fvec = Prelude.Fvec
+module Vec = Prelude.Vec
 module Ground = Logic.Atom.Ground
 module Graph = Kg.Graph
 
@@ -30,7 +30,7 @@ type t = {
   mutable dict : int array;
   mutable dict_mask : int;
   mutable dict_n : int;
-  conf : Fvec.t;  (** meaningful where [origin_fact] >= 0 *)
+  conf : float Vec.t;  (** meaningful where [origin_fact] >= 0 *)
   origin_fact : Ivec.t;  (** max-confidence evidence fact; -1 = hidden *)
   first_fact : Ivec.t;  (** first interned fact (ordering); -1 = none *)
   more_facts : (id, Kg.Graph.id list) Hashtbl.t;
@@ -44,18 +44,16 @@ type t = {
 let sized symbols ~atoms =
   let offsets = Ivec.create ~capacity:(atoms + 1) () in
   Ivec.push offsets 0;
-  let cap = ref 1024 in
-  while !cap <= 2 * atoms do
-    cap := 2 * !cap
-  done;
+  let rec fit cap = if cap > 2 * atoms then cap else fit (2 * cap) in
+  let cap = fit 1024 in
   {
     symbols;
     codes = Ivec.create ~capacity:(4 * atoms) ();
     offsets;
-    dict = Array.make !cap (-1);
-    dict_mask = !cap - 1;
+    dict = Array.make cap (-1);
+    dict_mask = cap - 1;
     dict_n = 0;
-    conf = Fvec.create ();
+    conf = Vec.create ();
     origin_fact = Ivec.create ~capacity:atoms ();
     first_fact = Ivec.create ~capacity:atoms ();
     more_facts = Hashtbl.create 64;
@@ -171,7 +169,7 @@ let atom t atom_id =
 let origin t atom_id =
   match Ivec.get t.origin_fact atom_id with
   | -1 -> Hidden
-  | fact -> Evidence { confidence = Fvec.get t.conf atom_id; fact }
+  | fact -> Evidence { confidence = Vec.get t.conf atom_id; fact }
 
 let is_evidence t atom_id = Ivec.get t.origin_fact atom_id >= 0
 
@@ -237,11 +235,11 @@ let merge_origin t id fact confidence =
     let upgrade =
       match Ivec.get t.origin_fact id with
       | -1 -> true
-      | _ -> confidence > Fvec.get t.conf id
+      | _ -> confidence > Vec.get t.conf id
     in
     if upgrade then begin
       Ivec.set t.origin_fact id fact;
-      Fvec.set t.conf id confidence
+      Vec.set t.conf id confidence
     end
   end
 
@@ -259,7 +257,7 @@ let intern_packed t (key : key) ~fact ~confidence =
       t.dict_n <- t.dict_n + 1;
       if 2 * t.dict_n >= Array.length t.dict then dict_grow t;
       Ivec.push t.origin_fact fact;
-      Fvec.push t.conf (if fact >= 0 then confidence else 0.0);
+      Vec.push t.conf (if fact >= 0 then confidence else 0.0);
       Ivec.push t.first_fact (-1);
       insert_row t key id;
       record_fact t id fact;

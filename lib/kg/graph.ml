@@ -1,6 +1,5 @@
 module Vec = Prelude.Vec
 module Ivec = Prelude.Ivec
-module Fvec = Prelude.Fvec
 
 (* ------------------------------------------------------------------ *)
 (* Symbols                                                             *)
@@ -23,10 +22,7 @@ module Intern (H : Hashtbl.HashedType) = struct
         Codes.add t.codes x code;
         code
 
-  let copy t =
-    let values = Vec.create () in
-    Vec.iter (Vec.push values) t.values;
-    { codes = Codes.copy t.codes; values }
+  let copy t = { codes = Codes.copy t.codes; values = Vec.copy t.values }
 end
 
 module Terms = Intern (struct
@@ -51,12 +47,14 @@ end)
 
 type symbols = { terms : Terms.t; intervals : Intervals.t }
 
-let intern_term s = Terms.intern s.terms
-let intern_interval s = Intervals.intern s.intervals
-let find_term s = Terms.Codes.find_opt s.terms.codes
-let find_interval s = Intervals.Codes.find_opt s.intervals.codes
-let term s = Vec.get s.terms.values
-let interval s = Vec.get s.intervals.values
+(* Eta-expanded: a partial application would allocate a closure per
+   call, and the joins decode per row. *)
+let intern_term s t = Terms.intern s.terms t
+let intern_interval s i = Intervals.intern s.intervals i
+let find_term s t = Terms.Codes.find_opt s.terms.codes t
+let find_interval s i = Intervals.Codes.find_opt s.intervals.codes i
+let term s code = Vec.get s.terms.values code
+let interval s code = Vec.get s.intervals.values code
 let term_count s = Vec.length s.terms.values
 let interval_count s = Vec.length s.intervals.values
 
@@ -78,7 +76,7 @@ let stride = 4
 type t = {
   symbols : symbols;
   codes : Ivec.t;
-  confidence : Fvec.t;
+  confidence : float Vec.t;
   alive : Ivec.t;  (** 1 while live, 0 once removed *)
   mutable live : int;
   mutable by_predicate : (int, Ivec.t) Hashtbl.t option;
@@ -88,14 +86,14 @@ let create () =
   {
     symbols = { terms = Terms.create 1024; intervals = Intervals.create 256 };
     codes = Ivec.create ();
-    confidence = Fvec.create ();
+    confidence = Vec.create ();
     alive = Ivec.create ();
     live = 0;
     by_predicate = None;
   }
 
 let symbols t = t.symbols
-let count t = Fvec.length t.confidence
+let count t = Vec.length t.confidence
 let code t id k = Ivec.get t.codes ((stride * id) + k)
 
 let index_push table p id =
@@ -121,18 +119,12 @@ let predicate_index t =
       table
 
 let add_codes t ~predicate ~subject ~object_ ~interval ~confidence =
-  let term c = c >= 0 && c < term_count t.symbols in
-  if
-    not
-      (term predicate && term subject && term object_ && interval >= 0
-      && interval < interval_count t.symbols)
-  then invalid_arg "Graph.add_codes: a code the table never gave";
   let id = count t in
   Ivec.push t.codes predicate;
   Ivec.push t.codes subject;
   Ivec.push t.codes object_;
   Ivec.push t.codes interval;
-  Fvec.push t.confidence confidence;
+  Vec.push t.confidence confidence;
   Ivec.push t.alive 1;
   t.live <- t.live + 1;
   Option.iter (fun table -> index_push table predicate id) t.by_predicate;
@@ -159,19 +151,16 @@ let remove t id =
     t.live <- t.live - 1
   end
 
-let quad t id =
+let find t id =
+  check_id t id;
   let s = t.symbols in
   {
     Quad.predicate = term s (code t id 0);
     subject = term s (code t id 1);
     object_ = term s (code t id 2);
     time = interval s (code t id 3);
-    confidence = Fvec.get t.confidence id;
+    confidence = Vec.get t.confidence id;
   }
-
-let find t id =
-  check_id t id;
-  quad t id
 
 let size t = t.live
 
@@ -182,12 +171,12 @@ let iter_codes f t =
       let row = stride * id in
       f id ~predicate:codes.(row) ~subject:codes.(row + 1)
         ~object_:codes.(row + 2) ~interval:codes.(row + 3)
-        ~confidence:(Fvec.get t.confidence id)
+        ~confidence:(Vec.get t.confidence id)
   done
 
 let iter f t =
   for id = 0 to count t - 1 do
-    if mem_id t id then f id (quad t id)
+    if mem_id t id then f id (find t id)
   done
 
 let to_list t =
@@ -200,17 +189,17 @@ let of_list quads =
   List.iter (fun q -> ignore (add t q)) quads;
   t
 
-let copy t =
+let copy ?(room = 0) t =
   {
+    t with
     symbols =
       {
         terms = Terms.copy t.symbols.terms;
         intervals = Intervals.copy t.symbols.intervals;
       };
-    codes = Ivec.copy t.codes;
-    confidence = Fvec.copy t.confidence;
-    alive = Ivec.copy t.alive;
-    live = t.live;
+    codes = Ivec.copy ~room:(stride * room) t.codes;
+    confidence = Vec.copy ~room t.confidence;
+    alive = Ivec.copy ~room t.alive;
     by_predicate = None;
   }
 
@@ -222,7 +211,7 @@ let by_predicate t p =
   | Some ids ->
       Array.to_list (Ivec.to_array ids)
       |> List.filter_map (fun id ->
-             if mem_id t id then Some (id, quad t id) else None)
+             if mem_id t id then Some (id, find t id) else None)
 
 let by_subject_predicate t s p =
   match find_term t.symbols s with

@@ -13,8 +13,9 @@ type id = int
 
 val create : unit -> t
 
-val copy : t -> t
-(** Deep copy sharing no mutable state, its symbol table included. *)
+val copy : ?room:int -> t -> t
+(** Deep copy sharing no mutable state, its symbol table included, with
+    room for [room] (default 0) more facts. *)
 
 val add : t -> Quad.t -> id
 (** Insert a fact, interning its predicate, subject, object and
@@ -94,9 +95,9 @@ val add_codes :
   interval:int ->
   confidence:float ->
   id
-(** {!add} for a fact whose symbols this graph's table already codes:
-    no term is hashed. A {!copy} keeps every code of its original.
-    @raise Invalid_argument on a code the table never gave. *)
+(** {!add} for a fact whose symbols this graph's table already codes —
+    codes it gave, or its original gave before a {!copy}, which keeps
+    every code: no term is hashed. *)
 
 val iter_codes :
   (id -> predicate:int -> subject:int -> object_:int -> interval:int ->

@@ -46,6 +46,9 @@ let iter f t =
 
 let to_array t = Array.sub t.data 0 t.len
 
-let copy t = { data = to_array t; len = t.len }
+let copy ?(room = 0) t =
+  let c = create ~capacity:(t.len + room) () in
+  append c t.data ~pos:0 ~len:t.len;
+  c
 
 let raw t = t.data

@@ -32,7 +32,8 @@ val iter : (int -> unit) -> t -> unit
 val to_array : t -> int array
 (** Copy of the live prefix. *)
 
-val copy : t -> t
+val copy : ?room:int -> t -> t
+(** A copy with capacity for [room] (default 0) more elements. *)
 
 val raw : t -> int array
 (** The backing array itself (length >= [length t]; entries past the

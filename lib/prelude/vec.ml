@@ -45,3 +45,10 @@ let fold f acc t =
   !acc
 
 let to_array t = Array.sub t.data 0 t.len
+
+let copy ?(room = 0) t =
+  if t.len = 0 then create ()
+  else
+    let data = Array.make (t.len + room) t.data.(0) in
+    Array.blit t.data 0 data 0 t.len;
+    { data; len = t.len }

@@ -14,3 +14,6 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_array : 'a t -> 'a array
+
+val copy : ?room:int -> 'a t -> 'a t
+(** A copy with capacity for [room] (default 0) more elements. *)

@@ -70,7 +70,14 @@ let add_derived consistent ~same_codes store atom_id (q : Kg.Quad.t) =
   else Kg.Graph.add consistent q
 
 let interpret ~graph ~store ~instances ~assignment () =
-  let consistent = Kg.Graph.copy graph in
+  (* Room for a fact per true hidden atom, so that adding the derived
+     facts does not regrow the copy's columns. *)
+  let room = ref 0 in
+  for atom_id = 0 to Store.size store - 1 do
+    if assignment.(atom_id) && not (Store.is_evidence store atom_id) then
+      incr room
+  done;
+  let consistent = Kg.Graph.copy ~room:!room graph in
   let same_codes = Store.symbols store == Kg.Graph.symbols graph in
   let removed = ref [] in
   let derived = ref [] in

@@ -168,13 +168,7 @@ let test_copy_symbols () =
   Alcotest.(check (option int)) "the copy's new term" (Some 11)
     (G.find_term (G.symbols c) (T.iri "New"));
   Alcotest.(check (option int)) "is not in the original" None
-    (G.find_term (G.symbols g) (T.iri "New"));
-  Alcotest.check_raises "a code the table never gave"
-    (Invalid_argument "Graph.add_codes: a code the table never gave")
-    (fun () ->
-      ignore
-        (G.add_codes g ~predicate:0 ~subject:1 ~object_:99 ~interval:0
-           ~confidence:0.5))
+    (G.find_term (G.symbols g) (T.iri "New"))
 
 (* A graph's symbols die with it: once a resolved graph and its result
    are unreachable, a major collection frees its table and a term that
