@@ -59,17 +59,9 @@ let derived_confidences (instances : Ground.instances) assignment =
   fun atom_id ->
     sigmoid (Option.value (Hashtbl.find_opt support atom_id) ~default:0.0)
 
-(* A derived quad joins the copy by its atom's key when the store is
-   coded in the graph's table, which the copy keeps: [[| p; s; o; i+1 |]]
-   for the binary temporal atoms that have a quad form. *)
-let add_derived consistent ~same_codes store atom_id (q : Kg.Quad.t) =
-  if same_codes then
-    let k = Store.key store atom_id in
-    Kg.Graph.add_codes consistent ~predicate:k.(0) ~subject:k.(1)
-      ~object_:k.(2) ~interval:(k.(3) - 1) ~confidence:q.confidence
-  else Kg.Graph.add consistent q
-
 let interpret ~graph ~store ~instances ~assignment () =
+  if Store.symbols store != Kg.Graph.symbols graph then
+    invalid_arg "Conflict.interpret: the store is not the graph's grounding";
   (* Room for a fact per true hidden atom, so that adding the derived
      facts does not regrow the copy's columns. *)
   let room = ref 0 in
@@ -78,7 +70,6 @@ let interpret ~graph ~store ~instances ~assignment () =
       incr room
   done;
   let consistent = Kg.Graph.copy ~room:!room graph in
-  let same_codes = Store.symbols store == Kg.Graph.symbols graph in
   let removed = ref [] in
   let derived = ref [] in
   let kept = ref 0 in
@@ -104,7 +95,12 @@ let interpret ~graph ~store ~instances ~assignment () =
       let as_quad = Logic.Atom.Ground.to_quad ~confidence atom in
       (match as_quad with
       | Some q ->
-          ignore (add_derived consistent ~same_codes store atom_id q)
+          (* The copy keeps every code of the graph's table, so the
+             atom's key [[| p; s; o; i+1 |]] adds the fact unhashed. *)
+          let k = Store.key store atom_id in
+          ignore
+            (Kg.Graph.add_codes consistent ~predicate:k.(0) ~subject:k.(1)
+               ~object_:k.(2) ~interval:(k.(3) - 1) ~confidence:q.confidence)
       | None -> ());
       derived := { atom; confidence; as_quad } :: !derived
     end

@@ -36,6 +36,10 @@ val interpret :
   assignment:bool array ->
   unit ->
   resolution
+(** Read a MAP assignment over [store], the grounding of [graph] (built
+    by {!Grounder.Atom_store.of_graph} on it), back into a resolution.
+    @raise Invalid_argument when [store] codes its atoms in another
+    graph's symbol table. *)
 
 val apply_threshold : float -> resolution -> resolution
 (** Drop derived facts whose confidence is below the threshold — the

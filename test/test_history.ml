@@ -169,10 +169,18 @@ let cli_verdict ~file ~rules =
   let out = Filename.concat tmp_dir "cli.json" in
   let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
   let cli = Filename.concat ".." (Filename.concat "bin" "tecore_cli.exe") in
+  (* The daemon runs without injected faults and with one job; so does
+     the CLI, whatever the environment says. *)
+  let env =
+    Array.of_list
+      (List.filter
+         (fun kv -> not (String.starts_with ~prefix:"TECORE_" kv))
+         (Array.to_list (Unix.environment ())))
+  in
   let pid =
-    Unix.create_process cli
+    Unix.create_process_env cli
       [| cli; "resolve"; "-d"; file; "-r"; rules_file; "-e"; "mln"; "--json" |]
-      Unix.stdin fd Unix.stderr
+      env Unix.stdin fd Unix.stderr
   in
   Unix.close fd;
   (match Unix.waitpid [] pid with

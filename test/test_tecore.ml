@@ -159,6 +159,27 @@ let test_apply_threshold () =
   Alcotest.(check (pair int int)) "0.95 drops it" (0, 4) (derived high, size high);
   Alcotest.(check (pair int int)) "input untouched" (1, 5) (derived r, size r)
 
+(* [interpret] reads the store through the graph's own symbol table, so
+   it accepts only the grounding of that graph, not of a copy. *)
+let test_interpret_own_grounding () =
+  let g = cr_graph () in
+  let r = Tecore.Engine.resolve g (cr_rules ()) in
+  let raw = r.Tecore.Engine.raw in
+  let interpret graph =
+    Tecore.Conflict.interpret ~graph ~store:raw.Tecore.Engine.store
+      ~instances:raw.Tecore.Engine.instances
+      ~assignment:raw.Tecore.Engine.assignment ()
+  in
+  let again = interpret g in
+  Alcotest.(check (list string)) "same consistent graph"
+    (List.map Kg.Quad.to_string
+       (Kg.Graph.to_list r.Tecore.Engine.resolution.Tecore.Conflict.consistent))
+    (List.map Kg.Quad.to_string
+       (Kg.Graph.to_list again.Tecore.Conflict.consistent));
+  Alcotest.check_raises "a copy's table is another table"
+    (Invalid_argument "Conflict.interpret: the store is not the graph's grounding")
+    (fun () -> ignore (interpret (Kg.Graph.copy g)))
+
 let test_pp_summary () =
   let r =
     (Tecore.Engine.resolve (cr_graph ()) (cr_rules ())).Tecore.Engine.resolution
@@ -369,6 +390,8 @@ let () =
           Alcotest.test_case "threshold" `Quick test_threshold;
           Alcotest.test_case "apply_threshold" `Quick test_apply_threshold;
           Alcotest.test_case "pp_summary" `Quick test_pp_summary;
+          Alcotest.test_case "interpret needs the graph's grounding" `Quick
+            test_interpret_own_grounding;
           Alcotest.test_case "choice_name" `Quick test_choice_name;
           Alcotest.test_case "derived confidence monotone" `Quick
             test_derived_confidence_monotone;
