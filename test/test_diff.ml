@@ -87,7 +87,11 @@ let test_diff_cli_float_lines () =
     path
   in
   let left = file "0.1234567" and right = file "0.1234568" in
-  let cli = Filename.concat ".." (Filename.concat "bin" "tecore_cli.exe") in
+  let cli =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat ".." (Filename.concat "bin" "tecore_cli.exe"))
+  in
   let ic = Unix.open_process_args_in cli [| cli; "diff"; left; right |] in
   let lines = In_channel.input_lines ic in
   ignore (Unix.close_process_in ic);

@@ -168,7 +168,11 @@ let cli_verdict ~file ~rules =
         (List.map Rulelang.Printer.rule_to_string rules));
   let out = Filename.concat tmp_dir "cli.json" in
   let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-  let cli = Filename.concat ".." (Filename.concat "bin" "tecore_cli.exe") in
+  let cli =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat ".." (Filename.concat "bin" "tecore_cli.exe"))
+  in
   (* The daemon runs without injected faults and with one job; so does
      the CLI, whatever the environment says. *)
   let env =
