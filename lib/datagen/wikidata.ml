@@ -175,11 +175,10 @@ let generate ?(seed = 2) ?(total_facts = 63_000) ?(conflict_rate = 0.0) () =
   in
   { graph; planted = List.rev !planted; relation_counts }
 
-(* Named scale regimes for the million-fact benchmarks: generation
-   parameters are pinned here so the memory/speedup gates in [bench par]
-   always measure the same corpus the committed row-oriented baselines
-   were measured on (seed 2, 1 % planted conflicts). *)
-let regimes = [ ("1e5", 100_000); ("1e6", 1_000_000) ]
+(* Named scale regimes: generation parameters are pinned here so that
+   the benchmark suite's wd-psl workload and [bench par] always measure
+   the same corpus (seed 2, 1 % planted conflicts). *)
+let regimes = [ ("1e5", 100_000) ]
 
 let generate_regime ?(seed = 2) name =
   match List.assoc_opt name regimes with

@@ -25,9 +25,9 @@ val generate :
 
 val generate_regime : ?seed:int -> string -> dataset
 (** [generate_regime name] pins the generation parameters of a named
-    regime (default [seed = 2], 1 % planted conflicts) so benchmark
-    gates always measure the corpus their committed baselines were
-    measured on.
+    regime (default [seed = 2], 1 % planted conflicts) so benchmarks
+    always measure the same corpus. The one regime is ["1e5"]
+    (100,000 facts).
     @raise Invalid_argument for an unknown regime name. *)
 
 val constraints : unit -> Logic.Rule.t list

@@ -161,8 +161,10 @@ val address : t -> string
     path). *)
 
 val connect : t -> Unix.file_descr
-(** A fresh loopback client socket connected to this server (used by
-    the scripted driver, tests and benchmarks). *)
+(** A fresh loopback client socket connected to this server. The
+    scripted driver uses it; outside this library only tests do, as
+    {!address} is a display string and a server bound to [`Tcp 0]
+    offers no other handle on its port. *)
 
 val lane_of_session : t -> string -> int
 (** The lane a session id is pinned to: a stable 32-bit FNV-1a hash
@@ -183,7 +185,9 @@ val requests_total : t -> int
 
 val recent_records : t -> Access_log.record list
 (** The traced requests still in the [tail] ring (up to 64), oldest
-    first. *)
+    first. The [tail] verb reads it; outside this library only tests
+    do, after {!stop}, when the ring holds the last request's record
+    and the wire can no longer be asked. *)
 
 val metrics_text : t -> string
 (** Live OpenMetrics exposition: the whole {!Obs} report (span times,

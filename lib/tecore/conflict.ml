@@ -118,18 +118,34 @@ let apply_threshold threshold r =
     List.partition (fun d -> d.confidence >= threshold) r.derived
   in
   let consistent = Kg.Graph.copy r.consistent in
-  (* Derived quads were appended after the original facts; drop them by
-     statement identity. *)
+  (* Derived quads were appended after the original facts; drop every
+     fact stating one of them, in one pass over the copy. Its table
+     interns by [Term.equal] and [Interval.equal], so equal codes are
+     [Quad.same_statement], and a quad with a symbol the table lacks
+     states no fact in the graph. *)
+  let symbols = Kg.Graph.symbols consistent in
+  let term = Kg.Graph.find_term symbols in
+  let dropped = Hashtbl.create 16 in
   List.iter
     (fun d ->
       match d.as_quad with
       | None -> ()
-      | Some q ->
-          Kg.Graph.iter
-            (fun id q' ->
-              if Kg.Quad.same_statement q q' then Kg.Graph.remove consistent id)
-            consistent)
+      | Some q -> (
+          match
+            ( term q.predicate,
+              term q.subject,
+              term q.object_,
+              Kg.Graph.find_interval symbols q.time )
+          with
+          | Some p, Some s, Some o, Some i ->
+              Hashtbl.replace dropped (p, s, o, i) ()
+          | _ -> ()))
     drop;
+  Kg.Graph.iter_codes
+    (fun id ~predicate ~subject ~object_ ~interval ~confidence:_ ->
+      if Hashtbl.mem dropped (predicate, subject, object_, interval) then
+        Kg.Graph.remove consistent id)
+    consistent;
   { r with consistent; derived = keep }
 
 let pp_summary ppf r =

@@ -4,12 +4,9 @@
 # TECORE_FAULTS injecting worker crashes and slow grounding to exercise
 # the robustness paths, plus the serve suites once more with
 # TECORE_LANES=4 to exercise the multi-lane resolver), audit the CLI
-# exit-code contract, then
-# gate the committed benchmark baselines, prove those gates fail on
-# tampered baselines, and smoke-run the benchmark harness in a scratch
-# directory, checking that it produced valid machine-readable
-# observability and parallel-speedup output. Fails on the first broken
-# step.
+# exit-code contract, gate the benchmark suite's exact work counters,
+# and smoke-run the experiment harness's checks. Fails on the first
+# broken step.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -449,97 +446,18 @@ awk -v v="$(metric psl.alloc_mwords)" 'BEGIN { exit !(v != "" && v + 0 <= 1.2) }
   || { echo "work-counter gate: psl.alloc_mwords = $(metric psl.alloc_mwords) exceeds 1.2" >&2; exit 1; }
 rm -rf "$SUITE_DIR" "$SUITE_OUT"
 
-echo "== bench serve --check (committed BENCH_serve.json) =="
-# Re-measures wire latency/throughput at 1..N concurrent sessions and
-# compares against the committed baseline (generous tolerance), plus
-# the committed warm-beats-cold headline at one session.
-dune exec bench/main.exe -- --smoke serve --check
-
-echo "== bench durability --check (committed BENCH_durability.json) =="
-# Re-measures the warm edit-path ack latency with no journal, an
-# unfsynced journal and a per-record fsync, compares each cell against
-# the committed baseline (generous tolerance), and re-asserts the
-# headline on both the committed and the live numbers: journaling
-# without fsync stays within a small factor of the in-memory ack.
-dune exec bench/main.exe -- --smoke durability --check
-
-echo "== bench incr --check (committed BENCH_incremental.json) =="
-# Re-measures fresh vs incremental and compares against the committed
-# baseline (generous tolerance), and re-asserts the committed delta=1
-# speedup > 1: an incremental resolve that stopped beating a fresh one
-# is a regression even if both got faster.
-dune exec bench/main.exe -- --smoke incr --check
-
-echo "== bench obs --check (committed BENCH_obs.json) =="
-# Against the committed baseline; the tolerance is generous (timing noise, different machines) --
-# this gates schema drift and order-of-magnitude regressions only.
-dune exec bench/main.exe -- --smoke obs --check
-
-echo "== bench par --check (committed BENCH_parallel.json) =="
-# Gates on the committed numbers: the million-fact memory ratio must
-# stay >= 3x below the row-oriented baseline, and the grounding speedup
-# record must carry either a passing speedup or a logged skip reason.
-# Also re-measures the cheap 10^5 memory regime in a child process and
-# compares its peak against the committed one (memory is near
-# machine-independent, so the tolerance is tight), and re-runs the
-# speedup gate live when the hardware has >= 2 cores.
-dune exec bench/main.exe -- --smoke par --check
-
-echo "== bench gates fail on tampered baselines =="
-# Each --check must reject a committed baseline whose headline no longer
-# holds: copy the file into a scratch directory, break one headline
-# value there, and require a non-zero exit that names the broken gate.
-BENCH=$PWD/_build/default/bench/main.exe
-tamper() { # tamper EXPERIMENT FILE SED_SCRIPT EXPECTED_MESSAGE
-  local exp="$1" file="$2" script="$3" want="$4" dir out
-  dir=$(mktemp -d)
-  sed -e "$script" "$file" > "$dir/$file"
-  cmp -s "$file" "$dir/$file" \
-    && { echo "tamper $exp: the edit left $file unchanged" >&2; exit 1; }
-  out=$(cd "$dir" && "$BENCH" --smoke "$exp" --check 2>&1) \
-    && { echo "tamper $exp: --check passed on a tampered $file" >&2; exit 1; }
-  grep -q -- "$want" <<<"$out" \
-    || { echo "tamper $exp: --check failed, but not on '$want':" >&2
-         tail -3 <<<"$out" >&2; exit 1; }
-  rm -rf "$dir"
-}
-NUM='[0-9.eE+-]*'
-tamper par BENCH_parallel.json \
-  "s/\(\"regime\":\"1e6\"[^]]*\"ratio\":\)$NUM/\12.0/" \
-  "memory gate failed for regime 1e6"
-tamper par BENCH_parallel.json 's/"fast":false/"fast":true/' \
-  "written by a --smoke run"
-tamper incr BENCH_incremental.json \
-  "s/\(\"engine\":\"mln\",\"delta\":1,[^}]*\"speedup\":\)$NUM/\10.9/" \
-  "delta=1 speedup for mln"
-tamper serve BENCH_serve.json \
-  "s/\(\"sessions\":1,\"lanes\":1,[^}]*\"warm_ms\":\)$NUM/\11000.0/" \
-  "did not beat cold"
-tamper durability BENCH_durability.json \
-  "s/\(\"config\":\"fsync-never\",\"edit_ms\":\)$NUM/\11.0/" \
-  "fsync-never edit median"
-tamper obs BENCH_obs.json "s/\"median_ms\":$NUM/\"median_ms\":1e9/" \
-  "out of tolerance"
-
-echo "== bench smoke (e1 + obs + par) =="
-# In a scratch directory: the bench writes its BENCH_*.json files to the
-# working directory, and the committed baselines must stay untouched
-# even when a smoke step fails.
-SMOKE_DIR=$(mktemp -d)
-(cd "$SMOKE_DIR" && "$BENCH" --smoke e1 obs par)
-for f in BENCH_obs.json BENCH_parallel.json; do
-  echo "== validate $f =="
-  test -s "$SMOKE_DIR/$f" || { echo "$f missing or empty" >&2; exit 1; }
-  case "$(head -c 1 "$SMOKE_DIR/$f")" in
-    '{') ;;
-    *) echo "$f does not start with '{'" >&2; exit 1 ;;
-  esac
-done
-rm -rf "$SMOKE_DIR"
-# The bench already re-parses both files with Obs.Json and fails on
-# malformed output, missing ground/encode/solve stages or objectives
-# that differ across job counts, and e1 fails unless both engines
-# remove exactly the paper's fact (5); the checks above only guard
-# against the files not being written at all.
+echo "== bench smoke (e1 + incr + par) =="
+# From a scratch directory, so a run can leave nothing in the checkout.
+# e1 fails unless both engines remove exactly the paper's fact (5);
+# incr fails unless every incremental resolve equals a fresh one and a
+# one-fact edit re-resolves faster than a fresh resolve; par fails
+# unless jobs=4 grounds the same closure rounds, rule instances and
+# joined rows as jobs=1, and times the speedup only on a host with at
+# least two cores per job (skipped otherwise, with the reason printed).
+SMOKE_DIR=$(mktemp -d) BENCH=$PWD/_build/default/bench/main.exe
+(cd "$SMOKE_DIR" && "$BENCH" --smoke e1 incr par)
+[ -z "$(ls -A "$SMOKE_DIR")" ] \
+  || { echo "bench smoke wrote files into its working directory" >&2; exit 1; }
+rmdir "$SMOKE_DIR"
 
 echo "CI OK"

@@ -569,6 +569,62 @@ let test_outcomes () =
   Alcotest.(check string) "finite deadline bypasses" "bypass" (outcome ())
 
 (* ------------------------------------------------------------------ *)
+(* A one-fact edit replays and reuses solved components                *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact form of `bench incr`'s timed headline, on the graph its
+   smoke run uses: a one-fact edit (one playsFor stint moved to another
+   team) replays the grounding, the component caches answer, and the
+   result is a fresh resolve's. *)
+let test_one_fact_edit_replays engine () =
+  let d =
+    Datagen.Footballdb.generate ~seed:17 ~players:120 ~noise_ratio:0.5 ()
+  in
+  let g = d.Datagen.Footballdb.graph in
+  let rules = Datagen.Footballdb.constraints () in
+  let st = Engine.create_state () in
+  ignore (Engine.resolve ~engine ~state:st ~mode:`Incremental g rules);
+  let hits_before = (Engine.cache_stats st).Engine.solve_hits in
+  let plays =
+    Array.of_list (Kg.Graph.by_predicate g (Kg.Term.iri "playsFor"))
+  in
+  let n = Array.length plays in
+  let id, q = plays.(37 mod n) in
+  let _, donor = plays.((37 + 97) mod n) in
+  Kg.Graph.remove g id;
+  let q' = { q with Kg.Quad.object_ = donor.Kg.Quad.object_ } in
+  ignore (Kg.Graph.add g q');
+  let delta =
+    {
+      Engine.facts =
+        [ Logic.Atom.Ground.of_quad q'; Logic.Atom.Ground.of_quad q ];
+      rules_changed = false;
+    }
+  in
+  let r = Engine.resolve ~engine ~state:st ~mode:`Incremental ~delta g rules in
+  Alcotest.(check (option string))
+    "outcome" (Some "replay")
+    (Option.map Engine.outcome_name (Engine.last_outcome st));
+  let hits = (Engine.cache_stats st).Engine.solve_hits in
+  Alcotest.(check bool)
+    (Printf.sprintf "solve hits grow (%d -> %d)" hits_before hits)
+    true (hits > hits_before);
+  Alcotest.(check bool)
+    "replayed equals fresh" true
+    (signature r = signature (Engine.resolve ~engine g rules))
+
+let one_fact_edit_tests =
+  List.map
+    (fun (name, engine) ->
+      Alcotest.test_case
+        (Printf.sprintf "one-fact edit replays from cache (%s)" name)
+        `Quick (test_one_fact_edit_replays engine))
+    [
+      ("mln", Engine.Mln Mln.Map_inference.default_options);
+      ("psl", Engine.Psl Psl.Npsl.default_options);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Fault containment: mid-replay failure falls back to fresh           *)
 (* ------------------------------------------------------------------ *)
 
@@ -625,7 +681,8 @@ let () =
           Alcotest.test_case "removed rule leaves no stale clauses" `Quick
             test_remove_rule_invalidates;
           Alcotest.test_case "outcome bookkeeping" `Quick test_outcomes;
-        ] );
+        ]
+        @ one_fact_edit_tests );
       ( "faults",
         [
           Alcotest.test_case "mid-replay fault falls back to fresh" `Quick

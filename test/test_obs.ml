@@ -238,7 +238,8 @@ let test_json_roundtrip_report () =
   | Error e -> Alcotest.fail ("report JSON does not parse: " ^ e)
   | Ok json ->
       (* Printing the parsed tree must reproduce the exact encoding: the
-         printer/parser pair is the data contract for BENCH_obs.json. *)
+         printer/parser pair is the data contract for the report that
+         [resolve --json --stats] embeds. *)
       Alcotest.(check string) "print . parse = id" text (Obs.Json.to_string json);
       let spans =
         match Obs.Json.member "spans" json with

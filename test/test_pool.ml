@@ -305,16 +305,18 @@ let test_samplers_jobs_identical () =
 
 let test_engine_jobs_identical () =
   let graph, rules = ground_fixture () in
+  (* The removals, and the MAP objective bit for bit. *)
   let removed jobs engine =
     let result = Tecore.Engine.resolve ~engine ~jobs graph rules in
-    List.map
-      (fun (_, q) -> Kg.Quad.to_string q)
-      result.Tecore.Engine.resolution.Tecore.Conflict.removed
+    ( List.map
+        (fun (_, q) -> Kg.Quad.to_string q)
+        result.Tecore.Engine.resolution.Tecore.Conflict.removed,
+      Printf.sprintf "%h" result.Tecore.Engine.stats.Tecore.Engine.objective )
   in
   List.iter
     (fun (name, engine) ->
-      Alcotest.(check (list string))
-        (name ^ " removals at jobs=4")
+      Alcotest.(check (pair (list string) string))
+        (name ^ " removals and objective at jobs=4")
         (removed 1 engine) (removed 4 engine))
     [
       ("mln", Tecore.Engine.Mln Mln.Map_inference.default_options);

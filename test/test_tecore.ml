@@ -159,6 +159,110 @@ let test_apply_threshold () =
   Alcotest.(check (pair int int)) "0.95 drops it" (0, 4) (derived high, size high);
   Alcotest.(check (pair int int)) "input untouched" (1, 5) (derived r, size r)
 
+(* [apply_threshold] as it was before it made one pass: a scan of the
+   whole copy for each dropped derived fact. *)
+let threshold_by_scan threshold (r : Tecore.Conflict.resolution) =
+  let consistent = Kg.Graph.copy r.Tecore.Conflict.consistent in
+  List.iter
+    (fun (d : Tecore.Conflict.derived_fact) ->
+      match d.Tecore.Conflict.as_quad with
+      | Some q when d.Tecore.Conflict.confidence < threshold ->
+          Kg.Graph.iter
+            (fun id q' ->
+              if Kg.Quad.same_statement q q' then Kg.Graph.remove consistent id)
+            consistent
+      | _ -> ())
+    r.Tecore.Conflict.derived;
+  consistent
+
+let live_facts g =
+  let acc = ref [] in
+  Kg.Graph.iter (fun id q -> acc := (id, Kg.Quad.to_string q) :: !acc) g;
+  List.rev !acc
+
+let wikidata_resolve ?threshold ?(extra = []) total_facts =
+  let d = Datagen.Wikidata.generate ~seed:3 ~total_facts () in
+  Tecore.Engine.resolve ~engine:(Tecore.Engine.Psl Psl.Npsl.default_options)
+    ?threshold d.Datagen.Wikidata.graph
+    (Datagen.Wikidata.constraints () @ Datagen.Wikidata.rules () @ extra)
+
+(* The one-pass removal leaves the same facts, under the same ids, as
+   the per-fact scan, at thresholds that drop none, some and all of the
+   derived occupation facts. Every fact the Wikidata rule derives has
+   confidence sigmoid(1.2) ~ 0.77; a second rule deriving them from
+   memberOf at sigmoid(3.0) ~ 0.95 gives 0.9 some to keep. *)
+let test_apply_threshold_one_pass () =
+  let extra =
+    parse_rules
+      "rule member_athlete 3.0: memberOf(x, y)@t => occupation(x, Athlete)@t ."
+  in
+  let r = (wikidata_resolve ~extra 600).Tecore.Engine.resolution in
+  let derived = r.Tecore.Conflict.derived in
+  List.iter
+    (fun threshold ->
+      let got = Tecore.Conflict.apply_threshold threshold r in
+      Alcotest.(check (list (pair int string)))
+        (Printf.sprintf "consistent graph at %g" threshold)
+        (live_facts (threshold_by_scan threshold r))
+        (live_facts got.Tecore.Conflict.consistent);
+      Alcotest.(check int)
+        (Printf.sprintf "derived facts kept at %g" threshold)
+        (List.length
+           (List.filter
+              (fun (d : Tecore.Conflict.derived_fact) ->
+                d.Tecore.Conflict.confidence >= threshold)
+              derived))
+        (List.length got.Tecore.Conflict.derived))
+    [ 0.0; 0.9; 0.99 ];
+  let kept threshold =
+    List.length
+      (Tecore.Conflict.apply_threshold threshold r).Tecore.Conflict.derived
+  in
+  Alcotest.(check bool) "0.9 keeps some, 0.99 none" true
+    (kept 0.0 > kept 0.9 && kept 0.9 > 0 && kept 0.99 = 0)
+
+(* A scan per dropped fact made thresholding quadratic: 15.9 s after a
+   279 ms resolve at 16,000 facts. One pass takes milliseconds, so the
+   bound is generous. *)
+let test_threshold_at_scale () =
+  let r, ms =
+    Prelude.Timing.time (fun () -> wikidata_resolve ~threshold:0.99 16_000)
+  in
+  Alcotest.(check bool) "derived facts dropped" true
+    (Kg.Graph.size r.Tecore.Engine.resolution.Tecore.Conflict.consistent
+    < 16_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "threshold resolve took %.0f ms, bound 8000 ms" ms)
+    true (ms < 8000.)
+
+(* A traced resolve reports its four stages under one root span, for
+   both engines. *)
+let test_resolve_span_tree () =
+  List.iter
+    (fun (name, engine) ->
+      Obs.reset ();
+      Obs.set_enabled true;
+      let report =
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.set_enabled false;
+            Obs.reset ())
+          (fun () ->
+            ignore (Tecore.Engine.resolve ~engine (cr_graph ()) (cr_rules ()));
+            Obs.Report.capture ())
+      in
+      List.iter
+        (fun stage ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: resolve/%s" name stage)
+            true
+            (Obs.Report.find report [ "resolve"; stage ] <> None))
+        [ "ground"; "encode"; "solve"; "interpret" ])
+    [
+      ("mln", Tecore.Engine.Mln Mln.Map_inference.default_options);
+      ("psl", Tecore.Engine.Psl Psl.Npsl.default_options);
+    ]
+
 (* [interpret] reads the store through the graph's own symbol table, so
    it accepts only the grounding of that graph, not of a copy. *)
 let test_interpret_own_grounding () =
@@ -389,6 +493,11 @@ let () =
           Alcotest.test_case "resolve auto" `Quick test_resolve_auto;
           Alcotest.test_case "threshold" `Quick test_threshold;
           Alcotest.test_case "apply_threshold" `Quick test_apply_threshold;
+          Alcotest.test_case "apply_threshold equals a scan per fact" `Quick
+            test_apply_threshold_one_pass;
+          Alcotest.test_case "threshold at 16,000 facts" `Quick
+            test_threshold_at_scale;
+          Alcotest.test_case "resolve span tree" `Quick test_resolve_span_tree;
           Alcotest.test_case "pp_summary" `Quick test_pp_summary;
           Alcotest.test_case "interpret needs the graph's grounding" `Quick
             test_interpret_own_grounding;
