@@ -168,6 +168,21 @@ let test_wikidata_rules_parse () =
   Alcotest.(check int) "three constraints" 3 (List.length (WD.constraints ()));
   Alcotest.(check int) "one rule" 1 (List.length (WD.rules ()))
 
+(* The one named regime pins seed 2, 100,000 facts and 1 % planted
+   conflicts; any other name, the retired "1e6" among them, is refused
+   with the list of known names. *)
+let test_wikidata_regimes () =
+  let r = WD.generate_regime "1e5" in
+  let d = WD.generate ~seed:2 ~total_facts:100_000 ~conflict_rate:0.01 () in
+  Alcotest.(check int) "size" (Kg.Graph.size d.WD.graph)
+    (Kg.Graph.size r.WD.graph);
+  Alcotest.(check (list int)) "planted" d.WD.planted r.WD.planted;
+  match WD.generate_regime "1e6" with
+  | _ -> Alcotest.fail "1e6 is not a regime"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "message"
+        "Wikidata.generate_regime: unknown regime 1e6 (known: 1e5)" msg
+
 let test_names_pools () =
   Alcotest.(check int) "32 teams" 32 (Array.length Datagen.Names.football_teams);
   Alcotest.(check bool) "clubs distinct" true
@@ -203,6 +218,7 @@ let () =
           Alcotest.test_case "conflicts detected" `Slow
             test_wikidata_conflicts_detected;
           Alcotest.test_case "rules parse" `Quick test_wikidata_rules_parse;
+          Alcotest.test_case "regimes" `Quick test_wikidata_regimes;
         ] );
       ( "names",
         [ Alcotest.test_case "pools" `Quick test_names_pools ] );

@@ -180,6 +180,51 @@ let live_facts g =
   Kg.Graph.iter (fun id q -> acc := (id, Kg.Quad.to_string q) :: !acc) g;
   List.rev !acc
 
+(* Two cases the one pass must handle as the scan did, on a hand-made
+   resolution: a statement the graph holds twice (different
+   confidences) loses both copies, and a derived quad naming a symbol
+   the graph's table lacks, or no quad at all, removes no fact. *)
+let test_apply_threshold_copies_and_unknowns () =
+  let fact o c = Kg.Quad.v "CR" "worksFor" (Kg.Term.iri o) (1984, 1986) c in
+  let consistent =
+    Kg.Graph.of_list
+      [ fact "Palermo" 0.5; cr_graph () |> Kg.Graph.to_list |> List.hd;
+        fact "Palermo" 0.9; fact "Roma" 0.8 ]
+  in
+  let derived q confidence =
+    {
+      Tecore.Conflict.atom = Logic.Atom.Ground.of_quad q;
+      confidence;
+      as_quad = Some q;
+    }
+  in
+  let unknown = fact "Nowhere" 0.3 in
+  let r =
+    {
+      Tecore.Conflict.consistent;
+      removed = [];
+      derived =
+        [
+          derived (fact "Palermo" 0.7) 0.7;
+          derived unknown 0.3;
+          { (derived unknown 0.2) with as_quad = None };
+          derived (fact "Roma" 0.8) 0.95;
+        ];
+      conflicting = [];
+      kept = 4;
+    }
+  in
+  let got = Tecore.Conflict.apply_threshold 0.9 r in
+  Alcotest.(check (list (pair int string)))
+    "both Palermo copies go, Roma stays"
+    (live_facts (threshold_by_scan 0.9 r))
+    (live_facts got.Tecore.Conflict.consistent);
+  Alcotest.(check (list int)) "surviving ids" [ 1; 3 ]
+    (List.map fst (live_facts got.Tecore.Conflict.consistent));
+  Alcotest.(check int) "one derived fact kept" 1
+    (List.length got.Tecore.Conflict.derived);
+  Alcotest.(check int) "input untouched" 4 (Kg.Graph.size consistent)
+
 let wikidata_resolve ?threshold ?(extra = []) total_facts =
   let d = Datagen.Wikidata.generate ~seed:3 ~total_facts () in
   Tecore.Engine.resolve ~engine:(Tecore.Engine.Psl Psl.Npsl.default_options)
@@ -495,6 +540,8 @@ let () =
           Alcotest.test_case "apply_threshold" `Quick test_apply_threshold;
           Alcotest.test_case "apply_threshold equals a scan per fact" `Quick
             test_apply_threshold_one_pass;
+          Alcotest.test_case "apply_threshold on copies and unknown symbols"
+            `Quick test_apply_threshold_copies_and_unknowns;
           Alcotest.test_case "threshold at 16,000 facts" `Quick
             test_threshold_at_scale;
           Alcotest.test_case "resolve span tree" `Quick test_resolve_span_tree;
