@@ -10,22 +10,13 @@ type options = {
   solver : solver;
   use_cpi : bool;
   network_config : Network.config;
-  pool : Prelude.Pool.t;
-  deadline : Deadline.t;
-  solve_cache : Decompose.cache option;
 }
 
 let default_options =
-  {
-    solver = Walk;
-    use_cpi = true;
-    network_config = Network.default_config;
-    pool = Prelude.Pool.sequential;
-    deadline = Deadline.none;
-    solve_cache = None;
-  }
+  { solver = Walk; use_cpi = true; network_config = Network.default_config }
 
-(* The MaxWalkSAT settings of every solve. *)
+(* The MaxWalkSAT settings of every solve; [max_flips] caps the
+   per-component flip budget. *)
 let seed = 7
 let max_flips = 100_000
 let restarts = 3
@@ -46,79 +37,70 @@ type outcome = {
   stats : stats;
 }
 
-(* Degradation ladder for the exact backends under a finite deadline:
-   the exact search gets half the remaining budget; if it does not
-   prove optimality in that slice, MaxWalkSAT takes over with whatever
-   budget is left, seeded from the exact incumbent when one exists.
-   The answer is then best-effort rather than provably optimal, so the
-   status degrades. With an infinite deadline the ladder is inert and
-   the behaviour (including exhausted-node-budget results) is exactly
-   the pre-deadline one. *)
-let walk_fallback options network ~init =
-  Obs.event "solver.degraded"
-    [
-      ("from", Obs.Events.Str "exact");
-      ("to", Obs.Events.Str "walksat");
-      ("remaining_ms", Obs.Events.Float (Deadline.remaining_ms options.deadline));
-    ];
-  let assignment, _ =
-    Maxwalksat.solve ~seed ~max_flips ~restarts ~pool:options.pool
-      ~deadline:options.deadline ~init network
+(* One solve of [network] with the configured backend. The exact
+   backends run a degradation ladder: the exact search gets half the
+   remaining budget; if the deadline cuts it short before it proves
+   optimality, MaxWalkSAT takes over with whatever budget is left,
+   seeded from the exact incumbent when one exists, and the status
+   degrades. A deadline that does not fire leaves the ladder inert: the
+   answer (an exhausted node budget's incumbent included) is the
+   unbudgeted one. *)
+let base_solver ~max_flips ~stall ~pool ~deadline options network ~init =
+  let walk ~init =
+    let assignment, stats =
+      Maxwalksat.solve ~seed ~max_flips ~restarts ~stall ~pool ~deadline
+        ~init network
+    in
+    (assignment, stats.Maxwalksat.status)
   in
-  (assignment, Deadline.Degraded)
-
-let exact_ladder options network ~init outcome =
-  match outcome with
-  | Some (assignment, true) -> (assignment, Deadline.Completed)
-  | Some (assignment, false) when not (Deadline.is_finite options.deadline) ->
-      (assignment, Deadline.Completed)
-  | None when not (Deadline.is_finite options.deadline) ->
-      (init, Deadline.Completed) (* hard unsat: report via stats *)
-  | Some (incumbent, false) -> walk_fallback options network ~init:incumbent
-  | None -> walk_fallback options network ~init
-
-let base_solver ?(max_flips = max_flips) ?stall options network ~init =
   match options.solver with
-  | Walk ->
-      let assignment, stats =
-        Maxwalksat.solve ~seed ~max_flips ~restarts ?stall ~pool:options.pool
-          ~deadline:options.deadline ~init network
+  | Walk -> walk ~init
+  | (Exact_bb | Ilp_exact) as solver -> (
+      let slice = Deadline.slice deadline ~frac:0.5 in
+      let outcome =
+        if solver = Exact_bb then
+          Exact.solve ~deadline:slice network
+          |> Option.map (fun r -> (r.Exact.assignment, r.Exact.optimal))
+        else Ilp_encoding.solve ~deadline:slice network
       in
-      (assignment, stats.Maxwalksat.status)
-  | Exact_bb ->
-      let deadline = Deadline.slice options.deadline ~frac:0.5 in
-      exact_ladder options network ~init
-        (match Exact.solve ~deadline network with
-        | Some { assignment; optimal; _ } -> Some (assignment, optimal)
-        | None -> None)
-  | Ilp_exact ->
-      let deadline = Deadline.slice options.deadline ~frac:0.5 in
-      exact_ladder options network ~init (Ilp_encoding.solve ~deadline network)
+      (* [None] without expiry: the hard part is unsatisfiable, which
+         the stats report. *)
+      let best = Option.fold ~none:init ~some:fst outcome in
+      match outcome with
+      | Some (assignment, true) -> (assignment, Deadline.Completed)
+      | _ when not (Deadline.expired slice) -> (best, Deadline.Completed)
+      | _ ->
+          Obs.event "solver.degraded"
+            [
+              ("from", Obs.Events.Str "exact");
+              ("to", Obs.Events.Str "walksat");
+              ( "remaining_ms",
+                Obs.Events.Float (Deadline.remaining_ms deadline) );
+            ];
+          (fst (walk ~init:best), Deadline.Degraded))
 
-(* Per-component solver for the decomposed path. The walk budgets are
-   scaled to the component's size — a component only ever needs flips
+(* The solver of one connected component. The walk budgets are scaled
+   to the component's size — a component only ever needs flips
    proportional to its own atoms, and without scaling the per-descent
    stall budget alone would make an N-component network N times more
-   expensive than the global solve. Everything here is a deterministic
-   function of the sub-network and the (fixed) options, never of the
-   surrounding network — the purity contract of {!Components}. *)
-let component_solver options sub ~init =
+   expensive than one whole-network solve. Unless the deadline fires,
+   everything here is a deterministic function of the sub-network and
+   the (fixed) options, never of the surrounding network — the purity
+   contract of {!Components}. *)
+let component_solver options ~pool ~deadline sub ~init =
   let a = max 1 sub.Network.num_atoms in
   let max_flips = min max_flips (max 1_000 (100 * a)) in
   let stall = min 20_000 (max 250 (25 * a)) in
+  let solver = base_solver ~max_flips ~stall ~pool ~deadline options in
   if options.use_cpi then
-    let assignment, cpi_stats =
-      Cpi.solve
-        ~solver:(fun net ~init ->
-          base_solver ~max_flips ~stall options net ~init)
-        ~init sub
-    in
+    let assignment, cpi_stats = Cpi.solve ~solver ~deadline ~init sub in
     { Decompose.values = assignment; status = cpi_stats.Cpi.status }
   else
-    let assignment, status = base_solver ~max_flips ~stall options sub ~init in
+    let assignment, status = solver sub ~init in
     { Decompose.values = assignment; status }
 
-let run_ground ?(options = default_options) store
+let run_ground ?(options = default_options) ?(pool = Prelude.Pool.sequential)
+    ?(deadline = Deadline.none) ?cache store
     (ground_result : Grounder.Ground.result) ~ground_ms =
   let network =
     Obs.span "encode" (fun () ->
@@ -131,28 +113,15 @@ let run_ground ?(options = default_options) store
         network)
   in
   let init = Network.expanded_assignment network in
-  (* Decompose only under an infinite deadline: splitting a finite
-     budget fairly across components would change the carefully tested
-     anytime behaviour, and the incremental cache is bypassed for
-     budgeted runs anyway. *)
-  let solve () =
-    if not (Deadline.is_finite options.deadline) then
-      Decompose.solve ?cache:options.solve_cache
-        ~solve_component:(component_solver options) ~init network
-    else if options.use_cpi then
-      let assignment, cpi_stats =
-        Cpi.solve ~solver:(base_solver options) ~deadline:options.deadline
-          ~init network
-      in
-      (assignment, cpi_stats.Cpi.status)
-    else base_solver options network ~init
-  in
   let (assignment, status), solve_ms =
-    Prelude.Timing.time (fun () -> Obs.span "solve" solve)
+    Prelude.Timing.time (fun () ->
+        Obs.span "solve" (fun () ->
+            Decompose.solve ?cache
+              ~solve_component:(component_solver options ~pool ~deadline)
+              ~init network))
   in
-  if Deadline.is_finite options.deadline then
-    Obs.gauge "deadline.solve_slack_ms"
-      (Deadline.remaining_ms options.deadline);
+  if Deadline.is_finite deadline then
+    Obs.gauge "deadline.solve_slack_ms" (Deadline.remaining_ms deadline);
   let evidence_atoms = ref 0 in
   for id = 0 to Store.size store - 1 do
     if Store.is_evidence store id then incr evidence_atoms
@@ -174,7 +143,7 @@ let run_ground ?(options = default_options) store
           ("violations", Obs.Events.Int violations);
           ("remaining", Obs.Events.Int remaining);
         ];
-      if Deadline.is_finite options.deadline then
+      if Deadline.is_finite deadline then
         Obs.count ~n:(violations - remaining) "deadline.hard_repairs";
       if remaining > 0 then (remaining, Deadline.Degraded)
       else (0, status)
@@ -199,7 +168,6 @@ let run ?(options = default_options) graph rules =
   let ground_result, ground_ms =
     Prelude.Timing.time (fun () ->
         Obs.span "ground" (fun () ->
-            Grounder.Ground.run ~pool:options.pool ~lazy_constraints:true store
-              rules))
+            Grounder.Ground.run ~lazy_constraints:true store rules))
   in
   run_ground ~options store ground_result ~ground_ms

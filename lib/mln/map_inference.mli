@@ -16,36 +16,16 @@ type options = {
   solver : solver;
   use_cpi : bool;               (** wrap the solver in cutting-plane inference *)
   network_config : Network.config;
-  pool : Prelude.Pool.t;
-      (** runs the grounding joins of {!run} and the MaxWalkSAT
-          descents in parallel; results are objective-identical at
-          every job count *)
-  deadline : Prelude.Deadline.t;
-      (** solve budget. The network is solved per connected component
-          (see {!Decompose}), with per-component budgets scaled to
-          component size, exactly when the deadline is infinite;
-          budgeted runs keep the global anytime solve. [Walk] polls it
-          inside the descents; the exact backends run a degradation
-          ladder: exact search on half the remaining budget, then — if
-          optimality was not proved in the slice — MaxWalkSAT on the
-          rest, seeded from the exact incumbent, with
-          [status = Degraded]. Grounding is never budgeted here: a
-          caller that must bound it (as [Tecore.Engine.resolve] does
-          under [`Fail]) grounds itself with a deadline and calls
-          {!run_ground} *)
-  solve_cache : Decompose.cache option;
-      (** memoises component solutions across runs (the incremental
-          engine's warm start). Only consulted under an infinite [deadline];
-          sound because component solves are pure in their canonical
-          form. Default [None] *)
 }
+(** Plain data: equal options give equal answers. The runtime resources
+    of a solve (worker pool, deadline, component cache) are arguments of
+    {!run_ground}. *)
 
 val default_options : options
-(** [Walk] with CPI on, default network config,
-    {!Prelude.Pool.sequential}, an infinite deadline (so the solve is
-    decomposed), no solve cache. MaxWalkSAT always runs with seed 7, 3
-    restarts and at most 100,000 flips per descent (fewer per component
-    on the decomposed path). *)
+(** [Walk] with CPI on and the default network config. MaxWalkSAT
+    always runs with seed 7 and 3 restarts, with per-descent flip and
+    stall budgets scaled to each component's size (at most 100,000
+    flips). *)
 
 type stats = {
   atoms : int;
@@ -56,12 +36,12 @@ type stats = {
   hard_violations : int;        (** 0 unless the hard part is unsatisfiable *)
   objective : float;            (** satisfied soft weight of the MAP state *)
   status : Prelude.Deadline.status;
-      (** anytime outcome of the solve stage: [Completed] with an
-          infinite deadline (always), [Timed_out] when the budget cut
-          search short but the answer is hard-constraint-sound,
-          [Degraded] when the exact→walk ladder fired, a worker
-          crashed, or hard constraints are violated in a timed-out
-          answer *)
+      (** anytime outcome of the solve stage: [Completed] whenever the
+          deadline did not fire, with the unbudgeted answer; [Timed_out]
+          when the budget cut search short but the answer is
+          hard-constraint-sound; [Degraded] when the exact→walk ladder
+          fired, a worker crashed, or hard constraints are violated in a
+          timed-out answer *)
 }
 
 type outcome = {
@@ -71,11 +51,15 @@ type outcome = {
 
 val run : ?options:options -> Kg.Graph.t -> Logic.Rule.t list -> outcome
 (** The whole pipeline in one call, for tests and benchmarks: build the
-    atom store, ground it without a deadline (the ["ground"] span and
-    [stats.ground_ms] cover the grounding only), then {!run_ground}. *)
+    atom store, ground it sequentially without a deadline (the
+    ["ground"] span and [stats.ground_ms] cover the grounding only),
+    then {!run_ground}. *)
 
 val run_ground :
   ?options:options ->
+  ?pool:Prelude.Pool.t ->
+  ?deadline:Prelude.Deadline.t ->
+  ?cache:Decompose.cache ->
   Grounder.Atom_store.t ->
   Grounder.Ground.result ->
   ground_ms:float ->
@@ -83,4 +67,21 @@ val run_ground :
 (** Encode-and-solve over a grounding computed elsewhere — the solve
     step of [Tecore.Engine.resolve], which grounds fresh, records a
     replay snapshot or replays one ({!Grounder.Ground.reground}).
-    [ground_ms] is reported in the stats verbatim. *)
+    [ground_ms] is reported in the stats verbatim.
+
+    The network is always solved per connected component
+    ({!Decompose}), whatever the budget.
+    - [pool] (default {!Prelude.Pool.sequential}) runs each component's
+      MaxWalkSAT descents in parallel; the answer is the same at every
+      job count.
+    - [deadline] (default {!Prelude.Deadline.none}) decides only when
+      the work stops, never which code runs: every component's solve
+      and CPI loop poll it, so a deadline that does not fire returns
+      exactly the unbudgeted answer. After expiry each remaining
+      component returns its init, scored, without searching. The exact
+      backends give their search half the remaining budget and fall
+      back to MaxWalkSAT ([Degraded]) when it expires first.
+    - [cache] memoises [Completed] component solutions across runs (the
+      incremental engine's warm start); sound because component solves
+      are pure in their canonical form, and a solve the deadline cut
+      short is never [Completed]. *)

@@ -239,16 +239,18 @@ let exact_atoms = 16
 
 (* The soft cost of the network's proven optimum, or [None] when none
    is computed: too many atoms, no soft clause (the optimum is (0, 0)
-   whenever the hard clauses are satisfiable) or a finite deadline (the
-   walk's budget is not spent on a proof). Exact's assignment itself is
+   whenever the hard clauses are satisfiable) or an expired deadline
+   (no search runs at all; a live deadline gets the same proof, and so
+   the same flips, as none). Exact's assignment itself is
    never returned — among several optima it may pick another one than
-   the walk — only its cost, scored like every attempt. A function of
-   the network alone, so component solves stay pure. *)
+   the walk — only its cost, scored like every attempt. Until the
+   deadline expires, a function of the network alone, so component
+   solves stay pure. *)
 let optimum network p ~deadline =
   if
     p.num_atoms > exact_atoms
     || Array.for_all Fun.id p.hard
-    || Deadline.is_finite deadline
+    || Deadline.expired deadline
   then None
   else
     match Exact.solve network with

@@ -61,8 +61,8 @@ val solve :
     Optimum stop: a descent ends as soon as its best reaches the
     network's optimum, and prevents further descents from starting
     (running ones complete). The optimum is [(0, 0)] in general; for a
-    network of at most 16 atoms with a soft clause, solved under an
-    infinite [deadline], it is the soft cost of {!Exact.solve}'s proven
+    network of at most 16 atoms with a soft clause, solved before
+    [deadline] expires, it is the soft cost of {!Exact.solve}'s proven
     optimum. Improvements must beat the best by more than 1e-12, so
     once a descent holds the optimum nothing can replace it: the stop
     saves flips and restarts but never changes the returned
@@ -76,5 +76,5 @@ val solve :
     assignment seen so far is always returned — an already-expired
     deadline yields the scored [init] assignment immediately. A descent
     that raises (e.g. an injected ["worker_crash"] fault) loses only
-    its own attempt. With an infinite deadline and no faults the result
-    is identical to a build without this mechanism. *)
+    its own attempt. Without faults, a deadline that does not fire
+    walks the same flips and returns the same answer as no deadline. *)

@@ -109,8 +109,8 @@ let merge (acc : Admm.stats) { admm = a; _ } =
     converged = acc.Admm.converged && a.Admm.converged;
   }
 
-let solve ?cache ?(pool = Prelude.Pool.sequential) ~rho ~max_iters ~tol ~init
-    (model : Hlmrf.t) =
+let solve ?cache ?pool ?deadline ~rho ~max_iters ~tol ~init (model : Hlmrf.t)
+    =
   let truth, status, stats =
     Components.solve ?cache
       ~vars:(fun c -> c.vars)
@@ -120,7 +120,7 @@ let solve ?cache ?(pool = Prelude.Pool.sequential) ~rho ~max_iters ~tol ~init
           { values = Array.map clip01 init; admm = idle }
         else
           let values, admm =
-            Admm.solve ~rho ~max_iters ~tol ~init ~pool c.model
+            Admm.solve ~rho ~max_iters ~tol ~init ?pool ?deadline c.model
           in
           { values; admm })
       ~status:(fun s -> s.admm.Admm.status)

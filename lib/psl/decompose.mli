@@ -40,6 +40,7 @@ val split : Hlmrf.t -> component list
 val solve :
   ?cache:cache ->
   ?pool:Prelude.Pool.t ->
+  ?deadline:Prelude.Deadline.t ->
   rho:float ->
   max_iters:int ->
   tol:float ->
@@ -47,7 +48,9 @@ val solve :
   Hlmrf.t ->
   float array * Admm.stats
 (** Run ADMM per component via {!Components.solve} ([pool] parallelises
-    within each component; factor-free components keep their clipped
-    init) and merge: iterations is the max, residuals the max,
-    [converged] the conjunction, the objective is recomputed globally on
-    the merged truth, the status the worst. *)
+    within each component and [deadline] is polled between its
+    iterations, so once it expires every remaining component keeps its
+    clipped init; factor-free components keep theirs anyway) and merge:
+    iterations is the max, residuals the max, [converged] the
+    conjunction, the objective is recomputed globally on the merged
+    truth, the status the worst. *)

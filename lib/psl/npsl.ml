@@ -3,19 +3,9 @@ module Store = Grounder.Atom_store
 type options = {
   config : Hlmrf.config;
   max_iters : int;
-  pool : Prelude.Pool.t;
-  deadline : Prelude.Deadline.t;
-  solve_cache : Decompose.cache option;
 }
 
-let default_options =
-  {
-    config = Hlmrf.default_config;
-    max_iters = 2_000;
-    pool = Prelude.Pool.sequential;
-    deadline = Prelude.Deadline.none;
-    solve_cache = None;
-  }
+let default_options = { config = Hlmrf.default_config; max_iters = 2_000 }
 
 (* The ADMM step size and tolerance and the rounding threshold of every
    solve. *)
@@ -39,7 +29,8 @@ type outcome = {
   stats : stats;
 }
 
-let run_ground ?(options = default_options) store
+let run_ground ?(options = default_options) ?pool
+    ?(deadline = Prelude.Deadline.none) ?cache store
     (ground_result : Grounder.Ground.result) ~ground_ms =
   let model =
     Obs.span "encode" (fun () ->
@@ -59,23 +50,14 @@ let run_ground ?(options = default_options) store
     | Store.Evidence { confidence; _ } -> init.(id) <- confidence
     | Store.Hidden -> init.(id) <- 0.0
   done;
-  (* Decompose only under an infinite deadline (mirroring the MLN path):
-     budgeted runs keep the global anytime ADMM, and the incremental
-     cache is bypassed for them anyway. *)
   let (truth, admm_stats), solve_ms =
     Prelude.Timing.time (fun () ->
         Obs.span "solve" (fun () ->
-            if not (Prelude.Deadline.is_finite options.deadline) then
-              Decompose.solve ?cache:options.solve_cache ~pool:options.pool
-                ~rho ~max_iters:options.max_iters ~tol ~init model
-            else
-              Admm.solve ~rho ~max_iters:options.max_iters ~tol ~init
-                ~pool:options.pool
-                ~deadline:options.deadline model))
+            Decompose.solve ?cache ?pool ~deadline ~rho
+              ~max_iters:options.max_iters ~tol ~init model))
   in
-  if Prelude.Deadline.is_finite options.deadline then
-    Obs.gauge "deadline.solve_slack_ms"
-      (Prelude.Deadline.remaining_ms options.deadline);
+  if Prelude.Deadline.is_finite deadline then
+    Obs.gauge "deadline.solve_slack_ms" (Prelude.Deadline.remaining_ms deadline);
   let assignment, rounding_stats =
     Obs.span "round" (fun () ->
         Rounding.round ~threshold model truth)
@@ -111,7 +93,6 @@ let run ?(options = default_options) graph rules =
   let ground_result, ground_ms =
     Prelude.Timing.time (fun () ->
         Obs.span "ground" (fun () ->
-            Grounder.Ground.run ~pool:options.pool ~lazy_constraints:true store
-              rules))
+            Grounder.Ground.run ~lazy_constraints:true store rules))
   in
   run_ground ~options store ground_result ~ground_ms

@@ -8,29 +8,15 @@
 type options = {
   config : Hlmrf.config;
   max_iters : int;
-  pool : Prelude.Pool.t;
-      (** runs the grounding joins of {!run} and the ADMM factor sweeps
-          in parallel; the solution is bitwise identical at every job
-          count *)
-  deadline : Prelude.Deadline.t;
-      (** solve budget. ADMM runs per connected component of the factor
-          graph (see {!Decompose}) exactly when the deadline is
-          infinite; a finite one runs the global ADMM, polled between
-          iterations; on expiry the current (box-feasible) iterate is
-          rounded and returned with [status = Timed_out]. Grounding is
-          never budgeted here: a caller that must bound it grounds
-          itself with a deadline and calls {!run_ground} *)
-  solve_cache : Decompose.cache option;
-      (** memoises component solutions across runs (the incremental
-          engine's warm start). Only consulted under an infinite
-          [deadline]. Default [None] *)
 }
+(** Plain data: equal options give equal answers. The runtime resources
+    of a solve (worker pool, deadline, component cache) are arguments of
+    {!run_ground}. *)
 
 val default_options : options
-(** Default HL-MRF config, 2,000 ADMM iterations,
-    {!Prelude.Pool.sequential}, an infinite deadline, no solve cache.
-    ADMM always runs with step size 1.0 and tolerance 1e-4, and rounds
-    at threshold 0.5. *)
+(** Default HL-MRF config and 2,000 ADMM iterations. ADMM always runs
+    with step size 1.0 and tolerance 1e-4, and rounds at threshold
+    0.5. *)
 
 type stats = {
   atoms : int;
@@ -51,15 +37,33 @@ type outcome = {
 
 val run : ?options:options -> Kg.Graph.t -> Logic.Rule.t list -> outcome
 (** The whole pipeline in one call, for tests and benchmarks: build the
-    atom store, ground it without a deadline (the ["ground"] span and
-    [stats.ground_ms] cover the grounding only), then {!run_ground}. *)
+    atom store, ground it sequentially without a deadline (the
+    ["ground"] span and [stats.ground_ms] cover the grounding only),
+    then {!run_ground}. *)
 
 val run_ground :
   ?options:options ->
+  ?pool:Prelude.Pool.t ->
+  ?deadline:Prelude.Deadline.t ->
+  ?cache:Decompose.cache ->
   Grounder.Atom_store.t ->
   Grounder.Ground.result ->
   ground_ms:float ->
   outcome
 (** Encode, solve and round over a grounding computed elsewhere — the
     solve step of [Tecore.Engine.resolve]; [ground_ms] is reported in
-    the stats verbatim. *)
+    the stats verbatim.
+
+    ADMM always runs per connected component of the factor graph
+    ({!Decompose}), whatever the budget.
+    - [pool] (default {!Prelude.Pool.sequential}) runs the factor sweeps
+      in parallel; the solution is bitwise identical at every job
+      count.
+    - [deadline] (default {!Prelude.Deadline.none}) decides only when
+      the work stops, never which code runs: each component's ADMM
+      polls it between iterations, so a deadline that does not fire
+      returns exactly the unbudgeted answer. On expiry the current
+      (box-feasible) iterate of every component is rounded and returned
+      with [status = Timed_out].
+    - [cache] memoises [Completed] component solutions across runs (the
+      incremental engine's warm start). *)

@@ -66,18 +66,12 @@ let outcome_name = function
   | Fallback -> "fallback"
   | Fresh_run -> "fresh"
 
-(* The option fields that influence the result (pools and deadlines are
-   excluded: job count never changes a result, and finite deadlines
-   bypass the state path entirely). A state only replays against the
-   exact configuration that produced it. *)
-type fingerprint =
-  | Fp_mln of
-      Mln.Map_inference.solver * bool * Mln.Network.config * float option
-  | Fp_psl of Psl.Hlmrf.config * int * float option
-
+(* A state only replays against the exact configuration that produced
+   it: the resolved engine (its options are plain data) and the
+   threshold. *)
 type state = {
   mutable snapshot : Grounder.Ground.snapshot option;
-  mutable fp : fingerprint option;
+  mutable config : (engine * float option) option;
   mutable last : result option;
   mln_cache : Mln.Decompose.cache;
   psl_cache : Psl.Decompose.cache;
@@ -87,7 +81,7 @@ type state = {
 let create_state () =
   {
     snapshot = None;
-    fp = None;
+    config = None;
     last = None;
     mln_cache = Components.create_cache ();
     psl_cache = Components.create_cache ();
@@ -100,7 +94,7 @@ let clear_solve_caches st =
 
 let invalidate st =
   st.snapshot <- None;
-  st.fp <- None;
+  st.config <- None;
   st.last <- None;
   clear_solve_caches st
 
@@ -120,18 +114,6 @@ let cache_stats st =
     solve_hits = m.Components.hits + p.Components.hits;
     solve_misses = m.Components.misses + p.Components.misses;
   }
-
-let fingerprint_of engine threshold =
-  match engine with
-  | Mln (o : Mln.Map_inference.options) ->
-      Fp_mln
-        ( o.Mln.Map_inference.solver,
-          o.Mln.Map_inference.use_cpi,
-          o.Mln.Map_inference.network_config,
-          threshold )
-  | Psl (o : Psl.Npsl.options) ->
-      Fp_psl (o.Psl.Npsl.config, o.Psl.Npsl.max_iters, threshold)
-  | Auto -> assert false
 
 (* Append the structured partial-grounding note to the translator report
    carried by {!Ground_timed_out}: how far the closure got, and why the
@@ -176,28 +158,13 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
         | Translator.Psl_engine -> Psl Psl.Npsl.default_options)
     | e -> e
   in
-  let engine =
-    if not (Deadline.is_finite deadline) then engine
-    else
-      match engine with
-      | Mln options -> Mln { options with Mln.Map_inference.deadline }
-      | Psl options -> Psl { options with Psl.Npsl.deadline }
-      | Auto -> assert false
-  in
   (* [jobs] defaults to the environment ([TECORE_JOBS], else 1). A pool
-     is created — and injected into the engine options — only when more
-     than one job is requested, so explicitly configured option pools
-     survive the default. *)
+     is created only when more than one job is requested; without one
+     everything runs on the calling domain. *)
   let jobs =
     match jobs with Some j -> j | None -> Prelude.Pool.default_jobs ()
   in
   let pool = if jobs = 1 then None else Some (Prelude.Pool.create ~jobs) in
-  let engine =
-    match (engine, pool) with
-    | Mln options, Some pool -> Mln { options with Mln.Map_inference.pool }
-    | Psl options, Some pool -> Psl { options with Psl.Npsl.pool }
-    | e, _ -> e
-  in
   Obs.event "engine.selected"
     [
       ( "engine",
@@ -238,12 +205,6 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
         None
     | state -> state
   in
-  let ground_pool =
-    match engine with
-    | Mln o -> o.Mln.Map_inference.pool
-    | Psl o -> o.Psl.Npsl.pool
-    | Auto -> assert false
-  in
   (* The one grounding step, constraints always pushed into the joins.
      θ(G) is built inside the span, so [ground_ms] covers the atom store
      as well as the closure and the instance joins. Without a state
@@ -261,16 +222,16 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
                   Some
                     ( store,
                       Grounder.Ground.run ~deadline:ground_deadline
-                        ~pool:ground_pool ~lazy_constraints:true store rules,
+                        ?pool ~lazy_constraints:true store rules,
                       None )
               | Some _, None ->
                   let g, snap =
-                    Grounder.Ground.run_record ~pool:ground_pool store rules
+                    Grounder.Ground.run_record ?pool store rules
                   in
                   Some (store, g, Some snap)
               | Some _, Some (snapshot, affected) ->
                   Grounder.Ground.reground ~snapshot ~affected
-                    ~pool:ground_pool store rules
+                    ?pool store rules
                   |> Option.map (fun (g, snap) -> (store, g, Some snap))))
     in
     Option.map (fun (store, g, snap) -> (store, g, snap, ground_ms)) grounding
@@ -288,15 +249,15 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
         Obs.gauge "deadline.budget_ms" (Deadline.budget_ms deadline);
         raise (Ground_timed_out (ground_timeout_report report ~atoms ~rounds))
   in
-  (* With a state: decide from the fingerprint, the mode and the delta
+  (* With a state: decide from the configuration, the mode and the delta
      whether to reuse the last result, replay the snapshot or ground
      afresh, and record how the caches were used. *)
   let plan st =
-    let fp = fingerprint_of engine threshold in
-    let fp_ok = st.fp = Some fp in
-    let had_fp = st.fp <> None in
-    if not fp_ok then invalidate st;
-    st.fp <- Some fp;
+    let config = Some (engine, threshold) in
+    let config_ok = st.config = config in
+    let had_config = st.config <> None in
+    if not config_ok then invalidate st;
+    st.config <- config;
     let d =
       match delta with
       | Some d -> d
@@ -331,14 +292,15 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
       match mode with
       | `Fresh -> (`Ground (fresh_ground ()), Fresh_run)
       | `Incremental ->
-          if (not fp_ok) || d.rules_changed || st.snapshot = None then begin
+          if (not config_ok) || d.rules_changed || st.snapshot = None then begin
             (* Rule edits invalidate everything: the snapshot replays a
                specific rule list, and stale clauses from a removed rule
                must never survive in any cache. *)
             if d.rules_changed then invalidate st;
-            st.fp <- Some fp;
+            st.config <- config;
             let oc =
-              if had_fp && ((not fp_ok) || d.rules_changed) then Invalidate
+              if had_config && ((not config_ok) || d.rules_changed) then
+                Invalidate
               else Miss
             in
             (`Ground (fresh_ground ()), oc)
@@ -379,18 +341,10 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
         match engine with
         | Auto -> assert false
         | Mln options ->
-            let options =
-              match state with
-              | Some st ->
-                  {
-                    options with
-                    Mln.Map_inference.solve_cache = Some st.mln_cache;
-                  }
-              | None -> options
-            in
+            let cache = Option.map (fun st -> st.mln_cache) state in
             let out =
-              Mln.Map_inference.run_ground ~options store ground_result
-                ~ground_ms
+              Mln.Map_inference.run_ground ~options ?pool ~deadline ?cache
+                store ground_result ~ground_ms
             in
             let s = out.Mln.Map_inference.stats in
             ( Translator.Mln_engine,
@@ -401,14 +355,10 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
               s.Mln.Map_inference.objective,
               s.Mln.Map_inference.status )
         | Psl options ->
-            let options =
-              match state with
-              | Some st ->
-                  { options with Psl.Npsl.solve_cache = Some st.psl_cache }
-              | None -> options
-            in
+            let cache = Option.map (fun st -> st.psl_cache) state in
             let out =
-              Psl.Npsl.run_ground ~options store ground_result ~ground_ms
+              Psl.Npsl.run_ground ~options ?pool ~deadline ?cache store
+                ground_result ~ground_ms
             in
             let s = out.Psl.Npsl.stats in
             ( Translator.Psl_engine,

@@ -102,14 +102,14 @@ val outcome_name : cache_outcome -> string
 
 type state
 (** Mutable incremental state: the grounding snapshot, the last result,
-    the option fingerprint it was produced under, and the per-engine
+    the engine options and threshold it was produced under, and the per-engine
     component solution caches. Create one per logical session; a state
     must not be shared across concurrently running resolves. *)
 
 val create_state : unit -> state
 
 val invalidate : state -> unit
-(** Drop everything: snapshot, cached result, fingerprint, and both
+(** Drop everything: snapshot, cached result, configuration, and both
     component solution caches. The next resolve is a [Miss]. *)
 
 val last_outcome : state -> cache_outcome option
@@ -157,8 +157,7 @@ val resolve :
     solver portfolios (0 = all cores, see {!Prelude.Pool.create});
     defaults to {!Prelude.Pool.default_jobs} — the [TECORE_JOBS]
     environment variable, else 1. With [jobs = 1] everything runs on the
-    engine options' pool (by default {!Prelude.Pool.sequential}, the
-    calling domain); at higher job counts the reported objective is
+    calling domain; at higher job counts the reported objective is
     unchanged (see {!Prelude.Pool} for the determinism contract).
 
     [deadline] (default {!Prelude.Deadline.none}) bounds the run.
@@ -166,7 +165,9 @@ val resolve :
 
     - [`Best_effort]: grounding always completes (no sound partial
       grounding exists) and the remaining budget disciplines the
-      solver, which returns its best incumbent on expiry. The result's
+      solver, which runs component by component as without a budget and
+      returns its best incumbent on expiry; components reached after
+      expiry keep their initial state without searching. The result's
       [stats.status] reports [Timed_out] or [Degraded]; the exact
       backends degrade to MaxWalkSAT when their budget slice expires
       before optimality is proved. Even an already-expired deadline
@@ -175,9 +176,11 @@ val resolve :
       grounding raises {!Ground_timed_out}. Callers treat any
       non-[Completed] status as failure.
 
-    Without a finite [deadline] the result and formatted output are
-    identical to previous releases; with one, the Obs report gains
-    [deadline.expired], [deadline.budget_ms] and [deadline.slack_ms].
+    A deadline decides only when the solve stops, never which code
+    runs: a [Completed] budgeted resolve returns exactly the unbudgeted
+    resolution and objective. With a finite [deadline] the Obs report
+    also gains [deadline.expired], [deadline.budget_ms] and
+    [deadline.slack_ms].
 
     [mode] (default [`Fresh]) and [state]/[delta] drive incremental
     resolution. Without [state] nothing is cached: no snapshot is

@@ -106,6 +106,19 @@ span_names() { grep -o '"name":"[^"]*"' "$1" | sort -u; }
 diff <(span_names "$PLAIN_TRACE") <(span_names "$BUDGET_TRACE") \
   || { echo "budgeted and plain resolves name different stages" >&2; exit 1; }
 rm -f "$PLAIN_TRACE" "$BUDGET_TRACE"
+# A deadline decides only when the solve stops, never which code runs:
+# a budget that does not fire must write the unbudgeted consistent KG,
+# byte for byte, on every engine.
+for engine in mln mln-exact psl; do
+  PLAIN_KG=$(mktemp) BUDGET_KG=$(mktemp)
+  "$CLI" resolve -d data/football.tq -r data/football.rules -e "$engine" \
+    -o "$PLAIN_KG" >/dev/null
+  "$CLI" resolve -d data/football.tq -r data/football.rules -e "$engine" \
+    --timeout 600 -o "$BUDGET_KG" >/dev/null
+  cmp -s "$PLAIN_KG" "$BUDGET_KG" \
+    || { echo "-e $engine: a --timeout 600 resolve wrote another consistent KG" >&2; exit 1; }
+  rm -f "$PLAIN_KG" "$BUDGET_KG"
+done
 
 echo "== disabled observability leaves output unchanged =="
 # Without --stats/--trace*/--log-level/--*-out the telemetry layer must

@@ -264,18 +264,100 @@ let test_engine_fail_policy_rejects_grounding () =
              n.Tecore.Translator.severity = Tecore.Translator.Error)
            report.Tecore.Translator.notes)
 
-let test_engine_best_effort_survives_expiry () =
-  let graph, rules = cr_graph_and_rules () in
-  let result =
-    Tecore.Engine.resolve ~deadline:(Deadline.after ~ms:0.) graph rules
+(* Every backend the engine can run: the MLN walk with and without CPI,
+   both exact backends, and nPSL. *)
+let engines =
+  let mln solver use_cpi =
+    Tecore.Engine.Mln
+      { Mln.Map_inference.default_options with solver; use_cpi }
   in
+  [
+    ("mln walk+cpi", mln Mln.Map_inference.Walk true);
+    ("mln walk", mln Mln.Map_inference.Walk false);
+    ("mln exact_bb", mln Mln.Map_inference.Exact_bb true);
+    ("mln ilp_exact", mln Mln.Map_inference.Ilp_exact false);
+    ("psl", Tecore.Engine.Psl Psl.Npsl.default_options);
+  ]
+
+let football ~players =
+  let d = Datagen.Footballdb.generate ~seed:1 ~players ~noise_ratio:0.5 () in
+  ( d.Datagen.Footballdb.graph,
+    Datagen.Footballdb.constraints () @ Datagen.Footballdb.rules () )
+
+(* The sum of counter [name] over a report: outside any span and in
+   every span. *)
+let counter (report : Obs.Report.t) name =
+  let here counters = Option.value (List.assoc_opt name counters) ~default:0. in
+  let rec node (n : Obs.Report.node) =
+    List.fold_left
+      (fun acc c -> acc +. node c)
+      (here n.Obs.Report.counters) n.Obs.Report.children
+  in
+  List.fold_left
+    (fun acc n -> acc +. node n)
+    (here report.Obs.Report.counters) report.Obs.Report.spans
+
+let observed f =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let r = f () in
+      (r, Obs.Report.capture ()))
+
+(* An already-expired deadline still yields a resolution of every fact,
+   sound unless [Degraded]. The solve stops in the first component it
+   polls: over all of the at least [components] components, nothing
+   searches. *)
+let test_engine_best_effort_survives_expiry ?engine ~components
+    (graph, rules) () =
+  let result, report =
+    observed (fun () ->
+        Tecore.Engine.resolve ?engine ~deadline:(Deadline.after ~ms:0.) graph
+          rules)
+  in
+  let stats = result.Tecore.Engine.stats in
   Alcotest.(check bool) "status reported" true
-    (result.Tecore.Engine.stats.Tecore.Engine.status <> Deadline.Completed);
-  (* The anytime resolution still resolves the CR conflict machinery:
-     kept + removed covers the whole input graph. *)
+    (stats.Tecore.Engine.status <> Deadline.Completed);
   let r = result.Tecore.Engine.resolution in
   Alcotest.(check int) "facts accounted for" (Kg.Graph.size graph)
-    (r.Tecore.Conflict.kept + List.length r.Tecore.Conflict.removed)
+    (r.Tecore.Conflict.kept + List.length r.Tecore.Conflict.removed);
+  if stats.Tecore.Engine.status <> Deadline.Degraded then
+    Alcotest.(check int) "sound unless degraded" 0
+      stats.Tecore.Engine.hard_violations;
+  Alcotest.(check bool)
+    (Printf.sprintf "at least %d components" components)
+    true
+    (counter report "solve.components" >= float_of_int components);
+  Alcotest.(check (float 0.)) "no flip" 0. (counter report "walksat.flips");
+  Alcotest.(check (float 0.)) "no ADMM iteration" 0.
+    (counter report "admm.iterations")
+
+(* A deadline decides only when the solve stops, never which code runs:
+   a budget that does not fire returns the unbudgeted answer, objective
+   bit for bit. *)
+let test_engine_unfired_budget engine () =
+  let graph, rules = football ~players:300 in
+  let answer ?deadline () =
+    let r = Tecore.Engine.resolve ~engine ?deadline graph rules in
+    let res = r.Tecore.Engine.resolution in
+    ( List.map fst res.Tecore.Conflict.removed,
+      Printf.sprintf "%h" r.Tecore.Engine.stats.Tecore.Engine.objective,
+      List.length res.Tecore.Conflict.derived,
+      Deadline.status_name r.Tecore.Engine.stats.Tecore.Engine.status )
+  in
+  let removed, objective, derived, status = answer () in
+  let removed', objective', derived', status' =
+    answer ~deadline:(Deadline.after ~ms:600_000.) ()
+  in
+  Alcotest.(check string) "unbudgeted completes" "completed" status;
+  Alcotest.(check string) "budgeted completes" "completed" status';
+  Alcotest.(check (list int)) "same removed facts" removed removed';
+  Alcotest.(check string) "same objective" objective objective';
+  Alcotest.(check int) "same derived count" derived derived'
 
 (* A grounding timeout with a state present bypasses the state: the
    next unbudgeted resolve on it still equals a fresh one. *)
@@ -516,7 +598,25 @@ let () =
           Alcotest.test_case "fail policy rejects grounding timeout" `Quick
             test_engine_fail_policy_rejects_grounding;
           Alcotest.test_case "best-effort survives expiry" `Quick
-            test_engine_best_effort_survives_expiry;
+            (test_engine_best_effort_survives_expiry ~components:1
+               (cr_graph_and_rules ()));
+        ]
+        @ List.map
+            (fun (name, engine) ->
+              Alcotest.test_case
+                ("best-effort survives expiry, FootballDB (" ^ name ^ ")")
+                `Quick
+                (test_engine_best_effort_survives_expiry ~engine
+                   ~components:10 (football ~players:60)))
+            engines
+        @ List.map
+            (fun (name, engine) ->
+              Alcotest.test_case
+                ("a budget that never fires changes nothing (" ^ name ^ ")")
+                `Quick
+                (test_engine_unfired_budget engine))
+            engines
+        @ [
           Alcotest.test_case "ground timeout with a state bypasses it" `Quick
             test_engine_ground_timeout_keeps_state;
           Alcotest.test_case "session maps ground timeout" `Quick

@@ -1546,20 +1546,44 @@ let test_stop_at_optimum () =
   in
   Alcotest.(check (array bool)) "jobs 4 = jobs 1" x x4
 
-(* A finite deadline leaves the budget to the walk: no optimum is
-   proven, and the solve does the reference's work. *)
-let test_finite_deadline_no_target () =
+(* A deadline decides when the walk stops, never what it does: one that
+   has not expired proves the same optimum and walks the same flips as
+   none, and an expired one proves none and walks no flip. *)
+let test_deadline_keeps_optimum () =
   let network, init = coach_conflict () in
-  let deadline () = Prelude.Deadline.after ~ms:600_000. in
-  let x, s = Mln.Maxwalksat.solve ~init ~deadline:(deadline ()) network in
-  let rx, rs =
-    Reference.solve ~init ~deadline:(deadline ()) (Reference.boxed network)
+  let solve ?deadline () =
+    Obs.reset ();
+    Obs.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        let x, s = Mln.Maxwalksat.solve ~init ?deadline network in
+        let known =
+          List.assoc_opt "walksat.optimum_known"
+            (Obs.Report.capture ()).Obs.Report.counters
+        in
+        (x, s, Option.value known ~default:0.))
   in
-  Alcotest.(check (array bool)) "reference's assignment" rx x;
-  Alcotest.(check int) "reference's flips" rs.Reference.flips
-    s.Mln.Maxwalksat.flips;
-  Alcotest.(check int) "reference's restarts" rs.Reference.restarts_used
-    s.Mln.Maxwalksat.restarts_used
+  let x, s, known = solve () in
+  Alcotest.(check (float 0.)) "optimum proven" 1. known;
+  let x', s', known' =
+    solve ~deadline:(Prelude.Deadline.after ~ms:600_000.) ()
+  in
+  Alcotest.(check (float 0.)) "live deadline: optimum proven" 1. known';
+  Alcotest.(check (array bool)) "live deadline: same assignment" x x';
+  Alcotest.(check int) "live deadline: same flips" s.Mln.Maxwalksat.flips
+    s'.Mln.Maxwalksat.flips;
+  Alcotest.(check int) "live deadline: same restarts"
+    s.Mln.Maxwalksat.restarts_used s'.Mln.Maxwalksat.restarts_used;
+  Alcotest.(check bool) "live deadline: completed" true
+    (s'.Mln.Maxwalksat.status = Prelude.Deadline.Completed);
+  let _, s'', known'' = solve ~deadline:(Prelude.Deadline.after ~ms:0.) () in
+  Alcotest.(check (float 0.)) "expired deadline: no optimum" 0. known'';
+  Alcotest.(check int) "expired deadline: no flip" 0 s''.Mln.Maxwalksat.flips;
+  Alcotest.(check bool) "expired deadline: not completed" true
+    (s''.Mln.Maxwalksat.status <> Prelude.Deadline.Completed)
 
 let test_negative_confidence_evidence () =
   (* Confidence < 0.5 evidence becomes a negated unit clause; MAP should
@@ -1629,8 +1653,8 @@ let () =
             test_exact_cases_cover_outcomes;
           Alcotest.test_case "stop at the proven optimum" `Quick
             test_stop_at_optimum;
-          Alcotest.test_case "finite deadline proves no optimum" `Quick
-            test_finite_deadline_no_target;
+          Alcotest.test_case "a deadline keeps the optimum until it expires"
+            `Quick test_deadline_keeps_optimum;
           Alcotest.test_case "zero-literal clause" `Quick
             test_zero_literal_fallback;
           Alcotest.test_case "flip loop allocation-free" `Quick
