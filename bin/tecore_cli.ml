@@ -220,11 +220,13 @@ let resolve data rules engine jobs threshold timeout on_timeout output
               (fun q -> Format.printf "%a@." Kg.Quad.pp q)
               (Tecore.Session.conflicting_statements session);
             print_endline "-- derived statements --";
+            let resolution = result.Tecore.Engine.resolution in
             List.iter
               (fun (d : Tecore.Conflict.derived_fact) ->
                 Format.printf "%a  %.3f@." Logic.Atom.Ground.pp
-                  d.Tecore.Conflict.atom d.Tecore.Conflict.confidence)
-              result.Tecore.Engine.resolution.Tecore.Conflict.derived
+                  (Tecore.Conflict.derived_atom resolution d)
+                  d.Tecore.Conflict.confidence)
+              resolution.Tecore.Conflict.derived
           end;
           (match output with
           | None -> ()

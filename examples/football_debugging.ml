@@ -41,14 +41,16 @@ let show_resolution (result : Tecore.Engine.result) =
   Format.printf "%a@.@." Tecore.Engine.pp_result result;
   Format.printf "-- G_inferred (Figure 7 + derived facts) --@.";
   Format.printf "%a@." Kg.Graph.pp result.resolution.Tecore.Conflict.consistent;
+  let resolution = result.resolution in
   List.iter
     (fun (d : Tecore.Conflict.derived_fact) ->
-      match d.as_quad with
+      match Tecore.Conflict.derived_quad resolution d with
       | None ->
           Format.printf "derived (non-quad): %a  %.3f@." Logic.Atom.Ground.pp
-            d.atom d.confidence
+            (Tecore.Conflict.derived_atom resolution d)
+            d.confidence
       | Some _ -> ())
-    result.resolution.Tecore.Conflict.derived;
+    resolution.Tecore.Conflict.derived;
   List.iter
     (fun (_, q) -> Format.printf "removed: %a@." Kg.Quad.pp q)
     result.resolution.Tecore.Conflict.removed;

@@ -32,7 +32,8 @@ type t = {
   mutable dict_n : int;
   conf : float Vec.t;  (** meaningful where [origin_fact] >= 0 *)
   origin_fact : Ivec.t;  (** max-confidence evidence fact; -1 = hidden *)
-  first_fact : Ivec.t;  (** first interned fact (ordering); -1 = none *)
+  first_fact : Ivec.t;
+      (** first interned fact (ordering); -1 = none; [-2 - f] if more *)
   more_facts : (id, Kg.Graph.id list) Hashtbl.t;
       (** facts beyond the first, newest first; only multi-fact atoms *)
   tables : (int, Reldb.Table.t) Hashtbl.t;
@@ -128,9 +129,7 @@ let key t atom_id =
   if atom_id < 0 || atom_id >= size t then
     invalid_arg (Printf.sprintf "Atom_store: unknown atom id %d" atom_id);
   let start = Ivec.get t.offsets atom_id in
-  Array.init
-    (Ivec.get t.offsets (atom_id + 1) - start)
-    (fun i -> Ivec.get t.codes (start + i))
+  Array.sub (Ivec.raw t.codes) start (Ivec.get t.offsets (atom_id + 1) - start)
 
 (* A boxed atom's key: with [intern], interning its symbols (the
    writer path) in the order predicate, arguments, interval; without,
@@ -220,15 +219,15 @@ let insert_row t (key : key) id =
 
 (* Origins travel unboxed: [fact = -1] is [Hidden]. *)
 let record_fact t id fact =
-  if fact >= 0 then begin
-    let first = Ivec.get t.first_fact id in
-    if first = -1 then Ivec.set t.first_fact id fact
-    else if first <> fact then begin
-      let more = Option.value (Hashtbl.find_opt t.more_facts id) ~default:[] in
-      if not (List.mem fact more) then
-        Hashtbl.replace t.more_facts id (fact :: more)
+  let first = Ivec.get t.first_fact id in
+  if fact < 0 || fact = first || fact = -2 - first then ()
+  else if first = -1 then Ivec.set t.first_fact id fact
+  else
+    let more = Option.value (Hashtbl.find_opt t.more_facts id) ~default:[] in
+    if not (List.mem fact more) then begin
+      Ivec.set t.first_fact id (min first (-2 - first));
+      Hashtbl.replace t.more_facts id (fact :: more)
     end
-  end
 
 let merge_origin t id fact confidence =
   if fact >= 0 then begin
@@ -307,9 +306,8 @@ let of_graph graph =
 let evidence_facts t id =
   match Ivec.get t.first_fact id with
   | -1 -> []
-  | first ->
-      first
-      :: List.rev (Option.value (Hashtbl.find_opt t.more_facts id) ~default:[])
+  | first when first >= 0 -> [ first ]
+  | marked -> (-2 - marked) :: List.rev (Hashtbl.find t.more_facts id)
 
 let iter f t =
   for id = 0 to size t - 1 do

@@ -59,7 +59,8 @@ let hash k =
   let h = bools h k.k_hard in
   finish (bools h k.k_init)
 
-let solve ?cache ~solve_component ~init (network : Network.t) =
+let solve ?cache ?(deadline = Deadline.none) ~solve_component ~init
+    (network : Network.t) =
   let values, status, () =
     Components.solve ?cache
     ~vars:(fun c -> c.atoms)
@@ -67,6 +68,8 @@ let solve ?cache ~solve_component ~init (network : Network.t) =
     ~solve_component:(fun c ~init ->
       if Network.num_clauses c.network = 0 then
         { values = Array.copy init; status = Deadline.Completed }
+      else if Deadline.expired deadline then
+        { values = Array.copy init; status = Deadline.Timed_out }
       else solve_component c.network ~init)
     ~status:(fun s -> s.status)
     ~values:(fun s -> s.values)

@@ -36,10 +36,12 @@ val split : Network.t -> component list
 
 val solve :
   ?cache:cache ->
+  ?deadline:Prelude.Deadline.t ->
   solve_component:(Network.t -> init:bool array -> solved) ->
   init:bool array ->
   Network.t ->
   bool array * Prelude.Deadline.status
 (** {!Components.solve} over {!split}; clause-free components keep
-    their init without calling [solve_component]. Returns the merged
-    assignment and the worst status. *)
+    their init without calling [solve_component], and so, [Timed_out],
+    does every component once [deadline] has expired. Returns the
+    merged assignment and the worst status. *)

@@ -51,7 +51,13 @@ let base_solver ~max_flips ~stall ~pool ~deadline options network ~init =
       Maxwalksat.solve ~seed ~max_flips ~restarts ~stall ~pool ~deadline
         ~init network
     in
-    (assignment, stats.Maxwalksat.status)
+    (* MaxWalkSAT tags a walk cut short with hard clauses violated
+       [Degraded]; here it is [Timed_out], and the repair backstop of
+       [run_ground] decides soundness. A crashed task stays [Degraded]. *)
+    match stats.Maxwalksat.status with
+    | Deadline.Degraded when not stats.Maxwalksat.crashed ->
+        (assignment, Deadline.Timed_out)
+    | status -> (assignment, status)
   in
   match options.solver with
   | Walk -> walk ~init
@@ -116,7 +122,7 @@ let run_ground ?(options = default_options) ?(pool = Prelude.Pool.sequential)
   let (assignment, status), solve_ms =
     Prelude.Timing.time (fun () ->
         Obs.span "solve" (fun () ->
-            Decompose.solve ?cache
+            Decompose.solve ?cache ~deadline
               ~solve_component:(component_solver options ~pool ~deadline)
               ~init network))
   in

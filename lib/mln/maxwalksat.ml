@@ -7,6 +7,7 @@ type stats = {
   restarts_used : int;
   hard_violated : int;
   soft_cost : float;
+  crashed : bool;
   status : Deadline.status;
 }
 
@@ -552,4 +553,5 @@ let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
       results
   end;
   ( best.a_assignment,
-    { flips = total_flips; restarts_used; hard_violated; soft_cost; status } )
+    { flips = total_flips; restarts_used; hard_violated; soft_cost; crashed;
+      status } )

@@ -29,6 +29,7 @@ type stats = {
   restarts_used : int;      (** descents beyond the first that did work *)
   hard_violated : int;      (** in the returned assignment *)
   soft_cost : float;        (** violated soft weight in the result *)
+  crashed : bool;           (** some portfolio task raised *)
   status : Prelude.Deadline.status;
       (** anytime outcome: [Completed] when every descent ran to its
           natural end, [Timed_out] when the deadline cut search short

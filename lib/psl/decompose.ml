@@ -100,6 +100,11 @@ let idle =
     status = Deadline.Completed;
   }
 
+(* What {!Admm.solve} reports for a run halted before its first sweep. *)
+let halted =
+  { idle with Admm.primal_residual = infinity; dual_residual = infinity;
+    converged = false; status = Deadline.Timed_out }
+
 let merge (acc : Admm.stats) { admm = a; _ } =
   {
     acc with
@@ -109,8 +114,8 @@ let merge (acc : Admm.stats) { admm = a; _ } =
     converged = acc.Admm.converged && a.Admm.converged;
   }
 
-let solve ?cache ?pool ?deadline ~rho ~max_iters ~tol ~init (model : Hlmrf.t)
-    =
+let solve ?cache ?pool ?(deadline = Deadline.none) ~rho ~max_iters ~tol ~init
+    (model : Hlmrf.t) =
   let truth, status, stats =
     Components.solve ?cache
       ~vars:(fun c -> c.vars)
@@ -118,9 +123,11 @@ let solve ?cache ?pool ?deadline ~rho ~max_iters ~tol ~init (model : Hlmrf.t)
       ~solve_component:(fun c ~init ->
         if Hlmrf.num_factors c.model = 0 then
           { values = Array.map clip01 init; admm = idle }
+        else if Deadline.expired deadline then
+          { values = Array.map clip01 init; admm = halted }
         else
           let values, admm =
-            Admm.solve ~rho ~max_iters ~tol ~init ?pool ?deadline c.model
+            Admm.solve ~rho ~max_iters ~tol ~init ?pool ~deadline c.model
           in
           { values; admm })
       ~status:(fun s -> s.admm.Admm.status)

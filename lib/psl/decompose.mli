@@ -49,8 +49,8 @@ val solve :
   float array * Admm.stats
 (** Run ADMM per component via {!Components.solve} ([pool] parallelises
     within each component and [deadline] is polled between its
-    iterations, so once it expires every remaining component keeps its
-    clipped init; factor-free components keep theirs anyway) and merge:
+    iterations; past expiry every remaining component keeps its clipped
+    init unsolved, as factor-free components always do) and merge:
     iterations is the max, residuals the max, [converged] the
     conjunction, the objective is recomputed globally on the merged
     truth, the status the worst. *)

@@ -1,13 +1,10 @@
 module Store = Grounder.Atom_store
 module Ground = Grounder.Ground
 
-type derived_fact = {
-  atom : Logic.Atom.Ground.t;
-  confidence : float;
-  as_quad : Kg.Quad.t option;
-}
+type derived_fact = { id : Store.id; confidence : float }
 
 type resolution = {
+  store : Store.t;
   consistent : Kg.Graph.t;
   removed : (Kg.Graph.id * Kg.Quad.t) list;
   derived : derived_fact list;
@@ -15,12 +12,23 @@ type resolution = {
   kept : int;
 }
 
+let derived_atom r d = Store.atom r.store d.id
+
+let derived_quad r d =
+  Logic.Atom.Ground.to_quad ~confidence:d.confidence (derived_atom r d)
+
+(* A binary temporal atom (θ of a fact) as the fact's row of codes in
+   the graph's table, which every copy keeps: key [[| p; s; o; i+1 |]]. *)
+let fact_row store id f =
+  let k = Store.key store id in
+  if Array.length k = 4 && k.(3) <> 0 then f k.(0) k.(1) k.(2) (k.(3) - 1)
+
 let sigmoid x = 1.0 /. (1.0 +. exp (-.x))
 
 (* Facts involved in a hard constraint instance that is violated when all
    evidence is taken at face value — the conflicts the debugger reports. *)
 let conflicting_facts store (instances : Ground.instances) =
-  let ids = Hashtbl.create 256 in
+  let ids = ref [] in
   Array.iteri
     (fun i h ->
       if
@@ -28,16 +36,15 @@ let conflicting_facts store (instances : Ground.instances) =
         && Logic.Rule.is_hard instances.rules.(instances.rule.(i))
       then
         for j = instances.offsets.(i) to instances.offsets.(i + 1) - 1 do
-          List.iter
-            (fun fact -> Hashtbl.replace ids fact ())
-            (Store.evidence_facts store instances.body.(j))
+          ids := Store.evidence_facts store instances.body.(j) @ !ids
         done)
     instances.head;
-  Hashtbl.fold (fun id () acc -> id :: acc) ids [] |> List.sort Int.compare
+  List.sort_uniq Int.compare !ids
 
-(* Support of a hidden atom: total weight of its firing derivations. *)
-let derived_confidences (instances : Ground.instances) assignment =
-  let support = Hashtbl.create 64 in
+(* Support of every atom, by id: total weight of its firing
+   derivations, summed in instance order. *)
+let supports store (instances : Ground.instances) assignment =
+  let support = Array.make (Store.size store) 0.0 in
   let rec true_from j stop =
     j = stop || (assignment.(instances.body.(j)) && true_from (j + 1) stop)
   in
@@ -46,36 +53,28 @@ let derived_confidences (instances : Ground.instances) assignment =
       if
         h >= 0 && assignment.(h)
         && true_from instances.offsets.(i) instances.offsets.(i + 1)
-      then begin
+      then
         let w =
           match instances.rules.(instances.rule.(i)).Logic.Rule.weight with
           | Some w -> w
           | None -> Kg.Quad.max_weight
         in
-        Hashtbl.replace support h
-          (w +. Option.value (Hashtbl.find_opt support h) ~default:0.0)
-      end)
+        support.(h) <- support.(h) +. w)
     instances.head;
-  fun atom_id ->
-    sigmoid (Option.value (Hashtbl.find_opt support atom_id) ~default:0.0)
+  support
 
 let interpret ~graph ~store ~instances ~assignment () =
   if Store.symbols store != Kg.Graph.symbols graph then
     invalid_arg "Conflict.interpret: the store is not the graph's grounding";
-  (* Room for a fact per true hidden atom, so that adding the derived
-     facts does not regrow the copy's columns. *)
-  let room = ref 0 in
-  for atom_id = 0 to Store.size store - 1 do
-    if assignment.(atom_id) && not (Store.is_evidence store atom_id) then
-      incr room
-  done;
-  let consistent = Kg.Graph.copy ~room:!room graph in
+  (* Room for a fact per hidden atom (duplicates aside, each live fact
+     has its own evidence atom): adding derived facts does not regrow. *)
+  let room = max 0 (Store.size store - Kg.Graph.size graph) in
+  let consistent = Kg.Graph.copy ~room graph in
+  let support = supports store instances assignment in
   let removed = ref [] in
   let derived = ref [] in
   let kept = ref 0 in
-  let confidence_of = derived_confidences instances assignment in
-  (* Walk ids and origins; only a true hidden atom needs its boxed
-     view. *)
+  (* Walk ids and origins; no atom is decoded. *)
   for atom_id = 0 to Store.size store - 1 do
     if Store.is_evidence store atom_id then begin
       (* A decision about the atom applies to every duplicate fact
@@ -90,22 +89,16 @@ let interpret ~graph ~store ~instances ~assignment () =
           facts
     end
     else if assignment.(atom_id) then begin
-      let atom = Store.atom store atom_id in
-      let confidence = confidence_of atom_id in
-      let as_quad = Logic.Atom.Ground.to_quad ~confidence atom in
-      (match as_quad with
-      | Some q ->
-          (* The copy keeps every code of the graph's table, so the
-             atom's key [[| p; s; o; i+1 |]] adds the fact unhashed. *)
-          let k = Store.key store atom_id in
+      let confidence = sigmoid support.(atom_id) in
+      fact_row store atom_id (fun predicate subject object_ interval ->
           ignore
-            (Kg.Graph.add_codes consistent ~predicate:k.(0) ~subject:k.(1)
-               ~object_:k.(2) ~interval:(k.(3) - 1) ~confidence:q.confidence)
-      | None -> ());
-      derived := { atom; confidence; as_quad } :: !derived
+            (Kg.Graph.add_codes consistent ~predicate ~subject ~object_
+               ~interval ~confidence));
+      derived := { id = atom_id; confidence } :: !derived
     end
   done;
   {
+    store;
     consistent;
     removed = List.rev !removed;
     derived = List.rev !derived;
@@ -118,28 +111,14 @@ let apply_threshold threshold r =
     List.partition (fun d -> d.confidence >= threshold) r.derived
   in
   let consistent = Kg.Graph.copy r.consistent in
-  (* Derived quads were appended after the original facts; drop every
-     fact stating one of them, in one pass over the copy. Its table
-     interns by [Term.equal] and [Interval.equal], so equal codes are
-     [Quad.same_statement], and a quad with a symbol the table lacks
-     states no fact in the graph. *)
-  let symbols = Kg.Graph.symbols consistent in
-  let term = Kg.Graph.find_term symbols in
+  (* One pass over the copy drops every fact stating a dropped atom: the
+     table interns by [Term.equal] and [Interval.equal], so those are
+     exactly the facts with the atom's codes. *)
   let dropped = Hashtbl.create 16 in
   List.iter
     (fun d ->
-      match d.as_quad with
-      | None -> ()
-      | Some q -> (
-          match
-            ( term q.predicate,
-              term q.subject,
-              term q.object_,
-              Kg.Graph.find_interval symbols q.time )
-          with
-          | Some p, Some s, Some o, Some i ->
-              Hashtbl.replace dropped (p, s, o, i) ()
-          | _ -> ()))
+      fact_row r.store d.id (fun p s o i ->
+          Hashtbl.replace dropped (p, s, o, i) ()))
     drop;
   Kg.Graph.iter_codes
     (fun id ~predicate ~subject ~object_ ~interval ~confidence:_ ->

@@ -67,47 +67,44 @@ let removals ~store ~instances ~assignment ~graph ~resolution =
     List.map
       (fun (fact, quad) ->
         (* Symmetric groundings (both orders of a self-join) describe the
-           same clash; dedupe on constraint name and partner atoms. *)
+           same clash; dedupe on constraint name and partner atoms. Every
+           removed fact is an evidence fact of the store. *)
         let seen = Hashtbl.create 8 in
+        let removed_atom = Hashtbl.find atom_of_fact fact in
         let clashes =
-          match Hashtbl.find_opt atom_of_fact fact with
-          | None -> []
-          | Some removed_atom ->
-              List.filter_map
-                (fun i ->
-                  (* A clash explains the removal when the instance is a
-                     violation containing the removed atom whose other
-                     body atoms all survived. *)
-                  let rule = instances.rules.(instances.rule.(i)) in
-                  let others =
-                    List.filter (fun a -> a <> removed_atom)
-                      (Ground.body_atoms instances i)
-                  in
-                  let key =
-                    (rule.Logic.Rule.name, List.sort Int.compare others)
-                  in
-                  if
-                    List.for_all (fun a -> assignment.(a)) others
-                    && not (Hashtbl.mem seen key)
-                  then begin
-                    Hashtbl.replace seen key ();
-                    let winners = quads_of_atoms store graph others in
-                    if winners = [] then None
-                    else
-                      Some
-                        {
-                          constraint_name = rule.Logic.Rule.name;
-                          winners;
-                          winner_weight =
-                            List.fold_left
-                              (fun acc q -> Float.min acc (Kg.Quad.weight q))
-                              infinity winners;
-                          loser_weight = Kg.Quad.weight quad;
-                        }
-                  end
-                  else None)
-                violations.(removed_atom)
-        in
+          List.filter_map
+            (fun i ->
+              (* A clash explains the removal when the instance is a
+                 violation containing the removed atom whose other
+                 body atoms all survived. *)
+              let rule = instances.rules.(instances.rule.(i)) in
+              let others =
+                List.filter (fun a -> a <> removed_atom)
+                  (Ground.body_atoms instances i)
+              in
+              let key = (rule.Logic.Rule.name, List.sort Int.compare others) in
+              if
+                List.for_all (fun a -> assignment.(a)) others
+                && not (Hashtbl.mem seen key)
+              then begin
+                Hashtbl.replace seen key ();
+                let winners = quads_of_atoms store graph others in
+                if winners = [] then None
+                else
+                  Some
+                    {
+                      constraint_name = rule.Logic.Rule.name;
+                      winners;
+                      winner_weight =
+                        List.fold_left
+                          (fun acc q -> Float.min acc (Kg.Quad.weight q))
+                          infinity winners;
+                      loser_weight = Kg.Quad.weight quad;
+                    }
+              end
+              else None)
+            violations.(removed_atom)
+    in
         { fact; quad; clashes })
       removed
 
@@ -123,24 +120,21 @@ let derivations ~store ~instances ~assignment ~graph ~resolution =
     List.map
       (fun (d : Conflict.derived_fact) ->
         let via =
-          match Store.find store d.Conflict.atom with
-          | None -> []
-          | Some id ->
-              List.filter_map
-                (fun i ->
-                  let rule = instances.rules.(instances.rule.(i)) in
-                  let body_atoms = Ground.body_atoms instances i in
-                  if List.for_all (fun a -> assignment.(a)) body_atoms then
-                    let evidence_support =
-                      List.filter (Store.is_evidence store) body_atoms
-                    in
-                    Some
-                      ( rule.Logic.Rule.name,
-                        quads_of_atoms store graph evidence_support )
-                  else None)
-                derivers.(id)
+          List.filter_map
+            (fun i ->
+              let rule = instances.rules.(instances.rule.(i)) in
+              let body_atoms = Ground.body_atoms instances i in
+              if List.for_all (fun a -> assignment.(a)) body_atoms then
+                let evidence_support =
+                  List.filter (Store.is_evidence store) body_atoms
+                in
+                Some
+                  ( rule.Logic.Rule.name,
+                    quads_of_atoms store graph evidence_support )
+              else None)
+            derivers.(d.Conflict.id)
         in
-        { atom = d.Conflict.atom; via })
+        { atom = Conflict.derived_atom resolution d; via })
       derived
 
 let pp_removal ppf r =
@@ -173,9 +167,9 @@ let pp_derivation ppf d =
 
 let of_result graph (result : Engine.result) =
   let raw = result.Engine.raw in
-  ( removals ~store:raw.Engine.store ~instances:raw.Engine.instances
+  let explain f =
+    f ~store:raw.Engine.store ~instances:raw.Engine.instances
       ~assignment:raw.Engine.assignment ~graph
-      ~resolution:result.Engine.resolution,
-    derivations ~store:raw.Engine.store ~instances:raw.Engine.instances
-      ~assignment:raw.Engine.assignment ~graph
-      ~resolution:result.Engine.resolution )
+      ~resolution:result.Engine.resolution
+  in
+  (explain removals, explain derivations)

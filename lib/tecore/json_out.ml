@@ -32,8 +32,8 @@ let quad ns (q : Kg.Quad.t) =
 
 let of_quad ?namespace q = J.to_string (quad namespace q)
 
-let derived ns (d : Conflict.derived_fact) =
-  let atom = d.atom in
+let derived ns r (d : Conflict.derived_fact) =
+  let atom = Conflict.derived_atom r d in
   J.Obj
     ([
        ("predicate", J.Str atom.Logic.Atom.Ground.predicate);
@@ -48,7 +48,7 @@ let of_resolution ?namespace (r : Conflict.resolution) =
     [
       ("kept", int r.kept);
       ("removed", quads (List.map snd r.removed));
-      ("derived", J.Arr (List.map (derived namespace) r.derived));
+      ("derived", J.Arr (List.map (derived namespace r) r.derived));
       ("conflicting_ids", J.Arr (List.map int r.conflicting));
       ("consistent", quads (Kg.Graph.to_list r.consistent));
     ]

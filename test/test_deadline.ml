@@ -297,6 +297,20 @@ let counter (report : Obs.Report.t) name =
     (fun acc n -> acc +. node n)
     (here report.Obs.Report.counters) report.Obs.Report.spans
 
+(* The name of every counter, gauge and histogram a report recorded,
+   outside any span and in every span. *)
+let metric_names (report : Obs.Report.t) =
+  let names counters gauges hists =
+    List.map fst counters @ List.map fst gauges @ List.map fst hists
+  in
+  let rec node (n : Obs.Report.node) =
+    names n.Obs.Report.counters n.Obs.Report.gauges n.Obs.Report.hists
+    @ List.concat_map node n.Obs.Report.children
+  in
+  names report.Obs.Report.counters report.Obs.Report.gauges
+    report.Obs.Report.hists
+  @ List.concat_map node report.Obs.Report.spans
+
 let observed f =
   Obs.reset ();
   Obs.set_enabled true;
@@ -335,6 +349,144 @@ let test_engine_best_effort_survives_expiry ?engine ~components
   Alcotest.(check (float 0.)) "no flip" 0. (counter report "walksat.flips");
   Alcotest.(check (float 0.)) "no ADMM iteration" 0.
     (counter report "admm.iterations")
+
+(* The repro of a sound answer reported [degraded]: MaxWalkSAT tags a
+   walk that expired with hard clauses violated [Degraded], and the run
+   kept that tag after the repair backstop had made the answer sound. A
+   sound, cut-short answer reads [timed_out]. *)
+let test_engine_repaired_expiry_times_out () =
+  let ns = Kg.Namespace.create () in
+  let graph =
+    match Kg.Nquads.parse_file ~namespace:ns "../data/football.tq" with
+    | Ok g -> g
+    | Error e -> Alcotest.fail (Format.asprintf "%a" Kg.Nquads.pp_error e)
+  in
+  let rules =
+    match Rulelang.Parser.parse_file ~namespace:ns "../data/football.rules" with
+    | Ok r -> r
+    | Error e -> Alcotest.fail (Format.asprintf "%a" Rulelang.Parser.pp_error e)
+  in
+  let engine =
+    Tecore.Engine.Mln
+      { Mln.Map_inference.default_options with use_cpi = false }
+  in
+  let stats =
+    (Tecore.Engine.resolve ~engine ~deadline:(Deadline.after ~ms:0.) graph
+       rules)
+      .Tecore.Engine.stats
+  in
+  Alcotest.(check int) "hard-sound" 0 stats.Tecore.Engine.hard_violations;
+  Alcotest.(check string) "timed out, not degraded" "timed_out"
+    (Deadline.status_name stats.Tecore.Engine.status)
+
+(* Without a crash, [degraded] means that the repair left hard clauses
+   violated, wherever the budget cuts the solve: before it, or in the
+   middle of a component's walk. Which budgets cut where depends on the
+   host; the property holds at each of them. *)
+let test_engine_degraded_means_unsound () =
+  let graph, rules = football ~players:300 in
+  with_faults "" (fun () ->
+      List.iter
+        (fun use_cpi ->
+          let engine =
+            Tecore.Engine.Mln
+              { Mln.Map_inference.default_options with use_cpi }
+          in
+          List.iter
+            (fun ms ->
+              let stats =
+                (Tecore.Engine.resolve ~engine
+                   ~deadline:(Deadline.after ~ms) graph rules)
+                  .Tecore.Engine.stats
+              in
+              if stats.Tecore.Engine.status = Deadline.Degraded then
+                Alcotest.(check bool)
+                  (Printf.sprintf "degraded at %g ms (cpi %b) is unsound" ms
+                     use_cpi)
+                  true
+                  (stats.Tecore.Engine.hard_violations > 0))
+            [ 0.5; 1.; 2.; 4.; 8.; 16. ])
+        [ true; false ])
+
+(* A crashed portfolio task still degrades the run, budget or not: the
+   answer lost a search it was owed. Twenty overlapping stints of one
+   coach form a component too large for MaxWalkSAT's optimum proof
+   (16 atoms) whose optimum leaves soft clauses violated, so the walk
+   deals the task the fault crashes. *)
+let test_engine_crash_degrades () =
+  let graph =
+    Kg.Graph.of_list
+      (List.init 20 (fun i ->
+           Kg.Quad.v "CR" "coach"
+             (Kg.Term.iri (Printf.sprintf "Club%d" i))
+             (2000, 2004)
+             (0.5 +. (float_of_int i /. 50.))))
+  in
+  let _, rules = cr_graph_and_rules () in
+  let engine =
+    Tecore.Engine.Mln
+      { Mln.Map_inference.default_options with use_cpi = false }
+  in
+  with_faults "worker_crash" (fun () ->
+      let stats =
+        (Tecore.Engine.resolve ~engine graph rules).Tecore.Engine.stats
+      in
+      Alcotest.(check string) "crash degrades" "degraded"
+        (Deadline.status_name stats.Tecore.Engine.status))
+
+(* Past expiry no component's solver runs, so none records a metric
+   (the [walksat.*], [cpi.*], [admm.*] and [ilp.*] counters read 0):
+   every component keeps its
+   init, so the answer is the repaired init for MLN and the rounded
+   init for nPSL (evidence confidences lie in the box already) — what the solvers returned
+   when they still built their state only to hand the init back — while
+   every component is still counted. *)
+let test_engine_no_solver_work_past_expiry (name, engine) () =
+  let graph, rules = football ~players:60 in
+  let result, report =
+    observed (fun () ->
+        Tecore.Engine.resolve ~engine ~deadline:(Deadline.after ~ms:0.) graph
+          rules)
+  in
+  let raw = result.Tecore.Engine.raw in
+  let store = raw.Tecore.Engine.store and instances = raw.Tecore.Engine.instances in
+  let expected, components =
+    match engine with
+    | Tecore.Engine.Mln options ->
+        let network =
+          Network.build ~config:options.Mln.Map_inference.network_config store
+            instances
+        in
+        let init = Network.expanded_assignment network in
+        ignore (Network.repair_hard network init);
+        (init, List.length (Mln.Decompose.split network))
+    | Tecore.Engine.Psl options ->
+        let model = Psl.Hlmrf.build ~config:options.Psl.Npsl.config store instances in
+        let init =
+          Array.init (Grounder.Atom_store.size store) (fun id ->
+              match Grounder.Atom_store.origin store id with
+              | Grounder.Atom_store.Evidence { confidence; _ } -> confidence
+              | Grounder.Atom_store.Hidden -> 0.0)
+        in
+        ( fst (Psl.Rounding.round ~threshold:0.5 model init),
+          List.length (Psl.Decompose.split model) )
+    | Tecore.Engine.Auto -> assert false
+  in
+  Alcotest.(check bool) (name ^ ": the init's answer") true
+    (raw.Tecore.Engine.assignment = expected);
+  (* A solver that ran at all records its metrics, even a zero count,
+     so past expiry none of them may be recorded. *)
+  let names = metric_names report in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check (list string))
+        (name ^ ": no " ^ prefix ^ "* metric")
+        []
+        (List.filter (String.starts_with ~prefix) names))
+    [ "walksat."; "cpi."; "admm."; "ilp." ];
+  Alcotest.(check (float 0.)) (name ^ ": every component counted")
+    (float_of_int components)
+    (counter report "solve.components")
 
 (* A deadline decides only when the solve stops, never which code runs:
    a budget that does not fire returns the unbudgeted answer, objective
@@ -616,7 +768,20 @@ let () =
                 `Quick
                 (test_engine_unfired_budget engine))
             engines
+        @ List.map
+            (fun ((name, _) as engine) ->
+              Alcotest.test_case
+                ("no solver work past expiry (" ^ name ^ ")")
+                `Quick
+                (test_engine_no_solver_work_past_expiry engine))
+            engines
         @ [
+          Alcotest.test_case "a repaired expired walk reads timed_out" `Quick
+            test_engine_repaired_expiry_times_out;
+          Alcotest.test_case "degraded means unsound" `Quick
+            test_engine_degraded_means_unsound;
+          Alcotest.test_case "a crashed task degrades the run" `Quick
+            test_engine_crash_degrades;
           Alcotest.test_case "ground timeout with a state bypasses it" `Quick
             test_engine_ground_timeout_keeps_state;
           Alcotest.test_case "session maps ground timeout" `Quick

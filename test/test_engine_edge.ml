@@ -194,10 +194,11 @@ rule r2 2.0: pq(x, z)@t ^ r(z, w)@t2 ^ intersects(t, t2) => pqr(x, w)@(t * t2) .
       ]
   in
   let result = Tecore.Engine.resolve g rules in
+  let resolution = result.Tecore.Engine.resolution in
   let derived =
     List.filter_map
-      (fun (d : Tecore.Conflict.derived_fact) -> d.Tecore.Conflict.as_quad)
-      result.Tecore.Engine.resolution.Tecore.Conflict.derived
+      (Tecore.Conflict.derived_quad resolution)
+      resolution.Tecore.Conflict.derived
   in
   let pqr =
     List.find_opt

@@ -216,7 +216,8 @@ module Reference = struct
   let derivations ~store ~instances ~assignment ~graph ~resolution =
     List.map
       (fun (d : Conflict.derived_fact) ->
-        let atom_id = Store.find store d.Conflict.atom in
+        let atom = Conflict.derived_atom resolution d in
+        let atom_id = Store.find store atom in
         let via =
           match atom_id with
           | None -> []
@@ -236,7 +237,7 @@ module Reference = struct
                   | _ -> None)
                 instances
         in
-        { atom = d.Conflict.atom; via })
+        { atom; via })
       resolution.Conflict.derived
 end
 

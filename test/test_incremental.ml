@@ -133,7 +133,7 @@ let signature (r : Engine.result) =
     List.sort compare
       (List.map
          (fun (d : Conflict.derived_fact) ->
-           (ground_str d.Conflict.atom, d.Conflict.confidence))
+           (ground_str (Conflict.derived_atom res d), d.Conflict.confidence))
          res.Conflict.derived),
     res.Conflict.conflicting,
     r.Engine.stats.Engine.objective,
@@ -452,7 +452,8 @@ let test_head_constant_then_assert engine () =
   Alcotest.(check bool) "athletes are derived" true
     (List.exists
        (fun (f : Conflict.derived_fact) ->
-         f.Conflict.atom.Logic.Atom.Ground.predicate = "occupation")
+         (Conflict.derived_atom r_inc.Engine.resolution f)
+           .Logic.Atom.Ground.predicate = "occupation")
        r_inc.Engine.resolution.Conflict.derived);
   let r_fresh = Engine.resolve ~engine g rules in
   Alcotest.(check bool) "= fresh on the same graph" true

@@ -134,7 +134,8 @@ let test_learned_weights_usable_by_engine () =
   Alcotest.(check bool) "derives with learned weight" true
     (List.exists
        (fun (d : Tecore.Conflict.derived_fact) ->
-         d.Tecore.Conflict.atom.Logic.Atom.Ground.predicate = "worksFor")
+         (Tecore.Conflict.derived_atom out.Tecore.Engine.resolution d)
+           .Logic.Atom.Ground.predicate = "worksFor")
        out.Tecore.Engine.resolution.Tecore.Conflict.derived)
 
 let () =

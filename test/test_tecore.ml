@@ -165,7 +165,7 @@ let threshold_by_scan threshold (r : Tecore.Conflict.resolution) =
   let consistent = Kg.Graph.copy r.Tecore.Conflict.consistent in
   List.iter
     (fun (d : Tecore.Conflict.derived_fact) ->
-      match d.Tecore.Conflict.as_quad with
+      match Tecore.Conflict.derived_quad r d with
       | Some q when d.Tecore.Conflict.confidence < threshold ->
           Kg.Graph.iter
             (fun id q' ->
@@ -180,35 +180,38 @@ let live_facts g =
   Kg.Graph.iter (fun id q -> acc := (id, Kg.Quad.to_string q) :: !acc) g;
   List.rev !acc
 
-(* Two cases the one pass must handle as the scan did, on a hand-made
-   resolution: a statement the graph holds twice (different
-   confidences) loses both copies, and a derived quad naming a symbol
-   the graph's table lacks, or no quad at all, removes no fact. *)
-let test_apply_threshold_copies_and_unknowns () =
+(* Two cases the one pass must handle as the scan did, on a resolution
+   made by hand over a real store coded in the graph's table: a
+   statement the graph holds twice (different confidences) loses both
+   copies, and a dropped atom that is not binary and temporal, even one
+   naming a fact's predicate and arguments, removes no fact. *)
+let test_apply_threshold_copies_and_non_facts () =
+  let module Store = Grounder.Atom_store in
   let fact o c = Kg.Quad.v "CR" "worksFor" (Kg.Term.iri o) (1984, 1986) c in
   let consistent =
     Kg.Graph.of_list
       [ fact "Palermo" 0.5; cr_graph () |> Kg.Graph.to_list |> List.hd;
         fact "Palermo" 0.9; fact "Roma" 0.8 ]
   in
-  let derived q confidence =
-    {
-      Tecore.Conflict.atom = Logic.Atom.Ground.of_quad q;
-      confidence;
-      as_quad = Some q;
-    }
+  let store = Store.create (Kg.Graph.symbols consistent) in
+  let derived atom confidence =
+    { Tecore.Conflict.id = Store.intern store Store.Hidden atom; confidence }
   in
-  let unknown = fact "Nowhere" 0.3 in
+  let of_fact o = Logic.Atom.Ground.of_quad (fact o 1.0) in
   let r =
     {
-      Tecore.Conflict.consistent;
+      Tecore.Conflict.store;
+      consistent;
       removed = [];
       derived =
         [
-          derived (fact "Palermo" 0.7) 0.7;
-          derived unknown 0.3;
-          { (derived unknown 0.2) with as_quad = None };
-          derived (fact "Roma" 0.8) 0.95;
+          derived (of_fact "Palermo") 0.7;
+          derived
+            (Logic.Atom.Ground.make "worksFor"
+               [ Kg.Term.iri "CR"; Kg.Term.iri "Palermo" ])
+            0.3;
+          derived (Logic.Atom.Ground.make "Coach" [ Kg.Term.iri "CR" ]) 0.2;
+          derived (of_fact "Roma") 0.95;
         ];
       conflicting = [];
       kept = 4;
@@ -540,8 +543,8 @@ let () =
           Alcotest.test_case "apply_threshold" `Quick test_apply_threshold;
           Alcotest.test_case "apply_threshold equals a scan per fact" `Quick
             test_apply_threshold_one_pass;
-          Alcotest.test_case "apply_threshold on copies and unknown symbols"
-            `Quick test_apply_threshold_copies_and_unknowns;
+          Alcotest.test_case "apply_threshold on copies and non-fact atoms"
+            `Quick test_apply_threshold_copies_and_non_facts;
           Alcotest.test_case "threshold at 16,000 facts" `Quick
             test_threshold_at_scale;
           Alcotest.test_case "resolve span tree" `Quick test_resolve_span_tree;
