@@ -44,9 +44,9 @@ let threshold_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for grounding and solver portfolios (0 = all cores). \
-     Defaults to $(b,TECORE_JOBS), else 1. Results are \
-     objective-identical at every job count."
+    "Worker domains for the grounding joins (0 = all cores); every \
+     component is solved on the calling domain. Defaults to \
+     $(b,TECORE_JOBS), else 1. Results are identical at every job count."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 

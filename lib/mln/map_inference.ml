@@ -45,11 +45,11 @@ type outcome = {
    degrades. A deadline that does not fire leaves the ladder inert: the
    answer (an exhausted node budget's incumbent included) is the
    unbudgeted one. *)
-let base_solver ~max_flips ~stall ~pool ~deadline options network ~init =
+let base_solver ~max_flips ~stall ~deadline options network ~init =
   let walk ~init =
     let assignment, stats =
-      Maxwalksat.solve ~seed ~max_flips ~restarts ~stall ~pool ~deadline
-        ~init network
+      Maxwalksat.solve ~seed ~max_flips ~restarts ~stall ~deadline ~init
+        network
     in
     (* MaxWalkSAT tags a walk cut short with hard clauses violated
        [Degraded]; here it is [Timed_out], and the repair backstop of
@@ -93,11 +93,11 @@ let base_solver ~max_flips ~stall ~pool ~deadline options network ~init =
    everything here is a deterministic function of the sub-network and
    the (fixed) options, never of the surrounding network — the purity
    contract of {!Components}. *)
-let component_solver options ~pool ~deadline sub ~init =
+let component_solver options ~deadline sub ~init =
   let a = max 1 sub.Network.num_atoms in
   let max_flips = min max_flips (max 1_000 (100 * a)) in
   let stall = min 20_000 (max 250 (25 * a)) in
-  let solver = base_solver ~max_flips ~stall ~pool ~deadline options in
+  let solver = base_solver ~max_flips ~stall ~deadline options in
   if options.use_cpi then
     let assignment, cpi_stats = Cpi.solve ~solver ~deadline ~init sub in
     { Decompose.values = assignment; status = cpi_stats.Cpi.status }
@@ -105,9 +105,8 @@ let component_solver options ~pool ~deadline sub ~init =
     let assignment, status = solver sub ~init in
     { Decompose.values = assignment; status }
 
-let run_ground ?(options = default_options) ?(pool = Prelude.Pool.sequential)
-    ?(deadline = Deadline.none) ?cache store
-    (ground_result : Grounder.Ground.result) ~ground_ms =
+let run_ground ?(options = default_options) ?(deadline = Deadline.none) ?cache
+    store (ground_result : Grounder.Ground.result) ~ground_ms =
   let network =
     Obs.span "encode" (fun () ->
         let network =
@@ -123,7 +122,7 @@ let run_ground ?(options = default_options) ?(pool = Prelude.Pool.sequential)
     Prelude.Timing.time (fun () ->
         Obs.span "solve" (fun () ->
             Decompose.solve ?cache ~deadline
-              ~solve_component:(component_solver options ~pool ~deadline)
+              ~solve_component:(component_solver options ~deadline)
               ~init network))
   in
   if Deadline.is_finite deadline then

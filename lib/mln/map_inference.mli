@@ -18,7 +18,7 @@ type options = {
   network_config : Network.config;
 }
 (** Plain data: equal options give equal answers. The runtime resources
-    of a solve (worker pool, deadline, component cache) are arguments of
+    of a solve (deadline, component cache) are arguments of
     {!run_ground}. *)
 
 val default_options : options
@@ -57,7 +57,6 @@ val run : ?options:options -> Kg.Graph.t -> Logic.Rule.t list -> outcome
 
 val run_ground :
   ?options:options ->
-  ?pool:Prelude.Pool.t ->
   ?deadline:Prelude.Deadline.t ->
   ?cache:Decompose.cache ->
   Grounder.Atom_store.t ->
@@ -70,10 +69,8 @@ val run_ground :
     [ground_ms] is reported in the stats verbatim.
 
     The network is always solved per connected component
-    ({!Decompose}), whatever the budget.
-    - [pool] (default {!Prelude.Pool.sequential}) runs each component's
-      MaxWalkSAT descents in parallel; the answer is the same at every
-      job count.
+    ({!Decompose}), whatever the budget, one component after another
+    on the calling domain.
     - [deadline] (default {!Prelude.Deadline.none}) decides only when
       the work stops, never which code runs: every component's solve
       and CPI loop poll it, so a deadline that does not fire returns

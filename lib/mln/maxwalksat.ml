@@ -1,5 +1,4 @@
 module Prng = Prelude.Prng
-module Pool = Prelude.Pool
 module Deadline = Prelude.Deadline
 
 type stats = {
@@ -12,7 +11,7 @@ type stats = {
 }
 
 (* The network's packed clauses plus the occurrence index, built once
-   per solve and shared read-only by every descent (and every domain):
+   per solve and shared read-only by every descent:
    atom [a]'s occurrences are [occ.(occ_start.(a)) .. occ.(occ_start.(a
    + 1) - 1)], one entry per literal, in descending clause order. That
    is exactly the order the list-based kernel prepended its occurrence
@@ -224,7 +223,7 @@ let[@inline] reached target h s = h = 0 && Float.abs (s -. target) <= 5e-13
    rounding ((s +. w) -. w need not equal s), so attempts are compared
    on this recomputation: the reported cost — and hence the portfolio
    winner — is a pure function of the assignment, not of the add/remove
-   history, which keeps the winner identical at every job count. *)
+   history. *)
 let evaluate p assignment =
   let hard = ref 0 and soft = ref 0.0 in
   for ci = 0 to p.num_clauses - 1 do
@@ -259,18 +258,9 @@ let optimum network p ~deadline =
         match evaluate p assignment with 0, s -> Some s | _ -> None)
     | Some _ | None -> None
 
-(* One full WalkSAT descent from [start], task-local. It stops early
-   once its best reaches [target] (see [reached]). [stop] holds the
-   smallest task index that has reached the target ([max_int] while
-   none has). It is only consulted *between* tasks, never inside a
-   running descent, and task [k] skips only when [stop < k] — a plain
-   boolean would let a later, faster-scheduled optimum skip an
-   earlier-indexed task it loses the tie-break to. With the index
-   check, every task below the first optimal one completes identically
-   to a sequential run, and a skipped later task could at best have
-   tied — which loses the earliest-task tie-break. The winning
-   assignment, not just its cost, is thus the same at every job
-   count. *)
+(* One full WalkSAT descent from [start]. It stops early once its best
+   reaches [target] (see [reached]); no later descent is then started,
+   since it could at best tie, and ties go to the earliest descent. *)
 type attempt = {
   a_cost : int * float;
   a_assignment : bool array;
@@ -280,17 +270,9 @@ type attempt = {
          newest first; [] unless observability is enabled *)
 }
 
-let skipped_attempt =
-  { a_cost = (max_int, infinity); a_assignment = [||]; a_flips = 0; a_trail = [] }
-
 (* Hard violations dominate soft cost lexicographically; one scalar for
    the convergence timeline. Soft weights are nowhere near 1e9. *)
 let scalar_cost (h, s) = (float_of_int h *. 1e9) +. s
-
-(* Lower [stop] to [k] if no smaller index is recorded yet. *)
-let rec note_reached stop k =
-  let cur = Atomic.get stop in
-  if k < cur && not (Atomic.compare_and_set stop cur k) then note_reached stop k
 
 (* Poll the deadline every 256 flips: a flip is cheap, a clock read is
    not, and a safe point is any flip boundary — [best] always holds a
@@ -324,8 +306,8 @@ let pick_var st rng ~noise ci =
     !best_var
   end
 
-let descend st rng ~max_flips ~stall ~noise ~deadline ~target ~stop ~k
-    ~observing start =
+let descend st rng ~max_flips ~stall ~noise ~deadline ~target ~observing
+    start =
   reset_state st start;
   let best = Array.copy st.assignment in
   let best_hard = ref st.unsat_hard.len and best_soft = ref st.f.soft_cost in
@@ -368,34 +350,27 @@ let descend st rng ~max_flips ~stall ~noise ~deadline ~target ~stop ~k
       else incr since_improvement
     end
   done;
-  let ((h, s) as cost) = evaluate st.p best in
-  if reached target h s then note_reached stop k;
+  let cost = evaluate st.p best in
   if observing then
     trail := (Prelude.Timing.now_ms (), scalar_cost cost) :: !trail;
   { a_cost = cost; a_assignment = best; a_flips = !flips; a_trail = !trail }
 
 let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
-    ?(stall = 20_000) ?init ?(portfolio = []) ?(pool = Pool.sequential)
-    ?(deadline = Deadline.none) network =
+    ?(stall = 20_000) ?init ?(deadline = Deadline.none) network =
   let base =
     match init with
     | Some a -> Array.copy a
     | None -> Array.make network.Network.num_atoms false
   in
-  (* Task seeds: the configured restarts draw derived seeds; portfolio
-     seeds are appended verbatim as extra independent descents. Task 0
-     starts at [base]; every other task starts at a perturbation of
-     [base] drawn from its own stream, so tasks are independent of each
-     other and of the schedule. *)
-  let seeds =
-    Array.of_list
-      (List.init (max 1 restarts) (fun i -> Prng.subseed seed i) @ portfolio)
-  in
+  (* Descent [k] draws from seed [Prng.subseed seed k]. Descent 0
+     starts at [base]; every other descent starts at a perturbation of
+     [base] drawn from its own stream, so descents are independent of
+     each other. *)
+  let descents = max 1 restarts in
   let packed = view network in
   let optimum = optimum network packed ~deadline in
   let target = Option.value optimum ~default:0.0 in
   let observing = Obs.enabled () in
-  let stop = Atomic.make max_int in
   let start_of_task rng k =
     if k = 0 then Array.copy base
     else begin
@@ -418,43 +393,33 @@ let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
       start
     end
   in
-  (* Every task — sequential or pooled — is crash-contained: a raised
-     exception (in particular an injected "worker_crash" fault) loses
-     that one attempt and nothing else. Expired deadlines skip tasks
-     that have not started; running descents stop at their next poll. *)
-  let run_task st k =
-    if Atomic.get stop < k then skipped_attempt
-    else begin
-      if k > 0 then Deadline.Faults.inject "worker_crash" ~index:k;
-      let rng = Prng.create seeds.(k) in
-      let start = start_of_task rng k in
-      descend st rng ~max_flips ~stall ~noise ~deadline ~target ~stop ~k
-        ~observing start
-    end
-  in
+  (* The descents run one after another on one state, reset in place.
+     Each is crash-contained: a raised exception (in particular an
+     injected "worker_crash" fault) loses that one attempt and nothing
+     else. Once the deadline has expired the remaining descents are
+     skipped as [Expired]; once one reaches the target no further
+     descent starts. *)
+  let st = make_state packed in
+  let stopped = ref false in
   let results =
-    if Pool.jobs pool = 1 then begin
-      (* Sequential path: one state reused across restarts (reset in
-         place), early exit once an optimum has been found. *)
-      let st = make_state packed in
-      List.filter_map
-        (fun k ->
-          if Deadline.expired deadline then Some (Error Deadline.Expired)
-          else if Atomic.get stop < k then None
-          else
-            match run_task st k with
-            | a -> Some (Ok a)
-            | exception e -> Some (Error e))
-        (List.init (Array.length seeds) Fun.id)
-    end
-    else
-      (* Parallel portfolio: every task gets its own state over the
-         shared packed view; once some domain reaches the target
-         descents with a larger index stop being started (running ones
-         complete). *)
-      Pool.map_results ~deadline pool
-        (fun k -> run_task (make_state packed) k)
-        (List.init (Array.length seeds) Fun.id)
+    List.filter_map
+      (fun k ->
+        if Deadline.expired deadline then Some (Error Deadline.Expired)
+        else if !stopped then None
+        else
+          match
+            if k > 0 then Deadline.Faults.inject "worker_crash" ~index:k;
+            let rng = Prng.create (Prng.subseed seed k) in
+            let start = start_of_task rng k in
+            descend st rng ~max_flips ~stall ~noise ~deadline ~target
+              ~observing start
+          with
+          | a ->
+              let h, s = a.a_cost in
+              stopped := reached target h s;
+              Some (Ok a)
+          | exception e -> Some (Error e))
+      (List.init descents Fun.id)
   in
   let attempts = List.filter_map Result.to_option results in
   let crashed =
@@ -462,9 +427,8 @@ let solve ?(seed = 7) ?(max_flips = 100_000) ?(restarts = 3) ?(noise = 0.2)
       (function Error Deadline.Expired | Ok _ -> false | Error _ -> true)
       results
   in
-  (* Deterministic pick: lexicographic (hard, soft), earliest task wins
-     ties. The target short-circuit can only drop attempts that would
-     have lost anyway, so the winning cost is schedule-independent. *)
+  (* Lexicographic (hard, soft) pick, the earliest descent winning
+     ties. *)
   let best =
     List.fold_left
       (fun acc a ->

@@ -5,14 +5,12 @@
     clauses dominate lexicographically: an assignment with fewer hard
     violations always beats one with more, regardless of soft cost.
 
-    The solver runs a portfolio of independent descents: the configured
-    [restarts] (task 0 starts from [init], later tasks from seeded
-    perturbations of it) plus any extra [portfolio] seeds. Tasks draw
-    from per-task PRNG streams ({!Prelude.Prng.subseed}) and the winner
+    The solver runs a portfolio of [restarts] independent descents, one
+    after another on the calling domain: descent 0 starts from [init],
+    later ones from seeded perturbations of it. Descent [k] draws from
+    its own PRNG stream ([Prelude.Prng.subseed seed k]) and the winner
     is picked by lexicographic [(hard, soft)] cost with the earliest
-    task breaking ties, so the result cost does not depend on how the
-    tasks are scheduled: passing a {!Prelude.Pool} runs them on worker
-    domains without changing the reported objective.
+    descent breaking ties.
 
     The solver reads the network's own packed arrays (literal codes
     with per-clause offsets, unboxed weights, a hard mask; see
@@ -29,7 +27,7 @@ type stats = {
   restarts_used : int;      (** descents beyond the first that did work *)
   hard_violated : int;      (** in the returned assignment *)
   soft_cost : float;        (** violated soft weight in the result *)
-  crashed : bool;           (** some portfolio task raised *)
+  crashed : bool;           (** some descent raised *)
   status : Prelude.Deadline.status;
       (** anytime outcome: [Completed] when every descent ran to its
           natural end, [Timed_out] when the deadline cut search short
@@ -45,8 +43,6 @@ val solve :
   ?noise:float ->
   ?stall:int ->
   ?init:bool array ->
-  ?portfolio:int list ->
-  ?pool:Prelude.Pool.t ->
   ?deadline:Prelude.Deadline.t ->
   Network.t ->
   bool array * stats
@@ -55,16 +51,13 @@ val solve :
     (probability of a random walk move), [stall = 20_000] flips without
     improvement before giving up on a descent. [init] seeds the base
     assignment (by default all-false; callers should pass
-    {!Network.initial_assignment}). [portfolio] appends extra descents
-    with exactly these seeds. [pool] (default
-    {!Prelude.Pool.sequential}) runs the descents as parallel tasks.
+    {!Network.initial_assignment}).
 
     Optimum stop: a descent ends as soon as its best reaches the
-    network's optimum, and prevents further descents from starting
-    (running ones complete). The optimum is [(0, 0)] in general; for a
-    network of at most 16 atoms with a soft clause, solved before
-    [deadline] expires, it is the soft cost of {!Exact.solve}'s proven
-    optimum. Improvements must beat the best by more than 1e-12, so
+    network's optimum, and no further descent starts. The optimum is
+    [(0, 0)] in general; for a network of at most 16 atoms with a soft
+    clause, solved before [deadline] expires, it is the soft cost of
+    {!Exact.solve}'s proven optimum. Improvements must beat the best by more than 1e-12, so
     once a descent holds the optimum nothing can replace it: the stop
     saves flips and restarts but never changes the returned
     assignment. With observability on, such solves count
@@ -72,7 +65,7 @@ val solve :
     optimum [walksat.optimum_missed].
 
     Anytime contract: [deadline] (default {!Prelude.Deadline.none}) is
-    polled every 256 flips; on expiry each running descent stops at its
+    polled every 256 flips; on expiry the running descent stops at its
     next poll and unstarted descents are skipped, but the best
     assignment seen so far is always returned — an already-expired
     deadline yields the scored [init] assignment immediately. A descent

@@ -549,7 +549,7 @@ let event_stored = ref 0
 let event_dropped = ref 0
 let event_hook : (Events.event -> unit) option ref = ref None
 
-(* Solver tasks running on a Prelude.Pool emit from worker domains
+(* Tasks running on a Prelude.Pool emit from worker domains
    while the coordinator blocks in the join, so every mutation of the
    stacks, the event ring and the per-frame registries is serialised
    here. The disabled path stays a single unsynchronised flag test. *)

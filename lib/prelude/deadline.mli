@@ -2,7 +2,7 @@
 
     A deadline is a wall-clock budget that can be shared across worker
     domains. Every stage of the pipeline
-    (grounding, the solver portfolios, ADMM sweeps, MILP node
+    (grounding, MaxWalkSAT descents, ADMM sweeps, MILP node
     exploration) polls its deadline at safe points and, on expiry, stops
     where it stands and returns its best feasible answer tagged with a
     {!status} instead of running to completion or dying.
@@ -82,7 +82,8 @@ val pp_status : Format.formatter -> status -> unit
 (** Deterministic fault injection for robustness tests.
 
     Points are named call sites in production code (e.g.
-    ["worker_crash"] at the start of every solver portfolio task,
+    ["worker_crash"] at the start of every MaxWalkSAT descent and
+    sampler chain but the first,
     ["slow_ground"] in the grounding closure). A point only fires when
     the matching name was configured — via {!configure} or the
     [TECORE_FAULTS] environment variable, a comma-separated list of
@@ -112,8 +113,8 @@ module Faults : sig
   val trip_at : string -> index:int -> bool
   (** [trip_at name ~index] is true when the point is active and
       [index] equals its configured argument — the deterministic
-      trigger for indexed task crews (crash exactly task [arg] of every
-      portfolio, at any job count). *)
+      trigger for indexed tasks (crash exactly descent or chain [arg] of
+      every solve, at any job count). *)
 
   val inject : string -> index:int -> unit
   (** [trip_at] and raise {!Injected} when it fires. *)

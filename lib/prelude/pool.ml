@@ -93,7 +93,7 @@ type crew = {
   mutable failure : (exn * Printexc.raw_backtrace) option;
   mutable domains : unit Domain.t list;
   mutable size : int; (* List.length domains *)
-  mutable shutdown : bool;
+  mutable generation : int; (* workers of an older generation exit *)
 }
 
 let crew =
@@ -107,7 +107,7 @@ let crew =
     failure = None;
     domains = [];
     size = 0;
-    shutdown = false;
+    generation = 0;
   }
 
 (* Leave headroom under the runtime's maximum domain count. *)
@@ -166,12 +166,12 @@ let rec deal () =
       deal ()
   | _ -> ()
 
-let worker () =
+let worker generation () =
   Mutex.lock crew.m;
   let rec loop () =
-    if not crew.shutdown then begin
+    if crew.generation = generation then begin
       deal ();
-      if not crew.shutdown then begin
+      if crew.generation = generation then begin
         Condition.wait crew.cond crew.m;
         loop ()
       end
@@ -183,17 +183,28 @@ let worker () =
 (* Grow the crew to [wanted] workers; with [crew.m] held. *)
 let ensure_workers wanted =
   let wanted = min wanted max_workers in
-  if crew.size = 0 && wanted > 0 then
-    at_exit (fun () ->
-        Mutex.lock crew.m;
-        crew.shutdown <- true;
-        Condition.broadcast crew.cond;
-        Mutex.unlock crew.m;
-        List.iter Domain.join crew.domains);
   while crew.size < wanted do
-    crew.domains <- Domain.spawn worker :: crew.domains;
+    crew.domains <- Domain.spawn (worker crew.generation) :: crew.domains;
     crew.size <- crew.size + 1
   done
+
+(* A worker of the old generation finishes dealing the batch in hand,
+   if any, then exits. From inside a task this would join the domain
+   running it, so there it does nothing. *)
+let release () =
+  match Domain.DLS.get in_task with
+  | Some _ -> ()
+  | None ->
+      Mutex.lock crew.m;
+      let domains = crew.domains in
+      crew.domains <- [];
+      crew.size <- 0;
+      crew.generation <- crew.generation + 1;
+      Condition.broadcast crew.cond;
+      Mutex.unlock crew.m;
+      List.iter Domain.join domains
+
+let () = at_exit release
 
 (* Run one batch on the crew: publish it, participate in the dealing,
    then wait for stragglers. Returns the batch's summed task time. *)
@@ -242,8 +253,7 @@ let run_tasks t n f =
     record t ~n ~busy:elapsed ~wall:elapsed
   in
   (* A one-job pool is a plain loop: no clock reads, no lock, no stats.
-     Hot loops (ADMM sweeps) call it hundreds of thousands of times per
-     resolve, and nothing reports a one-job pool's stats. *)
+     Nothing reports a one-job pool's stats. *)
   if t.jobs = 1 then
     for i = 0 to n - 1 do
       f i
@@ -292,20 +302,3 @@ let map_results ?(deadline = Deadline.none) t f xs =
       if not (Deadline.expired deadline) then
         out.(i) <- (try Ok (f xs.(i)) with e -> Error e));
   Array.to_list out
-
-let for_ t ?(chunk = 1024) n f =
-  if chunk <= 0 then invalid_arg "Pool.for_: chunk <= 0";
-  (* Chunks run in order on a one-job pool, so the chunked loop is the
-     plain one. *)
-  if t.jobs = 1 then
-    for i = 0 to n - 1 do
-      f i
-    done
-  else if n > 0 then begin
-    let nchunks = (n + chunk - 1) / chunk in
-    run_tasks t nchunks (fun c ->
-        let hi = min n ((c + 1) * chunk) in
-        for i = c * chunk to hi - 1 do
-          f i
-        done)
-  end

@@ -1,9 +1,10 @@
 (** Domain-based work pool: the one multicore primitive of the codebase.
 
-    Every parallel stage of the pipeline (solver portfolios, sampler
-    chains, ADMM block updates, grounding) schedules through a pool so
-    that parallelism is controlled by a single [--jobs] knob and results
-    stay deterministic at any job count:
+    The two parallel stages of the pipeline, the grounder's partitioned
+    hash joins ([Reldb.Relalg.hash_join]) and the Gibbs/MC-SAT sampler
+    chains, schedule through a pool so that parallelism is controlled by
+    a single [--jobs] knob and results stay deterministic at any job
+    count (the MAP solvers run on the calling domain):
 
     - results are always returned (or side effects committed) in task
       order, never completion order;
@@ -16,12 +17,12 @@
     The pool itself holds no OS resources: the worker domains behind
     every pool are one process-wide crew, spawned lazily on first
     parallel use, reused across operations and pools (batches
-    serialise), and joined at process exit — so pools are safe to store
-    in options records and free to create in any number. Operations on
-    one pool do not nest: a task must not submit work to the pool
-    executing it (see {!exception-Nested_use}); work submitted from
-    inside a task to a {e different} pool runs sequentially on the
-    calling domain. *)
+    serialise), and joined by {!release} or at process exit — so pools
+    are safe to store in options records and free to create in any
+    number. Operations on one pool do not nest: a task must not submit
+    work to the pool executing it (see {!exception-Nested_use}); work
+    submitted from inside a task to a {e different} pool runs
+    sequentially on the calling domain. *)
 
 type t
 
@@ -68,13 +69,12 @@ val map_results :
     the best-so-far attempt when a worker crashes or the budget runs
     out. Ordering and determinism match {!map}. *)
 
-val for_ : t -> ?chunk:int -> int -> (int -> unit) -> unit
-(** [for_ pool ~chunk n f] runs [f i] for every [0 <= i < n], dealing
-    indices to workers in contiguous chunks of [chunk] (default 1024).
-    Within a chunk, indices run in increasing order. Chunk boundaries
-    depend only on [chunk] and [n] — never on the job count — so a
-    caller that accumulates per-chunk partial results gets bit-identical
-    floating-point sums at every job count. *)
+val release : unit -> unit
+(** Join the crew's worker domains; the next parallel operation spawns
+    them again. An idle worker domain still takes part in every
+    stop-the-world minor collection, so a caller that is done with
+    parallel work for a while (the engine, once grounding is over)
+    releases them. Called from inside a task, it does nothing. *)
 
 type stats = {
   calls : int;    (** parallel operations executed *)

@@ -29,19 +29,13 @@ let[@inline] clip01 x =
   else if Float.is_nan x then x
   else 0.0
 
-(* Fixed block size for the parallel factor sweeps. The chunk boundaries
-   depend on this constant alone — never on the job count — so per-chunk
-   floating-point partial sums reduce in the same association at any
-   parallelism and the iterates are bitwise identical. *)
+(* The primal residual is summed per block of this many factors, and
+   the block sums are added in block order: that association is part of
+   every iterate's bits. *)
 let block = 256
 
-(* Passed as [?chunk]: a literal [~chunk:block] would allocate its
-   [Some] on every sweep. *)
-let chunk = Some block
-
 let solve ?(rho = 1.0) ?(max_iters = 2_000) ?(tol = 1e-4) ?init
-    ?(pool = Prelude.Pool.sequential) ?(deadline = Prelude.Deadline.none)
-    (model : Hlmrf.t) =
+    ?(deadline = Prelude.Deadline.none) (model : Hlmrf.t) =
   let n = model.num_vars in
   let { Hlmrf.kind; weight; const; offsets; var; coef; _ } = model in
   let num_factors = Hlmrf.num_factors model in
@@ -138,12 +132,11 @@ let solve ?(rho = 1.0) ?(max_iters = 2_000) ?(tol = 1e-4) ?init
     if Prelude.Deadline.expired deadline then halted := true
     else begin
     incr iterations;
-    (* Local proximal steps. Factors are independent given the consensus
-       [z] (each writes only its own [y]), so the sweep fans out over
-       fixed-size blocks. *)
-    Prelude.Pool.for_ pool ?chunk num_factors prox;
-    (* Consensus update: average local copies plus duals, clipped.
-       Sequential — the per-variable sums overlap across factors. *)
+    (* Local proximal steps: each factor writes only its own [y]. *)
+    for f = 0 to num_factors - 1 do
+      prox f
+    done;
+    (* Consensus update: average local copies plus duals, clipped. *)
     Array.blit z 0 z_old 0 n;
     Array.fill sums 0 n 0.0;
     for j = 0 to num_terms - 1 do
@@ -155,11 +148,12 @@ let solve ?(rho = 1.0) ?(max_iters = 2_000) ?(tol = 1e-4) ?init
         z.(v) <- clip01 (sums.(v) /. float_of_int copies.(v))
       (* variables in no factor keep their initial value *)
     done;
-    (* Dual update and primal residual: per-block partial sums (a block
-       is processed by one worker), reduced sequentially in block order
-       so the residual is bitwise identical at every job count. *)
+    (* Dual update and primal residual: per-block partial sums, reduced
+       in block order. *)
     Array.fill pr_parts 0 (Array.length pr_parts) 0.0;
-    Prelude.Pool.for_ pool ?chunk num_factors dual_step;
+    for f = 0 to num_factors - 1 do
+      dual_step f
+    done;
     let pr = ref 0.0 in
     for b = 0 to num_blocks - 1 do
       pr := !pr +. pr_parts.(b)

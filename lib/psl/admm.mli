@@ -33,7 +33,6 @@ val solve :
   ?max_iters:int ->
   ?tol:float ->
   ?init:float array ->
-  ?pool:Prelude.Pool.t ->
   ?deadline:Prelude.Deadline.t ->
   Hlmrf.t ->
   float array * stats
@@ -42,12 +41,9 @@ val solve :
     everywhere. Raises [Invalid_argument "Admm.solve: init length"] when
     [init] does not have [num_vars] entries.
 
-    [pool] (default {!Prelude.Pool.sequential}) parallelises the
-    per-factor proximal steps and the dual update over fixed-size factor
-    blocks; the consensus averaging stays sequential. Partial residual
-    sums are accumulated per block and reduced in block order, so the
-    iterates — and the returned solution — are bitwise identical at
-    every job count.
+    The solve runs on the calling domain. The primal residual is summed
+    per block of 256 factors and the block sums are added in block
+    order; that association is part of every iterate's bits.
 
     [deadline] (default {!Prelude.Deadline.none}) is polled between
     iterations; on expiry the current consensus iterate is returned

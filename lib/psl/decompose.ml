@@ -114,7 +114,7 @@ let merge (acc : Admm.stats) { admm = a; _ } =
     converged = acc.Admm.converged && a.Admm.converged;
   }
 
-let solve ?cache ?pool ?(deadline = Deadline.none) ~rho ~max_iters ~tol ~init
+let solve ?cache ?(deadline = Deadline.none) ~rho ~max_iters ~tol ~init
     (model : Hlmrf.t) =
   let truth, status, stats =
     Components.solve ?cache
@@ -127,7 +127,7 @@ let solve ?cache ?pool ?(deadline = Deadline.none) ~rho ~max_iters ~tol ~init
           { values = Array.map clip01 init; admm = halted }
         else
           let values, admm =
-            Admm.solve ~rho ~max_iters ~tol ~init ?pool ~deadline c.model
+            Admm.solve ~rho ~max_iters ~tol ~init ~deadline c.model
           in
           { values; admm })
       ~status:(fun s -> s.admm.Admm.status)

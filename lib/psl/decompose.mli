@@ -39,7 +39,6 @@ val split : Hlmrf.t -> component list
 
 val solve :
   ?cache:cache ->
-  ?pool:Prelude.Pool.t ->
   ?deadline:Prelude.Deadline.t ->
   rho:float ->
   max_iters:int ->
@@ -47,10 +46,10 @@ val solve :
   init:float array ->
   Hlmrf.t ->
   float array * Admm.stats
-(** Run ADMM per component via {!Components.solve} ([pool] parallelises
-    within each component and [deadline] is polled between its
-    iterations; past expiry every remaining component keeps its clipped
-    init unsolved, as factor-free components always do) and merge:
-    iterations is the max, residuals the max, [converged] the
+(** Run ADMM per component via {!Components.solve}, one component
+    after another on the calling domain ([deadline] is polled between
+    ADMM iterations; past expiry every remaining component keeps its
+    clipped init unsolved, as factor-free components always do) and
+    merge: iterations is the max, residuals the max, [converged] the
     conjunction, the objective is recomputed globally on the merged
     truth, the status the worst. *)

@@ -29,9 +29,8 @@ type outcome = {
   stats : stats;
 }
 
-let run_ground ?(options = default_options) ?pool
-    ?(deadline = Prelude.Deadline.none) ?cache store
-    (ground_result : Grounder.Ground.result) ~ground_ms =
+let run_ground ?(options = default_options) ?(deadline = Prelude.Deadline.none)
+    ?cache store (ground_result : Grounder.Ground.result) ~ground_ms =
   let model =
     Obs.span "encode" (fun () ->
         let model =
@@ -53,7 +52,7 @@ let run_ground ?(options = default_options) ?pool
   let (truth, admm_stats), solve_ms =
     Prelude.Timing.time (fun () ->
         Obs.span "solve" (fun () ->
-            Decompose.solve ?cache ?pool ~deadline ~rho
+            Decompose.solve ?cache ~deadline ~rho
               ~max_iters:options.max_iters ~tol ~init model))
   in
   if Prelude.Deadline.is_finite deadline then

@@ -10,7 +10,7 @@ type options = {
   max_iters : int;
 }
 (** Plain data: equal options give equal answers. The runtime resources
-    of a solve (worker pool, deadline, component cache) are arguments of
+    of a solve (deadline, component cache) are arguments of
     {!run_ground}. *)
 
 val default_options : options
@@ -43,7 +43,6 @@ val run : ?options:options -> Kg.Graph.t -> Logic.Rule.t list -> outcome
 
 val run_ground :
   ?options:options ->
-  ?pool:Prelude.Pool.t ->
   ?deadline:Prelude.Deadline.t ->
   ?cache:Decompose.cache ->
   Grounder.Atom_store.t ->
@@ -55,10 +54,8 @@ val run_ground :
     the stats verbatim.
 
     ADMM always runs per connected component of the factor graph
-    ({!Decompose}), whatever the budget.
-    - [pool] (default {!Prelude.Pool.sequential}) runs the factor sweeps
-      in parallel; the solution is bitwise identical at every job
-      count.
+    ({!Decompose}), whatever the budget, one component after another
+    on the calling domain.
     - [deadline] (default {!Prelude.Deadline.none}) decides only when
       the work stops, never which code runs: each component's ADMM
       polls it between iterations, so a deadline that does not fire

@@ -52,8 +52,8 @@ module Access_log = Access_log
 type config = {
   engine : Tecore.Engine.engine;  (** engine for every resolve *)
   jobs : int option;
-      (** worker domains for the shared pool ([None]: [TECORE_JOBS],
-          else 1 — the {!Tecore.Engine.resolve} default) *)
+      (** worker domains for the grounding joins ([None]:
+          [TECORE_JOBS], else 1 — the {!Tecore.Engine.resolve} default) *)
   queue_cap : int;
       (** admission bound: a resolve is shed when the number of pending
           resolves (queued + running) exceeds this. [0] means "shed

@@ -159,8 +159,8 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
     | e -> e
   in
   (* [jobs] defaults to the environment ([TECORE_JOBS], else 1). A pool
-     is created only when more than one job is requested; without one
-     everything runs on the calling domain. *)
+     is created only when more than one job is requested; only the
+     grounding joins use it. *)
   let jobs =
     match jobs with Some j -> j | None -> Prelude.Pool.default_jobs ()
   in
@@ -176,8 +176,8 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
       ("jobs", Obs.Events.Int jobs);
     ];
   (* Pool scheduling counters must be captured on every exit — a
-     rejected grounding or a crashed solver used the pool too, and the
-     Obs report of a failed run is exactly where those numbers matter. *)
+     rejected grounding used the pool too, and the Obs report of a
+     failed run is exactly where those numbers matter. *)
   let emit_pool_stats () =
     match pool with
     | None -> ()
@@ -215,6 +215,11 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
   let ground ?replay () =
     let grounding, ground_ms =
       Prelude.Timing.time (fun () ->
+          (* Only the grounding joins run on the pool; its idle workers
+             would slow every minor collection of the solve. *)
+          Fun.protect ~finally:(fun () ->
+              if pool <> None then Prelude.Pool.release ())
+          @@ fun () ->
           Obs.span "ground" (fun () ->
               let store = Grounder.Atom_store.of_graph graph in
               match (state, replay) with
@@ -343,7 +348,7 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
         | Mln options ->
             let cache = Option.map (fun st -> st.mln_cache) state in
             let out =
-              Mln.Map_inference.run_ground ~options ?pool ~deadline ?cache
+              Mln.Map_inference.run_ground ~options ~deadline ?cache
                 store ground_result ~ground_ms
             in
             let s = out.Mln.Map_inference.stats in
@@ -357,8 +362,8 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
         | Psl options ->
             let cache = Option.map (fun st -> st.psl_cache) state in
             let out =
-              Psl.Npsl.run_ground ~options ?pool ~deadline ?cache store
-                ground_result ~ground_ms
+              Psl.Npsl.run_ground ~options ~deadline ?cache store ground_result
+                ~ground_ms
             in
             let s = out.Psl.Npsl.stats in
             ( Translator.Psl_engine,

@@ -153,12 +153,12 @@ val resolve :
     [threshold] filters derived facts by confidence after resolution
     (defaults to keeping all). Default engine is [Auto].
 
-    [jobs] sets the worker-domain count for grounding joins and the
-    solver portfolios (0 = all cores, see {!Prelude.Pool.create});
-    defaults to {!Prelude.Pool.default_jobs} — the [TECORE_JOBS]
-    environment variable, else 1. With [jobs = 1] everything runs on the
-    calling domain; at higher job counts the reported objective is
-    unchanged (see {!Prelude.Pool} for the determinism contract).
+    [jobs] sets the worker-domain count for the grounding joins (0 =
+    all cores, see {!Prelude.Pool.create}); defaults to
+    {!Prelude.Pool.default_jobs} — the [TECORE_JOBS] environment
+    variable, else 1. Components are always solved on the calling
+    domain, and the result is the same at every job count (see
+    {!Prelude.Pool} for the determinism contract).
 
     [deadline] (default {!Prelude.Deadline.none}) bounds the run.
     [on_timeout] (default [`Best_effort]) picks the policy:

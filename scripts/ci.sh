@@ -21,9 +21,10 @@ echo "== dune runtest (TECORE_JOBS=4) =="
 TECORE_JOBS=4 dune runtest --force
 
 echo "== dune runtest (TECORE_FAULTS=worker_crash,slow_ground) =="
-# Deterministic fault injection: task 1 of every solver portfolio
-# crashes and every grounding closure round sleeps 1 ms. The suite must
-# still pass — crash containment keeps results sound at every job count.
+# Deterministic fault injection: descent 1 of every MaxWalkSAT solve
+# (and chain 1 of every sampler run) crashes and every grounding closure
+# round sleeps 1 ms. The suite must still pass — crash containment
+# keeps results sound at every job count.
 TECORE_FAULTS=worker_crash,slow_ground dune runtest --force
 
 echo "== serve suites (TECORE_LANES=4) =="
@@ -77,8 +78,14 @@ expect_exit 0 "deadline expiry under best-effort" \
   || { echo "best-effort JSON lacks a non-completed deadline status" >&2; exit 1; }
 
 echo "== telemetry smoke (trace + metrics + event log) =="
-TRACE_OUT=$(mktemp) METRICS_OUT=$(mktemp) LOG_OUT=$(mktemp)
-"$CLI" resolve -d data/football.tq -r data/football.rules \
+# Only the grounding joins use the worker pool, and they deal tasks to
+# it only when a join is large enough to partition: data/football.tq
+# grounds in single-task calls that never reach a worker. FootballDB at
+# 6,500 players deals 192 join tasks at --jobs 4.
+FB_DATA=$(mktemp) TRACE_OUT=$(mktemp) METRICS_OUT=$(mktemp) LOG_OUT=$(mktemp)
+"$CLI" generate footballdb --players 6500 --seed 1 --noise 0.5 \
+  -o "$FB_DATA" >/dev/null
+"$CLI" resolve -d "$FB_DATA" -r data/football.rules \
   --jobs 4 --stats --log-level debug \
   --trace-out "$TRACE_OUT" --metrics-out "$METRICS_OUT" \
   >/dev/null 2>"$LOG_OUT"
@@ -93,7 +100,7 @@ grep -q '^\[debug\]' "$LOG_OUT" \
   || { echo "--log-level debug produced no debug events on stderr" >&2; exit 1; }
 grep -q 'engine.selected' "$LOG_OUT" \
   || { echo "event stream lacks engine.selected" >&2; exit 1; }
-rm -f "$TRACE_OUT" "$METRICS_OUT" "$LOG_OUT"
+rm -f "$FB_DATA" "$TRACE_OUT" "$METRICS_OUT" "$LOG_OUT"
 # A plain resolve runs with a session state and a budgeted one without;
 # both go through the one resolve pipeline, so their traces must name
 # the same stages.

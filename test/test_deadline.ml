@@ -211,18 +211,13 @@ let test_walksat_crash_keeps_best () =
   in
   let solo = Mln.Maxwalksat.solve ~seed:7 ~restarts:1 network in
   with_faults "worker_crash" (fun () ->
-      List.iter
-        (fun pool ->
-          let faulted =
-            Mln.Maxwalksat.solve ~seed:7 ~restarts:4 ~pool network
-          in
-          Alcotest.(check bool) "crash reported as degraded" true
-            ((snd faulted).Mln.Maxwalksat.status = Deadline.Degraded);
-          (* Task 1 crashed, but tasks 0/2/3 ran: never worse than task 0
-             alone. *)
-          Alcotest.(check bool) "best-so-far kept" true
-            (cost faulted <= cost solo))
-        [ Pool.sequential; Pool.create ~jobs:4 ])
+      let faulted = Mln.Maxwalksat.solve ~seed:7 ~restarts:4 network in
+      Alcotest.(check bool) "crash reported as degraded" true
+        ((snd faulted).Mln.Maxwalksat.status = Deadline.Degraded);
+      (* Task 1 crashed, but tasks 0/2/3 ran: never worse than task 0
+         alone. *)
+      Alcotest.(check bool) "best-so-far kept" true
+        (cost faulted <= cost solo))
 
 let test_samplers_expired_deadline () =
   let _, network = cr_network () in
@@ -634,31 +629,20 @@ let random_network rng =
   Network.of_clauses ~num_atoms (Array.to_list clauses)
 
 (* (a) Without a deadline the anytime plumbing is invisible: passing
-   [Deadline.none] explicitly is bitwise-identical to not passing one,
-   at every job count. *)
+   [Deadline.none] explicitly is bitwise-identical to not passing one. *)
 let no_deadline_identity_property =
   QCheck.Test.make ~count:30
-    ~name:"deadline: none is invisible at every job count"
+    ~name:"deadline: none is invisible"
     QCheck.(pair small_int small_int)
     (fun (net_seed, solve_seed) ->
       let network = random_network (Prelude.Prng.create net_seed) in
-      let solve ?deadline pool =
+      let solve ?deadline () =
         Mln.Maxwalksat.solve ~seed:solve_seed ~max_flips:2_000 ~restarts:3
-          ~portfolio:[ 11 ] ~pool ?deadline network
+          ?deadline network
       in
-      let a0, s0 = solve Pool.sequential in
-      (* Sequentially the whole stats record is bitwise-identical; at
-         jobs=4 flip totals depend on scheduling (as before this
-         mechanism existed), so the determinism contract covers the
-         assignment, the costs and the status. *)
-      let a1, s1 = solve ~deadline:Deadline.none Pool.sequential in
-      let a4, s4 = solve ~deadline:Deadline.none (Pool.create ~jobs:4) in
-      a1 = a0 && s1 = s0
-      && a4 = a0
-      && s4.Mln.Maxwalksat.hard_violated = s0.Mln.Maxwalksat.hard_violated
-      && s4.Mln.Maxwalksat.soft_cost = s0.Mln.Maxwalksat.soft_cost
-      && s0.Mln.Maxwalksat.status = Deadline.Completed
-      && s4.Mln.Maxwalksat.status = Deadline.Completed)
+      let a0, s0 = solve () in
+      let a1, s1 = solve ~deadline:Deadline.none () in
+      a1 = a0 && s1 = s0 && s0.Mln.Maxwalksat.status = Deadline.Completed)
 
 (* (b) An already-expired deadline still returns a full, honestly
    tagged assignment immediately. *)
@@ -680,7 +664,7 @@ let expired_deadline_property =
 
 (* (c) An injected worker crash never loses the best-so-far: the
    surviving descents still include task 0, so the portfolio result is
-   never worse than task 0 alone — at any job count. *)
+   never worse than task 0 alone. *)
 let crash_keeps_best_property =
   QCheck.Test.make ~count:30 ~name:"faults: worker crash keeps best-so-far"
     QCheck.(pair small_int small_int)
@@ -704,15 +688,12 @@ let crash_keeps_best_property =
           network
       in
       with_faults "worker_crash" (fun () ->
-          List.for_all
-            (fun pool ->
-              let _, faulted =
-                Mln.Maxwalksat.solve ~seed:solve_seed ~max_flips:2_000
-                  ~restarts:4 ~pool network
-              in
-              faulted.Mln.Maxwalksat.status = Deadline.Degraded
-              && cost faulted <= cost solo)
-            [ Pool.sequential; Pool.create ~jobs:4 ]))
+          let _, faulted =
+            Mln.Maxwalksat.solve ~seed:solve_seed ~max_flips:2_000
+              ~restarts:4 network
+          in
+          faulted.Mln.Maxwalksat.status = Deadline.Degraded
+          && cost faulted <= cost solo))
 
 let () =
   Alcotest.run "deadline"

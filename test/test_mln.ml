@@ -1200,21 +1200,14 @@ let oracle_case case_seed =
     init,
     Prelude.Prng.int rng 1_000,
     1 + Prelude.Prng.int rng 4,
-    List.init (Prelude.Prng.int rng 3) (fun _ -> Prelude.Prng.int rng 1_000),
-    [| 50; 500; 2_000 |].(Prelude.Prng.int rng 3),
-    if Prelude.Prng.bool rng then 1 else 4 )
+    [| 50; 500; 2_000 |].(Prelude.Prng.int rng 3) )
 
 let arbitrary_case =
   QCheck.make
     ~print:(fun case_seed ->
-      let network, _, seed, restarts, portfolio, max_flips, jobs =
-        oracle_case case_seed
-      in
-      Format.asprintf
-        "case %d: seed %d restarts %d portfolio [%s] max_flips %d jobs %d@.%a"
-        case_seed seed restarts
-        (String.concat ";" (List.map string_of_int portfolio))
-        max_flips jobs Network.pp network)
+      let network, _, seed, restarts, max_flips = oracle_case case_seed in
+      Format.asprintf "case %d: seed %d restarts %d max_flips %d@.%a"
+        case_seed seed restarts max_flips Network.pp network)
     QCheck.Gen.(int_bound 1_000_000)
 
 (* Component order and within-component clause order are the solve
@@ -1222,7 +1215,7 @@ let arbitrary_case =
 let qcheck_split_matches_reference =
   QCheck.Test.make ~name:"counting-sort split = Hashtbl reference" ~count:300
     arbitrary_case (fun case_seed ->
-      let network, _, _, _, _, _, _ = oracle_case case_seed in
+      let network, _, _, _, _ = oracle_case case_seed in
       List.map
         (fun (c : Mln.Decompose.component) ->
           { Reference.atoms = c.atoms; network = Reference.boxed c.network })
@@ -1265,26 +1258,18 @@ let qcheck_packed_matches_reference =
     ~count:300
     arbitrary_case
     (fun case_seed ->
-      let network, init, seed, restarts, portfolio, max_flips, jobs =
-        oracle_case case_seed
-      in
-      let pool = Prelude.Pool.create ~jobs in
+      let network, init, seed, restarts, max_flips = oracle_case case_seed in
       let x, s =
-        Mln.Maxwalksat.solve ~seed ~restarts ~portfolio ~max_flips ?init ~pool
-          network
+        Mln.Maxwalksat.solve ~seed ~restarts ~max_flips ?init network
       in
       let rx, rs =
-        Reference.solve ~seed ~restarts ~portfolio ~max_flips ?init ~pool
+        Reference.solve ~seed ~restarts ~max_flips ?init
           (Reference.boxed network)
       in
-      (* With several jobs, how many later descents an optimum keeps
-         from starting depends on the schedule, and with it the work
-         counters and, under an injected crash, the status. Those are
-         compared sequentially only; the answer never depends on the
-         schedule. Where the packed kernel proves the optimum first
-         (small networks with a soft clause and satisfiable hard
-         clauses) it may stop sooner than the reference's (0, 0) rule,
-         never later. *)
+      (* Where the packed kernel proves the optimum first (small
+         networks with a soft clause and satisfiable hard clauses) it
+         may stop sooner than the reference's (0, 0) rule, never
+         later. *)
       let targeted =
         network.Network.num_atoms <= 16
         && Array.exists not network.Network.hard
@@ -1295,8 +1280,7 @@ let qcheck_packed_matches_reference =
       && Int64.equal
            (Int64.bits_of_float s.Mln.Maxwalksat.soft_cost)
            (Int64.bits_of_float rs.Reference.soft_cost)
-      && (jobs > 1
-         || (targeted && s.Mln.Maxwalksat.flips <= rs.Reference.flips)
+      && ((targeted && s.Mln.Maxwalksat.flips <= rs.Reference.flips)
          || s.Mln.Maxwalksat.flips = rs.Reference.flips
             && s.Mln.Maxwalksat.restarts_used = rs.Reference.restarts_used
             && s.Mln.Maxwalksat.status = rs.Reference.status))
@@ -1540,11 +1524,7 @@ let test_stop_at_optimum () =
     true
     (s.Mln.Maxwalksat.flips < 20_000);
   Alcotest.(check bool) "the reference walks on" true
-    (rs.Reference.flips > s.Mln.Maxwalksat.flips);
-  let x4, _ =
-    Mln.Maxwalksat.solve ~init ~pool:(Prelude.Pool.create ~jobs:4) network
-  in
-  Alcotest.(check (array bool)) "jobs 4 = jobs 1" x x4
+    (rs.Reference.flips > s.Mln.Maxwalksat.flips)
 
 (* A deadline decides when the walk stops, never what it does: one that
    has not expired proves the same optimum and walks the same flips as

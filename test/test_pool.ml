@@ -1,6 +1,7 @@
 (* Tests for the domain work pool: ordering, failure propagation,
    nesting rules, and the determinism contract — parallel runs of the
-   grounding and the solvers must reproduce the sequential results. *)
+   grounding and the sampler chains must reproduce the sequential
+   results, and a resolve gives the pool grounding work only. *)
 
 module Pool = Prelude.Pool
 module Network = Mln.Network
@@ -114,41 +115,41 @@ let test_concurrent_cross_pool_nesting () =
   Alcotest.(check (list (list int))) "both degraded loops ran"
     [ [ 11; 12 ]; [ 21; 22 ] ] results
 
-let test_for_chunked_sum () =
-  (* Per-chunk partial sums reduce identically at any job count because
-     chunk boundaries only depend on [chunk] and [n]. *)
-  let n = 10_000 and chunk = 64 in
-  let nchunks = (n + chunk - 1) / chunk in
-  let sum_with jobs =
-    let pool = Pool.create ~jobs in
-    let parts = Array.make nchunks 0.0 in
-    Pool.for_ pool ~chunk n (fun i ->
-        parts.(i / chunk) <- parts.(i / chunk) +. (1.0 /. float_of_int (i + 1)));
-    Array.fold_left ( +. ) 0.0 parts
-  in
-  let s1 = sum_with 1 and s4 = sum_with 4 in
-  Alcotest.(check bool)
-    (Printf.sprintf "bitwise equal sums (%.17g vs %.17g)" s1 s4)
-    true (Int64.equal (Int64.bits_of_float s1) (Int64.bits_of_float s4))
-
 let test_stats () =
   let pool = Pool.create ~jobs:4 in
   ignore (map pool Fun.id (List.init 10 Fun.id));
-  Pool.for_ pool ~chunk:1 2 ignore;
+  ignore (map pool Fun.id [ 0; 1 ]);
   let s = Pool.stats pool in
   Alcotest.(check int) "calls" 2 s.Pool.calls;
   Alcotest.(check int) "tasks" 12 s.Pool.tasks;
   Alcotest.(check bool) "wall measured" true (s.Pool.wall_ms >= 0.0)
 
-(* A one-job pool is a plain loop: indices in order, across chunk
-   boundaries, and nothing recorded. *)
+(* [release] joins the crew: the next batch spawns it again, and from
+   inside a task it leaves the crew (and the batch) alone. *)
+let test_release () =
+  let pool = Pool.create ~jobs:3 in
+  let xs = List.init 50 Fun.id in
+  Alcotest.(check (list int)) "before" xs (map pool Fun.id xs);
+  Pool.release ();
+  Alcotest.(check (list int)) "respawned" xs (map pool Fun.id xs);
+  Alcotest.(check (list int)) "released inside tasks" xs
+    (map pool
+       (fun x ->
+         Pool.release ();
+         x)
+       xs);
+  Pool.release ();
+  Pool.release ();
+  Alcotest.(check (list int)) "after a double release" xs (map pool Fun.id xs)
+
+(* A one-job pool is a plain loop: tasks in order, and nothing
+   recorded. *)
 let test_one_job_plain_loop () =
   let pool = Pool.create ~jobs:1 in
   let seen = ref [] in
-  Pool.for_ pool ~chunk:3 10 (fun i -> seen := i :: !seen);
+  ignore (map pool (fun i -> seen := i :: !seen) (List.init 10 Fun.id));
   Alcotest.(check (list int)) "in order" (List.init 10 Fun.id) (List.rev !seen);
-  ignore (map pool Fun.id [ 1; 2; 3 ]);
-  Pool.for_ pool ~chunk:1 1 ignore;
+  ignore (Pool.map_results pool Fun.id [ 1 ]);
   let s = Pool.stats pool in
   Alcotest.(check int) "calls" 0 s.Pool.calls;
   Alcotest.(check int) "tasks" 0 s.Pool.tasks;
@@ -195,40 +196,6 @@ let test_default_jobs () =
 (* ------------------------------------------------------------------ *)
 (* Determinism across job counts.                                      *)
 
-(* Same generator family as test_mln's solver-agreement property. *)
-let random_network rng =
-  let num_atoms = 2 + Prelude.Prng.int rng 6 in
-  let num_clauses = 3 + Prelude.Prng.int rng 10 in
-  let clauses =
-    Array.init num_clauses (fun i ->
-        let len = 1 + Prelude.Prng.int rng 3 in
-        let literals =
-          Array.init len (fun _ ->
-              (Prelude.Prng.int rng num_atoms, Prelude.Prng.bool rng))
-        in
-        ( Array.to_list literals,
-          (if Prelude.Prng.bernoulli rng 0.2 then None
-           else Some (0.5 +. Prelude.Prng.float rng 3.0)),
-          Printf.sprintf "c%d" i ))
-  in
-  Network.of_clauses ~num_atoms (Array.to_list clauses)
-
-let walksat_jobs_property =
-  QCheck.Test.make ~count:40
-    ~name:"maxwalksat: jobs=4 equals jobs=1 (assignment and costs)"
-    QCheck.(pair small_int small_int)
-    (fun (net_seed, solve_seed) ->
-      let network = random_network (Prelude.Prng.create net_seed) in
-      let solve pool =
-        Mln.Maxwalksat.solve ~seed:solve_seed ~max_flips:2_000 ~restarts:4
-          ~portfolio:[ 11; 23 ] ~pool network
-      in
-      let a1, s1 = solve Pool.sequential in
-      let a4, s4 = solve (Pool.create ~jobs:4) in
-      a1 = a4
-      && s1.Mln.Maxwalksat.hard_violated = s4.Mln.Maxwalksat.hard_violated
-      && s1.Mln.Maxwalksat.soft_cost = s4.Mln.Maxwalksat.soft_cost)
-
 let ground_fixture () =
   let d = Datagen.Footballdb.generate ~seed:21 ~players:40 ~noise_ratio:0.5 () in
   (d.Datagen.Footballdb.graph, Datagen.Footballdb.constraints ())
@@ -251,26 +218,6 @@ let grounding_jobs_property =
             (Instance_view.of_result result) )
       in
       ground Pool.sequential = ground (Pool.create ~jobs:4))
-
-let test_admm_jobs_identical () =
-  let graph, rules = ground_fixture () in
-  let solve jobs =
-    let store = Grounder.Atom_store.of_graph graph in
-    let ground = Grounder.Ground.run store rules in
-    let model = Psl.Hlmrf.build store ground.Grounder.Ground.instances in
-    let truth, stats =
-      Psl.Admm.solve ~max_iters:300 ~pool:(Pool.create ~jobs) model
-    in
-    (truth, stats.Psl.Admm.iterations, stats.Psl.Admm.objective)
-  in
-  let t1, i1, o1 = solve 1 in
-  let t4, i4, o4 = solve 4 in
-  Alcotest.(check int) "same iterations" i1 i4;
-  Alcotest.(check bool) "same objective" true (o1 = o4);
-  Alcotest.(check bool) "bitwise identical truth" true
-    (Array.for_all2
-       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-       t1 t4)
 
 let test_samplers_jobs_identical () =
   let store =
@@ -323,6 +270,52 @@ let test_engine_jobs_identical () =
       ("psl", Tecore.Engine.Psl Psl.Npsl.default_options);
     ]
 
+(* Only the grounding joins use a resolve's pool: whichever engine
+   solves, the report counts exactly the calls and tasks that the same
+   grounding deals to a pool of its own. *)
+let test_resolve_pool_is_grounding_only () =
+  let d = Datagen.Footballdb.generate ~seed:1 ~players:150 ~noise_ratio:0.5 () in
+  let graph = d.Datagen.Footballdb.graph in
+  let rules = Datagen.Footballdb.constraints () in
+  let grounding =
+    let pool = Pool.create ~jobs:2 in
+    ignore
+      (Grounder.Ground.run ~pool ~lazy_constraints:true
+         (Grounder.Atom_store.of_graph graph)
+         rules);
+    let s = Pool.stats pool in
+    (s.Pool.calls, s.Pool.tasks)
+  in
+  let resolve engine =
+    Obs.reset ();
+    Obs.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        ignore (Tecore.Engine.resolve ~engine ~jobs:2 graph rules);
+        let counters =
+          match Obs.Report.find (Obs.Report.capture ()) [ "resolve" ] with
+          | Some node -> node.Obs.Report.counters
+          | None -> Alcotest.fail "no resolve span"
+        in
+        let count name =
+          int_of_float (Option.value (List.assoc_opt name counters) ~default:0.)
+        in
+        (count "pool.calls", count "pool.tasks"))
+  in
+  Alcotest.(check bool) "grounding uses the pool" true (fst grounding > 0);
+  List.iter
+    (fun (name, engine) ->
+      Alcotest.(check (pair int int))
+        (name ^ ": pool calls and tasks")
+        grounding (resolve engine))
+    [
+      ("mln", Tecore.Engine.Mln Mln.Map_inference.default_options);
+      ("psl", Tecore.Engine.Psl Psl.Npsl.default_options);
+    ]
+
 let () =
   Alcotest.run "pool"
     [
@@ -340,24 +333,22 @@ let () =
             test_cross_pool_nesting_degrades;
           Alcotest.test_case "concurrent cross-pool nesting" `Quick
             test_concurrent_cross_pool_nesting;
-          Alcotest.test_case "chunked for_ sums bitwise" `Quick
-            test_for_chunked_sum;
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "one job: plain loop" `Quick
             test_one_job_plain_loop;
+          Alcotest.test_case "release" `Quick test_release;
           Alcotest.test_case "create and parse_jobs" `Quick
             test_create_and_parse;
           Alcotest.test_case "default_jobs" `Quick test_default_jobs;
         ] );
       ( "determinism",
         [
-          QCheck_alcotest.to_alcotest walksat_jobs_property;
           QCheck_alcotest.to_alcotest grounding_jobs_property;
-          Alcotest.test_case "admm bitwise identical" `Quick
-            test_admm_jobs_identical;
           Alcotest.test_case "sampler chains identical" `Quick
             test_samplers_jobs_identical;
           Alcotest.test_case "engine removals identical" `Quick
             test_engine_jobs_identical;
+          Alcotest.test_case "a resolve deals only grounding to the pool"
+            `Quick test_resolve_pool_is_grounding_only;
         ] );
     ]

@@ -446,8 +446,7 @@ module Reference = struct
   let block = 256
 
   let solve ?(rho = 1.0) ?(max_iters = 2_000) ?(tol = 1e-4) ?init
-      ?(pool = Prelude.Pool.sequential) ?(deadline = Prelude.Deadline.none)
-      (model : Spec.t) =
+      ?(deadline = Prelude.Deadline.none) (model : Spec.t) =
     let n = model.num_vars in
     let factors =
       Array.append
@@ -482,11 +481,12 @@ module Reference = struct
       if Prelude.Deadline.expired deadline then halted := true
       else begin
       incr iterations;
-      Prelude.Pool.for_ pool ~chunk:block num_factors (fun fi ->
-          let f = factors.(fi) in
-          let k = Array.length f.vars in
-          let v = Array.init k (fun i -> z.(f.vars.(i)) -. f.u.(i)) in
-          prox rho f v);
+      for fi = 0 to num_factors - 1 do
+        let f = factors.(fi) in
+        let k = Array.length f.vars in
+        let v = Array.init k (fun i -> z.(f.vars.(i)) -. f.u.(i)) in
+        prox rho f v
+      done;
       Array.blit z 0 z_old 0 n;
       Array.fill sums 0 n 0.0;
       Array.iter
@@ -500,15 +500,16 @@ module Reference = struct
           z.(v) <- clip01 (sums.(v) /. float_of_int copies.(v))
       done;
       Array.fill pr_parts 0 (Array.length pr_parts) 0.0;
-      Prelude.Pool.for_ pool ~chunk:block num_factors (fun fi ->
-          let f = factors.(fi) in
-          let b = fi / block in
-          Array.iteri
-            (fun i v ->
-              let r = f.y.(i) -. z.(v) in
-              f.u.(i) <- f.u.(i) +. r;
-              pr_parts.(b) <- pr_parts.(b) +. (r *. r))
-            f.vars);
+      for fi = 0 to num_factors - 1 do
+        let f = factors.(fi) in
+        let b = fi / block in
+        Array.iteri
+          (fun i v ->
+            let r = f.y.(i) -. z.(v) in
+            f.u.(i) <- f.u.(i) +. r;
+            pr_parts.(b) <- pr_parts.(b) +. (r *. r))
+          f.vars
+      done;
       let pr = ref 0.0 in
       for b = 0 to num_blocks - 1 do
         pr := !pr +. pr_parts.(b)
@@ -757,8 +758,8 @@ let test_variable_free_fallback () =
    [0.01, 10], Le and Eq constraints, variables repeated inside one
    factor, zero-norm factors (every coefficient 0), variables in no
    factor, and [init] given or absent. One case in eight is large
-   enough (over 256 factors) to span several blocks, so the jobs=4 run
-   really deals blocks to workers. *)
+   enough (over 256 factors) to span several blocks, so the residual
+   is reduced over more than one block sum. *)
 let kernel_case case_seed =
   let rng = Prelude.Prng.create case_seed in
   let large = Prelude.Prng.int rng 8 = 0 in
@@ -810,8 +811,6 @@ let kernel_case case_seed =
   let max_iters = 1 + Prelude.Prng.int rng 400 in
   (model, (init, max_iters))
 
-let pool4 = Prelude.Pool.create ~jobs:4
-
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let qcheck_kernel_matches_reference =
@@ -819,17 +818,13 @@ let qcheck_kernel_matches_reference =
     ~count:300 (arbitrary_case kernel_case) (fun case_seed ->
       let model, (init, max_iters) = kernel_case case_seed in
       let rz, rs = Reference.solve ?init ~max_iters model in
-      let packed = Spec.make model in
-      List.for_all
-        (fun pool ->
-          let z, s = Admm.solve ?init ~max_iters ~pool packed in
-          bits z = bits rz
-          && same_float s.Admm.primal_residual rs.Admm.primal_residual
-          && same_float s.Admm.dual_residual rs.Admm.dual_residual
-          && same_float s.Admm.objective rs.Admm.objective
-          && s.Admm.iterations = rs.Admm.iterations
-          && s.Admm.converged = rs.Admm.converged)
-        [ Prelude.Pool.sequential; pool4 ])
+      let z, s = Admm.solve ?init ~max_iters (Spec.make model) in
+      bits z = bits rz
+      && same_float s.Admm.primal_residual rs.Admm.primal_residual
+      && same_float s.Admm.dual_residual rs.Admm.dual_residual
+      && same_float s.Admm.objective rs.Admm.objective
+      && s.Admm.iterations = rs.Admm.iterations
+      && s.Admm.converged = rs.Admm.converged)
 
 (* The grounded models of two benchmark inputs, through the packed and
    the list builder: the same factors, in the same order, with the same
