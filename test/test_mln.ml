@@ -1565,6 +1565,53 @@ let test_deadline_keeps_optimum () =
   Alcotest.(check bool) "expired deadline: not completed" true
     (s''.Mln.Maxwalksat.status <> Prelude.Deadline.Completed)
 
+(* The walk's traced counters keep their names and agree with the stats
+   it returns. Twenty atoms, each with a soft clause for it and a
+   lighter one against it: no assignment costs nothing and the network
+   is too large for an exact optimum, so no descent stops early and all
+   three run, one after another. Faults configured by the environment
+   are cleared for the solve, so that no descent crashes, and restored
+   after it. *)
+let test_traced_counters_match_stats () =
+  let num_atoms = 20 in
+  let network =
+    Network.of_clauses ~num_atoms
+      (List.concat
+         (List.init num_atoms (fun i ->
+              [
+                ([ (i, true) ], Some 1.0, Printf.sprintf "for%d" i);
+                ([ (i, false) ], Some 0.5, Printf.sprintf "against%d" i);
+              ])))
+  in
+  Prelude.Deadline.Faults.clear ();
+  Obs.reset ();
+  Obs.set_enabled true;
+  let _, s, counters =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ();
+        Option.iter Prelude.Deadline.Faults.configure
+          (Sys.getenv_opt "TECORE_FAULTS"))
+      (fun () ->
+        let x, s = Mln.Maxwalksat.solve ~seed:3 ~restarts:3 ~max_flips:200 network in
+        (x, s, (Obs.Report.capture ()).Obs.Report.counters))
+  in
+  let counter name =
+    match List.assoc_opt name counters with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "no %s counter" name
+  in
+  Alcotest.(check int) "walksat.portfolio_tasks: every descent" 3
+    (counter "walksat.portfolio_tasks");
+  Alcotest.(check int) "walksat.flips" s.Mln.Maxwalksat.flips
+    (counter "walksat.flips");
+  Alcotest.(check int) "walksat.restarts" s.Mln.Maxwalksat.restarts_used
+    (counter "walksat.restarts");
+  Alcotest.(check bool) "soft cost left" true (s.Mln.Maxwalksat.soft_cost > 0.);
+  Alcotest.(check bool) "completed" true
+    (s.Mln.Maxwalksat.status = Prelude.Deadline.Completed)
+
 let test_negative_confidence_evidence () =
   (* Confidence < 0.5 evidence becomes a negated unit clause; MAP should
      drop the fact even without constraints. *)
@@ -1635,6 +1682,8 @@ let () =
             test_stop_at_optimum;
           Alcotest.test_case "a deadline keeps the optimum until it expires"
             `Quick test_deadline_keeps_optimum;
+          Alcotest.test_case "traced counters match the stats" `Quick
+            test_traced_counters_match_stats;
           Alcotest.test_case "zero-literal clause" `Quick
             test_zero_literal_fallback;
           Alcotest.test_case "flip loop allocation-free" `Quick
