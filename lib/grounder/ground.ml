@@ -18,12 +18,10 @@ let body_atoms t i =
 type result = {
   instances : instances;
   rounds : int;
+  joins : int array;
 }
 
 exception Timed_out of { atoms : int; rounds : int }
-
-let head_atom (rule : Logic.Rule.t) =
-  match rule.head with Logic.Rule.Infer a -> Some a | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Heads compiled over code rows                                       *)
@@ -130,130 +128,20 @@ let intern_head store head row =
   Atom_store.intern_key store Atom_store.Hidden head.key
 
 (* ------------------------------------------------------------------ *)
-(* The replay snapshot                                                 *)
+(* Rule slices                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type snapshot = {
-  snap_store : Atom_store.t;
-  rounds_log : int array array array;
-      (** [rounds_log.(r).(i)]: the keys of the candidate heads produced
-          in closure round [r+1] by the [i]-th inference rule, in
-          binding order, concatenated (each is as long as that rule's
-          head key). Keys hold symbol codes, so they mean the same atom
-          in every store over the graph's symbol table. *)
-  snap_instances : instances;
-  rule_start : int array;
-      (** rule [r]'s slice of [snap_instances] is the instances
-          [rule_start.(r) .. rule_start.(r+1) - 1] *)
-}
+(* One rule's instances while they are written: per instance its head
+   code and where its body atoms end in [atoms]. *)
+type slice = { heads : Ivec.t; ends : Ivec.t; atoms : Ivec.t }
 
-(* ------------------------------------------------------------------ *)
-(* Closure                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* One closure round of one inference rule, joined live: every
-   instantiable head, in row order, is interned if absent and, when
-   [log] is given, its key appended there (the candidate stream a
-   replay re-interns). Answers the number of joined rows. *)
-let derive_live ~pool ?log store rule head_pattern =
-  let rows = ref 0 in
-  Body.fold ~pool store rule ~init:() ~f:(fun layout ->
-      let head = compile_head store layout head_pattern in
-      fun () row ->
-        incr rows;
-        if fill head row then begin
-          ignore (intern_head store head row);
-          Option.iter
-            (fun log -> Ivec.append log head.key ~pos:0 ~len:(Array.length head.key))
-            log
-        end);
-  !rows
-
-(* One closure round of one inference rule, replayed: re-intern the
-   recorded candidate keys, [stride] codes each. Interning decides
-   afresh whether each atom is new, which keeps the replayed store
-   byte-identical to a fresh grounding even when a retraction makes an
-   atom internable that was already present last time. *)
-let derive_replayed store candidates ~stride =
-  let key = Array.make stride 0 in
-  for k = 0 to (Array.length candidates / stride) - 1 do
-    Array.blit candidates (k * stride) key 0 stride;
-    ignore (Atom_store.intern_key store Atom_store.Hidden key)
-  done
-
-(* Saturate the store under inference rules. Derived atoms are interned
-   as Hidden, which inserts them into the extension tables, so later
-   rounds see them; the loop stops when a round adds no atom. Under
-   [replay], a rule not [affected] re-interns its recorded candidates
-   for the round instead of joining; rounds past the recorded horizon
-   reuse the last recorded round (the rule's extension is frozen
-   there, so a fresh run would recompute exactly that stream). When
-   [log] is given, every round's candidate streams are pushed on it.
-   The deadline is polled between rounds: a completed round is the
-   safe point. *)
-let closure ~max_rounds ~deadline ~pool ?replay ?log store rules =
-  let inference = List.filter Logic.Rule.is_inference rules in
-  let rec loop round =
-    if round > max_rounds then
-      failwith
-        (Printf.sprintf "Grounder.closure: no fixpoint after %d rounds"
-           max_rounds);
-    if Prelude.Deadline.Faults.active "slow_ground" then
-      Obs.event ~level:Obs.Events.Warn "fault.slow_ground"
-        [
-          ("round", Obs.Events.Int round);
-          ("delay_ms", Obs.Events.Int (Prelude.Deadline.Faults.arg "slow_ground"));
-        ];
-    Prelude.Deadline.Faults.delay "slow_ground";
-    if Prelude.Deadline.expired deadline then
-      raise
-        (Timed_out { atoms = Atom_store.size store; rounds = round - 1 });
-    let before = Atom_store.size store in
-    let round_candidates =
-      List.mapi
-        (fun ri rule ->
-          let head = Option.get (head_atom rule) in
-          match replay with
-          | Some (snap, affected) when not (affected rule) ->
-              let recorded = snap.rounds_log in
-              let candidates =
-                recorded.(min (round - 1) (Array.length recorded - 1)).(ri)
-              in
-              derive_replayed store candidates
-                ~stride:(List.length head.Logic.Atom.args + 2);
-              candidates
-          | _ ->
-              let candidates = Option.map (fun _ -> Ivec.create ()) log in
-              let rows = derive_live ~pool ?log:candidates store rule head in
-              Obs.count ~n:rows "ground.join_rows";
-              Option.fold ~none:[||] ~some:Ivec.to_array candidates)
-        inference
-    in
-    Option.iter (fun log -> log := Array.of_list round_candidates :: !log) log;
-    let added = Atom_store.size store - before in
-    Obs.event ~level:Obs.Events.Debug "ground.round"
-      [ ("round", Obs.Events.Int round); ("new_atoms", Obs.Events.Int added) ];
-    if added > 0 then loop (round + 1) else round
-  in
-  loop 1
-
-(* ------------------------------------------------------------------ *)
-(* Instances                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* The instance buffer while it is written; [offsets] leads with 0. *)
-type buffer = {
-  rule_ix : Ivec.t;
-  heads : Ivec.t;
-  ends : Ivec.t;
-  atoms : Ivec.t;
-}
+let empty_slice () =
+  { heads = Ivec.create (); ends = Ivec.create (); atoms = Ivec.create () }
 
 (* Close an instance whose body atoms are already pushed. *)
-let push_instance buf ~rule ~head =
-  Ivec.push buf.rule_ix rule;
-  Ivec.push buf.heads head;
-  Ivec.push buf.ends (Ivec.length buf.atoms)
+let push_instance slice ~head =
+  Ivec.push slice.heads head;
+  Ivec.push slice.ends (Ivec.length slice.atoms)
 
 (* The head code of one bindings row, compiled once per plan;
    [no_head_code] when an inference head does not instantiate. *)
@@ -279,13 +167,14 @@ let compile_instance store (rule : Logic.Rule.t) layout =
                  (Option.get (Body.subst layout row))))
   | Logic.Rule.Bottom -> fun _ -> violated
 
-(* Rule [ri]'s instances, joined live and written to [buf] in row
-   order. Under [lazy_constraints], a constraint's head condition is
-   pushed down into the body joins with flipped polarity: combinations
-   that satisfy the constraint are vetoed inside the join and never
-   materialise, so the produced rows are exactly the violations. *)
-let instances_of_rule ~pool ~lazy_constraints buf store ri
-    (rule : Logic.Rule.t) =
+(* One join of a rule, writing its instances to [slice] in row order.
+   An Infer head is interned as Hidden on the way, which inserts it
+   into the extension tables the closure reads. Under
+   [lazy_constraints], a constraint's head condition is pushed down
+   into the body joins with flipped polarity: combinations that satisfy
+   the constraint are vetoed inside the join and never materialise, so
+   the produced rows are exactly the violations. *)
+let join_rule ~pool ~lazy_constraints slice store (rule : Logic.Rule.t) =
   let violation =
     match rule.head with
     | Logic.Rule.Require cond when lazy_constraints -> Some cond
@@ -300,31 +189,85 @@ let instances_of_rule ~pool ~lazy_constraints buf store ri
         let head = head_of row in
         if head <> no_head_code then begin
           for k = 0 to Array.length cols - 1 do
-            Ivec.push buf.atoms (Reldb.Value.payload row.(cols.(k)))
+            Ivec.push slice.atoms (Reldb.Value.payload row.(cols.(k)))
           done;
-          push_instance buf ~rule:ri ~head
+          push_instance slice ~head
         end);
   Obs.count ~n:!rows "ground.join_rows"
 
 exception Replay_miss
 
-(* Rule [ri]'s recorded slice, appended to [buf] with every atom id
-   mapped through [remap] (an old id's new id, [-1] when the new store
-   lacks it). *)
-let replay_slice buf snap ri ~remap =
-  let old = snap.snap_instances in
-  let map id =
-    let nid = if id < Array.length remap then remap.(id) else -1 in
-    if nid < 0 then raise Replay_miss;
-    nid
+(* Instances [first .. last - 1] of [old], a grounding of store [src],
+   appended to [slice] as the same join would write them into [store]:
+   each head key re-interned (which decides afresh whether the atom is
+   new, so the store stays byte-identical to a fresh grounding even
+   when a retraction makes a derived atom internable that was evidence
+   last time), each body atom looked up. *)
+let replay_slice slice store ~src (old : instances) ~first ~last =
+  let find id =
+    match Atom_store.find_in store ~src id with
+    | Some id -> id
+    | None -> raise Replay_miss
   in
-  for i = snap.rule_start.(ri) to snap.rule_start.(ri + 1) - 1 do
-    for j = old.offsets.(i) to old.offsets.(i + 1) - 1 do
-      Ivec.push buf.atoms (map old.body.(j))
-    done;
+  for i = first to last - 1 do
     let h = old.head.(i) in
-    push_instance buf ~rule:ri ~head:(if h >= 0 then map h else h)
+    let head =
+      if h >= 0 then
+        Atom_store.intern_key store Atom_store.Hidden (Atom_store.key src h)
+      else h
+    in
+    for j = old.offsets.(i) to old.offsets.(i + 1) - 1 do
+      Ivec.push slice.atoms (find old.body.(j))
+    done;
+    push_instance slice ~head
   done
+
+(* Where each rule's slice starts in [t]; [n + 1] entries for [n]
+   rules. *)
+let slice_starts (t : instances) =
+  let starts = Array.make (Array.length t.rules + 1) 0 in
+  Array.iter (fun r -> starts.(r + 1) <- starts.(r + 1) + 1) t.rule;
+  for r = 1 to Array.length t.rules do
+    starts.(r) <- starts.(r) + starts.(r - 1)
+  done;
+  starts
+
+(* The slices, concatenated in rule order. *)
+let concat rules slices =
+  let n = Array.fold_left (fun n s -> n + Ivec.length s.heads) 0 slices in
+  let m = Array.fold_left (fun m s -> m + Ivec.length s.atoms) 0 slices in
+  let rule = Array.make n 0
+  and head = Array.make n 0
+  and offsets = Array.make (n + 1) 0
+  and body = Array.make m 0 in
+  let i = ref 0 and j = ref 0 in
+  Array.iteri
+    (fun ri s ->
+      let k = Ivec.length s.heads in
+      Array.fill rule !i k ri;
+      Array.blit (Ivec.raw s.heads) 0 head !i k;
+      for x = 0 to k - 1 do
+        offsets.(!i + x + 1) <- !j + Ivec.get s.ends x
+      done;
+      Array.blit (Ivec.raw s.atoms) 0 body !j (Ivec.length s.atoms);
+      i := !i + k;
+      j := !j + Ivec.length s.atoms)
+    slices;
+  { rules; rule; head; offsets; body }
+
+(* The rows of every extension table the rule's body reads, in body
+   order. *)
+let body_rows store (rule : Logic.Rule.t) =
+  Array.of_list
+    (List.map
+       (fun (a : Logic.Atom.t) ->
+         match
+           Atom_store.table_for store a.predicate
+             ~arity:(List.length a.args) ~temporal:(Option.is_some a.time)
+         with
+         | Some table -> Reldb.Table.cardinal table
+         | None -> 0)
+       rule.body)
 
 let emit_result_counters store (result : result) =
   let hidden = ref 0 in
@@ -340,93 +283,113 @@ let emit_result_counters store (result : result) =
 (* The grounding core                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Closure, then the instance buffer, one rule slice after another in
-   rule order. With [replay], a rule [affected] by the edit joins live
-   and every other rule replays its recorded candidates and slice.
-   When [log] is given, the closure's candidate streams are pushed on
-   it. Answers the result and where each rule's slice starts. *)
+(* Saturate the store under the inference rules [inference] (indices),
+   one pass after another in rule order. [turn ri] joins rule [ri];
+   [dirty ri] holds when the rule has not joined yet or an extension
+   table its body reads gained a row since its last join began —
+   including rows it added itself. A clean rule's join would add
+   nothing, so only dirty rules join, and the loop stops after a pass
+   with no dirty rule left. The deadline is polled at the top of each
+   pass: a completed pass is the safe point. Answers the passes that
+   derived at least one atom. *)
+let closure ~max_rounds ~deadline store ~dirty ~turn inference =
+  let rec pass p rounds =
+    if p > 1 && not (List.exists dirty inference) then rounds
+    else begin
+      if p > max_rounds then
+        failwith
+          (Printf.sprintf "Grounder.closure: no fixpoint after %d rounds"
+             max_rounds);
+      if Prelude.Deadline.Faults.active "slow_ground" then
+        Obs.event ~level:Obs.Events.Warn "fault.slow_ground"
+          [
+            ("round", Obs.Events.Int p);
+            ( "delay_ms",
+              Obs.Events.Int (Prelude.Deadline.Faults.arg "slow_ground") );
+          ];
+      Prelude.Deadline.Faults.delay "slow_ground";
+      if Prelude.Deadline.expired deadline then
+        raise (Timed_out { atoms = Atom_store.size store; rounds });
+      let before = Atom_store.size store in
+      List.iter (fun ri -> if dirty ri then turn ri) inference;
+      let added = Atom_store.size store - before in
+      Obs.event ~level:Obs.Events.Debug "ground.round"
+        [ ("round", Obs.Events.Int p); ("new_atoms", Obs.Events.Int added) ];
+      pass (p + 1) (if added > 0 then rounds + 1 else rounds)
+    end
+  in
+  pass 1 0
+
+(* The closure, then the constraints, each joined once after the
+   fixpoint; every rule writes its own slice, and the slices are
+   concatenated in rule order. A rule that joins again replaces its
+   slice. At the fixpoint every rule's last join saw its final inputs,
+   so each slice is what a join over the final store writes.
+
+   With [replay = ((src, old), affected)], a rule not [affected] whose
+   recorded grounding [old] (over store [src]) joined it exactly once
+   replays that slice at its first turn instead of joining. Its inputs
+   are byte-identical to the recorded ones, so the replay writes what
+   the join would. A replayed atom the new store lacks means the
+   affected set was wrong: {!Replay_miss}. *)
 let ground ?(max_rounds = 50) ?(deadline = Prelude.Deadline.none)
-    ?(pool = Prelude.Pool.sequential) ~lazy_constraints ?log ?replay store
-    rules =
+    ?(pool = Prelude.Pool.sequential) ~lazy_constraints ?replay store rules =
+  let rules = Array.of_list rules in
+  let n = Array.length rules in
+  let slices = Array.init n (fun _ -> empty_slice ()) in
+  let joins = Array.make n 0 in
+  let seen = Array.make n [||] in
+  let replayable =
+    match replay with
+    | None -> fun _ -> None
+    | Some ((src, old), affected) ->
+        let starts = slice_starts old.instances in
+        fun ri ->
+          if joins.(ri) = 0 && old.joins.(ri) = 1 && not (affected rules.(ri))
+          then Some (src, old.instances, starts.(ri), starts.(ri + 1))
+          else None
+  in
+  (* Rules are joined sequentially in rule order and the parallelism
+     lives inside each join (partitioned hash join on [pool]): the same
+     pool must not be used at two nesting levels. *)
+  let turn ri =
+    let slice = slices.(ri) in
+    seen.(ri) <- body_rows store rules.(ri);
+    Ivec.clear slice.heads;
+    Ivec.clear slice.ends;
+    Ivec.clear slice.atoms;
+    (match replayable ri with
+    | Some (src, old, first, last) -> replay_slice slice store ~src old ~first ~last
+    | None -> join_rule ~pool ~lazy_constraints slice store rules.(ri));
+    joins.(ri) <- joins.(ri) + 1
+  in
+  let dirty ri = joins.(ri) = 0 || body_rows store rules.(ri) <> seen.(ri) in
+  let indices = List.init n Fun.id in
+  let inference, constraints =
+    List.partition (fun ri -> Logic.Rule.is_inference rules.(ri)) indices
+  in
   let rounds =
     Obs.span "closure" (fun () ->
-        closure ~max_rounds ~deadline ~pool ?replay ?log store rules)
+        closure ~max_rounds ~deadline store ~dirty ~turn inference)
   in
   if Prelude.Deadline.expired deadline then
     raise (Timed_out { atoms = Atom_store.size store; rounds });
-  let buf =
-    {
-      rule_ix = Ivec.create ();
-      heads = Ivec.create ();
-      ends = Ivec.create ();
-      atoms = Ivec.create ();
-    }
-  in
-  Ivec.push buf.ends 0;
-  let rule_start = Ivec.create () in
-  (* Rules are grounded sequentially in rule order and the parallelism
-     lives inside each join (partitioned hash join on [pool]): the same
-     pool must not be used at two nesting levels. Every Infer head
-     already exists at the fixpoint, so interning here is lookup-only,
-     which keeps atom ids independent of the job count. A replayed
-     slice's atoms must all exist in the new store (their supporting
-     predicates are untouched); a miss means the affected set was
-     wrong, and the replay is refused. *)
-  Obs.span "instances" (fun () ->
-      let remap =
-        match replay with
-        | None -> [||]
-        | Some (snap, _) ->
-            Array.init (Atom_store.size snap.snap_store) (fun id ->
-                Option.value ~default:(-1)
-                  (Atom_store.find_in store ~src:snap.snap_store id))
-      in
-      List.iteri
-        (fun ri rule ->
-          Ivec.push rule_start (Ivec.length buf.rule_ix);
-          match replay with
-          | Some (snap, affected) when not (affected rule) ->
-              replay_slice buf snap ri ~remap
-          | _ -> instances_of_rule ~pool ~lazy_constraints buf store ri rule)
-        rules;
-      Ivec.push rule_start (Ivec.length buf.rule_ix));
-  let instances =
-    {
-      rules = Array.of_list rules;
-      rule = Ivec.to_array buf.rule_ix;
-      head = Ivec.to_array buf.heads;
-      offsets = Ivec.to_array buf.ends;
-      body = Ivec.to_array buf.atoms;
-    }
-  in
-  let result = { instances; rounds } in
+  Obs.span "instances" (fun () -> List.iter turn constraints);
+  let result = { instances = concat rules slices; rounds; joins } in
   emit_result_counters store result;
-  (result, Ivec.to_array rule_start)
-
-(* [log] holds the closure rounds newest first. *)
-let with_snapshot store log (result, rule_start) =
-  ( result,
-    {
-      snap_store = store;
-      rounds_log = Array.of_list (List.rev !log);
-      snap_instances = result.instances;
-      rule_start;
-    } )
+  result
 
 let run ?max_rounds ?deadline ?pool ?(lazy_constraints = false) store rules =
-  fst (ground ?max_rounds ?deadline ?pool ~lazy_constraints store rules)
+  ground ?max_rounds ?deadline ?pool ~lazy_constraints store rules
 
-let run_record ?max_rounds ?deadline ?pool store rules =
-  let log = ref [] in
-  with_snapshot store log
-    (ground ?max_rounds ?deadline ?pool ~lazy_constraints:true ~log store rules)
+type snapshot = Atom_store.t * result
 
 let affected_rules ~delta rules =
   (* Transitive closure over predicates: a rule is affected when its
      body mentions an affected predicate; the head predicate of an
      affected inference rule becomes affected in turn (its extension
      may change, re-exciting rules that join over it). Everything else
-     sees byte-identical per-round extensions and can be replayed. *)
+     sees byte-identical extensions and can be replayed. *)
   let affected_preds = Hashtbl.create 16 in
   List.iter (fun p -> Hashtbl.replace affected_preds p ()) delta;
   let body_preds (r : Logic.Rule.t) =
@@ -452,20 +415,20 @@ let affected_rules ~delta rules =
   done;
   rule_touched
 
-let reground ~snapshot ~affected ?max_rounds ?pool store rules =
+let reground ~snapshot:((src, old) as snapshot) ~affected ?max_rounds ?pool
+    store rules =
   (* Recorded slices replay only under the same rules — names, bodies,
      conditions, heads and weights — and against a store over the same
      symbol table, the one the recorded keys are coded in; anything
      else is a fresh grounding. *)
   if
-    Array.of_list rules <> snapshot.snap_instances.rules
-    || Atom_store.symbols store != Atom_store.symbols snapshot.snap_store
+    Array.of_list rules <> old.instances.rules
+    || Atom_store.symbols store != Atom_store.symbols src
   then None
   else
-    let log = ref [] in
     match
-      ground ?max_rounds ?pool ~lazy_constraints:true ~log
+      ground ?max_rounds ?pool ~lazy_constraints:true
         ~replay:(snapshot, affected) store rules
     with
-    | grounding -> Some (with_snapshot store log grounding)
+    | result -> Some result
     | exception Replay_miss -> None

@@ -1,12 +1,16 @@
 (** Grounding driver: closure under inference rules, then rule instances.
 
-    [run store rules] first saturates the store under the inference rules
+    [run store rules] saturates the store under the inference rules
     (deriving hidden atoms, e.g. worksFor facts from playsFor facts via
-    f1), then grounds every rule once, writing the ground rule instances
-    — from which the MLN and PSL engines build their networks — into one
-    flat {!instances} buffer straight from the join rows. A replay
-    ({!reground}) runs the same closure loop and instance phase; each
-    rule there either joins live or replays its recorded slice. *)
+    f1), then joins every constraint once. Each join writes its rule's
+    ground instances — from which the MLN and PSL engines build their
+    networks — straight from the join rows into the rule's slice of one
+    flat {!instances} buffer; an inference rule's join interns its heads
+    in the same pass. The closure joins a rule again only when a table
+    its body reads has grown since its last join began, so a program
+    whose rules each come after the rules they read joins every rule
+    once. A replay ({!reground}) runs the same loop; each rule there
+    either joins live or replays its recorded slice. *)
 
 type instances = {
   rules : Logic.Rule.t array;  (** the grounded rules, in rule order *)
@@ -40,15 +44,26 @@ val body_atoms : instances -> int -> Atom_store.id list
 
 type result = {
   instances : instances;
-  rounds : int;  (** closure iterations until fixpoint *)
+  rounds : int;
+      (** closure passes that derived at least one atom. A pass joins,
+          in rule order, every inference rule whose body tables grew
+          since its last join began (every rule, in the first pass); the
+          closure ends after a pass that derives nothing, which is not
+          counted. A program without inference rules, or whose rules
+          derive nothing, has [rounds = 0]; one whose rules each follow
+          the rules they read has at most 1 *)
+  joins : int array;
+      (** per rule, in rule order: how many times it was joined (a
+          replayed slice counts as one join). Every constraint is
+          joined once *)
 }
 
 exception Timed_out of { atoms : int; rounds : int }
 (** Raised when [deadline] expires during grounding. Unlike the anytime
     solvers there is no sound partial answer here — a network built from
     a half-saturated store would silently miss constraints — so the run
-    is rejected, carrying how far it got (atoms interned, closure rounds
-    completed) for the structured report. *)
+    is rejected, carrying how far it got (atoms interned, and the
+    [rounds] of {!result} completed so far) for the structured report. *)
 
 val run :
   ?max_rounds:int ->
@@ -72,14 +87,14 @@ val run :
     both network builders discard them, so inference is unchanged, but
     callers reading them for statistics must leave the flag off.
 
-    [deadline] (default {!Prelude.Deadline.none}) is polled between
-    closure rounds and before the instance joins; expiry raises
+    [deadline] (default {!Prelude.Deadline.none}) is polled before each
+    closure pass and before the constraint joins; expiry raises
     {!Timed_out}. Callers wanting best-effort behaviour simply pass an
     infinite deadline here and budget the solver instead — grounding
     must complete for any sound answer.
 
     @raise Failure when the closure does not reach a fixpoint within
-    [max_rounds] (default 50) iterations.
+    [max_rounds] (default 50) passes.
     @raise Timed_out when [deadline] expires. *)
 
 (** {1 Delta grounding}
@@ -88,29 +103,19 @@ val run :
     replay}: the atom store is always rebuilt fresh (cheap, and the only
     way to keep atom ids byte-identical to a from-scratch run), but only
     rules whose body predicates are transitively affected by the edit
-    re-run their joins — every other rule replays the candidate streams
-    and the instance slice recorded from the previous run. The replayed
-    [(store, instances)] pair is byte-identical to what {!run} would
-    produce, which is what makes downstream solver caching sound.
-    Recording and replay always push constraints into the joins
-    ([lazy_constraints]). *)
+    re-run their joins. Every other rule that the previous grounding
+    joined exactly once replays that grounding's slice at its first
+    turn: its head keys re-interned, its body atoms looked up in the new
+    store. The replayed [(store, instances)] pair is byte-identical to
+    what {!run} would produce, which is what makes downstream solver
+    caching sound. Replay always pushes constraints into the joins
+    ([lazy_constraints]), so it replays a grounding made that way. *)
 
-type snapshot
-(** What {!run_record} remembers of a grounding: its store, the
-    per-round candidate heads of each inference rule (as
-    {!Atom_store.key}s, which mean the same atom in every store over the
-    same graph), and its instance buffer with where each rule's slice
-    starts. *)
-
-val run_record :
-  ?max_rounds:int ->
-  ?deadline:Prelude.Deadline.t ->
-  ?pool:Prelude.Pool.t ->
-  Atom_store.t ->
-  Logic.Rule.t list ->
-  result * snapshot
-(** Exactly [run ~lazy_constraints:true], additionally returning the
-    replay snapshot. *)
+type snapshot = Atom_store.t * result
+(** A grounding to replay: the store it ran over and its result, from
+    [run ~lazy_constraints:true] or {!reground}. Its atom keys are codes
+    of the store's symbol table, so they mean the same atom in every
+    store over the same graph. *)
 
 val affected_rules :
   delta:string list -> Logic.Rule.t list -> Logic.Rule.t -> bool
@@ -118,8 +123,8 @@ val affected_rules :
     by an edit ([delta], grounder predicate names) under rule heads: a
     rule is affected when its body mentions an affected predicate, and
     an affected inference rule's head predicate becomes affected in
-    turn. Unaffected rules see byte-identical per-round extensions and
-    are safe to replay. *)
+    turn. Unaffected rules see byte-identical extensions and are safe to
+    replay. *)
 
 val reground :
   snapshot:snapshot ->
@@ -128,18 +133,17 @@ val reground :
   ?pool:Prelude.Pool.t ->
   Atom_store.t ->
   Logic.Rule.t list ->
-  (result * snapshot) option
-(** Replay the recorded grounding against a freshly rebuilt [store]
-    (evidence already interned), re-joining only [affected] rules; every
-    other rule re-interns its recorded candidates in the closure and
-    copies its recorded slice, remapped to the new atom ids in one
-    pass. Returns the result — byte-identical to
-    [run ~lazy_constraints:true] on the same store — plus the snapshot
-    for the next edit, or [None] when the replay cannot be proven exact;
-    callers then fall back to a fresh grounding. The replay is refused
-    when the rules differ from the recorded ones in anything (not just
-    their names), when [store] codes its atoms in another graph's symbol
-    table than the recorded store, or when a replayed instance
-    references an atom the new store lacks.
+  result option
+(** Replay the [snapshot] grounding against a freshly rebuilt [store]
+    (evidence already interned), re-joining [affected] rules and rules
+    the snapshot joined more than once; every other rule copies its
+    recorded slice, remapped to the new atom ids. Returns the result —
+    byte-identical to [run ~lazy_constraints:true] on the same store,
+    and the snapshot's result for the next edit — or [None] when the
+    replay cannot be proven exact; callers then fall back to a fresh
+    grounding. The replay is refused when the rules differ from the
+    recorded ones in anything (not just their names), when [store] codes
+    its atoms in another graph's symbol table than the recorded store,
+    or when a replayed instance references an atom the new store lacks.
 
     @raise Failure when the replayed closure exceeds [max_rounds]. *)

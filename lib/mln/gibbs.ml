@@ -15,8 +15,7 @@ let sigmoid x = 1.0 /. (1.0 +. exp (-.x))
 
 let run ?(seed = 7) ?(burn_in = 1_000) ?(samples = 5_000)
     ?(hard_weight = 2.0 *. Kg.Quad.max_weight) ?init ?(chains = 1)
-    ?(pool = Pool.sequential) ?(deadline = Deadline.none) (network : Network.t)
-    =
+    ?(deadline = Deadline.none) (network : Network.t) =
   if chains < 1 then invalid_arg "Gibbs.run: chains must be >= 1";
   let n = network.num_atoms in
   let base =
@@ -44,7 +43,7 @@ let run ?(seed = 7) ?(burn_in = 1_000) ?(samples = 5_000)
   (* One independent chain: own state, own PRNG stream. Chain 0 keeps
      the caller's seed (identical to the single-chain behaviour);
      further chains derive theirs, so the chain set — and the merged
-     marginals — do not depend on the job count. *)
+     marginals — are fixed by [chains] and [seed] alone. *)
   (* A chain is an anytime estimator: it records as many sample sweeps
      as the deadline allows and reports how many it kept, so the merged
      marginals always divide by the number of sweeps actually counted —
@@ -103,7 +102,8 @@ let run ?(seed = 7) ?(burn_in = 1_000) ?(samples = 5_000)
     (counts, !recorded, !sweeps, List.rev !trail)
   in
   let results =
-    Pool.map_results ~deadline pool run_chain (List.init chains Fun.id)
+    Pool.map_results ~deadline Pool.sequential run_chain
+      (List.init chains Fun.id)
   in
   let completed = List.filter_map Result.to_option results in
   let crashed =

@@ -34,7 +34,6 @@ val run :
   ?hard_weight:float ->
   ?init:bool array ->
   ?chains:int ->
-  ?pool:Prelude.Pool.t ->
   ?deadline:Prelude.Deadline.t ->
   Network.t ->
   result
@@ -45,10 +44,8 @@ val run :
     [chains] (default 1) runs that many independent chains and averages
     their sample counts; chain 0 uses [seed] verbatim (so [chains = 1]
     reproduces the single-chain sampler exactly) and chain [k] derives
-    its stream with {!Prelude.Prng.subseed}. [pool] (default
-    {!Prelude.Pool.sequential}) runs chains on worker domains; the chain
-    set is fixed by [chains] and [seed] alone, so the merged marginals
-    are identical at every job count.
+    its stream with {!Prelude.Prng.subseed}. Chains run one after
+    another on the calling domain.
 
     Anytime contract: [deadline] (default {!Prelude.Deadline.none}) is
     polled between sweeps; on expiry each chain stops and the marginals

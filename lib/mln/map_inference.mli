@@ -64,8 +64,8 @@ val run_ground :
   ground_ms:float ->
   outcome
 (** Encode-and-solve over a grounding computed elsewhere — the solve
-    step of [Tecore.Engine.resolve], which grounds fresh, records a
-    replay snapshot or replays one ({!Grounder.Ground.reground}).
+    step of [Tecore.Engine.resolve], which grounds fresh or replays a
+    snapshot ({!Grounder.Ground.reground}).
     [ground_ms] is reported in the stats verbatim.
 
     The network is always solved per connected component

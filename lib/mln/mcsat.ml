@@ -68,8 +68,8 @@ let clauses_where (network : Network.t) flag =
     (List.init (Network.num_clauses network) Fun.id)
 
 let run ?(seed = 7) ?(burn_in = 100) ?(samples = 1_000)
-    ?(sample_flips = 10_000) ?init ?(chains = 1) ?(pool = Pool.sequential)
-    ?(deadline = Deadline.none) (network : Network.t) =
+    ?(sample_flips = 10_000) ?init ?(chains = 1) ?(deadline = Deadline.none)
+    (network : Network.t) =
   if chains < 1 then invalid_arg "Mcsat.run: chains must be >= 1";
   let n = network.num_atoms in
   let hard = Array.of_list (clauses_where network true) in
@@ -157,7 +157,8 @@ let run ?(seed = 7) ?(burn_in = 100) ?(samples = 1_000)
     (counts, !rejected, !recorded, List.rev !trail)
   in
   let results =
-    Pool.map_results ~deadline pool run_chain (List.init chains Fun.id)
+    Pool.map_results ~deadline Pool.sequential run_chain
+      (List.init chains Fun.id)
   in
   let per_chain = List.filter_map Result.to_option results in
   let crashed =

@@ -34,7 +34,6 @@ val run :
   ?sample_flips:int ->
   ?init:bool array ->
   ?chains:int ->
-  ?pool:Prelude.Pool.t ->
   ?deadline:Prelude.Deadline.t ->
   Network.t ->
   result
@@ -46,9 +45,8 @@ val run :
     [chains] (default 1) runs that many independent slice-sampling
     chains and averages their counts; chain 0 uses [seed] verbatim (so
     [chains = 1] reproduces the single-chain sampler exactly), chain
-    [k] derives its stream with {!Prelude.Prng.subseed}. [pool]
-    (default {!Prelude.Pool.sequential}) runs chains on worker domains;
-    the merged marginals are identical at every job count.
+    [k] derives its stream with {!Prelude.Prng.subseed}. Chains run one
+    after another on the calling domain.
 
     Anytime contract: [deadline] (default {!Prelude.Deadline.none}) is
     polled between slice-sampling steps; on expiry chains stop and the

@@ -241,46 +241,38 @@ let run_batch owner n f =
 
 (* Run [f 0 .. f (n-1)], at most [t.jobs] concurrently. The first task
    exception aborts the dealing of further tasks and is re-raised (with
-   its backtrace) after every running task has drained. *)
+   its backtrace) after every running task has drained. Only a batch
+   dealt to the crew is recorded: work run inline on the caller — a
+   one-job pool, a single task, a task of another pool's batch — is a
+   plain loop that leaves the stats alone. *)
 let run_tasks t n f =
   let sequentially () =
-    (* No domains, no crew, identical to a loop. *)
-    let start = Timing.now_ms () in
-    for i = 0 to n - 1 do
-      f i
-    done;
-    let elapsed = Timing.now_ms () -. start in
-    record t ~n ~busy:elapsed ~wall:elapsed
-  in
-  (* A one-job pool is a plain loop: no clock reads, no lock, no stats.
-     Nothing reports a one-job pool's stats. *)
-  if t.jobs = 1 then
     for i = 0 to n - 1 do
       f i
     done
-  else if n > 0 then
-    if n = 1 then sequentially ()
-    else
-      match Domain.DLS.get in_task with
-      | Some owner when owner == t -> raise Nested_use
-      | Some _ ->
-          (* Inside a crew task of another pool: submitting a batch would
-             wait on the batch this task belongs to. Degrade to the
-             sequential loop — results are identical by contract. The
-             target's [active] flag is left alone: tasks of the running
-             batch may degrade into the same pool at once. *)
-          sequentially ()
-      | None ->
-          if not (Atomic.compare_and_set t.active false true) then
-            raise Nested_use;
-          Fun.protect ~finally:(fun () -> Atomic.set t.active false)
-          @@ fun () ->
-          let start = Timing.now_ms () in
-          let busy, failure = run_batch t n f in
-          record t ~n ~busy ~wall:(Timing.now_ms () -. start);
-          Option.iter
-            (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
-            failure
+  in
+  if t.jobs = 1 || n <= 1 then sequentially ()
+  else
+    match Domain.DLS.get in_task with
+    | Some owner when owner == t -> raise Nested_use
+    | Some _ ->
+        (* Inside a crew task of another pool: submitting a batch would
+           wait on the batch this task belongs to. Degrade to the
+           sequential loop — results are identical by contract. The
+           target's [active] flag is left alone: tasks of the running
+           batch may degrade into the same pool at once. *)
+        sequentially ()
+    | None ->
+        if not (Atomic.compare_and_set t.active false true) then
+          raise Nested_use;
+        Fun.protect ~finally:(fun () -> Atomic.set t.active false)
+        @@ fun () ->
+        let start = Timing.now_ms () in
+        let busy, failure = run_batch t n f in
+        record t ~n ~busy ~wall:(Timing.now_ms () -. start);
+        Option.iter
+          (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+          failure
 
 let map_array t f xs =
   let n = Array.length xs in

@@ -1,10 +1,10 @@
 (** Domain-based work pool: the one multicore primitive of the codebase.
 
-    The two parallel stages of the pipeline, the grounder's partitioned
-    hash joins ([Reldb.Relalg.hash_join]) and the Gibbs/MC-SAT sampler
-    chains, schedule through a pool so that parallelism is controlled by
-    a single [--jobs] knob and results stay deterministic at any job
-    count (the MAP solvers run on the calling domain):
+    The one parallel stage of the pipeline, the grounder's partitioned
+    hash joins ([Reldb.Relalg.hash_join]), schedules through a pool so
+    that parallelism is controlled by a single [--jobs] knob and results
+    stay deterministic at any job count (the solvers and samplers run on
+    the calling domain):
 
     - results are always returned (or side effects committed) in task
       order, never completion order;
@@ -65,9 +65,9 @@ val map_results :
     crew and the remaining tasks are unaffected), and a task dealt
     after [deadline] expired is skipped and reported as
     [Error Deadline.Expired]. Tasks that ran before the expiry keep
-    their results — the anytime solvers use exactly this to hold on to
-    the best-so-far attempt when a worker crashes or the budget runs
-    out. Ordering and determinism match {!map}. *)
+    their results — the samplers use exactly this to keep every chain
+    that completed when another crashes or the budget runs out.
+    Ordering and determinism match {!map}. *)
 
 val release : unit -> unit
 (** Join the crew's worker domains; the next parallel operation spawns
@@ -77,8 +77,8 @@ val release : unit -> unit
     releases them. Called from inside a task, it does nothing. *)
 
 type stats = {
-  calls : int;    (** parallel operations executed *)
-  tasks : int;    (** tasks run across all operations *)
+  calls : int;    (** operations dealt to worker domains *)
+  tasks : int;    (** tasks run across those operations *)
   busy_ms : float;(** summed per-domain busy time *)
   wall_ms : float;(** summed wall time of the operations *)
 }
@@ -86,8 +86,9 @@ type stats = {
 val stats : t -> stats
 (** Cumulative scheduling statistics since [create]; callers surface
     them through [Obs]. ([busy_ms /. wall_ms] approximates achieved
-    parallelism.) A [jobs = 1] pool runs every operation as a plain loop
-    and records nothing: its stats stay all-zero. *)
+    parallelism.) Only operations dealt to the crew are recorded: a
+    [jobs = 1] pool, a one-task operation and work degraded to a loop
+    inside another pool's task all run inline and record nothing. *)
 
 val set_task_hook : ((unit -> unit) -> unit) option -> unit
 (** Install a wrapper invoked around every crew task, on the domain that

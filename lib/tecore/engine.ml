@@ -207,11 +207,9 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
   in
   (* The one grounding step, constraints always pushed into the joins.
      θ(G) is built inside the span, so [ground_ms] covers the atom store
-     as well as the closure and the instance joins. Without a state
-     this is the plain [Ground.run], the only grounding that polls a
-     deadline; with one, [run_record] also keeps the replay snapshot,
-     and [reground] replays one. [None] means the replay could not be
-     proven exact. *)
+     as well as the closure and the instance joins. [Ground.run] grounds
+     afresh, and [reground] replays a state's snapshot; [None] means the
+     replay could not be proven exact. *)
   let ground ?replay () =
     let grounding, ground_ms =
       Prelude.Timing.time (fun () ->
@@ -222,24 +220,18 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
           @@ fun () ->
           Obs.span "ground" (fun () ->
               let store = Grounder.Atom_store.of_graph graph in
-              match (state, replay) with
-              | None, _ ->
+              match replay with
+              | None ->
                   Some
                     ( store,
-                      Grounder.Ground.run ~deadline:ground_deadline
-                        ?pool ~lazy_constraints:true store rules,
-                      None )
-              | Some _, None ->
-                  let g, snap =
-                    Grounder.Ground.run_record ?pool store rules
-                  in
-                  Some (store, g, Some snap)
-              | Some _, Some (snapshot, affected) ->
-                  Grounder.Ground.reground ~snapshot ~affected
-                    ?pool store rules
-                  |> Option.map (fun (g, snap) -> (store, g, Some snap))))
+                      Grounder.Ground.run ~deadline:ground_deadline ?pool
+                        ~lazy_constraints:true store rules )
+              | Some (snapshot, affected) ->
+                  Grounder.Ground.reground ~snapshot ~affected ?pool store
+                    rules
+                  |> Option.map (fun g -> (store, g))))
     in
-    Option.map (fun (store, g, snap) -> (store, g, snap, ground_ms)) grounding
+    Option.map (fun (store, g) -> (store, g, ground_ms)) grounding
   in
   let fresh_ground () =
     match ground () with
@@ -337,7 +329,7 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
   in
   (* Solve and interpret one grounding. Only a state lends the solver
      its component cache. *)
-  let solve_and_interpret (store, ground_result, snap, ground_ms) =
+  let solve_and_interpret (store, ground_result, ground_ms) =
     if Deadline.is_finite deadline then
       Obs.gauge "deadline.ground_slack_ms" (Deadline.remaining_ms deadline);
     let run () =
@@ -419,7 +411,7 @@ let resolve ?(engine = Auto) ?jobs ?threshold ?(deadline = Deadline.none)
     let result = { resolution; report; stats; raw } in
     Option.iter
       (fun st ->
-        st.snapshot <- snap;
+        st.snapshot <- Some (store, ground_result);
         st.last <- (if status = Deadline.Completed then Some result else None))
       state;
     result

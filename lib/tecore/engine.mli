@@ -140,11 +140,11 @@ val resolve :
 (** One pipeline, [map(θ(G), F ∪ C)], whatever the arguments: translate
     (rejecting Error-level programs with {!Rejected}); choose the engine;
     ground once inside the ["ground"] span — build the atom store, then
-    close and ground the rules ({!Grounder.Ground.run} without a state,
-    {!Grounder.Ground.run_record} with one, {!Grounder.Ground.reground}
-    on an incremental replay); encode and solve with the engine's
-    [run_ground]; interpret the MAP state ({!Conflict.interpret}); apply
-    [threshold]; and, with a state, record the snapshot and result.
+    close and ground the rules ({!Grounder.Ground.run}, or
+    {!Grounder.Ground.reground} on an incremental replay); encode and
+    solve with the engine's [run_ground]; interpret the MAP state
+    ({!Conflict.interpret}); apply [threshold]; and, with a state,
+    record the grounding as the snapshot, and the result.
     [stats.ground_ms] therefore includes the atom-store build, and every
     resolve reports the same span tree: [resolve] → [translate],
     [ground] ([closure], [instances]), [encode], [solve], [round] (nPSL

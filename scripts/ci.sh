@@ -80,8 +80,8 @@ expect_exit 0 "deadline expiry under best-effort" \
 echo "== telemetry smoke (trace + metrics + event log) =="
 # Only the grounding joins use the worker pool, and they deal tasks to
 # it only when a join is large enough to partition: data/football.tq
-# grounds in single-task calls that never reach a worker. FootballDB at
-# 6,500 players deals 192 join tasks at --jobs 4.
+# grounds inline and records no pool call. FootballDB at 6,500 players
+# deals 128 join tasks (4 calls) at --jobs 4.
 FB_DATA=$(mktemp) TRACE_OUT=$(mktemp) METRICS_OUT=$(mktemp) LOG_OUT=$(mktemp)
 "$CLI" generate footballdb --players 6500 --seed 1 --noise 0.5 \
   -o "$FB_DATA" >/dev/null
@@ -390,20 +390,22 @@ echo "== solve-layer work counters (fb-mln, seed 1, full size, traced) =="
 # about 15 with one packed clause layout; the ceiling fails if boxed
 # clauses or the per-solve repack come back. The same run gates the
 # full-size grounder counts exactly (rows joined, atoms, rule instances,
-# closure rounds), so a grounding change shows at full size too, and
+# closure rounds), so a grounding change shows at full size too — rows
+# joined equal the instances while every rule is joined once — and
 # the grounding allocation against a ceiling: 13.38 Mwords while the
 # atom store re-interned every fact's symbols under a process-wide
-# lock, about 11.64 since it copies the graph's own symbol codes; the
-# ceiling of 12 sits more than one minor-heap step (about 0.26 Mwords)
-# above that and fails if per-resolve interning comes back.
+# lock, about 11.64 since it copies the graph's own symbol codes, and
+# about 8.8 since each rule is joined once; the ceiling of 12 sits more
+# than one minor-heap step (about 0.26 Mwords) above 11.64 and fails if
+# per-resolve interning comes back.
 SUITE_DIR=$(mktemp -d) SUITE_OUT=$(mktemp)
 bash bench/suite/run.sh --workload fb-mln --seed 1 --trace 1 \
   --seconds 0.1 --workdir "$SUITE_DIR" > "$SUITE_OUT" \
   || { echo "work-counter gate: full-size traced fb-mln run failed" >&2; cat "$SUITE_OUT" >&2; exit 1; }
 for expected in mln.clauses=48715 mln.components=17104 mln.flips=34728 \
-                mln.cpi_iterations=23980 grounder.join_rows=32805 \
+                mln.cpi_iterations=23980 grounder.join_rows=26281 \
                 grounder.atoms=31505 grounder.instances=26281 \
-                grounder.rounds=2; do
+                grounder.rounds=1; do
   name=${expected%=*} want=${expected#*=}
   [ "$(metric "$name")" = "$want.0000" ] \
     || { echo "work-counter gate: $name = $(metric "$name"), expected exactly $want" >&2; exit 1; }
@@ -426,8 +428,8 @@ SUITE_DIR=$(mktemp -d) SUITE_OUT=$(mktemp)
 bash bench/suite/run.sh --workload fb-psl --seed 1 --quick true --trace 1 \
   --seconds 0.1 --workdir "$SUITE_DIR" > "$SUITE_OUT" \
   || { echo "work-counter gate: traced fb-psl run failed" >&2; cat "$SUITE_OUT" >&2; exit 1; }
-for expected in grounder.join_rows=652 grounder.atoms=694 \
-                grounder.instances=538 grounder.rounds=2 \
+for expected in grounder.join_rows=538 grounder.atoms=694 \
+                grounder.instances=538 grounder.rounds=1 \
                 psl.potentials=751 psl.components=388 \
                 psl.admm_iterations=7816; do
   name=${expected%=*} want=${expected#*=}
@@ -452,8 +454,8 @@ SUITE_DIR=$(mktemp -d) SUITE_OUT=$(mktemp)
 bash bench/suite/run.sh --workload wd-psl --seed 1 --quick true --trace 1 \
   --seconds 0.1 --workdir "$SUITE_DIR" > "$SUITE_OUT" \
   || { echo "work-counter gate: traced wd-psl run failed" >&2; cat "$SUITE_OUT" >&2; exit 1; }
-for expected in grounder.join_rows=3941 grounder.atoms=3280 \
-                grounder.instances=1371 grounder.rounds=2 \
+for expected in grounder.join_rows=1371 grounder.atoms=3280 \
+                grounder.instances=1371 grounder.rounds=1 \
                 psl.potentials=4605 psl.components=1937 \
                 psl.admm_iterations=15949; do
   name=${expected%=*} want=${expected#*=}

@@ -158,8 +158,8 @@ let test_negative_time_points () =
     (List.length result.Tecore.Engine.resolution.Tecore.Conflict.removed)
 
 let test_rule_chain_depth () =
-  (* A chain p1 -> p2 -> ... -> p6 must close in 5 rounds and derive all
-     intermediate facts. *)
+  (* A chain p1 -> p2 -> ... -> p6, declared in order, closes in one
+     closure pass and derives every intermediate fact. *)
   let rules =
     parse_rules
       {|rule r1 2.0: p1(x, y)@t => p2(x, y)@t .

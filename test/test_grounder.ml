@@ -211,32 +211,84 @@ let test_closure_derives () =
     (Atom.Ground.to_string (Store.atom store derived));
   Alcotest.(check bool) "derived is hidden" false (Store.is_evidence store derived)
 
+(* f1 feeds f2: declared in that order, both close in one pass; the
+   other way round, f2 joins again in a second pass, after f1 derived
+   its input. The atoms are the same. *)
 let test_closure_chain () =
-  (* f1 feeds f2: two closure rounds. *)
-  let graph =
-    Kg.Graph.of_list
-      [
-        Kg.Quad.v "CR" "playsFor" (Kg.Term.iri "Palermo") (1984, 1986) 0.5;
-        Kg.Quad.v "Palermo" "locatedIn" (Kg.Term.iri "Sicily") (1900, 2017) 1.0;
-      ]
+  let ground rules =
+    let graph =
+      Kg.Graph.of_list
+        [
+          Kg.Quad.v "CR" "playsFor" (Kg.Term.iri "Palermo") (1984, 1986) 0.5;
+          Kg.Quad.v "Palermo" "locatedIn" (Kg.Term.iri "Sicily") (1900, 2017)
+            1.0;
+        ]
+    in
+    let store = Store.of_graph graph in
+    let result = Ground.run store (parse_rules rules) in
+    let hidden =
+      List.map
+        (fun id -> Atom.Ground.to_string (Store.atom store id))
+        (Instance_view.hidden store)
+    in
+    (result, hidden)
   in
-  let store = Store.of_graph graph in
-  let rules =
-    parse_rules
-      {|rule f1 2.5: playsFor(x, y)@t => worksFor(x, y)@t .
-rule f2 1.6: worksFor(x, y)@t ^ locatedIn(y, z)@t2 ^ intersects(t, t2) => livesIn(x, z)@(t * t2) .|}
+  let f1 = "rule f1 2.5: playsFor(x, y)@t => worksFor(x, y)@t .\n"
+  and f2 =
+    "rule f2 1.6: worksFor(x, y)@t ^ locatedIn(y, z)@t2 ^ intersects(t, t2) \
+     => livesIn(x, z)@(t * t2) .\n"
   in
-  let result = Ground.run store rules in
-  Alcotest.(check int) "two derived" 2
-    (List.length (Instance_view.hidden store));
-  Alcotest.(check bool) "at least two rounds" true (result.Ground.rounds >= 2);
+  let result, hidden = ground (f1 ^ f2) in
   (* livesIn gets the computed intersection interval. *)
-  let lives =
-    Store.find store
-      (Atom.Ground.make ~time:(iv 1984 1986) "livesIn"
-         [ Kg.Term.iri "CR"; Kg.Term.iri "Sicily" ])
+  Alcotest.(check (list string))
+    "two derived"
+    [ "worksFor(CR, Palermo)@[1984,1986]"; "livesIn(CR, Sicily)@[1984,1986]" ]
+    hidden;
+  Alcotest.(check int) "one round" 1 result.Ground.rounds;
+  Alcotest.(check (array int)) "each rule joined once" [| 1; 1 |]
+    result.Ground.joins;
+  let result, reversed = ground (f2 ^ f1) in
+  Alcotest.(check (list string)) "same atoms, f2 first" hidden reversed;
+  Alcotest.(check int) "two rounds, f2 first" 2 result.Ground.rounds;
+  Alcotest.(check (array int)) "f2 joined again" [| 2; 1 |]
+    result.Ground.joins
+
+(* The sum of a counter over the whole report. *)
+let counter_total (r : Obs.Report.t) name =
+  let own counters = Option.value ~default:0. (List.assoc_opt name counters) in
+  let rec node (n : Obs.Report.node) =
+    List.fold_left
+      (fun acc c -> acc +. node c)
+      (own n.Obs.Report.counters) n.Obs.Report.children
   in
-  Alcotest.(check bool) "livesIn@[1984,1986] exists" true (lives <> None)
+  List.fold_left (fun acc n -> acc +. node n) (own r.Obs.Report.counters)
+    r.Obs.Report.spans
+
+(* FootballDB's rules each read only evidence, and with lazy
+   constraints every joined row is an instance: each rule is joined
+   exactly once, so the rows joined are the instances. *)
+let test_each_rule_joined_once () =
+  let d = Datagen.Footballdb.generate ~seed:1 ~players:150 ~noise_ratio:0.5 () in
+  let rules = Datagen.Footballdb.constraints () @ Datagen.Footballdb.rules () in
+  let store = Store.of_graph d.Datagen.Footballdb.graph in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let result, report =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        let result = Ground.run ~lazy_constraints:true store rules in
+        (result, Obs.Report.capture ()))
+  in
+  let instances = Array.length result.Ground.instances.Ground.rule in
+  Alcotest.(check bool) "some instances" true (instances > 0);
+  Alcotest.(check (float 0.)) "join_rows = instances" (float_of_int instances)
+    (counter_total report "ground.join_rows");
+  Alcotest.(check (array int)) "one join per rule"
+    (Array.make (List.length rules) 1)
+    result.Ground.joins
 
 let test_instances_heads () =
   let store = Store.of_graph (cr_graph ()) in
@@ -670,6 +722,8 @@ let () =
           Alcotest.test_case "derives" `Quick test_closure_derives;
           Alcotest.test_case "chain (f1 -> f2)" `Quick test_closure_chain;
           Alcotest.test_case "terminates" `Quick test_closure_terminates;
+          Alcotest.test_case "each rule joined once" `Quick
+            test_each_rule_joined_once;
         ] );
       ( "instances",
         [

@@ -319,7 +319,9 @@ let test_reground_identical () =
     Datagen.Footballdb.constraints () @ Datagen.Footballdb.rules ()
   in
   let store0 = Grounder.Atom_store.of_graph g in
-  let _, snapshot = Grounder.Ground.run_record store0 rules in
+  let snapshot =
+    (store0, Grounder.Ground.run ~lazy_constraints:true store0 rules)
+  in
   (* Retract one playsFor fact... *)
   let id, _ =
     List.hd (Kg.Graph.by_predicate g (Kg.Term.iri "playsFor"))
@@ -332,7 +334,7 @@ let test_reground_identical () =
   in
   let result_inc =
     match Grounder.Ground.reground ~snapshot ~affected store_inc rules with
-    | Some (r, _) -> r
+    | Some r -> r
     | None -> Alcotest.fail "reground refused a same-rules replay"
   in
   (* ...and compare against a fresh grounding (constraints pushed into
@@ -371,8 +373,9 @@ let test_reground_refuses_mismatch () =
   let d = Datagen.Footballdb.generate ~seed:5 ~players:12 ~noise_ratio:0.5 () in
   let g = d.Datagen.Footballdb.graph in
   let rules = Datagen.Footballdb.constraints () @ Datagen.Footballdb.rules () in
-  let _, snapshot =
-    Grounder.Ground.run_record (Grounder.Atom_store.of_graph g) rules
+  let snapshot =
+    let store = Grounder.Atom_store.of_graph g in
+    (store, Grounder.Ground.run ~lazy_constraints:true store rules)
   in
   let reground rules =
     Grounder.Ground.reground ~snapshot

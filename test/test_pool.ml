@@ -1,18 +1,12 @@
 (* Tests for the domain work pool: ordering, failure propagation,
-   nesting rules, and the determinism contract — parallel runs of the
-   grounding and the sampler chains must reproduce the sequential
-   results, and a resolve gives the pool grounding work only. *)
+   nesting rules, what the stats record, and the determinism contract —
+   a parallel grounding, the pool's one user, must reproduce the
+   sequential one, and a resolve gives the pool grounding work only. *)
 
 module Pool = Prelude.Pool
-module Network = Mln.Network
 
 (* A list map over the pool's array combinator. *)
 let map pool f xs = Array.to_list (Pool.map_array pool f (Array.of_list xs))
-
-let parse_rules src =
-  match Rulelang.Parser.parse_string src with
-  | Ok rules -> rules
-  | Error e -> Alcotest.fail (Format.asprintf "%a" Rulelang.Parser.pp_error e)
 
 (* ------------------------------------------------------------------ *)
 (* Pool combinators.                                                   *)
@@ -124,6 +118,18 @@ let test_stats () =
   Alcotest.(check int) "tasks" 12 s.Pool.tasks;
   Alcotest.(check bool) "wall measured" true (s.Pool.wall_ms >= 0.0)
 
+(* A one-task operation runs on the caller and deals nothing to a
+   worker, so it is no pool call. *)
+let test_one_task_not_recorded () =
+  let pool = Pool.create ~jobs:4 in
+  Alcotest.(check (list int)) "result" [ 7 ] (map pool (fun x -> x + 1) [ 6 ]);
+  ignore (Pool.map_results pool Fun.id [ 1 ]);
+  let s = Pool.stats pool in
+  Alcotest.(check (pair int int)) "calls and tasks" (0, 0)
+    (s.Pool.calls, s.Pool.tasks);
+  Alcotest.(check bool) "no time" true
+    (s.Pool.busy_ms = 0.0 && s.Pool.wall_ms = 0.0)
+
 (* [release] joins the crew: the next batch spawns it again, and from
    inside a task it leaves the crew (and the batch) alone. *)
 let test_release () =
@@ -219,37 +225,6 @@ let grounding_jobs_property =
       in
       ground Pool.sequential = ground (Pool.create ~jobs:4))
 
-let test_samplers_jobs_identical () =
-  let store =
-    Grounder.Atom_store.of_graph
-      (Kg.Graph.of_list
-         [
-           Kg.Quad.v "CR" "coach" (Kg.Term.iri "Chelsea") (2000, 2004) 0.9;
-           Kg.Quad.v "CR" "coach" (Kg.Term.iri "Napoli") (2001, 2003) 0.6;
-           Kg.Quad.v "CR" "playsFor" (Kg.Term.iri "Palermo") (1984, 1986) 0.5;
-         ])
-  in
-  let rules =
-    parse_rules
-      {|constraint c2: coach(x, y)@t ^ coach(x, z)@t2 ^ y != z => disjoint(t, t2) .|}
-  in
-  let ground = Grounder.Ground.run store rules in
-  let network = Network.build store ground.Grounder.Ground.instances in
-  let gibbs jobs =
-    (Mln.Gibbs.run ~seed:3 ~burn_in:50 ~samples:400 ~chains:3
-       ~pool:(Pool.create ~jobs) network)
-      .Mln.Gibbs.marginals
-  in
-  Alcotest.(check bool) "gibbs chains merge identically" true
-    (gibbs 1 = gibbs 4);
-  let mcsat jobs =
-    (Mln.Mcsat.run ~seed:3 ~burn_in:20 ~samples:150 ~chains:3
-       ~pool:(Pool.create ~jobs) network)
-      .Mln.Mcsat.marginals
-  in
-  Alcotest.(check bool) "mcsat chains merge identically" true
-    (mcsat 1 = mcsat 4)
-
 let test_engine_jobs_identical () =
   let graph, rules = ground_fixture () in
   (* The removals, and the MAP objective bit for bit. *)
@@ -272,9 +247,12 @@ let test_engine_jobs_identical () =
 
 (* Only the grounding joins use a resolve's pool: whichever engine
    solves, the report counts exactly the calls and tasks that the same
-   grounding deals to a pool of its own. *)
+   grounding deals to a pool of its own. 4,000 players make joins large
+   enough to partition, so the grounding deals tasks to the workers. *)
 let test_resolve_pool_is_grounding_only () =
-  let d = Datagen.Footballdb.generate ~seed:1 ~players:150 ~noise_ratio:0.5 () in
+  let d =
+    Datagen.Footballdb.generate ~seed:1 ~players:4000 ~noise_ratio:0.5 ()
+  in
   let graph = d.Datagen.Footballdb.graph in
   let rules = Datagen.Footballdb.constraints () in
   let grounding =
@@ -334,6 +312,8 @@ let () =
           Alcotest.test_case "concurrent cross-pool nesting" `Quick
             test_concurrent_cross_pool_nesting;
           Alcotest.test_case "stats" `Quick test_stats;
+          Alcotest.test_case "one task: not a pool call" `Quick
+            test_one_task_not_recorded;
           Alcotest.test_case "one job: plain loop" `Quick
             test_one_job_plain_loop;
           Alcotest.test_case "release" `Quick test_release;
@@ -344,8 +324,6 @@ let () =
       ( "determinism",
         [
           QCheck_alcotest.to_alcotest grounding_jobs_property;
-          Alcotest.test_case "sampler chains identical" `Quick
-            test_samplers_jobs_identical;
           Alcotest.test_case "engine removals identical" `Quick
             test_engine_jobs_identical;
           Alcotest.test_case "a resolve deals only grounding to the pool"
